@@ -146,9 +146,6 @@ class FinitePoset:
     def leq(self, a, b) -> bool:
         return (a, b) in self.leq_pairs
 
-    def upper_bounds(self, subset) -> List[object]:
-        return [u for u in self.elements if all(self.leq(a, u) for a in subset)]
-
 
 def transitive_reflexive_closure(elements, pairs):
     rel = {(a, a) for a in elements}
@@ -414,10 +411,6 @@ def catalog_basis(name: str) -> FiniteBasis:
 
 def one_point_basis(name="one-point") -> FiniteBasis:
     return mk_finite_basis(["bot"], [], name=name)
-
-
-def sierpinski_basis() -> FiniteBasis:
-    return catalog_basis("two-chain")
 
 
 def flat_basis(points, name="flat") -> FiniteBasis:

@@ -1,33 +1,14 @@
 """Stock domain-pers used as equation parameters."""
 
 from .basis import FlatNatBasis, catalog_basis, flat_basis, tok
-from .per import (
-    YES,
-    DomainPer,
-    NatIdentityRel,
-    PerFlags,
-    finite_per,
-    trivial_per,
-)
-
-_STOCK_FLAGS = PerFlags(
-    weakly_convex=YES,
-    convex=YES,
-    local=YES,
-    strongly_local=YES,
-    complete=YES,
-    upwards_closed=YES,
-    dense=YES,
-    admissible_pedigree=YES,
-    countably_based=YES,
-)
+from .per import ALL_YES, DomainPer, NatIdentityRel, finite_per, trivial_per
 
 
 def sierpinski_per() -> DomainPer:
     """Two-chain carrier, top related to itself only."""
     b = catalog_basis("two-chain")
     return finite_per(
-        b, [(tok("top"), tok("top"))], flags=_STOCK_FLAGS, name="sierpinski"
+        b, [(tok("top"), tok("top"))], flags=ALL_YES, name="sierpinski"
     )
 
 
@@ -36,7 +17,7 @@ def flatbool_per() -> DomainPer:
     return finite_per(
         b,
         [(tok("tt"), tok("tt")), (tok("ff"), tok("ff"))],
-        flags=_STOCK_FLAGS,
+        flags=ALL_YES,
         name="flatbool",
     )
 
@@ -46,7 +27,7 @@ def discrete_per(n: int) -> DomainPer:
     return finite_per(
         b,
         [(tok(str(i)), tok(str(i))) for i in range(n)],
-        flags=_STOCK_FLAGS,
+        flags=ALL_YES,
         name=f"discrete({n})",
     )
 
@@ -56,7 +37,7 @@ def flatnat_per(nat_bound: int = 8) -> DomainPer:
     return DomainPer(
         b,
         NatIdentityRel(b, nat_bound),
-        _STOCK_FLAGS,
+        ALL_YES,
         trace=("flat naturals with equality on defined values",),
         name="flatnat",
     )

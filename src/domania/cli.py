@@ -36,7 +36,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 from .basis import Basis, mk_finite_basis, tok
@@ -455,8 +455,7 @@ def export_dot(basis: Basis, path: str, totals=None, bound=None):
 # commands
 
 
-def _load_equation(args) -> EquationSource:
-    text = args.eq
+def _load_equation(text: str) -> EquationSource:
     if text.startswith("@"):
         with open(text[1:]) as fh:
             text = fh.read()
@@ -473,7 +472,7 @@ def _per_env(source: EquationSource, nat_bound, base_dir=".") -> Dict[str, Domai
 def cmd_solve_domain(args) -> Tuple[int, str]:
     from .spfunctor import fixed_point_iso, inductive_limit_domain, omega_chain
 
-    src = _load_equation(args)
+    src = _load_equation(args.eq)
     env = {k: v.carrier for (k, v) in _per_env(src, args.nat_bound).items()}
     stages = omega_chain(src.expr, env, args.stages)
     lim = inductive_limit_domain(stages)
@@ -531,7 +530,7 @@ def _stage_rows_for_chain(chain, rank_bound):
 
 
 def cmd_per_lfp(args) -> Tuple[int, str]:
-    src = _load_equation(args)
+    src = _load_equation(args.eq)
     env = _per_env(src, args.nat_bound)
     chain = per_chain_extend(
         src.expr,
@@ -575,13 +574,14 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
         rows,
         stabilized,
         checks,
-        chain.stages[-1][1].flags.as_dict(),
+        asdict(chain.stages[-1][1].flags),
     )
-    return 0, text
+    ok = all(c["status"] != "fail" for c in checks)
+    return (0 if ok else 1), text
 
 
 def cmd_dense(args) -> Tuple[int, str]:
-    src = _load_equation(args)
+    src = _load_equation(args.eq)
     env = _per_env(src, args.nat_bound)
     lfp = dense_lfp(
         src.expr, env, rank_bound=args.rank_bound,
@@ -632,27 +632,22 @@ def cmd_dense(args) -> Tuple[int, str]:
         _stage_rows_for_chain(lfp.chain, args.rank_bound),
         None,
         checks,
-        lfp.per.flags.as_dict(),
+        asdict(lfp.per.flags),
     )
     ok = all(c["status"] == "pass" for c in checks)
     return (0 if ok else 1), text
 
 
 def cmd_eta_roundtrip(args) -> Tuple[int, str]:
-    src = _load_equation(args)
+    src = _load_equation(args.eq)
     env = _per_env(src, args.nat_bound)
     lfp = dense_lfp(
         src.expr, env, rank_bound=args.rank_bound,
         n_finite=max(4, args.rank_bound + 1),
     )
     report = dense_image_weak_iso(lfp, rank_bound=args.rank_bound)
-    anchors = {
-        "evaluation-reflects-classes": "evaluation-reflects-classes",
-        "round-trip-fixed-point": "round-trip-fixed-point",
-        "round-trip-image": "round-trip-image",
-    }
     checks = [
-        _check(name, anchors.get(name, name), status, args.rank_bound,
+        _check(name, name, status, args.rank_bound,
                witness.pretty if hasattr(witness, "pretty") else None)
         for (name, status, witness) in report.checks
     ]
@@ -662,13 +657,13 @@ def cmd_eta_roundtrip(args) -> Tuple[int, str]:
         _stage_rows_for_chain(lfp.chain, args.rank_bound),
         None,
         checks,
-        lfp.per.flags.as_dict(),
+        asdict(lfp.per.flags),
     )
     return (0 if report.all_pass else 1), text
 
 
 def cmd_qcb(args) -> Tuple[int, str]:
-    src = _load_equation(args)
+    src = _load_equation(args.eq)
     bindings = {}
     for (name, s) in src.decls.items():
         bindings[name] = resolve_space_source(s)
@@ -747,7 +742,7 @@ def cmd_counterexample(args) -> Tuple[int, str]:
         _stage_rows_for_chain(report.chain, args.bound),
         stabilized,
         checks,
-        report.chain.stages[-1][1].flags.as_dict(),
+        asdict(report.chain.stages[-1][1].flags),
     )
     ok = all(c["status"] in ("pass", "fail") for c in checks[:3]) and all(
         c["status"] == "pass" for c in checks[:3]
@@ -767,6 +762,9 @@ def cmd_oracle(args) -> Tuple[int, str]:
     if suite is None:
         return 2, f"unknown suite {args.suite!r}\n"
     result = suite(args.max_size)
+    if not result.cases:
+        # a suite that ran no case has shown nothing
+        result.add("cases", False, f"no case at --max-size {args.max_size}")
     checks = [
         _check(name, f"oracle-{args.suite}", "pass" if ok else "fail", args.max_size,
                witness)
@@ -782,8 +780,8 @@ def cmd_oracle(args) -> Tuple[int, str]:
 
 
 def cmd_independence(args) -> Tuple[int, str]:
-    src_f = parse_equation(_read_eq(args.eq))
-    src_g = parse_equation(_read_eq(args.eq2))
+    src_f = _load_equation(args.eq)
+    src_g = _load_equation(args.eq2)
     env_f = _per_env(src_f, args.nat_bound)
     env_g = _per_env(src_g, args.nat_bound)
     pairs = {}
@@ -793,7 +791,7 @@ def cmd_independence(args) -> Tuple[int, str]:
         mapping = {a.key: b.key for (a, b) in zip(f_toks, g_toks)}
         pairs[(fn, gn)] = token_iso_pair(fp, gp, mapping)
     report = fixed_point_independence(
-        src_f.expr, env_f, _rename(src_g.expr, env_f, env_g), env_g, pairs,
+        src_f.expr, env_f, src_g.expr, env_g, pairs,
         rank_bound=args.rank_bound,
     )
     checks = [
@@ -813,10 +811,6 @@ def cmd_independence(args) -> Tuple[int, str]:
     return (0 if report.ok else 1), text
 
 
-def _rename(expr, env_f, env_g):
-    return expr
-
-
 def _order_rank(carrier):
     toks = list(carrier.tokens().tokens)
 
@@ -826,15 +820,16 @@ def _order_rank(carrier):
     return rank
 
 
-def _read_eq(text):
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return fh.read()
-    return text
-
-
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _positive_int(text: str) -> int:
+    """Bounds, sizes and stage counts: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -844,12 +839,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, eq=True):
         if eq:
             sp.add_argument("--eq", required=True)
-        sp.add_argument("--nat-bound", type=int, default=16)
-        sp.add_argument("--rank-bound", type=int, default=3)
+        sp.add_argument("--nat-bound", type=_positive_int, default=16)
+        sp.add_argument("--rank-bound", type=_positive_int, default=3)
 
     sp = sub.add_parser("solve-domain")
     common(sp)
-    sp.add_argument("--stages", type=int, default=3)
+    sp.add_argument("--stages", type=_positive_int, default=3)
     sp.add_argument("--dot", default=None)
     sp.add_argument("--dot-stage", type=int, default=1)
 
@@ -859,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dense")
     common(sp)
-    sp.add_argument("--n-max", type=int, default=3)
+    sp.add_argument("--n-max", type=_positive_int, default=3)
 
     sp = sub.add_parser("eta-roundtrip")
     common(sp)
@@ -870,12 +865,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("counterexample")
     sp.add_argument("--param", required=True)
-    sp.add_argument("--bound", type=int, default=5)
-    sp.add_argument("--nat-bound", type=int, default=8)
+    sp.add_argument("--bound", type=_positive_int, default=5)
+    sp.add_argument("--nat-bound", type=_positive_int, default=8)
 
     sp = sub.add_parser("oracle")
     sp.add_argument("--suite", required=True)
-    sp.add_argument("--max-size", type=int, default=3)
+    sp.add_argument("--max-size", type=_positive_int, default=3)
 
     sp = sub.add_parser("independence")
     common(sp)

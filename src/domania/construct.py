@@ -484,8 +484,6 @@ class Embedding:
 
     def compose(self, other: "Embedding") -> "Embedding":
         """self after other (other first)."""
-        if other.target.name != self.source.name:
-            pass  # bases are structural; token compatibility is what matters
         return Embedding(
             other.source,
             self.target,

@@ -4,23 +4,16 @@ point assembled from dense chain stages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from .basis import Basis, Token, TokenSet
 from .construct import canonical_from_probes, premise_closure
 from .errors import NonDenseParameter, TrivialFunctor, UnknownToken
 from .ordinals import omega_plus
-from .per import (
-    YES,
-    DomainPer,
-    PerFlags,
-    RestrictRel,
-    tri_all,
-    trivial_per,
-)
+from .per import YES, DomainPer, tri_all, trivial_per
 from .perlfp import PerChain, apply_functor_per, functor_is_trivial, per_chain_extend
-from .spfunctor import ConstD, Exp, Id, Prod, Sum
+from .spfunctor import ConstD, Exp, Id, Prod, Sum, carrier_table
 
 
 @dataclass
@@ -97,22 +90,12 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
             verdicts[t.key] = has_total_extension(P, t, bound).status == "yes"
         return verdicts[t.key]
 
-    carrier = KeptBasis(P.carrier, kept)
-    flags = PerFlags(
-        weakly_convex=P.flags.weakly_convex,
-        convex=P.flags.convex,
-        local=P.flags.local,
-        strongly_local=P.flags.strongly_local,
-        complete=P.flags.complete,
-        upwards_closed=P.flags.upwards_closed,
-        dense=YES,
-        admissible_pedigree=P.flags.admissible_pedigree,
-        countably_based=P.flags.countably_based,
-    )
+    # a related pair is a pair of totals, and every total is kept, so the
+    # parent relation decides the restriction unchanged
     per = DomainPer(
-        carrier,
-        RestrictRel(P.rel, kept),
-        flags,
+        KeptBasis(P.carrier, kept),
+        P.rel,
+        replace(P.flags, dense=YES),
         trace=P.trace + ("dense part",),
         name=(P.name or P.carrier.name) + "^d",
     )
@@ -133,6 +116,9 @@ class DeltaFamily:
             raise TrivialFunctor("the closed-set family needs a non-trivial equation")
         self.chain = chain
         self.limit = chain.per_limit.limit
+        self._carriers = carrier_table(
+            chain.functor, self.limit, {k: v.carrier for k, v in chain.env.items()}
+        )
         self._member_cache = {}
         self._retract_cache = {}
 
@@ -156,20 +142,20 @@ class DeltaFamily:
         if isinstance(expr, Id):
             return self.member(n, value)
         if isinstance(expr, Sum):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             spl = carrier.split(value)
             if spl is None:
                 return True
             i, x = spl
             return self._member_f((expr.left, expr.right)[i], n, x)
         if isinstance(expr, Prod):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             x, y = carrier.split(value)
             return self._member_f(expr.left, n, x) and self._member_f(
                 expr.right, n, y
             )
         if isinstance(expr, Exp):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             B = carrier.exponent
             probes = [B.bottom] + [p for (p, _) in carrier.pairs(value)]
             return all(
@@ -177,19 +163,6 @@ class DeltaFamily:
                 for p in probes
             )
         raise TypeError(expr)
-
-    def _carrier_of(self, expr):
-        from .spfunctor import apply_functor_domain
-
-        key = id(expr)
-        cache = getattr(self, "_carrier_cache", None)
-        if cache is None:
-            cache = self._carrier_cache = {}
-        if key not in cache:
-            cache[key] = apply_functor_domain(
-                expr, self.limit, {k: v.carrier for k, v in self.chain.env.items()}
-            )
-        return cache[key]
 
     # retractions ----------------------------------------------------------
     def retract(self, n: int, t: Token) -> Token:
@@ -227,7 +200,7 @@ class DeltaFamily:
         if isinstance(expr, ConstD):
             return value
         if isinstance(expr, Sum):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             lt = not functor_is_trivial(expr.left, self.chain.env)
             rt = not functor_is_trivial(expr.right, self.chain.env)
             spl = carrier.split(value)
@@ -241,15 +214,15 @@ class DeltaFamily:
                 return carrier.inject(i, self._r0((expr.left, expr.right)[i], x))
             return self._lift_summand_total(expr, live, carrier)
         if isinstance(expr, Prod):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             x, y = carrier.split(value)
             return carrier.pair(self._r0(expr.left, x), self._r0(expr.right, y))
         if isinstance(expr, Exp):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             B = carrier.exponent
             live = [(p, q) for (p, q) in carrier.pairs(value)]
             probes = premise_closure({p for (p, _) in live}, B) if live else set()
-            body_carrier = self._carrier_of(expr.body)
+            body_carrier = self._carriers[id(expr.body)]
             return carrier._wrap(
                 canonical_from_probes(
                     probes,
@@ -266,24 +239,24 @@ class DeltaFamily:
         if isinstance(expr, Id):
             return h(value)
         if isinstance(expr, Sum):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             spl = carrier.split(value)
             if spl is None:
                 return value
             i, x = spl
             return carrier.inject(i, self._fmap((expr.left, expr.right)[i], h, x))
         if isinstance(expr, Prod):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             x, y = carrier.split(value)
             return carrier.pair(
                 self._fmap(expr.left, h, x), self._fmap(expr.right, h, y)
             )
         if isinstance(expr, Exp):
-            carrier = self._carrier_of(expr)
+            carrier = self._carriers[id(expr)]
             B = carrier.exponent
             live = [(p, q) for (p, q) in carrier.pairs(value)]
             probes = premise_closure({p for (p, _) in live}, B) if live else set()
-            body_carrier = self._carrier_of(expr.body)
+            body_carrier = self._carriers[id(expr.body)]
             return carrier._wrap(
                 canonical_from_probes(
                     probes,
@@ -349,24 +322,17 @@ def _assemble_dense(chain: PerChain, rank_bound: int) -> DenseLfp:
             )
         return verdicts[t.key]
 
-    carrier = KeptBasis(plim.limit, kept)
     params = list(chain.env.values())
-    flags = PerFlags(
-        weakly_convex=plim.per.flags.weakly_convex,
-        convex=plim.per.flags.convex,
-        local=plim.per.flags.local,
-        strongly_local=plim.per.flags.strongly_local,
-        complete=plim.per.flags.complete,
-        upwards_closed=plim.per.flags.upwards_closed,
+    flags = replace(
+        plim.per.flags,
         dense=YES,
         admissible_pedigree=tri_all(
             *(p.flags.admissible_pedigree for p in params)
         ) if params else YES,
-        countably_based=plim.per.flags.countably_based,
     )
     per = DomainPer(
-        carrier,
-        RestrictRel(plim.per.rel, kept),
+        KeptBasis(plim.limit, kept),
+        plim.per.rel,
         flags,
         trace=plim.per.trace + ("dense least fixed point",),
         name="dense-lfp",

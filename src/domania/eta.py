@@ -7,7 +7,7 @@ of admissible shape."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basis import Basis, FlatNatBasis, Token, TokenSet, one_point_basis, tok
@@ -15,17 +15,19 @@ from .construct import FunBasis, MultiSumBasis, ProdBasis
 from .dense import DenseLfp
 from .errors import MalformedCode, NonDenseExponent, NotWitnessed
 from .per import (
+    ALL_YES,
     YES,
     DomainPer,
     MemoRel,
     PerFlags,
+    StructuralRel,
     SumRel,
     finite_per,
     per_construct,
-    tri_all,
+    pointwise_flags,
 )
 from .perlfp import PerChain
-from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum
+from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum, carrier_table
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +50,7 @@ def _point_per(name="T") -> DomainPer:
     return finite_per(
         b,
         [(b.bottom, b.bottom)],
-        flags=PerFlags(*(YES,) * 9),
+        flags=ALL_YES,
         name=name,
     )
 
@@ -76,20 +78,10 @@ def build_input_per(expr: FunctorExpr, env: Dict[str, DomainPer]) -> DomainPer:
 
 def multi_sum_per(parts: Sequence[DomainPer], name="") -> DomainPer:
     carrier = MultiSumBasis([p.carrier for p in parts], name=name or None)
-    flags = PerFlags(
-        weakly_convex=tri_all(*(p.flags.weakly_convex for p in parts)),
-        convex=tri_all(*(p.flags.convex for p in parts)),
-        local=tri_all(*(p.flags.local for p in parts)),
-        strongly_local=tri_all(*(p.flags.strongly_local for p in parts)),
-        complete=tri_all(*(p.flags.complete for p in parts)),
-        dense=tri_all(*(p.flags.dense for p in parts)),
-        admissible_pedigree=tri_all(*(p.flags.admissible_pedigree for p in parts)),
-        countably_based=tri_all(*(p.flags.countably_based for p in parts)),
-    )
     return DomainPer(
         carrier,
-        MemoRel(SumRel(carrier, list(parts)), carrier),
-        flags,
+        MemoRel(SumRel(carrier, list(parts))),
+        pointwise_flags(p.flags for p in parts),
         name=name or "usum",
     )
 
@@ -108,6 +100,11 @@ class EtaSystem:
         self.expr = self.chain.functor
         self.env = self.chain.env
         self.iso = self.chain.iso
+        self._carriers = carrier_table(
+            self.expr,
+            self.chain.per_limit.limit,
+            {k: v.carrier for k, v in self.env.items()},
+        )
 
         self.K = atomic_subfunctors(self.expr)
         self.input_per = build_input_per(self.expr, self.env)
@@ -150,20 +147,6 @@ class EtaSystem:
         """One-step evaluation of an unfolded value against an input token."""
         return self._eval(self.expr, 0, x_value, t)
 
-    def _carriers(self, expr):
-        from .spfunctor import apply_functor_domain
-
-        cache = getattr(self, "_carrier_cache", None)
-        if cache is None:
-            cache = self._carrier_cache = {}
-        if id(expr) not in cache:
-            cache[id(expr)] = apply_functor_domain(
-                expr,
-                self.chain.per_limit.limit,
-                {k: v.carrier for k, v in self.env.items()},
-            )
-        return cache[id(expr)]
-
     def _input_carrier(self, expr):
         cache = getattr(self, "_input_cache", None)
         if cache is None:
@@ -176,7 +159,7 @@ class EtaSystem:
         if isinstance(expr, (Id, ConstD)):
             # the constant map sending every input to the tagged element
             return self.codomain.inject(offset, x)
-        carrier = self._carriers(expr)
+        carrier = self._carriers[id(expr)]
         tin = self._input_carrier(expr)
         if isinstance(expr, Sum):
             spl = carrier.split(x)
@@ -208,9 +191,6 @@ class EtaSystem:
                 lambda t: self.eval_eta(x, t)
             )
         return self._eta_cache[x.key]
-
-    def eta_of_lfp(self, d: Token) -> Token:
-        return self.eta_token(self.iso.fwd(d))
 
     # ---- witnesses ---------------------------------------------------------
     def fired_join(self, pairs, t: Token) -> Token:
@@ -261,7 +241,7 @@ class EtaSystem:
         return range(offset, offset + len(atomic_subfunctors(expr)))
 
     def _theta(self, expr, offset, pairs) -> Token:
-        carrier = self._carriers(expr)
+        carrier = self._carriers[id(expr)]
         tin = self._input_carrier(expr)
         live = [(p, q) for (p, q) in pairs if q != self.codomain.bottom]
         if isinstance(expr, (Id, ConstD)):
@@ -299,7 +279,7 @@ class EtaSystem:
                         (tin.split(live[j][0])[i], live[j][1]) for j in combo
                     ]
                     joins.append(self._theta(sub, off, sub_pairs))
-            part = self._carriers(sub)
+            part = self._carriers[id(sub)]
             return carrier.inject(i, part.lub(joins))
         if isinstance(expr, Prod):
             groups = {0: [], 1: []}
@@ -318,7 +298,7 @@ class EtaSystem:
                 sub_pairs = []
                 for (pk, qk) in live:
                     pk0, pk1 = tin.split(pk)
-                    if self._carriers(expr).exponent.leq(pk0, pj0):
+                    if self._carriers[id(expr)].exponent.leq(pk0, pj0):
                         sub_pairs.append((pk1, qk))
                 out_pairs.append((pj0, self._theta(expr.body, offset, sub_pairs)))
             return carrier.make(out_pairs)
@@ -430,7 +410,7 @@ class SeqBasis(Basis):
         return TokenSet(tuple(toks), es.truncated)
 
 
-class SeqRel:
+class SeqRel(StructuralRel):
     """Index-wise relatedness of input sequences."""
 
     def __init__(self, basis: SeqBasis, entry_per: DomainPer):
@@ -456,13 +436,6 @@ class SeqRel:
         ]
         return out, exact
 
-    def related_pairs(self, bound=None):
-        ts, exact = self.totals(bound)
-        return (
-            [(a, b) for a in ts for b in ts if self.related(a, b, bound) is True],
-            exact,
-        )
-
 
 class EtaBarSystem:
     """Curried iterated evaluation and its lower adjoint via evaluation
@@ -487,7 +460,7 @@ class EtaBarSystem:
 
         self.e_per = DomainPer(
             self.E,
-            MemoRel(ProdRel(self.E, self.a_sum, flatnat_per()), self.E),
+            MemoRel(ProdRel(self.E, self.a_sum, flatnat_per())),
             PerFlags(
                 convex=YES, local=YES, complete=YES,
                 dense=YES,
@@ -748,9 +721,7 @@ def dense_image_weak_iso(
     pedigree_inputs = [p.flags.admissible_pedigree for p in lfp.chain.env.values()]
     if report.all_pass and all(v == YES for v in pedigree_inputs):
         report.pedigree = YES
-        lfp.per.flags = PerFlags(
-            **{**lfp.per.flags.as_dict(), "admissible_pedigree": YES}
-        )
+        lfp.per.flags = replace(lfp.per.flags, admissible_pedigree=YES)
     else:
         report.pedigree = "unknown"
     return report

@@ -23,9 +23,6 @@ class Ordinal:
             return other.limit
         return self.k < other.k
 
-    def succ(self):
-        return Ordinal(self.limit, self.k + 1)
-
     @property
     def is_finite(self):
         return not self.limit
@@ -45,12 +42,3 @@ OMEGA = Ordinal(True, 0)
 
 def omega_plus(k: int) -> Ordinal:
     return Ordinal(True, k)
-
-
-def parse_ordinal(text: str) -> Ordinal:
-    text = text.strip()
-    if text == "omega":
-        return OMEGA
-    if text.startswith("omega+"):
-        return omega_plus(int(text[len("omega+"):]))
-    return fin(int(text))

@@ -4,14 +4,36 @@ equiembeddings, images, weak isomorphisms, and per limits with witnesses.
 
 Relation verdicts are tri-state (True / False / None for unknown): deciders
 over staged carriers never guess beyond their bound.
+
+Relation protocol. A relation decider has three methods, each taking an
+optional enumeration bound:
+
+- `related(a, b, bound)` gives the tri-state verdict for two values;
+- `totals(bound)` gives `(values, exact)`, the self-related values and
+  whether the list is complete;
+- `related_pairs(bound)` gives `(pairs, exact)`; `StructuralRel` derives it
+  from the other two, since a related pair is a pair of totals.
+
+Per classes are enumerated one way, by `group_classes`: a value joins the
+first class whose first member is related to it, or opens a new class.
+`DomainPer.classes` groups the totals; a site that needs one value per class
+takes the first member of each.
+
+Flag rules. Sums, products and limits take each flag pointwise
+(`pointwise_flags`: yes when every part says yes, no when one says no); a
+limit then drops `strongly_local`, `dense` and `admissible_pedigree` to
+unknown. Function spaces have their own rule (`_fun_flags`). Everything else
+changes named fields of an existing flag set with `dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .basis import Basis, FlatNatBasis, Token, tok
+# `tok` is unused here but stays importable as `domania.per.tok`:
+# perfbench/selftest.py checks that its tracer rebinds that name
+from .basis import Basis, FlatNatBasis, Token, tok  # noqa: F401
 from .construct import (
     Embedding,
     FunBasis,
@@ -272,21 +294,21 @@ class PerFlags:
     admissible_pedigree: str = UNKNOWN
     countably_based: str = UNKNOWN
 
-    def as_dict(self):
-        return {
-            "weakly_convex": self.weakly_convex,
-            "convex": self.convex,
-            "local": self.local,
-            "strongly_local": self.strongly_local,
-            "complete": self.complete,
-            "upwards_closed": self.upwards_closed,
-            "dense": self.dense,
-            "admissible_pedigree": self.admissible_pedigree,
-            "countably_based": self.countably_based,
-        }
-
 
 ALL_YES = PerFlags(*(YES,) * 9)
+
+
+def pointwise_flags(parts) -> PerFlags:
+    """Each flag of a sum, product or limit: `tri_all` over its parts. For
+    sums, totals stay inside their summand, where every property transfers,
+    and the fresh bottom is never total."""
+    parts = list(parts)
+    return PerFlags(
+        **{
+            f.name: tri_all(*(getattr(p, f.name) for p in parts))
+            for f in fields(PerFlags)
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +349,6 @@ class FiniteRel:
 
 
 class StructuralRel:
-    exact_hint = False
-
     def related(self, a, b, bound=None):
         raise NotImplementedError
 
@@ -488,16 +508,15 @@ class FunRel(StructuralRel):
         else:
             # staged body: one value per class plus approximations; the
             # fragment is a sample and is flagged as such via exact=False
-            reps = []
-            for t in body_totals:
-                if not any(
-                    self.body_per.related(t, r, bound) is True for r in reps
-                ):
-                    reps.append(t)
-            body_totals = reps
+            body_totals = [
+                cls[0]
+                for cls in group_classes(
+                    body_totals, lambda a, b: self.body_per.related(a, b, bound)
+                )
+            ]
             pool, seen = [], set()
             frag = body.tokens(bound).tokens
-            for v in reps:
+            for v in body_totals:
                 for t in frag:
                     if body.leq(t, v) and t.key not in seen:
                         seen.add(t.key)
@@ -605,26 +624,12 @@ class ImageRel(StructuralRel):
         return out, exact
 
 
-class RestrictRel(StructuralRel):
-    def __init__(self, parent_rel, keep):
-        self.parent = parent_rel
-        self.keep = keep
-
-    def related(self, a, b, bound=None):
-        return self.parent.related(a, b, bound)
-
-    def totals(self, bound=None):
-        return self.parent.totals(bound)
-
-
 class MemoRel(StructuralRel):
-    """Transparent memoisation shell around a structural decider. On finite
-    carriers it also enumerates totals exactly (related pairs are pairs of
-    totals, since a ~ b forces a ~ a and b ~ b)."""
+    """Transparent memoisation shell around a structural decider: verdicts
+    are cached per value pair and bound, totals per bound."""
 
-    def __init__(self, inner, carrier: Basis):
+    def __init__(self, inner):
         self.inner = inner
-        self.carrier = carrier
         self._memo = {}
         self._totals_cache = {}
 
@@ -642,28 +647,20 @@ class MemoRel(StructuralRel):
             self._totals_cache[bound] = self.inner.totals(bound)
         return self._totals_cache[bound]
 
-    def related_pairs(self, bound=None):
-        ts, exact = self.totals(bound)
-        out = []
-        for a in ts:
-            for b in ts:
-                if self.related(a, b, bound) is True:
-                    out.append((a, b))
-        return out, exact
 
-
-class MapRel(StructuralRel):
-    """Relation given directly by a decision function (flat naturals etc.)."""
-
-    def __init__(self, decide, totals_fn):
-        self._decide = decide
-        self._totals = totals_fn
-
-    def related(self, a, b, bound=None):
-        return self._decide(a, b)
-
-    def totals(self, bound=None):
-        return self._totals(bound)
+def group_classes(values, related) -> List[List[object]]:
+    """First-match grouping: each value joins the first class whose first
+    member is related to it, `related(first, value) is True`, or opens a new
+    class."""
+    out: List[List[object]] = []
+    for v in values:
+        for cls in out:
+            if related(cls[0], v) is True:
+                cls.append(v)
+                break
+        else:
+            out.append([v])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +701,10 @@ class DomainPer:
 
     def classes(self, bound=None):
         ts, exact = self.totals(bound)
-        out: List[List[object]] = []
-        for t in ts:
-            for cls in out:
-                if self.related(cls[0], t, bound) is True:
-                    cls.append(t)
-                    break
-            else:
-                out.append([t])
-        return out, exact
+        return group_classes(ts, lambda a, b: self.related(a, b, bound)), exact
 
     def describe(self):
-        return {"carrier": self.carrier.name, "flags": self.flags.as_dict()}
+        return {"carrier": self.carrier.name, "flags": asdict(self.flags)}
 
 
 def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> DomainPer:
@@ -741,57 +730,13 @@ def trivial_per() -> DomainPer:
     return DomainPer(
         one_point_basis("D0"),
         FiniteRel(one_point_basis("D0"), frozenset()),
-        PerFlags(
-            weakly_convex=YES,
-            convex=YES,
-            local=YES,
-            strongly_local=YES,
-            complete=YES,
-            upwards_closed=YES,
-            dense=NO,
-            admissible_pedigree=UNKNOWN,
-            countably_based=YES,
-        ),
+        replace(ALL_YES, dense=NO, admissible_pedigree=UNKNOWN),
         name="trivial",
     )
 
 
 # ---------------------------------------------------------------------------
 # per constructors
-
-
-def _materialize_if_finite(carrier: Basis, rel) -> object:
-    return MemoRel(rel, carrier)
-
-
-def _sum_flags(f1: PerFlags, f2: PerFlags) -> PerFlags:
-    return PerFlags(
-        weakly_convex=tri_all(f1.weakly_convex, f2.weakly_convex),
-        convex=tri_all(f1.convex, f2.convex),
-        local=tri_all(f1.local, f2.local),
-        strongly_local=tri_all(f1.strongly_local, f2.strongly_local),
-        complete=tri_all(f1.complete, f2.complete),
-        # totals stay inside their summand, where the property transfers;
-        # the fresh bottom is never total
-        upwards_closed=tri_all(f1.upwards_closed, f2.upwards_closed),
-        dense=tri_all(f1.dense, f2.dense),
-        admissible_pedigree=tri_all(f1.admissible_pedigree, f2.admissible_pedigree),
-        countably_based=tri_all(f1.countably_based, f2.countably_based),
-    )
-
-
-def _prod_flags(f1: PerFlags, f2: PerFlags) -> PerFlags:
-    return PerFlags(
-        weakly_convex=tri_all(f1.weakly_convex, f2.weakly_convex),
-        convex=tri_all(f1.convex, f2.convex),
-        local=tri_all(f1.local, f2.local),
-        strongly_local=tri_all(f1.strongly_local, f2.strongly_local),
-        complete=tri_all(f1.complete, f2.complete),
-        upwards_closed=tri_all(f1.upwards_closed, f2.upwards_closed),
-        dense=tri_all(f1.dense, f2.dense),
-        admissible_pedigree=tri_all(f1.admissible_pedigree, f2.admissible_pedigree),
-        countably_based=tri_all(f1.countably_based, f2.countably_based),
-    )
 
 
 def _fun_flags(exp: PerFlags, body: PerFlags) -> PerFlags:
@@ -819,21 +764,20 @@ def per_construct(kind: str, D: DomainPer, E: DomainPer, probe_bound=8) -> Domai
     if kind == "sum":
         carrier = sum_basis(D.carrier, E.carrier)
         rel = SumRel(carrier, [D, E])
-        flags = _sum_flags(D.flags, E.flags)
+        flags = pointwise_flags([D.flags, E.flags])
     elif kind == "prod":
         carrier = prod_basis(D.carrier, E.carrier)
         rel = ProdRel(carrier, D, E)
-        flags = _prod_flags(D.flags, E.flags)
+        flags = pointwise_flags([D.flags, E.flags])
     elif kind == "fun":
         carrier = fun_basis(D.carrier, E.carrier)
         rel = FunRel(carrier, D, E, probe_bound)
         flags = _fun_flags(D.flags, E.flags)
     else:
         raise ValueError(f"unknown per constructor {kind!r}")
-    rel = _materialize_if_finite(carrier, rel)
     return DomainPer(
         carrier,
-        rel,
+        MemoRel(rel),
         flags,
         trace=(f"{kind}({D.name or D.carrier.name}, {E.name or E.carrier.name})",),
         name=f"{kind}({D.name},{E.name})",
@@ -958,16 +902,7 @@ def flags_from_checks(P: DomainPer, bound=None) -> PerFlags:
     for prop in PROPERTIES:
         v = check_property(P, prop, bound)
         values[prop] = YES if v.holds else (NO if v.status == "fails" else UNKNOWN)
-    return replace(
-        P.flags,
-        weakly_convex=values["weakly_convex"],
-        convex=values["convex"],
-        local=values["local"],
-        strongly_local=values["strongly_local"],
-        complete=values["complete"],
-        upwards_closed=values["upwards_closed"],
-        dense=values["dense"],
-    )
+    return replace(P.flags, **values)
 
 
 def prec_check(P: DomainPer, p: Token, x, bound=None) -> bool:
@@ -1116,18 +1051,13 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
     return EmbeddingVerdict(True, "", None, unknown)
 
 
-def per_identity_embedding(P: DomainPer, target: Optional[DomainPer] = None) -> PerEmbedding:
-    tgt = target if target is not None else P
-    return PerEmbedding(identity_embedding(P.carrier), P, tgt, name="id")
-
-
 # ---------------------------------------------------------------------------
 # images and weak isomorphisms
 
 
 def image_per(phi: PerMap, bound=None) -> DomainPer:
     carrier = phi.target.carrier
-    rel = MemoRel(ImageRel(phi.target, phi.source, phi), carrier)
+    rel = MemoRel(ImageRel(phi.target, phi.source, phi))
     return DomainPer(
         carrier,
         rel,
@@ -1206,16 +1136,11 @@ def limit_per(stage_pers: Sequence[DomainPer], embeddings: Sequence[PerEmbedding
         stages.append(ChainStage(fin(i + 1), stage_pers[i + 1].carrier, pe.emb))
     limit = LimitBasis(stages)
     rel = LimitRel(limit, stage_pers)
-    flags = PerFlags(
-        weakly_convex=tri_all(*(p.flags.weakly_convex for p in stage_pers)),
-        convex=tri_all(*(p.flags.convex for p in stage_pers)),
-        local=tri_all(*(p.flags.local for p in stage_pers)),
+    flags = replace(
+        pointwise_flags(p.flags for p in stage_pers),
         strongly_local=UNKNOWN,
-        complete=tri_all(*(p.flags.complete for p in stage_pers)),
-        upwards_closed=tri_all(*(p.flags.upwards_closed for p in stage_pers)),
         dense=UNKNOWN,
         admissible_pedigree=UNKNOWN,
-        countably_based=tri_all(*(p.flags.countably_based for p in stage_pers)),
     )
     per = DomainPer(limit, rel, flags, trace=("limit",), name="limit")
     return PerLimit(per, limit, list(stage_pers))

@@ -23,6 +23,8 @@ from .per import (
     PerEmbedding,
     PerLimit,
     PerMap,
+    StructuralRel,
+    group_classes,
     is_equiembedding,
     is_equivariant,
     limit_per,
@@ -83,7 +85,7 @@ def functor_is_trivial(expr: FunctorExpr, env: Dict[str, DomainPer], bound=None)
     return not ts
 
 
-class PullbackRel:
+class PullbackRel(StructuralRel):
     """Relation on the limit carrier obtained by unfolding through the
     fixed-point correspondence and deciding in a per one step up."""
 
@@ -104,13 +106,6 @@ class PullbackRel:
                 out.append(self.iso.inv(t))
         return out, exact and len(out) == len(ts)
 
-    def related_pairs(self, bound=None):
-        ts, exact = self.totals(bound)
-        return (
-            [(a, b) for a in ts for b in ts if self.related(a, b, bound) is True],
-            exact,
-        )
-
 
 @dataclass
 class PerChain:
@@ -128,10 +123,6 @@ class PerChain:
             if o == idx:
                 return p
         raise KeyError(str(idx))
-
-    @property
-    def finite_stage_pers(self):
-        return [p for (o, p) in self.stages if o.is_finite]
 
 
 def per_chain_extend(
@@ -291,11 +282,9 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
     unfolded = chain.unfolded[0]
     fragment, depth = _successor_fragment_totals(chain, rank_bound)
     omega_totals, _ = per_omega.totals(depth + 1)
-    omega_reps = []
-    for s in omega_totals:
-        if not any(per_omega.related(s, r) is True for r in omega_reps):
-            omega_reps.append(s)
-    images = [chain.iso.fwd(s) for s in omega_reps]
+    images = [
+        chain.iso.fwd(cls[0]) for cls in group_classes(omega_totals, per_omega.related)
+    ]
     for t in fragment:
         if not isinstance(t, Token):
             return StabilizationVerdict("unknown", OMEGA, witness=t, bound=depth)

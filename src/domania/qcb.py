@@ -5,7 +5,7 @@ transfer of weak equivalences between representing equations."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basis import FiniteBasis, Token, tok
@@ -13,17 +13,17 @@ from .dense import DenseLfp, dense_lfp
 from .errors import BadParameterPedigree, NotT0, NotWeaklyEquivalent
 from .ordinals import fin
 from .per import (
+    ALL_YES,
     YES,
     DomainPer,
     FiniteRel,
-    PerFlags,
     PerMap,
     check_property,
     per_construct,
     weak_iso_check,
 )
 from .perlfp import per_chain_extend
-from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum
+from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum, carrier_table
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +160,7 @@ class StandardRep:
         for b in self.sets:
             if x in b:
                 inter = inter & b
-        return self._token_of(inter)
-
-    def _token_of(self, s):
-        return tok(("pb", tuple(sorted(s))))
+        return _set_token(inter)
 
 
 def _set_token(s) -> Token:
@@ -213,11 +210,7 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
     per = DomainPer(
         basis,
         FiniteRel(basis, pairs),
-        PerFlags(
-            weakly_convex=YES, convex=YES, local=YES, strongly_local=YES,
-            complete=YES, upwards_closed=YES, dense=YES,
-            admissible_pedigree=YES, countably_based=YES,
-        ),
+        ALL_YES,
         trace=(f"standard representation of {X.name}",),
         name=f"rep({X.name})",
     )
@@ -471,7 +464,7 @@ def qcb_fixed_point(
             coherence[f"fun({a},{b})"] = check_fun_coherence(reps[a], reps[b])
         coherence[f"quotient({a})"] = quotient_matches_space(reps[a])
 
-    pedigree = lfp.per.flags.as_dict()
+    pedigree = asdict(lfp.per.flags)
 
     # the separation flag is derivable only when every positive parameter is
     # a finite space instance; it records the hypothesis checked by direct
@@ -654,13 +647,15 @@ def fixed_point_independence(
     }
     we_back = WeakEquivalence(G, env_g, F, env_f, back_pairs)
 
+    domain_f = {k: v.carrier for (k, v) in env_f.items()}
+    domain_g = {k: v.carrier for (k, v) in env_g.items()}
     phis = [lambda t: t]
     chis = [lambda t: t]
     for n in range(n_finite):
         # carriers are stage-indexed: the transferred map at stage n+1 acts
         # on tokens whose identity-position values live at stage n
-        cf = _carrier_table(F, chain_f.per_limit.limit.stages[n].basis, env_f)
-        cg = _carrier_table(G, chain_g.per_limit.limit.stages[n].basis, env_g)
+        cf = carrier_table(F, chain_f.per_limit.limit.stages[n].basis, domain_f)
+        cg = carrier_table(G, chain_g.per_limit.limit.stages[n].basis, domain_g)
         phis.append(we.transfer(phis[-1], F, G, cf, cg))
         chis.append(we_back.transfer(chis[-1], G, F, cg, cf))
 
@@ -722,21 +717,3 @@ def fixed_point_independence(
 
     commutes = uniform
     return IndependenceReport(stage_ok, uniform, matching, commutes)
-
-
-def _carrier_table(expr, plug_basis, env):
-    from .spfunctor import apply_functor_domain
-
-    domain_env = {k: v.carrier for (k, v) in env.items()}
-    table = {}
-
-    def walk(e):
-        table[id(e)] = apply_functor_domain(e, plug_basis, domain_env)
-        if isinstance(e, (Sum, Prod)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Exp):
-            walk(e.body)
-
-    walk(expr)
-    return table

@@ -88,16 +88,6 @@ def validate_functor(expr: FunctorExpr, env: Dict[str, object]):
     raise TypeError(f"not a functor expression: {expr!r}")
 
 
-def contains_id(expr: FunctorExpr) -> bool:
-    if isinstance(expr, Id):
-        return True
-    if isinstance(expr, (Sum, Prod)):
-        return contains_id(expr.left) or contains_id(expr.right)
-    if isinstance(expr, Exp):
-        return contains_id(expr.body)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # action on bases and embeddings
 
@@ -105,6 +95,25 @@ def contains_id(expr: FunctorExpr) -> bool:
 def apply_functor_domain(expr: FunctorExpr, D: Basis, env: Dict[str, Basis]) -> Basis:
     validate_functor(expr, env)
     return _apply_domain(expr, D, env)
+
+
+def carrier_table(
+    expr: FunctorExpr, D: Basis, env: Dict[str, Basis]
+) -> Dict[int, Basis]:
+    """Carrier of every sub-term of expr applied at D, keyed by id(sub-term)."""
+    validate_functor(expr, env)
+    table = {}
+
+    def walk(e):
+        table[id(e)] = _apply_domain(e, D, env)
+        if isinstance(e, (Sum, Prod)):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, Exp):
+            walk(e.body)
+
+    walk(expr)
+    return table
 
 
 def _apply_domain(expr, D, env):
@@ -408,12 +417,6 @@ class FixedPointIso:
         walk(t.key)
         cap = self.limit.max_stage() - 1
         return min(best, cap)
-
-    def as_embedding(self) -> Embedding:
-        return Embedding(self.limit, self.unfolded, self.fwd, self.inv, name="unfold")
-
-    def inverse_embedding(self) -> Embedding:
-        return Embedding(self.unfolded, self.limit, self.inv, self.fwd, name="fold")
 
     def verify(self, bound: int) -> IsoReport:
         toks = self.limit.tokens(bound).tokens

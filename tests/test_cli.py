@@ -154,6 +154,39 @@ def test_usage_errors_exit_two():
         ["solve-domain", "--eq", "param A = sierpinski; X = [X -> A]"]
     )
     assert code == 2
+    # bounds, sizes and stage counts below 1 are usage errors
+    for argv in (
+        ["per-lfp", "--eq", RUNNING_EQ, "--rank-bound", "-1"],
+        ["per-lfp", "--eq", RUNNING_EQ, "--nat-bound", "0"],
+        ["solve-domain", "--eq", RUNNING_EQ, "--stages", "0"],
+        ["dense", "--eq", RUNNING_EQ, "--n-max", "0"],
+        ["counterexample", "--param", "sierpinski", "--bound", "0"],
+        ["oracle", "--suite", "fun-space", "--max-size", "0"],
+    ):
+        code, _ = run_command(argv)
+        assert code == 2, argv
+
+
+def test_check_failures_exit_one(monkeypatch):
+    from domania import oracles
+
+    # flat naturals as exponent: the probe finds a new total past omega
+    code, text = run_command(
+        [
+            "per-lfp", "--eq",
+            "param A = sierpinski; param N = flatnat; X = A + [N -> X]",
+            "--rank-bound", "2",
+        ]
+    )
+    assert code == 1
+    statuses = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
+    assert statuses["stabilization"] == "fail"
+
+    # a suite that runs no case fails instead of passing vacuously
+    monkeypatch.setattr(oracles, "fun_space_suite", lambda size: oracles.SuiteResult())
+    code, text = run_command(["oracle", "--suite", "fun-space", "--max-size", "3"])
+    assert code == 1
+    assert [c["status"] for c in json.loads(text)["checks"]] == ["fail"]
 
 
 def test_scan_order_permutes_but_keeps_everything(monkeypatch):

@@ -824,12 +824,21 @@ def _order_rank(carrier):
 # entry point
 
 
-def _positive_int(text: str) -> int:
-    """Bounds, sizes and stage counts: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text} is below 1")
-    return n
+def _int_at_least(low: int):
+    """Argparse type for bounds, sizes and stage counts: an integer of at
+    least `low`."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -850,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("per-lfp")
     common(sp)
-    sp.add_argument("--beyond-omega", type=int, default=1)
+    sp.add_argument("--beyond-omega", type=_int_at_least(0), default=1)
 
     sp = sub.add_parser("dense")
     common(sp)

@@ -311,6 +311,7 @@ class FunBasis(Basis):
         self._bottom = self._wrap(frozenset())
         self._token_cache = None
         self._apply_cache = {}
+        self._pairs_cache = {}
         self._leq_cache = {}
         self._cons_cache = {}
         self._join_cache = {}
@@ -328,8 +329,11 @@ class FunBasis(Basis):
         return self._canonical(pairs)
 
     def pairs(self, t: Token):
-        _, fs = t.key
-        return [(tok(pk), tok(qk)) for (pk, qk) in fs]
+        """The decoded (premise, value) steps of t, decoded once per token."""
+        if t.key not in self._pairs_cache:
+            _, fs = t.key
+            self._pairs_cache[t.key] = tuple((tok(pk), tok(qk)) for (pk, qk) in fs)
+        return self._pairs_cache[t.key]
 
     @property
     def bottom(self):

@@ -58,22 +58,35 @@ def _point_per(name="T") -> DomainPer:
 def build_input_per(expr: FunctorExpr, env: Dict[str, DomainPer]) -> DomainPer:
     """Input domain-per of an equation: products across sums, sums across
     products, and the exponent paired in front of exponentials."""
-    if isinstance(expr, (Id, ConstD)):
-        return _point_per()
-    if isinstance(expr, Sum):
-        return per_construct(
-            "prod", build_input_per(expr.left, env), build_input_per(expr.right, env)
-        )
-    if isinstance(expr, Prod):
-        return per_construct(
-            "sum", build_input_per(expr.left, env), build_input_per(expr.right, env)
-        )
-    if isinstance(expr, Exp):
-        B = env[expr.param]
-        if B.flags.dense != YES:
-            raise NonDenseExponent(f"exponent {expr.param!r} is not flagged dense")
-        return per_construct("prod", B, build_input_per(expr.body, env))
-    raise TypeError(expr)
+    return input_per_table(expr, env)[id(expr)]
+
+
+def input_per_table(
+    expr: FunctorExpr, env: Dict[str, DomainPer]
+) -> Dict[int, DomainPer]:
+    """Input per of every sub-term of expr, keyed by id(sub-term); each is
+    built once and reused by the sub-term above it."""
+    table = {}
+
+    def walk(e):
+        if isinstance(e, (Id, ConstD)):
+            per = _point_per()
+        elif isinstance(e, Sum):
+            per = per_construct("prod", walk(e.left), walk(e.right))
+        elif isinstance(e, Prod):
+            per = per_construct("sum", walk(e.left), walk(e.right))
+        elif isinstance(e, Exp):
+            B = env[e.param]
+            if B.flags.dense != YES:
+                raise NonDenseExponent(f"exponent {e.param!r} is not flagged dense")
+            per = per_construct("prod", B, walk(e.body))
+        else:
+            raise TypeError(e)
+        table[id(e)] = per
+        return per
+
+    walk(expr)
+    return table
 
 
 def multi_sum_per(parts: Sequence[DomainPer], name="") -> DomainPer:
@@ -107,7 +120,9 @@ class EtaSystem:
         )
 
         self.K = atomic_subfunctors(self.expr)
-        self.input_per = build_input_per(self.expr, self.env)
+        input_pers = input_per_table(self.expr, self.env)
+        self._input_carriers = {k: p.carrier for (k, p) in input_pers.items()}
+        self.input_per = input_pers[id(self.expr)]
         self.T = self.input_per.carrier
         if not self.T.finite:
             raise NonDenseExponent(
@@ -147,20 +162,12 @@ class EtaSystem:
         """One-step evaluation of an unfolded value against an input token."""
         return self._eval(self.expr, 0, x_value, t)
 
-    def _input_carrier(self, expr):
-        cache = getattr(self, "_input_cache", None)
-        if cache is None:
-            cache = self._input_cache = {}
-        if id(expr) not in cache:
-            cache[id(expr)] = build_input_per(expr, self.env).carrier
-        return cache[id(expr)]
-
     def _eval(self, expr, offset, x, t):
         if isinstance(expr, (Id, ConstD)):
             # the constant map sending every input to the tagged element
             return self.codomain.inject(offset, x)
         carrier = self._carriers[id(expr)]
-        tin = self._input_carrier(expr)
+        tin = self._input_carriers[id(expr)]
         if isinstance(expr, Sum):
             spl = carrier.split(x)
             if spl is None:
@@ -242,7 +249,7 @@ class EtaSystem:
 
     def _theta(self, expr, offset, pairs) -> Token:
         carrier = self._carriers[id(expr)]
-        tin = self._input_carrier(expr)
+        tin = self._input_carriers[id(expr)]
         live = [(p, q) for (p, q) in pairs if q != self.codomain.bottom]
         if isinstance(expr, (Id, ConstD)):
             vals = []

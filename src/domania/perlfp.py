@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .basis import Token
 from .construct import Embedding, FunBasis, MultiSumBasis, identity_embedding
-from .errors import NotAnAlgebra, TrivialParameter
+from .errors import IsoFailure, NotAnAlgebra, TrivialParameter
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
     EInj,
@@ -238,9 +238,40 @@ def _flatnat_counterexample_shape(expr: FunctorExpr, env) -> Optional[Tuple[str,
     return None
 
 
+def _folds_back(chain: PerChain, t: Token) -> bool:
+    """t is the image of an omega-total: s = iso.inv(t) is related to itself
+    at omega and iso.fwd(s) is related to t one stage up."""
+    try:
+        s = chain.iso.inv(t)
+    except IsoFailure:
+        return False
+    return (
+        chain.per_limit.per.related(s, s) is True
+        and chain.unfolded[0].related(t, chain.iso.fwd(s)) is True
+    )
+
+
+def _omega_class_images(chain: PerChain, depth: int) -> List[Token]:
+    """Images of one representative per omega-class; the omega-totals reach
+    one stage deeper than the fragment values they are compared with."""
+    per_omega = chain.per_limit.per
+    omega_totals, _ = per_omega.totals(depth + 1)
+    return [
+        chain.iso.fwd(cls[0]) for cls in group_classes(omega_totals, per_omega.related)
+    ]
+
+
 def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
     """First stage whose successor adds no totals on the checked fragment,
-    or a concrete new total, or an honest unknown."""
+    or a concrete new total, or an honest unknown.
+
+    At omega, every fragment total t of stage omega+1 must be related to the
+    image of some omega-total.  The probe first folds t back with
+    s = iso.inv(t).  If s is related to itself at omega, s is an omega-total;
+    if moreover iso.fwd(s) is related to t, s is an omega-total whose image
+    is related to t, so accepting t is sound.  Only a t that does not fold
+    back (inv fails, or either check is not True) is compared with one image
+    per omega-class, the omega-totals being enumerated once on first need."""
     # finite stages: exact check that stage n+1 totals reduce along f-;
     # stages past the exhaustive-verification depth are left to the omega
     # check, which subsumes them
@@ -275,19 +306,22 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
             "witness", OMEGA, witness=report, bound=rank_bound
         )
 
-    # every fragment total of stage omega+1 must be related to the image of
-    # some omega-total; one representative per omega-class suffices, and the
-    # comparison set reaches one stage deeper than the fragment values
-    per_omega = chain.per_limit.per
+    return _omega_verdict(chain, rank_bound)
+
+
+def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
+    """Whether stage omega+1 adds no totals on the fragment: fold-back first,
+    omega-class images only for a total that does not fold back."""
     unfolded = chain.unfolded[0]
     fragment, depth = _successor_fragment_totals(chain, rank_bound)
-    omega_totals, _ = per_omega.totals(depth + 1)
-    images = [
-        chain.iso.fwd(cls[0]) for cls in group_classes(omega_totals, per_omega.related)
-    ]
+    images = None
     for t in fragment:
         if not isinstance(t, Token):
             return StabilizationVerdict("unknown", OMEGA, witness=t, bound=depth)
+        if _folds_back(chain, t):
+            continue
+        if images is None:
+            images = _omega_class_images(chain, depth)
         if not any(unfolded.related(t, img) is True for img in images):
             return StabilizationVerdict("witness", OMEGA, witness=t, bound=depth)
     return StabilizationVerdict("stabilized", OMEGA, bound=depth)

@@ -154,10 +154,12 @@ def test_usage_errors_exit_two():
         ["solve-domain", "--eq", "param A = sierpinski; X = [X -> A]"]
     )
     assert code == 2
-    # bounds, sizes and stage counts below 1 are usage errors
+    # bounds, sizes and stage counts below 1, and stages past omega below 0,
+    # are usage errors
     for argv in (
         ["per-lfp", "--eq", RUNNING_EQ, "--rank-bound", "-1"],
         ["per-lfp", "--eq", RUNNING_EQ, "--nat-bound", "0"],
+        ["per-lfp", "--eq", RUNNING_EQ, "--beyond-omega", "-1"],
         ["solve-domain", "--eq", RUNNING_EQ, "--stages", "0"],
         ["dense", "--eq", RUNNING_EQ, "--n-max", "0"],
         ["counterexample", "--param", "sierpinski", "--bound", "0"],

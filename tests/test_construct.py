@@ -130,6 +130,17 @@ def test_canonical_form_unique_and_idempotent():
         assert again == t
 
 
+def test_pairs_decoded_once_per_token():
+    D = catalog_basis("diamond")
+    fb = fun_basis(D, D)
+    t = fb.make([(tok("a"), tok("a")), (tok("b"), tok("top"))])
+    _, fs = t.key
+    got = fb.pairs(t)
+    assert isinstance(got, tuple)
+    assert list(got) == [(tok(pk), tok(qk)) for (pk, qk) in fs]
+    assert fb.pairs(t) is got
+
+
 def test_canonical_drops_bottom_and_entailed():
     fb = fun_basis(O, O)
     assert fb.make([(BOT, BOT)]) == fb.bottom

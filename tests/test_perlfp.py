@@ -1,11 +1,17 @@
 import pytest
 
-from domania.basis import tok
+from domania import perlfp
+from domania.basis import Token, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
 from domania.per import InjValue, PerMap, SemFn, check_property, is_equiembedding
 from domania.perlfp import (
+    StabilizationVerdict,
+    _folds_back,
+    _omega_class_images,
+    _omega_verdict,
+    _successor_fragment_totals,
     apply_functor_per,
     counterexample_phi,
     functor_is_trivial,
@@ -63,6 +69,63 @@ def test_running_example_stabilizes_at_omega():
         v = stabilization_probe(chain, rank_bound)
         assert v.stabilized
         assert v.stage == OMEGA
+
+
+def class_search_verdict(chain, rank_bound):
+    """Reference omega check: compare every fragment total with one image per
+    omega-class, as the probe did before folding back."""
+    unfolded = chain.unfolded[0]
+    fragment, depth = _successor_fragment_totals(chain, rank_bound)
+    images = _omega_class_images(chain, depth)
+    for t in fragment:
+        if not isinstance(t, Token):
+            return StabilizationVerdict("unknown", OMEGA, witness=t, bound=depth)
+        if not any(unfolded.related(t, img) is True for img in images):
+            return StabilizationVerdict("witness", OMEGA, witness=t, bound=depth)
+    return StabilizationVerdict("stabilized", OMEGA, bound=depth)
+
+
+@pytest.mark.parametrize(
+    "expr, env, rank_bounds",
+    [
+        (RUNNING, running_env(), (1, 2, 3)),
+        (
+            Sum(ConstD("FB"), Exp("S", Id())),
+            {"FB": flatbool_per(), "S": sierpinski_per()},
+            (1, 2),
+        ),
+        (ConstD("A"), {"A": sierpinski_per()}, (1, 2, 3)),
+    ],
+)
+def test_fold_back_agrees_with_class_search(expr, env, rank_bounds):
+    for rank_bound in rank_bounds:
+        chain = per_chain_extend(
+            expr, env, omega_plus(1), n_finite=max(4, rank_bound + 1)
+        )
+        fragment, _ = _successor_fragment_totals(chain, rank_bound)
+        assert fragment
+        # the fold-back alone decides every fragment total here
+        assert all(_folds_back(chain, t) for t in fragment), rank_bound
+        got = _omega_verdict(chain, rank_bound)
+        want = class_search_verdict(chain, rank_bound)
+        assert (got.kind, got.stage, got.bound) == (want.kind, want.stage, want.bound)
+
+
+def test_probe_at_omega_enumerates_no_omega_totals(monkeypatch):
+    chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=4)
+    # the stage omega+1 fragment is itself enumerated through the omega per;
+    # build it (it is cached) before forbidding any further enumeration
+    fragment, _ = _successor_fragment_totals(chain, 3)
+    assert fragment
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("omega-totals enumerated")
+
+    monkeypatch.setattr(chain.per_limit.per, "totals", forbidden)
+    monkeypatch.setattr(perlfp, "group_classes", forbidden)
+    v = stabilization_probe(chain, rank_bound=3)
+    assert v.stabilized
+    assert v.stage == OMEGA
 
 
 def test_chain_stage_pers_preserve_properties():

@@ -20,26 +20,8 @@ from .errors import (
 )
 
 
-_RENDER_CACHE: Dict[object, str] = {}
-
-
 def render_key(key) -> str:
     """Human-readable name, computed from the structural key alone."""
-    try:
-        cached = _RENDER_CACHE.get(key)
-    except TypeError:
-        cached = None
-    if cached is not None:
-        return cached
-    out = _render_key(key)
-    try:
-        _RENDER_CACHE[key] = out
-    except TypeError:
-        pass
-    return out
-
-
-def _render_key(key) -> str:
     if isinstance(key, tuple):
         tag = key[0] if key else None
         if tag == "natb" or tag == "sb":
@@ -67,7 +49,10 @@ class Token:
     """Compact element of a basis. Identity is decided by `key` alone."""
 
     key: object
-    pretty: str
+
+    @property
+    def pretty(self) -> str:
+        return render_key(self.key)
 
     def __eq__(self, other):
         return isinstance(other, Token) and self.key == other.key
@@ -79,8 +64,8 @@ class Token:
         return f"Token({self.pretty})"
 
 
-def tok(key, pretty=None) -> Token:
-    return Token(key, render_key(key) if pretty is None else pretty)
+def tok(key) -> Token:
+    return Token(key)
 
 
 @dataclass(frozen=True)

@@ -53,11 +53,6 @@ from .ordinals import omega_plus
 from .per import DomainPer, finite_per
 from .perlfp import counterexample_phi, per_chain_extend, stabilization_probe
 from .qcb import (
-    QConst,
-    QId,
-    QSeqExp,
-    QSeqProd,
-    QUnion,
     discrete_space,
     fixed_point_independence,
     mk_space,
@@ -285,20 +280,6 @@ def _factor(expr, var):
     return f"({s})" if isinstance(expr, (Sum, Prod)) else s
 
 
-def to_qcb_expr(expr: FunctorExpr):
-    if isinstance(expr, Id):
-        return QId()
-    if isinstance(expr, ConstD):
-        return QConst(expr.name)
-    if isinstance(expr, Sum):
-        return QUnion(to_qcb_expr(expr.left), to_qcb_expr(expr.right))
-    if isinstance(expr, Prod):
-        return QSeqProd(to_qcb_expr(expr.left), to_qcb_expr(expr.right))
-    if isinstance(expr, Exp):
-        return QSeqExp(expr.param, to_qcb_expr(expr.body))
-    raise TypeError(expr)
-
-
 # ---------------------------------------------------------------------------
 # definition files
 
@@ -470,12 +451,12 @@ def _per_env(source: EquationSource, nat_bound, base_dir=".") -> Dict[str, Domai
 
 
 def cmd_solve_domain(args) -> Tuple[int, str]:
-    from .spfunctor import fixed_point_iso, inductive_limit_domain, omega_chain
+    from .spfunctor import LimitBasis, fixed_point_iso, omega_chain
 
     src = _load_equation(args.eq)
     env = {k: v.carrier for (k, v) in _per_env(src, args.nat_bound).items()}
     stages = omega_chain(src.expr, env, args.stages)
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     bound = min(args.stages - 1, 3) if args.stages > 1 else 1
     checks = []
     try:
@@ -541,7 +522,7 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
     )
     verdict = stabilization_probe(chain, args.rank_bound)
     checks = [
-        _check("chain-links", "equiembedding-chain", "pass", args.rank_bound)
+        _check("chain-links", "equiembedding-chain", "pass", chain.link_bound)
     ]
     rows = _stage_rows_for_chain(chain, args.rank_bound)
     if verdict.kind == "stabilized" and verdict.stage.is_finite:
@@ -672,8 +653,7 @@ def cmd_qcb(args) -> Tuple[int, str]:
         if not path:
             return 2, f"error: --space-files entries look like NAME=PATH, got {entry!r}\n"
         bindings[name] = resolve_space_source(f"file({path})")
-    gamma = to_qcb_expr(src.expr)
-    report = qcb_fixed_point(gamma, bindings, rank_bound=args.rank_bound)
+    report = qcb_fixed_point(src.expr, bindings, rank_bound=args.rank_bound)
     checks = [
         _check("fixed-point-classes", "space-fixed-point",
                "pass" if report.fixed_point_bijection else "fail",

@@ -12,7 +12,7 @@ identity decidable.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .basis import Basis, Token, TokenSet, tok
 from .errors import InconsistentUnion, NotAnEmbedding, NotConsistentlyComplete
@@ -208,18 +208,8 @@ class MultiSumBasis(Basis):
         return TokenSet(tuple(toks), truncated)
 
 
-def sum_basis(D: Basis, E: Optional[Basis] = None, mode="separated") -> MultiSumBasis:
-    if mode == "lift-only":
-        return MultiSumBasis([D], strict=False, name=f"lift({D.name})")
-    if mode == "separated":
-        return MultiSumBasis([D, E], strict=False)
-    if mode == "strict":
-        return MultiSumBasis([D, E], strict=True)
-    raise ValueError(f"unknown sum mode {mode!r}")
-
-
-def lift_basis(D: Basis) -> MultiSumBasis:
-    return sum_basis(D, mode="lift-only")
+def sum_basis(D: Basis, E: Basis) -> MultiSumBasis:
+    return MultiSumBasis([D, E])
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +280,8 @@ class ProdBasis(Basis):
         return TokenSet(tuple(toks), ls.truncated or rs.truncated)
 
 
-def prod_basis(D: Basis, E: Basis, mode="cartesian") -> ProdBasis:
-    if mode == "cartesian":
-        return ProdBasis(D, E, strict=False)
-    if mode == "strict":
-        return ProdBasis(D, E, strict=True)
-    raise ValueError(f"unknown product mode {mode!r}")
+def prod_basis(D: Basis, E: Basis) -> ProdBasis:
+    return ProdBasis(D, E)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +442,6 @@ def fun_basis(D: Basis, E: Basis) -> FunBasis:
     return FunBasis(D, E)
 
 
-def apply_compact(fb: FunBasis, f: Token, p: Token) -> Token:
-    return fb.apply(f, p)
-
-
 # ---------------------------------------------------------------------------
 # embedding-projection pairs
 
@@ -611,22 +593,3 @@ def exp_general_embedding(f: Embedding, g: Embedding) -> Embedding:
         )
 
     return Embedding(src, tgt, fwd, proj, name=f"[{f.name}- -> {g.name}]")
-
-
-def embed_map(kind: str, *parts) -> Embedding:
-    """Functorial embedding constructors; parts failing the ep laws raise."""
-    if kind == "sum":
-        f, g = parts
-        emb = sum_embedding(f, g)
-    elif kind == "prod":
-        f, g = parts
-        emb = prod_embedding(f, g)
-    elif kind == "exp_fixed":
-        B, f = parts
-        emb = exp_fixed_embedding(B, f)
-    elif kind == "exp_general":
-        f, g = parts
-        emb = exp_general_embedding(f, g)
-    else:
-        raise ValueError(f"unknown embedding kind {kind!r}")
-    return emb

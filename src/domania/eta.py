@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basis import Basis, FlatNatBasis, Token, TokenSet, one_point_basis, tok
-from .construct import FunBasis, MultiSumBasis, ProdBasis
+from .construct import FunBasis, MultiSumBasis, ProdBasis, apply_pairs
 from .dense import DenseLfp
 from .errors import MalformedCode, NonDenseExponent, NotWitnessed
 from .per import (
@@ -97,6 +97,17 @@ def multi_sum_per(parts: Sequence[DomainPer], name="") -> DomainPer:
         pointwise_flags(p.flags for p in parts),
         name=name or "usum",
     )
+
+
+def _prec(per: DomainPer, v: Token, target: Token, bound=None) -> bool:
+    """v approximates the class of target in per; bottom when target is not
+    total."""
+    if per.related(target, target, bound) is not True:
+        return v == per.carrier.bottom
+    for y in per.class_of(target, bound):
+        if isinstance(y, Token) and per.carrier.leq(v, y):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -200,28 +211,16 @@ class EtaSystem:
         return self._eta_cache[x.key]
 
     # ---- witnesses ---------------------------------------------------------
-    def fired_join(self, pairs, t: Token) -> Token:
-        fired = [q for (p, q) in pairs if self.T.leq(p, t)]
-        return self.codomain.lub(fired) if fired else self.codomain.bottom
-
     def is_witnessed_by(self, pairs, x: Token, bound=None) -> bool:
         """Fired joins at every total input approximate the class of the
         evaluation there."""
         totals, _ = self.input_per.totals(bound)
         for t in totals:
-            v = self.fired_join(pairs, t)
+            v = apply_pairs(pairs, self.T, self.codomain, t)
             target = self.eval_eta(x, t)
-            if not self._prec(v, target, bound):
+            if not _prec(self.codomain_per, v, target, bound):
                 return False
         return True
-
-    def _prec(self, v: Token, target: Token, bound=None) -> bool:
-        if self.codomain_per.related(target, target, bound) is not True:
-            return v == self.codomain.bottom
-        for y in self.codomain_per.class_of(target, bound):
-            if isinstance(y, Token) and self.codomain.leq(v, y):
-                return True
-        return False
 
     def find_witness(self, pairs, bound=None) -> Optional[Token]:
         ts, _ = self.unfolded_per.totals(bound)
@@ -522,26 +521,14 @@ class EtaBarSystem:
         return self._bar_cache[x.key]
 
     # ---- witness checks ----------------------------------------------------
-    def fired_join(self, pairs, u: Token) -> Token:
-        fired = [q for (p, q) in pairs if self.U.leq(p, u)]
-        return self.E.lub(fired) if fired else self.E.bottom
-
     def is_witnessed_by(self, pairs, x: Token, bound=None) -> bool:
         totals, _ = self.u_per.totals(bound)
         for u in totals:
-            v = self.fired_join(pairs, u)
+            v = apply_pairs(pairs, self.U, self.E, u)
             target = self.evaluate_zeta(x, u).result
-            if not self._prec_e(v, target, bound):
+            if not _prec(self.e_per, v, target, bound):
                 return False
         return True
-
-    def _prec_e(self, v: Token, target: Token, bound=None) -> bool:
-        if self.e_per.related(target, target, bound) is not True:
-            return v == self.E.bottom
-        for y in self.e_per.class_of(target, bound):
-            if isinstance(y, Token) and self.E.leq(v, y):
-                return True
-        return False
 
     def find_witness(self, pairs, bound=None) -> Optional[Token]:
         ts, _ = self.eta.d_per.totals(bound)

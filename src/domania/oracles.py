@@ -16,7 +16,13 @@ from .basis import (
     poset_of_basis,
     tok,
 )
-from .construct import Embedding, fun_basis
+from .construct import (
+    Embedding,
+    exp_fixed_embedding,
+    fun_basis,
+    prod_embedding,
+    sum_embedding,
+)
 from .errors import DomaniaError
 from .ordinals import fin
 from .per import (
@@ -225,8 +231,6 @@ def per_preservation_suite(max_size: int = 3) -> SuiteResult:
                             ee.append((pe, dn, en))
     result.cases += len(ee)
 
-    from .construct import embed_map
-
     bad = None
     seen_signatures = set()
     for (f, fdn, fen) in ee:
@@ -235,8 +239,8 @@ def per_preservation_suite(max_size: int = 3) -> SuiteResult:
             if sig in seen_signatures:
                 continue
             seen_signatures.add(sig)
-            for kind in ("sum", "prod"):
-                made = embed_map(kind, f.emb, g.emb)
+            for kind, embed in (("sum", sum_embedding), ("prod", prod_embedding)):
+                made = embed(f.emb, g.emb)
                 made_pe = PerEmbedding(
                     made,
                     per_construct(kind, f.source, g.source),
@@ -250,7 +254,7 @@ def per_preservation_suite(max_size: int = 3) -> SuiteResult:
     for (f, fdn, fen) in ee:
         for bn in names:
             for B in dense[bn][:3]:
-                made = embed_map("exp_fixed", B.carrier, f.emb)
+                made = exp_fixed_embedding(B.carrier, f.emb)
                 made_pe = PerEmbedding(
                     made,
                     per_construct("fun", B, f.source),

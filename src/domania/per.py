@@ -1,6 +1,7 @@
 """Domain-pers: carriers with decidable partial equivalence relations,
-finitely presented elements, per constructors, property checkers,
-equiembeddings, images, weak isomorphisms, and per limits with witnesses.
+values (basis tokens plus the few structured shapes that have no token
+form), per constructors, property checkers, equiembeddings, images, weak
+isomorphisms, and per limits with witnesses.
 
 Relation verdicts are tri-state (True / False / None for unknown): deciders
 over staged carriers never guess beyond their bound.
@@ -29,7 +30,7 @@ changes named fields of an existing flag set with `dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
@@ -142,140 +143,6 @@ def value_apply(basis: FunBasis, f, x: Token):
     if isinstance(f, SemFn):
         return f.apply(x)
     return basis.apply(f, x)
-
-
-# ---------------------------------------------------------------------------
-# element expressions
-
-
-class ElemExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class EBot(ElemExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class ETok(ElemExpr):
-    token: Token
-
-
-@dataclass(frozen=True)
-class EInj(ElemExpr):
-    index: int
-    sub: ElemExpr
-
-
-@dataclass(frozen=True)
-class EPair(ElemExpr):
-    left: ElemExpr
-    right: ElemExpr
-
-
-@dataclass(frozen=True)
-class ETable(ElemExpr):
-    entries: Tuple[Tuple[Token, ElemExpr], ...]
-
-
-@dataclass(frozen=True)
-class ENat(ElemExpr):
-    base: ElemExpr
-    step: str
-    strict: bool = True
-
-
-@dataclass(frozen=True)
-class EStaged(ElemExpr):
-    stage: int
-    sub: ElemExpr
-
-
-@dataclass(frozen=True)
-class EVal(ElemExpr):
-    """Wraps an already-reduced value, for splicing into larger expressions."""
-
-    value: object
-
-
-NAT_STEP_REGISTRY: Dict[str, Callable] = {}
-
-
-def register_nat_step(name: str, fn):
-    """fn(ctx, value) -> value; named so elements stay analyzable."""
-    NAT_STEP_REGISTRY[name] = fn
-
-
-def reduce_elem(carrier: Basis, e: ElemExpr, ctx=None):
-    """Denotation of an element expression over `carrier` as a value."""
-    if isinstance(e, EVal):
-        return e.value
-    if isinstance(e, EBot):
-        return carrier.bottom
-    if isinstance(e, ETok):
-        if not carrier.has_token(e.token):
-            raise CarrierMismatch(
-                f"token {e.token!r} not in carrier {carrier.name}", witness=e
-            )
-        return e.token
-    if isinstance(e, EInj):
-        if not isinstance(carrier, MultiSumBasis):
-            raise CarrierMismatch(f"injection into non-sum carrier {carrier.name}")
-        inner = reduce_elem(carrier.parts[e.index], e.sub, ctx)
-        if isinstance(inner, Token):
-            return carrier.inject(e.index, inner)
-        return InjValue(e.index, inner)
-    if isinstance(e, EPair):
-        if not isinstance(carrier, ProdBasis):
-            raise CarrierMismatch(f"pair into non-product carrier {carrier.name}")
-        l = reduce_elem(carrier.left, e.left, ctx)
-        r = reduce_elem(carrier.right, e.right, ctx)
-        if isinstance(l, Token) and isinstance(r, Token):
-            return carrier.pair(l, r)
-        return PairValue(l, r)
-    if isinstance(e, ETable):
-        if not isinstance(carrier, FunBasis):
-            raise CarrierMismatch(f"table into non-function carrier {carrier.name}")
-        pairs = []
-        for (arg, sub) in e.entries:
-            val = reduce_elem(carrier.values, sub, ctx)
-            if not isinstance(val, Token):
-                raise CarrierMismatch("table values must reduce to tokens")
-            pairs.append((arg, val))
-        return carrier.make(pairs)
-    if isinstance(e, ENat):
-        if not isinstance(carrier, FunBasis) or not isinstance(
-            carrier.exponent, FlatNatBasis
-        ):
-            raise CarrierMismatch("iteration elements need a flat-naturals exponent")
-        step = NAT_STEP_REGISTRY[e.step]
-        base = reduce_elem(carrier.values, e.base, ctx)
-        nat = carrier.exponent
-        cache = {0: base}
-
-        def at(n):
-            if n not in cache:
-                cache[n] = step(ctx, at(n - 1))
-            return cache[n]
-
-        def apply_fn(x: Token):
-            v = nat.value_of(x)
-            if v is None:
-                return carrier.values.bottom
-            return at(v)
-
-        return SemFn(
-            ("natfn", e.step, value_key(base)), carrier.exponent, apply_fn
-        )
-    if isinstance(e, EStaged):
-        if not isinstance(carrier, LimitBasis):
-            raise CarrierMismatch("staged elements need a limit carrier")
-        inner = reduce_elem(carrier.stages[e.stage].basis, e.sub, ctx)
-        if not isinstance(inner, Token):
-            raise CarrierMismatch("staged elements must reduce to stage tokens")
-        return carrier.canonical(e.stage, inner)
-    raise TypeError(e)
 
 
 # ---------------------------------------------------------------------------

@@ -13,25 +13,21 @@ from .construct import Embedding, FunBasis, MultiSumBasis, identity_embedding
 from .errors import IsoFailure, NotAnAlgebra, TrivialParameter
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
-    EInj,
-    ENat,
-    ETok,
-    EVal,
     DomainPer,
     InjValue,
     NatIdentityRel,
     PerEmbedding,
     PerLimit,
     PerMap,
+    SemFn,
     StructuralRel,
     group_classes,
     is_equiembedding,
     is_equivariant,
     limit_per,
     per_construct,
-    register_nat_step,
-    reduce_elem,
     trivial_per,
+    value_key,
 )
 from .spfunctor import (
     ConstD,
@@ -117,6 +113,8 @@ class PerChain:
     iso: Optional[FixedPointIso] = None
     unfolded: List[DomainPer] = field(default_factory=list)  # pers on F(D_omega)
     nat_bound: int = 8
+    # smallest bound a link was checked at; None when every check was exhaustive
+    link_bound: Optional[int] = None
 
     def stage_per(self, idx: Ordinal) -> DomainPer:
         for (o, p) in self.stages:
@@ -142,6 +140,7 @@ def per_chain_extend(
     full_depth = 4  # exhaustive link checks up to this stage, bounded beyond
     pers: List[Tuple[Ordinal, DomainPer]] = [(fin(0), trivial_per())]
     embeddings: List[PerEmbedding] = []
+    link_bounds = []
     dstages = omega_chain(expr, domain_env, depth)
     for n in range(1, depth + 1):
         per_n = apply_functor_per(expr, pers[-1][1], env, nat_bound)
@@ -149,6 +148,8 @@ def per_chain_extend(
         emb = dstages[n].embed_from_prev
         pe = PerEmbedding(emb, pers[-1][1], per_n, name=f"f{n - 1},{n}")
         vb = verify_bound if n <= full_depth else (verify_bound or 3)
+        if vb is not None:
+            link_bounds.append(vb)
         v = is_equiembedding(pe, vb)
         if not v.ok:
             raise NotAnAlgebra(
@@ -157,7 +158,10 @@ def per_chain_extend(
             )
         pers.append((fin(n), per_n))
         embeddings.append(pe)
-    chain = PerChain(expr, env, pers, embeddings, nat_bound=nat_bound)
+    chain = PerChain(
+        expr, env, pers, embeddings, nat_bound=nat_bound,
+        link_bound=min(link_bounds, default=None),
+    )
     if upto.is_finite:
         return chain
 
@@ -331,22 +335,35 @@ def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
 # the non-stabilisation witness
 
 
-def _nest_step(ctx, value):
-    """x |-> fold of in1(constantly x); the registered nesting transformer."""
-    chain: PerChain = ctx
+def _nest_step(chain: PerChain, value):
+    """x |-> fold of in1(constantly x)."""
     carrier: MultiSumBasis = chain.iso.unfolded
     fun_part: FunBasis = carrier.parts[1]
     const_fn = fun_part.make([(fun_part.exponent.bottom, value)])
     return chain.iso.inv(carrier.inject(1, const_fn))
 
 
-register_nat_step("nest", _nest_step)
+def _nesting_fn(chain: PerChain, base) -> SemFn:
+    """n |-> the n-fold nesting of base; bottom off the naturals. Nestings
+    are computed on first need and kept."""
+    fun_part: FunBasis = chain.iso.unfolded.parts[1]
+    nat = fun_part.exponent
+    nests = [base]
+
+    def apply_fn(x: Token):
+        n = nat.value_of(x)
+        if n is None:
+            return fun_part.values.bottom
+        while len(nests) <= n:
+            nests.append(_nest_step(chain, nests[-1]))
+        return nests[n]
+
+    return SemFn(("natfn", "nest", value_key(base)), nat, apply_fn)
 
 
 @dataclass
 class CounterexampleReport:
     phi: object  # the witness as an unfolded value
-    phi_expr: ENat
     ranks: Dict[int, int]  # n -> reported rank (nesting depth)
     total_stages: Dict[int, int]  # n -> least chain stage with x_n total
     equivariant_on_fragment: bool
@@ -374,9 +391,7 @@ def counterexample_phi(
             expr, env, omega_plus(1), n_finite=bound + 2, nat_bound=nat_bound
         )
 
-    carrier = chain.iso.unfolded
-    base_expr = EInj(0, ETok(a0))
-    base_val = chain.iso.inv(reduce_elem(carrier, base_expr, chain))
+    base_val = chain.iso.inv(chain.iso.unfolded.inject(0, a0))
 
     ranks, total_stages = {}, {}
     x = base_val
@@ -386,10 +401,7 @@ def counterexample_phi(
         ranks[n] = stage - 1
         x = _nest_step(chain, x)
 
-    phi_expr = ENat(base=EVal(base_val), step="nest")
-    fun_part = carrier.parts[1]
-    phi = reduce_elem(fun_part, phi_expr, chain)
-    witness_value = InjValue(1, phi)
+    witness_value = InjValue(1, _nesting_fn(chain, base_val))
 
     unfolded = chain.unfolded[0]
     # probing phi at index n touches stage n+2; stay within built stages
@@ -404,7 +416,6 @@ def counterexample_phi(
 
     return CounterexampleReport(
         witness_value,
-        phi_expr,
         ranks,
         total_stages,
         equivariant,

@@ -1,6 +1,12 @@
 """Finite T0 spaces with pseudobases, their standard representations as
-domain-pers, operation ASTs on spaces, the fixed-point pipeline, and
-transfer of weak equivalences between representing equations."""
+domain-pers, the fixed-point pipeline, and transfer of weak equivalences
+between representing equations.
+
+A strictly positive operation on spaces is the equation AST of
+`spfunctor` read as a space operation: `+` is disjoint union, `*` the
+sequential product and `[P -> _]` space exponentiation by the parameter P.
+Its fixed point is the dense least fixed point of the same equation over
+the parameters' representations."""
 
 from __future__ import annotations
 
@@ -10,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basis import FiniteBasis, Token, tok
 from .dense import DenseLfp, dense_lfp
+from .eta import atomic_subfunctors
 from .errors import BadParameterPedigree, NotT0, NotWeaklyEquivalent
 from .ordinals import fin
 from .per import (
@@ -280,52 +287,21 @@ def quotient_matches_space(rep: StandardRep) -> bool:
 # operations on spaces
 
 
-class QcbOpExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class QId(QcbOpExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class QConst(QcbOpExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class QUnion(QcbOpExpr):
-    left: QcbOpExpr
-    right: QcbOpExpr
-
-
-@dataclass(frozen=True)
-class QSeqProd(QcbOpExpr):
-    left: QcbOpExpr
-    right: QcbOpExpr
-
-
-@dataclass(frozen=True)
-class QSeqExp(QcbOpExpr):
-    param: str
-    body: QcbOpExpr
-
-
 REQUIRED_FLAGS = ("countably_based", "dense", "admissible_pedigree",
                   "convex", "local", "complete")
 
 
 def functorial_representation(
-    gamma: QcbOpExpr, bindings: Dict[str, object]
-) -> Tuple[FunctorExpr, Dict[str, DomainPer]]:
-    """Syntactic translation of a space operation into a per equation, with
-    parameters replaced by qualifying representations."""
+    expr: FunctorExpr, bindings: Dict[str, object]
+) -> Dict[str, DomainPer]:
+    """The per environment of a space operation read as a domain equation:
+    each parameter, in reading order, replaced by its representation, which
+    must carry every required flag."""
     env: Dict[str, DomainPer] = {}
 
-    def resolve(name: str) -> DomainPer:
+    def resolve(name: str):
         if name in env:
-            return env[name]
+            return
         b = bindings[name]
         per = b.per if isinstance(b, StandardRep) else b
         for f in REQUIRED_FLAGS:
@@ -334,24 +310,19 @@ def functorial_representation(
                     f"parameter {name!r} lacks flag {f}", witness=f
                 )
         env[name] = per
-        return per
 
-    def walk(e: QcbOpExpr) -> FunctorExpr:
-        if isinstance(e, QId):
-            return Id()
-        if isinstance(e, QConst):
+    def walk(e: FunctorExpr):
+        if isinstance(e, ConstD):
             resolve(e.name)
-            return ConstD(e.name)
-        if isinstance(e, QUnion):
-            return Sum(walk(e.left), walk(e.right))
-        if isinstance(e, QSeqProd):
-            return Prod(walk(e.left), walk(e.right))
-        if isinstance(e, QSeqExp):
+        elif isinstance(e, (Sum, Prod)):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, Exp):
             resolve(e.param)
-            return Exp(e.param, walk(e.body))
-        raise TypeError(e)
+            walk(e.body)
 
-    return walk(gamma), env
+    walk(expr)
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +396,10 @@ class QcbFixedPointReport:
 
 
 def qcb_fixed_point(
-    gamma: QcbOpExpr, bindings: Dict[str, object], rank_bound: int = 3,
+    expr: FunctorExpr, bindings: Dict[str, object], rank_bound: int = 3,
     n_finite: Optional[int] = None,
 ) -> QcbFixedPointReport:
-    expr, env = functorial_representation(gamma, bindings)
+    env = functorial_representation(expr, bindings)
     lfp = dense_lfp(expr, env, rank_bound=rank_bound,
                     n_finite=n_finite or max(3, rank_bound + 1))
     chain = lfp.chain
@@ -470,7 +441,7 @@ def qcb_fixed_point(
     # a finite space instance; it records the hypothesis checked by direct
     # open-set separation
     hausdorff: Optional[bool] = None
-    pos = _positive_const_names(gamma)
+    pos = _positive_const_names(expr)
     if pos and all(isinstance(bindings.get(n), StandardRep) for n in pos):
         hausdorff = all(_space_hausdorff(bindings[n].space) for n in pos)
     return QcbFixedPointReport(
@@ -489,14 +460,8 @@ def _space_hausdorff(space: FiniteSpace) -> bool:
     return True
 
 
-def _positive_const_names(gamma) -> List[str]:
-    if isinstance(gamma, QConst):
-        return [gamma.name]
-    if isinstance(gamma, (QUnion, QSeqProd)):
-        return _positive_const_names(gamma.left) + _positive_const_names(gamma.right)
-    if isinstance(gamma, QSeqExp):
-        return _positive_const_names(gamma.body)
-    return []
+def _positive_const_names(expr: FunctorExpr) -> List[str]:
+    return [e.name for e in atomic_subfunctors(expr) if isinstance(e, ConstD)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ from typing import Dict, List, Optional, Tuple
 from .basis import Basis, Token, TokenSet, tok
 from .construct import (
     Embedding,
-    embed_map,
+    exp_fixed_embedding,
     fun_basis,
     identity_embedding,
     prod_basis,
+    prod_embedding,
     sum_basis,
+    sum_embedding,
 )
 from .errors import IsoFailure, UnboundParameter
 from .ordinals import Ordinal, fin
@@ -143,17 +145,15 @@ def _apply_embedding(expr, f, env):
     if isinstance(expr, ConstD):
         return identity_embedding(env[expr.name])
     if isinstance(expr, Sum):
-        return embed_map(
-            "sum", _apply_embedding(expr.left, f, env), _apply_embedding(expr.right, f, env)
+        return sum_embedding(
+            _apply_embedding(expr.left, f, env), _apply_embedding(expr.right, f, env)
         )
     if isinstance(expr, Prod):
-        return embed_map(
-            "prod", _apply_embedding(expr.left, f, env), _apply_embedding(expr.right, f, env)
+        return prod_embedding(
+            _apply_embedding(expr.left, f, env), _apply_embedding(expr.right, f, env)
         )
     if isinstance(expr, Exp):
-        return embed_map(
-            "exp_fixed", env[expr.param], _apply_embedding(expr.body, f, env)
-        )
+        return exp_fixed_embedding(env[expr.param], _apply_embedding(expr.body, f, env))
     raise TypeError(expr)
 
 
@@ -340,10 +340,6 @@ class LimitBasis(Basis):
         emb = Embedding(self.stages[n].basis, self, fwd, proj, name=f"f{n},lim")
         self._stage_emb_cache[n] = emb
         return emb
-
-
-def inductive_limit_domain(stages: List[ChainStage]) -> LimitBasis:
-    return LimitBasis(stages)
 
 
 # ---------------------------------------------------------------------------

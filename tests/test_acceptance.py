@@ -26,10 +26,6 @@ from domania.oracles import (
 from domania.ordinals import OMEGA, omega_plus
 from domania.perlfp import counterexample_phi, per_chain_extend, stabilization_probe
 from domania.qcb import (
-    QConst,
-    QId,
-    QSeqExp,
-    QUnion,
     fixed_point_independence,
     mk_space,
     sierpinski_space,
@@ -40,9 +36,9 @@ from domania.spfunctor import (
     ConstD,
     Exp,
     Id,
+    LimitBasis,
     Sum,
     fixed_point_iso,
-    inductive_limit_domain,
     omega_chain,
 )
 
@@ -71,7 +67,7 @@ def test_criterion_02_domain_lfp():
     env = {"A": catalog_basis("two-chain"), "B": catalog_basis("two-chain")}
     stages = omega_chain(RUNNING, env, 4)
     counts = [len(s.basis.tokens().tokens) for s in stages[:3]]
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     iso, report = fixed_point_iso(RUNNING, env, lim, bound=3)
     ok = counts == [1, 4, 11] and report.verified
     _verdict(2, "domain least fixed point", ok)

@@ -181,8 +181,10 @@ def test_check_failures_exit_one(monkeypatch):
         ]
     )
     assert code == 1
-    statuses = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
-    assert statuses["stabilization"] == "fail"
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert checks["stabilization"]["status"] == "fail"
+    # a staged parameter keeps the link checks on fragments of rank 3
+    assert checks["chain-links"]["bound"] == 3
 
     # a suite that runs no case fails instead of passing vacuously
     monkeypatch.setattr(oracles, "fun_space_suite", lambda size: oracles.SuiteResult())

@@ -12,15 +12,18 @@ from domania.basis import (
     tok,
 )
 from domania.construct import (
-    apply_compact,
+    MultiSumBasis,
+    ProdBasis,
     canonical_pairs,
-    embed_map,
+    exp_fixed_embedding,
+    exp_general_embedding,
     fun_basis,
     identity_embedding,
-    lift_basis,
     prod_basis,
+    prod_embedding,
     stepset_consistent,
     sum_basis,
+    sum_embedding,
     verify_embedding,
 )
 from domania.errors import InconsistentUnion
@@ -34,7 +37,7 @@ def test_sum_counts_and_axioms():
     s = sum_basis(O, O)
     assert len(s.tokens()) == 5
     assert check_domain_axioms(s).all_pass
-    strict = sum_basis(O, O, mode="strict")
+    strict = MultiSumBasis([O, O], strict=True)
     assert len(strict.tokens()) == 3
     assert check_domain_axioms(strict).all_pass
 
@@ -50,7 +53,7 @@ def test_sum_order_is_separated():
 
 
 def test_lift_is_three_chain():
-    l = lift_basis(O)
+    l = MultiSumBasis([O])
     assert len(l.tokens()) == 3
     p = poset_of_basis(l)
     chain = poset_of_basis(catalog_basis("three-chain"))
@@ -65,7 +68,7 @@ def test_prod_counts_and_bottom():
     assert len(p.tokens()) == 4
     assert p.bottom == p.pair(BOT, BOT)
     assert check_domain_axioms(p).all_pass
-    strict = prod_basis(O, O, mode="strict")
+    strict = ProdBasis(O, O, strict=True)
     assert len(strict.tokens()) == 2
     assert check_domain_axioms(strict).all_pass
 
@@ -111,9 +114,9 @@ def test_apply_examples():
     fb = fun_basis(O, O)
     const_top = fb.make([(BOT, TOP)])
     strict_top = fb.make([(TOP, TOP)])
-    assert apply_compact(fb, const_top, BOT) == TOP
-    assert apply_compact(fb, strict_top, BOT) == BOT
-    assert apply_compact(fb, strict_top, TOP) == TOP
+    assert fb.apply(const_top, BOT) == TOP
+    assert fb.apply(strict_top, BOT) == BOT
+    assert fb.apply(strict_top, TOP) == TOP
 
 
 def test_canonical_form_unique_and_idempotent():
@@ -149,7 +152,7 @@ def test_canonical_drops_bottom_and_entailed():
 
 def test_identity_embedding_on_sum():
     s = sum_basis(O, O)
-    emb = embed_map("sum", identity_embedding(O), identity_embedding(O))
+    emb = sum_embedding(identity_embedding(O), identity_embedding(O))
     verify_embedding(emb)
     for t in s.tokens().tokens:
         assert emb.fwd(t) == t
@@ -157,7 +160,7 @@ def test_identity_embedding_on_sum():
 
 def test_exp_fixed_on_empty_stepset():
     pt = one_point_basis()
-    f = embed_map("exp_fixed", O, _unique_from_point(pt, O))
+    f = exp_fixed_embedding(O, _unique_from_point(pt, O))
     assert f.fwd(f.source.bottom) == f.target.bottom
     verify_embedding(f)
 
@@ -187,9 +190,9 @@ def test_prod_embedding_composition_law():
     f1 = _mk_embedding(O, three, {"bot": "bot", "top": "top"})
     f2 = identity_embedding(three)
     verify_embedding(f1)
-    lhs = embed_map("prod", f2.compose(f1), f2.compose(f1))
-    rhs_outer = embed_map("prod", f2, f2)
-    rhs_inner = embed_map("prod", f1, f1)
+    lhs = prod_embedding(f2.compose(f1), f2.compose(f1))
+    rhs_outer = prod_embedding(f2, f2)
+    rhs_inner = prod_embedding(f1, f1)
     rhs = rhs_outer.compose(rhs_inner)
     for t in lhs.source.tokens().tokens:
         assert lhs.fwd(t) == rhs.fwd(t)
@@ -201,23 +204,23 @@ def test_exp_general_embedding_laws():
     g = _mk_embedding(O, three, {"bot": "bot", "top": "mid"})
     verify_embedding(f)
     verify_embedding(g)
-    emb = embed_map("exp_general", f, g)
+    emb = exp_general_embedding(f, g)
     verify_embedding(emb)
 
 
-def test_all_embed_map_outputs_satisfy_ep_laws():
+def test_all_embedding_constructors_satisfy_ep_laws():
     three = catalog_basis("three-chain")
     f = _mk_embedding(O, three, {"bot": "bot", "top": "top"})
     g = identity_embedding(O)
     for emb in (
-        embed_map("sum", f, g),
-        embed_map("prod", f, g),
-        embed_map("exp_fixed", O, f),
+        sum_embedding(f, g),
+        prod_embedding(f, g),
+        exp_fixed_embedding(O, f),
     ):
         verify_embedding(emb)
 
 
-def test_apply_compact_monotone_small():
+def test_fun_apply_monotone_small():
     for dn in ("two-chain", "vee"):
         D = catalog_basis(dn)
         fb = fun_basis(D, O)

@@ -319,7 +319,6 @@ def test_injected_theta_fault_reported():
 
 def test_zeta_flatbool_parameter():
     from domania.builtins import flatbool_per
-    from domania.per import EInj, ETok, reduce_elem
 
     env = {"A": flatbool_per(), "B": sierpinski_per()}
     lfp = dense_lfp(RUNNING, env, rank_bound=2, n_finite=3)

@@ -9,6 +9,7 @@ from domania.per import InjValue, PerMap, SemFn, check_property, is_equiembeddin
 from domania.perlfp import (
     StabilizationVerdict,
     _folds_back,
+    _nest_step,
     _omega_class_images,
     _omega_verdict,
     _successor_fragment_totals,
@@ -150,6 +151,19 @@ def test_counterexample_phi_rank_pattern():
     assert not report.total_at_finite_stage
     assert isinstance(report.phi, InjValue)
     assert isinstance(report.phi.value, SemFn)
+
+
+def test_counterexample_phi_nests_the_base():
+    # phi(n) is the n-fold nesting of the folded in0(a0), bottom off the naturals
+    report = counterexample_phi(sierpinski_per(), bound=4)
+    chain, phi = report.chain, report.phi.value
+    a0 = min((t for t in sierpinski_per().totals(4)[0]), key=lambda t: t.pretty)
+    x = chain.iso.inv(chain.iso.unfolded.inject(0, a0))
+    nat = phi.exponent
+    for n in range(5):
+        assert phi.apply(nat.nat(n)) == x
+        x = _nest_step(chain, x)
+    assert phi.apply(nat.bottom) == chain.iso.unfolded.parts[1].values.bottom
 
 
 def test_counterexample_phi_flatbool_parameter():

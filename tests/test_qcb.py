@@ -4,11 +4,6 @@ import pytest
 
 from domania.errors import BadParameterPedigree, NotT0, NotWeaklyEquivalent
 from domania.qcb import (
-    QConst,
-    QId,
-    QSeqExp,
-    QSeqProd,
-    QUnion,
     check_fun_coherence,
     check_prod_coherence,
     check_sum_coherence,
@@ -153,11 +148,11 @@ def test_continuous_map_counts():
 
 
 def test_functorial_representation_translation():
-    gamma = QUnion(QConst("A"), QSeqExp("B", QId()))
+    expr = Sum(ConstD("A"), Exp("B", Id()))
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
-    expr, env = functorial_representation(gamma, {"A": sier, "B": sier})
-    assert expr == Sum(ConstD("A"), Exp("B", Id()))
-    assert set(env) == {"A", "B"}
+    env = functorial_representation(expr, {"B": sier, "A": sier})
+    assert list(env) == ["A", "B"]  # reading order, not binding order
+    assert env["A"] is sier.per and env["B"] is sier.per
 
 
 def test_functorial_representation_rejects_bad_pedigree():
@@ -166,7 +161,7 @@ def test_functorial_representation_rejects_bad_pedigree():
 
     bad = finite_per(catalog_basis("two-chain"), [(tok("top"), tok("top"))])
     with pytest.raises(BadParameterPedigree):
-        functorial_representation(QConst("A"), {"A": bad})
+        functorial_representation(ConstD("A"), {"A": bad})
 
 
 def test_qcb_fixed_point_running_example():
@@ -175,8 +170,8 @@ def test_qcb_fixed_point_running_example():
         [frozenset({"tt"}), frozenset({"ff"}), frozenset({"tt", "ff"})],
     )
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
-    gamma = QUnion(QConst("FB"), QSeqExp("S", QId()))
-    report = qcb_fixed_point(gamma, {"FB": fb, "S": sier}, rank_bound=2)
+    expr = Sum(ConstD("FB"), Exp("S", Id()))
+    report = qcb_fixed_point(expr, {"FB": fb, "S": sier}, rank_bound=2)
     assert report.classes_by_rank[1] == 2
     assert sum(report.classes_by_rank.values()) > 2
     assert report.fixed_point_bijection
@@ -187,7 +182,7 @@ def test_qcb_fixed_point_running_example():
 
 def test_qcb_fixed_point_constant():
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
-    report = qcb_fixed_point(QConst("S"), {"S": sier}, rank_bound=2)
+    report = qcb_fixed_point(ConstD("S"), {"S": sier}, rank_bound=2)
     assert sum(report.classes_by_rank.values()) == 2
     assert report.fixed_point_bijection
     assert report.hausdorff is False  # Sierpinski is not Hausdorff

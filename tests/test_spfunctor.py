@@ -13,13 +13,13 @@ from domania.spfunctor import (
     ConstD,
     Exp,
     Id,
+    LimitBasis,
     Prod,
     Sum,
     apply_functor_domain,
     apply_functor_embedding,
     chain_embedding,
     fixed_point_iso,
-    inductive_limit_domain,
     omega_chain,
 )
 
@@ -111,7 +111,7 @@ def test_chain_coherence():
 
 def test_limit_of_constant_chain():
     stages = omega_chain(ConstD("A"), {"A": O}, 3)
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     toks = lim.tokens()
     assert len(toks) == 2
     assert toks.truncated
@@ -119,7 +119,7 @@ def test_limit_of_constant_chain():
 
 def test_limit_canonical_token_count():
     stages = omega_chain(RUNNING, ENV, 3)
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     assert len(lim.tokens(2)) == 11
     # stage-3 count frozen from the monotone-map oracle: 1 + |O| + 39 maps O->D2
     assert len(lim.tokens(3)) == 42
@@ -134,7 +134,7 @@ def test_limit_canonical_token_count():
 
 def test_limit_order_agrees_with_stage_projection():
     stages = omega_chain(RUNNING, ENV, 3)
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     toks = list(lim.tokens(2).tokens)
     for p in toks:
         for q in toks:
@@ -147,7 +147,7 @@ def test_limit_order_agrees_with_stage_projection():
 
 def test_fixed_point_iso_running_example():
     stages = omega_chain(RUNNING, ENV, 4)
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     iso, report = fixed_point_iso(RUNNING, ENV, lim, bound=3)
     assert report.verified
     assert report.token_count == 42
@@ -157,7 +157,7 @@ def test_fixed_point_iso_running_example():
 
 def test_fixed_point_iso_constant():
     stages = omega_chain(ConstD("A"), {"A": O}, 2)
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     iso, report = fixed_point_iso(ConstD("A"), {"A": O}, lim, bound=1)
     assert report.verified
     # constant functor: unfolding is the parameter itself, tokens map onto it
@@ -168,7 +168,7 @@ def test_fixed_point_iso_constant():
 
 def test_fixed_point_iso_one_point():
     stages = omega_chain(Id(), {}, 2)
-    lim = inductive_limit_domain(stages)
+    lim = LimitBasis(stages)
     iso, report = fixed_point_iso(Id(), {}, lim, bound=1)
     assert report.verified
     assert report.token_count == 1

@@ -518,7 +518,6 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
         env,
         omega_plus(args.beyond_omega),
         n_finite=max(4, args.rank_bound + 1),
-        nat_bound=args.nat_bound,
     )
     verdict = stabilization_probe(chain, args.rank_bound)
     checks = [
@@ -535,7 +534,7 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
         )
     elif verdict.kind == "witness":
         w = verdict.witness
-        pretty = w.phi.pretty if hasattr(w, "phi") else str(w)
+        pretty = w.pretty if hasattr(w, "nests") else str(w)
         checks.append(
             _check(
                 "stabilization",
@@ -713,7 +712,7 @@ def cmd_counterexample(args) -> Tuple[int, str]:
             "per-chain-stabilization",
             "fail" if verdict.kind == "witness" else verdict.kind,
             verdict.bound,
-            report.phi.pretty,
+            report.pretty,
         )
     )
     text = report_json(

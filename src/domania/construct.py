@@ -11,7 +11,6 @@ identity decidable.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Sequence
 
 from .basis import Basis, Token, TokenSet, tok

@@ -29,7 +29,7 @@ def has_total_extension(P: DomainPer, p: Token, bound=None) -> ExtensionVerdict:
         raise UnknownToken(f"{p!r} not in carrier {P.carrier.name}", witness=p)
     ts, exact = P.totals(bound)
     for t in ts:
-        if isinstance(t, Token) and P.carrier.leq(p, t):
+        if P.carrier.leq(p, t):
             return ExtensionVerdict("yes", t, bound)
     return ExtensionVerdict("no" if exact else "unknown", None, bound)
 
@@ -185,8 +185,7 @@ class DeltaFamily:
     def _least_total(self, expr) -> Token:
         per0 = apply_functor_per(expr, trivial_per(), self.chain.env)
         ts, _ = per0.totals()
-        toks = sorted((t for t in ts if isinstance(t, Token)), key=lambda t: t.pretty)
-        return toks[0]
+        return min(ts, key=lambda t: t.pretty)
 
     def _lift_summand_total(self, expr, i: int, carrier) -> Token:
         # least total of summand i of expr, as a value of the full carrier
@@ -286,8 +285,7 @@ class DenseLfp:
     kept: Callable[[Token], bool]
 
 
-def dense_lfp(expr, env, rank_bound: int = 4, n_finite: int = 4,
-              nat_bound: int = 8) -> DenseLfp:
+def dense_lfp(expr, env, rank_bound: int = 4, n_finite: int = 4) -> DenseLfp:
     """Dense parts of the chain stages assembled into a chain whose limit is
     the dense part of the per limit."""
     for name, per in env.items():
@@ -295,13 +293,10 @@ def dense_lfp(expr, env, rank_bound: int = 4, n_finite: int = 4,
             raise NonDenseParameter(f"parameter {name!r} is not flagged dense")
     if functor_is_trivial(expr, env):
         triv = trivial_per()
-        chain = per_chain_extend(expr, env, omega_plus(1), n_finite=2,
-                                 nat_bound=nat_bound)
+        chain = per_chain_extend(expr, env, omega_plus(1), n_finite=2)
         return DenseLfp(triv, chain, [], lambda t: False)
 
-    chain = per_chain_extend(
-        expr, env, omega_plus(1), n_finite=n_finite, nat_bound=nat_bound
-    )
+    chain = per_chain_extend(expr, env, omega_plus(1), n_finite=n_finite)
     return _assemble_dense(chain, rank_bound)
 
 

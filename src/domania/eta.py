@@ -104,10 +104,7 @@ def _prec(per: DomainPer, v: Token, target: Token, bound=None) -> bool:
     total."""
     if per.related(target, target, bound) is not True:
         return v == per.carrier.bottom
-    for y in per.class_of(target, bound):
-        if isinstance(y, Token) and per.carrier.leq(v, y):
-            return True
-    return False
+    return any(per.carrier.leq(v, y) for y in per.class_of(target, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +221,7 @@ class EtaSystem:
 
     def find_witness(self, pairs, bound=None) -> Optional[Token]:
         ts, _ = self.unfolded_per.totals(bound)
-        for x in ts:
-            if isinstance(x, Token) and self.is_witnessed_by(pairs, x, bound):
-                return x
-        return None
+        return next((x for x in ts if self.is_witnessed_by(pairs, x, bound)), None)
 
     # ---- the lower adjoint -------------------------------------------------
     def theta(self, q: Token, witness: Optional[Token] = None, bound=None) -> Token:
@@ -435,10 +429,9 @@ class SeqRel(StructuralRel):
 
     def totals(self, bound=None):
         ts, exact = self.entry_per.totals(bound)
-        toks = [t for t in ts if isinstance(t, Token)]
         out = [
             self.basis.seq(list(combo))
-            for combo in itertools.product(toks, repeat=self.basis.width)
+            for combo in itertools.product(ts, repeat=self.basis.width)
         ]
         return out, exact
 
@@ -532,10 +525,7 @@ class EtaBarSystem:
 
     def find_witness(self, pairs, bound=None) -> Optional[Token]:
         ts, _ = self.eta.d_per.totals(bound)
-        for x in ts:
-            if isinstance(x, Token) and self.is_witnessed_by(pairs, x, bound):
-                return x
-        return None
+        return next((x for x in ts if self.is_witnessed_by(pairs, x, bound)), None)
 
     # ---- evaluation trees ----------------------------------------------------
     def build_tree(self, pairs):
@@ -683,7 +673,6 @@ def dense_image_weak_iso(
     report = RoundTripReport()
 
     totals, _ = lfp.per.totals(rank_bound)
-    totals = [t for t in totals if isinstance(t, Token)]
 
     ok, witness = True, None
     for x in totals:

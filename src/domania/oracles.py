@@ -24,7 +24,6 @@ from .construct import (
     sum_embedding,
 )
 from .errors import DomaniaError
-from .ordinals import fin
 from .per import (
     DomainPer,
     PerEmbedding,

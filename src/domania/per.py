@@ -1,7 +1,9 @@
-"""Domain-pers: carriers with decidable partial equivalence relations,
-values (basis tokens plus the few structured shapes that have no token
-form), per constructors, property checkers, equiembeddings, images, weak
+"""Domain-pers: carriers with decidable partial equivalence relations, per
+constructors, property checkers, equiembeddings, images, weak
 isomorphisms, and per limits with witnesses.
+
+Values are tokens of the carrier: a relation splits, pairs, injects and
+applies them with its carrier's own operations.
 
 Relation verdicts are tri-state (True / False / None for unknown): deciders
 over staged carriers never guess beyond their bound.
@@ -63,89 +65,6 @@ def tri_all(*vals):
 
 
 # ---------------------------------------------------------------------------
-# values: tokens plus the few structured shapes that have no token form
-
-
-@dataclass(frozen=True)
-class InjValue:
-    index: int
-    value: object
-
-    @property
-    def pretty(self):
-        return f"in{self.index}({_pretty(self.value)})"
-
-
-@dataclass(frozen=True)
-class PairValue:
-    left: object
-    right: object
-
-    @property
-    def pretty(self):
-        return f"({_pretty(self.left)},{_pretty(self.right)})"
-
-
-class SemFn:
-    """Function element given semantically; identity decided by descriptor."""
-
-    def __init__(self, descriptor, exponent: Basis, apply_fn):
-        self.descriptor = descriptor
-        self.exponent = exponent
-        self._apply = apply_fn
-
-    def apply(self, x: Token):
-        return self._apply(x)
-
-    def __eq__(self, other):
-        return isinstance(other, SemFn) and self.descriptor == other.descriptor
-
-    def __hash__(self):
-        return hash(self.descriptor)
-
-    @property
-    def pretty(self):
-        return f"<fn {self.descriptor}>"
-
-    def __repr__(self):
-        return self.pretty
-
-
-def _pretty(v):
-    return v.pretty if hasattr(v, "pretty") else str(v)
-
-
-def value_key(v):
-    if isinstance(v, Token):
-        return ("tok", v.key)
-    if isinstance(v, InjValue):
-        return ("inj", v.index, value_key(v.value))
-    if isinstance(v, PairValue):
-        return ("pair", value_key(v.left), value_key(v.right))
-    if isinstance(v, SemFn):
-        return ("sem", v.descriptor)
-    raise TypeError(v)
-
-
-def split_sum_value(basis: MultiSumBasis, v):
-    if isinstance(v, InjValue):
-        return v.index, v.value
-    return basis.split(v)
-
-
-def split_prod_value(basis: ProdBasis, v):
-    if isinstance(v, PairValue):
-        return v.left, v.right
-    return basis.split(v)
-
-
-def value_apply(basis: FunBasis, f, x: Token):
-    if isinstance(f, SemFn):
-        return f.apply(x)
-    return basis.apply(f, x)
-
-
-# ---------------------------------------------------------------------------
 # flags
 
 
@@ -198,8 +117,6 @@ class FiniteRel:
         self.exact = True
 
     def related(self, a, b, bound=None):
-        if not (isinstance(a, Token) and isinstance(b, Token)):
-            return False
         return (a.key, b.key) in self.pairs
 
     def totals(self, bound=None):
@@ -238,8 +155,8 @@ class SumRel(StructuralRel):
         self.parts = list(part_pers)
 
     def related(self, a, b, bound=None):
-        sa = split_sum_value(self.basis, a)
-        sb = split_sum_value(self.basis, b)
+        sa = self.basis.split(a)
+        sb = self.basis.split(b)
         if sa is None or sb is None:
             return False
         (i, x), (j, y) = sa, sb
@@ -252,11 +169,7 @@ class SumRel(StructuralRel):
         for i, per in enumerate(self.parts):
             ts, ex = per.totals(bound)
             exact = exact and ex
-            for t in ts:
-                if isinstance(t, Token):
-                    out.append(self.basis.inject(i, t))
-                else:
-                    out.append(InjValue(i, t))
+            out.extend(self.basis.inject(i, t) for t in ts)
         return out, exact
 
 
@@ -266,8 +179,8 @@ class ProdRel(StructuralRel):
         self.left, self.right = left, right
 
     def related(self, a, b, bound=None):
-        ax, ay = split_prod_value(self.basis, a)
-        bx, by = split_prod_value(self.basis, b)
+        ax, ay = self.basis.split(a)
+        bx, by = self.basis.split(b)
         l = self.left.related(ax, bx, bound)
         r = self.right.related(ay, by, bound)
         if l is False or r is False:
@@ -279,14 +192,7 @@ class ProdRel(StructuralRel):
     def totals(self, bound=None):
         ls, lex = self.left.totals(bound)
         rs, rex = self.right.totals(bound)
-        out = []
-        for x in ls:
-            for y in rs:
-                if isinstance(x, Token) and isinstance(y, Token):
-                    out.append(self.basis.pair(x, y))
-                else:
-                    out.append(PairValue(x, y))
-        return out, lex and rex
+        return [self.basis.pair(x, y) for x in ls for y in rs], lex and rex
 
 
 class NatIdentityRel(StructuralRel):
@@ -297,8 +203,6 @@ class NatIdentityRel(StructuralRel):
         self.nat_bound = nat_bound
 
     def related(self, a, b, bound=None):
-        if not (isinstance(a, Token) and isinstance(b, Token)):
-            return False
         va, vb = self.basis.value_of(a), self.basis.value_of(b)
         return va is not None and va == vb
 
@@ -312,21 +216,16 @@ class NatIdentityRel(StructuralRel):
 
 
 class FunRel(StructuralRel):
-    def __init__(self, basis: FunBasis, exp_per, body_per, probe_bound=8):
+    def __init__(self, basis: FunBasis, exp_per, body_per):
         self.basis = basis
         self.exp_per = exp_per
         self.body_per = body_per
-        self.probe_bound = probe_bound
 
     def related(self, f, g, bound=None):
         # over a flat-identity exponent, token step sets take one default
         # value beyond their finite premise support, so finitely many probes
         # decide the relation exactly
-        if (
-            isinstance(self.exp_per.rel, NatIdentityRel)
-            and isinstance(f, Token)
-            and isinstance(g, Token)
-        ):
+        if isinstance(self.exp_per.rel, NatIdentityRel):
             nat = self.exp_per.carrier
             support = set()
             for t in (f, g):
@@ -346,12 +245,11 @@ class FunRel(StructuralRel):
                 if r is None:
                     unknown = True
             return None if unknown else True
-        b = bound if bound is not None else self.probe_bound
-        pairs, exact = self.exp_per.related_pairs(b)
+        pairs, exact = self.exp_per.related_pairs(bound)
         unknown = not exact
         for (x, y) in pairs:
             r = self.body_per.related(
-                value_apply(self.basis, f, x), value_apply(self.basis, g, y), bound
+                self.basis.apply(f, x), self.basis.apply(g, y), bound
             )
             if r is False:
                 return False
@@ -369,7 +267,6 @@ class FunRel(StructuralRel):
         exp_toks = list(self.basis.exponent.tokens().tokens)
         body = self.body_per.carrier
         body_totals, bt_exact = self.body_per.totals(bound)
-        body_totals = [t for t in body_totals if isinstance(t, Token)]
         if body.finite:
             vals, vex = self.body_per.carrier_tokens(None)
         else:
@@ -392,7 +289,7 @@ class FunRel(StructuralRel):
                 pool.append(body.bottom)
             vals, vex = pool, False
         exp_totals, _ = self.exp_per.totals(bound)
-        exp_total_keys = {t.key for t in exp_totals if isinstance(t, Token)}
+        exp_total_keys = {t.key for t in exp_totals}
         out = []
         assignment = {}
 
@@ -440,8 +337,6 @@ class LimitRel(StructuralRel):
         self.stage_pers = list(stage_pers)
 
     def related(self, a, b, bound=None):
-        if not (isinstance(a, Token) and isinstance(b, Token)):
-            return None
         pt, qt, k = self.limit.at_common_stage(a, b)
         return self.stage_pers[k].related(pt, qt, bound)
 
@@ -484,9 +379,8 @@ class ImageRel(StructuralRel):
         out, seen = [], set()
         for u in us:
             fu = self.phi(u)
-            k = value_key(fu)
-            if k not in seen:
-                seen.add(k)
+            if fu.key not in seen:
+                seen.add(fu.key)
                 out.append(fu)
         return out, exact
 
@@ -501,10 +395,7 @@ class MemoRel(StructuralRel):
         self._totals_cache = {}
 
     def related(self, a, b, bound=None):
-        try:
-            k = (value_key(a), value_key(b), bound)
-        except TypeError:
-            return self.inner.related(a, b, bound)
+        k = (a.key, b.key, bound)
         if k not in self._memo:
             self._memo[k] = self.inner.related(a, b, bound)
         return self._memo[k]
@@ -562,7 +453,7 @@ class DomainPer:
         members = [x]
         ts, _ = self.carrier_tokens(bound)
         for t in ts:
-            if value_key(t) != value_key(x) and self.related(x, t, bound) is True:
+            if t != x and self.related(x, t, bound) is True:
                 members.append(t)
         return members
 
@@ -625,7 +516,7 @@ def _fun_flags(exp: PerFlags, body: PerFlags) -> PerFlags:
     )
 
 
-def per_construct(kind: str, D: DomainPer, E: DomainPer, probe_bound=8) -> DomainPer:
+def per_construct(kind: str, D: DomainPer, E: DomainPer) -> DomainPer:
     from .construct import fun_basis, prod_basis, sum_basis
 
     if kind == "sum":
@@ -638,7 +529,7 @@ def per_construct(kind: str, D: DomainPer, E: DomainPer, probe_bound=8) -> Domai
         flags = pointwise_flags([D.flags, E.flags])
     elif kind == "fun":
         carrier = fun_basis(D.carrier, E.carrier)
-        rel = FunRel(carrier, D, E, probe_bound)
+        rel = FunRel(carrier, D, E)
         flags = _fun_flags(D.flags, E.flags)
     else:
         raise ValueError(f"unknown per constructor {kind!r}")
@@ -679,7 +570,6 @@ PROPERTIES = (
 
 def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verdict:
     toks, exact_toks = P.carrier_tokens(bound)
-    toks = [t for t in toks if isinstance(t, Token)]
     B = P.carrier
 
     def rel(a, b):
@@ -710,9 +600,6 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
         ts, exact = P.totals(bound)
         unknown = unknown or not exact
         for x in ts:
-            if not isinstance(x, Token):
-                unknown = True
-                continue
             cls = P.class_of(x, bound)
             if not B.cons(cls):
                 if prop in ("local", "complete"):
@@ -737,9 +624,6 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
         ts, exact = P.totals(bound)
         unknown = unknown or not exact
         for x in ts:
-            if not isinstance(x, Token):
-                unknown = True
-                continue
             for y in toks:
                 if B.leq(x, y):
                     r = rel(x, y)
@@ -751,10 +635,9 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
 
     if prop == "dense":
         ts, exact = P.totals(bound)
-        totals_tokens = [t for t in ts if isinstance(t, Token)]
         unknown = unknown or not exact
         for p in toks:
-            ext = next((t for t in totals_tokens if B.leq(p, t)), None)
+            ext = next((t for t in ts if B.leq(p, t)), None)
             if ext is None:
                 if exact and exact_toks:
                     return Verdict("fails", p, bound)
@@ -775,11 +658,8 @@ def flags_from_checks(P: DomainPer, bound=None) -> PerFlags:
 def prec_check(P: DomainPer, p: Token, x, bound=None) -> bool:
     """p approximates the class of x: some y ~ x lies above p."""
     if P.is_total(x, bound) is not True:
-        raise NotTotal(f"{_pretty(x)} is not total", witness=x)
-    for y in P.class_of(x, bound):
-        if isinstance(y, Token) and P.carrier.leq(p, y):
-            return True
-    return False
+        raise NotTotal(f"{x.pretty} is not total", witness=x)
+    return any(P.carrier.leq(p, y) for y in P.class_of(x, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -813,11 +693,10 @@ def per_identity(P: DomainPer) -> PerMap:
 
 def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None):
     """Tri-state: related pairs must map to related pairs."""
-    fn = f if callable(f) else f.fwd
     pairs, exact = D.related_pairs(bound)
     unknown = not exact
     for (x, y) in pairs:
-        r = E.related(fn(x), fn(y), bound)
+        r = E.related(f(x), f(y), bound)
         if r is False:
             return False, (x, y)
         if r is None:
@@ -840,12 +719,11 @@ def related_to_known(f_known, g, D: DomainPer, E: DomainPer, bound=None):
 
 def equi_injective(f, D: DomainPer, E: DomainPer, bound=None):
     """Reflection of relatedness, checked over enumerated totals."""
-    fn = f if callable(f) else f.fwd
     ts, exact = D.totals(bound)
     unknown = not exact
     for x in ts:
         for y in ts:
-            r = E.related(fn(x), fn(y), bound)
+            r = E.related(f(x), f(y), bound)
             if r is True and D.related(x, y, bound) is False:
                 return False, (x, y)
             if r is None:
@@ -863,16 +741,6 @@ class PerEmbedding:
     source: DomainPer
     target: DomainPer
     name: str = ""
-
-    def fwd(self, v):
-        if isinstance(v, Token):
-            return self.emb.fwd(v)
-        raise CarrierMismatch("embedding applied to a non-token value", witness=v)
-
-    def proj(self, v):
-        if isinstance(v, Token):
-            return self.emb.proj(v)
-        raise CarrierMismatch("projection applied to a non-token value", witness=v)
 
 
 @dataclass
@@ -892,7 +760,7 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
     except NotAnEmbedding as e:
         return EmbeddingVerdict(False, "embedding", e.witness)
 
-    ok, w = is_equivariant(pe.fwd, pe.source, pe.target, bound)
+    ok, w = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
     if ok is False:
         return EmbeddingVerdict(False, "equivariance", w)
     unknown = ok is None
@@ -901,14 +769,11 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
     tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
     unknown = unknown or not exact or not tgt_exact
     for x in ts:
-        if not isinstance(x, Token):
-            unknown = True
-            continue
-        fx = pe.fwd(x)
+        fx = pe.emb.fwd(x)
         for y in tgt_toks:
             r = pe.target.related(fx, y, bound)
             if r is True:
-                back = pe.source.related(x, pe.proj(y), bound)
+                back = pe.source.related(x, pe.emb.proj(y), bound)
                 if back is False:
                     return EmbeddingVerdict(False, "reflection", (x, y))
                 if back is None:
@@ -977,8 +842,6 @@ class PerLimit:
 
     def rank_of(self, v) -> int:
         """Least stage whose totals contain v."""
-        if not isinstance(v, Token):
-            raise NotTotal("rank is defined for token-presented elements", witness=v)
         c, inner = self.limit.decompose(v)
         for i in range(c, self.limit.max_stage() + 1):
             lifted = self.limit.lift_token(c, inner, i)
@@ -1036,8 +899,6 @@ def uniform_limit_map(
                 )
 
     def apply(v):
-        if not isinstance(v, Token):
-            raise CarrierMismatch("limit map applied to non-token value")
         i, inner = src.limit.decompose(v)
         return tgt.limit.canonical(i, phi_family[i](inner))
 

@@ -1,7 +1,12 @@
 """Transfinite per fixed points: build the chain from a strictly positive
 functor on domain-pers, pass omega on the stabilised carrier, probe for
 stabilisation, rebuild the classical non-stabilisation witness, and check
-mediating algebra morphisms."""
+mediating algebra morphisms.
+
+Every value handled here is a token of some stage or of the limit carrier.
+The non-stabilisation witness, a function on the flat naturals with
+infinite support, has no token; it is kept as the list of its values at
+0, 1, 2, ..., each a limit token."""
 
 from __future__ import annotations
 
@@ -14,12 +19,10 @@ from .errors import IsoFailure, NotAnAlgebra, TrivialParameter
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
     DomainPer,
-    InjValue,
     NatIdentityRel,
     PerEmbedding,
     PerLimit,
     PerMap,
-    SemFn,
     StructuralRel,
     group_classes,
     is_equiembedding,
@@ -27,7 +30,6 @@ from .per import (
     limit_per,
     per_construct,
     trivial_per,
-    value_key,
 )
 from .spfunctor import (
     ConstD,
@@ -44,7 +46,7 @@ from .spfunctor import (
 
 
 def apply_functor_per(
-    expr: FunctorExpr, X: DomainPer, env: Dict[str, DomainPer], probe_bound=8
+    expr: FunctorExpr, X: DomainPer, env: Dict[str, DomainPer]
 ) -> DomainPer:
     if isinstance(expr, Id):
         return X
@@ -53,23 +55,18 @@ def apply_functor_per(
     if isinstance(expr, Sum):
         return per_construct(
             "sum",
-            apply_functor_per(expr.left, X, env, probe_bound),
-            apply_functor_per(expr.right, X, env, probe_bound),
-            probe_bound,
+            apply_functor_per(expr.left, X, env),
+            apply_functor_per(expr.right, X, env),
         )
     if isinstance(expr, Prod):
         return per_construct(
             "prod",
-            apply_functor_per(expr.left, X, env, probe_bound),
-            apply_functor_per(expr.right, X, env, probe_bound),
-            probe_bound,
+            apply_functor_per(expr.left, X, env),
+            apply_functor_per(expr.right, X, env),
         )
     if isinstance(expr, Exp):
         return per_construct(
-            "fun",
-            env[expr.param],
-            apply_functor_per(expr.body, X, env, probe_bound),
-            probe_bound,
+            "fun", env[expr.param], apply_functor_per(expr.body, X, env)
         )
     raise TypeError(expr)
 
@@ -90,17 +87,11 @@ class PullbackRel(StructuralRel):
         self.unfolded_per = unfolded_per
 
     def related(self, a, b, bound=None):
-        if not (isinstance(a, Token) and isinstance(b, Token)):
-            return None
         return self.unfolded_per.related(self.iso.fwd(a), self.iso.fwd(b), bound)
 
     def totals(self, bound=None):
         ts, exact = self.unfolded_per.totals(bound)
-        out = []
-        for t in ts:
-            if isinstance(t, Token):
-                out.append(self.iso.inv(t))
-        return out, exact and len(out) == len(ts)
+        return [self.iso.inv(t) for t in ts], exact
 
 
 @dataclass
@@ -112,7 +103,6 @@ class PerChain:
     per_limit: Optional[PerLimit] = None
     iso: Optional[FixedPointIso] = None
     unfolded: List[DomainPer] = field(default_factory=list)  # pers on F(D_omega)
-    nat_bound: int = 8
     # smallest bound a link was checked at; None when every check was exhaustive
     link_bound: Optional[int] = None
 
@@ -128,14 +118,13 @@ def per_chain_extend(
     env: Dict[str, DomainPer],
     upto: Ordinal,
     n_finite: int = 4,
-    nat_bound: int = 8,
-    verify_bound: Optional[int] = None,
 ) -> PerChain:
     """Chain stages up to `upto`; finite part always built to n_finite when
     the target lies at or past omega."""
     domain_env = {k: v.carrier for (k, v) in env.items()}
     depth = n_finite if not upto.is_finite else upto.k
-    if verify_bound is None and any(not p.carrier.finite for p in env.values()):
+    verify_bound = None
+    if any(not p.carrier.finite for p in env.values()):
         verify_bound = 3  # staged parameters: keep link checks on small fragments
     full_depth = 4  # exhaustive link checks up to this stage, bounded beyond
     pers: List[Tuple[Ordinal, DomainPer]] = [(fin(0), trivial_per())]
@@ -143,7 +132,7 @@ def per_chain_extend(
     link_bounds = []
     dstages = omega_chain(expr, domain_env, depth)
     for n in range(1, depth + 1):
-        per_n = apply_functor_per(expr, pers[-1][1], env, nat_bound)
+        per_n = apply_functor_per(expr, pers[-1][1], env)
         # reuse the domain chain's carrier bookkeeping
         emb = dstages[n].embed_from_prev
         pe = PerEmbedding(emb, pers[-1][1], per_n, name=f"f{n - 1},{n}")
@@ -159,8 +148,7 @@ def per_chain_extend(
         pers.append((fin(n), per_n))
         embeddings.append(pe)
     chain = PerChain(
-        expr, env, pers, embeddings, nat_bound=nat_bound,
-        link_bound=min(link_bounds, default=None),
+        expr, env, pers, embeddings, link_bound=min(link_bounds, default=None)
     )
     if upto.is_finite:
         return chain
@@ -177,7 +165,7 @@ def per_chain_extend(
 
     current = plim.per
     for k in range(1, upto.k + 1):
-        unfolded_per = apply_functor_per(expr, current, env, nat_bound)
+        unfolded_per = apply_functor_per(expr, current, env)
         chain.unfolded.append(unfolded_per)
         folded = DomainPer(
             plim.limit,
@@ -282,15 +270,12 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
     finite = [(o, p) for (o, p) in chain.stages if o.is_finite]
     for n in range(min(len(finite) - 1, 4)):
         per_n, per_n1 = finite[n][1], finite[n + 1][1]
-        emb = chain.embeddings[n]
+        emb = chain.embeddings[n].emb
         ts, exact = per_n1.totals()
         if not exact:
             break
         reducible = True
         for t in ts:
-            if not isinstance(t, Token):
-                reducible = False
-                break
             down = emb.proj(t)
             if per_n.related(down, down) is not True or per_n1.related(
                 emb.fwd(down), t
@@ -309,8 +294,24 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
         return StabilizationVerdict(
             "witness", OMEGA, witness=report, bound=rank_bound
         )
-
+    if _has_infinite_exponent(chain.functor, chain.env):
+        # the fragment holds only finitely supported functions, so it cannot
+        # see a new total that needs infinite support
+        return StabilizationVerdict("unknown", OMEGA, bound=rank_bound)
     return _omega_verdict(chain, rank_bound)
+
+
+def _has_infinite_exponent(expr: FunctorExpr, env) -> bool:
+    """Some exponent of expr ranges over a carrier that is not finite."""
+    if isinstance(expr, Exp):
+        return not env[expr.param].carrier.finite or _has_infinite_exponent(
+            expr.body, env
+        )
+    if isinstance(expr, (Sum, Prod)):
+        return _has_infinite_exponent(expr.left, env) or _has_infinite_exponent(
+            expr.right, env
+        )
+    return False
 
 
 def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
@@ -320,8 +321,6 @@ def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
     fragment, depth = _successor_fragment_totals(chain, rank_bound)
     images = None
     for t in fragment:
-        if not isinstance(t, Token):
-            return StabilizationVerdict("unknown", OMEGA, witness=t, bound=depth)
         if _folds_back(chain, t):
             continue
         if images is None:
@@ -343,27 +342,13 @@ def _nest_step(chain: PerChain, value):
     return chain.iso.inv(carrier.inject(1, const_fn))
 
 
-def _nesting_fn(chain: PerChain, base) -> SemFn:
-    """n |-> the n-fold nesting of base; bottom off the naturals. Nestings
-    are computed on first need and kept."""
-    fun_part: FunBasis = chain.iso.unfolded.parts[1]
-    nat = fun_part.exponent
-    nests = [base]
-
-    def apply_fn(x: Token):
-        n = nat.value_of(x)
-        if n is None:
-            return fun_part.values.bottom
-        while len(nests) <= n:
-            nests.append(_nest_step(chain, nests[-1]))
-        return nests[n]
-
-    return SemFn(("natfn", "nest", value_key(base)), nat, apply_fn)
-
-
 @dataclass
 class CounterexampleReport:
-    phi: object  # the witness as an unfolded value
+    # the witness phi = in1(n |-> x_n) has infinite support and no token; it
+    # is kept as its nestings x_0, x_1, ..., each a limit token, as far as
+    # they are checked
+    nests: List[Token]
+    pretty: str  # the witness's printed name
     ranks: Dict[int, int]  # n -> reported rank (nesting depth)
     total_stages: Dict[int, int]  # n -> least chain stage with x_n total
     equivariant_on_fragment: bool
@@ -377,45 +362,44 @@ def counterexample_phi(
     """The strict iteration x0 = in0(a), x_{n+1} = in1(const x_n), packaged
     with its rank pattern over the chain of A + [flatnat -> X]."""
     a_totals, _ = A.totals(bound)
-    a_tokens = [t for t in a_totals if isinstance(t, Token)]
-    if not a_tokens:
+    if not a_totals:
         raise TrivialParameter(f"parameter {A.name or A.carrier.name} has no totals")
-    a0 = sorted(a_tokens, key=lambda t: t.pretty)[0]
+    a0 = min(a_totals, key=lambda t: t.pretty)
 
     if chain is None:
         from .builtins import flatnat_per
 
         env = {"A": A, "N": flatnat_per(nat_bound)}
         expr = Sum(ConstD("A"), Exp("N", Id()))
-        chain = per_chain_extend(
-            expr, env, omega_plus(1), n_finite=bound + 2, nat_bound=nat_bound
-        )
+        chain = per_chain_extend(expr, env, omega_plus(1), n_finite=bound + 2)
 
-    base_val = chain.iso.inv(chain.iso.unfolded.inject(0, a0))
-
-    ranks, total_stages = {}, {}
-    x = base_val
-    for n in range(bound + 1):
-        stage = chain.per_limit.rank_of(x)
-        total_stages[n] = stage
-        ranks[n] = stage - 1
-        x = _nest_step(chain, x)
-
-    witness_value = InjValue(1, _nesting_fn(chain, base_val))
-
-    unfolded = chain.unfolded[0]
-    # probing phi at index n touches stage n+2; stay within built stages
+    # x_n first presents at stage n + 1, and checking phi at index n touches
+    # stage n + 2: build only the nestings that are checked
     check_bound = min(nat_bound, chain.per_limit.limit.max_stage() - 2)
-    verdict = unfolded.related(witness_value, witness_value, check_bound)
-    equivariant = verdict is not False
+    nests = [chain.iso.inv(chain.iso.unfolded.inject(0, a0))]
+    while len(nests) < max(bound + 1, check_bound):
+        nests.append(_nest_step(chain, nests[-1]))
+
+    total_stages = {n: chain.per_limit.rank_of(nests[n]) for n in range(bound + 1)}
+    ranks = {n: stage - 1 for (n, stage) in total_stages.items()}
+
+    # phi ~ phi over the flat naturals iff x_n ~ x_n at omega for every n;
+    # the check covers n < check_bound, so only a False refutes it
+    per_omega = chain.per_limit.per
+    equivariant = all(
+        per_omega.related(x, x, check_bound) is not False
+        for x in nests[:check_bound]
+    )
 
     # the values of phi become total at strictly later stages as the index
     # grows, so phi itself is total at no finite stage among checked ranks
     stages_seq = [total_stages[n] for n in sorted(total_stages)]
     increasing = all(b > a for a, b in zip(stages_seq, stages_seq[1:]))
 
+    descriptor = ("natfn", "nest", ("tok", nests[0].key))
     return CounterexampleReport(
-        witness_value,
+        nests,
+        f"in1(<fn {descriptor}>)",
         ranks,
         total_stages,
         equivariant,

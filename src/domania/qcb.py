@@ -18,7 +18,6 @@ from .basis import FiniteBasis, Token, tok
 from .dense import DenseLfp, dense_lfp
 from .eta import atomic_subfunctors
 from .errors import BadParameterPedigree, NotT0, NotWeaklyEquivalent
-from .ordinals import fin
 from .per import (
     ALL_YES,
     YES,

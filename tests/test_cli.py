@@ -193,6 +193,42 @@ def test_check_failures_exit_one(monkeypatch):
     assert [c["status"] for c in json.loads(text)["checks"]] == ["fail"]
 
 
+FLATNAT_PARAMS = "param A = sierpinski; param N = flatnat; "
+
+
+@pytest.mark.parametrize("rank_bound", ["3", "4"])
+def test_flatnat_witness_within_built_stages(rank_bound):
+    # the nestings checked at these bounds all lie inside the built stages
+    code, text = run_command(
+        ["per-lfp", "--eq", FLATNAT_PARAMS + "X = A + [N -> X]",
+         "--rank-bound", rank_bound]
+    )
+    assert code == 1
+    doc = json.loads(text)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["stabilized_at"] is None
+    assert checks["stabilization"]["status"] == "fail"
+    assert checks["stabilization"]["bound"] == int(rank_bound)
+
+
+@pytest.mark.parametrize(
+    "eq, rank_bound",
+    [("X = [N -> X] + A", "2"), ("X = A + ([N -> X] * A)", "3")],
+)
+def test_infinite_exponent_without_witness_is_unknown(eq, rank_bound):
+    # the fragment past omega holds only finitely supported functions, so it
+    # cannot show that stage omega+1 adds no totals
+    code, text = run_command(
+        ["per-lfp", "--eq", FLATNAT_PARAMS + eq, "--rank-bound", rank_bound]
+    )
+    assert code == 0
+    doc = json.loads(text)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["stabilized_at"] is None
+    assert checks["stabilization"]["status"] == "unknown"
+    assert checks["stabilization"]["bound"] == int(rank_bound)
+
+
 def test_scan_order_permutes_but_keeps_everything(monkeypatch):
     items = list(range(12))
     monkeypatch.delenv("DOMANIA_SEED", raising=False)

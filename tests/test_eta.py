@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from domania.basis import tok
-from domania.builtins import flatbool_per, sierpinski_per
+from domania.basis import Token, tok
+from domania.builtins import flatbool_per, flatnat_per, sierpinski_per
 from domania.dense import dense_lfp
 from domania.errors import MalformedCode, NotWitnessed
 from domania.eta import (
@@ -15,7 +15,9 @@ from domania.eta import (
     dense_image_weak_iso,
     encode_path,
 )
-from domania.per import equi_injective, is_equivariant
+from domania.ordinals import omega_plus
+from domania.per import equi_injective, is_equivariant, per_construct
+from domania.perlfp import counterexample_phi, per_chain_extend
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
 
 RUNNING = Sum(ConstD("A"), Exp("B", Id()))
@@ -385,3 +387,40 @@ def test_theta_bar_monotone_and_tree_morphism():
                         assert morph[tuple(b)][: len(a)] == morph[tuple(a)]
             checked += 1
     assert checked >= 3
+
+
+def test_every_total_is_a_token():
+    # the chains of the golden equations: every stage per, the omega per
+    # and the per one step past it on the unfolded carrier
+    chains = [
+        per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=3),
+        per_chain_extend(
+            Sum(ConstD("FB"), Exp("S", Id())),
+            {"FB": flatbool_per(), "S": sierpinski_per()},
+            omega_plus(1),
+            n_finite=3,
+        ),
+        counterexample_phi(sierpinski_per(), bound=3).chain,
+    ]
+    pers = []
+    for chain in chains:
+        pers += [p for (_, p) in chain.stages] + chain.unfolded
+    lfp = running_lfp(rank_bound=2, n_finite=3)
+    eta = EtaSystem(lfp)
+    bar = EtaBarSystem(eta, support=3)
+    pers += [lfp.per] + [part.per for part in lfp.stage_dense_parts]
+    pers += [eta.input_per, eta.codomain_per, eta.fun_per]
+    pers += [bar.u_per, bar.e_per, bar.fun_per]
+    pers += [
+        per_construct("fun", sierpinski_per(), flatbool_per()),
+        per_construct("fun", flatnat_per(), sierpinski_per()),
+    ]
+    empty = []
+    for per in pers:
+        ts, _ = per.totals(2)
+        assert all(isinstance(t, Token) for t in ts), per.name
+        if not ts:
+            empty.append(per.name)
+    # only the stage-0 pers have no totals: one per chain, and the dense
+    # part of the dense chain's stage 0
+    assert empty == ["trivial"] * 4

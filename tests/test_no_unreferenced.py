@@ -1,7 +1,8 @@
 """Every module-level function and class of the package, and every method
 that is not a dunder, is referenced somewhere: its name occurs as a whole
 word in some Python file under src/, tests/ or scripts/ outside the line
-that defines it."""
+that defines it. Every name a package module imports is used in that
+module, unless its import line says `# noqa: F401`."""
 
 import ast
 import os
@@ -57,3 +58,34 @@ def test_every_definition_is_referenced():
             if words[defined] <= on_def_line:
                 unreferenced.append(f"{name}: {defined}")
     assert not unreferenced, unreferenced
+
+
+def _unused_imports(path):
+    """Names bound by the imports of `path` that no name in its code reads;
+    `from __future__` imports and lines marked `# noqa: F401` are exempt."""
+    with open(path) as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    tree = ast.parse(text, path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        span = lines[node.lineno - 1:node.end_lineno]
+        if any("# noqa: F401" in line for line in span):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                yield bound
+
+
+def test_every_import_is_used():
+    unused = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            unused += [f"{name}: {bound}" for bound in _unused_imports(path)]
+    assert not unused, unused

@@ -5,7 +5,7 @@ from domania.basis import Token, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
-from domania.per import InjValue, PerMap, SemFn, check_property, is_equiembedding
+from domania.per import PerMap, check_property, is_equiembedding
 from domania.perlfp import (
     StabilizationVerdict,
     _folds_back,
@@ -79,8 +79,6 @@ def class_search_verdict(chain, rank_bound):
     fragment, depth = _successor_fragment_totals(chain, rank_bound)
     images = _omega_class_images(chain, depth)
     for t in fragment:
-        if not isinstance(t, Token):
-            return StabilizationVerdict("unknown", OMEGA, witness=t, bound=depth)
         if not any(unfolded.related(t, img) is True for img in images):
             return StabilizationVerdict("witness", OMEGA, witness=t, bound=depth)
     return StabilizationVerdict("stabilized", OMEGA, bound=depth)
@@ -149,21 +147,20 @@ def test_counterexample_phi_rank_pattern():
     assert report.total_stages == {n: n + 1 for n in range(6)}
     assert report.equivariant_on_fragment
     assert not report.total_at_finite_stage
-    assert isinstance(report.phi, InjValue)
-    assert isinstance(report.phi.value, SemFn)
+    assert len(report.nests) == 6
+    assert all(isinstance(x, Token) for x in report.nests)
 
 
 def test_counterexample_phi_nests_the_base():
-    # phi(n) is the n-fold nesting of the folded in0(a0), bottom off the naturals
+    # x_n is the n-fold nesting of the folded in0(a0)
     report = counterexample_phi(sierpinski_per(), bound=4)
-    chain, phi = report.chain, report.phi.value
+    chain = report.chain
     a0 = min((t for t in sierpinski_per().totals(4)[0]), key=lambda t: t.pretty)
     x = chain.iso.inv(chain.iso.unfolded.inject(0, a0))
-    nat = phi.exponent
+    assert report.pretty == f"in1(<fn ('natfn', 'nest', ('tok', {x.key!r}))>)"
     for n in range(5):
-        assert phi.apply(nat.nat(n)) == x
+        assert report.nests[n] == x
         x = _nest_step(chain, x)
-    assert phi.apply(nat.bottom) == chain.iso.unfolded.parts[1].values.bottom
 
 
 def test_counterexample_phi_flatbool_parameter():
@@ -177,14 +174,12 @@ def test_counterexample_phi_trivial_parameter():
 
 
 def test_flatnat_chain_not_stabilized():
-    chain = per_chain_extend(
-        FLATNAT_EQ, flatnat_env(8), omega_plus(1), n_finite=6, nat_bound=8
-    )
+    chain = per_chain_extend(FLATNAT_EQ, flatnat_env(8), omega_plus(1), n_finite=6)
     v = stabilization_probe(chain, rank_bound=4)
     assert v.kind == "witness"
     report = v.witness
     assert report.ranks[3] == 3
-    assert isinstance(report.phi, InjValue)
+    assert report.pretty.startswith("in1(<fn ('natfn', 'nest', ")
 
 
 def test_mediating_morphism_identity_family():

@@ -499,12 +499,12 @@ def _stage_rows_for_chain(chain, rank_bound):
             count = _count_tokens(per.carrier, o.k)
         else:
             count = len(per.carrier.tokens(rank_bound).tokens)
-        classes, _ = per.classes(rank_bound)
+        n_classes, _ = per.class_count(rank_bound)
         rows.append(
             {
                 "index": str(o),
                 "compact_count": count,
-                "total_class_count": len(classes),
+                "total_class_count": n_classes,
             }
         )
     return rows
@@ -695,7 +695,7 @@ def cmd_counterexample(args) -> Tuple[int, str]:
             "fragment-equivariance",
             "witness-equivariance",
             "pass" if report.equivariant_on_fragment else "fail",
-            args.nat_bound,
+            report.check_bound,
         ),
         _check(
             "escapes-finite-stages",
@@ -723,9 +723,7 @@ def cmd_counterexample(args) -> Tuple[int, str]:
         checks,
         asdict(report.chain.stages[-1][1].flags),
     )
-    ok = all(c["status"] in ("pass", "fail") for c in checks[:3]) and all(
-        c["status"] == "pass" for c in checks[:3]
-    )
+    ok = all(c["status"] == "pass" for c in checks[:3])
     return (0 if ok else 1), text
 
 

@@ -15,12 +15,26 @@ optional enumeration bound:
 - `totals(bound)` gives `(values, exact)`, the self-related values and
   whether the list is complete;
 - `related_pairs(bound)` gives `(pairs, exact)`; `StructuralRel` derives it
-  from the other two, since a related pair is a pair of totals.
+  from the other two, since a related pair is a pair of totals;
+- `class_count(bound)` gives `(n, exact)`, the number of classes and whether
+  the totals behind it are complete.
 
 Per classes are enumerated one way, by `group_classes`: a value joins the
 first class whose first member is related to it, or opens a new class.
 `DomainPer.classes` groups the totals; a site that needs one value per class
 takes the first member of each.
+
+Per classes are counted by the quotient rule where it applies: the quotient
+of a sum, product or function-space per is the sum, product or exponential
+of the quotients. `SumRel` adds its parts' counts, `ProdRel` multiplies them,
+and `FunRel` counts the tuples of body classes, one per exponent class, that
+some monotone map realises. `FunRel` falls back to grouping its totals over a
+staged body or an infinite exponent, and when the exponent's related pairs
+are not exhaustive, as then no map is total. An unknown verdict needs no
+fallback: True verdicts are symmetric and transitive and totals are
+self-related, so an unknown verdict separates two classes, in the quotient
+as in the totals. Every other relation groups its totals, the slow reference
+each rule is checked against.
 
 Flag rules. Sums, products and limits take each flag pointwise
 (`pointwise_flags`: yes when every part says yes, no when one says no); a
@@ -32,6 +46,7 @@ changes named fields of an existing flag set with `dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
@@ -123,6 +138,10 @@ class FiniteRel:
         ts = [t for t in self.carrier.tokens().tokens if (t.key, t.key) in self.pairs]
         return ts, True
 
+    def class_count(self, bound=None):
+        ts, _ = self.totals()
+        return len(group_classes(ts, self.related)), True
+
     def related_pairs(self, bound=None):
         if not hasattr(self, "_pair_cache"):
             toks = {t.key: t for t in self.carrier.tokens().tokens}
@@ -138,6 +157,11 @@ class StructuralRel:
 
     def totals(self, bound=None):
         raise NotImplementedError
+
+    def class_count(self, bound=None):
+        # the slow reference every quotient rule is checked against
+        ts, exact = self.totals(bound)
+        return len(group_classes(ts, lambda a, b: self.related(a, b, bound))), exact
 
     def related_pairs(self, bound=None):
         ts, exact = self.totals(bound)
@@ -172,6 +196,10 @@ class SumRel(StructuralRel):
             out.extend(self.basis.inject(i, t) for t in ts)
         return out, exact
 
+    def class_count(self, bound=None):
+        counts = [per.class_count(bound) for per in self.parts]
+        return sum(n for (n, _) in counts), all(ex for (_, ex) in counts)
+
 
 class ProdRel(StructuralRel):
     def __init__(self, basis: ProdBasis, left, right):
@@ -193,6 +221,10 @@ class ProdRel(StructuralRel):
         ls, lex = self.left.totals(bound)
         rs, rex = self.right.totals(bound)
         return [self.basis.pair(x, y) for x in ls for y in rs], lex and rex
+
+    def class_count(self, bound=None):
+        (ln, lex), (rn, rex) = self.left.class_count(bound), self.right.class_count(bound)
+        return ln * rn, lex and rex
 
 
 class NatIdentityRel(StructuralRel):
@@ -264,7 +296,6 @@ class FunRel(StructuralRel):
                 if self.related(t, t, bound) is True:
                     out.append(t)
             return out, False
-        exp_toks = list(self.basis.exponent.tokens().tokens)
         body = self.body_per.carrier
         body_totals, bt_exact = self.body_per.totals(bound)
         if body.finite:
@@ -291,34 +322,10 @@ class FunRel(StructuralRel):
         exp_totals, _ = self.exp_per.totals(bound)
         exp_total_keys = {t.key for t in exp_totals}
         out = []
-        assignment = {}
-
-        def monotone_ok(i, v):
-            for u in exp_toks[:i]:
-                if self.basis.exponent.leq(u, exp_toks[i]) and not body.leq(
-                    assignment[u], v
-                ):
-                    return False
-                if self.basis.exponent.leq(exp_toks[i], u) and not body.leq(
-                    v, assignment[u]
-                ):
-                    return False
-            return True
-
-        def rec(i):
-            if i == len(exp_toks):
-                out.append(self.basis.from_function(lambda p: assignment[p]))
-                return
-            cands = (
-                body_totals if exp_toks[i].key in exp_total_keys else vals
-            )
-            for v in cands:
-                if monotone_ok(i, v):
-                    assignment[exp_toks[i]] = v
-                    rec(i + 1)
-            assignment.pop(exp_toks[i], None)
-
-        rec(0)
+        self._monotone_search(
+            lambda p: body_totals if p.key in exp_total_keys else vals,
+            lambda a: out.append(self.basis.from_function(lambda p: a[p])),
+        )
         seen, uniq = set(), []
         for t in out:
             if t.key not in seen:
@@ -326,6 +333,63 @@ class FunRel(StructuralRel):
                 if self.related(t, t, bound) is True:
                     uniq.append(t)
         return uniq, vex and bt_exact
+
+    def class_count(self, bound=None):
+        """Quotient rule: f ~ g iff f x ~ g y for every related pair, so a
+        class is a tuple of body classes, one per exponent class, that some
+        monotone map realises; the fallbacks are in the module docstring."""
+        if not (
+            self.basis.exponent.finite
+            and self.body_per.carrier.finite
+            and self.exp_per.related_pairs(bound)[1]
+        ):
+            return super().class_count(bound)
+        exp_classes, _ = self.exp_per.classes(bound)
+        body_classes, body_exact = self.body_per.classes(bound)
+        class_index = {t.key: i for i, cls in enumerate(exp_classes) for t in cls}
+        vals, vex = self.body_per.carrier_tokens(None)
+        count = 0
+        for choice in product(body_classes, repeat=len(exp_classes)):
+            # total points take a member of their chosen body class, other
+            # points any value; the first realisation settles the tuple
+            if self._monotone_search(
+                lambda p: choice[class_index[p.key]] if p.key in class_index else vals,
+                lambda a: True,
+            ):
+                count += 1
+        return count, vex and body_exact
+
+    def _monotone_search(self, candidates, visit) -> bool:
+        """Depth-first over the monotone maps from the exponent tokens into the
+        body carrier, point p ranging over candidates(p).  visit(assignment)
+        runs at each complete map; a True return stops the search, and is
+        returned."""
+        exp = self.basis.exponent
+        body = self.body_per.carrier
+        exp_toks = list(exp.tokens().tokens)
+        assignment = {}
+
+        def monotone_ok(i, v):
+            for u in exp_toks[:i]:
+                if exp.leq(u, exp_toks[i]) and not body.leq(assignment[u], v):
+                    return False
+                if exp.leq(exp_toks[i], u) and not body.leq(v, assignment[u]):
+                    return False
+            return True
+
+        def rec(i):
+            if i == len(exp_toks):
+                return visit(assignment)
+            p = exp_toks[i]
+            for v in candidates(p):
+                if monotone_ok(i, v):
+                    assignment[p] = v
+                    if rec(i + 1):
+                        return True
+            assignment.pop(p, None)
+            return False
+
+        return rec(0)
 
 
 class LimitRel(StructuralRel):
@@ -387,12 +451,13 @@ class ImageRel(StructuralRel):
 
 class MemoRel(StructuralRel):
     """Transparent memoisation shell around a structural decider: verdicts
-    are cached per value pair and bound, totals per bound."""
+    are cached per value pair and bound, totals and class counts per bound."""
 
     def __init__(self, inner):
         self.inner = inner
         self._memo = {}
         self._totals_cache = {}
+        self._count_cache = {}
 
     def related(self, a, b, bound=None):
         k = (a.key, b.key, bound)
@@ -404,6 +469,11 @@ class MemoRel(StructuralRel):
         if bound not in self._totals_cache:
             self._totals_cache[bound] = self.inner.totals(bound)
         return self._totals_cache[bound]
+
+    def class_count(self, bound=None):
+        if bound not in self._count_cache:
+            self._count_cache[bound] = self.inner.class_count(bound)
+        return self._count_cache[bound]
 
 
 def group_classes(values, related) -> List[List[object]]:
@@ -456,6 +526,9 @@ class DomainPer:
             if t != x and self.related(x, t, bound) is True:
                 members.append(t)
         return members
+
+    def class_count(self, bound=None):
+        return self.rel.class_count(bound)
 
     def classes(self, bound=None):
         ts, exact = self.totals(bound)

@@ -352,6 +352,7 @@ class CounterexampleReport:
     ranks: Dict[int, int]  # n -> reported rank (nesting depth)
     total_stages: Dict[int, int]  # n -> least chain stage with x_n total
     equivariant_on_fragment: bool
+    check_bound: int  # the equivariance check covers x_n for n < check_bound
     total_at_finite_stage: bool
     chain: PerChain
 
@@ -403,6 +404,7 @@ def counterexample_phi(
         ranks,
         total_stages,
         equivariant,
+        check_bound,
         not increasing,
         chain,
     )

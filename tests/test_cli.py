@@ -287,6 +287,18 @@ def test_reports_byte_deterministic(monkeypatch):
         assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("nat_bound, checked", [("6", 3), ("2", 2)])
+def test_counterexample_reports_the_checked_bound(nat_bound, checked):
+    # the equivariance check covers only the nestings the built stages hold
+    argv = GOLDEN_COMMANDS["counterexample.json"][:-1] + [nat_bound]
+    code, text = run_command(argv)
+    assert code == 0, text
+    (check,) = [
+        c for c in json.loads(text)["checks"] if c["name"] == "fragment-equivariance"
+    ]
+    assert check["bound"] == checked
+
+
 def test_every_report_anchor_is_documented():
     docs = open(
         os.path.join(os.path.dirname(__file__), "..", "docs", "traceability.md")

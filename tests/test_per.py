@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from domania.basis import catalog_basis, one_point_basis, tok
-from domania.builtins import flatbool_per, sierpinski_per, trivial_per
+from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.construct import Embedding, identity_embedding
 from domania.errors import IncoherentChain, NotTotal, NotUniform
 from domania.per import (
@@ -57,6 +57,43 @@ def test_per_construct_fun_classes():
     assert len(classes) == 1
     # the single class holds the two maps sending top to top
     assert len(classes[0]) == 2
+
+
+def discrete_chain():
+    # both points of the two-chain total and unrelated: a map sending bot and
+    # top to unrelated values must keep them ordered
+    return finite_per(O, [(BOT, BOT), (TOP, TOP)])
+
+
+def parity_image():
+    # image of the flat naturals' parity in flatbool: tt ~ ff is unknown, as
+    # the naturals' totals are not exhausted
+    nat = flatnat_per(4)
+    parity = PerMap(
+        nat, flatbool_per(), lambda v: tok("ff" if nat.carrier.value_of(v) % 2 else "tt")
+    )
+    return image_per(parity)
+
+
+def top_image():
+    # one class, but its related pairs are not exhausted
+    nat = flatnat_per(4)
+    return image_per(PerMap(nat, osier(), lambda v: TOP))
+
+
+@pytest.mark.parametrize("kind", ["sum", "prod", "fun"])
+def test_class_count_matches_grouped_classes(kind):
+    # the quotient rule against its slow reference, grouping the totals;
+    # trivial parts give empty class sets, parity_image an unknown verdict,
+    # and top_image, as an exponent, the fallback for inexact related pairs
+    parts = [osier, flatbool_per, trivial_per, discrete_chain, parity_image, top_image]
+    for D, E in itertools.product(parts, repeat=2):
+        per = per_construct(kind, D(), E())
+        classes, exact = per.classes()
+        assert per.class_count() == (len(classes), exact), (D.__name__, E.__name__)
+    nested = per_construct(kind, flatbool_per(), per_construct("fun", osier(), flatbool_per()))
+    classes, exact = nested.classes()
+    assert nested.class_count() == (len(classes), exact)
 
 
 def test_constructed_rel_symmetric_transitive():

@@ -5,7 +5,8 @@ from domania.basis import Token, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
-from domania.per import PerMap, check_property, is_equiembedding
+from domania.cli import _stage_rows_for_chain
+from domania.per import FunRel, PerMap, check_property, is_equiembedding
 from domania.perlfp import (
     StabilizationVerdict,
     _folds_back,
@@ -20,7 +21,7 @@ from domania.perlfp import (
     per_chain_extend,
     stabilization_probe,
 )
-from domania.spfunctor import ConstD, Exp, Id, Sum
+from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
 
 RUNNING = Sum(ConstD("A"), Exp("B", Id()))
 
@@ -44,6 +45,59 @@ def test_running_chain_class_counts():
         assert exact
         counts.append(len(classes))
     assert counts == [1, 2, 3]
+
+
+# equation, parameters, and the rank bounds at which every stage is counted
+CLASS_COUNT_CASES = {
+    "running": (RUNNING, running_env, (1, 2, 3, 4)),
+    "qcb": (
+        Sum(ConstD("FB"), Exp("S", Id())),
+        lambda: {"FB": flatbool_per(), "S": sierpinski_per()},
+        (1, 2),
+    ),
+    "constant": (ConstD("A"), running_env, (2,)),
+    "sum-of-product": (Sum(ConstD("A"), Prod(ConstD("B"), Id())), running_env, (2,)),
+    # an infinite exponent: every stage falls back to grouping the totals
+    "flatnat": (FLATNAT_EQ, flatnat_env, (3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_COUNT_CASES))
+def test_class_count_matches_grouped_classes(name):
+    # the stage rows' count against its slow reference, at every stage the
+    # per-lfp command builds
+    expr, env, rank_bounds = CLASS_COUNT_CASES[name]
+    for rank_bound in rank_bounds:
+        chain = per_chain_extend(
+            expr, env(), omega_plus(1), n_finite=max(4, rank_bound + 1)
+        )
+        for (o, per) in chain.stages:
+            classes, exact = per.classes(rank_bound)
+            assert per.class_count(rank_bound) == (len(classes), exact), (
+                rank_bound,
+                str(o),
+            )
+
+
+def test_stage_rows_count_without_enumerating_stage_five(monkeypatch):
+    chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
+    stage4, stage5 = chain.stage_per(fin(4)), chain.stage_per(fin(5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stage-5 totals enumerated")
+
+    enumerate_fun_totals = FunRel.totals
+
+    def fun_totals(self, bound=None):
+        if self.body_per is stage4:
+            forbidden()
+        return enumerate_fun_totals(self, bound)
+
+    monkeypatch.setattr(stage5, "totals", forbidden)
+    monkeypatch.setattr(FunRel, "totals", fun_totals)
+    rows = _stage_rows_for_chain(chain, 4)
+    assert rows[5]["index"] == "5"
+    assert rows[5]["total_class_count"] == 5
 
 
 def test_constant_functor_stabilizes_at_one():
@@ -161,6 +215,12 @@ def test_counterexample_phi_nests_the_base():
     for n in range(5):
         assert report.nests[n] == x
         x = _nest_step(chain, x)
+
+
+def test_counterexample_phi_check_bound_clamped_to_built_stages():
+    # stages 0..5 are built, so x_n for n < 3 can be checked at omega
+    assert counterexample_phi(sierpinski_per(), bound=3, nat_bound=6).check_bound == 3
+    assert counterexample_phi(sierpinski_per(), bound=3, nat_bound=2).check_bound == 2
 
 
 def test_counterexample_phi_flatbool_parameter():

@@ -36,6 +36,14 @@ self-related, so an unknown verdict separates two classes, in the quotient
 as in the totals. Every other relation groups its totals, the slow reference
 each rule is checked against.
 
+Equivariance is decided on classes where it can be. By the same invariant,
+every related pair of a per lies inside one of its classes, so a map that
+sends every member of each class to a value related to the image of the
+class's first member sends every related pair to a related pair.
+`is_equivariant` returns True on that certificate when the classes are
+exact, and otherwise runs the pairwise scan over `related_pairs`, the slow
+reference and the only source of a False or unknown verdict and its witness.
+
 Flag rules. Sums, products and limits take each flag pointwise
 (`pointwise_flags`: yes when every part says yes, no when one says no); a
 limit then drops `strongly_local`, `dense` and `admissible_pedigree` to
@@ -332,7 +340,8 @@ class FunRel(StructuralRel):
                 seen.add(t.key)
                 if self.related(t, t, bound) is True:
                     uniq.append(t)
-        return uniq, vex and bt_exact
+        # over inexact exponent pairs no f ~ f is True, so the list says nothing
+        return uniq, vex and bt_exact and self.exp_per.related_pairs(bound)[1]
 
     def class_count(self, bound=None):
         """Quotient rule: f ~ g iff f x ~ g y for every related pair, so a
@@ -765,7 +774,17 @@ def per_identity(P: DomainPer) -> PerMap:
 
 
 def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None):
-    """Tri-state: related pairs must map to related pairs."""
+    """Tri-state: related pairs must map to related pairs.
+
+    True on the class certificate (module docstring) when D's classes are
+    exact and each member x of a class has f(first member) ~ f(x) True;
+    otherwise the pairwise scan over D's related pairs, the reference, gives
+    the verdict and any witness."""
+    classes, exact = D.classes(bound)
+    if exact and all(
+        E.related(f(cls[0]), f(x), bound) is True for cls in classes for x in cls
+    ):
+        return True, None
     pairs, exact = D.related_pairs(bound)
     unknown = not exact
     for (x, y) in pairs:

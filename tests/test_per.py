@@ -26,13 +26,28 @@ from domania.per import (
     uniform_limit_map,
     weak_iso_check,
 )
+from domania.ordinals import fin
+from domania.perlfp import per_chain_extend
+from domania.spfunctor import ConstD, Exp, Id, Sum
 
 O = catalog_basis("two-chain")
 BOT, TOP = tok("bot"), tok("top")
+RUNNING = Sum(ConstD("A"), Exp("B", Id()))
 
 
 def osier():
     return sierpinski_per()
+
+
+def swap_summands(sb):
+    def swap(v):
+        spl = sb.split(v)
+        if spl is None:
+            return v
+        i, x = spl
+        return sb.inject(1 - i, x)
+
+    return swap
 
 
 def test_per_construct_sum_classes():
@@ -94,6 +109,14 @@ def test_class_count_matches_grouped_classes(kind):
     nested = per_construct(kind, flatbool_per(), per_construct("fun", osier(), flatbool_per()))
     classes, exact = nested.classes()
     assert nested.class_count() == (len(classes), exact)
+
+
+def test_fun_totals_over_inexact_exponent_pairs_are_inexact():
+    # no f ~ f is True when the exponent's related pairs are not exhausted,
+    # so the empty list of totals is not complete
+    per = per_construct("fun", top_image(), osier())
+    assert per.totals() == ([], False)
+    assert per.class_count() == (0, False)
 
 
 def test_constructed_rel_symmetric_transitive():
@@ -166,19 +189,74 @@ def test_is_equivariant_and_equi_injective():
     assert ok is True  # one class only, so reflection is vacuous
 
     s = per_construct("sum", osier(), osier())
-    sb = s.carrier
-
-    def swap(v):
-        spl = sb.split(v)
-        if spl is None:
-            return v
-        i, x = spl
-        return sb.inject(1 - i, x)
-
+    swap = swap_summands(s.carrier)
     ok, _ = is_equivariant(swap, s, s)
     assert ok is True
     ok, _ = equi_injective(swap, s, s)
     assert ok is True
+
+
+def pairwise_equivariance(f, D, E, bound=None):
+    """Reference equivariance check: every related pair of D, one by one."""
+    pairs, exact = D.related_pairs(bound)
+    unknown = not exact
+    for (x, y) in pairs:
+        r = E.related(f(x), f(y), bound)
+        if r is False:
+            return False, (x, y)
+        if r is None:
+            unknown = True
+    return (None if unknown else True), None
+
+
+def _links(expr, env, bounds):
+    """(link n, bounds[n - 1]) for the first len(bounds) links of the chain
+    of expr, each with the bound the chain checks it at."""
+    chain = per_chain_extend(expr, env, fin(len(bounds)))
+    return list(zip(chain.embeddings, bounds))
+
+
+def test_equivariance_class_certificate_matches_pairwise_scan():
+    links = _links(RUNNING, {"A": osier(), "B": osier()}, [None] * 4 + [3])
+    links += _links(
+        Sum(ConstD("FB"), Exp("S", Id())), {"FB": flatbool_per(), "S": osier()}, [None] * 4
+    )
+    flatnat = _links(
+        Sum(ConstD("A"), Exp("N", Id())), {"A": osier(), "N": flatnat_per(8)}, [3] * 4
+    )
+    # the flatnat links have inexact related pairs: the reference path decides
+    assert all(not pe.source.related_pairs(b)[1] for (pe, b) in flatnat[1:])
+    cases = [(pe.emb.fwd, pe.source, pe.target, b) for (pe, b) in links + flatnat]
+
+    s = per_construct("sum", osier(), osier())
+    cases += [
+        (lambda v: v, osier(), osier(), None),
+        (lambda v: TOP, osier(), osier(), None),
+        (swap_summands(s.carrier), s, s, None),
+    ]
+    for (f, D, E, bound) in cases:
+        assert is_equivariant(f, D, E, bound) == pairwise_equivariance(f, D, E, bound)
+
+
+def test_equivariance_broken_off_the_first_class_member():
+    # the maps sending top to top form one class of two; breaking the map on
+    # its second member only must still give the reference's verdict and witness
+    fper = per_construct("fun", osier(), osier())
+    (first, second), = fper.classes()[0]
+    breaks = lambda v: BOT if v == second else TOP
+    want = pairwise_equivariance(breaks, fper, osier())
+    assert want[0] is False
+    assert is_equivariant(breaks, fper, osier()) == want
+
+
+def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
+    chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, fin(5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stage-4 related pairs enumerated")
+
+    monkeypatch.setattr(chain.stage_per(fin(4)), "related_pairs", forbidden)
+    assert is_equiembedding(chain.embeddings[4], 3).ok
 
 
 def test_related_to_known_shortcut():
@@ -271,13 +349,7 @@ def test_weak_iso_checks():
 
     s = per_construct("sum", osier(), osier())
     sb = s.carrier
-
-    def swap(v):
-        spl = sb.split(v)
-        if spl is None:
-            return v
-        i, x = spl
-        return sb.inject(1 - i, x)
+    swap = swap_summands(sb)
 
     sw = PerMap(s, s, swap, name="swap")
     ok, _ = weak_iso_check(sw, sw)
@@ -328,13 +400,7 @@ def test_uniform_limit_map_identity_and_swap():
     assert ident(t) == t
 
     sb = s.carrier
-
-    def swap(v):
-        spl = sb.split(v)
-        if spl is None:
-            return v
-        i, x = spl
-        return sb.inject(1 - i, x)
+    swap = swap_summands(sb)
 
     fam = [PerMap(s, s, swap, name="swap")] * 3
     phi = uniform_limit_map(fam, pl, pl, chi_family=fam)
@@ -345,15 +411,7 @@ def test_uniform_limit_map_rejects_nonuniform_family():
     s = per_construct("sum", osier(), osier())
     pers, embs = _constant_chain(s, 3)
     pl = limit_per(pers, embs)
-    sb = s.carrier
-
-    def swap(v):
-        spl = sb.split(v)
-        if spl is None:
-            return v
-        i, x = spl
-        return sb.inject(1 - i, x)
-
+    swap = swap_summands(s.carrier)
     fam = [
         PerMap(s, s, lambda v: v),
         PerMap(s, s, lambda v: v),

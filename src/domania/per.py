@@ -44,6 +44,15 @@ class's first member sends every related pair to a related pair.
 exact, and otherwise runs the pairwise scan over `related_pairs`, the slow
 reference and the only source of a False or unknown verdict and its witness.
 
+Reflection is decided on classes the same way. Once equivariance is True,
+each member x of a source class has f x ~ f x0, x0 its first member, so
+f x ~ y exactly when f x0 ~ y, and x0 ~ proj y then gives x ~ proj y. So
+when every verdict on f x0 is decided and each y ~ f x0 has x0 ~ proj y,
+the scan over all source totals would find nothing: `is_equiembedding`
+returns True on that certificate, unknown only where the source totals or
+the target carrier are not exhaustive. Otherwise the pairwise scan, the
+reference, decides, and it alone gives a reflection failure and its witness.
+
 Flag rules. Sums, products and limits take each flag pointwise
 (`pointwise_flags`: yes when every part says yes, no when one says no); a
 limit then drops `strongly_local`, `dense` and `admissible_pedigree` to
@@ -59,17 +68,22 @@ from typing import List, Optional, Sequence, Tuple
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
-from .basis import Basis, FlatNatBasis, Token, tok  # noqa: F401
+from .basis import Basis, FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
 from .construct import (
     Embedding,
     FunBasis,
     MultiSumBasis,
     ProdBasis,
+    fun_basis,
     identity_embedding,
+    prod_basis,
+    sum_basis,
+    verify_embedding,
 )
 from .errors import (
     CarrierMismatch,
     IncoherentChain,
+    NotAnEmbedding,
     NotTotal,
     NotUniform,
 )
@@ -565,8 +579,6 @@ def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> Doma
 
 
 def trivial_per() -> DomainPer:
-    from .basis import one_point_basis
-
     return DomainPer(
         one_point_basis("D0"),
         FiniteRel(one_point_basis("D0"), frozenset()),
@@ -599,8 +611,6 @@ def _fun_flags(exp: PerFlags, body: PerFlags) -> PerFlags:
 
 
 def per_construct(kind: str, D: DomainPer, E: DomainPer) -> DomainPer:
-    from .construct import fun_basis, prod_basis, sum_basis
-
     if kind == "sum":
         carrier = sum_basis(D.carrier, E.carrier)
         rel = SumRel(carrier, [D, E])
@@ -833,9 +843,11 @@ class PerEmbedding:
     source: DomainPer
     target: DomainPer
     name: str = ""
+    # is_equiembedding's verdict per bound, so a link is decided once
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingVerdict:
     ok: bool
     clause: str = ""
@@ -844,9 +856,19 @@ class EmbeddingVerdict:
 
 
 def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
-    from .construct import verify_embedding
-    from .errors import NotAnEmbedding
+    """The three clauses in turn: embedding laws, equivariance, reflection
+    (x ~ proj y for every source total x and target value y ~ f x).
 
+    Reflection is True on the class certificate (module docstring) when
+    equivariance is True; otherwise the pairwise scan over source totals and
+    target values, the reference, gives the verdict and any witness.  The
+    verdict is kept on `pe` per bound."""
+    if bound not in pe.verdicts:
+        pe.verdicts[bound] = _equiembedding_verdict(pe, bound)
+    return pe.verdicts[bound]
+
+
+def _equiembedding_verdict(pe: PerEmbedding, bound) -> EmbeddingVerdict:
     try:
         verify_embedding(pe.emb, bound)
     except NotAnEmbedding as e:
@@ -855,11 +877,12 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
     ok, w = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
     if ok is False:
         return EmbeddingVerdict(False, "equivariance", w)
-    unknown = ok is None
 
     ts, exact = pe.source.totals(bound)
     tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
-    unknown = unknown or not exact or not tgt_exact
+    unknown = ok is None or not exact or not tgt_exact
+    if ok is True and _reflects_on_classes(pe, tgt_toks, bound):
+        return EmbeddingVerdict(True, "", None, unknown)
     for x in ts:
         fx = pe.emb.fwd(x)
         for y in tgt_toks:
@@ -875,11 +898,28 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
     return EmbeddingVerdict(True, "", None, unknown)
 
 
+def _reflects_on_classes(pe: PerEmbedding, tgt_toks, bound) -> bool:
+    """The reflection certificate: for the first member x0 of each source
+    class, every target verdict on f x0 is decided and each y ~ f x0 has
+    x0 ~ proj y True."""
+    classes, _ = pe.source.classes(bound)
+    for cls in classes:
+        x0 = cls[0]
+        fx0 = pe.emb.fwd(x0)
+        for y in tgt_toks:
+            r = pe.target.related(fx0, y, bound)
+            if r is None:
+                return False
+            if r is True and pe.source.related(x0, pe.emb.proj(y), bound) is not True:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # images and weak isomorphisms
 
 
-def image_per(phi: PerMap, bound=None) -> DomainPer:
+def image_per(phi: PerMap) -> DomainPer:
     carrier = phi.target.carrier
     rel = MemoRel(ImageRel(phi.target, phi.source, phi))
     return DomainPer(
@@ -892,7 +932,7 @@ def image_per(phi: PerMap, bound=None) -> DomainPer:
 
 
 def image_is_equiembedding_check(phi: PerMap, bound=None) -> EmbeddingVerdict:
-    img = image_per(phi, bound)
+    img = image_per(phi)
     pe = PerEmbedding(identity_embedding(img.carrier), img, phi.target, name="id")
     return is_equiembedding(pe, bound)
 

@@ -4,8 +4,8 @@ import pytest
 
 from domania.basis import catalog_basis, one_point_basis, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
-from domania.construct import Embedding, identity_embedding
-from domania.errors import IncoherentChain, NotTotal, NotUniform
+from domania.construct import Embedding, identity_embedding, verify_embedding
+from domania.errors import IncoherentChain, NotAnEmbedding, NotTotal, NotUniform
 from domania.per import (
     DomainPer,
     PerEmbedding,
@@ -26,9 +26,9 @@ from domania.per import (
     uniform_limit_map,
     weak_iso_check,
 )
-from domania.ordinals import fin
+from domania.ordinals import OMEGA, fin
 from domania.perlfp import per_chain_extend
-from domania.spfunctor import ConstD, Exp, Id, Sum
+from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
 
 O = catalog_basis("two-chain")
 BOT, TOP = tok("bot"), tok("top")
@@ -249,6 +249,11 @@ def test_equivariance_broken_off_the_first_class_member():
     assert is_equivariant(breaks, fper, osier()) == want
 
 
+def fresh(pe):
+    """The same link with no verdict kept yet."""
+    return PerEmbedding(pe.emb, pe.source, pe.target, pe.name)
+
+
 def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
     chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, fin(5))
 
@@ -256,7 +261,109 @@ def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
         raise AssertionError("stage-4 related pairs enumerated")
 
     monkeypatch.setattr(chain.stage_per(fin(4)), "related_pairs", forbidden)
-    assert is_equiembedding(chain.embeddings[4], 3).ok
+    # a fresh link: the chain's own already holds its verdict at bound 3
+    assert is_equiembedding(fresh(chain.embeddings[4]), 3).ok
+
+
+def reference_reflection(pe, bound=None):
+    """Reference equiembedding check, reflection clause pairwise: every
+    source total against every target value."""
+    try:
+        verify_embedding(pe.emb, bound)
+    except NotAnEmbedding as e:
+        return False, "embedding", e.witness, False
+    ok, w = pairwise_equivariance(pe.emb.fwd, pe.source, pe.target, bound)
+    if ok is False:
+        return False, "equivariance", w, False
+    ts, exact = pe.source.totals(bound)
+    tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
+    unknown = ok is None or not exact or not tgt_exact
+    for x in ts:
+        for y in tgt_toks:
+            r = pe.target.related(pe.emb.fwd(x), y, bound)
+            if r is True:
+                back = pe.source.related(x, pe.emb.proj(y), bound)
+                if back is False:
+                    return False, "reflection", (x, y), False
+                if back is None:
+                    unknown = True
+            elif r is None:
+                unknown = True
+    return True, "", None, unknown
+
+
+def test_reflection_class_certificate_matches_pairwise_scan():
+    env = {"A": osier(), "B": osier()}
+    links = _links(RUNNING, env, [None] * 5)
+    cases = [(pe, b) for (pe, _) in links[:4] for b in (None, 2, 3)]
+    cases += [(links[4][0], b) for b in (2, 3)]
+    cases += _links(
+        Sum(ConstD("FB"), Exp("S", Id())), {"FB": flatbool_per(), "S": osier()}, [None] * 4
+    )
+    flatnat = _links(
+        Sum(ConstD("A"), Exp("N", Id())), {"A": osier(), "N": flatnat_per(8)}, [3] * 4
+    )
+    cases += flatnat
+    cases += _links(Sum(ConstD("A"), Prod(ConstD("B"), Id())), env, [None] * 4)
+    cases += _links(ConstD("A"), env, [None] * 2)
+
+    three = catalog_basis("three-chain")
+    incoherent = finite_per(three, [(tok("top"), tok("top"))])
+    # mid ~ top, but mid projects to bot, which is not total
+    unreflected = finite_per(three, [(tok("top"), tok("mid"))])
+    inclusion = _embedding_from_keys(O, three, {"bot": "bot", "top": "top"})
+    finite = [
+        PerEmbedding(identity_embedding(O), osier(), osier()),
+        PerEmbedding(identity_embedding(O), osier(), discrete_chain()),
+        PerEmbedding(identity_embedding(O), discrete_chain(), osier()),
+        PerEmbedding(
+            _embedding_from_keys(O, three, {"bot": "bot", "top": "mid"}), osier(), incoherent
+        ),
+        PerEmbedding(inclusion, osier(), unreflected),
+    ] + [
+        PerEmbedding(identity_embedding(tgt.carrier), src, tgt)
+        for (src, tgt) in (
+            (parity_image(), parity_image()),
+            (top_image(), top_image()),
+            # equivariant, but tt ~ ff is unknown on exact carriers
+            (flatbool_per(), parity_image()),
+        )
+    ]
+    cases += [(pe, None) for pe in finite]
+
+    verdicts = [reference_reflection(pe, b) for (pe, b) in cases]
+    # the flatnat links say unknown, and the cases fail each clause
+    assert all(verdicts[cases.index(link)][3] for link in flatnat)
+    assert verdicts[-1] == (True, "", None, True)
+    assert {v[1] for v in verdicts} == {"", "equivariance", "reflection"}
+    for (pe, b), want in zip(cases, verdicts):
+        v = is_equiembedding(fresh(pe), b)
+        assert (v.ok, v.clause, v.witness, v.unknown) == want, (pe.name, b)
+
+
+def test_link_reflection_scans_classes_not_totals(monkeypatch):
+    chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, fin(4))
+    link = fresh(chain.embeddings[3])
+    n_totals = len(link.source.totals()[0])
+    n_carrier = len(link.target.carrier_tokens()[0])
+    target_related = link.target.related
+    calls = []
+
+    def counting(a, b, bound=None):
+        calls.append((a, b))
+        return target_related(a, b, bound)
+
+    monkeypatch.setattr(link.target, "related", counting)
+    assert is_equiembedding(link).ok
+    assert len(calls) < n_totals * n_carrier
+
+
+def test_each_link_decided_once_per_bound():
+    # per-lfp at rank bound 4: links 1-4 exhaustively, link 5 at bound 3,
+    # then the limit re-checks every link at bound 3
+    chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, OMEGA, n_finite=5)
+    assert [set(pe.verdicts) for pe in chain.embeddings] == [{None, 3}] * 4 + [{3}]
+    assert all(v.ok for pe in chain.embeddings for v in pe.verdicts.values())
 
 
 def test_related_to_known_shortcut():
@@ -386,8 +493,12 @@ def test_incoherent_chain_rejected():
     # an embedding that is not equivariant: top goes below a non-total
     tgt = finite_per(three, [(tok("top"), tok("top"))])
     emb = _embedding_from_keys(O, three, {"bot": "bot", "top": "mid"})
+    link = PerEmbedding(emb, per_small, tgt)
     with pytest.raises(IncoherentChain):
-        limit_per([per_small, tgt], [PerEmbedding(emb, per_small, tgt)])
+        limit_per([per_small, tgt], [link])
+    # the kept verdict is the failure, so a second limit raises too
+    with pytest.raises(IncoherentChain):
+        limit_per([per_small, tgt], [link])
 
 
 def test_uniform_limit_map_identity_and_swap():

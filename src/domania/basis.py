@@ -111,13 +111,6 @@ class Basis:
     def lub2(self, p: Token, q: Token) -> Token:
         return self.lub((p, q))
 
-    def up_set(self, p: Token, bound: Optional[int] = None) -> TokenSet:
-        if not self.has_token(p):
-            raise UnknownToken(f"{p!r} not in basis {self.name}", witness=p)
-        base = self.tokens(bound)
-        ups = tuple(q for q in base.tokens if self.leq(p, q))
-        return TokenSet(ups, base.truncated)
-
 
 # ---------------------------------------------------------------------------
 # finite posets (oracle substrate) and finite bases

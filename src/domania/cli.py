@@ -40,18 +40,19 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 from .basis import Basis, mk_finite_basis, tok
-from .builtins import builtin_per
+from .builtins import builtin_per, flatnat_per
 from .dense import DeltaFamily, dense_lfp
 from .errors import (
     DomaniaError,
     EquationSyntaxError,
     RecursiveExponent,
+    TrivialParameter,
     UnboundName,
 )
 from .eta import dense_image_weak_iso
 from .ordinals import omega_plus
 from .per import DomainPer, finite_per
-from .perlfp import counterexample_phi, per_chain_extend, stabilization_probe
+from .perlfp import per_chain_extend, stabilization_probe
 from .qcb import (
     discrete_space,
     fixed_point_independence,
@@ -391,6 +392,16 @@ def _check(name, anchor, status, bound=None, witness=None):
     return entry
 
 
+def _stabilization(verdict):
+    """The stage a stabilization verdict names, or None, and its check."""
+    status = {"stabilized": "pass", "witness": "fail"}.get(verdict.kind, "unknown")
+    witness = None if verdict.witness is None else str(verdict.witness)
+    check = _check(
+        "stabilization", "per-chain-stabilization", status, verdict.bound, witness
+    )
+    return (str(verdict.stage) if verdict.stabilized else None), check
+
+
 def report_json(equation, mode, stages, stabilized_at, checks, pedigree) -> str:
     doc = {
         "equation": equation,
@@ -520,34 +531,14 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
         n_finite=max(4, args.rank_bound + 1),
     )
     verdict = stabilization_probe(chain, args.rank_bound)
-    checks = [
-        _check("chain-links", "equiembedding-chain", "pass", chain.link_bound)
-    ]
     rows = _stage_rows_for_chain(chain, args.rank_bound)
-    if verdict.kind == "stabilized" and verdict.stage.is_finite:
+    if verdict.stabilized and verdict.stage.is_finite:
         rows = rows[: verdict.stage.k + 1]
-    stabilized = None
-    if verdict.kind == "stabilized":
-        stabilized = str(verdict.stage)
-        checks.append(
-            _check("stabilization", "per-chain-stabilization", "pass", verdict.bound)
-        )
-    elif verdict.kind == "witness":
-        w = verdict.witness
-        pretty = w.pretty if hasattr(w, "nests") else str(w)
-        checks.append(
-            _check(
-                "stabilization",
-                "per-chain-stabilization",
-                "fail",
-                verdict.bound,
-                pretty,
-            )
-        )
-    else:
-        checks.append(
-            _check("stabilization", "per-chain-stabilization", "unknown", verdict.bound)
-        )
+    stabilized, stabilization = _stabilization(verdict)
+    checks = [
+        _check("chain-links", "equiembedding-chain", "pass", chain.link_bound),
+        stabilization,
+    ]
     text = report_json(
         pretty_expr(src.expr, src.var),
         "per-lfp",
@@ -681,8 +672,19 @@ def cmd_qcb(args) -> Tuple[int, str]:
 
 
 def cmd_counterexample(args) -> Tuple[int, str]:
-    per = resolve_per_source(args.param, args.nat_bound)
-    report = counterexample_phi(per, bound=args.bound, nat_bound=args.nat_bound)
+    env = {
+        "A": resolve_per_source(args.param, args.nat_bound),
+        "N": flatnat_per(args.nat_bound),
+    }
+    chain = per_chain_extend(
+        Sum(ConstD("A"), Exp("N", Id())), env, omega_plus(1), n_finite=args.bound + 2
+    )
+    # the probe derives the nesting witness; its report carries the checks
+    verdict = stabilization_probe(chain, args.bound)
+    report = verdict.report
+    if report is None:
+        raise TrivialParameter(f"parameter {args.param} has no totals")
+    stabilized, stabilization = _stabilization(verdict)
     checks = [
         _check(
             "rank-pattern",
@@ -703,25 +705,15 @@ def cmd_counterexample(args) -> Tuple[int, str]:
             "pass" if not report.total_at_finite_stage else "fail",
             args.bound,
         ),
+        stabilization,
     ]
-    verdict = stabilization_probe(report.chain, args.bound)
-    stabilized = str(verdict.stage) if verdict.kind == "stabilized" else None
-    checks.append(
-        _check(
-            "stabilization",
-            "per-chain-stabilization",
-            "fail" if verdict.kind == "witness" else verdict.kind,
-            verdict.bound,
-            report.pretty,
-        )
-    )
     text = report_json(
         f"X = {args.param} + [flatnat -> X]",
         "counterexample",
-        _stage_rows_for_chain(report.chain, args.bound),
+        _stage_rows_for_chain(chain, args.bound),
         stabilized,
         checks,
-        asdict(report.chain.stages[-1][1].flags),
+        asdict(chain.stages[-1][1].flags),
     )
     ok = all(c["status"] == "pass" for c in checks[:3])
     return (0 if ok else 1), text

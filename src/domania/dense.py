@@ -267,12 +267,6 @@ class DeltaFamily:
         raise TypeError(expr)
 
 
-def delta_and_retraction(chain: PerChain, n: int):
-    """The stage-n closed-set membership predicate and its retraction."""
-    fam = DeltaFamily(chain)
-    return (lambda t: fam.member(n, t)), (lambda t: fam.retract(n, t))
-
-
 # ---------------------------------------------------------------------------
 # the dense least fixed point
 

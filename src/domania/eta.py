@@ -55,17 +55,12 @@ def _point_per(name="T") -> DomainPer:
     )
 
 
-def build_input_per(expr: FunctorExpr, env: Dict[str, DomainPer]) -> DomainPer:
-    """Input domain-per of an equation: products across sums, sums across
-    products, and the exponent paired in front of exponentials."""
-    return input_per_table(expr, env)[id(expr)]
-
-
 def input_per_table(
     expr: FunctorExpr, env: Dict[str, DomainPer]
 ) -> Dict[int, DomainPer]:
-    """Input per of every sub-term of expr, keyed by id(sub-term); each is
-    built once and reused by the sub-term above it."""
+    """Input per of every sub-term of expr, keyed by id(sub-term): products
+    across sums, sums across products, and the exponent paired in front of
+    exponentials.  Each is built once and reused by the sub-term above it."""
     table = {}
 
     def walk(e):

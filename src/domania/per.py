@@ -8,8 +8,8 @@ applies them with its carrier's own operations.
 Relation verdicts are tri-state (True / False / None for unknown): deciders
 over staged carriers never guess beyond their bound.
 
-Relation protocol. A relation decider has three methods, each taking an
-optional enumeration bound:
+Relation protocol. A relation decider has these methods, the first four
+taking an optional enumeration bound:
 
 - `related(a, b, bound)` gives the tri-state verdict for two values;
 - `totals(bound)` gives `(values, exact)`, the self-related values and
@@ -17,7 +17,11 @@ optional enumeration bound:
 - `related_pairs(bound)` gives `(pairs, exact)`; `StructuralRel` derives it
   from the other two, since a related pair is a pair of totals;
 - `class_count(bound)` gives `(n, exact)`, the number of classes and whether
-  the totals behind it are complete.
+  the totals behind it are complete;
+- `probe_points(*step_sets)` gives, for the relation as an exponent, finitely
+  many values that decide the function relation between those step sets
+  exactly, or None (the `StructuralRel` default); `FunRel` then scans the
+  exponent's related pairs.
 
 Per classes are enumerated one way, by `group_classes`: a value joins the
 first class whose first member is related to it, or opens a new class.
@@ -75,7 +79,6 @@ from .construct import (
     MultiSumBasis,
     ProdBasis,
     fun_basis,
-    identity_embedding,
     prod_basis,
     sum_basis,
     verify_embedding,
@@ -138,47 +141,16 @@ def pointwise_flags(parts) -> PerFlags:
 # relation deciders
 
 
-class FiniteRel:
-    """Explicit symmetric-transitive token relation; all answers exact."""
-
-    def __init__(self, carrier: Basis, pairs):
-        self.carrier = carrier
-        self.pairs = frozenset(pairs)
-        for (a, b) in self.pairs:
-            if (b, a) not in self.pairs:
-                raise CarrierMismatch("relation not symmetric", witness=(a, b))
-        for (a, b) in self.pairs:
-            for (c, d) in self.pairs:
-                if b == c and (a, d) not in self.pairs:
-                    raise CarrierMismatch("relation not transitive", witness=(a, d))
-        self.exact = True
-
-    def related(self, a, b, bound=None):
-        return (a.key, b.key) in self.pairs
-
-    def totals(self, bound=None):
-        ts = [t for t in self.carrier.tokens().tokens if (t.key, t.key) in self.pairs]
-        return ts, True
-
-    def class_count(self, bound=None):
-        ts, _ = self.totals()
-        return len(group_classes(ts, self.related)), True
-
-    def related_pairs(self, bound=None):
-        if not hasattr(self, "_pair_cache"):
-            toks = {t.key: t for t in self.carrier.tokens().tokens}
-            self._pair_cache = [
-                (toks[a], toks[b]) for (a, b) in sorted(self.pairs, key=str)
-            ]
-        return self._pair_cache, True
-
-
 class StructuralRel:
     def related(self, a, b, bound=None):
         raise NotImplementedError
 
     def totals(self, bound=None):
         raise NotImplementedError
+
+    def probe_points(self, *step_sets):
+        # no finite probe set: a function relation scans the related pairs
+        return None
 
     def class_count(self, bound=None):
         # the slow reference every quotient rule is checked against
@@ -193,6 +165,36 @@ class StructuralRel:
                 if self.related(a, b, bound):
                     out.append((a, b))
         return out, exact
+
+
+class FiniteRel(StructuralRel):
+    """Explicit symmetric-transitive token relation; all answers exact."""
+
+    def __init__(self, carrier: Basis, pairs):
+        self.carrier = carrier
+        self.pairs = frozenset(pairs)
+        for (a, b) in self.pairs:
+            if (b, a) not in self.pairs:
+                raise CarrierMismatch("relation not symmetric", witness=(a, b))
+        for (a, b) in self.pairs:
+            for (c, d) in self.pairs:
+                if b == c and (a, d) not in self.pairs:
+                    raise CarrierMismatch("relation not transitive", witness=(a, d))
+
+    def related(self, a, b, bound=None):
+        return (a.key, b.key) in self.pairs
+
+    def totals(self, bound=None):
+        ts = [t for t in self.carrier.tokens().tokens if (t.key, t.key) in self.pairs]
+        return ts, True
+
+    def related_pairs(self, bound=None):
+        if not hasattr(self, "_pair_cache"):
+            toks = {t.key: t for t in self.carrier.tokens().tokens}
+            self._pair_cache = [
+                (toks[a], toks[b]) for (a, b) in sorted(self.pairs, key=str)
+            ]
+        return self._pair_cache, True
 
 
 class SumRel(StructuralRel):
@@ -264,9 +266,14 @@ class NatIdentityRel(StructuralRel):
         b = self.nat_bound if bound is None else bound
         return [self.basis.nat(i) for i in range(b)], False
 
-    def related_pairs(self, bound=None):
-        ts, _ = self.totals(bound)
-        return [(t, t) for t in ts], False
+    def probe_points(self, *step_sets):
+        """Equality on a flat carrier: a step set takes one value beyond the
+        naturals among its premises, so those naturals and one fresh natural
+        decide a function relation exactly."""
+        values = (self.basis.value_of(p) for steps in step_sets for (p, _) in steps)
+        support = {v for v in values if v is not None}
+        fresh = max(support, default=-1) + 1
+        return [self.basis.nat(n) for n in sorted(support) + [fresh]]
 
 
 class FunRel(StructuralRel):
@@ -276,30 +283,12 @@ class FunRel(StructuralRel):
         self.body_per = body_per
 
     def related(self, f, g, bound=None):
-        # over a flat-identity exponent, token step sets take one default
-        # value beyond their finite premise support, so finitely many probes
-        # decide the relation exactly
-        if isinstance(self.exp_per.rel, NatIdentityRel):
-            nat = self.exp_per.carrier
-            support = set()
-            for t in (f, g):
-                for (p, _) in self.basis.pairs(t):
-                    v = nat.value_of(p)
-                    if v is not None:
-                        support.add(v)
-            fresh = max(support, default=-1) + 1
-            unknown = False
-            for n in sorted(support) + [fresh]:
-                x = nat.nat(n)
-                r = self.body_per.related(
-                    self.basis.apply(f, x), self.basis.apply(g, x), bound
-                )
-                if r is False:
-                    return False
-                if r is None:
-                    unknown = True
-            return None if unknown else True
-        pairs, exact = self.exp_per.related_pairs(bound)
+        steps = (self.basis.pairs(f), self.basis.pairs(g))
+        probes = self.exp_per.rel.probe_points(*steps)
+        if probes is None:
+            pairs, exact = self.exp_per.related_pairs(bound)
+        else:
+            pairs, exact = [(x, x) for x in probes], True
         unknown = not exact
         for (x, y) in pairs:
             r = self.body_per.related(
@@ -779,10 +768,6 @@ class PerMap:
         )
 
 
-def per_identity(P: DomainPer) -> PerMap:
-    return PerMap(P, P, lambda v: v, name="id")
-
-
 def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None):
     """Tri-state: related pairs must map to related pairs.
 
@@ -929,12 +914,6 @@ def image_per(phi: PerMap) -> DomainPer:
         trace=(f"image({phi.name})",),
         name=f"{phi.name}[{phi.source.name}]",
     )
-
-
-def image_is_equiembedding_check(phi: PerMap, bound=None) -> EmbeddingVerdict:
-    img = image_per(phi)
-    pe = PerEmbedding(identity_embedding(img.carrier), img, phi.target, name="id")
-    return is_equiembedding(pe, bound)
 
 
 def weak_iso_check(phi: PerMap, chi: PerMap, bound=None):

@@ -1,12 +1,15 @@
 """Transfinite per fixed points: build the chain from a strictly positive
 functor on domain-pers, pass omega on the stabilised carrier, probe for
-stabilisation, rebuild the classical non-stabilisation witness, and check
-mediating algebra morphisms.
+stabilisation, derive the non-stabilisation witness, and check mediating
+algebra morphisms.
 
 Every value handled here is a token of some stage or of the limit carrier.
-The non-stabilisation witness, a function on the flat naturals with
-infinite support, has no token; it is kept as the list of its values at
-0, 1, 2, ..., each a limit token."""
+Over an exponent on an infinite carrier whose body holds the variable, the
+chain does not stabilise at omega, and one rule derives the witness from
+the equation: x_0 folds F's value without the variable, x_{n+1} folds F at
+x_n along the path to that exponent, and the witness puts there the map
+sending the n-th exponent total to x_n.  That map has infinite support and
+no token; it is kept as the list x_0, x_1, ..., each a limit token."""
 
 from __future__ import annotations
 
@@ -14,12 +17,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .basis import Token
-from .construct import Embedding, FunBasis, MultiSumBasis, identity_embedding
-from .errors import IsoFailure, NotAnAlgebra, TrivialParameter
+from .construct import Embedding, identity_embedding
+from .errors import IsoFailure, NotAnAlgebra
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
     DomainPer,
-    NatIdentityRel,
     PerEmbedding,
     PerLimit,
     PerMap,
@@ -106,12 +108,6 @@ class PerChain:
     # smallest bound a link was checked at; None when every check was exhaustive
     link_bound: Optional[int] = None
 
-    def stage_per(self, idx: Ordinal) -> DomainPer:
-        for (o, p) in self.stages:
-            if o == idx:
-                return p
-        raise KeyError(str(idx))
-
 
 def per_chain_extend(
     expr: FunctorExpr,
@@ -196,6 +192,8 @@ class StabilizationVerdict:
     stage: Optional[Ordinal] = None
     witness: object = None
     bound: Optional[int] = None
+    # the nesting witness's report, whenever the equation has one
+    report: Optional[CounterexampleReport] = None
 
     @property
     def stabilized(self):
@@ -212,22 +210,6 @@ def _successor_fragment_totals(chain: PerChain, rank_bound: int):
     depth = min(rank_bound, chain.per_limit.limit.max_stage() - 1)
     ts, _ = unfolded.totals(depth)
     return ts, depth
-
-
-def _flatnat_counterexample_shape(expr: FunctorExpr, env) -> Optional[Tuple[str, str]]:
-    """Matches A + [N -> X] with N the flat-naturals identity per; returns
-    (positive parameter name, exponent name)."""
-    if isinstance(expr, Sum):
-        left, right = expr.left, expr.right
-        if isinstance(left, ConstD) and isinstance(right, Exp):
-            exp_per = env.get(right.param)
-            if (
-                exp_per is not None
-                and isinstance(exp_per.rel, NatIdentityRel)
-                and isinstance(right.body, Id)
-            ):
-                return left.name, right.param
-    return None
 
 
 def _folds_back(chain: PerChain, t: Token) -> bool:
@@ -288,30 +270,15 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
     if chain.per_limit is None or not chain.unfolded:
         return StabilizationVerdict("unknown", bound=rank_bound)
 
-    shape = _flatnat_counterexample_shape(chain.functor, chain.env)
-    if shape is not None:
-        report = counterexample_phi(chain.env[shape[0]], chain=chain, bound=rank_bound)
-        return StabilizationVerdict(
-            "witness", OMEGA, witness=report, bound=rank_bound
-        )
-    if _has_infinite_exponent(chain.functor, chain.env):
-        # the fragment holds only finitely supported functions, so it cannot
-        # see a new total that needs infinite support
-        return StabilizationVerdict("unknown", OMEGA, bound=rank_bound)
+    # the fragment holds only finitely supported functions, so it cannot see
+    # a new total that needs infinite support: over an infinite exponent only
+    # the nesting witness decides, and only when both of its checks hold
+    report = counterexample_phi(chain, rank_bound)
+    if report and report.equivariant_on_fragment and not report.total_at_finite_stage:
+        return StabilizationVerdict("witness", OMEGA, report.pretty, rank_bound, report)
+    if report or _infinite_exponents(chain.functor, chain.env):
+        return StabilizationVerdict("unknown", OMEGA, bound=rank_bound, report=report)
     return _omega_verdict(chain, rank_bound)
-
-
-def _has_infinite_exponent(expr: FunctorExpr, env) -> bool:
-    """Some exponent of expr ranges over a carrier that is not finite."""
-    if isinstance(expr, Exp):
-        return not env[expr.param].carrier.finite or _has_infinite_exponent(
-            expr.body, env
-        )
-    if isinstance(expr, (Sum, Prod)):
-        return _has_infinite_exponent(expr.left, env) or _has_infinite_exponent(
-            expr.right, env
-        )
-    return False
 
 
 def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
@@ -334,19 +301,92 @@ def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
 # the non-stabilisation witness
 
 
-def _nest_step(chain: PerChain, value):
-    """x |-> fold of in1(constantly x)."""
-    carrier: MultiSumBasis = chain.iso.unfolded
-    fun_part: FunBasis = carrier.parts[1]
-    const_fn = fun_part.make([(fun_part.exponent.bottom, value)])
-    return chain.iso.inv(carrier.inject(1, const_fn))
+def _subterms(expr: FunctorExpr, path=()):
+    """(path, sub-term) pairs of expr in preorder; a path lists the child
+    indices from expr down: 0 and 1 for the sides of a Sum or Prod, 0 for
+    the body of an Exp."""
+    yield path, expr
+    if isinstance(expr, Exp):
+        yield from _subterms(expr.body, path + (0,))
+    elif isinstance(expr, (Sum, Prod)):
+        yield from _subterms(expr.left, path + (0,))
+        yield from _subterms(expr.right, path + (1,))
+
+
+def _infinite_exponents(expr: FunctorExpr, env):
+    """(path, sub-term) of every Exp of expr over a carrier that is not finite."""
+    return [
+        (path, e)
+        for (path, e) in _subterms(expr)
+        if isinstance(e, Exp) and not env[e.param].carrier.finite
+    ]
+
+
+def _nesting_path(expr: FunctorExpr, env):
+    """The first Exp over an infinite carrier whose body holds the variable,
+    the path to it, and the path on to the first variable in its body; None
+    when there is no such Exp."""
+    for (path, e) in _infinite_exponents(expr, env):
+        for (sub, leaf) in _subterms(e.body, path + (0,)):
+            if isinstance(leaf, Id):
+                return e, path, sub
+    return None
+
+
+def _fill(expr: FunctorExpr, basis, env, path, x):
+    """A value of `basis`, the carrier of the sub-term expr of F, with `x`
+    at the end of `path` (None off the path) and at every other variable.
+    A Sum on the path injects on the path's side, one off it takes its first
+    summand that has a value; an Exp is a constant map, a Prod fills both
+    sides, and a parameter gives its least total by printed name.  None
+    when a parameter it fills has no totals, or it fills a variable and `x`
+    is None."""
+    if path == () or isinstance(expr, Id):
+        return x
+    rest = path and path[1:]
+    if isinstance(expr, ConstD):
+        ts, _ = env[expr.name].totals()
+        return min(ts, key=lambda t: t.pretty, default=None)
+    if isinstance(expr, Exp):
+        v = _fill(expr.body, basis.values, env, rest, x)
+        return v and basis.make([(basis.exponent.bottom, v)])
+    sides = (expr.left, expr.right)
+    if isinstance(expr, Sum):
+        for i in (path[0],) if path else (0, 1):
+            v = _fill(sides[i], basis.parts[i], env, rest, x)
+            if v is not None:
+                return basis.inject(i, v)
+        return None
+    left, right = (
+        _fill(side, part, env, rest if path and path[0] == i else None, x)
+        for (i, (side, part)) in enumerate(zip(sides, (basis.left, basis.right)))
+    )
+    return left and right and basis.pair(left, right)
+
+
+def _render(expr: FunctorExpr, basis, env, path, inner: str, x) -> str:
+    """The printed name of the value `_fill` builds, with the name `inner`
+    at the end of `path`."""
+    if not path:
+        return inner
+    i, rest = path[0], path[1:]
+    if isinstance(expr, Exp):
+        body = _render(expr.body, basis.values, env, rest, inner, x)
+        return "{" + f"{basis.exponent.bottom.pretty}=>{body}" + "}"
+    sides = (expr.left, expr.right)
+    if isinstance(expr, Sum):
+        return f"in{i}({_render(sides[i], basis.parts[i], env, rest, inner, x)})"
+    parts = (basis.left, basis.right)
+    names = [_fill(s, b, env, None, x).pretty for (s, b) in zip(sides, parts)]
+    names[i] = _render(sides[i], parts[i], env, rest, inner, x)
+    return f"({names[0]},{names[1]})"
 
 
 @dataclass
 class CounterexampleReport:
-    # the witness phi = in1(n |-> x_n) has infinite support and no token; it
-    # is kept as its nestings x_0, x_1, ..., each a limit token, as far as
-    # they are checked
+    # the witness phi sends the n-th total of the exponent to x_n; it has
+    # infinite support and no token, so it is kept as its nestings x_0,
+    # x_1, ..., each a limit token, as far as they are checked
     nests: List[Token]
     pretty: str  # the witness's printed name
     ranks: Dict[int, int]  # n -> reported rank (nesting depth)
@@ -354,38 +394,43 @@ class CounterexampleReport:
     equivariant_on_fragment: bool
     check_bound: int  # the equivariance check covers x_n for n < check_bound
     total_at_finite_stage: bool
-    chain: PerChain
 
 
-def counterexample_phi(
-    A: DomainPer, chain: Optional[PerChain] = None, bound: int = 5, nat_bound: int = 8
-) -> CounterexampleReport:
-    """The strict iteration x0 = in0(a), x_{n+1} = in1(const x_n), packaged
-    with its rank pattern over the chain of A + [flatnat -> X]."""
-    a_totals, _ = A.totals(bound)
-    if not a_totals:
-        raise TrivialParameter(f"parameter {A.name or A.carrier.name} has no totals")
-    a0 = min(a_totals, key=lambda t: t.pretty)
+def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleReport]:
+    """The nesting witness of the chain's equation past omega, with its rank
+    pattern; None when no Exp over an infinite carrier holds the variable,
+    or when `_fill` finds no total to fill in.
 
-    if chain is None:
-        from .builtins import flatnat_per
-
-        env = {"A": A, "N": flatnat_per(nat_bound)}
-        expr = Sum(ConstD("A"), Exp("N", Id()))
-        chain = per_chain_extend(expr, env, omega_plus(1), n_finite=bound + 2)
-
+    x_0 is the fold of F's value without the variable, and x_{n+1} the fold
+    of F at x_n along the path to that Exp and on to the variable in its
+    body (`_fill`).  The witness phi puts at that Exp the map sending the
+    n-th total of its exponent to x_n."""
+    found = _nesting_path(chain.functor, chain.env)
+    if found is None:
+        return None
+    exp, exp_path, path = found
+    iso, expr, env = chain.iso, chain.functor, chain.env
     # x_n first presents at stage n + 1, and checking phi at index n touches
-    # stage n + 2: build only the nestings that are checked
-    check_bound = min(nat_bound, chain.per_limit.limit.max_stage() - 2)
-    nests = [chain.iso.inv(chain.iso.unfolded.inject(0, a0))]
-    while len(nests) < max(bound + 1, check_bound):
-        nests.append(_nest_step(chain, nests[-1]))
+    # stage n + 2: build only the nestings that are checked and built
+    max_stage = chain.per_limit.limit.max_stage()
+    check_bound = min(len(env[exp.param].totals()[0]), max_stage - 2)
+    nests = []
+    while len(nests) < min(max(bound + 1, check_bound), max_stage):
+        # x_0 fills no variable; x_{n+1} nests x_n along the path
+        x = nests[-1] if nests else None
+        v = _fill(expr, iso.unfolded, env, path if nests else None, x)
+        if v is None:
+            return None
+        nests.append(iso.inv(v))
 
-    total_stages = {n: chain.per_limit.rank_of(nests[n]) for n in range(bound + 1)}
+    total_stages = {
+        n: chain.per_limit.rank_of(x) for (n, x) in enumerate(nests[: bound + 1])
+    }
     ranks = {n: stage - 1 for (n, stage) in total_stages.items()}
 
-    # phi ~ phi over the flat naturals iff x_n ~ x_n at omega for every n;
-    # the check covers n < check_bound, so only a False refutes it
+    # phi ~ phi over an exponent whose totals are related only to themselves
+    # iff x_n ~ x_n at omega for every n; the check covers n < check_bound,
+    # so only a False refutes it
     per_omega = chain.per_limit.per
     equivariant = all(
         per_omega.related(x, x, check_bound) is not False
@@ -394,19 +439,13 @@ def counterexample_phi(
 
     # the values of phi become total at strictly later stages as the index
     # grows, so phi itself is total at no finite stage among checked ranks
-    stages_seq = [total_stages[n] for n in sorted(total_stages)]
-    increasing = all(b > a for a, b in zip(stages_seq, stages_seq[1:]))
+    seq = list(total_stages.values())
+    increasing = all(b > a for a, b in zip(seq, seq[1:]))
 
     descriptor = ("natfn", "nest", ("tok", nests[0].key))
+    pretty = _render(expr, iso.unfolded, env, exp_path, f"<fn {descriptor}>", nests[0])
     return CounterexampleReport(
-        nests,
-        f"in1(<fn {descriptor}>)",
-        ranks,
-        total_stages,
-        equivariant,
-        check_bound,
-        not increasing,
-        chain,
+        nests, pretty, ranks, total_stages, equivariant, check_bound, not increasing
     )
 
 

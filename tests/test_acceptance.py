@@ -184,11 +184,17 @@ def test_criterion_07_round_trip():
 
 
 def test_criterion_08_non_stabilization_witness():
-    report = counterexample_phi(sierpinski_per(), bound=5, nat_bound=8)
+    chain = per_chain_extend(
+        Sum(ConstD("A"), Exp("N", Id())),
+        {"A": sierpinski_per(), "N": flatnat_per(8)},
+        omega_plus(1),
+        n_finite=7,
+    )
+    report = counterexample_phi(chain, bound=5)
     ok = report.ranks == {n: n for n in range(6)}
     ok = ok and report.equivariant_on_fragment
     ok = ok and not report.total_at_finite_stage
-    verdict = stabilization_probe(report.chain, rank_bound=5)
+    verdict = stabilization_probe(chain, rank_bound=5)
     ok = ok and verdict.kind == "witness" and verdict.stage == OMEGA
     _verdict(8, "non-stabilization witness", ok)
 

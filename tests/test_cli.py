@@ -213,11 +213,32 @@ def test_flatnat_witness_within_built_stages(rank_bound):
 
 @pytest.mark.parametrize(
     "eq, rank_bound",
-    [("X = [N -> X] + A", "2"), ("X = A + ([N -> X] * A)", "3")],
+    [
+        ("X = [N -> X] + A", "2"),
+        ("X = A + ([N -> X] * A)", "3"),
+        ("X = A + [N -> [N -> X]]", "2"),
+    ],
 )
+def test_infinite_exponent_nesting_witness_fails(eq, rank_bound):
+    # the variable under an exponent over the flat naturals nests without
+    # end, wherever the exponent sits in the equation
+    code, text = run_command(
+        ["per-lfp", "--eq", FLATNAT_PARAMS + eq, "--rank-bound", rank_bound]
+    )
+    assert code == 1
+    doc = json.loads(text)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["stabilized_at"] is None
+    assert checks["stabilization"]["status"] == "fail"
+    assert "<fn ('natfn', 'nest', " in checks["stabilization"]["witness"]
+    assert checks["stabilization"]["bound"] == int(rank_bound)
+
+
+@pytest.mark.parametrize("eq, rank_bound", [("X = A + [N -> A]", "2")])
 def test_infinite_exponent_without_witness_is_unknown(eq, rank_bound):
-    # the fragment past omega holds only finitely supported functions, so it
-    # cannot show that stage omega+1 adds no totals
+    # no variable under the exponent, so no nesting witness; the fragment
+    # past omega holds only finitely supported functions, so it cannot show
+    # that stage omega+1 adds no totals
     code, text = run_command(
         ["per-lfp", "--eq", FLATNAT_PARAMS + eq, "--rank-bound", rank_bound]
     )
@@ -297,6 +318,22 @@ def test_counterexample_reports_the_checked_bound(nat_bound, checked):
         c for c in json.loads(text)["checks"] if c["name"] == "fragment-equivariance"
     ]
     assert check["bound"] == checked
+
+
+def test_counterexample_derives_the_witness_once(monkeypatch):
+    from domania import perlfp
+
+    calls = []
+    derive = perlfp.counterexample_phi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(perlfp, "counterexample_phi", counting)
+    code, _ = run_command(GOLDEN_COMMANDS["counterexample.json"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_every_report_anchor_is_documented():

@@ -6,7 +6,6 @@ from domania.dense import (
     DeltaFamily,
     dense_lfp,
     dense_part,
-    delta_and_retraction,
     has_total_extension,
 )
 from domania.errors import NonDenseParameter, TrivialFunctor, UnknownToken
@@ -72,14 +71,14 @@ def _running_chain(n=4):
 
 def test_delta_one_matches_stage_one_dense_tokens():
     chain = _running_chain(4)
-    member, retract = delta_and_retraction(chain, 1)
+    fam = DeltaFamily(chain)
     lim = chain.per_limit.limit
     expected = set()
     stage1_per = chain.stages[1][1]
     for t in chain.per_limit.limit.stages[1].basis.tokens().tokens:
         if has_total_extension(stage1_per, t).status == "yes":
             expected.add(lim.canonical(1, t).key)
-    got = {t.key for t in lim.tokens(2).tokens if member(t)}
+    got = {t.key for t in lim.tokens(2).tokens if fam.member(1, t)}
     assert got == expected
 
 

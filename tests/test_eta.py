@@ -10,14 +10,14 @@ from domania.eta import (
     EtaBarSystem,
     EtaSystem,
     atomic_subfunctors,
-    build_input_per,
     decode_path,
     dense_image_weak_iso,
     encode_path,
+    input_per_table,
 )
 from domania.ordinals import omega_plus
 from domania.per import equi_injective, is_equivariant, per_construct
-from domania.perlfp import counterexample_phi, per_chain_extend
+from domania.perlfp import per_chain_extend
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
 
 RUNNING = Sum(ConstD("A"), Exp("B", Id()))
@@ -41,17 +41,19 @@ def test_atomic_subfunctors():
 
 def test_input_per_shapes():
     env = running_env()
-    t = build_input_per(RUNNING, env)
+    t = input_per_table(RUNNING, env)[id(RUNNING)]
     # product of a point with (B x point): two tokens, one total class
     assert len(t.carrier.tokens().tokens) == 2
     classes, exact = t.classes()
     assert exact and len(classes) == 1
 
-    t_prod = build_input_per(Prod(ConstD("A"), ConstD("A")), env)
+    prod = Prod(ConstD("A"), ConstD("A"))
+    t_prod = input_per_table(prod, env)[id(prod)]
     # sum of two points: three tokens
     assert len(t_prod.carrier.tokens().tokens) == 3
 
-    t_id = build_input_per(Id(), env)
+    var = Id()
+    t_id = input_per_table(var, env)[id(var)]
     assert len(t_id.carrier.tokens().tokens) == 1
 
 
@@ -400,7 +402,12 @@ def test_every_total_is_a_token():
             omega_plus(1),
             n_finite=3,
         ),
-        counterexample_phi(sierpinski_per(), bound=3).chain,
+        per_chain_extend(
+            Sum(ConstD("A"), Exp("N", Id())),
+            {"A": sierpinski_per(), "N": flatnat_per()},
+            omega_plus(1),
+            n_finite=5,
+        ),
     ]
     pers = []
     for chain in chains:

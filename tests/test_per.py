@@ -14,13 +14,11 @@ from domania.per import (
     equi_injective,
     finite_per,
     flags_from_checks,
-    image_is_equiembedding_check,
     image_per,
     is_equiembedding,
     is_equivariant,
     limit_per,
     per_construct,
-    per_identity,
     prec_check,
     related_to_known,
     uniform_limit_map,
@@ -94,6 +92,28 @@ def top_image():
     # one class, but its related pairs are not exhausted
     nat = flatnat_per(4)
     return image_per(PerMap(nat, osier(), lambda v: TOP))
+
+
+def test_flat_exponent_probe_points_match_a_scan():
+    # over the flat naturals, the premises' naturals and one fresh natural
+    # decide a function relation as a scan of every natural would
+    nat = flatnat_per(4)
+    for body in (osier(), flatbool_per()):
+        fun = per_construct("fun", nat, body)
+        fb = fun.carrier
+        totals, _ = body.totals()
+        # step sets on 0..2, and the constant maps
+        toks = [
+            fb.make([(nat.carrier.nat(n), v) for (n, v) in enumerate(vs) if v])
+            for vs in itertools.product([None] + totals, repeat=3)
+        ] + [fb.make([(nat.carrier.bottom, v)]) for v in totals]
+        for f in toks:
+            for g in toks:
+                scan = all(
+                    body.related(fb.apply(f, x), fb.apply(g, x)) is True
+                    for x in map(nat.carrier.nat, range(8))
+                )
+                assert fun.related(f, g) is scan, (f, g)
 
 
 @pytest.mark.parametrize("kind", ["sum", "prod", "fun"])
@@ -260,7 +280,7 @@ def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("stage-4 related pairs enumerated")
 
-    monkeypatch.setattr(chain.stage_per(fin(4)), "related_pairs", forbidden)
+    monkeypatch.setattr(chain.stages[4][1], "related_pairs", forbidden)
     # a fresh link: the chain's own already holds its verdict at bound 3
     assert is_equiembedding(fresh(chain.embeddings[4]), 3).ok
 
@@ -430,9 +450,21 @@ def test_inclusion_into_fuller_per_passes():
     assert v.ok
 
 
+def identity_map(per):
+    return PerMap(per, per, lambda v: v)
+
+
+def image_is_equiembedding(phi):
+    # the inclusion of phi's image per into phi's target
+    img = image_per(phi)
+    return is_equiembedding(
+        PerEmbedding(identity_embedding(img.carrier), img, phi.target)
+    )
+
+
 def test_image_per_of_identity():
     per = osier()
-    img = image_per(per_identity(per))
+    img = image_per(identity_map(per))
     assert img.related(TOP, TOP) is True
     assert img.related(BOT, BOT) is False
     classes, _ = img.classes()
@@ -445,13 +477,13 @@ def test_image_per_of_constant():
     img = image_per(phi)
     classes, _ = img.classes()
     assert len(classes) == 1
-    assert image_is_equiembedding_check(phi).ok
-    assert image_is_equiembedding_check(per_identity(per)).ok
+    assert image_is_equiembedding(phi).ok
+    assert image_is_equiembedding(identity_map(per)).ok
 
 
 def test_weak_iso_checks():
     per = osier()
-    ok, _ = weak_iso_check(per_identity(per), per_identity(per))
+    ok, _ = weak_iso_check(identity_map(per), identity_map(per))
     assert ok is True
 
     s = per_construct("sum", osier(), osier())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from domania import perlfp
@@ -5,12 +7,11 @@ from domania.basis import Token, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
-from domania.cli import _stage_rows_for_chain
+from domania.cli import _stage_rows_for_chain, build_parser, cmd_counterexample
 from domania.per import FunRel, PerMap, check_property, is_equiembedding
 from domania.perlfp import (
     StabilizationVerdict,
     _folds_back,
-    _nest_step,
     _omega_class_images,
     _omega_verdict,
     _successor_fragment_totals,
@@ -35,6 +36,12 @@ def flatnat_env(nat_bound=8):
 
 
 FLATNAT_EQ = Sum(ConstD("A"), Exp("N", Id()))
+
+
+def flatnat_chain(A, bound, nat_bound=8):
+    # the chain the counterexample command builds for A + [flatnat -> X]
+    env = {"A": A, "N": flatnat_per(nat_bound)}
+    return per_chain_extend(FLATNAT_EQ, env, omega_plus(1), n_finite=bound + 2)
 
 
 def test_running_chain_class_counts():
@@ -81,7 +88,7 @@ def test_class_count_matches_grouped_classes(name):
 
 def test_stage_rows_count_without_enumerating_stage_five(monkeypatch):
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
-    stage4, stage5 = chain.stage_per(fin(4)), chain.stage_per(fin(5))
+    stage4, stage5 = chain.stages[4][1], chain.stages[5][1]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("stage-5 totals enumerated")
@@ -196,7 +203,7 @@ def test_chain_links_are_equiembeddings():
 
 
 def test_counterexample_phi_rank_pattern():
-    report = counterexample_phi(sierpinski_per(), bound=5)
+    report = counterexample_phi(flatnat_chain(sierpinski_per(), 5), bound=5)
     assert report.ranks == {n: n for n in range(6)}
     assert report.total_stages == {n: n + 1 for n in range(6)}
     assert report.equivariant_on_fragment
@@ -205,41 +212,126 @@ def test_counterexample_phi_rank_pattern():
     assert all(isinstance(x, Token) for x in report.nests)
 
 
+def const(fun, x):
+    # the constant map at x in the function basis `fun`
+    return fun.make([(fun.exponent.bottom, x)])
+
+
 def test_counterexample_phi_nests_the_base():
-    # x_n is the n-fold nesting of the folded in0(a0)
-    report = counterexample_phi(sierpinski_per(), bound=4)
-    chain = report.chain
-    a0 = min((t for t in sierpinski_per().totals(4)[0]), key=lambda t: t.pretty)
-    x = chain.iso.inv(chain.iso.unfolded.inject(0, a0))
+    # x_0 folds in0(a0), the summand without the variable; x_{n+1} folds
+    # in1 of the constant map at x_n, the path to the variable
+    chain = flatnat_chain(sierpinski_per(), 4)
+    report = counterexample_phi(chain, bound=4)
+    carrier = chain.iso.unfolded
+    x = chain.iso.inv(carrier.inject(0, tok("top")))
     assert report.pretty == f"in1(<fn ('natfn', 'nest', ('tok', {x.key!r}))>)"
     for n in range(5):
         assert report.nests[n] == x
-        x = _nest_step(chain, x)
+        x = chain.iso.inv(carrier.inject(1, const(carrier.parts[1], x)))
+
+
+# equation, the summand of its base, its nest step x |-> F at x before the
+# fold, the printed context of the witness, and the per-lfp rank bound
+NESTING_CASES = {
+    "swapped": (
+        Sum(Exp("N", Id()), ConstD("A")),
+        1,
+        lambda c, x: c.inject(0, const(c.parts[0], x)),
+        "in0({})",
+        2,
+    ),
+    "product": (
+        Sum(ConstD("A"), Prod(Exp("N", Id()), ConstD("A"))),
+        0,
+        lambda c, x: c.inject(
+            1, c.parts[1].pair(const(c.parts[1].left, x), tok("top"))
+        ),
+        "in1(({},top))",
+        3,
+    ),
+    "nested": (
+        Sum(ConstD("A"), Exp("N", Exp("N", Id()))),
+        0,
+        lambda c, x: c.inject(1, const(c.parts[1], const(c.parts[1].values, x))),
+        "in1({})",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTING_CASES))
+def test_nesting_rule_follows_the_path_to_the_variable(name):
+    expr, side, step, context, rank_bound = NESTING_CASES[name]
+    chain = per_chain_extend(
+        expr, flatnat_env(), omega_plus(1), n_finite=max(4, rank_bound + 1)
+    )
+    report = counterexample_phi(chain, bound=rank_bound)
+    base = report.nests[0]
+    assert chain.iso.fwd(base) == chain.iso.unfolded.inject(side, tok("top"))
+    for (x, nxt) in zip(report.nests, report.nests[1:]):
+        assert nxt == chain.iso.inv(step(chain.iso.unfolded, x))
+    assert report.total_stages == {n: n + 1 for n in range(rank_bound + 1)}
+    assert report.equivariant_on_fragment and not report.total_at_finite_stage
+    descriptor = ("natfn", "nest", ("tok", base.key))
+    assert report.pretty == context.format(f"<fn {descriptor}>")
+    verdict = stabilization_probe(chain, rank_bound)
+    assert (verdict.kind, verdict.witness) == ("witness", report.pretty)
+
+
+@pytest.mark.parametrize(
+    "broken", [{"equivariant_on_fragment": False}, {"total_at_finite_stage": True}]
+)
+def test_probe_reports_the_witness_only_when_both_checks_hold(monkeypatch, broken):
+    chain = flatnat_chain(sierpinski_per(), 2)
+    derive = perlfp.counterexample_phi
+    monkeypatch.setattr(
+        perlfp,
+        "counterexample_phi",
+        lambda chain, bound: dataclasses.replace(derive(chain, bound), **broken),
+    )
+    verdict = stabilization_probe(chain, 2)
+    assert (verdict.kind, verdict.witness, verdict.bound) == ("unknown", None, 2)
+    assert verdict.report is not None
+
+
+def test_no_nesting_witness_without_the_variable_under_the_exponent():
+    chain = per_chain_extend(
+        Sum(ConstD("A"), Exp("N", ConstD("A"))), flatnat_env(), omega_plus(1)
+    )
+    assert counterexample_phi(chain, bound=2) is None
+    verdict = stabilization_probe(chain, 2)
+    assert (verdict.kind, verdict.report) == ("unknown", None)
 
 
 def test_counterexample_phi_check_bound_clamped_to_built_stages():
-    # stages 0..5 are built, so x_n for n < 3 can be checked at omega
-    assert counterexample_phi(sierpinski_per(), bound=3, nat_bound=6).check_bound == 3
-    assert counterexample_phi(sierpinski_per(), bound=3, nat_bound=2).check_bound == 2
+    # stages 0..5 are built, so x_n for n < 3 can be checked at omega; the
+    # exponent's enumerated totals bound it too
+    for (nat_bound, checked) in ((6, 3), (2, 2)):
+        chain = flatnat_chain(sierpinski_per(), 3, nat_bound)
+        assert counterexample_phi(chain, bound=3).check_bound == checked
 
 
 def test_counterexample_phi_flatbool_parameter():
-    report = counterexample_phi(flatbool_per(), bound=3)
+    report = counterexample_phi(flatnat_chain(flatbool_per(), 3), bound=3)
     assert report.ranks == {n: n for n in range(4)}
 
 
 def test_counterexample_phi_trivial_parameter():
+    # a base parameter without totals leaves the equation no nesting
+    # witness, and the counterexample command rejects it
+    assert counterexample_phi(flatnat_chain(trivial_per(), 2), bound=2) is None
+    args = build_parser().parse_args(["counterexample", "--param", "trivial"])
     with pytest.raises(TrivialParameter):
-        counterexample_phi(trivial_per(), bound=2)
+        cmd_counterexample(args)
 
 
 def test_flatnat_chain_not_stabilized():
     chain = per_chain_extend(FLATNAT_EQ, flatnat_env(8), omega_plus(1), n_finite=6)
     v = stabilization_probe(chain, rank_bound=4)
     assert v.kind == "witness"
-    report = v.witness
-    assert report.ranks[3] == 3
-    assert report.pretty.startswith("in1(<fn ('natfn', 'nest', ")
+    assert v.report.ranks[3] == 3
+    assert v.witness == v.report.pretty
+    assert v.witness.startswith("in1(<fn ('natfn', 'nest', ")
 
 
 def test_mediating_morphism_identity_family():

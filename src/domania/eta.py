@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basis import Basis, FlatNatBasis, Token, TokenSet, one_point_basis, tok
-from .construct import FunBasis, MultiSumBasis, ProdBasis, apply_pairs
+from .construct import MultiSumBasis, ProdBasis, apply_pairs
 from .dense import DenseLfp
 from .errors import MalformedCode, NonDenseExponent, NotWitnessed
 from .per import (
@@ -151,12 +151,8 @@ class EtaSystem:
         self.unfolded_per = self.chain.unfolded[0]
         self.unfolded = self.iso.unfolded
 
-        self.fun_basis = FunBasis(self.T, self.codomain, name="[T->usumK]")
         self.fun_per = per_construct("fun", self.input_per, self.codomain_per)
-        # align the function-space carrier object with the per construction
-        self.fun_per = DomainPer(
-            self.fun_basis, self.fun_per.rel, self.fun_per.flags, name="[T->usumK]"
-        )
+        self.fun_basis = self.fun_per.carrier
 
         self._eta_cache = {}
 
@@ -463,11 +459,8 @@ class EtaBarSystem:
             ),
             name="E",
         )
-        self.fun_basis = FunBasis(self.U, self.E, name="[U->E]")
-        fun_per = per_construct("fun", self.u_per, self.e_per)
-        self.fun_per = DomainPer(
-            self.fun_basis, fun_per.rel, fun_per.flags, name="[U->E]"
-        )
+        self.fun_per = per_construct("fun", self.u_per, self.e_per)
+        self.fun_basis = self.fun_per.carrier
         self._bar_cache = {}
 
     # ---- zeta --------------------------------------------------------------

@@ -15,6 +15,7 @@ from .basis import (
     enumerate_monotone_maps,
     poset_of_basis,
     tok,
+    transitive_reflexive_closure,
 )
 from .construct import (
     Embedding,
@@ -337,19 +338,9 @@ def canonical_posets(max_points: int):
         elems = list(range(n))
         base_pairs = [(i, j) for i in elems for j in elems if i < j]
         for mask in range(1 << len(base_pairs)):
-            rel = {(i, i) for i in elems}
-            for b, (i, j) in enumerate(base_pairs):
-                if mask >> b & 1:
-                    rel.add((i, j))
-            # close transitively; pairs only go upward so antisymmetry holds
-            changed = True
-            while changed:
-                changed = False
-                for (a, b) in list(rel):
-                    for (c, d) in list(rel):
-                        if b == c and (a, d) not in rel:
-                            rel.add((a, d))
-                            changed = True
+            chosen = {p for b, p in enumerate(base_pairs) if mask >> b & 1}
+            # pairs only go upward, so the closure is antisymmetric
+            rel = transitive_reflexive_closure(elems, chosen)
             sig = min(
                 tuple(sorted((perm[a], perm[b]) for (a, b) in rel))
                 for perm in (

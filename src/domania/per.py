@@ -8,7 +8,7 @@ applies them with its carrier's own operations.
 Relation verdicts are tri-state (True / False / None for unknown): deciders
 over staged carriers never guess beyond their bound.
 
-Relation protocol. A relation decider has these methods, the first four
+Relation protocol. A relation decider has these methods, the first five
 taking an optional enumeration bound:
 
 - `related(a, b, bound)` gives the tri-state verdict for two values;
@@ -16,6 +16,8 @@ taking an optional enumeration bound:
   whether the list is complete;
 - `related_pairs(bound)` gives `(pairs, exact)`; `StructuralRel` derives it
   from the other two, since a related pair is a pair of totals;
+- `classes(bound)` gives `(classes, exact)`, the totals grouped into per
+  classes;
 - `class_count(bound)` gives `(n, exact)`, the number of classes and whether
   the totals behind it are complete;
 - `probe_points(*step_sets)` gives, for the relation as an exponent, finitely
@@ -23,22 +25,24 @@ taking an optional enumeration bound:
   exactly, or None (the `StructuralRel` default); `FunRel` then scans the
   exponent's related pairs.
 
-Per classes are enumerated one way, by `group_classes`: a value joins the
-first class whose first member is related to it, or opens a new class.
-`DomainPer.classes` groups the totals; a site that needs one value per class
-takes the first member of each.
+Per classes are enumerated one way, by `StructuralRel.classes`: it groups
+the totals with `group_classes`, where a value joins the first class whose
+first member is related to it, or opens a new class. `MemoRel` keeps the
+classes per bound, and every site that needs classes, the class of a value
+or one value per class (the first member of each) reads them there through
+`DomainPer.classes`.
 
 Per classes are counted by the quotient rule where it applies: the quotient
 of a sum, product or function-space per is the sum, product or exponential
 of the quotients. `SumRel` adds its parts' counts, `ProdRel` multiplies them,
 and `FunRel` counts the tuples of body classes, one per exponent class, that
-some monotone map realises. `FunRel` falls back to grouping its totals over a
-staged body or an infinite exponent, and when the exponent's related pairs
+some monotone map realises. `FunRel` falls back to counting its classes over
+a staged body or an infinite exponent, and when the exponent's related pairs
 are not exhaustive, as then no map is total. An unknown verdict needs no
 fallback: True verdicts are symmetric and transitive and totals are
 self-related, so an unknown verdict separates two classes, in the quotient
-as in the totals. Every other relation groups its totals, the slow reference
-each rule is checked against.
+as in the totals. Every other relation counts its classes, the slow
+reference each rule is checked against.
 
 Equivariance is decided on classes where it can be. By the same invariant,
 every related pair of a per lies inside one of its classes, so a map that
@@ -56,6 +60,8 @@ the scan over all source totals would find nothing: `is_equiembedding`
 returns True on that certificate, unknown only where the source totals or
 the target carrier are not exhaustive. Otherwise the pairwise scan, the
 reference, decides, and it alone gives a reflection failure and its witness.
+A chain link is decided once, where the chain is built; `limit_per` takes
+its links as checked.
 
 Flag rules. Sums, products and limits take each flag pointwise
 (`pointwise_flags`: yes when every part says yes, no when one says no); a
@@ -73,6 +79,7 @@ from typing import List, Optional, Sequence, Tuple
 # `tok` is unused here but stays importable as `domania.per.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
 from .basis import Basis, FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
+from .basis import transitive_reflexive_closure
 from .construct import (
     Embedding,
     FunBasis,
@@ -152,10 +159,14 @@ class StructuralRel:
         # no finite probe set: a function relation scans the related pairs
         return None
 
+    def classes(self, bound=None):
+        ts, exact = self.totals(bound)
+        return group_classes(ts, lambda a, b: self.related(a, b, bound)), exact
+
     def class_count(self, bound=None):
         # the slow reference every quotient rule is checked against
-        ts, exact = self.totals(bound)
-        return len(group_classes(ts, lambda a, b: self.related(a, b, bound))), exact
+        classes, exact = self.classes(bound)
+        return len(classes), exact
 
     def related_pairs(self, bound=None):
         ts, exact = self.totals(bound)
@@ -314,12 +325,7 @@ class FunRel(StructuralRel):
         else:
             # staged body: one value per class plus approximations; the
             # fragment is a sample and is flagged as such via exact=False
-            body_totals = [
-                cls[0]
-                for cls in group_classes(
-                    body_totals, lambda a, b: self.body_per.related(a, b, bound)
-                )
-            ]
+            body_totals = [cls[0] for cls in self.body_per.classes(bound)[0]]
             pool, seen = [], set()
             frag = body.tokens(bound).tokens
             for v in body_totals:
@@ -451,24 +457,29 @@ class ImageRel(StructuralRel):
         return None if unknown else False
 
     def totals(self, bound=None):
+        # x ~ x iff x ~ phi(u) for some source total u: the target totals
+        # related to some image
         us, exact = self.source_per.totals(bound)
-        out, seen = [], set()
-        for u in us:
-            fu = self.phi(u)
-            if fu.key not in seen:
-                seen.add(fu.key)
-                out.append(fu)
-        return out, exact
+        images = [self.phi(u) for u in us]
+        ts, t_exact = self.target_per.totals(bound)
+        out = [
+            t
+            for t in ts
+            if any(self.target_per.related(t, fu, bound) is True for fu in images)
+        ]
+        return out, exact and t_exact
 
 
 class MemoRel(StructuralRel):
     """Transparent memoisation shell around a structural decider: verdicts
-    are cached per value pair and bound, totals and class counts per bound."""
+    are cached per value pair and bound, totals, classes and class counts per
+    bound.  Classes group the cached totals with the cached verdicts."""
 
     def __init__(self, inner):
         self.inner = inner
         self._memo = {}
         self._totals_cache = {}
+        self._classes_cache = {}
         self._count_cache = {}
 
     def related(self, a, b, bound=None):
@@ -481,6 +492,11 @@ class MemoRel(StructuralRel):
         if bound not in self._totals_cache:
             self._totals_cache[bound] = self.inner.totals(bound)
         return self._totals_cache[bound]
+
+    def classes(self, bound=None):
+        if bound not in self._classes_cache:
+            self._classes_cache[bound] = super().classes(bound)
+        return self._classes_cache[bound]
 
     def class_count(self, bound=None):
         if bound not in self._count_cache:
@@ -532,19 +548,16 @@ class DomainPer:
         return list(ts.tokens), not ts.truncated
 
     def class_of(self, x, bound=None):
-        members = [x]
-        ts, _ = self.carrier_tokens(bound)
-        for t in ts:
-            if t != x and self.related(x, t, bound) is True:
-                members.append(t)
-        return members
+        """x and the members of the enumerated class related to it."""
+        classes, _ = self.classes(bound)
+        cls = next((c for c in classes if self.related(c[0], x, bound) is True), [])
+        return cls if x in cls else [x] + cls
 
     def class_count(self, bound=None):
         return self.rel.class_count(bound)
 
     def classes(self, bound=None):
-        ts, exact = self.totals(bound)
-        return group_classes(ts, lambda a, b: self.related(a, b, bound)), exact
+        return self.rel.classes(bound)
 
     def describe(self):
         return {"carrier": self.carrier.name, "flags": asdict(self.flags)}
@@ -555,15 +568,9 @@ def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> Doma
     for (a, b) in related_token_pairs:
         pairs.add((a.key, b.key))
         pairs.add((b.key, a.key))
-    # transitive closure so callers may list generators only
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
+    # transitive closure so callers may list generators only; no elements,
+    # so no reflexive pairs are added
+    pairs = transitive_reflexive_closure((), pairs)
     return DomainPer(carrier, FiniteRel(carrier, pairs), flags or PerFlags(), name=name)
 
 
@@ -678,10 +685,10 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
         return Verdict("unknown" if unknown else "holds", None, bound)
 
     if prop in ("local", "strongly_local", "complete"):
-        ts, exact = P.totals(bound)
+        classes, exact = P.classes(bound)
         unknown = unknown or not exact
-        for x in ts:
-            cls = P.class_of(x, bound)
+        for cls in classes:
+            x = cls[0]
             if not B.cons(cls):
                 if prop in ("local", "complete"):
                     return Verdict("fails", (x, cls), bound)
@@ -828,8 +835,6 @@ class PerEmbedding:
     source: DomainPer
     target: DomainPer
     name: str = ""
-    # is_equiembedding's verdict per bound, so a link is decided once
-    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -846,14 +851,9 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
 
     Reflection is True on the class certificate (module docstring) when
     equivariance is True; otherwise the pairwise scan over source totals and
-    target values, the reference, gives the verdict and any witness.  The
-    verdict is kept on `pe` per bound."""
-    if bound not in pe.verdicts:
-        pe.verdicts[bound] = _equiembedding_verdict(pe, bound)
-    return pe.verdicts[bound]
-
-
-def _equiembedding_verdict(pe: PerEmbedding, bound) -> EmbeddingVerdict:
+    target values, the reference, gives the verdict and any witness.  Each
+    call decides anew; a chain decides each of its links once, where it is
+    built."""
     try:
         verify_embedding(pe.emb, bound)
     except NotAnEmbedding as e:
@@ -961,17 +961,14 @@ class PerLimit:
         raise NotTotal(f"{v.pretty} is total at no built stage", witness=v)
 
 
-def limit_per(stage_pers: Sequence[DomainPer], embeddings: Sequence[PerEmbedding],
-              verify_bound=None) -> PerLimit:
-    """Inductive limit of a chain of verified equiembeddings."""
+def limit_per(
+    stage_pers: Sequence[DomainPer], embeddings: Sequence[PerEmbedding]
+) -> PerLimit:
+    """Inductive limit of a chain of equiembeddings.  The links are taken as
+    checked: the caller decides each one (`per_chain_extend` does, as it
+    builds the chain), and the limit only checks that the chain fits."""
     if len(embeddings) != len(stage_pers) - 1:
         raise IncoherentChain("need one embedding per consecutive stage pair")
-    for i, pe in enumerate(embeddings):
-        v = is_equiembedding(pe, verify_bound)
-        if not v.ok:
-            raise IncoherentChain(
-                f"stage {i} link fails {v.clause}", witness=v.witness
-            )
     stages = [ChainStage(fin(0), stage_pers[0].carrier, None)]
     for i, pe in enumerate(embeddings):
         stages.append(ChainStage(fin(i + 1), stage_pers[i + 1].carrier, pe.emb))

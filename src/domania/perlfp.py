@@ -26,7 +26,6 @@ from .per import (
     PerLimit,
     PerMap,
     StructuralRel,
-    group_classes,
     is_equiembedding,
     is_equivariant,
     limit_per,
@@ -116,26 +115,22 @@ def per_chain_extend(
     n_finite: int = 4,
 ) -> PerChain:
     """Chain stages up to `upto`; finite part always built to n_finite when
-    the target lies at or past omega."""
+    the target lies at or past omega.  Each link is decided here, once."""
     domain_env = {k: v.carrier for (k, v) in env.items()}
     depth = n_finite if not upto.is_finite else upto.k
-    verify_bound = None
-    if any(not p.carrier.finite for p in env.values()):
-        verify_bound = 3  # staged parameters: keep link checks on small fragments
-    full_depth = 4  # exhaustive link checks up to this stage, bounded beyond
+    # links are checked exhaustively up to stage 4 over finite parameters,
+    # on bound-3 fragments past it or over staged parameters
+    exhaustive = all(p.carrier.finite for p in env.values())
+    bounds = [None if exhaustive and n <= 4 else 3 for n in range(1, depth + 1)]
     pers: List[Tuple[Ordinal, DomainPer]] = [(fin(0), trivial_per())]
     embeddings: List[PerEmbedding] = []
-    link_bounds = []
     dstages = omega_chain(expr, domain_env, depth)
     for n in range(1, depth + 1):
         per_n = apply_functor_per(expr, pers[-1][1], env)
         # reuse the domain chain's carrier bookkeeping
         emb = dstages[n].embed_from_prev
         pe = PerEmbedding(emb, pers[-1][1], per_n, name=f"f{n - 1},{n}")
-        vb = verify_bound if n <= full_depth else (verify_bound or 3)
-        if vb is not None:
-            link_bounds.append(vb)
-        v = is_equiembedding(pe, vb)
+        v = is_equiembedding(pe, bounds[n - 1])
         if not v.ok:
             raise NotAnAlgebra(
                 f"chain link {n} is not an equiembedding ({v.clause})",
@@ -144,16 +139,12 @@ def per_chain_extend(
         pers.append((fin(n), per_n))
         embeddings.append(pe)
     chain = PerChain(
-        expr, env, pers, embeddings, link_bound=min(link_bounds, default=None)
+        expr, env, pers, embeddings, link_bound=3 if 3 in bounds else None
     )
     if upto.is_finite:
         return chain
 
-    plim = limit_per(
-        [p for (_, p) in pers],
-        embeddings,
-        verify_bound if depth <= full_depth else (verify_bound or 3),
-    )
+    plim = limit_per([p for (_, p) in pers], embeddings)
     chain.per_limit = plim
     chain.stages.append((OMEGA, plim.per))
     iso, _ = fixed_point_iso(expr, domain_env, plim.limit, bound=min(3, depth))
@@ -228,11 +219,8 @@ def _folds_back(chain: PerChain, t: Token) -> bool:
 def _omega_class_images(chain: PerChain, depth: int) -> List[Token]:
     """Images of one representative per omega-class; the omega-totals reach
     one stage deeper than the fragment values they are compared with."""
-    per_omega = chain.per_limit.per
-    omega_totals, _ = per_omega.totals(depth + 1)
-    return [
-        chain.iso.fwd(cls[0]) for cls in group_classes(omega_totals, per_omega.related)
-    ]
+    classes, _ = chain.per_limit.per.classes(depth + 1)
+    return [chain.iso.fwd(cls[0]) for cls in classes]
 
 
 def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdict:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .basis import FiniteBasis, Token, tok
 from .dense import DenseLfp, dense_lfp
 from .eta import atomic_subfunctors
-from .errors import BadParameterPedigree, NotT0, NotWeaklyEquivalent
+from .errors import BadParameterPedigree, NotT0, NotUniform, NotWeaklyEquivalent
 from .per import (
     ALL_YES,
     YES,
@@ -26,6 +26,7 @@ from .per import (
     PerMap,
     check_property,
     per_construct,
+    uniform_limit_map,
     weak_iso_check,
 )
 from .perlfp import per_chain_extend
@@ -395,12 +396,10 @@ class QcbFixedPointReport:
 
 
 def qcb_fixed_point(
-    expr: FunctorExpr, bindings: Dict[str, object], rank_bound: int = 3,
-    n_finite: Optional[int] = None,
+    expr: FunctorExpr, bindings: Dict[str, object], rank_bound: int = 3
 ) -> QcbFixedPointReport:
     env = functorial_representation(expr, bindings)
-    lfp = dense_lfp(expr, env, rank_bound=rank_bound,
-                    n_finite=n_finite or max(3, rank_bound + 1))
+    lfp = dense_lfp(expr, env, rank_bound=rank_bound, n_finite=max(3, rank_bound + 1))
     chain = lfp.chain
 
     classes, _ = lfp.per.classes(rank_bound)
@@ -581,26 +580,21 @@ class IndependenceReport:
     stage_isos_ok: bool
     uniform: bool
     class_matching: Optional[List[Tuple[int, int]]]
-    commutes: bool
 
     @property
     def ok(self):
-        return (
-            self.stage_isos_ok
-            and self.uniform
-            and self.class_matching is not None
-            and self.commutes
-        )
+        return self.stage_isos_ok and self.uniform and self.class_matching is not None
 
 
 def fixed_point_independence(
-    F, env_f, G, env_g, pairs: Dict[Tuple[str, str], IsoPair], rank_bound: int = 2,
-    n_finite: int = 3,
+    F, env_f, G, env_g, pairs: Dict[Tuple[str, str], IsoPair], rank_bound: int = 2
 ) -> IndependenceReport:
     """Builds both chains, transfers the stage maps, and verifies the
-    class-level matching between the two fixed points."""
+    class-level matching between the two fixed points.  A family that does
+    not commute with the chains has no limit map, so no classes to match."""
     from .ordinals import omega_plus
 
+    n_finite = 3
     we = WeakEquivalence(F, env_f, G, env_g, pairs)
     chain_f = per_chain_extend(F, env_f, omega_plus(1), n_finite=n_finite)
     chain_g = per_chain_extend(G, env_g, omega_plus(1), n_finite=n_finite)
@@ -623,15 +617,6 @@ def fixed_point_independence(
         phis.append(we.transfer(phis[-1], F, G, cf, cg))
         chis.append(we_back.transfer(chis[-1], G, F, cg, cf))
 
-    # uniformity: the families commute with the chain embeddings
-    uniform = True
-    for n in range(n_finite):
-        f_emb = chain_f.per_limit.limit.stages[n + 1].embed_from_prev
-        g_emb = chain_g.per_limit.limit.stages[n + 1].embed_from_prev
-        for t in chain_f.per_limit.limit.stages[n].basis.tokens().tokens:
-            if g_emb.fwd(phis[n](t)) != phis[n + 1](f_emb.fwd(t)):
-                uniform = False
-
     stage_ok = True
     for n in range(1, n_finite + 1):
         per_f = chain_f.stages[n][1]
@@ -642,22 +627,14 @@ def fixed_point_independence(
         if ok is not True:
             stage_ok = False
 
-    # the limit maps act stage-wise on canonical tokens
-    lim_f, lim_g = chain_f.per_limit.limit, chain_g.per_limit.limit
-
-    def phi_omega(t):
-        n, inner = lim_f.decompose(t)
-        return lim_g.canonical(n, phis[n](inner))
-
-    def chi_omega(t):
-        n, inner = lim_g.decompose(t)
-        return lim_f.canonical(n, chis[n](inner))
-
-    ok, _ = weak_iso_check(
-        PerMap(chain_f.per_limit.per, chain_g.per_limit.per, phi_omega),
-        PerMap(chain_g.per_limit.per, chain_f.per_limit.per, chi_omega),
-        rank_bound,
-    )
+    # families that commute with the chain embeddings extend to the limits,
+    # acting stage-wise on canonical tokens
+    try:
+        phi_omega = uniform_limit_map(phis, chain_f.per_limit, chain_g.per_limit)
+        chi_omega = uniform_limit_map(chis, chain_g.per_limit, chain_f.per_limit)
+    except NotUniform:
+        return IndependenceReport(stage_ok, False, None)
+    ok, _ = weak_iso_check(phi_omega, chi_omega, rank_bound)
     stage_ok = stage_ok and ok is not False
 
     cf, _ = chain_f.per_limit.per.classes(rank_bound)
@@ -678,6 +655,4 @@ def fixed_point_independence(
         matching.append((i, js[0]))
     if matching is not None and len(used) != len(cg):
         matching = None
-
-    commutes = uniform
-    return IndependenceReport(stage_ok, uniform, matching, commutes)
+    return IndependenceReport(stage_ok, True, matching)

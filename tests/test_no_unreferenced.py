@@ -26,7 +26,6 @@ TEST_ONLY = {
     "mediating_algebra_morphism",  # perlfp: initiality of the fixed point
     "prec_check",  # per: a token approximates a class
     "related_to_known",  # per: a map against a known equivariant map
-    "uniform_limit_map",  # per: the mediating map out of a per limit
     # reference constructions the reports reach by another path
     "chain_embedding",  # spfunctor: composite of chain links
     "enumerate_ideals",  # qcb: ideal completion of a finite basis

@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from domania.basis import catalog_basis, one_point_basis, tok
+import domania.per as per_module
+from domania import perlfp
+from domania.basis import (
+    catalog_basis,
+    catalog_names,
+    catalog_poset,
+    one_point_basis,
+    tok,
+)
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.construct import Embedding, identity_embedding, verify_embedding
 from domania.errors import IncoherentChain, NotAnEmbedding, NotTotal, NotUniform
@@ -25,8 +33,9 @@ from domania.per import (
     weak_iso_check,
 )
 from domania.ordinals import OMEGA, fin
-from domania.perlfp import per_chain_extend
-from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
+from domania.oracles import all_pers
+from domania.perlfp import apply_functor_per, per_chain_extend
+from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, omega_chain
 
 O = catalog_basis("two-chain")
 BOT, TOP = tok("bot"), tok("top")
@@ -175,6 +184,49 @@ def test_empty_per_properties_vacuous():
     assert check_property(per, "dense").status == "fails"
 
 
+def scanned_class_of(P, x, bound=None):
+    """Reference class of x: x and every carrier token related to it."""
+    ts, _ = P.carrier_tokens(bound)
+    return [x] + [t for t in ts if t != x and P.related(x, t, bound) is True]
+
+
+def reference_class_check(P, prop, bound=None):
+    """Reference status of local, strongly_local and complete: a carrier
+    scan for the class of every total."""
+    B = P.carrier
+    ts, exact = P.totals(bound)
+    unknown = not P.carrier_tokens(bound)[1] or not exact
+    for x in ts:
+        cls = scanned_class_of(P, x, bound)
+        if not B.cons(cls) and prop in ("local", "complete"):
+            return "fails"
+        if prop == "strongly_local" and not all(
+            any(B.leq(a, c) and B.leq(b, c) for c in cls) for a in cls for b in cls
+        ):
+            return "fails"
+        if prop == "complete":
+            r = P.related(x, B.lub(cls), bound)
+            if r is False:
+                return "fails"
+            unknown = unknown or r is None
+    return "unknown" if unknown else "holds"
+
+
+def test_class_checks_match_a_carrier_scan_per_total():
+    # one pass per class against one carrier scan per total, over every per
+    # on the catalog carriers of at most 4 points
+    statuses = set()
+    for name in catalog_names():
+        if len(catalog_poset(name).elements) > 4:
+            continue
+        for P in all_pers(catalog_basis(name)):
+            for prop in ("local", "strongly_local", "complete"):
+                want = reference_class_check(P, prop)
+                assert check_property(P, prop).status == want, (name, prop)
+                statuses.add(want)
+    assert statuses == {"holds", "fails"}
+
+
 def test_flags_agree_with_checks_on_builtins():
     for per in (osier(), flatbool_per()):
         computed = flags_from_checks(per)
@@ -269,11 +321,6 @@ def test_equivariance_broken_off_the_first_class_member():
     assert is_equivariant(breaks, fper, osier()) == want
 
 
-def fresh(pe):
-    """The same link with no verdict kept yet."""
-    return PerEmbedding(pe.emb, pe.source, pe.target, pe.name)
-
-
 def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
     chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, fin(5))
 
@@ -281,8 +328,7 @@ def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
         raise AssertionError("stage-4 related pairs enumerated")
 
     monkeypatch.setattr(chain.stages[4][1], "related_pairs", forbidden)
-    # a fresh link: the chain's own already holds its verdict at bound 3
-    assert is_equiembedding(fresh(chain.embeddings[4]), 3).ok
+    assert is_equiembedding(chain.embeddings[4], 3).ok
 
 
 def reference_reflection(pe, bound=None):
@@ -357,13 +403,13 @@ def test_reflection_class_certificate_matches_pairwise_scan():
     assert verdicts[-1] == (True, "", None, True)
     assert {v[1] for v in verdicts} == {"", "equivariance", "reflection"}
     for (pe, b), want in zip(cases, verdicts):
-        v = is_equiembedding(fresh(pe), b)
+        v = is_equiembedding(pe, b)
         assert (v.ok, v.clause, v.witness, v.unknown) == want, (pe.name, b)
 
 
 def test_link_reflection_scans_classes_not_totals(monkeypatch):
     chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, fin(4))
-    link = fresh(chain.embeddings[3])
+    link = chain.embeddings[3]
     n_totals = len(link.source.totals()[0])
     n_carrier = len(link.target.carrier_tokens()[0])
     target_related = link.target.related
@@ -378,12 +424,40 @@ def test_link_reflection_scans_classes_not_totals(monkeypatch):
     assert len(calls) < n_totals * n_carrier
 
 
-def test_each_link_decided_once_per_bound():
-    # per-lfp at rank bound 4: links 1-4 exhaustively, link 5 at bound 3,
-    # then the limit re-checks every link at bound 3
+def test_chain_decides_each_link_once(monkeypatch):
+    # per-lfp at rank bound 4: links 1-4 exhaustively, link 5 at bound 3, and
+    # the limit takes them as checked
+    calls = []
+
+    def counting(pe, bound=None):
+        calls.append((pe.name, bound))
+        return is_equiembedding(pe, bound)
+
+    monkeypatch.setattr(perlfp, "is_equiembedding", counting)
+    monkeypatch.setattr(per_module, "is_equiembedding", counting)
     chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, OMEGA, n_finite=5)
-    assert [set(pe.verdicts) for pe in chain.embeddings] == [{None, 3}] * 4 + [{3}]
-    assert all(v.ok for pe in chain.embeddings for v in pe.verdicts.values())
+    assert calls == [
+        (pe.name, b) for (pe, b) in zip(chain.embeddings, [None] * 4 + [3])
+    ]
+
+
+def test_fresh_link_groups_its_source_totals_once(monkeypatch):
+    # link 4 of the running example: equivariance and reflection both read
+    # the source's classes, which are grouped once and kept
+    env = {"A": osier(), "B": osier()}
+    source = per_chain_extend(RUNNING, env, fin(3)).stages[3][1]
+    target = apply_functor_per(RUNNING, source, env)
+    emb = omega_chain(RUNNING, {k: p.carrier for (k, p) in env.items()}, 4)[4]
+    grouped = []
+    group_classes = per_module.group_classes
+
+    def counting(values, related):
+        grouped.append(len(values))
+        return group_classes(values, related)
+
+    monkeypatch.setattr(per_module, "group_classes", counting)
+    assert is_equiembedding(PerEmbedding(emb.embed_from_prev, source, target)).ok
+    assert grouped == [len(source.totals()[0])]
 
 
 def test_related_to_known_shortcut():
@@ -481,6 +555,19 @@ def test_image_per_of_constant():
     assert image_is_equiembedding(identity_map(per)).ok
 
 
+def test_image_per_totals_are_the_target_totals_related_to_an_image():
+    # the target's class {mid, top} holds the image of top, so top is a
+    # total of the image per although no source total maps to it
+    three = catalog_basis("three-chain")
+    target = finite_per(three, [(tok("mid"), tok("top"))])
+    phi = PerMap(osier(), target, lambda v: tok("mid") if v == TOP else tok("bot"))
+    img = image_per(phi)
+    assert img.related(TOP, TOP) is True
+    assert img.totals() == ([tok("mid"), tok("top")], True)
+    assert img.classes() == ([[tok("mid"), tok("top")]], True)
+    assert img.class_of(TOP) == [tok("mid"), tok("top")]
+
+
 def test_weak_iso_checks():
     per = osier()
     ok, _ = weak_iso_check(identity_map(per), identity_map(per))
@@ -520,17 +607,11 @@ def test_limit_of_constant_chain():
 
 
 def test_incoherent_chain_rejected():
-    per_small = osier()
-    three = catalog_basis("three-chain")
-    # an embedding that is not equivariant: top goes below a non-total
-    tgt = finite_per(three, [(tok("top"), tok("top"))])
-    emb = _embedding_from_keys(O, three, {"bot": "bot", "top": "mid"})
-    link = PerEmbedding(emb, per_small, tgt)
+    # one link per consecutive stage pair; the links themselves are decided
+    # where the chain is built
+    pers, embs = _constant_chain(osier(), 3)
     with pytest.raises(IncoherentChain):
-        limit_per([per_small, tgt], [link])
-    # the kept verdict is the failure, so a second limit raises too
-    with pytest.raises(IncoherentChain):
-        limit_per([per_small, tgt], [link])
+        limit_per(pers, embs[:1])
 
 
 def test_uniform_limit_map_identity_and_swap():

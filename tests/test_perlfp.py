@@ -8,7 +8,13 @@ from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
 from domania.cli import _stage_rows_for_chain, build_parser, cmd_counterexample
-from domania.per import FunRel, PerMap, check_property, is_equiembedding
+from domania.per import (
+    EmbeddingVerdict,
+    FunRel,
+    PerMap,
+    check_property,
+    is_equiembedding,
+)
 from domania.perlfp import (
     StabilizationVerdict,
     _folds_back,
@@ -182,7 +188,7 @@ def test_probe_at_omega_enumerates_no_omega_totals(monkeypatch):
         raise AssertionError("omega-totals enumerated")
 
     monkeypatch.setattr(chain.per_limit.per, "totals", forbidden)
-    monkeypatch.setattr(perlfp, "group_classes", forbidden)
+    monkeypatch.setattr(chain.per_limit.per, "classes", forbidden)
     v = stabilization_probe(chain, rank_bound=3)
     assert v.stabilized
     assert v.stage == OMEGA
@@ -377,6 +383,15 @@ def test_mediating_rejects_non_equivariant_algebra():
     )
     with pytest.raises(NotAnAlgebra):
         mediating_algebra_morphism(RUNNING, env, (chain.per_limit.per, bad), upto=1)
+
+
+def test_chain_rejects_a_failing_link(monkeypatch):
+    # over pers the chain's links are equiembeddings, so a failing verdict
+    # stands in for one: the chain, which alone decides links, rejects it
+    failing = EmbeddingVerdict(False, "reflection", "w")
+    monkeypatch.setattr(perlfp, "is_equiembedding", lambda pe, bound=None: failing)
+    with pytest.raises(NotAnAlgebra, match="chain link 1"):
+        per_chain_extend(RUNNING, running_env(), fin(2))
 
 
 def test_countably_based_trace():

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from domania.errors import BadParameterPedigree, NotT0, NotWeaklyEquivalent
+from domania import qcb
+from domania.errors import BadParameterPedigree, NotT0, NotUniform, NotWeaklyEquivalent
 from domania.qcb import (
     check_fun_coherence,
     check_prod_coherence,
@@ -188,24 +189,39 @@ def test_qcb_fixed_point_constant():
     assert report.hausdorff is False  # Sierpinski is not Hausdorff
 
 
-def test_independence_identity():
+def identity_independence(rank_bound=2):
+    """The running equation over Sierpinski against itself, by identities."""
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
     F = Sum(ConstD("A"), Exp("B", Id()))
     env = {"A": sier.per, "B": sier.per}
-    ident = {k: k for k in ("bot", "top")}
-    pairs = {
-        ("A", "A"): token_iso_pair(sier.per, sier.per, {
-            ("pb", ("bot", "top")): ("pb", ("bot", "top")),
-            ("pb", ("top",)): ("pb", ("top",)),
-        }),
-        ("B", "B"): token_iso_pair(sier.per, sier.per, {
-            ("pb", ("bot", "top")): ("pb", ("bot", "top")),
-            ("pb", ("top",)): ("pb", ("top",)),
-        }),
+    ident = {
+        ("pb", ("bot", "top")): ("pb", ("bot", "top")),
+        ("pb", ("top",)): ("pb", ("top",)),
     }
-    report = fixed_point_independence(F, env, F, env, pairs, rank_bound=2)
+    pairs = {
+        (k, k): token_iso_pair(sier.per, sier.per, ident) for k in ("A", "B")
+    }
+    return fixed_point_independence(F, env, F, env, pairs, rank_bound=rank_bound)
+
+
+def test_independence_identity():
+    report = identity_independence()
     assert report.ok
     assert report.class_matching == [(i, i) for i in range(len(report.class_matching))]
+
+
+def test_independence_without_a_limit_map(monkeypatch):
+    # a family that does not commute with the chains has no limit map, so
+    # the report fails uniformity and matches no classes
+    def not_uniform(*args, **kwargs):
+        raise NotUniform("family does not commute with the chains", stage=1)
+
+    monkeypatch.setattr(qcb, "uniform_limit_map", not_uniform)
+    report = identity_independence()
+    assert report.stage_isos_ok
+    assert not report.uniform
+    assert report.class_matching is None
+    assert not report.ok
 
 
 def test_independence_relabeled_parameter():

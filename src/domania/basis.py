@@ -44,28 +44,49 @@ def render_key(key) -> str:
     return str(key)
 
 
-@dataclass(frozen=True, eq=False)
 class Token:
-    """Compact element of a basis. Identity is decided by `key` alone."""
+    """Compact element of a basis, hash-consed: `tok` keeps one token per
+    key, so two tokens are equal exactly when they are the same object, and
+    the hash of the key is computed once.  Build tokens with `tok` only."""
 
-    key: object
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key):
+        self.key = key
+        self._hash = hash(key)
 
     @property
     def pretty(self) -> str:
         return render_key(self.key)
 
     def __eq__(self, other):
-        return isinstance(other, Token) and self.key == other.key
+        return self is other
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return tok, (self.key,)
 
     def __repr__(self):
         return f"Token({self.pretty})"
 
 
+# key -> its one token; equal keys share an entry, as equal tokens must
+_TOKENS: Dict[object, Token] = {}
+
+
 def tok(key) -> Token:
-    return Token(key)
+    t = _TOKENS.get(key)
+    if t is None:
+        t = _TOKENS[key] = Token(key)
+    return t
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ are not exhaustive, as then no map is total. An unknown verdict needs no
 fallback: True verdicts are symmetric and transitive and totals are
 self-related, so an unknown verdict separates two classes, in the quotient
 as in the totals. Every other relation counts its classes, the slow
-reference each rule is checked against.
+reference each rule is checked against. A `MemoRel` that already holds the
+classes for a bound counts them instead of asking its decider.
 
 Equivariance is decided on classes where it can be. By the same invariant,
 every related pair of a per lies inside one of its classes, so a map that
@@ -499,6 +500,9 @@ class MemoRel(StructuralRel):
         return self._classes_cache[bound]
 
     def class_count(self, bound=None):
+        if bound in self._classes_cache:
+            classes, exact = self._classes_cache[bound]
+            return len(classes), exact
         if bound not in self._count_cache:
             self._count_cache[bound] = self.inner.class_count(bound)
         return self._count_cache[bound]

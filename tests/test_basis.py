@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -19,6 +21,7 @@ from domania.errors import (
     NotAntisymmetric,
     NotConsistentlyComplete,
 )
+from domania.spfunctor import ConstD, Exp, Id, Sum, omega_chain
 
 
 def test_sierpinski_two_tokens():
@@ -175,3 +178,58 @@ def test_one_point():
     b = one_point_basis()
     assert len(b.tokens()) == 1
     assert b.cons(b.tokens().tokens)
+
+
+def test_one_token_per_key():
+    key = ("p", ("s", 0, "top"), ("fn", frozenset({("bot", "top")})))
+    t = tok(key)
+    assert tok(("p", ("s", 0, "top"), ("fn", frozenset({("bot", "top")})))) is t
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert copy.deepcopy({t: [t]}) == {t: [t]}
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def _reached_tokens():
+    """Every token enumerated at stages 0-4 of X = A + [B -> X] and of
+    X = A + [N -> X] (N the flat naturals, bound 3), each chain built twice,
+    with the tokens their function spaces reach by `make`, `lub` and
+    `from_function`."""
+    O = catalog_basis("two-chain")
+    equations = [
+        (Sum(ConstD("A"), Exp("B", Id())), {"A": O, "B": O}),
+        (Sum(ConstD("A"), Exp("N", Id())), {"A": O, "N": FlatNatBasis()}),
+    ]
+    out = []
+    for expr, env in equations * 2:
+        stages = omega_chain(expr, env, 4)
+        for stage in stages:
+            out += stage.basis.tokens(None if stage.basis.finite else 3)
+        for stage in stages[1:]:
+            fb = stage.basis.parts[1]  # the stage's [B -> X] or [N -> X]
+            funs = list(fb.tokens(None if fb.finite else 3))
+            out += funs
+            if fb.exponent.finite:
+                out += [fb.from_function(lambda p, f=f: fb.apply(f, p)) for f in funs]
+            if len(funs) > 100:
+                continue  # stage 4 of the running example: 82k pairs
+            for f, g in itertools.combinations(funs, 2):
+                if fb.cons((f, g)):
+                    out.append(fb.lub((f, g)))
+                    out.append(fb.make(fb.pairs(f) + fb.pairs(g)))
+    return out
+
+
+def test_token_identity_matches_key_equality():
+    # the slow reference hash-consing replaces: tokens equal iff keys equal
+    reached = _reached_tokens()
+    distinct = list({id(t): t for t in reached}.values())
+    assert len(distinct) > 1000
+    for a in distinct:
+        assert a == a and hash(a) == hash(a.key)
+    wrong = [
+        (a, b)
+        for a, b in itertools.combinations(distinct, 2)
+        if (a == b) != (a.key == b.key)
+    ]
+    assert wrong == []

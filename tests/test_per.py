@@ -132,12 +132,15 @@ def test_class_count_matches_grouped_classes(kind):
     # and top_image, as an exponent, the fallback for inexact related pairs
     parts = [osier, flatbool_per, trivial_per, discrete_chain, parity_image, top_image]
     for D, E in itertools.product(parts, repeat=2):
+        # counted before the classes are held, so the rule decides the count
         per = per_construct(kind, D(), E())
+        count = per.class_count()
         classes, exact = per.classes()
-        assert per.class_count() == (len(classes), exact), (D.__name__, E.__name__)
+        assert count == (len(classes), exact), (D.__name__, E.__name__)
     nested = per_construct(kind, flatbool_per(), per_construct("fun", osier(), flatbool_per()))
+    count = nested.class_count()
     classes, exact = nested.classes()
-    assert nested.class_count() == (len(classes), exact)
+    assert count == (len(classes), exact)
 
 
 def test_fun_totals_over_inexact_exponent_pairs_are_inexact():
@@ -644,3 +647,23 @@ def test_uniform_limit_map_rejects_nonuniform_family():
     with pytest.raises(NotUniform) as ei:
         uniform_limit_map(fam, pl, pl)
     assert ei.value.stage == 2
+
+
+def test_class_count_reads_the_held_classes(monkeypatch):
+    # stage 3 of A + [N -> X]: once the classes are held, counting them
+    # groups nothing again, the [N -> X] part's own totals included
+    env = {"A": osier(), "N": flatnat_per(8)}
+    expr = Sum(ConstD("A"), Exp("N", Id()))
+    stage2 = per_chain_extend(expr, env, fin(2)).stages[2][1]
+    stage3 = apply_functor_per(expr, stage2, env)
+    grouped = []
+    group_classes = per_module.group_classes
+
+    def counting(values, related):
+        grouped.append(len(values))
+        return group_classes(values, related)
+
+    monkeypatch.setattr(per_module, "group_classes", counting)
+    classes, exact = stage3.classes(3)
+    assert stage3.class_count(3) == (len(classes), exact)
+    assert grouped == [len(stage3.totals(3)[0])]

@@ -85,8 +85,9 @@ def test_class_count_matches_grouped_classes(name):
             expr, env(), omega_plus(1), n_finite=max(4, rank_bound + 1)
         )
         for (o, per) in chain.stages:
+            count = per.class_count(rank_bound)
             classes, exact = per.classes(rank_bound)
-            assert per.class_count(rank_bound) == (len(classes), exact), (
+            assert count == (len(classes), exact), (
                 rank_bound,
                 str(o),
             )

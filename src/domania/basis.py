@@ -126,7 +126,10 @@ class Basis:
         raise NotImplementedError
 
     def tokens(self, bound: Optional[int] = None) -> TokenSet:
-        """All tokens (finite case) or a stage/size-bounded, flagged prefix."""
+        """All tokens (finite case) or a stage/size-bounded, flagged prefix.
+
+        The answer depends only on `bound`: earlier calls with other bounds
+        never change it."""
         raise NotImplementedError
 
     def lub2(self, p: Token, q: Token) -> Token:
@@ -408,8 +411,16 @@ def catalog_basis(name: str) -> FiniteBasis:
     return mk_finite_basis(elems, pairs, name=name)
 
 
+# name -> its one one-point basis, so that every chain's D0 and every stage
+# built over it is one object
+_ONE_POINT: Dict[str, FiniteBasis] = {}
+
+
 def one_point_basis(name="one-point") -> FiniteBasis:
-    return mk_finite_basis(["bot"], [], name=name)
+    b = _ONE_POINT.get(name)
+    if b is None:
+        b = _ONE_POINT[name] = mk_finite_basis(["bot"], [], name=name)
+    return b
 
 
 def flat_basis(points, name="flat") -> FiniteBasis:

@@ -11,6 +11,7 @@ identity decidable.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 from .basis import Basis, Token, TokenSet, tok
@@ -121,6 +122,20 @@ def _pairs_key(pairs):
     return ("fn", frozenset((p.key, q.key) for (p, q) in pairs))
 
 
+# (constructor, id of each part) -> the one basis built from those parts.
+# Each basis holds its parts, so while its entry lives no id in the key can be
+# reused; the entry goes when nothing else holds the basis.
+_BASES: weakref.WeakValueDictionary[tuple, Basis] = weakref.WeakValueDictionary()
+
+
+def _interned(kind: str, D: Basis, E: Basis, build) -> Basis:
+    key = (kind, id(D), id(E))
+    b = _BASES.get(key)
+    if b is None:
+        b = _BASES[key] = build(D, E)
+    return b
+
+
 # ---------------------------------------------------------------------------
 # disjoint sums (n-ary; binary separated/strict and lifting are instances)
 
@@ -133,6 +148,7 @@ class MultiSumBasis(Basis):
         self.name = name or "(" + glue.join(p.name for p in self.parts) + ")"
         self._bottom = tok(("sb",))
         self.finite = all(p.finite for p in self.parts)
+        self._tokens = {}
 
     @property
     def bottom(self):
@@ -195,6 +211,11 @@ class MultiSumBasis(Basis):
         return self.inject(i, inner)
 
     def tokens(self, bound=None):
+        if bound not in self._tokens:
+            self._tokens[bound] = self._enumerate(bound)
+        return self._tokens[bound]
+
+    def _enumerate(self, bound):
         toks = [self._bottom]
         truncated = False
         for i, part in enumerate(self.parts):
@@ -208,7 +229,7 @@ class MultiSumBasis(Basis):
 
 
 def sum_basis(D: Basis, E: Basis) -> MultiSumBasis:
-    return MultiSumBasis([D, E])
+    return _interned("sum", D, E, lambda D, E: MultiSumBasis([D, E]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +244,7 @@ class ProdBasis(Basis):
         self.name = name or f"({left.name}{glue}{right.name})"
         self.finite = left.finite and right.finite
         self._bottom = self.pair(left.bottom, right.bottom)
+        self._tokens = {}
 
     def pair(self, x: Token, y: Token) -> Token:
         if self.strict and (x == self.left.bottom) != (y == self.right.bottom):
@@ -268,6 +290,11 @@ class ProdBasis(Basis):
         return self.pair(x, y)
 
     def tokens(self, bound=None):
+        if bound not in self._tokens:
+            self._tokens[bound] = self._enumerate(bound)
+        return self._tokens[bound]
+
+    def _enumerate(self, bound):
         ls = self.left.tokens(bound)
         rs = self.right.tokens(bound)
         toks = []
@@ -280,7 +307,7 @@ class ProdBasis(Basis):
 
 
 def prod_basis(D: Basis, E: Basis) -> ProdBasis:
-    return ProdBasis(D, E)
+    return _interned("prod", D, E, ProdBasis)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +321,7 @@ class FunBasis(Basis):
         self.name = name or f"[{exponent.name} -> {values.name}]"
         self.finite = exponent.finite and values.finite
         self._bottom = self._wrap(frozenset())
-        self._token_cache = None
+        self._tokens = {}
         self._apply_cache = {}
         self._pairs_cache = {}
         self._leq_cache = {}
@@ -380,15 +407,14 @@ class FunBasis(Basis):
         )
 
     def tokens(self, bound=None):
-        if self.finite:
-            if self._token_cache is not None:
-                return TokenSet(self._token_cache, False)
-            if bound is not None:
-                # bounded view; avoids materialising huge function spaces
-                return self._enumerate_bounded(bound)
-            self._token_cache = self._enumerate_all()
-            return TokenSet(self._token_cache, False)
-        return self._enumerate_bounded(bound)
+        if bound not in self._tokens:
+            if self.finite and bound is None:
+                self._tokens[bound] = TokenSet(self._enumerate_all(), False)
+            else:
+                # a bound asks for the bounded view, on a finite basis too;
+                # avoids materialising huge function spaces
+                self._tokens[bound] = self._enumerate_bounded(bound)
+        return self._tokens[bound]
 
     def _enumerate_all(self):
         # depth-first assignment of monotone values over a linear extension
@@ -438,7 +464,7 @@ class FunBasis(Basis):
 
 
 def fun_basis(D: Basis, E: Basis) -> FunBasis:
-    return FunBasis(D, E)
+    return _interned("fun", D, E, FunBasis)
 
 
 # ---------------------------------------------------------------------------

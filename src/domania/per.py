@@ -192,6 +192,7 @@ class FiniteRel(StructuralRel):
             for (c, d) in self.pairs:
                 if b == c and (a, d) not in self.pairs:
                     raise CarrierMismatch("relation not transitive", witness=(a, d))
+        self._pair_cache = None
 
     def related(self, a, b, bound=None):
         return (a.key, b.key) in self.pairs
@@ -201,7 +202,7 @@ class FiniteRel(StructuralRel):
         return ts, True
 
     def related_pairs(self, bound=None):
-        if not hasattr(self, "_pair_cache"):
+        if self._pair_cache is None:
             toks = {t.key: t for t in self.carrier.tokens().tokens}
             self._pair_cache = [
                 (toks[a], toks[b]) for (a, b) in sorted(self.pairs, key=str)
@@ -579,9 +580,10 @@ def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> Doma
 
 
 def trivial_per() -> DomainPer:
+    d0 = one_point_basis("D0")
     return DomainPer(
-        one_point_basis("D0"),
-        FiniteRel(one_point_basis("D0"), frozenset()),
+        d0,
+        FiniteRel(d0, frozenset()),
         replace(ALL_YES, dense=NO, admissible_pedigree=UNKNOWN),
         name="trivial",
     )

@@ -140,6 +140,15 @@ def test_running_example_stabilizes_at_omega():
         assert v.stage == OMEGA
 
 
+def test_chain_links_and_stage_pers_share_one_basis_per_stage():
+    chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
+    links = [pe.emb for pe in chain.embeddings]
+    assert chain.stages[0][1].carrier is links[0].source
+    for n in range(1, 5):
+        assert links[n - 1].target is chain.stages[n][1].carrier is links[n].source
+    assert chain.iso.unfolded is chain.unfolded[0].carrier
+
+
 def class_search_verdict(chain, rank_bound):
     """Reference omega check: compare every fragment total with one image per
     omega-class, as the probe did before folding back."""

@@ -1,13 +1,19 @@
 import pytest
 
 from domania.basis import (
+    FlatNatBasis,
     catalog_basis,
     catalog_poset,
     enumerate_monotone_maps,
     one_point_basis,
     poset_of_basis,
 )
-from domania.construct import identity_embedding, verify_embedding
+from domania.construct import (
+    FunBasis,
+    MultiSumBasis,
+    identity_embedding,
+    verify_embedding,
+)
 from domania.errors import UnboundParameter
 from domania.spfunctor import (
     ConstD,
@@ -172,3 +178,45 @@ def test_fixed_point_iso_one_point():
     iso, report = fixed_point_iso(Id(), {}, lim, bound=1)
     assert report.verified
     assert report.token_count == 1
+
+
+def test_bounded_tokens_do_not_depend_on_earlier_calls():
+    stage4 = omega_chain(RUNNING, ENV, 4)[4].basis
+    fun = stage4.parts[1]
+    before = (fun.tokens(3), stage4.tokens(3))
+    assert all(ts.truncated for ts in before)
+    assert len(fun.tokens()) == 407 and not fun.tokens().truncated
+    assert len(stage4.tokens()) == 410
+    assert (fun.tokens(3).tokens, stage4.tokens(3).tokens) == (
+        before[0].tokens,
+        before[1].tokens,
+    )
+
+
+def _same_basis_answers(got, ref, bound):
+    for b in (bound, None):
+        assert got.tokens(b) == ref.tokens(b)
+    toks = ref.tokens(bound).tokens
+    for p in toks:
+        for q in toks:
+            assert got.leq(p, q) == ref.leq(p, q)
+            consistent = ref.cons((p, q))
+            assert got.cons((p, q)) == consistent
+            if consistent:
+                assert got.lub((p, q)) == ref.lub((p, q))
+
+
+@pytest.mark.parametrize(
+    "env",
+    [ENV, {"A": O, "B": FlatNatBasis()}],
+    ids=["A + [B -> X]", "A + [N -> X]"],
+)
+def test_interned_stages_answer_as_directly_built_ones(env):
+    # the slow reference: each stage's sum and function space built afresh,
+    # with caches of its own, around the interned parts one stage down
+    stages = omega_chain(RUNNING, env, 4)
+    for n in range(1, 5):
+        stage, prev = stages[n].basis, stages[n - 1].basis
+        fun = FunBasis(env["B"], prev)
+        _same_basis_answers(stage.parts[1], fun, 3)
+        _same_basis_answers(stage, MultiSumBasis([env["A"], fun]), 3)

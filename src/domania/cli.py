@@ -765,7 +765,8 @@ def cmd_independence(args) -> Tuple[int, str]:
     )
     checks = [
         _check("stage-weak-isos", "transfer-stage-isos",
-               "pass" if report.stage_isos_ok else "fail", args.rank_bound),
+               {True: "pass", False: "fail", None: "unknown"}[report.stage_isos_ok],
+               args.rank_bound),
         _check("uniform-family", "transfer-uniformity",
                "pass" if report.uniform else "fail", None),
         _check("class-matching", "fixed-point-independence",

@@ -597,15 +597,16 @@ def exp_general_embedding(f: Embedding, g: Embedding) -> Embedding:
     """(f- -> g) : [D -> E] -> [D' -> E'] for embeddings f: D->D', g: E->E'."""
     src = fun_basis(f.source, g.source)
     tgt = fun_basis(f.target, g.target)
-    if not f.source.finite:
-        raise NotAnEmbedding(
-            "general exponent action needs a finite source exponent"
-        )
 
     def fwd(t):
         return tgt.make([(f.fwd(p), g.fwd(q)) for (p, q) in src.pairs(t)])
 
     def proj(t):
+        # the only half that enumerates the exponent
+        if not f.source.finite:
+            raise NotAnEmbedding(
+                "general exponent action needs a finite source exponent"
+            )
         live = [(p, q) for (p, q) in tgt.pairs(t)]
         probes = list(f.source.tokens().tokens)
         return src._wrap(

@@ -8,12 +8,20 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from .basis import Basis, Token, TokenSet
-from .construct import canonical_from_probes, premise_closure
+from .construct import Embedding, canonical_from_probes, premise_closure
 from .errors import NonDenseParameter, TrivialFunctor, UnknownToken
 from .ordinals import omega_plus
 from .per import YES, DomainPer, tri_all, trivial_per
 from .perlfp import PerChain, apply_functor_per, functor_is_trivial, per_chain_extend
-from .spfunctor import ConstD, Exp, Id, Prod, Sum, carrier_table
+from .spfunctor import (
+    ConstD,
+    Exp,
+    Id,
+    Prod,
+    Sum,
+    apply_functor_embedding,
+    carrier_table,
+)
 
 
 @dataclass
@@ -116,11 +124,11 @@ class DeltaFamily:
             raise TrivialFunctor("the closed-set family needs a non-trivial equation")
         self.chain = chain
         self.limit = chain.per_limit.limit
-        self._carriers = carrier_table(
-            chain.functor, self.limit, {k: v.carrier for k, v in chain.env.items()}
-        )
+        self._domain_env = {k: v.carrier for k, v in chain.env.items()}
+        self._carriers = carrier_table(chain.functor, self.limit, self._domain_env)
         self._member_cache = {}
         self._retract_cache = {}
+        self._lifts: Dict[int, Embedding] = {}
 
     # membership -----------------------------------------------------------
     def member(self, n: int, t: Token) -> bool:
@@ -175,12 +183,22 @@ class DeltaFamily:
                     self._r0(self.chain.functor, self.chain.iso.fwd(t))
                 )
             else:
-                prev = lambda x: self.retract(n - 1, x)
-                out = self.chain.iso.inv(
-                    self._fmap(self.chain.functor, prev, self.chain.iso.fwd(t))
-                )
+                out = self.chain.iso.inv(self._lift(n).proj(self.chain.iso.fwd(t)))
             self._retract_cache[key] = out
         return self._retract_cache[key]
+
+    def _lift(self, n: int) -> Embedding:
+        """F applied to r_{n-1}, seen as an ep-pair on the limit.  Only its
+        projection half is read: pointwise post-composition on the premise
+        closure, which holds for any monotone token map.  The forward half's
+        step-image rule holds only for strict additive maps."""
+        if n not in self._lifts:
+            L = self.limit
+            r = lambda x: self.retract(n - 1, x)
+            self._lifts[n] = apply_functor_embedding(
+                self.chain.functor, Embedding(L, L, r, r), self._domain_env
+            )
+        return self._lifts[n]
 
     def _least_total(self, expr) -> Token:
         per0 = apply_functor_per(expr, trivial_per(), self.chain.env)
@@ -231,40 +249,6 @@ class DeltaFamily:
                 )
             )
         raise TypeError(expr)  # Id is trivial, so never reached by itself
-
-    def _fmap(self, expr, h, value: Token) -> Token:
-        if isinstance(expr, ConstD):
-            return value
-        if isinstance(expr, Id):
-            return h(value)
-        if isinstance(expr, Sum):
-            carrier = self._carriers[id(expr)]
-            spl = carrier.split(value)
-            if spl is None:
-                return value
-            i, x = spl
-            return carrier.inject(i, self._fmap((expr.left, expr.right)[i], h, x))
-        if isinstance(expr, Prod):
-            carrier = self._carriers[id(expr)]
-            x, y = carrier.split(value)
-            return carrier.pair(
-                self._fmap(expr.left, h, x), self._fmap(expr.right, h, y)
-            )
-        if isinstance(expr, Exp):
-            carrier = self._carriers[id(expr)]
-            B = carrier.exponent
-            live = [(p, q) for (p, q) in carrier.pairs(value)]
-            probes = premise_closure({p for (p, _) in live}, B) if live else set()
-            body_carrier = self._carriers[id(expr.body)]
-            return carrier._wrap(
-                canonical_from_probes(
-                    probes,
-                    lambda p: self._fmap(expr.body, h, carrier.apply(value, p)),
-                    B,
-                    body_carrier,
-                )
-            )
-        raise TypeError(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basis import Basis, FlatNatBasis, Token, TokenSet, one_point_basis, tok
@@ -27,7 +28,17 @@ from .per import (
     pointwise_flags,
 )
 from .perlfp import PerChain
-from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum, carrier_table
+from .spfunctor import (
+    ConstD,
+    Exp,
+    FunctorExpr,
+    Id,
+    Prod,
+    Sum,
+    carrier_table,
+    functor_action,
+    subterms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +47,7 @@ from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum, carrier_table
 
 def atomic_subfunctors(expr: FunctorExpr) -> List[FunctorExpr]:
     """Every occurrence of the identity or of a constant, in reading order."""
-    if isinstance(expr, (Id, ConstD)):
-        return [expr]
-    if isinstance(expr, (Sum, Prod)):
-        return atomic_subfunctors(expr.left) + atomic_subfunctors(expr.right)
-    if isinstance(expr, Exp):
-        return atomic_subfunctors(expr.body)
-    raise TypeError(expr)
+    return [e for (_, e) in subterms(expr) if isinstance(e, (Id, ConstD))]
 
 
 def _point_per(name="T") -> DomainPer:
@@ -55,32 +60,27 @@ def _point_per(name="T") -> DomainPer:
     )
 
 
+# the input per of a sub-term: a point for the variable and each constant,
+# products across sums, sums across products, and the exponent paired in
+# front of exponentials
+INPUT_PERS = (
+    lambda B: _point_per(),
+    partial(per_construct, "prod"),
+    partial(per_construct, "sum"),
+    partial(per_construct, "prod"),
+)
+
+
 def input_per_table(
     expr: FunctorExpr, env: Dict[str, DomainPer]
 ) -> Dict[int, DomainPer]:
-    """Input per of every sub-term of expr, keyed by id(sub-term): products
-    across sums, sums across products, and the exponent paired in front of
-    exponentials.  Each is built once and reused by the sub-term above it."""
-    table = {}
-
-    def walk(e):
-        if isinstance(e, (Id, ConstD)):
-            per = _point_per()
-        elif isinstance(e, Sum):
-            per = per_construct("prod", walk(e.left), walk(e.right))
-        elif isinstance(e, Prod):
-            per = per_construct("sum", walk(e.left), walk(e.right))
-        elif isinstance(e, Exp):
-            B = env[e.param]
-            if B.flags.dense != YES:
-                raise NonDenseExponent(f"exponent {e.param!r} is not flagged dense")
-            per = per_construct("prod", B, walk(e.body))
-        else:
-            raise TypeError(e)
-        table[id(e)] = per
-        return per
-
-    walk(expr)
+    """Input per of every sub-term of expr, keyed by id(sub-term).  Each is
+    built once and reused by the sub-term above it."""
+    for (_, e) in subterms(expr):
+        if isinstance(e, Exp) and env[e.param].flags.dense != YES:
+            raise NonDenseExponent(f"exponent {e.param!r} is not flagged dense")
+    table: Dict[int, DomainPer] = {}
+    functor_action(expr, _point_per(), env, INPUT_PERS, table)
     return table
 
 

@@ -804,19 +804,6 @@ def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None):
     return (None if unknown else True), None
 
 
-def related_to_known(f_known, g, D: DomainPer, E: DomainPer, bound=None):
-    """Shortcut comparison against a known-equivariant map: totals only."""
-    ts, exact = D.totals(bound)
-    unknown = not exact
-    for x in ts:
-        r = E.related(f_known(x), g(x), bound)
-        if r is False:
-            return False, x
-        if r is None:
-            unknown = True
-    return (None if unknown else True), None
-
-
 def equi_injective(f, D: DomainPer, E: DomainPer, bound=None):
     """Reflection of relatedness, checked over enumerated totals."""
     ts, exact = D.totals(bound)

@@ -14,6 +14,7 @@ no token; it is kept as the list x_0, x_1, ..., each a limit token."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .basis import Token
@@ -38,38 +39,29 @@ from .spfunctor import (
     FixedPointIso,
     FunctorExpr,
     Id,
-    Prod,
     Sum,
     apply_functor_embedding,
     fixed_point_iso,
+    functor_action,
+    identity,
     omega_chain,
+    subterms,
+)
+
+
+# F on pers
+PERS = (
+    identity,
+    partial(per_construct, "sum"),
+    partial(per_construct, "prod"),
+    partial(per_construct, "fun"),
 )
 
 
 def apply_functor_per(
     expr: FunctorExpr, X: DomainPer, env: Dict[str, DomainPer]
 ) -> DomainPer:
-    if isinstance(expr, Id):
-        return X
-    if isinstance(expr, ConstD):
-        return env[expr.name]
-    if isinstance(expr, Sum):
-        return per_construct(
-            "sum",
-            apply_functor_per(expr.left, X, env),
-            apply_functor_per(expr.right, X, env),
-        )
-    if isinstance(expr, Prod):
-        return per_construct(
-            "prod",
-            apply_functor_per(expr.left, X, env),
-            apply_functor_per(expr.right, X, env),
-        )
-    if isinstance(expr, Exp):
-        return per_construct(
-            "fun", env[expr.param], apply_functor_per(expr.body, X, env)
-        )
-    raise TypeError(expr)
+    return functor_action(expr, X, env, PERS)
 
 
 def functor_is_trivial(expr: FunctorExpr, env: Dict[str, DomainPer], bound=None) -> bool:
@@ -289,23 +281,11 @@ def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
 # the non-stabilisation witness
 
 
-def _subterms(expr: FunctorExpr, path=()):
-    """(path, sub-term) pairs of expr in preorder; a path lists the child
-    indices from expr down: 0 and 1 for the sides of a Sum or Prod, 0 for
-    the body of an Exp."""
-    yield path, expr
-    if isinstance(expr, Exp):
-        yield from _subterms(expr.body, path + (0,))
-    elif isinstance(expr, (Sum, Prod)):
-        yield from _subterms(expr.left, path + (0,))
-        yield from _subterms(expr.right, path + (1,))
-
-
 def _infinite_exponents(expr: FunctorExpr, env):
     """(path, sub-term) of every Exp of expr over a carrier that is not finite."""
     return [
         (path, e)
-        for (path, e) in _subterms(expr)
+        for (path, e) in subterms(expr)
         if isinstance(e, Exp) and not env[e.param].carrier.finite
     ]
 
@@ -315,7 +295,7 @@ def _nesting_path(expr: FunctorExpr, env):
     the path to it, and the path on to the first variable in its body; None
     when there is no such Exp."""
     for (path, e) in _infinite_exponents(expr, env):
-        for (sub, leaf) in _subterms(e.body, path + (0,)):
+        for (sub, leaf) in subterms(e.body, path + (0,)):
             if isinstance(leaf, Id):
                 return e, path, sub
     return None

@@ -1,4 +1,5 @@
-"""Strictly positive operation ASTs, their action on bases and embeddings,
+"""Strictly positive operation ASTs, the one structural walk by which an
+operation acts on bases, pers, embedding-projection pairs and token maps,
 omega-chains, inductive limits, and the fixed-point order isomorphism."""
 
 from __future__ import annotations
@@ -70,33 +71,70 @@ class Exp(FunctorExpr):
         return f"[{self.param} -> {self.body}]"
 
 
+def subterms(expr: FunctorExpr, path=()):
+    """(path, sub-term) pairs of expr in preorder; a path lists the child
+    indices from expr down: 0 and 1 for the sides of a Sum or Prod, 0 for
+    the body of an Exp."""
+    yield path, expr
+    if isinstance(expr, Exp):
+        yield from subterms(expr.body, path + (0,))
+    elif isinstance(expr, (Sum, Prod)):
+        yield from subterms(expr.left, path + (0,))
+        yield from subterms(expr.right, path + (1,))
+
+
 def validate_functor(expr: FunctorExpr, env: Dict[str, object]):
     """Names must resolve; exponent positions must be constant parameters."""
-    if isinstance(expr, Id):
-        return
-    if isinstance(expr, ConstD):
-        if expr.name not in env:
-            raise UnboundParameter(f"unbound parameter {expr.name!r}")
-        return
-    if isinstance(expr, (Sum, Prod)):
-        validate_functor(expr.left, env)
-        validate_functor(expr.right, env)
-        return
-    if isinstance(expr, Exp):
-        if expr.param not in env:
-            raise UnboundParameter(f"unbound exponent parameter {expr.param!r}")
-        validate_functor(expr.body, env)
-        return
-    raise TypeError(f"not a functor expression: {expr!r}")
+    for _, e in subterms(expr):
+        if not isinstance(e, FunctorExpr):
+            raise TypeError(f"not a functor expression: {e!r}")
+        if isinstance(e, ConstD) and e.name not in env:
+            raise UnboundParameter(f"unbound parameter {e.name!r}")
+        if isinstance(e, Exp) and e.param not in env:
+            raise UnboundParameter(f"unbound exponent parameter {e.param!r}")
 
 
 # ---------------------------------------------------------------------------
-# action on bases and embeddings
+# the functorial action
+
+
+def functor_action(expr: FunctorExpr, x, env: Dict[str, object], ops, table=None):
+    """F's action at x, built bottom-up by one walk over the equation.
+
+    `ops` is (const, sum, prod, exp): the variable gives x itself, a
+    parameter gives const(env[name]), a sum or product combines the values
+    of its sides, and [P -> body] gives exp(env[P], value of body).  When
+    `table` is given it records the value of every sub-term by its id."""
+    if isinstance(expr, Id):
+        out = x
+    elif isinstance(expr, ConstD):
+        out = ops[0](env[expr.name])
+    elif isinstance(expr, (Sum, Prod)):
+        out = ops[1 if isinstance(expr, Sum) else 2](
+            functor_action(expr.left, x, env, ops, table),
+            functor_action(expr.right, x, env, ops, table),
+        )
+    elif isinstance(expr, Exp):
+        out = ops[3](env[expr.param], functor_action(expr.body, x, env, ops, table))
+    else:
+        raise TypeError(expr)
+    if table is not None:
+        table[id(expr)] = out
+    return out
+
+
+def identity(v):
+    return v
+
+
+# F on bases and on embedding-projection pairs
+BASES = (identity, sum_basis, prod_basis, fun_basis)
+EMBEDDINGS = (identity_embedding, sum_embedding, prod_embedding, exp_fixed_embedding)
 
 
 def apply_functor_domain(expr: FunctorExpr, D: Basis, env: Dict[str, Basis]) -> Basis:
     validate_functor(expr, env)
-    return _apply_domain(expr, D, env)
+    return functor_action(expr, D, env, BASES)
 
 
 def carrier_table(
@@ -104,57 +142,16 @@ def carrier_table(
 ) -> Dict[int, Basis]:
     """Carrier of every sub-term of expr applied at D, keyed by id(sub-term)."""
     validate_functor(expr, env)
-    table = {}
-
-    def walk(e):
-        table[id(e)] = _apply_domain(e, D, env)
-        if isinstance(e, (Sum, Prod)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Exp):
-            walk(e.body)
-
-    walk(expr)
+    table: Dict[int, Basis] = {}
+    functor_action(expr, D, env, BASES, table)
     return table
-
-
-def _apply_domain(expr, D, env):
-    if isinstance(expr, Id):
-        return D
-    if isinstance(expr, ConstD):
-        return env[expr.name]
-    if isinstance(expr, Sum):
-        return sum_basis(_apply_domain(expr.left, D, env), _apply_domain(expr.right, D, env))
-    if isinstance(expr, Prod):
-        return prod_basis(_apply_domain(expr.left, D, env), _apply_domain(expr.right, D, env))
-    if isinstance(expr, Exp):
-        return fun_basis(env[expr.param], _apply_domain(expr.body, D, env))
-    raise TypeError(expr)
 
 
 def apply_functor_embedding(
     expr: FunctorExpr, f: Embedding, env: Dict[str, Basis]
 ) -> Embedding:
     validate_functor(expr, env)
-    return _apply_embedding(expr, f, env)
-
-
-def _apply_embedding(expr, f, env):
-    if isinstance(expr, Id):
-        return f
-    if isinstance(expr, ConstD):
-        return identity_embedding(env[expr.name])
-    if isinstance(expr, Sum):
-        return sum_embedding(
-            _apply_embedding(expr.left, f, env), _apply_embedding(expr.right, f, env)
-        )
-    if isinstance(expr, Prod):
-        return prod_embedding(
-            _apply_embedding(expr.left, f, env), _apply_embedding(expr.right, f, env)
-        )
-    if isinstance(expr, Exp):
-        return exp_fixed_embedding(env[expr.param], _apply_embedding(expr.body, f, env))
-    raise TypeError(expr)
+    return functor_action(expr, f, env, EMBEDDINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +310,6 @@ class LimitBasis(Basis):
                     seen.add(c.key)
                     out.append(c)
         return TokenSet(tuple(out), True)
-
-    def new_tokens_at(self, n: int, bound=None):
-        """Canonical tokens whose minimal stage is exactly n."""
-        out = []
-        stage_bound = None if self.stages[n].basis.finite else bound
-        for t in self.stages[n].basis.tokens(stage_bound).tokens:
-            c = self.canonical(n, t)
-            if c.key[1] == n:
-                out.append(c)
-        return out
 
     def stage_embedding(self, n: int) -> Embedding:
         if n in self._stage_emb_cache:

@@ -250,6 +250,22 @@ def test_infinite_exponent_without_witness_is_unknown(eq, rank_bound):
     assert checks["stabilization"]["bound"] == int(rank_bound)
 
 
+def test_independence_undecided_stages_report_unknown():
+    # over the flat naturals no stage weak isomorphism is decided at the
+    # bound; the fold reports unknown, and unknown keeps exit code 0
+    eq = FLATNAT_PARAMS + "X = A + [N -> X]"
+    code, text = run_command(
+        ["independence", "--eq", eq, "--eq2", eq, "--rank-bound", "2"]
+    )
+    checks = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
+    assert checks == {
+        "stage-weak-isos": "unknown",
+        "uniform-family": "pass",
+        "class-matching": "pass",
+    }
+    assert code == 0
+
+
 def test_scan_order_permutes_but_keeps_everything(monkeypatch):
     items = list(range(12))
     monkeypatch.delenv("DOMANIA_SEED", raising=False)

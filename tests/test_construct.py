@@ -26,7 +26,7 @@ from domania.construct import (
     sum_embedding,
     verify_embedding,
 )
-from domania.errors import InconsistentUnion
+from domania.errors import InconsistentUnion, NotAnEmbedding
 
 O = catalog_basis("two-chain")
 VEE = catalog_basis("vee")
@@ -206,6 +206,20 @@ def test_exp_general_embedding_laws():
     verify_embedding(g)
     emb = exp_general_embedding(f, g)
     verify_embedding(emb)
+
+
+def test_exp_general_embedding_over_an_infinite_exponent():
+    # the forward half moves each step and needs no enumeration of the
+    # exponent; only the projection half enumerates it
+    from domania.basis import FlatNatBasis
+
+    nat = identity_embedding(FlatNatBasis())
+    f = _mk_embedding(O, catalog_basis("three-chain"), {"bot": "bot", "top": "mid"})
+    emb = exp_general_embedding(nat, f)
+    step = emb.source.make([(nat.source.nat(1), TOP)])
+    assert emb.fwd(step) == emb.target.make([(nat.target.nat(1), tok("mid"))])
+    with pytest.raises(NotAnEmbedding):
+        emb.proj(emb.fwd(step))
 
 
 def test_all_embedding_constructors_satisfy_ep_laws():

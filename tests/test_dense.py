@@ -2,6 +2,7 @@ import pytest
 
 from domania.basis import catalog_basis, tok
 from domania.builtins import sierpinski_per, trivial_per
+from domania.construct import Embedding, exp_fixed_embedding, fun_basis
 from domania.dense import (
     DeltaFamily,
     dense_lfp,
@@ -35,7 +36,7 @@ def test_has_total_extension_unknown_on_staged():
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=3)
     lim = chain.per_limit.limit
     # a stage-3 token whose extensions lie beyond the small search bound
-    deep = lim.new_tokens_at(3)[-1]
+    deep = [c for c in lim.tokens(3).tokens if lim.decompose(c)[0] == 3][-1]
     v = has_total_extension(chain.per_limit.per, deep, bound=1)
     assert v.status in ("unknown", "yes")
     if v.status == "unknown":
@@ -90,6 +91,31 @@ def test_retraction_fixes_exactly_delta():
         for t in lim.tokens(3).tokens:
             fixed = fam.retract(n, t) == t
             assert fixed == fam.member(n, t), (n, t.pretty)
+
+
+def test_lifted_retraction_projection_against_pointwise_reference():
+    # the projection half of [id_B -> r] on the premise closure against the
+    # monotone map that probes every exponent token
+    chain = _running_chain(4)
+    fam = DeltaFamily(chain)
+    lim = chain.per_limit.limit
+    B = chain.env["B"].carrier
+    fb = fun_basis(B, lim)
+
+    def r(x):
+        return fam.retract(1, x)
+
+    lifted = exp_fixed_embedding(B, Embedding(lim, lim, r, r))
+    checked = 0
+    for t in lim.tokens(3).tokens:
+        spl = chain.iso.unfolded.split(chain.iso.fwd(t))
+        if spl is None or spl[0] != 1:
+            continue
+        phi = spl[1]
+        expected = fb.from_function(lambda p: r(fb.apply(phi, p)))
+        assert lifted.proj(phi) == expected, phi.pretty
+        checked += 1
+    assert checked > 10
 
 
 def test_delta_monotone_in_n():

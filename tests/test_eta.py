@@ -5,7 +5,7 @@ import pytest
 from domania.basis import Token, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per
 from domania.dense import dense_lfp
-from domania.errors import MalformedCode, NotWitnessed
+from domania.errors import MalformedCode, NonDenseExponent, NotWitnessed
 from domania.eta import (
     EtaBarSystem,
     EtaSystem,
@@ -55,6 +55,16 @@ def test_input_per_shapes():
     var = Id()
     t_id = input_per_table(var, env)[id(var)]
     assert len(t_id.carrier.tokens().tokens) == 1
+
+
+def test_input_per_table_names_a_non_dense_exponent():
+    from domania.basis import catalog_basis
+    from domania.per import finite_per
+
+    bad = finite_per(catalog_basis("two-chain"), [(tok("top"), tok("top"))])
+    env = {"A": sierpinski_per(), "C": bad}
+    with pytest.raises(NonDenseExponent, match="'C'"):
+        input_per_table(Sum(ConstD("A"), Exp("C", Id())), env)
 
 
 def test_eta_constant_component_is_constant_map():

@@ -25,14 +25,11 @@ TEST_ONLY = {
     "flags_from_checks",  # per: flags read off the property checkers
     "mediating_algebra_morphism",  # perlfp: initiality of the fixed point
     "prec_check",  # per: a token approximates a class
-    "related_to_known",  # per: a map against a known equivariant map
     # reference constructions the reports reach by another path
     "chain_embedding",  # spfunctor: composite of chain links
     "enumerate_ideals",  # qcb: ideal completion of a finite basis
     "eta_token",  # eta: the one-step map as a step set
-    "exp_general_embedding",  # construct: exponential in both arguments
     "image_per",  # per: the image per of a map
-    "new_tokens_at",  # spfunctor: tokens of one limit stage
     "node_premise",  # eta: premise of an eta-bar tree node
     "tree_morphism",  # eta: morphism between eta-bar trees
 }

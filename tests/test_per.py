@@ -28,7 +28,6 @@ from domania.per import (
     limit_per,
     per_construct,
     prec_check,
-    related_to_known,
     uniform_limit_map,
     weak_iso_check,
 )
@@ -461,12 +460,6 @@ def test_fresh_link_groups_its_source_totals_once(monkeypatch):
     monkeypatch.setattr(per_module, "group_classes", counting)
     assert is_equiembedding(PerEmbedding(emb.embed_from_prev, source, target)).ok
     assert grouped == [len(source.totals()[0])]
-
-
-def test_related_to_known_shortcut():
-    per = osier()
-    ok, _ = related_to_known(lambda v: v, lambda v: TOP, per, per)
-    assert ok is True  # on totals the two maps agree up to the per
 
 
 def test_is_equiembedding_identity():

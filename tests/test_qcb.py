@@ -255,3 +255,38 @@ def test_independence_shape_mismatch():
             F, {"A": sier.per, "B": sier.per}, G,
             {"A": sier.per, "B": sier.per}, {}, rank_bound=1,
         )
+
+
+def _one_against_two_parameters(pair_names):
+    """X = A + [A -> X] against X = C + [D -> X], all over Sierpinski, with
+    the supplied pairs named by `pair_names`."""
+    reps = {
+        k: standard_representation(sierpinski_space(), sier_pseudobase())
+        for k in ("A", "C", "D")
+    }
+    ident = {
+        ("pb", ("bot", "top")): ("pb", ("bot", "top")),
+        ("pb", ("top",)): ("pb", ("top",)),
+    }
+    pairs = {
+        (f, g): token_iso_pair(reps[f].per, reps[g].per, ident)
+        for (f, g) in pair_names
+    }
+    return fixed_point_independence(
+        Sum(ConstD("A"), Exp("A", Id())), {"A": reps["A"].per},
+        Sum(ConstD("C"), Exp("D", Id())), {"C": reps["C"].per, "D": reps["D"].per},
+        pairs, rank_bound=2,
+    )
+
+
+def test_independence_pairs_parameters_by_position():
+    # one F parameter stands at two G positions: each position takes the
+    # pair of its own two names
+    report = _one_against_two_parameters([("A", "C"), ("A", "D")])
+    assert report.stage_isos_ok is True
+    assert report.ok
+
+
+def test_independence_missing_pair():
+    with pytest.raises(NotWeaklyEquivalent, match=r"\(A,D\)"):
+        _one_against_two_parameters([("A", "C")])

@@ -25,8 +25,10 @@ from domania.spfunctor import (
     apply_functor_domain,
     apply_functor_embedding,
     chain_embedding,
+    carrier_table,
     fixed_point_iso,
     omega_chain,
+    subterms,
 )
 
 O = catalog_basis("two-chain")
@@ -130,10 +132,9 @@ def test_limit_canonical_token_count():
     # stage-3 count frozen from the monotone-map oracle: 1 + |O| + 39 maps O->D2
     assert len(lim.tokens(3)) == 42
     # canonical stage tags are minimal: nothing new is an old image
-    for n in range(1, 4):
-        for c in lim.new_tokens_at(n):
-            stage, inner = lim.decompose(c)
-            assert stage == n
+    for c in lim.tokens(3).tokens:
+        n, inner = lim.decompose(c)
+        if n >= 1:
             emb = lim.stages[n].embed_from_prev
             assert emb.fwd(emb.proj(inner)) != inner
 
@@ -220,3 +221,14 @@ def test_interned_stages_answer_as_directly_built_ones(env):
         fun = FunBasis(env["B"], prev)
         _same_basis_answers(stage.parts[1], fun, 3)
         _same_basis_answers(stage, MultiSumBasis([env["A"], fun]), 3)
+
+
+def test_carrier_table_is_the_action_at_every_subterm():
+    # one bottom-up pass records, for each sub-term, the basis that F's
+    # action on that sub-term alone builds
+    D = omega_chain(RUNNING, ENV, 2)[2].basis
+    expr = Prod(RUNNING, Exp("B", Sum(Id(), ConstD("A"))))
+    table = carrier_table(expr, D, ENV)
+    assert len(table) == len(list(subterms(expr)))
+    for _, e in subterms(expr):
+        assert table[id(e)] is apply_functor_domain(e, D, ENV)

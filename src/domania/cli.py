@@ -53,16 +53,7 @@ from .eta import dense_image_weak_iso
 from .ordinals import omega_plus
 from .per import DomainPer, finite_per
 from .perlfp import per_chain_extend, stabilization_probe
-from .qcb import (
-    discrete_space,
-    fixed_point_independence,
-    mk_space,
-    qcb_fixed_point,
-    sierpinski_space,
-    standard_representation,
-    token_iso_pair,
-)
-from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum
+from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum, subterms
 
 
 def scan_order(items):
@@ -334,6 +325,8 @@ def _parse_point_sets(text: str) -> List[List[str]]:
 
 
 def load_space_file(path: str):
+    from .qcb import mk_space
+
     kv = _parse_kv_file(path)
     points = kv["points"].split()
     opens = _parse_point_sets(kv["opens"])
@@ -347,6 +340,8 @@ def resolve_per_source(src: str, nat_bound=8, base_dir=".") -> DomainPer:
         path = os.path.join(base_dir, src[5:-1])
         kv = _parse_kv_file(path)
         if "points" in kv:
+            from .qcb import standard_representation
+
             space, pb = load_space_file(path)
             return standard_representation(space, pb).per
         if "carrier" in kv:
@@ -356,6 +351,8 @@ def resolve_per_source(src: str, nat_bound=8, base_dir=".") -> DomainPer:
 
 
 def resolve_space_source(src: str, base_dir="."):
+    from .qcb import discrete_space, sierpinski_space, standard_representation
+
     if src.startswith("file(") and src.endswith(")"):
         space, pb = load_space_file(os.path.join(base_dir, src[5:-1]))
         return standard_representation(space, pb)
@@ -634,6 +631,8 @@ def cmd_eta_roundtrip(args) -> Tuple[int, str]:
 
 
 def cmd_qcb(args) -> Tuple[int, str]:
+    from .qcb import qcb_fixed_point
+
     src = _load_equation(args.eq)
     bindings = {}
     for (name, s) in src.decls.items():
@@ -749,12 +748,23 @@ def cmd_oracle(args) -> Tuple[int, str]:
 
 
 def cmd_independence(args) -> Tuple[int, str]:
+    from .qcb import _paired, fixed_point_independence, token_iso_pair
+
     src_f = _load_equation(args.eq)
     src_g = _load_equation(args.eq2)
     env_f = _per_env(src_f, args.nat_bound)
     env_g = _per_env(src_g, args.nat_bound)
+    # the library pairs parameters by position: the (F name, G name) pairs
+    # that reading F side by side with G puts at each parameter
+    paired = _paired(src_f.expr, src_g.expr)
+    names = [] if paired is None else [
+        e.name if isinstance(e, ConstD) else e.param
+        for (_, e) in subterms(paired)
+        if isinstance(e, (ConstD, Exp))
+    ]
     pairs = {}
-    for (fn, fp), (gn, gp) in zip(sorted(env_f.items()), sorted(env_g.items())):
+    for (fn, gn) in names:
+        fp, gp = env_f[fn], env_g[gn]
         f_toks = sorted(fp.carrier.tokens().tokens, key=_order_rank(fp.carrier))
         g_toks = sorted(gp.carrier.tokens().tokens, key=_order_rank(gp.carrier))
         mapping = {a.key: b.key for (a, b) in zip(f_toks, g_toks)}

@@ -61,8 +61,13 @@ the scan over all source totals would find nothing: `is_equiembedding`
 returns True on that certificate, unknown only where the source totals or
 the target carrier are not exhaustive. Otherwise the pairwise scan, the
 reference, decides, and it alone gives a reflection failure and its witness.
-A chain link is decided once, where the chain is built; `limit_per` takes
-its links as checked.
+A chain link is decided once, where the chain is built
+(`perlfp.per_chain_extend`). Link 1 goes through `is_equiembedding`. Link
+n+1 is the equation applied to link n, and strictly positive operations send
+equiembeddings to equiembeddings when every exponent per is dense, so it is
+True and exact with no scan when link n was decided True exactly and every
+exponent per is flagged dense; otherwise `is_equiembedding` decides it too.
+`limit_per` takes its links as decided.
 
 Flag rules. Sums, products and limits take each flag pointwise
 (`pointwise_flags`: yes when every part says yes, no when one says no); a
@@ -429,8 +434,7 @@ class LimitRel(StructuralRel):
         out, seen = [], set()
         for n in range(b + 1):
             ts, _ = self.stage_pers[n].totals(bound)
-            for t in ts:
-                c = self.limit.canonical(n, t)
+            for c in self.limit.tags(n, ts):
                 if c.key not in seen:
                     seen.add(c.key)
                     out.append(c)
@@ -958,8 +962,9 @@ def limit_per(
     stage_pers: Sequence[DomainPer], embeddings: Sequence[PerEmbedding]
 ) -> PerLimit:
     """Inductive limit of a chain of equiembeddings.  The links are taken as
-    checked: the caller decides each one (`per_chain_extend` does, as it
-    builds the chain), and the limit only checks that the chain fits."""
+    decided: the caller decides each one (`per_chain_extend` does, as it
+    builds the chain, by a scan or by functoriality), and the limit only
+    checks that the chain fits."""
     if len(embeddings) != len(stage_pers) - 1:
         raise IncoherentChain("need one embedding per consecutive stage pair")
     stages = [ChainStage(fin(0), stage_pers[0].carrier, None)]

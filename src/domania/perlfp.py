@@ -22,6 +22,7 @@ from .construct import Embedding, identity_embedding
 from .errors import IsoFailure, NotAnAlgebra
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
+    YES,
     DomainPer,
     PerEmbedding,
     PerLimit,
@@ -64,6 +65,25 @@ def apply_functor_per(
     return functor_action(expr, X, env, PERS)
 
 
+def _both(a, b):
+    """Tri-state and of two link verdicts."""
+    if a is False or b is False:
+        return False
+    return True if a is True and b is True else None
+
+
+# F on link verdicts: F sends an equiembedding to an equiembedding (Smyth &
+# Plotkin for ep-pairs; the per lemma for equiembeddings needs each exponent
+# per dense).  A parameter's link is the identity; None leaves the link to
+# the scans.
+LINKS = (
+    lambda P: True,
+    _both,
+    _both,
+    lambda P, body: body if P.flags.dense == YES else None,
+)
+
+
 def functor_is_trivial(expr: FunctorExpr, env: Dict[str, DomainPer], bound=None) -> bool:
     """A functor is trivial when its value at the trivial per has no totals."""
     f_d0 = apply_functor_per(expr, trivial_per(), env)
@@ -96,8 +116,15 @@ class PerChain:
     per_limit: Optional[PerLimit] = None
     iso: Optional[FixedPointIso] = None
     unfolded: List[DomainPer] = field(default_factory=list)  # pers on F(D_omega)
-    # smallest bound a link was checked at; None when every check was exhaustive
-    link_bound: Optional[int] = None
+    # the bound each finite link was decided at; None when it was decided
+    # exactly, by an exhaustive scan or by functoriality
+    link_bounds: List[Optional[int]] = field(default_factory=list)
+
+    @property
+    def link_bound(self) -> Optional[int]:
+        """Smallest bound a link was decided at; None when every link was
+        decided exactly."""
+        return min((b for b in self.link_bounds if b is not None), default=None)
 
 
 def per_chain_extend(
@@ -107,32 +134,41 @@ def per_chain_extend(
     n_finite: int = 4,
 ) -> PerChain:
     """Chain stages up to `upto`; finite part always built to n_finite when
-    the target lies at or past omega.  Each link is decided here, once."""
+    the target lies at or past omega.  Each link is decided here, once.
+
+    Link n+1 is F applied to link n.  When link n was decided True exactly
+    and `LINKS` gives True, link n+1 is True and exact with no scan.
+    Otherwise the scans decide it, as they decide link 1: exhaustively up to
+    stage 4 over finite parameters, on bound-3 fragments past it or over
+    staged parameters."""
     domain_env = {k: v.carrier for (k, v) in env.items()}
     depth = n_finite if not upto.is_finite else upto.k
-    # links are checked exhaustively up to stage 4 over finite parameters,
-    # on bound-3 fragments past it or over staged parameters
     exhaustive = all(p.carrier.finite for p in env.values())
-    bounds = [None if exhaustive and n <= 4 else 3 for n in range(1, depth + 1)]
     pers: List[Tuple[Ordinal, DomainPer]] = [(fin(0), trivial_per())]
     embeddings: List[PerEmbedding] = []
+    link_bounds: List[Optional[int]] = []
+    exact = False  # link n was decided True exactly
     dstages = omega_chain(expr, domain_env, depth)
     for n in range(1, depth + 1):
         per_n = apply_functor_per(expr, pers[-1][1], env)
         # reuse the domain chain's carrier bookkeeping
         emb = dstages[n].embed_from_prev
         pe = PerEmbedding(emb, pers[-1][1], per_n, name=f"f{n - 1},{n}")
-        v = is_equiembedding(pe, bounds[n - 1])
-        if not v.ok:
-            raise NotAnAlgebra(
-                f"chain link {n} is not an equiembedding ({v.clause})",
-                witness=v.witness,
-            )
+        if exact and functor_action(expr, True, env, LINKS) is True:
+            bound = None
+        else:
+            bound = None if exhaustive and n <= 4 else 3
+            v = is_equiembedding(pe, bound)
+            if not v.ok:
+                raise NotAnAlgebra(
+                    f"chain link {n} is not an equiembedding ({v.clause})",
+                    witness=v.witness,
+                )
+            exact = bound is None and not v.unknown
         pers.append((fin(n), per_n))
         embeddings.append(pe)
-    chain = PerChain(
-        expr, env, pers, embeddings, link_bound=3 if 3 in bounds else None
-    )
+        link_bounds.append(bound)
+    chain = PerChain(expr, env, pers, embeddings, link_bounds=link_bounds)
     if upto.is_finite:
         return chain
 
@@ -183,6 +219,38 @@ class StabilizationVerdict:
         return self.kind == "stabilized"
 
 
+def _stage_stabilizes(chain: PerChain, n: int) -> Optional[bool]:
+    """Whether stage n+1 adds no totals to stage n; None when undecided.
+
+    An equiembedding is injective on classes and sends totals to totals, so
+    over a link decided exactly, with both class counts exact, stage n
+    stabilizes exactly when the counts are equal.  Otherwise the totals scan
+    decides."""
+    if chain.link_bounds[n] is None:
+        here, here_exact = chain.stages[n][1].class_count()
+        there, there_exact = chain.stages[n + 1][1].class_count()
+        if here_exact and there_exact:
+            return here == there
+    return _reduces_along_link(chain, n)
+
+
+def _reduces_along_link(chain: PerChain, n: int) -> Optional[bool]:
+    """The totals scan: each stage n+1 total t has a total s = f-(t) at
+    stage n with f(s) ~ t; None when the stage n+1 totals are not exact."""
+    per_n, per_n1 = chain.stages[n][1], chain.stages[n + 1][1]
+    emb = chain.embeddings[n].emb
+    ts, exact = per_n1.totals()
+    if not exact:
+        return None
+    for t in ts:
+        down = emb.proj(t)
+        if per_n.related(down, down) is not True or per_n1.related(
+            emb.fwd(down), t
+        ) is not True:
+            return False
+    return True
+
+
 def _successor_fragment_totals(chain: PerChain, rank_bound: int):
     """Fragment totals of the first stage past omega, as unfolded values.
 
@@ -226,25 +294,13 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
     is related to t, so accepting t is sound.  Only a t that does not fold
     back (inv fails, or either check is not True) is compared with one image
     per omega-class, the omega-totals being enumerated once on first need."""
-    # finite stages: exact check that stage n+1 totals reduce along f-;
-    # stages past the exhaustive-verification depth are left to the omega
-    # check, which subsumes them
-    finite = [(o, p) for (o, p) in chain.stages if o.is_finite]
-    for n in range(min(len(finite) - 1, 4)):
-        per_n, per_n1 = finite[n][1], finite[n + 1][1]
-        emb = chain.embeddings[n].emb
-        ts, exact = per_n1.totals()
-        if not exact:
+    # finite stages, decided exactly; stages past the exhaustive-verification
+    # depth are left to the omega check, which subsumes them
+    for n in range(min(len(chain.link_bounds), 4)):
+        stable = _stage_stabilizes(chain, n)
+        if stable is None:
             break
-        reducible = True
-        for t in ts:
-            down = emb.proj(t)
-            if per_n.related(down, down) is not True or per_n1.related(
-                emb.fwd(down), t
-            ) is not True:
-                reducible = False
-                break
-        if reducible:
+        if stable:
             return StabilizationVerdict("stabilized", fin(n), bound=rank_bound)
 
     if chain.per_limit is None or not chain.unfolded:

@@ -212,6 +212,7 @@ class LimitBasis(Basis):
         self._lub_cache = {}
         self._cons_cache = {}
         self._stage_emb_cache = {}
+        self._images = {}
         self._bottom = self.canonical(0, stages[0].basis.bottom)
 
     # stage arithmetic -----------------------------------------------------
@@ -303,13 +304,42 @@ class LimitBasis(Basis):
         out = []
         seen = set()
         for n in range(b + 1):
-            stage_bound = None if self.stages[n].basis.finite else bound
-            for t in self.stages[n].basis.tokens(stage_bound).tokens:
-                c = self.canonical(n, t)
+            stage = self.stages[n].basis
+            for c in self.tags(n, stage.tokens(None if stage.finite else bound).tokens):
                 if c.key not in seen:
                     seen.add(c.key)
                     out.append(c)
         return TokenSet(tuple(out), True)
+
+    def tags(self, n: int, ts) -> List[Token]:
+        """`canonical` of each stage-n token in ts.  When stage n-1
+        enumerates completely, a token is new at stage n exactly when no
+        stage-(n-1) token embeds onto it, and otherwise takes its preimage's
+        tag, so it is tagged from the forward images of stage n-1 with no
+        projection walk."""
+        images = self._forward_images(n)
+        if images is not None:
+            for t in ts:
+                if (n, t.key) not in self._canon_cache:
+                    self._canon_cache[(n, t.key)] = images.get(t.key) or tok(
+                        ("lim", n, t.key)
+                    )
+        return [self.canonical(n, t) for t in ts]
+
+    def _forward_images(self, n: int):
+        """Tag of every stage-(n-1) token, keyed by its image at stage n;
+        None at stage 0 and when stage n-1 does not enumerate completely."""
+        if n not in self._images:
+            below = self.stages[n - 1].basis if n > 0 else None
+            ts = below.tokens() if below is not None and below.finite else None
+            if ts is None or ts.truncated:
+                self._images[n] = None
+            else:
+                fwd = self.stages[n].embed_from_prev.fwd
+                self._images[n] = {
+                    fwd(t).key: c for (t, c) in zip(ts.tokens, self.tags(n - 1, ts.tokens))
+                }
+        return self._images[n]
 
     def stage_embedding(self, n: int) -> Embedding:
         if n in self._stage_emb_cache:

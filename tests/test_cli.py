@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,36 @@ def test_independence_undecided_stages_report_unknown():
         "class-matching": "pass",
     }
     assert code == 0
+
+
+def test_independence_pairs_parameters_by_position():
+    # A stands where C and where D stand; zipping sorted names would pair A
+    # with C only and find no pair for (A, D)
+    code, text = run_command([
+        "independence",
+        "--eq", "param A = sierpinski; X = A + [A -> X]",
+        "--eq2", "param C = sierpinski; param D = sierpinski; X = C + [D -> X]",
+        "--rank-bound", "2",
+    ])
+    assert code == 0, text
+    checks = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
+    assert checks["stage-weak-isos"] == "pass"
+
+
+def test_per_lfp_loads_neither_qcb_nor_oracles():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    script = (
+        "import sys\n"
+        "from domania.cli import run_command\n"
+        f"code, _ = run_command(['per-lfp', '--eq', {RUNNING_EQ!r}, '--rank-bound', '1'])\n"
+        "print(code, [m for m in ('domania.qcb', 'domania.oracles') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.split("\n")[-2] == "0 []", proc.stderr
 
 
 def test_scan_order_permutes_but_keeps_everything(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_
 from domania.construct import Embedding, identity_embedding, verify_embedding
 from domania.errors import IncoherentChain, NotAnEmbedding, NotTotal, NotUniform
 from domania.per import (
+    UNKNOWN,
     DomainPer,
     PerEmbedding,
     PerMap,
@@ -426,9 +428,7 @@ def test_link_reflection_scans_classes_not_totals(monkeypatch):
     assert len(calls) < n_totals * n_carrier
 
 
-def test_chain_decides_each_link_once(monkeypatch):
-    # per-lfp at rank bound 4: links 1-4 exhaustively, link 5 at bound 3, and
-    # the limit takes them as checked
+def _link_calls(monkeypatch):
     calls = []
 
     def counting(pe, bound=None):
@@ -437,10 +437,40 @@ def test_chain_decides_each_link_once(monkeypatch):
 
     monkeypatch.setattr(perlfp, "is_equiembedding", counting)
     monkeypatch.setattr(per_module, "is_equiembedding", counting)
+    return calls
+
+
+def test_chain_decides_each_link_once(monkeypatch):
+    # per-lfp at rank bound 4: link 1 is scanned exhaustively, links 2-5 are
+    # F applied to an equiembedding over a dense exponent, decided exactly by
+    # the rule with no scan, and the limit takes them as checked
+    calls = _link_calls(monkeypatch)
     chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, OMEGA, n_finite=5)
-    assert calls == [
-        (pe.name, b) for (pe, b) in zip(chain.embeddings, [None] * 4 + [3])
-    ]
+    assert calls == [("f0,1", None)]
+    assert chain.link_bounds == [None] * 5
+    assert chain.link_bound is None
+
+
+def _not_dense(per):
+    return DomainPer(per.carrier, per.rel, replace(per.flags, dense=UNKNOWN), name=per.name)
+
+
+@pytest.mark.parametrize(
+    "expr, env, bounds",
+    [
+        # an exponent per not flagged dense: the rule says nothing
+        (RUNNING, {"A": osier(), "B": _not_dense(osier())}, [None] * 4 + [3]),
+        # a staged parameter: link 1 is decided on a fragment only
+        (Sum(ConstD("A"), Exp("N", Id())), {"A": osier(), "N": flatnat_per()}, [3] * 5),
+    ],
+    ids=["exponent-not-dense", "flatnat-parameter"],
+)
+def test_chain_scans_every_link_without_the_rule(monkeypatch, expr, env, bounds):
+    calls = _link_calls(monkeypatch)
+    chain = per_chain_extend(expr, env, OMEGA, n_finite=5)
+    assert calls == [(pe.name, b) for (pe, b) in zip(chain.embeddings, bounds)]
+    assert chain.link_bounds == bounds
+    assert chain.link_bound == 3
 
 
 def test_fresh_link_groups_its_source_totals_once(monkeypatch):

@@ -16,10 +16,13 @@ from domania.per import (
     is_equiembedding,
 )
 from domania.perlfp import (
+    LINKS,
     StabilizationVerdict,
     _folds_back,
     _omega_class_images,
     _omega_verdict,
+    _reduces_along_link,
+    _stage_stabilizes,
     _successor_fragment_totals,
     apply_functor_per,
     counterexample_phi,
@@ -28,7 +31,16 @@ from domania.perlfp import (
     per_chain_extend,
     stabilization_probe,
 )
-from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
+from domania.spfunctor import (
+    ConstD,
+    Exp,
+    Id,
+    LimitBasis,
+    Prod,
+    Sum,
+    functor_action,
+    omega_chain,
+)
 
 RUNNING = Sum(ConstD("A"), Exp("B", Id()))
 
@@ -91,6 +103,77 @@ def test_class_count_matches_grouped_classes(name):
                 rank_bound,
                 str(o),
             )
+
+
+# equations whose chains the link, stabilization and tag rules are checked on
+RULE_CASES = {
+    "running": (RUNNING, running_env),
+    "qcb": (
+        Sum(ConstD("FB"), Exp("S", Id())),
+        lambda: {"FB": flatbool_per(), "S": sierpinski_per()},
+    ),
+    "sum-of-product": (
+        Sum(ConstD("A"), Prod(ConstD("B"), Id())),
+        lambda: {"A": sierpinski_per(), "B": flatbool_per()},
+    ),
+    "constant": (ConstD("A"), running_env),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_link_rule_agrees_with_the_scans(name):
+    # links 2-4: the functoriality rule's verdict against the exhaustive
+    # scans of is_equiembedding, which the rule replaces
+    expr, env = RULE_CASES[name]
+    env = env()
+    chain = per_chain_extend(expr, env, fin(4))
+    rule = functor_action(expr, True, env, LINKS)
+    for pe in chain.embeddings[1:]:
+        v = is_equiembedding(pe)
+        assert rule == (True if v.ok and not v.unknown else None), pe.name
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_class_counts_agree_with_the_totals_scan(name):
+    # stages 0-3: equal exact class counts over a link decided exactly
+    # against the totals of stage n+1 reducing along the link
+    expr, env = RULE_CASES[name]
+    chain = per_chain_extend(expr, env(), fin(4))
+    verdicts = []
+    for n in range(4):
+        assert chain.link_bounds[n] is None
+        assert all(chain.stages[k][1].class_count()[1] for k in (n, n + 1))
+        verdicts.append(_stage_stabilizes(chain, n))
+        assert verdicts[-1] is _reduces_along_link(chain, n), n
+    assert verdicts == ([False, True, True, True] if name == "constant" else [False] * 4)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_forward_tags_agree_with_the_projection_walk(name):
+    # stages 0-4: each stage enumerates completely, so every tag after stage
+    # 0 comes from the forward images of the stage below, with no
+    # projection; a fresh limit's canonical walk is the reference
+    expr, env = RULE_CASES[name]
+    stages = omega_chain(expr, {k: p.carrier for (k, p) in env().items()}, 4)
+
+    def forbidden(t):
+        raise AssertionError("projection walk")
+
+    limit = LimitBasis(stages)
+    projections = [stage.embed_from_prev._proj for stage in stages[1:]]
+    for stage in stages[1:]:
+        stage.embed_from_prev._proj = forbidden
+    toks = limit.tokens()
+    for (stage, proj) in zip(stages[1:], projections):
+        stage.embed_from_prev._proj = proj
+    walk = LimitBasis(stages)
+    want = []
+    for (n, stage) in enumerate(stages):
+        for t in stage.basis.tokens().tokens:
+            assert limit.canonical(n, t) == walk.canonical(n, t), (n, t)
+            if walk.canonical(n, t) not in want:
+                want.append(walk.canonical(n, t))
+    assert list(toks.tokens) == want
 
 
 def test_stage_rows_count_without_enumerating_stage_five(monkeypatch):

@@ -39,8 +39,6 @@ def render_key(key) -> str:
             return f"@{key[1]}:{render_key(key[2])}"
         if tag == "pb":
             return "{" + ",".join(str(x) for x in key[1]) + "}"
-        if tag == "u":
-            return "<" + ",".join(render_key(k) for k in key[1:]) + ">"
     return str(key)
 
 

@@ -417,36 +417,39 @@ class FunBasis(Basis):
         return self._tokens[bound]
 
     def _enumerate_all(self):
-        # depth-first assignment of monotone values over a linear extension
-        snapshot = list(self.exponent.tokens().tokens)
-        exp = sorted(
-            snapshot,
-            key=lambda t: sum(1 for u in snapshot if self.exponent.leq(u, t)),
-        )
-        vals = list(self.values.tokens().tokens)
+        vals = self.values.tokens().tokens
         out = []
+        self.monotone_maps(
+            lambda p: vals,
+            lambda a: out.append(self.from_function(lambda p: a[p])),
+        )
+        return tuple(out)
+
+    def monotone_maps(self, candidates, visit) -> bool:
+        """Depth-first over the monotone maps from the exponent tokens into the
+        values, point p ranging over candidates(p); each map is visited once.
+        The points are walked in a linear extension, fewest tokens below
+        first and ties in token order, so each point is checked only against
+        its lower points, listed once.  visit(assignment) runs at each
+        complete map; a True return stops the search, and is returned."""
+        exp, values = self.exponent, self.values
+        toks = exp.tokens().tokens
+        order = sorted(toks, key=lambda t: sum(1 for u in toks if exp.leq(u, t)))
+        lower = [[u for u in order[:i] if exp.leq(u, t)] for i, t in enumerate(order)]
         assignment = {}
 
         def rec(i):
-            if i == len(exp):
-                out.append(self.from_function(lambda p: assignment[p]))
-                return
-            t = exp[i]
-            below = [u for u in exp[:i] if self.exponent.leq(u, t)]
-            for v in vals:
-                if all(self.values.leq(assignment[u], v) for u in below):
-                    assignment[t] = v
-                    rec(i + 1)
-            assignment.pop(t, None)
+            if i == len(order):
+                return visit(assignment)
+            p = order[i]
+            for v in candidates(p):
+                if all(values.leq(assignment[u], v) for u in lower[i]):
+                    assignment[p] = v
+                    if rec(i + 1):
+                        return True
+            return False
 
-        rec(0)
-        seen = set()
-        uniq = []
-        for t in out:
-            if t.key not in seen:
-                seen.add(t.key)
-                uniq.append(t)
-        return tuple(uniq)
+        return rec(0)
 
     def _enumerate_bounded(self, bound):
         # staged function spaces blow up fast; keep the sample small and

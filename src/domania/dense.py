@@ -284,30 +284,21 @@ def _assemble_dense(chain: PerChain, rank_bound: int) -> DenseLfp:
         if o.is_finite:
             stage_parts.append(dense_part(p, rank_bound))
 
+    # dense_lfp returns early for a trivial functor, and rank bounds are at
+    # least 1, so the limit has totals at the rank bound and dense_part never
+    # takes its no-totals branch here
     plim = chain.per_limit
-
-    verdicts = {}
-
-    def kept(t: Token) -> bool:
-        if t.key not in verdicts:
-            verdicts[t.key] = (
-                has_total_extension(plim.per, t, rank_bound).status == "yes"
-            )
-        return verdicts[t.key]
-
+    part = dense_part(plim.per, rank_bound)
     params = list(chain.env.values())
-    flags = replace(
-        plim.per.flags,
-        dense=YES,
-        admissible_pedigree=tri_all(
-            *(p.flags.admissible_pedigree for p in params)
-        ) if params else YES,
-    )
-    per = DomainPer(
-        KeptBasis(plim.limit, kept),
-        plim.per.rel,
-        flags,
+    per = replace(
+        part.per,
+        flags=replace(
+            part.per.flags,
+            admissible_pedigree=tri_all(
+                *(p.flags.admissible_pedigree for p in params)
+            ) if params else YES,
+        ),
         trace=plim.per.trace + ("dense least fixed point",),
         name="dense-lfp",
     )
-    return DenseLfp(per, chain, stage_parts, kept)
+    return DenseLfp(per, chain, stage_parts, part.kept)

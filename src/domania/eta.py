@@ -11,7 +11,10 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basis import Basis, FlatNatBasis, Token, TokenSet, one_point_basis, tok
+# `tok` is unused here but stays importable as `domania.eta.tok`:
+# perfbench/selftest.py checks that its tracer rebinds that name
+from .basis import FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
+from .builtins import flatnat_per
 from .construct import MultiSumBasis, ProdBasis, apply_pairs
 from .dense import DenseLfp
 from .errors import MalformedCode, NonDenseExponent, NotWitnessed
@@ -21,7 +24,7 @@ from .per import (
     DomainPer,
     MemoRel,
     PerFlags,
-    StructuralRel,
+    ProdRel,
     SumRel,
     finite_per,
     per_construct,
@@ -332,122 +335,30 @@ def decode_path(n: int, k_count: int) -> List[int]:
     return digits[1:]
 
 
-class SeqBasis(Basis):
-    """Fixed-width tuples over a finite basis, ordered pointwise; the
-    explicit finite-support realisation of input sequences."""
-
-    def __init__(self, entry: Basis, width: int, name=None):
-        self.entry = entry
-        self.width = width
-        self.name = name or f"{entry.name}^{width}"
-        self.finite = entry.finite
-        self._bottom = self.seq([entry.bottom] * width)
-
-    def seq(self, entries) -> Token:
-        entries = list(entries)
-        assert len(entries) == self.width
-        return tok(("u",) + tuple(t.key for t in entries))
-
-    def entries(self, t: Token):
-        return [tok(k) for k in t.key[1:]]
-
-    def entry_at(self, t: Token, m: int) -> Token:
-        if m >= self.width:
-            return self.entry.bottom
-        return tok(t.key[1 + m])
-
-    @property
-    def bottom(self):
-        return self._bottom
-
-    def has_token(self, t):
-        k = t.key
-        return (
-            isinstance(k, tuple)
-            and len(k) == self.width + 1
-            and k[0] == "u"
-            and all(self.entry.has_token(tok(e)) for e in k[1:])
-        )
-
-    def leq(self, p, q):
-        return all(
-            self.entry.leq(a, b) for a, b in zip(self.entries(p), self.entries(q))
-        )
-
-    def cons(self, ts):
-        ts = list(ts)
-        return all(
-            self.entry.cons([self.entries(t)[m] for t in ts])
-            for m in range(self.width)
-        )
-
-    def lub(self, ts):
-        ts = list(ts)
-        if not ts:
-            return self._bottom
-        return self.seq(
-            [
-                self.entry.lub([self.entries(t)[m] for t in ts])
-                for m in range(self.width)
-            ]
-        )
-
-    def tokens(self, bound=None):
-        es = self.entry.tokens(bound)
-        toks = [
-            self.seq(list(combo))
-            for combo in itertools.product(es.tokens, repeat=self.width)
-        ]
-        return TokenSet(tuple(toks), es.truncated)
-
-
-class SeqRel(StructuralRel):
-    """Index-wise relatedness of input sequences."""
-
-    def __init__(self, basis: SeqBasis, entry_per: DomainPer):
-        self.basis = basis
-        self.entry_per = entry_per
-
-    def related(self, a, b, bound=None):
-        out = True
-        for x, y in zip(self.basis.entries(a), self.basis.entries(b)):
-            r = self.entry_per.related(x, y, bound)
-            if r is False:
-                return False
-            if r is None:
-                out = None
-        return out
-
-    def totals(self, bound=None):
-        ts, exact = self.entry_per.totals(bound)
-        out = [
-            self.basis.seq(list(combo))
-            for combo in itertools.product(ts, repeat=self.basis.width)
-        ]
-        return out, exact
-
-
 class EtaBarSystem:
     """Curried iterated evaluation and its lower adjoint via evaluation
-    trees."""
+    trees.  An input sequence is a value of U, the right-nested product of
+    `support` copies of the input per, related entry by entry."""
 
     def __init__(self, eta: EtaSystem, support: int = 4, max_steps: int = 16):
         self.eta = eta
         self.support = support
         self.max_steps = max_steps
 
-        self.U = SeqBasis(eta.T, support, name="U")
-        self.u_per = DomainPer(
-            self.U, SeqRel(self.U, eta.input_per), eta.input_per.flags, name="U"
-        )
+        self.u_per = eta.input_per
+        spine = []
+        for _ in range(support - 1):
+            self.u_per = per_construct("prod", eta.input_per, self.u_per)
+            spine.append(self.u_per.carrier)
+        # the product carriers from the outermost in: entry m is the left
+        # part after m right projections
+        self._spine = spine[::-1]
+        self.U = self.u_per.carrier
         self.nat = FlatNatBasis()
-        from .builtins import flatnat_per
 
         self.a_parts = [eta.env[eta.K[k].name] for k in eta.const_positions]
         self.a_sum = multi_sum_per(self.a_parts, name="usumA")
         self.E = ProdBasis(self.a_sum.carrier, self.nat, strict=True, name="E")
-        from .per import ProdRel
-
         self.e_per = DomainPer(
             self.E,
             MemoRel(ProdRel(self.E, self.a_sum, flatnat_per())),
@@ -463,6 +374,22 @@ class EtaBarSystem:
         self.fun_basis = self.fun_per.carrier
         self._bar_cache = {}
 
+    # ---- input sequences ---------------------------------------------------
+    def seq(self, entries) -> Token:
+        """The input sequence with the given `support` entries."""
+        *init, u = entries
+        for prod, e in zip(reversed(self._spine), reversed(init)):
+            u = prod.pair(e, u)
+        return u
+
+    def entry_at(self, u: Token, m: int) -> Token:
+        """Entry m of the input sequence u; bottom past the support."""
+        if m >= self.support:
+            return self.eta.T.bottom
+        for prod in self._spine[:m]:
+            u = prod.split(u)[1]
+        return self._spine[m].split(u)[0] if m < len(self._spine) else u
+
     # ---- zeta --------------------------------------------------------------
     def _const_index(self, k: int) -> Optional[int]:
         try:
@@ -476,7 +403,7 @@ class EtaBarSystem:
         sequence, path = [], []
         current = x  # a limit token
         for m in range(self.max_steps):
-            z = eta.eval_eta(eta.iso.fwd(current), self.U.entry_at(u, m))
+            z = eta.eval_eta(eta.iso.fwd(current), self.entry_at(u, m))
             spl = eta.codomain.split(z)
             if spl is None:
                 return EvaluationRecord(sequence, path, None, self.E.bottom, True)
@@ -541,7 +468,7 @@ class EtaBarSystem:
                 for r in range(1, len(js) + 1):
                     for combo in itertools.combinations(js, r):
                         prem = [
-                            self.U.entry_at(live[j][0], level) for j in combo
+                            self.entry_at(live[j][0], level) for j in combo
                         ]
                         if not self.eta.T.cons(prem):
                             continue
@@ -563,11 +490,11 @@ class EtaBarSystem:
             levels = []
             members = list(range(len(live_k)))
             for m, level in enumerate(node):
-                pm = T.lub([self.U.entry_at(live_j[j][0], m) for j in level])
+                pm = T.lub([self.entry_at(live_j[j][0], m) for j in level])
                 members = [
                     k
                     for k in members
-                    if T.leq(self.U.entry_at(live_k[k][0], m), pm)
+                    if T.leq(self.entry_at(live_k[k][0], m), pm)
                 ]
                 levels.append(tuple(members))
             out[tuple(node)] = levels
@@ -575,13 +502,13 @@ class EtaBarSystem:
 
     def node_premise(self, live, node) -> Token:
         entries = []
-        for m in range(self.U.width):
+        for m in range(self.support):
             if m < len(node):
-                prem = [self.U.entry_at(live[j][0], m) for j in node[m]]
+                prem = [self.entry_at(live[j][0], m) for j in node[m]]
                 entries.append(self.eta.T.lub(prem))
             else:
                 entries.append(self.eta.T.bottom)
-        return self.U.seq(entries)
+        return self.seq(entries)
 
     def _is_maximal(self, live, node) -> bool:
         m_len = len(live[node[0][0]][3])
@@ -617,7 +544,7 @@ class EtaBarSystem:
                 step_pairs = []
                 for ch in children:
                     prem = self.eta.T.lub(
-                        [self.U.entry_at(live[j][0], level) for j in ch[level]]
+                        [self.entry_at(live[j][0], level) for j in ch[level]]
                     )
                     step_pairs.append((prem, decorations[tuple(ch)]))
                 inner = self.eta._theta(self.eta.expr, 0, step_pairs)
@@ -629,7 +556,7 @@ class EtaBarSystem:
         roots = [n for n in nodes if len(n) == 1]
         root_pairs = []
         for r in roots:
-            prem = self.eta.T.lub([self.U.entry_at(live[j][0], 0) for j in r[0]])
+            prem = self.eta.T.lub([self.entry_at(live[j][0], 0) for j in r[0]])
             root_pairs.append((prem, decorations[tuple(r)]))
         return self.eta.iso.inv(self.eta._theta(self.eta.expr, 0, root_pairs))
 

@@ -345,19 +345,15 @@ class FunRel(StructuralRel):
             vals, vex = pool, False
         exp_totals, _ = self.exp_per.totals(bound)
         exp_total_keys = {t.key for t in exp_totals}
+        # distinct monotone maps have distinct canonical step sets
         out = []
-        self._monotone_search(
+        self.basis.monotone_maps(
             lambda p: body_totals if p.key in exp_total_keys else vals,
             lambda a: out.append(self.basis.from_function(lambda p: a[p])),
         )
-        seen, uniq = set(), []
-        for t in out:
-            if t.key not in seen:
-                seen.add(t.key)
-                if self.related(t, t, bound) is True:
-                    uniq.append(t)
+        out = [t for t in out if self.related(t, t, bound) is True]
         # over inexact exponent pairs no f ~ f is True, so the list says nothing
-        return uniq, vex and bt_exact and self.exp_per.related_pairs(bound)[1]
+        return out, vex and bt_exact and self.exp_per.related_pairs(bound)[1]
 
     def class_count(self, bound=None):
         """Quotient rule: f ~ g iff f x ~ g y for every related pair, so a
@@ -377,44 +373,12 @@ class FunRel(StructuralRel):
         for choice in product(body_classes, repeat=len(exp_classes)):
             # total points take a member of their chosen body class, other
             # points any value; the first realisation settles the tuple
-            if self._monotone_search(
+            if self.basis.monotone_maps(
                 lambda p: choice[class_index[p.key]] if p.key in class_index else vals,
                 lambda a: True,
             ):
                 count += 1
         return count, vex and body_exact
-
-    def _monotone_search(self, candidates, visit) -> bool:
-        """Depth-first over the monotone maps from the exponent tokens into the
-        body carrier, point p ranging over candidates(p).  visit(assignment)
-        runs at each complete map; a True return stops the search, and is
-        returned."""
-        exp = self.basis.exponent
-        body = self.body_per.carrier
-        exp_toks = list(exp.tokens().tokens)
-        assignment = {}
-
-        def monotone_ok(i, v):
-            for u in exp_toks[:i]:
-                if exp.leq(u, exp_toks[i]) and not body.leq(assignment[u], v):
-                    return False
-                if exp.leq(exp_toks[i], u) and not body.leq(v, assignment[u]):
-                    return False
-            return True
-
-        def rec(i):
-            if i == len(exp_toks):
-                return visit(assignment)
-            p = exp_toks[i]
-            for v in candidates(p):
-                if monotone_ok(i, v):
-                    assignment[p] = v
-                    if rec(i + 1):
-                        return True
-            assignment.pop(p, None)
-            return False
-
-        return rec(0)
 
 
 class LimitRel(StructuralRel):
@@ -655,17 +619,6 @@ class Verdict:
         return self.status == "holds"
 
 
-PROPERTIES = (
-    "weakly_convex",
-    "convex",
-    "local",
-    "strongly_local",
-    "complete",
-    "upwards_closed",
-    "dense",
-)
-
-
 def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verdict:
     toks, exact_toks = P.carrier_tokens(bound)
     B = P.carrier
@@ -743,14 +696,6 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
         return Verdict("unknown" if unknown else "holds", None, bound)
 
     raise ValueError(f"unknown property {prop!r}")
-
-
-def flags_from_checks(P: DomainPer, bound=None) -> PerFlags:
-    values = {}
-    for prop in PROPERTIES:
-        v = check_property(P, prop, bound)
-        values[prop] = YES if v.holds else (NO if v.status == "fails" else UNKNOWN)
-    return replace(P.flags, **values)
 
 
 def prec_check(P: DomainPer, p: Token, x, bound=None) -> bool:

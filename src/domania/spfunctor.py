@@ -186,14 +186,6 @@ def omega_chain(expr: FunctorExpr, env: Dict[str, Basis], n_max: int) -> List[Ch
     return stages
 
 
-def chain_embedding(stages: List[ChainStage], i: int, j: int) -> Embedding:
-    """f_{i,j} composed along the chain; i <= j."""
-    emb = identity_embedding(stages[i].basis)
-    for k in range(i + 1, j + 1):
-        emb = stages[k].embed_from_prev.compose(emb)
-    return emb
-
-
 # ---------------------------------------------------------------------------
 # inductive limit
 

@@ -81,6 +81,28 @@ def test_fun_basis_matches_monotone_count():
     )
 
 
+def test_monotone_maps_match_the_brute_force_reference():
+    small = [n for n in catalog_names() if len(catalog_basis(n).tokens()) <= 3]
+    assert len(small) >= 4
+    for dn, en in itertools.product(small, repeat=2):
+        D, E = catalog_basis(dn), catalog_basis(en)
+        fb = fun_basis(D, E)
+        every = lambda p: E.tokens().tokens
+        found = []
+        stopped = fb.monotone_maps(
+            every, lambda a: found.append(frozenset((p.key, v.key) for p, v in a.items()))
+        )
+        expected = enumerate_monotone_maps(poset_of_basis(D), poset_of_basis(E))
+        assert stopped is False
+        # each map exactly once, and no other
+        assert len(found) == len(set(found)) == len(expected), (dn, en)
+        assert set(found) == {frozenset(f.items()) for f in expected}, (dn, en)
+        # a True from visit stops the search after the first map
+        visits = []
+        assert fb.monotone_maps(every, lambda a: visits.append(dict(a)) or True)
+        assert len(visits) == 1
+
+
 def test_fun_tokens_order_isomorphic_to_pointwise_order():
     for dn in ("two-chain", "vee"):
         for en in ("two-chain", "three-chain"):

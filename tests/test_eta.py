@@ -206,7 +206,30 @@ def _total_u(bar):
         for t in bar.eta.T.tokens().tokens
         if bar.eta.input_per.related(t, t) is True
     )
-    return bar.U.seq([t_total] * bar.U.width)
+    return bar.seq([t_total] * bar.support)
+
+
+def test_input_sequences_are_products():
+    # X = A + (B * X): the input per has two totals, one per summand of B * X
+    expr = Sum(ConstD("A"), Prod(ConstD("B"), Id()))
+    env = {"A": sierpinski_per(), "B": flatbool_per()}
+    eta = EtaSystem(dense_lfp(expr, env, rank_bound=2, n_finite=3))
+    ts, exact = eta.input_per.totals()
+    assert len(ts) == 2
+    bottom = eta.T.bottom
+    for support in (1, 3):
+        bar = EtaBarSystem(eta, support=support)
+        us, u_exact = bar.u_per.totals()
+        # the totals of the product, in itertools.product order
+        assert u_exact == exact
+        assert us == [bar.seq(es) for es in itertools.product(ts, repeat=support)]
+        for es in itertools.product(eta.T.tokens().tokens, repeat=support):
+            u = bar.seq(es)
+            assert bar.U.has_token(u)
+            assert [bar.entry_at(u, m) for m in range(support)] == list(es)
+            # bottom past the support
+            assert bar.entry_at(u, support) == bottom
+            assert bar.entry_at(u, support + 3) == bottom
 
 
 def test_zeta_one_nesting_step():
@@ -301,9 +324,7 @@ def test_theta_bar_single_pair_approximates_witness():
     lim = lfp.chain.per_limit.limit
     x = lim.canonical(1, _stage1_a_top(lfp))
     rec = bar.evaluate_zeta(x, _total_u(bar))
-    u_prefix = bar.U.seq(
-        [bar.eta.T.bottom] * bar.U.width
-    )
+    u_prefix = bar.seq([bar.eta.T.bottom] * bar.support)
     q = bar.fun_basis.make([(u_prefix, rec.result)])
     back = bar.theta_bar(q, witness=x)
     assert lim.leq(back, x) or lfp.per.related(back, x, 2) is True

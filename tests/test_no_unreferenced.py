@@ -22,11 +22,9 @@ TEST_ONLY = {
     # law checkers the tests run against the library
     "check_domain_axioms",  # basis: the domain axioms of a basis
     "equi_injective",  # per: reflection of relatedness over totals
-    "flags_from_checks",  # per: flags read off the property checkers
     "mediating_algebra_morphism",  # perlfp: initiality of the fixed point
     "prec_check",  # per: a token approximates a class
     # reference constructions the reports reach by another path
-    "chain_embedding",  # spfunctor: composite of chain links
     "enumerate_ideals",  # qcb: ideal completion of a finite basis
     "eta_token",  # eta: the one-step map as a step set
     "image_per",  # per: the image per of a map

@@ -24,7 +24,6 @@ from domania.spfunctor import (
     Sum,
     apply_functor_domain,
     apply_functor_embedding,
-    chain_embedding,
     carrier_table,
     fixed_point_iso,
     omega_chain,
@@ -109,12 +108,20 @@ def test_functor_composition_law():
 
 
 def test_chain_coherence():
+    # composites of the chain links agree however they are grouped, and each
+    # composite is an embedding-projection pair
     stages = omega_chain(RUNNING, ENV, 3)
-    f02 = chain_embedding(stages, 0, 2)
-    f01 = chain_embedding(stages, 0, 1)
-    f12 = chain_embedding(stages, 1, 2)
+    f01, f12, f23 = (stages[k].embed_from_prev for k in (1, 2, 3))
+    f02 = f12.compose(f01)
+    f13 = f23.compose(f12)
+    f03 = f13.compose(f01)
     for t in stages[0].basis.tokens().tokens:
         assert f02.fwd(t) == f12.fwd(f01.fwd(t))
+        assert f03.fwd(t) == f23.compose(f02).fwd(t)
+    for t in stages[1].basis.tokens().tokens:
+        assert f13.fwd(t) == f23.fwd(f12.fwd(t))
+    for f in (f02, f13, f03):
+        assert verify_embedding(f)
 
 
 def test_limit_of_constant_chain():

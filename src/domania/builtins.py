@@ -1,6 +1,7 @@
 """Stock domain-pers used as equation parameters."""
 
 from .basis import FlatNatBasis, catalog_basis, flat_basis, tok
+from .errors import UnboundName
 from .per import ALL_YES, DomainPer, NatIdentityRel, finite_per, trivial_per
 
 
@@ -52,8 +53,11 @@ BUILTIN_PERS = {
 
 
 def builtin_per(name: str, nat_bound: int = 8) -> DomainPer:
-    if name.startswith("discrete(") and name.endswith(")"):
-        return discrete_per(int(name[len("discrete("):-1]))
+    size = name[len("discrete("):-1]
+    if name.startswith("discrete(") and name.endswith(")") and size.isdigit():
+        return discrete_per(int(size))
     if name == "flatnat":
         return flatnat_per(nat_bound)
+    if name not in BUILTIN_PERS:
+        raise UnboundName(f"no builtin per named {name!r}")
     return BUILTIN_PERS[name]()

@@ -45,6 +45,7 @@ from .dense import DeltaFamily, dense_lfp
 from .errors import (
     DomaniaError,
     EquationSyntaxError,
+    InvalidSpace,
     RecursiveExponent,
     TrivialParameter,
     UnboundName,
@@ -194,7 +195,11 @@ def _parse_source(lex: _Lexer) -> str:
         return value
     if value == "discrete":
         lex.expect("(")
-        _, num, nline, ncol = lex.next()
+        nkind, num, nline, ncol = lex.next()
+        if nkind != "num":
+            raise EquationSyntaxError(
+                f"expected a number, found {num!r}", line=nline, col=ncol
+            )
         lex.expect(")")
         return f"discrete({num})"
     raise EquationSyntaxError(f"unknown source {value!r}", line=line, col=col)
@@ -835,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--stages", type=_positive_int, default=3)
     sp.add_argument("--dot", default=None)
-    sp.add_argument("--dot-stage", type=int, default=1)
+    sp.add_argument("--dot-stage", type=_int_at_least(0), default=1)
 
     sp = sub.add_parser("per-lfp")
     common(sp)
@@ -890,7 +895,7 @@ def run_command(argv: List[str]) -> Tuple[int, str]:
     handler = COMMANDS[args.command]
     try:
         return handler(args)
-    except (EquationSyntaxError, UnboundName, RecursiveExponent) as e:
+    except (EquationSyntaxError, UnboundName, RecursiveExponent, InvalidSpace) as e:
         return 2, f"error: {e}\n"
     except DomaniaError as e:
         return 1, f"error: {e}\n"

@@ -103,6 +103,11 @@ class NotT0(DomaniaError):
     pass
 
 
+class InvalidSpace(DomaniaError):
+    """A point set whose opens are no topology, or a family that is no
+    pseudobase."""
+
+
 class BadParameterPedigree(DomaniaError):
     pass
 

@@ -61,13 +61,16 @@ the scan over all source totals would find nothing: `is_equiembedding`
 returns True on that certificate, unknown only where the source totals or
 the target carrier are not exhaustive. Otherwise the pairwise scan, the
 reference, decides, and it alone gives a reflection failure and its witness.
-A chain link is decided once, where the chain is built
-(`perlfp.per_chain_extend`). Link 1 goes through `is_equiembedding`. Link
-n+1 is the equation applied to link n, and strictly positive operations send
-equiembeddings to equiembeddings when every exponent per is dense, so it is
-True and exact with no scan when link n was decided True exactly and every
-exponent per is flagged dense; otherwise `is_equiembedding` decides it too.
-`limit_per` takes its links as decided.
+
+`is_equiembedding` decides only these per clauses; an ep-pair is decided
+where it is built. A chain's link 1 is the bottom map out of the one-point
+basis, and F, being locally monotone, sends ep-pairs to ep-pairs, so every
+link is one (the oracle's closure entries back this by brute force). Each
+link's per clauses are decided once, in `perlfp.per_chain_extend`: link 1 by
+`is_equiembedding`; link n+1, F of link n, True and exact with no scan when
+link n was decided True exactly and every exponent per is flagged dense, as
+F then sends equiembeddings to equiembeddings; any other link by
+`is_equiembedding` too. `limit_per` takes its links as decided.
 
 Flag rules. Sums, products and limits take each flag pointwise
 (`pointwise_flags`: yes when every part says yes, no when one says no); a
@@ -94,12 +97,10 @@ from .construct import (
     fun_basis,
     prod_basis,
     sum_basis,
-    verify_embedding,
 )
 from .errors import (
     CarrierMismatch,
     IncoherentChain,
-    NotAnEmbedding,
     NotTotal,
     NotUniform,
 )
@@ -788,19 +789,14 @@ class EmbeddingVerdict:
 
 
 def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
-    """The three clauses in turn: embedding laws, equivariance, reflection
-    (x ~ proj y for every source total x and target value y ~ f x).
+    """The per clauses in turn, equivariance and reflection (x ~ proj y for
+    every source total x and y ~ f x); the ep-pair is decided where built.
 
     Reflection is True on the class certificate (module docstring) when
     equivariance is True; otherwise the pairwise scan over source totals and
     target values, the reference, gives the verdict and any witness.  Each
     call decides anew; a chain decides each of its links once, where it is
     built."""
-    try:
-        verify_embedding(pe.emb, bound)
-    except NotAnEmbedding as e:
-        return EmbeddingVerdict(False, "embedding", e.witness)
-
     ok, w = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
     if ok is False:
         return EmbeddingVerdict(False, "equivariance", w)

@@ -551,8 +551,8 @@ def mediating_algebra_morphism(
 
     law_ok = True
     for n in range(1, upto + 1):
-        # h_n = g . F(h_{n-1}) holds by construction; check h as an
-        # equiembedding on the fragment
+        # h_n = g . F(h_{n-1}) holds by construction; check h's per clauses
+        # on the fragment (h_n need not be an ep-pair; no ep-pair law is run)
         v = is_equiembedding(maps[n], bound)
         if not v.ok:
             law_ok = False

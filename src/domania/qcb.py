@@ -24,7 +24,13 @@ from .construct import (
 )
 from .dense import DenseLfp, dense_lfp
 from .eta import atomic_subfunctors
-from .errors import BadParameterPedigree, NotT0, NotUniform, NotWeaklyEquivalent
+from .errors import (
+    BadParameterPedigree,
+    InvalidSpace,
+    NotT0,
+    NotUniform,
+    NotWeaklyEquivalent,
+)
 from .per import (
     ALL_YES,
     YES,
@@ -84,7 +90,7 @@ def mk_space(name, points, opens) -> FiniteSpace:
     )
     ok, why = space.validate()
     if not ok:
-        raise ValueError(f"not a topology on {name}: {why}")
+        raise InvalidSpace(f"not a topology on {name}: {why}")
     return space
 
 
@@ -196,7 +202,7 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
                     witness=witness)
     v = validate_pseudobase(X, sets)
     if not v.ok:
-        raise ValueError(f"not a pseudobase: {v.clause}")
+        raise InvalidSpace(f"not a pseudobase: {v.clause}")
     fam = [frozenset(s) for s in dict.fromkeys(frozenset(s) for s in sets)]
 
     toks = {frozenset(s): _set_token(s) for s in fam}

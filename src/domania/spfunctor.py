@@ -424,19 +424,14 @@ class FixedPointIso:
         return min(best, cap)
 
     def verify(self, bound: int) -> IsoReport:
+        """The linear clauses: the round trip inv(fwd t) == t, which makes fwd
+        injective, and image = F(stage b-1). No pair is compared, since fwd on
+        stage n is F(iota_{n-1}), iota the limit's stage ep-pair, hence an
+        order embedding, and these agree across stages by functoriality."""
         toks = self.limit.tokens(bound).tokens
-        images = {}
         for t in toks:
-            u = self.fwd(t)
-            if u.key in images:
-                return IsoReport(bound, False, len(toks), witness=(images[u.key], t))
-            images[u.key] = t
-            if self.inv(u) != t:
+            if self.inv(self.fwd(t)) != t:
                 return IsoReport(bound, False, len(toks), witness=t)
-        for p in toks:
-            for q in toks:
-                if self.limit.leq(p, q) != self.unfolded.leq(self.fwd(p), self.fwd(q)):
-                    return IsoReport(bound, False, len(toks), witness=(p, q))
         # the image of the stage-b fragment is exactly F applied to stage b-1;
         # only decidable when the stage enumerates completely
         stage_b = self.limit.stages[bound].basis if bound >= 1 else None

@@ -145,7 +145,7 @@ def test_export_dot_marks_totals(tmp_path):
     assert "peripheries=2" in path.read_text()
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     code, _ = run_command(["per-lfp"])
     assert code == 2
     code, _ = run_command(["no-such-command"])
@@ -166,9 +166,31 @@ def test_usage_errors_exit_two():
         ["dense", "--eq", RUNNING_EQ, "--n-max", "0"],
         ["counterexample", "--param", "sierpinski", "--bound", "0"],
         ["oracle", "--suite", "fun-space", "--max-size", "0"],
+        [
+            "solve-domain", "--eq", RUNNING_EQ,
+            "--dot", str(tmp_path / "x.dot"), "--dot-stage", "-9",
+        ],
     ):
         code, _ = run_command(argv)
         assert code == 2, argv
+    # an unknown parameter, a discrete size that is no number, a space that
+    # is no topology and a family that is no pseudobase
+    no_empty_open = tmp_path / "two.space"
+    no_empty_open.write_text(
+        "points = 0 1\nopens = {1} {0 1}\npseudobase = {1} {0 1}\n"
+    )
+    qcb_eq = "param A = {}; param S = sierpinski; X = A + [S -> X]"
+    for argv in (
+        ["counterexample", "--param", "bogus"],
+        ["per-lfp", "--eq", "param A = discrete(abc); X = A + X"],
+        [
+            "qcb", "--eq", qcb_eq.format("flatbool"),
+            "--space-files", f"S={no_empty_open}",
+        ],
+        ["qcb", "--eq", qcb_eq.format("discrete(0)")],
+    ):
+        code, text = run_command(argv)
+        assert code == 2 and text.startswith("error: "), argv
 
 
 def test_check_failures_exit_one(monkeypatch):
@@ -280,6 +302,28 @@ def test_independence_pairs_parameters_by_position():
     assert code == 0, text
     checks = {c["name"]: c["status"] for c in json.loads(text)["checks"]}
     assert checks["stage-weak-isos"] == "pass"
+
+
+def test_flatnat_product_equation_ends_with_a_report():
+    # the links and the fixed-point iso once scanned every pair of tokens
+    # here for ~100 s and ~1 GB; run in a child under a timeout and an
+    # address-space limit
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from domania.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    eq = "param A = sierpinski; param N = flatnat; X = A + ([N -> X] * X)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "per-lfp", "--eq", eq, "--rank-bound", "2"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    checks = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+    assert checks["stabilization"] == "fail"
 
 
 def test_per_lfp_loads_neither_qcb_nor_oracles():

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from domania.basis import catalog_basis, tok
-from domania.builtins import sierpinski_per, trivial_per
+from domania.builtins import flatbool_per, sierpinski_per, trivial_per
 from domania.construct import Embedding, exp_fixed_embedding, fun_basis
 from domania.dense import (
     DeltaFamily,
@@ -189,6 +191,20 @@ def test_dense_lfp_running_example():
     assert all(lfp.kept(t) for t in lim_tokens)
     assert lfp.per.flags.dense == "yes"
     assert lfp.per.flags.admissible_pedigree == "yes"
+
+
+def test_dense_lfp_over_a_flatbool_exponent_ends():
+    # stage 3 holds 1,806 tokens; a pairwise order scan over them in the
+    # fixed-point iso took ~50 s, the linear clauses well under a second
+    env = {"A": sierpinski_per(), "B": flatbool_per()}
+    t0 = time.monotonic()
+    lfp = dense_lfp(RUNNING, env, rank_bound=2, n_finite=3)
+    assert time.monotonic() - t0 < 20.0
+    assert len(lfp.chain.per_limit.limit.stages[3].basis.tokens()) == 1806
+    classes, _ = lfp.per.classes(2)
+    ranks = sorted(lfp.chain.per_limit.rank_of(cls[0]) for cls in classes)
+    assert ranks == [1, 2]
+    assert lfp.per.flags.dense == "yes"
 
 
 def test_dense_lfp_constant():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import domania.per as per_module
-from domania import perlfp
+from domania import oracles, perlfp
 from domania.basis import (
     catalog_basis,
     catalog_names,
@@ -14,7 +14,7 @@ from domania.basis import (
 )
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.construct import Embedding, identity_embedding, verify_embedding
-from domania.errors import IncoherentChain, NotAnEmbedding, NotTotal, NotUniform
+from domania.errors import IncoherentChain, NotTotal, NotUniform
 from domania.per import (
     NO,
     UNKNOWN,
@@ -35,7 +35,7 @@ from domania.per import (
     weak_iso_check,
 )
 from domania.ordinals import OMEGA, fin
-from domania.oracles import all_pers
+from domania.oracles import all_pers, per_preservation_suite
 from domania.perlfp import apply_functor_per, per_chain_extend
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, omega_chain
 
@@ -339,12 +339,8 @@ def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
 
 
 def reference_reflection(pe, bound=None):
-    """Reference equiembedding check, reflection clause pairwise: every
-    source total against every target value."""
-    try:
-        verify_embedding(pe.emb, bound)
-    except NotAnEmbedding as e:
-        return False, "embedding", e.witness, False
+    """Reference for the per clauses of an equiembedding, reflection
+    pairwise: every source total against every target value."""
     ok, w = pairwise_equivariance(pe.emb.fwd, pe.source, pe.target, bound)
     if ok is False:
         return False, "equivariance", w, False
@@ -404,6 +400,9 @@ def test_reflection_class_certificate_matches_pairwise_scan():
     ]
     cases += [(pe, None) for pe in finite]
 
+    # each case is an ep-pair, which is_equiembedding takes as given
+    for (pe, b) in cases:
+        assert verify_embedding(pe.emb, b), (pe.name, b)
     verdicts = [reference_reflection(pe, b) for (pe, b) in cases]
     # the flatnat links say unknown, and the cases fail each clause
     assert all(verdicts[cases.index(link)][3] for link in flatnat)
@@ -412,6 +411,40 @@ def test_reflection_class_certificate_matches_pairwise_scan():
     for (pe, b), want in zip(cases, verdicts):
         v = is_equiembedding(pe, b)
         assert (v.ok, v.clause, v.witness, v.unknown) == want, (pe.name, b)
+
+
+def test_oracle_backs_the_ep_pair_rule_by_brute_force(monkeypatch):
+    # a product projection that sends the image of a half-defined pair (one
+    # component bottom) back to bottom: proj . fwd is no identity, yet on
+    # the pairs the suite closes no per clause sees it, so only the suite's
+    # own ep-pair check fails the closure entry
+    prod_embedding = oracles.prod_embedding
+
+    def broken(f, g):
+        e = prod_embedding(f, g)
+
+        def proj(t):
+            x, y = e.source.split(e.proj(t))
+            if (x == f.source.bottom) != (y == g.source.bottom):
+                return e.source.bottom
+            return e.proj(t)
+
+        return Embedding(e.source, e.target, e.fwd, proj)
+
+    def closure_entries():
+        return {
+            name: ok
+            for (name, ok, _) in per_preservation_suite(2).entries
+            if name.endswith("equiembedding-closure")
+        }
+
+    monkeypatch.setattr(oracles, "prod_embedding", broken)
+    assert closure_entries() == {
+        "sum-prod-equiembedding-closure": False,
+        "exp-equiembedding-closure": True,
+    }
+    monkeypatch.setattr(oracles, "verify_embedding", lambda emb, bound=None: True)
+    assert all(closure_entries().values())
 
 
 def test_link_reflection_scans_classes_not_totals(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -476,6 +477,26 @@ def test_mediating_rejects_non_equivariant_algebra():
     )
     with pytest.raises(NotAnAlgebra):
         mediating_algebra_morphism(RUNNING, env, (chain.per_limit.per, bad), upto=1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5),
+        lambda: flatnat_chain(sierpinski_per(), 3),
+    ],
+    ids=["running", "flatnat"],
+)
+def test_chain_scans_no_ep_pair_law(monkeypatch, build):
+    # links and the fixed-point iso are ep-pairs by construction; the
+    # brute-force laws are forbidden under every name a module binds them to
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ep-pair laws scanned")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("domania") and hasattr(module, "verify_embedding"):
+            monkeypatch.setattr(module, "verify_embedding", forbidden)
+    assert build().iso is not None
 
 
 def test_chain_rejects_a_failing_link(monkeypatch):

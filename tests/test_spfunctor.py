@@ -8,6 +8,7 @@ from domania.basis import (
     one_point_basis,
     poset_of_basis,
 )
+from domania.builtins import flatbool_per
 from domania.construct import (
     FunBasis,
     MultiSumBasis,
@@ -18,7 +19,9 @@ from domania.errors import UnboundParameter
 from domania.spfunctor import (
     ConstD,
     Exp,
+    FixedPointIso,
     Id,
+    IsoReport,
     LimitBasis,
     Prod,
     Sum,
@@ -186,6 +189,92 @@ def test_fixed_point_iso_one_point():
     iso, report = fixed_point_iso(Id(), {}, lim, bound=1)
     assert report.verified
     assert report.token_count == 1
+
+
+def reference_iso_verify(iso, bound):
+    """The slow reference for `FixedPointIso.verify`: injectivity, the round
+    trip, every pair of fragment tokens compared in the limit and in the
+    unfolding, and image = F(stage b-1)."""
+    toks = iso.limit.tokens(bound).tokens
+    images = {}
+    for t in toks:
+        u = iso.fwd(t)
+        if u.key in images:
+            return IsoReport(bound, False, len(toks), witness=(images[u.key], t))
+        images[u.key] = t
+        if iso.inv(u) != t:
+            return IsoReport(bound, False, len(toks), witness=t)
+    for p in toks:
+        for q in toks:
+            if iso.limit.leq(p, q) != iso.unfolded.leq(iso.fwd(p), iso.fwd(q)):
+                return IsoReport(bound, False, len(toks), witness=(p, q))
+    stage_b = iso.limit.stages[bound].basis
+    if stage_b.finite:
+        below = iso.limit.stage_embedding(bound - 1)
+        femb = apply_functor_embedding(iso.expr, below, iso.env)
+        expected = {femb.fwd(t).key for t in stage_b.tokens().tokens}
+        got = {iso.fwd(t).key for t in toks}
+        if got != expected:
+            return IsoReport(
+                bound, False, len(toks), witness=got.symmetric_difference(expected)
+            )
+    return IsoReport(bound, True, len(toks))
+
+
+FB = flatbool_per().carrier
+
+# equation, parameters, the bound its stages are enumerated at (None:
+# exhaustively) and the largest iso bound checked
+ISO_CASES = {
+    "running": (RUNNING, ENV, None, 4),
+    "qcb": (Sum(ConstD("FB"), Exp("S", Id())), {"FB": FB, "S": O}, None, 4),
+    "sum-of-product": (
+        Sum(ConstD("A"), Prod(ConstD("B"), Id())), {"A": O, "B": FB}, None, 4
+    ),
+    # the counterexample command's equation
+    "flatnat": (Sum(ConstD("A"), Exp("N", Id())), {"A": O, "N": FlatNatBasis()}, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISO_CASES))
+def test_chain_links_and_stage_embeddings_are_ep_pairs(name):
+    # each link is F applied to the one before and each stage embedding a
+    # canonical tag, ep-pairs by construction: the brute-force laws agree
+    expr, env, bound, _ = ISO_CASES[name]
+    stages = omega_chain(expr, env, 4)
+    limit = LimitBasis(stages)
+    for n in range(1, 5):
+        assert verify_embedding(stages[n].embed_from_prev, bound)
+    for n in range(5):
+        assert verify_embedding(limit.stage_embedding(n), bound)
+
+
+@pytest.mark.parametrize("name", sorted(ISO_CASES))
+def test_iso_linear_clauses_agree_with_the_pairwise_reference(name, monkeypatch):
+    # the linear clauses decide the iso as the pairwise order scan does, and
+    # compare no two limit tokens
+    expr, env, _, top = ISO_CASES[name]
+    limit = LimitBasis(omega_chain(expr, env, 4))
+    limit_leq = LimitBasis.leq
+    calls = []
+
+    def counting(self, p, q):
+        calls.append((p, q))
+        return limit_leq(self, p, q)
+
+    for b in range(1, top + 1):
+        monkeypatch.setattr(LimitBasis, "leq", counting)
+        got = FixedPointIso(expr, env, limit).verify(b)
+        monkeypatch.setattr(LimitBasis, "leq", limit_leq)
+        assert got.verified and not calls, b
+        assert got == reference_iso_verify(FixedPointIso(expr, env, limit), b), b
+    # one token sent to another's image: both reject it
+    broken = FixedPointIso(expr, env, limit)
+    fwd = broken.fwd
+    p, q = limit.tokens(2).tokens[1:3]
+    broken.fwd = lambda t: fwd(p) if t == q else fwd(t)
+    assert not broken.verify(2).verified
+    assert not reference_iso_verify(broken, 2).verified
 
 
 def test_bounded_tokens_do_not_depend_on_earlier_calls():

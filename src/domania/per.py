@@ -18,8 +18,8 @@ taking an optional enumeration bound:
   from the other two, since a related pair is a pair of totals;
 - `classes(bound)` gives `(classes, exact)`, the totals grouped into per
   classes;
-- `class_count(bound)` gives `(n, exact)`, the number of classes and whether
-  the totals behind it are complete;
+- `representatives(bound)` gives `(values, exact)`, one total per class and
+  whether the totals behind them are complete;
 - `probe_points(*step_sets)` gives, for the relation as an exponent, finitely
   many values that decide the function relation between those step sets
   exactly, or None (the `StructuralRel` default); `FunRel` then scans the
@@ -28,22 +28,23 @@ taking an optional enumeration bound:
 Per classes are enumerated one way, by `StructuralRel.classes`: it groups
 the totals with `group_classes`, where a value joins the first class whose
 first member is related to it, or opens a new class. `MemoRel` keeps the
-classes per bound, and every site that needs classes, the class of a value
-or one value per class (the first member of each) reads them there through
-`DomainPer.classes`.
+classes per bound, and every site that needs the classes or the class of a
+value reads them there through `DomainPer.classes`.
 
-Per classes are counted by the quotient rule where it applies: the quotient
-of a sum, product or function-space per is the sum, product or exponential
-of the quotients. `SumRel` adds its parts' counts, `ProdRel` multiplies them,
-and `FunRel` counts the tuples of body classes, one per exponent class, that
-some monotone map realises. `FunRel` falls back to counting its classes over
-a staged body or an infinite exponent, and when the exponent's related pairs
-are not exhaustive, as then no map is total. An unknown verdict needs no
-fallback: True verdicts are symmetric and transitive and totals are
-self-related, so an unknown verdict separates two classes, in the quotient
-as in the totals. Every other relation counts its classes, the slow
-reference each rule is checked against. A `MemoRel` that already holds the
-classes for a bound counts them instead of asking its decider.
+One total per class, its representative, is built by the quotient rule
+where it applies: the quotient of a sum, product or function-space per is
+the sum, product or exponential of the quotients. `SumRel` injects its
+parts' representatives, `ProdRel` pairs them, and `FunRel` keeps, for each
+tuple of body representatives, one per exponent class, the first monotone
+map it finds that is related to itself. `FunRel` falls back to its classes
+over an infinite exponent and when the exponent's related pairs are not
+exhaustive, as then no map is total. `LimitRel` groups the tags of its
+stages' representatives. An unknown verdict needs no fallback: True
+verdicts are symmetric and transitive and totals are self-related, so an
+unknown verdict separates two classes, in the quotient as in the totals.
+Every other relation takes the first member of each class, the slow
+reference each rule is checked against, as does a `MemoRel` that already
+holds the classes. `DomainPer.class_count` counts the representatives.
 
 Equivariance is decided on classes where it can be. By the same invariant,
 every related pair of a per lies inside one of its classes, so a map that
@@ -54,7 +55,7 @@ exact, and otherwise runs the pairwise scan over `related_pairs`, the slow
 reference and the only source of a False or unknown verdict and its witness.
 
 Reflection is decided on classes the same way. Once equivariance is True,
-each member x of a source class has f x ~ f x0, x0 its first member, so
+each member x of a source class has f x ~ f x0, x0 its representative, so
 f x ~ y exactly when f x0 ~ y, and x0 ~ proj y then gives x ~ proj y. So
 when every verdict on f x0 is decided and each y ~ f x0 has x0 ~ proj y,
 the scan over all source totals would find nothing: `is_equiembedding`
@@ -82,7 +83,7 @@ changes named fields of an existing flag set with `dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import product
+from itertools import chain, product
 from typing import List, Optional, Sequence, Tuple
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
@@ -170,10 +171,10 @@ class StructuralRel:
         ts, exact = self.totals(bound)
         return group_classes(ts, lambda a, b: self.related(a, b, bound)), exact
 
-    def class_count(self, bound=None):
+    def representatives(self, bound=None):
         # the slow reference every quotient rule is checked against
         classes, exact = self.classes(bound)
-        return len(classes), exact
+        return [cls[0] for cls in classes], exact
 
     def related_pairs(self, bound=None):
         ts, exact = self.totals(bound)
@@ -232,16 +233,18 @@ class SumRel(StructuralRel):
         return self.parts[i].related(x, y, bound)
 
     def totals(self, bound=None):
+        return self._injected("totals", bound)
+
+    def representatives(self, bound=None):
+        return self._injected("representatives", bound)
+
+    def _injected(self, which, bound):
         out, exact = [], True
         for i, per in enumerate(self.parts):
-            ts, ex = per.totals(bound)
+            ts, ex = getattr(per, which)(bound)
             exact = exact and ex
             out.extend(self.basis.inject(i, t) for t in ts)
         return out, exact
-
-    def class_count(self, bound=None):
-        counts = [per.class_count(bound) for per in self.parts]
-        return sum(n for (n, _) in counts), all(ex for (_, ex) in counts)
 
 
 class ProdRel(StructuralRel):
@@ -261,13 +264,15 @@ class ProdRel(StructuralRel):
         return None
 
     def totals(self, bound=None):
-        ls, lex = self.left.totals(bound)
-        rs, rex = self.right.totals(bound)
-        return [self.basis.pair(x, y) for x in ls for y in rs], lex and rex
+        return self._paired("totals", bound)
 
-    def class_count(self, bound=None):
-        (ln, lex), (rn, rex) = self.left.class_count(bound), self.right.class_count(bound)
-        return ln * rn, lex and rex
+    def representatives(self, bound=None):
+        return self._paired("representatives", bound)
+
+    def _paired(self, which, bound):
+        ls, lex = getattr(self.left, which)(bound)
+        rs, rex = getattr(self.right, which)(bound)
+        return [self.basis.pair(x, y) for x in ls for y in rs], lex and rex
 
 
 class NatIdentityRel(StructuralRel):
@@ -326,24 +331,14 @@ class FunRel(StructuralRel):
                 if self.related(t, t, bound) is True:
                     out.append(t)
             return out, False
-        body = self.body_per.carrier
-        body_totals, bt_exact = self.body_per.totals(bound)
-        if body.finite:
-            vals, vex = self.body_per.carrier_tokens(None)
+        if self.body_per.carrier.finite:
+            body_totals, bt_exact = self.body_per.totals(bound)
         else:
             # staged body: one value per class plus approximations; the
             # fragment is a sample and is flagged as such via exact=False
-            body_totals = [cls[0] for cls in self.body_per.classes(bound)[0]]
-            pool, seen = [], set()
-            frag = body.tokens(bound).tokens
-            for v in body_totals:
-                for t in frag:
-                    if body.leq(t, v) and t.key not in seen:
-                        seen.add(t.key)
-                        pool.append(t)
-            if body.bottom.key not in seen:
-                pool.append(body.bottom)
-            vals, vex = pool, False
+            body_totals, bt_exact = self.body_per.representatives(bound)
+        values, vex = self._values(body_totals, bound)
+        vals = list(dict.fromkeys(values()))
         exp_totals, _ = self.exp_per.totals(bound)
         exp_total_keys = {t.key for t in exp_totals}
         # distinct monotone maps have distinct canonical step sets
@@ -356,30 +351,62 @@ class FunRel(StructuralRel):
         # over inexact exponent pairs no f ~ f is True, so the list says nothing
         return out, vex and bt_exact and self.exp_per.related_pairs(bound)[1]
 
-    def class_count(self, bound=None):
+    def representatives(self, bound=None):
         """Quotient rule: f ~ g iff f x ~ g y for every related pair, so a
         class is a tuple of body classes, one per exponent class, that some
-        monotone map realises; the fallbacks are in the module docstring."""
-        if not (
-            self.basis.exponent.finite
-            and self.body_per.carrier.finite
-            and self.exp_per.related_pairs(bound)[1]
-        ):
-            return super().class_count(bound)
-        exp_classes, _ = self.exp_per.classes(bound)
-        body_classes, body_exact = self.body_per.classes(bound)
-        class_index = {t.key: i for i, cls in enumerate(exp_classes) for t in cls}
-        vals, vex = self.body_per.carrier_tokens(None)
-        count = 0
-        for choice in product(body_classes, repeat=len(exp_classes)):
-            # total points take a member of their chosen body class, other
-            # points any value; the first realisation settles the tuple
-            if self.basis.monotone_maps(
-                lambda p: choice[class_index[p.key]] if p.key in class_index else vals,
-                lambda a: True,
-            ):
-                count += 1
-        return count, vex and body_exact
+        monotone map realises; the first map found that is related to itself
+        represents it. Total points try the representative first, then (over
+        a finite body) the rest of its class as the search asks."""
+        exp, body = self.exp_per, self.body_per
+        if not (self.basis.exponent.finite and exp.related_pairs(bound)[1]):
+            return super().representatives(bound)
+        exp_reps, _ = exp.representatives(bound)
+        # each exponent total's class: the position of the representative it is related to
+        index = {
+            t.key: i
+            for t in exp.totals(bound)[0]
+            for (i, e) in enumerate(exp_reps)
+            if exp.related(e, t, bound) is True
+        }
+        body_reps, body_exact = body.representatives(bound)
+        values, vex = self._values(body_reps, bound)
+
+        def members(r):
+            yield r
+            if body.carrier.finite:
+                for v in values():
+                    if v != r and body.related(r, v, bound) is True:
+                        yield v
+
+        def keep(a):
+            f = self.basis.from_function(lambda p: a[p])
+            if self.related(f, f, bound) is True:
+                reps.append(f)
+                return True
+
+        reps = []
+        for choice in product(body_reps, repeat=len(exp_reps)):
+            self.basis.monotone_maps(
+                lambda p: members(choice[index[p.key]]) if p.key in index else values(),
+                keep,
+            )
+        return reps, vex and body_exact
+
+    def _values(self, reps, bound):
+        """`(values, exact)`: `values()` iterates what non-total points take:
+        every value of a finite body; of a staged body, the fragment values
+        below one of `reps`, then bottom, made as asked for and never exact."""
+        body = self.body_per.carrier
+        if body.finite:
+            vals, exact = self.body_per.carrier_tokens(None)
+            return (lambda: vals), exact
+        frag = body.tokens(bound).tokens
+
+        def pool():
+            below = (t for v in reps for t in frag if body.leq(t, v))
+            return chain(below, [body.bottom])
+
+        return pool, False
 
 
 class LimitRel(StructuralRel):
@@ -395,15 +422,19 @@ class LimitRel(StructuralRel):
         return self.stage_pers[k].related(pt, qt, bound)
 
     def totals(self, bound=None):
-        b = self.limit.max_stage() if bound is None else min(bound, self.limit.max_stage())
-        out, seen = [], set()
-        for n in range(b + 1):
-            ts, _ = self.stage_pers[n].totals(bound)
-            for c in self.limit.tags(n, ts):
-                if c.key not in seen:
-                    seen.add(c.key)
-                    out.append(c)
-        return out, False
+        return list(self._tagged("totals", bound)), False
+
+    def representatives(self, bound=None):
+        """Every limit total is the tag of a total of a covered stage, related
+        there to that stage's representative of its class, so the tagged
+        representatives meet every class; grouping them keeps one each."""
+        tags = self._tagged("representatives", bound)
+        classes = group_classes(tags, lambda a, b: self.related(a, b, bound))
+        return [cls[0] for cls in classes], False
+
+    def _tagged(self, which, bound):
+        at_stage = lambda n: getattr(self.stage_pers[n], which)(bound)[0]
+        return self.limit.tagged(bound, at_stage)
 
 
 class ImageRel(StructuralRel):
@@ -443,15 +474,15 @@ class ImageRel(StructuralRel):
 
 class MemoRel(StructuralRel):
     """Transparent memoisation shell around a structural decider: verdicts
-    are cached per value pair and bound, totals, classes and class counts per
-    bound.  Classes group the cached totals with the cached verdicts."""
+    are cached per value pair and bound, totals, classes and representatives
+    per bound.  Classes group the cached totals with the cached verdicts."""
 
     def __init__(self, inner):
         self.inner = inner
         self._memo = {}
         self._totals_cache = {}
         self._classes_cache = {}
-        self._count_cache = {}
+        self._reps_cache = {}
 
     def related(self, a, b, bound=None):
         k = (a.key, b.key, bound)
@@ -469,13 +500,11 @@ class MemoRel(StructuralRel):
             self._classes_cache[bound] = super().classes(bound)
         return self._classes_cache[bound]
 
-    def class_count(self, bound=None):
-        if bound in self._classes_cache:
-            classes, exact = self._classes_cache[bound]
-            return len(classes), exact
-        if bound not in self._count_cache:
-            self._count_cache[bound] = self.inner.class_count(bound)
-        return self._count_cache[bound]
+    def representatives(self, bound=None):
+        if bound not in self._reps_cache:
+            source = super() if bound in self._classes_cache else self.inner
+            self._reps_cache[bound] = source.representatives(bound)
+        return self._reps_cache[bound]
 
 
 def group_classes(values, related) -> List[List[object]]:
@@ -528,10 +557,14 @@ class DomainPer:
         return cls if x in cls else [x] + cls
 
     def class_count(self, bound=None):
-        return self.rel.class_count(bound)
+        reps, exact = self.representatives(bound)
+        return len(reps), exact
 
     def classes(self, bound=None):
         return self.rel.classes(bound)
+
+    def representatives(self, bound=None):
+        return self.rel.representatives(bound)
 
     def describe(self):
         return {"carrier": self.carrier.name, "flags": asdict(self.flags)}
@@ -822,12 +855,10 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
 
 
 def _reflects_on_classes(pe: PerEmbedding, tgt_toks, bound) -> bool:
-    """The reflection certificate: for the first member x0 of each source
+    """The reflection certificate: for the representative x0 of each source
     class, every target verdict on f x0 is decided and each y ~ f x0 has
     x0 ~ proj y True."""
-    classes, _ = pe.source.classes(bound)
-    for cls in classes:
-        x0 = cls[0]
+    for x0 in pe.source.representatives(bound)[0]:
         fx0 = pe.emb.fwd(x0)
         for y in tgt_toks:
             r = pe.target.related(fx0, y, bound)

@@ -106,6 +106,10 @@ class PullbackRel(StructuralRel):
         ts, exact = self.unfolded_per.totals(bound)
         return [self.iso.inv(t) for t in ts], exact
 
+    def representatives(self, bound=None):
+        reps, exact = self.unfolded_per.representatives(bound)
+        return [self.iso.inv(t) for t in reps], exact
+
 
 @dataclass
 class PerChain:
@@ -252,15 +256,16 @@ def _reduces_along_link(chain: PerChain, n: int) -> Optional[bool]:
 
 
 def _successor_fragment_totals(chain: PerChain, rank_bound: int):
-    """Fragment totals of the first stage past omega, as unfolded values.
+    """One fragment total per class of the first stage past omega, as
+    unfolded values, built by the quotient rules (`per.py`).
 
     Values are clamped one stage below the built finite depth so that their
     folds land on built stages.
     """
     unfolded = chain.unfolded[0]
     depth = min(rank_bound, chain.per_limit.limit.max_stage() - 1)
-    ts, _ = unfolded.totals(depth)
-    return ts, depth
+    reps, _ = unfolded.representatives(depth)
+    return reps, depth
 
 
 def _folds_back(chain: PerChain, t: Token) -> bool:
@@ -276,24 +281,18 @@ def _folds_back(chain: PerChain, t: Token) -> bool:
     )
 
 
-def _omega_class_images(chain: PerChain, depth: int) -> List[Token]:
-    """Images of one representative per omega-class; the omega-totals reach
-    one stage deeper than the fragment values they are compared with."""
-    classes, _ = chain.per_limit.per.classes(depth + 1)
-    return [chain.iso.fwd(cls[0]) for cls in classes]
-
-
 def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
     """First stage whose successor adds no totals on the checked fragment,
     or a concrete new total, or an honest unknown.
 
     At omega, every fragment total t of stage omega+1 must be related to the
-    image of some omega-total.  The probe first folds t back with
-    s = iso.inv(t).  If s is related to itself at omega, s is an omega-total;
-    if moreover iso.fwd(s) is related to t, s is an omega-total whose image
-    is related to t, so accepting t is sound.  Only a t that does not fold
-    back (inv fails, or either check is not True) is compared with one image
-    per omega-class, the omega-totals being enumerated once on first need."""
+    image of some omega-total.  One total per fragment class is enough: if
+    t ~ t' and t' ~ fwd(s), then t ~ fwd(s), as True verdicts are symmetric
+    and transitive.  The probe folds each representative t back with
+    s = iso.inv(t); if s ~ s at omega and iso.fwd(s) ~ t, s is an omega-total
+    whose image is related to t, so accepting t's class is sound.  Only a t
+    that does not fold back is compared with the image of one representative
+    per omega-class, built once on first need."""
     # finite stages, decided exactly; stages past the exhaustive-verification
     # depth are left to the omega check, which subsumes them
     for n in range(min(len(chain.link_bounds), 4)):
@@ -318,8 +317,9 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
 
 
 def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
-    """Whether stage omega+1 adds no totals on the fragment: fold-back first,
-    omega-class images only for a total that does not fold back."""
+    """Whether stage omega+1 adds no totals on the fragment, decided on one
+    total per fragment class: fold-back first, omega-class images only for a
+    representative that does not fold back."""
     unfolded = chain.unfolded[0]
     fragment, depth = _successor_fragment_totals(chain, rank_bound)
     images = None
@@ -327,7 +327,9 @@ def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
         if _folds_back(chain, t):
             continue
         if images is None:
-            images = _omega_class_images(chain, depth)
+            # the omega-classes reach one stage deeper than the fragment
+            reps, _ = chain.per_limit.per.representatives(depth + 1)
+            images = [chain.iso.fwd(s) for s in reps]
         if not any(unfolded.related(t, img) is True for img in images):
             return StabilizationVerdict("witness", OMEGA, witness=t, bound=depth)
     return StabilizationVerdict("stabilized", OMEGA, bound=depth)

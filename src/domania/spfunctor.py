@@ -205,6 +205,7 @@ class LimitBasis(Basis):
         self._cons_cache = {}
         self._stage_emb_cache = {}
         self._images = {}
+        self._tokens = {}
         self._bottom = self.canonical(0, stages[0].basis.bottom)
 
     # stage arithmetic -----------------------------------------------------
@@ -292,16 +293,22 @@ class LimitBasis(Basis):
         return self._lub_cache[key]
 
     def tokens(self, bound=None):
+        # the stage list is fixed at construction, so each bound's answer is kept
+        if bound not in self._tokens:
+
+            def stage_tokens(n):
+                stage = self.stages[n].basis
+                return stage.tokens(None if stage.finite else bound).tokens
+
+            self._tokens[bound] = TokenSet(self.tagged(bound, stage_tokens), True)
+        return self._tokens[bound]
+
+    def tagged(self, bound, values_at) -> Tuple[Token, ...]:
+        """The distinct tags of the stage-n values `values_at(n)`, stage by
+        stage up to `bound`, in order of first appearance."""
         b = self.max_stage() if bound is None else min(bound, self.max_stage())
-        out = []
-        seen = set()
-        for n in range(b + 1):
-            stage = self.stages[n].basis
-            for c in self.tags(n, stage.tokens(None if stage.finite else bound).tokens):
-                if c.key not in seen:
-                    seen.add(c.key)
-                    out.append(c)
-        return TokenSet(tuple(out), True)
+        tagged = (c for n in range(b + 1) for c in self.tags(n, values_at(n)))
+        return tuple(dict.fromkeys(tagged))
 
     def tags(self, n: int, ts) -> List[Token]:
         """`canonical` of each stage-n token in ts.  When stage n-1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -324,6 +325,29 @@ def test_flatnat_product_equation_ends_with_a_report():
     assert proc.returncode == 1, proc.stderr
     checks = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
     assert checks["stabilization"] == "fail"
+
+
+def test_rank_five_per_lfp_report_is_unchanged():
+    # the probe and the class counts once enumerated every stage omega+1
+    # fragment total here (~8 s, ~160 MB); run in a child under a timeout
+    # and a 1 GB address-space limit
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from domania.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    argv = ["per-lfp", "--eq", RUNNING_EQ, "--rank-bound", "5", "--beyond-omega", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["stabilized_at"] == "omega"
+    digest = hashlib.sha1(proc.stdout).hexdigest()
+    assert digest == "7d85c0862b055139f0a444209236482a5712f491"
 
 
 def test_per_lfp_loads_neither_qcb_nor_oracles():

@@ -83,6 +83,14 @@ def test_per_construct_fun_classes():
     assert len(classes[0]) == 2
 
 
+def split_diamond():
+    # classes [a, top] and [b]: b lies below top but not below a, the
+    # class's first member, so only its second member realises b <= f(top)
+    d = catalog_basis("diamond")
+    a, b, top = tok("a"), tok("b"), tok("top")
+    return finite_per(d, [(a, a), (top, top), (a, top), (b, b)])
+
+
 def discrete_chain():
     # both points of the two-chain total and unrelated: a map sending bot and
     # top to unrelated values must keep them ordered
@@ -127,22 +135,38 @@ def test_flat_exponent_probe_points_match_a_scan():
                 assert fun.related(f, g) is scan, (f, g)
 
 
+def assert_representatives_match(per, bound=None, where=None):
+    """The quotient rule's representatives against their slow reference,
+    the grouped totals: each is related to itself, no two are related, each
+    class holds exactly one, the exact flags agree, and the class count is
+    their number.  Asked for before the classes are held, so that the rule,
+    not the held classes, builds them."""
+    reps, reps_exact = per.representatives(bound)
+    classes, exact = per.classes(bound)
+    assert per.class_count(bound) == (len(classes), exact), where
+    assert reps_exact == exact, where
+    assert all(per.related(r, r, bound) is True for r in reps), where
+    pairs = itertools.combinations(reps, 2)
+    assert not any(per.related(a, b, bound) is True for (a, b) in pairs), where
+    held = [sum(r.key in {t.key for t in cls} for r in reps) for cls in classes]
+    assert held == [1] * len(classes) and len(reps) == len(classes), where
+
+
 @pytest.mark.parametrize("kind", ["sum", "prod", "fun"])
 def test_class_count_matches_grouped_classes(kind):
     # the quotient rule against its slow reference, grouping the totals;
     # trivial parts give empty class sets, parity_image an unknown verdict,
-    # and top_image, as an exponent, the fallback for inexact related pairs
-    parts = [osier, flatbool_per, trivial_per, discrete_chain, parity_image, top_image]
+    # top_image, as an exponent, the fallback for inexact related pairs, and
+    # split_diamond, as a body, a class realised only by a later member
+    parts = [
+        osier, flatbool_per, trivial_per, discrete_chain, split_diamond, parity_image,
+        top_image,
+    ]
     for D, E in itertools.product(parts, repeat=2):
-        # counted before the classes are held, so the rule decides the count
         per = per_construct(kind, D(), E())
-        count = per.class_count()
-        classes, exact = per.classes()
-        assert count == (len(classes), exact), (D.__name__, E.__name__)
+        assert_representatives_match(per, where=(D.__name__, E.__name__))
     nested = per_construct(kind, flatbool_per(), per_construct("fun", osier(), flatbool_per()))
-    count = nested.class_count()
-    classes, exact = nested.classes()
-    assert count == (len(classes), exact)
+    assert_representatives_match(nested)
 
 
 def test_fun_totals_over_inexact_exponent_pairs_are_inexact():
@@ -666,6 +690,18 @@ def test_limit_of_constant_chain():
     assert pl.rank_of(top0) == 0
     classes, _ = pl.per.classes()
     assert len(classes) == 1
+
+
+def test_limit_representatives_keep_one_per_class_across_stages(monkeypatch):
+    # the stages name the first and the last member of each class in turn,
+    # so a class's tags at successive stages differ and only the grouping
+    # keeps one of them
+    chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, fin(3))
+    pers = [per for (_, per) in chain.stages]
+    for (n, per) in enumerate(pers):
+        named = [cls[-(n % 2)] for cls in per.classes()[0]]
+        monkeypatch.setattr(per, "representatives", lambda b=None, r=named: (r, True))
+    assert_representatives_match(limit_per(pers, chain.embeddings).per)
 
 
 def test_incoherent_chain_rejected():

@@ -11,7 +11,9 @@ from domania.ordinals import OMEGA, fin, omega_plus
 from domania.cli import _stage_rows_for_chain, build_parser, cmd_counterexample
 from domania.per import (
     EmbeddingVerdict,
+    FiniteRel,
     FunRel,
+    LimitRel,
     PerMap,
     check_property,
     is_equiembedding,
@@ -20,7 +22,6 @@ from domania.perlfp import (
     LINKS,
     StabilizationVerdict,
     _folds_back,
-    _omega_class_images,
     _omega_verdict,
     _reduces_along_link,
     _stage_stabilizes,
@@ -42,6 +43,7 @@ from domania.spfunctor import (
     functor_action,
     omega_chain,
 )
+from test_per import assert_representatives_match
 
 RUNNING = Sum(ConstD("A"), Exp("B", Id()))
 
@@ -90,20 +92,15 @@ CLASS_COUNT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CLASS_COUNT_CASES))
 def test_class_count_matches_grouped_classes(name):
-    # the stage rows' count against its slow reference, at every stage the
-    # per-lfp command builds
+    # the representatives behind the stage rows' count against their slow
+    # reference, at every stage the per-lfp command builds
     expr, env, rank_bounds = CLASS_COUNT_CASES[name]
     for rank_bound in rank_bounds:
         chain = per_chain_extend(
             expr, env(), omega_plus(1), n_finite=max(4, rank_bound + 1)
         )
         for (o, per) in chain.stages:
-            count = per.class_count(rank_bound)
-            classes, exact = per.classes(rank_bound)
-            assert count == (len(classes), exact), (
-                rank_bound,
-                str(o),
-            )
+            assert_representatives_match(per, rank_bound, (rank_bound, str(o)))
 
 
 # equations whose chains the link, stabilization and tag rules are checked on
@@ -233,13 +230,21 @@ def test_chain_links_and_stage_pers_share_one_basis_per_stage():
     assert chain.iso.unfolded is chain.unfolded[0].carrier
 
 
-def class_search_verdict(chain, rank_bound):
-    """Reference omega check: compare every fragment total with one image per
-    omega-class, as the probe did before folding back."""
+def full_fragment_verdict(chain, rank_bound):
+    """Reference omega check on every fragment total, not one per class: a
+    total that does not fold back is compared with the image of the first
+    member of each grouped omega-class, as the probe did before it read
+    representatives."""
     unfolded = chain.unfolded[0]
-    fragment, depth = _successor_fragment_totals(chain, rank_bound)
-    images = _omega_class_images(chain, depth)
+    depth = min(rank_bound, chain.per_limit.limit.max_stage() - 1)
+    fragment, _ = unfolded.totals(depth)
+    images = None
     for t in fragment:
+        if _folds_back(chain, t):
+            continue
+        if images is None:
+            classes, _ = chain.per_limit.per.classes(depth + 1)
+            images = [chain.iso.fwd(cls[0]) for cls in classes]
         if not any(unfolded.related(t, img) is True for img in images):
             return StabilizationVerdict("witness", OMEGA, witness=t, bound=depth)
     return StabilizationVerdict("stabilized", OMEGA, bound=depth)
@@ -248,7 +253,7 @@ def class_search_verdict(chain, rank_bound):
 @pytest.mark.parametrize(
     "expr, env, rank_bounds",
     [
-        (RUNNING, running_env(), (1, 2, 3)),
+        (RUNNING, running_env(), (1, 2, 3, 4)),
         (
             Sum(ConstD("FB"), Exp("S", Id())),
             {"FB": flatbool_per(), "S": sierpinski_per()},
@@ -264,19 +269,30 @@ def test_fold_back_agrees_with_class_search(expr, env, rank_bounds):
         )
         fragment, _ = _successor_fragment_totals(chain, rank_bound)
         assert fragment
-        # the fold-back alone decides every fragment total here
+        # the fold-back alone decides every fragment representative here
         assert all(_folds_back(chain, t) for t in fragment), rank_bound
         got = _omega_verdict(chain, rank_bound)
-        want = class_search_verdict(chain, rank_bound)
+        want = full_fragment_verdict(chain, rank_bound)
         assert (got.kind, got.stage, got.bound) == (want.kind, want.stage, want.bound)
+
+
+def test_omega_verdict_on_representatives_finds_a_witness():
+    # a fragment representative that neither folds back nor meets an
+    # omega-class image is reported, as the full-fragment reference reports
+    # a member of its class
+    chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=4)
+    # an omega per relating nothing: no representative folds back
+    chain.per_limit.per = dataclasses.replace(
+        chain.per_limit.per, rel=FiniteRel(chain.per_limit.limit, ())
+    )
+    got = _omega_verdict(chain, 2)
+    want = full_fragment_verdict(chain, 2)
+    assert got.kind == "witness"
+    assert (got.kind, got.stage, got.bound) == (want.kind, want.stage, want.bound)
 
 
 def test_probe_at_omega_enumerates_no_omega_totals(monkeypatch):
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=4)
-    # the stage omega+1 fragment is itself enumerated through the omega per;
-    # build it (it is cached) before forbidding any further enumeration
-    fragment, _ = _successor_fragment_totals(chain, 3)
-    assert fragment
 
     def forbidden(*args, **kwargs):
         raise AssertionError("omega-totals enumerated")
@@ -286,6 +302,25 @@ def test_probe_at_omega_enumerates_no_omega_totals(monkeypatch):
     v = stabilization_probe(chain, rank_bound=3)
     assert v.stabilized
     assert v.stage == OMEGA
+
+
+def test_probe_and_stage_rows_enumerate_no_limit_or_unfolded_totals(monkeypatch):
+    # rank 4 on the running example: the omega and omega+1 rows and the
+    # omega check read representatives, and never list the totals of the
+    # limit, of a stage past omega, or of the unfolded per
+    chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("totals enumerated")
+
+    monkeypatch.setattr(LimitRel, "totals", forbidden)
+    monkeypatch.setattr(perlfp.PullbackRel, "totals", forbidden)
+    monkeypatch.setattr(chain.unfolded[0], "totals", forbidden)
+    monkeypatch.setattr(chain.unfolded[0].rel, "totals", forbidden)
+    v = stabilization_probe(chain, rank_bound=4)
+    assert (v.kind, v.stage, v.bound) == ("stabilized", OMEGA, 4)
+    rows = _stage_rows_for_chain(chain, 4)
+    assert [r["total_class_count"] for r in rows] == [0, 1, 2, 3, 4, 5, 4, 5]
 
 
 def test_chain_stage_pers_preserve_properties():

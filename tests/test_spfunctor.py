@@ -288,6 +288,12 @@ def test_bounded_tokens_do_not_depend_on_earlier_calls():
         before[0].tokens,
         before[1].tokens,
     )
+    # the limit keeps each bound's answer, the one a fresh limit gives
+    stages = omega_chain(RUNNING, ENV, 4)
+    limit = LimitBasis(stages)
+    first = limit.tokens(2)
+    assert limit.tokens().tokens == LimitBasis(stages).tokens().tokens
+    assert limit.tokens(2) is first and first == LimitBasis(stages).tokens(2)
 
 
 def _same_basis_answers(got, ref, bound):

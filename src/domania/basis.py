@@ -9,7 +9,6 @@ and enumerate their tokens up to an explicit bound with a truncation flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import (
@@ -87,12 +86,27 @@ def tok(key) -> Token:
     return t
 
 
-@dataclass(frozen=True)
-class TokenSet:
+class Frozen:
+    """A value record: two are equal, and hash alike, when they have one type
+    and equal fields.  `__init__` sets each field once through
+    `object.__setattr__`; assigning a field afterwards raises."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign field {name!r} of a frozen record")
+
+
+class TokenSet(Frozen):
     """Result of a bounded token enumeration."""
 
-    tokens: Tuple[Token, ...]
-    truncated: bool
+    def __init__(self, tokens: Tuple[Token, ...], truncated: bool):
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "truncated", truncated)
 
     def __iter__(self):
         return iter(self.tokens)
@@ -138,10 +152,12 @@ class Basis:
 # finite posets (oracle substrate) and finite bases
 
 
-@dataclass(frozen=True)
-class FinitePoset:
-    elements: Tuple[object, ...]
-    leq_pairs: FrozenSet[Tuple[object, object]]
+class FinitePoset(Frozen):
+    def __init__(
+        self, elements: Tuple[object, ...], leq_pairs: FrozenSet[Tuple[object, object]]
+    ):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "leq_pairs", leq_pairs)
 
     def leq(self, a, b) -> bool:
         return (a, b) in self.leq_pairs
@@ -275,18 +291,20 @@ def mk_finite_basis(elements, order_pairs, name="basis") -> FiniteBasis:
 # axiom report
 
 
-@dataclass
 class CheckEntry:
-    name: str
-    ok: bool
-    witness: object = None
+    def __init__(self, name: str, ok: bool, witness: object = None):
+        self.name = name
+        self.ok = ok
+        self.witness = witness
 
 
-@dataclass
 class AxiomReport:
-    basis: str
-    bounded: bool
-    entries: List[CheckEntry] = field(default_factory=list)
+    def __init__(
+        self, basis: str, bounded: bool, entries: Optional[List[CheckEntry]] = None
+    ):
+        self.basis = basis
+        self.bounded = bounded
+        self.entries = [] if entries is None else entries
 
     @property
     def all_pass(self):

@@ -4,14 +4,13 @@ point assembled from dense chain stages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from .basis import Basis, Token, TokenSet
 from .construct import Embedding, canonical_from_probes, premise_closure
 from .errors import NonDenseParameter, TrivialFunctor, UnknownToken
 from .ordinals import omega_plus
-from .per import YES, DomainPer, tri_all, trivial_per
+from .per import YES, DomainPer, replace, tri_all, trivial_per
 from .perlfp import PerChain, apply_functor_per, functor_is_trivial, per_chain_extend
 from .spfunctor import (
     ConstD,
@@ -24,11 +23,13 @@ from .spfunctor import (
 )
 
 
-@dataclass
 class ExtensionVerdict:
-    status: str  # "yes" | "no" | "unknown"
-    witness: Optional[Token] = None
-    bound: Optional[int] = None
+    def __init__(
+        self, status: str, witness: Optional[Token] = None, bound: Optional[int] = None
+    ):
+        self.status = status  # "yes" | "no" | "unknown"
+        self.witness = witness
+        self.bound = bound
 
 
 def has_total_extension(P: DomainPer, p: Token, bound=None) -> ExtensionVerdict:
@@ -42,11 +43,11 @@ def has_total_extension(P: DomainPer, p: Token, bound=None) -> ExtensionVerdict:
     return ExtensionVerdict("no" if exact else "unknown", None, bound)
 
 
-@dataclass
 class DensePart:
-    parent: DomainPer
-    kept: Callable[[Token], bool]
-    per: DomainPer
+    def __init__(self, parent: DomainPer, kept: Callable[[Token], bool], per: DomainPer):
+        self.parent = parent
+        self.kept = kept
+        self.per = per
 
 
 class KeptBasis(Basis):
@@ -255,12 +256,15 @@ class DeltaFamily:
 # the dense least fixed point
 
 
-@dataclass
 class DenseLfp:
-    per: DomainPer
-    chain: PerChain
-    stage_dense_parts: List[DensePart]
-    kept: Callable[[Token], bool]
+    def __init__(
+        self, per: DomainPer, chain: PerChain, stage_dense_parts: List[DensePart],
+        kept: Callable[[Token], bool],
+    ):
+        self.per = per
+        self.chain = chain
+        self.stage_dense_parts = stage_dense_parts
+        self.kept = kept
 
 
 def dense_lfp(expr, env, rank_bound: int = 4, n_finite: int = 4) -> DenseLfp:

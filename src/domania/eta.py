@@ -7,7 +7,6 @@ of admissible shape."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +28,7 @@ from .per import (
     finite_per,
     per_construct,
     pointwise_flags,
+    replace,
 )
 from .perlfp import PerChain
 from .spfunctor import (
@@ -303,13 +303,16 @@ class EtaSystem:
 # iterated evaluation
 
 
-@dataclass
 class EvaluationRecord:
-    sequence: List[Token]  # the d^m values, as limit tokens
-    path: List[int]  # atomic-subfunctor indices of the non-terminal steps
-    code: Optional[int]
-    result: Token  # token of the strict-product result domain
-    halted: bool
+    def __init__(
+        self, sequence: List[Token], path: List[int], code: Optional[int], result: Token,
+        halted: bool,
+    ):
+        self.sequence = sequence  # the d^m values, as limit tokens
+        self.path = path  # atomic-subfunctor indices of the non-terminal steps
+        self.code = code
+        self.result = result  # token of the strict-product result domain
+        self.halted = halted
 
 
 def encode_path(path: Sequence[int], k_count: int) -> int:
@@ -565,10 +568,12 @@ class EtaBarSystem:
 # the weak isomorphism with the dense image
 
 
-@dataclass
 class RoundTripReport:
-    checks: List[Tuple[str, str, object]] = field(default_factory=list)
-    pedigree: str = "unknown"
+    def __init__(
+        self, checks: Optional[List[Tuple[str, str, object]]] = None, pedigree: str = "unknown"
+    ):
+        self.checks = [] if checks is None else checks
+        self.pedigree = pedigree
 
     def add(self, name, ok, witness=None):
         self.checks.append((name, "pass" if ok else "fail", witness))

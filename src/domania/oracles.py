@@ -1,10 +1,15 @@
 """Brute-force oracle suites: every check compares a construction against an
-independent enumeration at desk scale."""
+independent enumeration at desk scale.
+
+The environment variable DOMANIA_SEED fixes the ordering of exhaustive
+scans; it never skips cases.
+"""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import os
+import random
 from typing import Dict, List, Optional, Tuple
 
 from .basis import (
@@ -36,16 +41,22 @@ from .per import (
 )
 
 
-def _scan(items):
-    from .cli import scan_order
+def scan_order(items):
+    """Deterministic scan ordering; a seed permutes but never drops."""
+    items = list(items)
+    seed = os.environ.get("DOMANIA_SEED")
+    if seed is not None:
+        rng = random.Random(int(seed))
+        rng.shuffle(items)
+    return items
 
-    return scan_order(items)
 
-
-@dataclass
 class SuiteResult:
-    entries: List[Tuple[str, bool, Optional[str]]] = field(default_factory=list)
-    cases: int = 0
+    def __init__(
+        self, entries: Optional[List[Tuple[str, bool, Optional[str]]]] = None, cases: int = 0
+    ):
+        self.entries = [] if entries is None else entries
+        self.cases = cases
 
     def add(self, name, ok, witness=None):
         self.entries.append((name, ok, witness))
@@ -64,8 +75,8 @@ def fun_space_suite(max_size: int = 4) -> SuiteResult:
     brute-force monotone maps, for every ordered catalog pair."""
     result = SuiteResult()
     names = [n for n in catalog_names() if len(catalog_poset(n).elements) <= max_size]
-    for dn in _scan(names):
-        for en in _scan(names):
+    for dn in scan_order(names):
+        for en in scan_order(names):
             D, E = catalog_basis(dn), catalog_basis(en)
             fb = fun_basis(D, E)
             toks = list(fb.tokens().tokens)

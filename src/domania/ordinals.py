@@ -4,19 +4,19 @@ Richer ordinal arithmetic is deliberately absent; carriers stabilise at omega
 and only pers evolve past it.
 """
 
-from dataclasses import dataclass
 from functools import total_ordering
+
+from .basis import Frozen
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Ordinal:
-    limit: bool  # True means omega + k, False means the finite ordinal k
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
+class Ordinal(Frozen):
+    def __init__(self, limit: bool, k: int):
+        if k < 0:
             raise ValueError("negative stage index")
+        # True means omega + k, False means the finite ordinal k
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "k", k)
 
     def __lt__(self, other):
         if self.limit != other.limit:

@@ -77,19 +77,18 @@ Flag rules. Sums, products and limits take each flag pointwise
 (`pointwise_flags`: yes when every part says yes, no when one says no); a
 limit then drops `strongly_local`, `dense` and `admissible_pedigree` to
 unknown. Function spaces have their own rule (`_fun_flags`). Everything else
-changes named fields of an existing flag set with `dataclasses.replace`.
+changes named fields of an existing flag set with `replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain, product
 from typing import List, Optional, Sequence, Tuple
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
 from .basis import Basis, FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
-from .basis import transitive_reflexive_closure
+from .basis import Frozen, transitive_reflexive_closure
 from .construct import (
     Embedding,
     FunBasis,
@@ -111,6 +110,11 @@ from .ordinals import fin
 YES, NO, UNKNOWN = "yes", "no", "unknown"
 
 
+def replace(record, **changes):
+    """A new record of the same type: `record`'s fields, with `changes`."""
+    return type(record)(**{**vars(record), **changes})
+
+
 def tri_all(*vals):
     if all(v == YES for v in vals):
         return YES
@@ -123,17 +127,31 @@ def tri_all(*vals):
 # flags
 
 
-@dataclass(frozen=True)
-class PerFlags:
-    weakly_convex: str = UNKNOWN
-    convex: str = UNKNOWN
-    local: str = UNKNOWN
-    strongly_local: str = UNKNOWN
-    complete: str = UNKNOWN
-    upwards_closed: str = UNKNOWN
-    dense: str = UNKNOWN
-    admissible_pedigree: str = UNKNOWN
-    countably_based: str = UNKNOWN
+class PerFlags(Frozen):
+    FIELDS = (
+        "weakly_convex", "convex", "local", "strongly_local", "complete",
+        "upwards_closed", "dense", "admissible_pedigree", "countably_based",
+    )
+
+    def __init__(
+        self, weakly_convex: str = UNKNOWN, convex: str = UNKNOWN, local: str = UNKNOWN,
+        strongly_local: str = UNKNOWN, complete: str = UNKNOWN,
+        upwards_closed: str = UNKNOWN, dense: str = UNKNOWN,
+        admissible_pedigree: str = UNKNOWN, countably_based: str = UNKNOWN,
+    ):
+        object.__setattr__(self, "weakly_convex", weakly_convex)
+        object.__setattr__(self, "convex", convex)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "strongly_local", strongly_local)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "upwards_closed", upwards_closed)
+        object.__setattr__(self, "dense", dense)
+        object.__setattr__(self, "admissible_pedigree", admissible_pedigree)
+        object.__setattr__(self, "countably_based", countably_based)
+
+    def as_dict(self):
+        """Flag name -> value, in `FIELDS` order (the reports' pedigree order)."""
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 ALL_YES = PerFlags(*(YES,) * 9)
@@ -145,10 +163,7 @@ def pointwise_flags(parts) -> PerFlags:
     and the fresh bottom is never total."""
     parts = list(parts)
     return PerFlags(
-        **{
-            f.name: tri_all(*(getattr(p, f.name) for p in parts))
-            for f in fields(PerFlags)
-        }
+        *(tri_all(*(getattr(p, name) for p in parts)) for name in PerFlags.FIELDS)
     )
 
 
@@ -526,13 +541,16 @@ def group_classes(values, related) -> List[List[object]]:
 # the domain-per itself
 
 
-@dataclass
 class DomainPer:
-    carrier: Basis
-    rel: object
-    flags: PerFlags = field(default_factory=PerFlags)
-    trace: Tuple[str, ...] = ()
-    name: str = ""
+    def __init__(
+        self, carrier: Basis, rel: object, flags: Optional[PerFlags] = None,
+        trace: Tuple[str, ...] = (), name: str = "",
+    ):
+        self.carrier = carrier
+        self.rel = rel
+        self.flags = PerFlags() if flags is None else flags
+        self.trace = trace
+        self.name = name
 
     def related(self, a, b, bound=None):
         return self.rel.related(a, b, bound)
@@ -567,7 +585,7 @@ class DomainPer:
         return self.rel.representatives(bound)
 
     def describe(self):
-        return {"carrier": self.carrier.name, "flags": asdict(self.flags)}
+        return {"carrier": self.carrier.name, "flags": self.flags.as_dict()}
 
 
 def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> DomainPer:
@@ -578,7 +596,7 @@ def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> Doma
     # transitive closure so callers may list generators only; no elements,
     # so no reflexive pairs are added
     pairs = transitive_reflexive_closure((), pairs)
-    return DomainPer(carrier, FiniteRel(carrier, pairs), flags or PerFlags(), name=name)
+    return DomainPer(carrier, FiniteRel(carrier, pairs), flags, name=name)
 
 
 def trivial_per() -> DomainPer:
@@ -642,11 +660,11 @@ def per_construct(kind: str, D: DomainPer, E: DomainPer) -> DomainPer:
 # property checks
 
 
-@dataclass
 class Verdict:
-    status: str  # "holds" | "fails" | "unknown"
-    witness: object = None
-    bound: Optional[int] = None
+    def __init__(self, status: str, witness: object = None, bound: Optional[int] = None):
+        self.status = status  # "holds" | "fails" | "unknown"
+        self.witness = witness
+        self.bound = bound
 
     @property
     def holds(self):
@@ -805,20 +823,24 @@ def equi_injective(f, D: DomainPer, E: DomainPer, bound=None):
 # equiembeddings
 
 
-@dataclass
 class PerEmbedding:
-    emb: Embedding
-    source: DomainPer
-    target: DomainPer
-    name: str = ""
+    def __init__(
+        self, emb: Embedding, source: DomainPer, target: DomainPer, name: str = ""
+    ):
+        self.emb = emb
+        self.source = source
+        self.target = target
+        self.name = name
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
-    ok: bool
-    clause: str = ""
-    witness: object = None
-    unknown: bool = False
+class EmbeddingVerdict(Frozen):
+    def __init__(
+        self, ok: bool, clause: str = "", witness: object = None, unknown: bool = False
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "unknown", unknown)
 
 
 def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
@@ -914,11 +936,11 @@ def weak_iso_check(phi: PerMap, chi: PerMap, bound=None):
 # per limits
 
 
-@dataclass
 class PerLimit:
-    per: DomainPer
-    limit: LimitBasis
-    stage_pers: List[DomainPer]
+    def __init__(self, per: DomainPer, limit: LimitBasis, stage_pers: List[DomainPer]):
+        self.per = per
+        self.limit = limit
+        self.stage_pers = stage_pers
 
     def rank_of(self, v) -> int:
         """Least stage whose totals contain v."""

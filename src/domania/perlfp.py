@@ -13,7 +13,6 @@ no token; it is kept as the list x_0, x_1, ..., each a limit token."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -111,18 +110,24 @@ class PullbackRel(StructuralRel):
         return [self.iso.inv(t) for t in reps], exact
 
 
-@dataclass
 class PerChain:
-    functor: FunctorExpr
-    env: Dict[str, DomainPer]
-    stages: List[Tuple[Ordinal, DomainPer]]
-    embeddings: List[PerEmbedding]
-    per_limit: Optional[PerLimit] = None
-    iso: Optional[FixedPointIso] = None
-    unfolded: List[DomainPer] = field(default_factory=list)  # pers on F(D_omega)
-    # the bound each finite link was decided at; None when it was decided
-    # exactly, by an exhaustive scan or by functoriality
-    link_bounds: List[Optional[int]] = field(default_factory=list)
+    def __init__(
+        self, functor: FunctorExpr, env: Dict[str, DomainPer],
+        stages: List[Tuple[Ordinal, DomainPer]], embeddings: List[PerEmbedding],
+        per_limit: Optional[PerLimit] = None, iso: Optional[FixedPointIso] = None,
+        unfolded: Optional[List[DomainPer]] = None,
+        link_bounds: Optional[List[Optional[int]]] = None,
+    ):
+        self.functor = functor
+        self.env = env
+        self.stages = stages
+        self.embeddings = embeddings
+        self.per_limit = per_limit
+        self.iso = iso
+        self.unfolded = [] if unfolded is None else unfolded  # pers on F(D_omega)
+        # the bound each finite link was decided at; None when it was decided
+        # exactly, by an exhaustive scan or by functoriality
+        self.link_bounds = [] if link_bounds is None else link_bounds
 
     @property
     def link_bound(self) -> Optional[int]:
@@ -209,14 +214,17 @@ def per_chain_extend(
 # stabilisation
 
 
-@dataclass
 class StabilizationVerdict:
-    kind: str  # "stabilized" | "witness" | "unknown"
-    stage: Optional[Ordinal] = None
-    witness: object = None
-    bound: Optional[int] = None
-    # the nesting witness's report, whenever the equation has one
-    report: Optional[CounterexampleReport] = None
+    def __init__(
+        self, kind: str, stage: Optional[Ordinal] = None, witness: object = None,
+        bound: Optional[int] = None, report: Optional[CounterexampleReport] = None,
+    ):
+        self.kind = kind  # "stabilized" | "witness" | "unknown"
+        self.stage = stage
+        self.witness = witness
+        self.bound = bound
+        # the nesting witness's report, whenever the equation has one
+        self.report = report
 
     @property
     def stabilized(self):
@@ -408,18 +416,23 @@ def _render(expr: FunctorExpr, basis, env, path, inner: str, x) -> str:
     return f"({names[0]},{names[1]})"
 
 
-@dataclass
 class CounterexampleReport:
-    # the witness phi sends the n-th total of the exponent to x_n; it has
-    # infinite support and no token, so it is kept as its nestings x_0,
-    # x_1, ..., each a limit token, as far as they are checked
-    nests: List[Token]
-    pretty: str  # the witness's printed name
-    ranks: Dict[int, int]  # n -> reported rank (nesting depth)
-    total_stages: Dict[int, int]  # n -> least chain stage with x_n total
-    equivariant_on_fragment: bool
-    check_bound: int  # the equivariance check covers x_n for n < check_bound
-    total_at_finite_stage: bool
+    def __init__(
+        self, nests: List[Token], pretty: str, ranks: Dict[int, int],
+        total_stages: Dict[int, int], equivariant_on_fragment: bool, check_bound: int,
+        total_at_finite_stage: bool,
+    ):
+        # the witness phi sends the n-th total of the exponent to x_n; it has
+        # infinite support and no token, so it is kept as its nestings x_0,
+        # x_1, ..., each a limit token, as far as they are checked
+        self.nests = nests
+        self.pretty = pretty  # the witness's printed name
+        self.ranks = ranks  # n -> reported rank (nesting depth)
+        self.total_stages = total_stages  # n -> least chain stage with x_n total
+        self.equivariant_on_fragment = equivariant_on_fragment
+        # the equivariance check covers x_n for n < check_bound
+        self.check_bound = check_bound
+        self.total_at_finite_stage = total_at_finite_stage
 
 
 def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleReport]:
@@ -479,12 +492,15 @@ def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleRe
 # mediating algebra morphisms
 
 
-@dataclass
 class MediatingReport:
-    maps: List[PerEmbedding]
-    coherent: bool
-    morphism_law_ok: bool
-    witness: object = None
+    def __init__(
+        self, maps: List[PerEmbedding], coherent: bool, morphism_law_ok: bool,
+        witness: object = None,
+    ):
+        self.maps = maps
+        self.coherent = coherent
+        self.morphism_law_ok = morphism_law_ok
+        self.witness = witness
 
 
 def _derived_projection(src, tgt, fwd):

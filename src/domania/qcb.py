@@ -11,10 +11,9 @@ the parameters' representations."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basis import FiniteBasis, Token, tok
+from .basis import FiniteBasis, Frozen, Token, tok
 from .construct import (
     Embedding,
     exp_general_embedding,
@@ -58,11 +57,11 @@ from .spfunctor import (
 # finite spaces
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
-    name: str
-    points: Tuple[str, ...]
-    opens: frozenset  # of frozensets of points
+class FiniteSpace(Frozen):
+    def __init__(self, name: str, points: Tuple[str, ...], opens: frozenset):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "opens", opens)  # of frozensets of points
 
     def validate(self):
         pts = frozenset(self.points)
@@ -111,11 +110,11 @@ def discrete_space(labels) -> FiniteSpace:
 # pseudobases
 
 
-@dataclass
 class PseudobaseVerdict:
-    ok: bool
-    clause: str = ""
-    witness: object = None
+    def __init__(self, ok: bool, clause: str = "", witness: object = None):
+        self.ok = ok
+        self.clause = clause
+        self.witness = witness
 
 
 def min_open(X: FiniteSpace, x: str) -> frozenset:
@@ -176,12 +175,15 @@ def enumerate_ideals(fam: Sequence[frozenset]) -> List[frozenset]:
 # standard representations
 
 
-@dataclass
 class StandardRep:
-    per: DomainPer
-    space: FiniteSpace
-    sets: List[frozenset]
-    decode: Dict[object, Optional[str]]  # token key -> point or None
+    def __init__(
+        self, per: DomainPer, space: FiniteSpace, sets: List[frozenset],
+        decode: Dict[object, Optional[str]],
+    ):
+        self.per = per
+        self.space = space
+        self.sets = sets
+        self.decode = decode  # token key -> point or None
 
     def greatest_representative(self, x: str) -> Token:
         inter = frozenset(self.space.points)
@@ -400,14 +402,18 @@ def check_fun_coherence(repD: StandardRep, repE: StandardRep) -> bool:
 # the fixed-point pipeline
 
 
-@dataclass
 class QcbFixedPointReport:
-    lfp: DenseLfp
-    classes_by_rank: Dict[int, int]
-    fixed_point_bijection: bool
-    coherence: Dict[str, bool]
-    pedigree: Dict[str, str]
-    hausdorff: Optional[bool] = None
+    def __init__(
+        self, lfp: DenseLfp, classes_by_rank: Dict[int, int], fixed_point_bijection: bool,
+        coherence: Dict[str, bool], pedigree: Dict[str, str],
+        hausdorff: Optional[bool] = None,
+    ):
+        self.lfp = lfp
+        self.classes_by_rank = classes_by_rank
+        self.fixed_point_bijection = fixed_point_bijection
+        self.coherence = coherence
+        self.pedigree = pedigree
+        self.hausdorff = hausdorff
 
 
 def qcb_fixed_point(
@@ -448,7 +454,7 @@ def qcb_fixed_point(
             coherence[f"fun({a},{b})"] = check_fun_coherence(reps[a], reps[b])
         coherence[f"quotient({a})"] = quotient_matches_space(reps[a])
 
-    pedigree = asdict(lfp.per.flags)
+    pedigree = lfp.per.flags.as_dict()
 
     # the separation flag is derivable only when every positive parameter is
     # a finite space instance; it records the hypothesis checked by direct
@@ -481,10 +487,10 @@ def _positive_const_names(expr: FunctorExpr) -> List[str]:
 # weak-equivalence transfer and fixed-point independence
 
 
-@dataclass
 class IsoPair:
-    fwd: PerMap
-    back: PerMap
+    def __init__(self, fwd: PerMap, back: PerMap):
+        self.fwd = fwd
+        self.back = back
 
 
 def token_iso_pair(A: DomainPer, B: DomainPer, mapping: Dict[str, str]) -> IsoPair:
@@ -541,11 +547,14 @@ def _transfer(paired: FunctorExpr, phi: Embedding, isos) -> Embedding:
         )
 
 
-@dataclass
 class IndependenceReport:
-    stage_isos_ok: Optional[bool]  # None: no stage refuted, some undecided
-    uniform: bool
-    class_matching: Optional[List[Tuple[int, int]]]
+    def __init__(
+        self, stage_isos_ok: Optional[bool], uniform: bool,
+        class_matching: Optional[List[Tuple[int, int]]],
+    ):
+        self.stage_isos_ok = stage_isos_ok  # None: no stage refuted, some undecided
+        self.uniform = uniform
+        self.class_matching = class_matching
 
     @property
     def ok(self):

@@ -4,10 +4,9 @@ omega-chains, inductive limits, and the fixed-point order isomorphism."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .basis import Basis, Token, TokenSet, tok
+from .basis import Basis, Frozen, Token, TokenSet, tok
 from .construct import (
     Embedding,
     exp_fixed_embedding,
@@ -26,46 +25,45 @@ from .ordinals import Ordinal, fin
 # AST
 
 
-class FunctorExpr:
+class FunctorExpr(Frozen):
     pass
 
 
-@dataclass(frozen=True)
 class Id(FunctorExpr):
     def __str__(self):
         return "X"
 
 
-@dataclass(frozen=True)
 class ConstD(FunctorExpr):
-    name: str
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Sum(FunctorExpr):
-    left: FunctorExpr
-    right: FunctorExpr
+    def __init__(self, left: FunctorExpr, right: FunctorExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
 class Prod(FunctorExpr):
-    left: FunctorExpr
-    right: FunctorExpr
+    def __init__(self, left: FunctorExpr, right: FunctorExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
 class Exp(FunctorExpr):
-    param: str
-    body: FunctorExpr
+    def __init__(self, param: str, body: FunctorExpr):
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "body", body)
 
     def __str__(self):
         return f"[{self.param} -> {self.body}]"
@@ -158,11 +156,11 @@ def apply_functor_embedding(
 # omega-chains
 
 
-@dataclass
 class ChainStage:
-    index: Ordinal
-    basis: Basis
-    embed_from_prev: Optional[Embedding]  # None at stage 0
+    def __init__(self, index: Ordinal, basis: Basis, embed_from_prev: Optional[Embedding]):
+        self.index = index
+        self.basis = basis
+        self.embed_from_prev = embed_from_prev  # None at stage 0
 
 
 def omega_chain(expr: FunctorExpr, env: Dict[str, Basis], n_max: int) -> List[ChainStage]:
@@ -362,12 +360,15 @@ class LimitBasis(Basis):
 # fixed-point isomorphism D_omega ~ F(D_omega)
 
 
-@dataclass
 class IsoReport:
-    bound: int
-    verified: bool
-    token_count: int
-    witness: object = None
+    def __init__(self, bound: int, verified: bool, token_count: int, witness: object = None):
+        self.bound = bound
+        self.verified = verified
+        self.token_count = token_count
+        self.witness = witness
+
+    def __eq__(self, other):
+        return type(other) is IsoReport and vars(other) == vars(self)
 
 
 class FixedPointIso:

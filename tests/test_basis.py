@@ -21,7 +21,10 @@ from domania.errors import (
     NotAntisymmetric,
     NotConsistentlyComplete,
 )
-from domania.spfunctor import ConstD, Exp, Id, Sum, omega_chain
+from domania.ordinals import OMEGA, Ordinal, fin, omega_plus
+from domania.per import ALL_YES, NO, YES, EmbeddingVerdict, PerFlags, replace
+from domania.qcb import sierpinski_space
+from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, omega_chain
 
 
 def test_sierpinski_two_tokens():
@@ -233,3 +236,38 @@ def test_token_identity_matches_key_equality():
         if (a == b) != (a.key == b.key)
     ]
     assert wrong == []
+
+
+def test_frozen_records_are_values():
+    # equal and hashed alike by type and fields
+    assert Sum(Id(), ConstD("A")) == Sum(Id(), ConstD("A"))
+    assert hash(Exp("B", Id())) == hash(Exp("B", Id()))
+    assert Sum(Id(), Id()) != Prod(Id(), Id())
+    assert Exp("B", Id()) != Exp("C", Id())
+    assert PerFlags(*(YES,) * 9) == ALL_YES
+    assert fin(2) == Ordinal(False, 2) and fin(2) != omega_plus(2)
+    assert sierpinski_space() == sierpinski_space()
+    assert EmbeddingVerdict(True) == EmbeddingVerdict(True, "", None, False)
+    assert poset_of_basis(catalog_basis("two-chain")) == catalog_poset("two-chain")
+    # usable as dict keys
+    table = {Sum(Id(), Id()): "sum", Prod(Id(), Id()): "prod", fin(1): 1}
+    assert table[Sum(Id(), Id())] == "sum" and table[Ordinal(False, 1)] == 1
+    # fields cannot be reassigned
+    records = [
+        (Sum(Id(), Id()), "left"), (fin(1), "k"), (ALL_YES, "dense"),
+        (EmbeddingVerdict(True), "ok"), (sierpinski_space(), "points"),
+        (catalog_basis("two-chain").tokens(), "truncated"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    # stage indices order finite stages below omega + k
+    assert fin(0) < fin(3) < OMEGA < omega_plus(1) < omega_plus(2)
+    assert max(fin(7), OMEGA) == OMEGA
+    with pytest.raises(ValueError):
+        fin(-1)
+    # replace changes the named fields and keeps the others
+    flags = replace(ALL_YES, dense=NO)
+    assert flags.dense == NO and flags.convex == YES and ALL_YES.dense == YES
+    assert list(flags.as_dict()) == list(PerFlags.FIELDS)
+    assert replace(Exp("B", Id()), param="C") == Exp("C", Id())

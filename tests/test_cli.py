@@ -16,9 +16,9 @@ from domania.cli import (
     parse_equation,
     pretty_expr,
     run_command,
-    scan_order,
 )
 from domania.errors import EquationSyntaxError, RecursiveExponent, UnboundName
+from domania.oracles import scan_order
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
 
 RUNNING_EQ = "param A = sierpinski; param B = sierpinski; X = A + [B -> X]"
@@ -364,6 +364,55 @@ def test_per_lfp_loads_neither_qcb_nor_oracles():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.stdout.split("\n")[-2] == "0 []", proc.stderr
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # every command is a fresh process that imports the package; loading
+    # these two, and building records with them, took ~30 ms of each start
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    modules = sorted(
+        name[:-3] for name in os.listdir(os.path.join(src, "domania"))
+        if name.endswith(".py") and name != "__init__.py"
+    )
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('domania.' + name)\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert "cli" in modules and "qcb" in modules
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+@pytest.mark.parametrize("rank_bound, beyond", [(3, 2), (2, 3), (3, 3), (4, 2), (4, 3)])
+def test_per_lfp_past_omega_plus_one_ends_with_a_report(rank_bound, beyond):
+    # each level past omega folds once more, so the omega+k row's classes at
+    # rank bound R need stage R + k; these rows once ended the run with an
+    # iso error and no report, and now print a null class count
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    argv = [
+        "per-lfp", "--eq", RUNNING_EQ,
+        "--rank-bound", str(rank_bound), "--beyond-omega", str(beyond),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "domania.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["stabilized_at"] == "omega"
+    last_finite = max(int(r["index"]) for r in doc["stages"] if r["index"].isdigit())
+    for row in doc["stages"]:
+        if row["index"].startswith("omega+"):
+            k = int(row["index"][len("omega+"):])
+            counted = row["total_class_count"] is not None
+            assert counted == (rank_bound + k <= last_finite), row
 
 
 def test_scan_order_permutes_but_keeps_everything(monkeypatch):

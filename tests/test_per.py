@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -31,6 +30,7 @@ from domania.per import (
     limit_per,
     per_construct,
     prec_check,
+    replace,
     uniform_limit_map,
     weak_iso_check,
 )

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import pytest
@@ -17,6 +16,7 @@ from domania.per import (
     PerMap,
     check_property,
     is_equiembedding,
+    replace,
 )
 from domania.perlfp import (
     LINKS,
@@ -282,7 +282,7 @@ def test_omega_verdict_on_representatives_finds_a_witness():
     # a member of its class
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=4)
     # an omega per relating nothing: no representative folds back
-    chain.per_limit.per = dataclasses.replace(
+    chain.per_limit.per = replace(
         chain.per_limit.per, rel=FiniteRel(chain.per_limit.limit, ())
     )
     got = _omega_verdict(chain, 2)
@@ -422,7 +422,7 @@ def test_probe_reports_the_witness_only_when_both_checks_hold(monkeypatch, broke
     monkeypatch.setattr(
         perlfp,
         "counterexample_phi",
-        lambda chain, bound: dataclasses.replace(derive(chain, bound), **broken),
+        lambda chain, bound: replace(derive(chain, bound), **broken),
     )
     verdict = stabilization_probe(chain, 2)
     assert (verdict.kind, verdict.witness, verdict.bound) == ("unknown", None, 2)

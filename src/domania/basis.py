@@ -88,8 +88,8 @@ def tok(key) -> Token:
 
 class Frozen:
     """A value record: two are equal, and hash alike, when they have one type
-    and equal fields.  `__init__` sets each field once through
-    `object.__setattr__`; assigning a field afterwards raises."""
+    and equal fields.  `__init__` sets the fields once, through
+    `vars(self).update`; assigning a field afterwards raises."""
 
     def __eq__(self, other):
         return type(other) is type(self) and vars(other) == vars(self)
@@ -105,8 +105,7 @@ class TokenSet(Frozen):
     """Result of a bounded token enumeration."""
 
     def __init__(self, tokens: Tuple[Token, ...], truncated: bool):
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "truncated", truncated)
+        vars(self).update(tokens=tokens, truncated=truncated)
 
     def __iter__(self):
         return iter(self.tokens)
@@ -156,8 +155,7 @@ class FinitePoset(Frozen):
     def __init__(
         self, elements: Tuple[object, ...], leq_pairs: FrozenSet[Tuple[object, object]]
     ):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "leq_pairs", leq_pairs)
+        vars(self).update(elements=elements, leq_pairs=leq_pairs)
 
     def leq(self, a, b) -> bool:
         return (a, b) in self.leq_pairs
@@ -288,51 +286,58 @@ def mk_finite_basis(elements, order_pairs, name="basis") -> FiniteBasis:
 
 
 # ---------------------------------------------------------------------------
-# axiom report
+# verdicts and the axiom report
 
 
-class CheckEntry:
-    def __init__(self, name: str, ok: bool, witness: object = None):
-        self.name = name
-        self.ok = ok
-        self.witness = witness
+class Verdict(Frozen):
+    """One library verdict. `holds` is True, False, or None when undecided
+    at `bound`, the enumeration bound it was reached at (None: no bound).
+    `witness` and `clause` name what decided it."""
 
-
-class AxiomReport:
     def __init__(
-        self, basis: str, bounded: bool, entries: Optional[List[CheckEntry]] = None
+        self, holds: Optional[bool], witness: object = None,
+        bound: Optional[int] = None, clause: str = "",
     ):
-        self.basis = basis
-        self.bounded = bounded
-        self.entries = [] if entries is None else entries
+        vars(self).update(holds=holds, witness=witness, bound=bound, clause=clause)
+
+
+class Checks:
+    """Named verdicts in the order added; `cases` counts what a suite ran."""
+
+    def __init__(self):
+        self.entries: List[Tuple[str, Verdict]] = []
+        self.cases = 0
+
+    def add(self, name, holds, witness=None, bound=None):
+        self.entries.append((name, Verdict(holds, witness, bound)))
 
     @property
     def all_pass(self):
-        return all(e.ok for e in self.entries)
-
-    def add(self, name, ok, witness=None):
-        self.entries.append(CheckEntry(name, ok, witness))
+        return all(v.holds is True for (_, v) in self.entries)
 
 
-def check_domain_axioms(basis: Basis, bound: Optional[int] = None) -> AxiomReport:
-    """Pass/fail report for every basis invariant, witnesses attached.
+def check_domain_axioms(basis: Basis, bound: Optional[int] = None) -> Checks:
+    """A verdict for every basis invariant, witnesses attached.
 
-    On staged bases the checks run on the tokens within `bound` and the
-    report is flagged as bounded.
+    On staged bases the checks run on the tokens within `bound`, and each
+    verdict carries that bound; it is None when the tokens are exhaustive.
     """
     ts = basis.tokens(bound)
     toks = list(ts.tokens)
-    report = AxiomReport(basis.name, ts.truncated)
+    bound = bound if ts.truncated else None
+    report = Checks()
 
-    bad = next((t for t in toks if not basis.leq(t, t)), None)
-    report.add("Reflexive", bad is None, bad)
+    def add(name, bad):
+        report.add(name, bad is None, bad, bound)
+
+    add("Reflexive", next((t for t in toks if not basis.leq(t, t)), None))
 
     bad = None
     for a in toks:
         for b in toks:
             if basis.leq(a, b) and basis.leq(b, a) and a != b:
                 bad = (a, b)
-    report.add("Antisymmetric", bad is None, bad)
+    add("Antisymmetric", bad)
 
     bad = None
     for a in toks:
@@ -342,10 +347,9 @@ def check_domain_axioms(basis: Basis, bound: Optional[int] = None) -> AxiomRepor
             for c in toks:
                 if basis.leq(b, c) and not basis.leq(a, c):
                     bad = (a, b, c)
-    report.add("Transitive", bad is None, bad)
+    add("Transitive", bad)
 
-    bad = next((t for t in toks if not basis.leq(basis.bottom, t)), None)
-    report.add("BottomLeast", bad is None, bad)
+    add("BottomLeast", next((t for t in toks if not basis.leq(basis.bottom, t)), None))
 
     bad = None
     for a, b in itertools.combinations(toks, 2):
@@ -355,15 +359,14 @@ def check_domain_axioms(basis: Basis, bound: Optional[int] = None) -> AxiomRepor
         if has_ub:
             u = basis.lub((a, b))
             if not (basis.leq(a, u) and basis.leq(b, u)):
-                report.add("LubUpper", False, (a, b, u))
+                add("LubUpper", (a, b, u))
                 return report
             for v in toks:
                 if basis.leq(a, v) and basis.leq(b, v) and not basis.leq(u, v):
-                    bad = (a, b, v)
-                    report.add("LubNotLeast", False, bad)
+                    add("LubNotLeast", (a, b, v))
                     return report
-    report.add("ConsMatchesUpperBounds", bad is None, bad)
-    report.add("LubLeast", True, None)
+    add("ConsMatchesUpperBounds", bad)
+    add("LubLeast", None)
     return report
 
 

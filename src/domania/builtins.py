@@ -39,7 +39,6 @@ def flatnat_per(nat_bound: int = 8) -> DomainPer:
         b,
         NatIdentityRel(b, nat_bound),
         ALL_YES,
-        trace=("flat naturals with equality on defined values",),
         name="flatnat",
     )
 

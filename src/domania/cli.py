@@ -36,7 +36,7 @@ from typing import Dict, List, Tuple
 
 from .basis import Basis, mk_finite_basis, tok
 from .builtins import builtin_per, flatnat_per
-from .dense import DeltaFamily, dense_lfp
+from .dense import dense_laws, dense_lfp
 from .errors import (
     DomaniaError,
     EquationSyntaxError,
@@ -373,8 +373,13 @@ def resolve_space_source(src: str, base_dir="."):
 # reports
 
 
-def _check(name, anchor, status, bound=None, witness=None):
-    entry = {"name": name, "anchor": anchor, "status": status, "bound": bound}
+# the report's word for each library verdict; no other site assigns one
+_STATUS = {True: "pass", False: "fail", None: "unknown"}
+
+
+def _check(name, anchor, holds, bound=None, witness=None):
+    """A report row for the verdict `holds` (True, False or None)."""
+    entry = {"name": name, "anchor": anchor, "status": _STATUS[holds], "bound": bound}
     if witness is not None:
         entry["witness"] = witness
     return entry
@@ -382,10 +387,10 @@ def _check(name, anchor, status, bound=None, witness=None):
 
 def _stabilization(verdict):
     """The stage a stabilization verdict names, or None, and its check."""
-    status = {"stabilized": "pass", "witness": "fail"}.get(verdict.kind, "unknown")
+    holds = {"stabilized": True, "witness": False}.get(verdict.kind)
     witness = None if verdict.witness is None else str(verdict.witness)
     check = _check(
-        "stabilization", "per-chain-stabilization", status, verdict.bound, witness
+        "stabilization", "per-chain-stabilization", holds, verdict.bound, witness
     )
     return (str(verdict.stage) if verdict.stabilized else None), check
 
@@ -461,11 +466,11 @@ def cmd_solve_domain(args) -> Tuple[int, str]:
     try:
         iso, rep = fixed_point_iso(src.expr, env, lim, bound=bound)
         checks.append(
-            _check("fixed-point-iso", "limit-unfolding-iso", "pass", rep.bound)
+            _check("fixed-point-iso", "limit-unfolding-iso", True, rep.bound)
         )
     except DomaniaError as e:
         checks.append(
-            _check("fixed-point-iso", "limit-unfolding-iso", "fail", bound, str(e))
+            _check("fixed-point-iso", "limit-unfolding-iso", False, bound, str(e))
         )
     stage_rows = [
         {
@@ -530,7 +535,7 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
         rows = rows[: verdict.stage.k + 1]
     stabilized, stabilization = _stabilization(verdict)
     checks = [
-        _check("chain-links", "equiembedding-chain", "pass", chain.link_bound),
+        _check("chain-links", "equiembedding-chain", True, chain.link_bound),
         stabilization,
     ]
     text = report_json(
@@ -545,6 +550,14 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
     return (0 if ok else 1), text
 
 
+_DENSE_ANCHORS = {
+    "retraction-fixes-family": "closed-family-retraction",
+    "family-monotone": "closed-family-nesting",
+    "family-meets-totals": "closed-family-totals",
+    "kept-tokens": "dense-part-kept",
+}
+
+
 def cmd_dense(args) -> Tuple[int, str]:
     src = _load_equation(args.eq)
     env = _per_env(src, args.nat_bound)
@@ -552,45 +565,11 @@ def cmd_dense(args) -> Tuple[int, str]:
         src.expr, env, rank_bound=args.rank_bound,
         n_finite=max(args.n_max + 1, args.rank_bound + 1),
     )
-    checks = []
-    fam = DeltaFamily(lfp.chain)
-    lim = lfp.chain.per_limit.limit
-    toks = lim.tokens(args.n_max).tokens
-    ok = all(
-        (fam.retract(n, t) == t) == fam.member(n, t)
-        for n in range(1, args.n_max + 1)
-        for t in toks
-    )
-    checks.append(
-        _check("retraction-fixes-family", "closed-family-retraction",
-               "pass" if ok else "fail", args.n_max)
-    )
-    ok = all(
-        fam.member(n + 1, t)
-        for n in range(1, args.n_max)
-        for t in toks
-        if fam.member(n, t)
-    )
-    checks.append(
-        _check("family-monotone", "closed-family-nesting",
-               "pass" if ok else "fail", args.n_max)
-    )
-    totals, _ = lfp.chain.per_limit.per.totals(args.rank_bound)
-    ok = all(
-        fam.member(n, t) == (lfp.chain.per_limit.rank_of(t) <= n)
-        for n in range(1, args.n_max + 1)
-        for t in totals
-    )
-    checks.append(
-        _check("family-meets-totals", "closed-family-totals",
-               "pass" if ok else "fail", args.rank_bound)
-    )
-    kept = sum(1 for t in toks if lfp.kept(t))
-    checks.append(
-        _check("kept-tokens", "dense-part-kept",
-               "pass" if kept > 0 else "fail", args.rank_bound,
-               f"{kept}/{len(toks)}")
-    )
+    laws = dense_laws(lfp, args.n_max, args.rank_bound)
+    checks = [
+        _check(name, _DENSE_ANCHORS[name], v.holds, v.bound, v.witness)
+        for (name, v) in laws.entries
+    ]
     text = report_json(
         pretty_expr(src.expr, src.var),
         "dense",
@@ -599,8 +578,7 @@ def cmd_dense(args) -> Tuple[int, str]:
         checks,
         lfp.per.flags.as_dict(),
     )
-    ok = all(c["status"] == "pass" for c in checks)
-    return (0 if ok else 1), text
+    return (0 if laws.all_pass else 1), text
 
 
 def cmd_eta_roundtrip(args) -> Tuple[int, str]:
@@ -612,9 +590,9 @@ def cmd_eta_roundtrip(args) -> Tuple[int, str]:
     )
     report = dense_image_weak_iso(lfp, rank_bound=args.rank_bound)
     checks = [
-        _check(name, name, status, args.rank_bound,
-               witness.pretty if hasattr(witness, "pretty") else None)
-        for (name, status, witness) in report.checks
+        _check(name, name, v.holds, v.bound,
+               v.witness.pretty if hasattr(v.witness, "pretty") else None)
+        for (name, v) in report.entries
     ]
     text = report_json(
         pretty_expr(src.expr, src.var),
@@ -642,18 +620,16 @@ def cmd_qcb(args) -> Tuple[int, str]:
     report = qcb_fixed_point(src.expr, bindings, rank_bound=args.rank_bound)
     checks = [
         _check("fixed-point-classes", "space-fixed-point",
-               "pass" if report.fixed_point_bijection else "fail",
-               args.rank_bound)
+               report.fixed_point_bijection, args.rank_bound)
     ]
     for (key, ok) in sorted(report.coherence.items()):
         checks.append(
-            _check(f"coherence-{key}", "representation-coherence",
-                   "pass" if ok else "fail", None)
+            _check(f"coherence-{key}", "representation-coherence", ok, None)
         )
     if report.hausdorff is not None:
         checks.append(
             _check("positive-parameters-hausdorff", "separation-flag",
-                   "pass" if report.hausdorff else "fail", None)
+                   report.hausdorff, None)
         )
     stage_rows = [
         {"index": str(r), "compact_count": None, "total_class_count": c}
@@ -685,20 +661,20 @@ def cmd_counterexample(args) -> Tuple[int, str]:
         _check(
             "rank-pattern",
             "nesting-rank-growth",
-            "pass" if all(report.ranks[n] == n for n in report.ranks) else "fail",
+            all(report.ranks[n] == n for n in report.ranks),
             args.bound,
             json.dumps({str(k): v for k, v in sorted(report.ranks.items())}),
         ),
         _check(
             "fragment-equivariance",
             "witness-equivariance",
-            "pass" if report.equivariant_on_fragment else "fail",
+            report.equivariant_on_fragment,
             report.check_bound,
         ),
         _check(
             "escapes-finite-stages",
             "witness-not-finitely-total",
-            "pass" if not report.total_at_finite_stage else "fail",
+            not report.total_at_finite_stage,
             args.bound,
         ),
         stabilization,
@@ -731,9 +707,8 @@ def cmd_oracle(args) -> Tuple[int, str]:
         # a suite that ran no case has shown nothing
         result.add("cases", False, f"no case at --max-size {args.max_size}")
     checks = [
-        _check(name, f"oracle-{args.suite}", "pass" if ok else "fail", args.max_size,
-               witness)
-        for (name, ok, witness) in result.entries
+        _check(name, f"oracle-{args.suite}", v.holds, args.max_size, v.witness)
+        for (name, v) in result.entries
     ]
     text = report_json(
         args.suite, "oracle",
@@ -771,14 +746,11 @@ def cmd_independence(args) -> Tuple[int, str]:
         rank_bound=args.rank_bound,
     )
     checks = [
-        _check("stage-weak-isos", "transfer-stage-isos",
-               {True: "pass", False: "fail", None: "unknown"}[report.stage_isos_ok],
+        _check("stage-weak-isos", "transfer-stage-isos", report.stage_isos_ok,
                args.rank_bound),
-        _check("uniform-family", "transfer-uniformity",
-               "pass" if report.uniform else "fail", None),
+        _check("uniform-family", "transfer-uniformity", report.uniform, None),
         _check("class-matching", "fixed-point-independence",
-               "pass" if report.class_matching is not None else "fail",
-               args.rank_bound,
+               report.class_matching is not None, args.rank_bound,
                json.dumps(report.class_matching)),
     ]
     text = report_json(

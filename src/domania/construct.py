@@ -1,6 +1,7 @@
-"""Basis constructors: sums, products, lifting, strict variants, and function
-spaces presented by consistent sets of step functions, plus the functorial
-action on embedding-projection pairs.
+"""Basis constructors: separated sums (lifting is the one-part sum),
+products and their strict variant, and function spaces presented by
+consistent sets of step functions, plus the functorial action on
+embedding-projection pairs.
 
 Function-space tokens are kept in a canonical normal form: the pairs (p, v(p))
 at exactly those points p of the premise-lub closure where the denoted
@@ -137,15 +138,13 @@ def _interned(kind: str, D: Basis, E: Basis, build) -> Basis:
 
 
 # ---------------------------------------------------------------------------
-# disjoint sums (n-ary; binary separated/strict and lifting are instances)
+# separated sums (n-ary; the binary sum and lifting are instances)
 
 
 class MultiSumBasis(Basis):
-    def __init__(self, parts: Sequence[Basis], strict=False, name=None):
+    def __init__(self, parts: Sequence[Basis], name=None):
         self.parts = tuple(parts)
-        self.strict = strict
-        glue = " (+) " if strict else " + "
-        self.name = name or "(" + glue.join(p.name for p in self.parts) + ")"
+        self.name = name or "(" + " + ".join(p.name for p in self.parts) + ")"
         self._bottom = tok(("sb",))
         self.finite = all(p.finite for p in self.parts)
         self._tokens = {}
@@ -155,8 +154,6 @@ class MultiSumBasis(Basis):
         return self._bottom
 
     def inject(self, i: int, t: Token) -> Token:
-        if self.strict and t == self.parts[i].bottom:
-            return self._bottom
         return tok(("s", i, t.key))
 
     def split(self, t: Token):
@@ -171,11 +168,7 @@ class MultiSumBasis(Basis):
         k = t.key
         if not (isinstance(k, tuple) and len(k) == 3 and k[0] == "s"):
             return False
-        i = k[1]
-        inner = tok(k[2])
-        if self.strict and inner == self.parts[i].bottom:
-            return False
-        return self.parts[i].has_token(inner)
+        return self.parts[k[1]].has_token(tok(k[2]))
 
     def leq(self, p, q):
         if p == self._bottom:
@@ -221,10 +214,7 @@ class MultiSumBasis(Basis):
         for i, part in enumerate(self.parts):
             ts = part.tokens(bound)
             truncated = truncated or ts.truncated
-            for t in ts.tokens:
-                w = self.inject(i, t)
-                if w != self._bottom:
-                    toks.append(w)
+            toks.extend(self.inject(i, t) for t in ts.tokens)
         return TokenSet(tuple(toks), truncated)
 
 

@@ -1,16 +1,16 @@
 """Dense parts, the closed-set family and retractions that project
-arbitrary-stage totals onto finite-stage totals, and the dense least fixed
-point assembled from dense chain stages."""
+arbitrary-stage totals onto finite-stage totals, the dense least fixed
+point, and the laws the dense report checks on them."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
-from .basis import Basis, Token, TokenSet
+from .basis import Basis, Checks, Token, TokenSet
 from .construct import Embedding, canonical_from_probes, premise_closure
-from .errors import NonDenseParameter, TrivialFunctor, UnknownToken
+from .errors import NonDenseParameter, TrivialFunctor
 from .ordinals import omega_plus
-from .per import YES, DomainPer, replace, tri_all, trivial_per
+from .per import YES, DomainPer, has_total_extension, replace, tri_all, trivial_per
 from .perlfp import PerChain, apply_functor_per, functor_is_trivial, per_chain_extend
 from .spfunctor import (
     ConstD,
@@ -21,26 +21,6 @@ from .spfunctor import (
     apply_functor_embedding,
     carrier_table,
 )
-
-
-class ExtensionVerdict:
-    def __init__(
-        self, status: str, witness: Optional[Token] = None, bound: Optional[int] = None
-    ):
-        self.status = status  # "yes" | "no" | "unknown"
-        self.witness = witness
-        self.bound = bound
-
-
-def has_total_extension(P: DomainPer, p: Token, bound=None) -> ExtensionVerdict:
-    """Search for a total above p; `no` only on exhaustively enumerable pers."""
-    if not P.carrier.has_token(p):
-        raise UnknownToken(f"{p!r} not in carrier {P.carrier.name}", witness=p)
-    ts, exact = P.totals(bound)
-    for t in ts:
-        if P.carrier.leq(p, t):
-            return ExtensionVerdict("yes", t, bound)
-    return ExtensionVerdict("no" if exact else "unknown", None, bound)
 
 
 class DensePart:
@@ -96,7 +76,7 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
 
     def kept(t: Token) -> bool:
         if t.key not in verdicts:
-            verdicts[t.key] = has_total_extension(P, t, bound).status == "yes"
+            verdicts[t.key] = has_total_extension(P, t, bound).holds is True
         return verdicts[t.key]
 
     # a related pair is a pair of totals, and every total is kept, so the
@@ -105,7 +85,6 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
         KeptBasis(P.carrier, kept),
         P.rel,
         replace(P.flags, dense=YES),
-        trace=P.trace + ("dense part",),
         name=(P.name or P.carrier.name) + "^d",
     )
     return DensePart(P, kept, per)
@@ -257,13 +236,9 @@ class DeltaFamily:
 
 
 class DenseLfp:
-    def __init__(
-        self, per: DomainPer, chain: PerChain, stage_dense_parts: List[DensePart],
-        kept: Callable[[Token], bool],
-    ):
+    def __init__(self, per: DomainPer, chain: PerChain, kept: Callable[[Token], bool]):
         self.per = per
         self.chain = chain
-        self.stage_dense_parts = stage_dense_parts
         self.kept = kept
 
 
@@ -276,18 +251,13 @@ def dense_lfp(expr, env, rank_bound: int = 4, n_finite: int = 4) -> DenseLfp:
     if functor_is_trivial(expr, env):
         triv = trivial_per()
         chain = per_chain_extend(expr, env, omega_plus(1), n_finite=2)
-        return DenseLfp(triv, chain, [], lambda t: False)
+        return DenseLfp(triv, chain, lambda t: False)
 
     chain = per_chain_extend(expr, env, omega_plus(1), n_finite=n_finite)
     return _assemble_dense(chain, rank_bound)
 
 
 def _assemble_dense(chain: PerChain, rank_bound: int) -> DenseLfp:
-    stage_parts = []
-    for (o, p) in chain.stages:
-        if o.is_finite:
-            stage_parts.append(dense_part(p, rank_bound))
-
     # dense_lfp returns early for a trivial functor, and rank bounds are at
     # least 1, so the limit has totals at the rank bound and dense_part never
     # takes its no-totals branch here
@@ -302,7 +272,26 @@ def _assemble_dense(chain: PerChain, rank_bound: int) -> DenseLfp:
                 *(p.flags.admissible_pedigree for p in params)
             ) if params else YES,
         ),
-        trace=plim.per.trace + ("dense least fixed point",),
         name="dense-lfp",
     )
-    return DenseLfp(per, chain, stage_parts, part.kept)
+    return DenseLfp(per, chain, part.kept)
+
+
+def dense_laws(lfp: DenseLfp, n_max: int, rank_bound: int) -> Checks:
+    """The closed-set family's laws on the limit tokens of stage n_max and
+    the limit totals at the rank bound, and the count of kept tokens."""
+    fam = DeltaFamily(lfp.chain)
+    plim = lfp.chain.per_limit
+    toks = plim.limit.tokens(n_max).tokens
+    ns = range(1, n_max + 1)
+    laws = Checks()
+    fixes = all((fam.retract(n, t) == t) == fam.member(n, t) for n in ns for t in toks)
+    laws.add("retraction-fixes-family", fixes, bound=n_max)
+    nested = all(fam.member(n + 1, t) for n in ns[:-1] for t in toks if fam.member(n, t))
+    laws.add("family-monotone", nested, bound=n_max)
+    totals, _ = plim.per.totals(rank_bound)
+    meets = all(fam.member(n, t) == (plim.rank_of(t) <= n) for n in ns for t in totals)
+    laws.add("family-meets-totals", meets, bound=rank_bound)
+    kept = sum(1 for t in toks if lfp.kept(t))
+    laws.add("kept-tokens", kept > 0, f"{kept}/{len(toks)}", rank_bound)
+    return laws

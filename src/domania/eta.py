@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 # `tok` is unused here but stays importable as `domania.eta.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
 from .basis import FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
+from .basis import Checks
 from .builtins import flatnat_per
 from .construct import MultiSumBasis, ProdBasis, apply_pairs
 from .dense import DenseLfp
 from .errors import MalformedCode, NonDenseExponent, NotWitnessed
 from .per import (
     ALL_YES,
+    UNKNOWN,
     YES,
     DomainPer,
     MemoRel,
@@ -28,6 +30,7 @@ from .per import (
     finite_per,
     per_construct,
     pointwise_flags,
+    prec_check,
     replace,
 )
 from .perlfp import PerChain
@@ -102,7 +105,7 @@ def _prec(per: DomainPer, v: Token, target: Token, bound=None) -> bool:
     total."""
     if per.related(target, target, bound) is not True:
         return v == per.carrier.bottom
-    return any(per.carrier.leq(v, y) for y in per.class_of(target, bound))
+    return prec_check(per, v, target, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -568,29 +571,15 @@ class EtaBarSystem:
 # the weak isomorphism with the dense image
 
 
-class RoundTripReport:
-    def __init__(
-        self, checks: Optional[List[Tuple[str, str, object]]] = None, pedigree: str = "unknown"
-    ):
-        self.checks = [] if checks is None else checks
-        self.pedigree = pedigree
-
-    def add(self, name, ok, witness=None):
-        self.checks.append((name, "pass" if ok else "fail", witness))
-
-    @property
-    def all_pass(self):
-        return all(s == "pass" for (_, s, _) in self.checks)
-
-
 def dense_image_weak_iso(
     lfp: DenseLfp, rank_bound: int = 3, support: Optional[int] = None
-) -> RoundTripReport:
+) -> Checks:
     """Round-trip checks between the fixed point and its image under the
-    curried evaluation, with the pedigree recorded when everything passes."""
+    curried evaluation, each at the rank bound; a failed one withdraws the
+    fixed point's admissible-pedigree flag."""
     eta = EtaSystem(lfp)
     bar = EtaBarSystem(eta, support=support or rank_bound + 1)
-    report = RoundTripReport()
+    report = Checks()
 
     totals, _ = lfp.per.totals(rank_bound)
 
@@ -604,14 +593,14 @@ def dense_image_weak_iso(
             )
             if lhs != rhs:
                 ok, witness = False, (x, y)
-    report.add("evaluation-reflects-classes", ok, witness)
+    report.add("evaluation-reflects-classes", ok, witness, rank_bound)
 
     ok, witness = True, None
     for x in totals:
         back = bar.theta_bar(bar.eta_bar(x), witness=x)
         if lfp.per.related(back, x, rank_bound) is not True:
             ok, witness = False, x
-    report.add("round-trip-fixed-point", ok, witness)
+    report.add("round-trip-fixed-point", ok, witness, rank_bound)
 
     ok, witness = True, None
     for x in totals:
@@ -619,12 +608,10 @@ def dense_image_weak_iso(
         back = bar.eta_bar(bar.theta_bar(y, witness=x))
         if bar.fun_per.related(back, y, rank_bound) is not True:
             ok, witness = False, x
-    report.add("round-trip-image", ok, witness)
+    report.add("round-trip-image", ok, witness, rank_bound)
 
-    pedigree_inputs = [p.flags.admissible_pedigree for p in lfp.chain.env.values()]
-    if report.all_pass and all(v == YES for v in pedigree_inputs):
-        report.pedigree = YES
-        lfp.per.flags = replace(lfp.per.flags, admissible_pedigree=YES)
-    else:
-        report.pedigree = "unknown"
+    # the assembled fixed point is flagged admissible when every parameter
+    # is; a failed round trip withdraws the flag
+    if not report.all_pass:
+        lfp.per.flags = replace(lfp.per.flags, admissible_pedigree=UNKNOWN)
     return report

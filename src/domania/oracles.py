@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .basis import (
+    Checks,
     FiniteBasis,
     catalog_basis,
     catalog_names,
@@ -51,29 +52,14 @@ def scan_order(items):
     return items
 
 
-class SuiteResult:
-    def __init__(
-        self, entries: Optional[List[Tuple[str, bool, Optional[str]]]] = None, cases: int = 0
-    ):
-        self.entries = [] if entries is None else entries
-        self.cases = cases
-
-    def add(self, name, ok, witness=None):
-        self.entries.append((name, ok, witness))
-
-    @property
-    def all_pass(self):
-        return all(ok for (_, ok, _) in self.entries)
-
-
 # ---------------------------------------------------------------------------
 # function spaces against monotone maps
 
 
-def fun_space_suite(max_size: int = 4) -> SuiteResult:
+def fun_space_suite(max_size: int = 4) -> Checks:
     """Step-set tokens must be in order-isomorphic bijection with the
     brute-force monotone maps, for every ordered catalog pair."""
-    result = SuiteResult()
+    result = Checks()
     names = [n for n in catalog_names() if len(catalog_poset(n).elements) <= max_size]
     for dn in scan_order(names):
         for en in scan_order(names):
@@ -194,15 +180,15 @@ def _constructed_equiembedding(pe: PerEmbedding) -> bool:
         verify_embedding(pe.emb)
     except NotAnEmbedding:
         return False
-    return is_equiembedding(pe).ok
+    return is_equiembedding(pe).holds is not False
 
 
-def per_preservation_suite(max_size: int = 3) -> SuiteResult:
+def per_preservation_suite(max_size: int = 3) -> Checks:
     """Sum and product preserve convex+local+complete; so does the function
     space when the exponent per is dense; functorial images of
     equiembeddings remain equiembeddings, ep-pair laws included. Exhaustive
     over all pers on the catalog carriers up to the size bound."""
-    result = SuiteResult()
+    result = Checks()
     names = [n for n in catalog_names() if len(catalog_poset(n).elements) <= max_size]
     clc: Dict[str, List[DomainPer]] = {}
     dense: Dict[str, List[DomainPer]] = {}
@@ -247,7 +233,7 @@ def per_preservation_suite(max_size: int = 3) -> SuiteResult:
                 for P in clc[dn]:
                     for Q in clc[en]:
                         pe = PerEmbedding(emb, P, Q)
-                        if is_equiembedding(pe).ok:
+                        if is_equiembedding(pe).holds is not False:
                             ee.append((pe, dn, en))
     result.cases += len(ee)
 
@@ -290,7 +276,7 @@ def per_preservation_suite(max_size: int = 3) -> SuiteResult:
 # per limits
 
 
-def limit_per_suite(count: int = 20) -> SuiteResult:
+def limit_per_suite(count: int = 20) -> Checks:
     """Deterministically generated 3-stage chains with verified links: the
     limit per must satisfy the per axioms, keep convex/local/complete on
     fragments, and give equivalent elements equal rank."""
@@ -310,7 +296,7 @@ def limit_per_suite(count: int = 20) -> SuiteResult:
         Sum(ConstD("A"), Sum(ConstD("B"), Id())),
     ]
     params = [sierpinski_per, flatbool_per, lambda: discrete_per(3)]
-    result = SuiteResult()
+    result = Checks()
     built = 0
     for shape in shapes:
         for mk_a in params:
@@ -338,8 +324,7 @@ def limit_per_suite(count: int = 20) -> SuiteResult:
                             if plim.rank_of(a) != plim.rank_of(b):
                                 ok, witness = False, "rank mismatch"
                 for prop in ("convex", "local", "complete"):
-                    v = check_property(plim.per, prop, 3)
-                    if v.status == "fails":
+                    if check_property(plim.per, prop, 3).holds is False:
                         ok, witness = False, prop
                 result.add(name, ok, witness)
                 result.cases += 1
@@ -404,12 +389,12 @@ def pseudobases_of(space, max_sets: int):
     for r in range(0, max_sets):
         for combo in itertools.combinations(proper, r):
             fam = list(combo) + [pts]
-            if validate_pseudobase(space, fam).ok:
+            if validate_pseudobase(space, fam).holds:
                 out.append(fam)
     return out
 
 
-def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> SuiteResult:
+def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> Checks:
     from .qcb import (
         quotient_matches_space,
         recovered_pseudobase,
@@ -417,7 +402,7 @@ def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> SuiteResult:
         validate_pseudobase,
     )
 
-    result = SuiteResult()
+    result = Checks()
     bad_props = bad_quot = bad_greatest = bad_recovered = None
     for space in spaces_from_posets(max_points):
         for fam in pseudobases_of(space, max_sets):
@@ -439,7 +424,7 @@ def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> SuiteResult:
                         ):
                             bad_greatest = (space.name, x)
             recovered = recovered_pseudobase(rep)
-            if not validate_pseudobase(space, recovered).ok:
+            if not validate_pseudobase(space, recovered).holds:
                 bad_recovered = space.name
     result.add("convex-local-complete", bad_props is None, str(bad_props or ""))
     result.add("quotient-topology", bad_quot is None, str(bad_quot or ""))

@@ -15,8 +15,7 @@ class Ordinal(Frozen):
         if k < 0:
             raise ValueError("negative stage index")
         # True means omega + k, False means the finite ordinal k
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "k", k)
+        vars(self).update(limit=limit, k=k)
 
     def __lt__(self, other):
         if self.limit != other.limit:

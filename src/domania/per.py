@@ -5,8 +5,11 @@ isomorphisms, and per limits with witnesses.
 Values are tokens of the carrier: a relation splits, pairs, injects and
 applies them with its carrier's own operations.
 
-Relation verdicts are tri-state (True / False / None for unknown): deciders
-over staged carriers never guess beyond their bound.
+Every verdict is tri-state (True / False / None for unknown): deciders over
+staged carriers never guess beyond their bound. Relation deciders answer
+with the bare value; the property checks, `has_total_extension` and
+`is_equiembedding` answer with a `basis.Verdict` that carries it with the
+bound and a witness. The reports alone turn verdicts into words.
 
 Relation protocol. A relation decider has these methods, the first five
 taking an optional enumeration bound:
@@ -83,12 +86,12 @@ changes named fields of an existing flag set with `replace`.
 from __future__ import annotations
 
 from itertools import chain, product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
 from .basis import Basis, FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
-from .basis import Frozen, transitive_reflexive_closure
+from .basis import Frozen, Verdict, transitive_reflexive_closure
 from .construct import (
     Embedding,
     FunBasis,
@@ -103,6 +106,7 @@ from .errors import (
     IncoherentChain,
     NotTotal,
     NotUniform,
+    UnknownToken,
 )
 from .spfunctor import ChainStage, LimitBasis
 from .ordinals import fin
@@ -139,15 +143,12 @@ class PerFlags(Frozen):
         upwards_closed: str = UNKNOWN, dense: str = UNKNOWN,
         admissible_pedigree: str = UNKNOWN, countably_based: str = UNKNOWN,
     ):
-        object.__setattr__(self, "weakly_convex", weakly_convex)
-        object.__setattr__(self, "convex", convex)
-        object.__setattr__(self, "local", local)
-        object.__setattr__(self, "strongly_local", strongly_local)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "upwards_closed", upwards_closed)
-        object.__setattr__(self, "dense", dense)
-        object.__setattr__(self, "admissible_pedigree", admissible_pedigree)
-        object.__setattr__(self, "countably_based", countably_based)
+        vars(self).update(
+            weakly_convex=weakly_convex, convex=convex, local=local,
+            strongly_local=strongly_local, complete=complete,
+            upwards_closed=upwards_closed, dense=dense,
+            admissible_pedigree=admissible_pedigree, countably_based=countably_based,
+        )
 
     def as_dict(self):
         """Flag name -> value, in `FIELDS` order (the reports' pedigree order)."""
@@ -544,12 +545,11 @@ def group_classes(values, related) -> List[List[object]]:
 class DomainPer:
     def __init__(
         self, carrier: Basis, rel: object, flags: Optional[PerFlags] = None,
-        trace: Tuple[str, ...] = (), name: str = "",
+        name: str = "",
     ):
         self.carrier = carrier
         self.rel = rel
         self.flags = PerFlags() if flags is None else flags
-        self.trace = trace
         self.name = name
 
     def related(self, a, b, bound=None):
@@ -583,9 +583,6 @@ class DomainPer:
 
     def representatives(self, bound=None):
         return self.rel.representatives(bound)
-
-    def describe(self):
-        return {"carrier": self.carrier.name, "flags": self.flags.as_dict()}
 
 
 def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> DomainPer:
@@ -651,24 +648,12 @@ def per_construct(kind: str, D: DomainPer, E: DomainPer) -> DomainPer:
         carrier,
         MemoRel(rel),
         flags,
-        trace=(f"{kind}({D.name or D.carrier.name}, {E.name or E.carrier.name})",),
         name=f"{kind}({D.name},{E.name})",
     )
 
 
 # ---------------------------------------------------------------------------
 # property checks
-
-
-class Verdict:
-    def __init__(self, status: str, witness: object = None, bound: Optional[int] = None):
-        self.status = status  # "holds" | "fails" | "unknown"
-        self.witness = witness
-        self.bound = bound
-
-    @property
-    def holds(self):
-        return self.status == "holds"
 
 
 def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verdict:
@@ -694,10 +679,10 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
                     j = B.lub((a, z))
                     r2 = rel(a, j)
                     if r2 is False:
-                        return Verdict("fails", (a, b, z), bound)
+                        return Verdict(False, (a, b, z), bound)
                     if r2 is None:
                         unknown = True
-        return Verdict("unknown" if unknown else "holds", None, bound)
+        return Verdict(None if unknown else True, None, bound)
 
     if prop in ("local", "strongly_local", "complete"):
         classes, exact = P.classes(bound)
@@ -706,22 +691,22 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
             x = cls[0]
             if not B.cons(cls):
                 if prop in ("local", "complete"):
-                    return Verdict("fails", (x, cls), bound)
+                    return Verdict(False, (x, cls), bound)
             if prop == "strongly_local":
                 for a in cls:
                     for b in cls:
                         if not any(
                             B.leq(a, c) and B.leq(b, c) for c in cls
                         ):
-                            return Verdict("fails", (x, a, b), bound)
+                            return Verdict(False, (x, a, b), bound)
             if prop == "complete":
                 sup = B.lub(cls)
                 r = rel(x, sup)
                 if r is False:
-                    return Verdict("fails", (x, sup), bound)
+                    return Verdict(False, (x, sup), bound)
                 if r is None:
                     unknown = True
-        return Verdict("unknown" if unknown else "holds", None, bound)
+        return Verdict(None if unknown else True, None, bound)
 
     if prop == "upwards_closed":
         ts, exact = P.totals(bound)
@@ -731,23 +716,32 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
                 if B.leq(x, y):
                     r = rel(x, y)
                     if r is False:
-                        return Verdict("fails", (x, y), bound)
+                        return Verdict(False, (x, y), bound)
                     if r is None:
                         unknown = True
-        return Verdict("unknown" if unknown else "holds", None, bound)
+        return Verdict(None if unknown else True, None, bound)
 
     if prop == "dense":
-        ts, exact = P.totals(bound)
-        unknown = unknown or not exact
         for p in toks:
-            ext = next((t for t in ts if B.leq(p, t)), None)
-            if ext is None:
-                if exact and exact_toks:
-                    return Verdict("fails", p, bound)
-                return Verdict("unknown", p, bound)
-        return Verdict("unknown" if unknown else "holds", None, bound)
+            v = has_total_extension(P, p, bound)
+            if v.holds is not True:
+                return Verdict(v.holds if exact_toks else None, p, bound)
+        _, exact = P.totals(bound)
+        return Verdict(True if exact and exact_toks else None, None, bound)
 
     raise ValueError(f"unknown property {prop!r}")
+
+
+def has_total_extension(P: DomainPer, p: Token, bound=None) -> Verdict:
+    """Search for a total above p, the witness when found; False only on
+    exhaustively enumerable pers."""
+    if not P.carrier.has_token(p):
+        raise UnknownToken(f"{p!r} not in carrier {P.carrier.name}", witness=p)
+    ts, exact = P.totals(bound)
+    t = next((t for t in ts if P.carrier.leq(p, t)), None)
+    if t is not None:
+        return Verdict(True, t, bound)
+    return Verdict(False if exact else None, None, bound)
 
 
 def prec_check(P: DomainPer, p: Token, x, bound=None) -> bool:
@@ -772,14 +766,6 @@ class PerMap:
 
     def __call__(self, v):
         return self._fn(v)
-
-    def compose(self, other: "PerMap") -> "PerMap":
-        return PerMap(
-            other.source,
-            self.target,
-            lambda v: self._fn(other._fn(v)),
-            name=f"{self.name}.{other.name}",
-        )
 
 
 def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None):
@@ -833,17 +819,7 @@ class PerEmbedding:
         self.name = name
 
 
-class EmbeddingVerdict(Frozen):
-    def __init__(
-        self, ok: bool, clause: str = "", witness: object = None, unknown: bool = False
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "unknown", unknown)
-
-
-def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
+def is_equiembedding(pe: PerEmbedding, bound=None) -> Verdict:
     """The per clauses in turn, equivariance and reflection (x ~ proj y for
     every source total x and y ~ f x); the ep-pair is decided where built.
 
@@ -854,13 +830,13 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
     built."""
     ok, w = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
     if ok is False:
-        return EmbeddingVerdict(False, "equivariance", w)
+        return Verdict(False, w, bound, "equivariance")
 
     ts, exact = pe.source.totals(bound)
     tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
     unknown = ok is None or not exact or not tgt_exact
     if ok is True and _reflects_on_classes(pe, tgt_toks, bound):
-        return EmbeddingVerdict(True, "", None, unknown)
+        return Verdict(None if unknown else True, None, bound)
     for x in ts:
         fx = pe.emb.fwd(x)
         for y in tgt_toks:
@@ -868,12 +844,12 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> EmbeddingVerdict:
             if r is True:
                 back = pe.source.related(x, pe.emb.proj(y), bound)
                 if back is False:
-                    return EmbeddingVerdict(False, "reflection", (x, y))
+                    return Verdict(False, (x, y), bound, "reflection")
                 if back is None:
                     unknown = True
             elif r is None:
                 unknown = True
-    return EmbeddingVerdict(True, "", None, unknown)
+    return Verdict(None if unknown else True, None, bound)
 
 
 def _reflects_on_classes(pe: PerEmbedding, tgt_toks, bound) -> bool:
@@ -902,7 +878,6 @@ def image_per(phi: PerMap) -> DomainPer:
         carrier,
         rel,
         PerFlags(countably_based=phi.target.flags.countably_based),
-        trace=(f"image({phi.name})",),
         name=f"{phi.name}[{phi.source.name}]",
     )
 
@@ -972,7 +947,7 @@ def limit_per(
         dense=UNKNOWN,
         admissible_pedigree=UNKNOWN,
     )
-    per = DomainPer(limit, rel, flags, trace=("limit",), name="limit")
+    per = DomainPer(limit, rel, flags, name="limit")
     return PerLimit(per, limit, list(stage_pers))
 
 

@@ -168,12 +168,12 @@ def per_chain_extend(
         else:
             bound = None if exhaustive and n <= 4 else 3
             v = is_equiembedding(pe, bound)
-            if not v.ok:
+            if v.holds is False:
                 raise NotAnAlgebra(
                     f"chain link {n} is not an equiembedding ({v.clause})",
                     witness=v.witness,
                 )
-            exact = bound is None and not v.unknown
+            exact = v.holds is True
         pers.append((fin(n), per_n))
         embeddings.append(pe)
         link_bounds.append(bound)
@@ -195,7 +195,6 @@ def per_chain_extend(
             plim.limit,
             PullbackRel(iso, unfolded_per),
             unfolded_per.flags,
-            trace=(f"stage omega+{k} folded onto the limit carrier",),
             name=f"stage-omega+{k}",
         )
         pe = PerEmbedding(
@@ -572,7 +571,7 @@ def mediating_algebra_morphism(
         # h_n = g . F(h_{n-1}) holds by construction; check h's per clauses
         # on the fragment (h_n need not be an ep-pair; no ep-pair law is run)
         v = is_equiembedding(maps[n], bound)
-        if not v.ok:
+        if v.holds is False:
             law_ok = False
             witness = (n, v.clause, v.witness)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basis import FiniteBasis, Frozen, Token, tok
+from .basis import FiniteBasis, Frozen, Token, Verdict, tok
 from .construct import (
     Embedding,
     exp_general_embedding,
@@ -59,9 +59,8 @@ from .spfunctor import (
 
 class FiniteSpace(Frozen):
     def __init__(self, name: str, points: Tuple[str, ...], opens: frozenset):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "opens", opens)  # of frozensets of points
+        # `opens` is a frozenset of frozensets of points
+        vars(self).update(name=name, points=points, opens=opens)
 
     def validate(self):
         pts = frozenset(self.points)
@@ -110,13 +109,6 @@ def discrete_space(labels) -> FiniteSpace:
 # pseudobases
 
 
-class PseudobaseVerdict:
-    def __init__(self, ok: bool, clause: str = "", witness: object = None):
-        self.ok = ok
-        self.clause = clause
-        self.witness = witness
-
-
 def min_open(X: FiniteSpace, x: str) -> frozenset:
     out = frozenset(X.points)
     for u in X.opens:
@@ -125,7 +117,7 @@ def min_open(X: FiniteSpace, x: str) -> frozenset:
     return out
 
 
-def validate_pseudobase(X: FiniteSpace, sets: Sequence[frozenset]) -> PseudobaseVerdict:
+def validate_pseudobase(X: FiniteSpace, sets: Sequence[frozenset]) -> Verdict:
     """Nonempty sets containing the space, intersection-closed, and
     witnessing convergence inside every open. On a finite space a sequence
     converges to x exactly when its tail stays inside the minimal open
@@ -135,21 +127,21 @@ def validate_pseudobase(X: FiniteSpace, sets: Sequence[frozenset]) -> Pseudobase
     fam = [frozenset(s) for s in sets]
     pts = frozenset(X.points)
     if any(not s for s in fam):
-        return PseudobaseVerdict(False, "empty member", next(s for s in fam if not s))
+        return Verdict(False, next(s for s in fam if not s), clause="empty member")
     if pts not in fam:
-        return PseudobaseVerdict(False, "missing whole space", pts)
+        return Verdict(False, pts, clause="missing whole space")
     for a in fam:
         for b in fam:
             if a & b and a & b not in fam:
-                return PseudobaseVerdict(False, "intersection missing", (a, b))
+                return Verdict(False, (a, b), clause="intersection missing")
     for x in X.points:
         base = min_open(X, x)
         for u in X.opens:
             if x not in u:
                 continue
             if not any(base <= b and b <= u for b in fam):
-                return PseudobaseVerdict(False, "convergence", (x, u))
-    return PseudobaseVerdict(True)
+                return Verdict(False, (x, u), clause="convergence")
+    return Verdict(True)
 
 
 def enumerate_ideals(fam: Sequence[frozenset]) -> List[frozenset]:
@@ -203,7 +195,7 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
         raise NotT0(f"points {witness} are topologically indistinguishable",
                     witness=witness)
     v = validate_pseudobase(X, sets)
-    if not v.ok:
+    if not v.holds:
         raise InvalidSpace(f"not a pseudobase: {v.clause}")
     fam = [frozenset(s) for s in dict.fromkeys(frozenset(s) for s in sets)]
 
@@ -241,7 +233,6 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
         basis,
         FiniteRel(basis, pairs),
         ALL_YES,
-        trace=(f"standard representation of {X.name}",),
         name=f"rep({X.name})",
     )
     rep = StandardRep(per, X, fam, decode)

@@ -30,43 +30,27 @@ class FunctorExpr(Frozen):
 
 
 class Id(FunctorExpr):
-    def __str__(self):
-        return "X"
+    """The recursion variable."""
 
 
 class ConstD(FunctorExpr):
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __str__(self):
-        return self.name
+        vars(self).update(name=name)
 
 
 class Sum(FunctorExpr):
     def __init__(self, left: FunctorExpr, right: FunctorExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} + {self.right})"
+        vars(self).update(left=left, right=right)
 
 
 class Prod(FunctorExpr):
     def __init__(self, left: FunctorExpr, right: FunctorExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} * {self.right})"
+        vars(self).update(left=left, right=right)
 
 
 class Exp(FunctorExpr):
     def __init__(self, param: str, body: FunctorExpr):
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "body", body)
-
-    def __str__(self):
-        return f"[{self.param} -> {self.body}]"
+        vars(self).update(param=param, body=body)
 
 
 def subterms(expr: FunctorExpr, path=()):

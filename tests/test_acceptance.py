@@ -174,7 +174,7 @@ def test_criterion_06_adjunction():
 def test_criterion_07_round_trip():
     lfp = dense_lfp(RUNNING, running_env(), rank_bound=3, n_finite=4)
     report = dense_image_weak_iso(lfp, rank_bound=3)
-    names = [name for (name, status, _) in report.checks if status == "pass"]
+    names = [name for (name, v) in report.entries if v.holds is True]
     ok = report.all_pass and {
         "evaluation-reflects-classes",
         "round-trip-fixed-point",

@@ -6,6 +6,7 @@ import pytest
 
 from domania.basis import (
     FlatNatBasis,
+    Verdict,
     catalog_basis,
     catalog_names,
     catalog_poset,
@@ -22,7 +23,7 @@ from domania.errors import (
     NotConsistentlyComplete,
 )
 from domania.ordinals import OMEGA, Ordinal, fin, omega_plus
-from domania.per import ALL_YES, NO, YES, EmbeddingVerdict, PerFlags, replace
+from domania.per import ALL_YES, NO, YES, PerFlags, replace
 from domania.qcb import sierpinski_space
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, omega_chain
 
@@ -71,8 +72,9 @@ def test_no_least_rejected():
 def test_axiom_report_catalog():
     for name in catalog_names():
         rep = check_domain_axioms(catalog_basis(name))
-        assert rep.all_pass, (name, [e.name for e in rep.entries if not e.ok])
-        assert not rep.bounded
+        assert rep.all_pass, (name, [n for (n, v) in rep.entries if not v.holds])
+        # exhaustive enumeration: no entry carries a bound
+        assert all(v.bound is None for (_, v) in rep.entries)
 
 
 class _BrokenLub:
@@ -103,15 +105,14 @@ def test_axiom_report_detects_bad_lub():
     broken = _BrokenLub(base, tok("top"))
     rep = check_domain_axioms(broken)
     assert not rep.all_pass
-    assert any(e.name == "LubNotLeast" and not e.ok for e in rep.entries)
-    bad = next(e for e in rep.entries if e.name == "LubNotLeast")
-    assert bad.witness is not None
+    bad = dict(rep.entries)["LubNotLeast"]
+    assert bad.holds is False and bad.witness is not None
 
 
 def test_axiom_report_bounded_on_staged_basis():
     rep = check_domain_axioms(FlatNatBasis(), bound=50)
     assert rep.all_pass
-    assert rep.bounded
+    assert [v.bound for (_, v) in rep.entries] == [50] * len(rep.entries)
 
 
 def test_monotone_map_counts():
@@ -247,7 +248,8 @@ def test_frozen_records_are_values():
     assert PerFlags(*(YES,) * 9) == ALL_YES
     assert fin(2) == Ordinal(False, 2) and fin(2) != omega_plus(2)
     assert sierpinski_space() == sierpinski_space()
-    assert EmbeddingVerdict(True) == EmbeddingVerdict(True, "", None, False)
+    assert Verdict(True) == Verdict(True, None, None, "")
+    assert Verdict(None, bound=3) != Verdict(True, bound=3)
     assert poset_of_basis(catalog_basis("two-chain")) == catalog_poset("two-chain")
     # usable as dict keys
     table = {Sum(Id(), Id()): "sum", Prod(Id(), Id()): "prod", fin(1): 1}
@@ -255,7 +257,7 @@ def test_frozen_records_are_values():
     # fields cannot be reassigned
     records = [
         (Sum(Id(), Id()), "left"), (fin(1), "k"), (ALL_YES, "dense"),
-        (EmbeddingVerdict(True), "ok"), (sierpinski_space(), "points"),
+        (Verdict(True), "holds"), (sierpinski_space(), "points"),
         (catalog_basis("two-chain").tokens(), "truncated"),
     ]
     for record, name in records:

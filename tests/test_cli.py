@@ -196,6 +196,7 @@ def test_usage_errors_exit_two(tmp_path):
 
 def test_check_failures_exit_one(monkeypatch):
     from domania import oracles
+    from domania.basis import Checks
 
     # flat naturals as exponent: the probe finds a new total past omega
     code, text = run_command(
@@ -212,10 +213,26 @@ def test_check_failures_exit_one(monkeypatch):
     assert checks["chain-links"]["bound"] == 3
 
     # a suite that runs no case fails instead of passing vacuously
-    monkeypatch.setattr(oracles, "fun_space_suite", lambda size: oracles.SuiteResult())
+    monkeypatch.setattr(oracles, "fun_space_suite", lambda size: Checks())
     code, text = run_command(["oracle", "--suite", "fun-space", "--max-size", "3"])
     assert code == 1
     assert [c["status"] for c in json.loads(text)["checks"]] == ["fail"]
+
+
+def test_qcb_separation_row_records_a_hypothesis():
+    # a non-Hausdorff positive parameter fails the separation row, yet the
+    # fixed point exists either way: the documented exception to exit 1
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    eq = "param S = sierpinski; param B = flatbool; X = S + [B -> X]"
+    proc = subprocess.run(
+        [sys.executable, "-m", "domania.cli", "qcb", "--eq", eq, "--rank-bound", "2"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+    assert checks["positive-parameters-hausdorff"] == "fail"
+    assert checks["fixed-point-classes"] == "pass"
 
 
 FLATNAT_PARAMS = "param A = sierpinski; param N = flatnat; "

@@ -7,6 +7,7 @@ from domania.builtins import flatbool_per, sierpinski_per, trivial_per
 from domania.construct import Embedding, exp_fixed_embedding, fun_basis
 from domania.dense import (
     DeltaFamily,
+    dense_laws,
     dense_lfp,
     dense_part,
     has_total_extension,
@@ -27,9 +28,9 @@ def running_env():
 def test_has_total_extension():
     per = sierpinski_per()
     v = has_total_extension(per, tok("bot"))
-    assert v.status == "yes" and v.witness == tok("top")
+    assert v.holds is True and v.witness == tok("top")
     empty = finite_per(catalog_basis("two-chain"), [])
-    assert has_total_extension(empty, tok("top")).status == "no"
+    assert has_total_extension(empty, tok("top")).holds is False
     with pytest.raises(UnknownToken):
         has_total_extension(per, tok("zap"))
 
@@ -40,8 +41,8 @@ def test_has_total_extension_unknown_on_staged():
     # a stage-3 token whose extensions lie beyond the small search bound
     deep = [c for c in lim.tokens(3).tokens if lim.decompose(c)[0] == 3][-1]
     v = has_total_extension(chain.per_limit.per, deep, bound=1)
-    assert v.status in ("unknown", "yes")
-    if v.status == "unknown":
+    assert v.holds is not False
+    if v.holds is None:
         assert v.bound == 1
 
 
@@ -79,7 +80,7 @@ def test_delta_one_matches_stage_one_dense_tokens():
     expected = set()
     stage1_per = chain.stages[1][1]
     for t in chain.per_limit.limit.stages[1].basis.tokens().tokens:
-        if has_total_extension(stage1_per, t).status == "yes":
+        if has_total_extension(stage1_per, t).holds is True:
             expected.add(lim.canonical(1, t).key)
     got = {t.key for t in lim.tokens(2).tokens if fam.member(1, t)}
     assert got == expected
@@ -224,12 +225,29 @@ def test_dense_lfp_rejects_non_dense_parameter():
 
 def test_dense_stage_parts_form_chain():
     lfp = dense_lfp(RUNNING, running_env(), rank_bound=3, n_finite=3)
-    for n in range(1, len(lfp.stage_dense_parts)):
-        prev = lfp.stage_dense_parts[n - 1]
-        cur = lfp.stage_dense_parts[n]
+    parts = [dense_part(p, 3) for (o, p) in lfp.chain.stages if o.is_finite]
+    # stages 0-3: three links to check
+    assert len(parts) == 4
+    for n in range(1, len(parts)):
+        prev, cur = parts[n - 1], parts[n]
         emb = lfp.chain.embeddings[n - 1].emb
         for t in prev.per.carrier.tokens().tokens:
             assert cur.kept(emb.fwd(t)), (n, t.pretty)
+
+
+def test_dense_laws_carry_their_bounds():
+    # the family's laws on tokens carry n_max, the laws on totals and the
+    # kept count the rank bound; the two differ here, unlike in the golden
+    lfp = dense_lfp(RUNNING, running_env(), rank_bound=3, n_finite=4)
+    laws = dense_laws(lfp, n_max=2, rank_bound=3)
+    assert [(name, v.holds, v.bound) for (name, v) in laws.entries] == [
+        ("retraction-fixes-family", True, 2),
+        ("family-monotone", True, 2),
+        ("family-meets-totals", True, 3),
+        ("kept-tokens", True, 3),
+    ]
+    kept, total = map(int, laws.entries[-1][1].witness.split("/"))
+    assert 0 < kept <= total == len(lfp.chain.per_limit.limit.tokens(2))
 
 
 def test_quotient_unchanged_by_dense_part():

@@ -200,7 +200,7 @@ def test_vee_per_local_fails_with_witness():
     vee = catalog_basis("vee")
     per = finite_per(vee, [(tok("a"), tok("a")), (tok("a"), tok("b"))])
     v = check_property(per, "local")
-    assert v.status == "fails"
+    assert v.holds is False
     x, cls = v.witness
     assert set(t.key for t in cls) == {"a", "b"}
 
@@ -210,7 +210,7 @@ def test_empty_per_properties_vacuous():
     for prop in ("weakly_convex", "convex", "local", "complete", "upwards_closed"):
         assert check_property(per, prop).holds, prop
     # dense fails: no token has a total extension
-    assert check_property(per, "dense").status == "fails"
+    assert check_property(per, "dense").holds is False
 
 
 def scanned_class_of(P, x, bound=None):
@@ -220,7 +220,7 @@ def scanned_class_of(P, x, bound=None):
 
 
 def reference_class_check(P, prop, bound=None):
-    """Reference status of local, strongly_local and complete: a carrier
+    """Reference verdict of local, strongly_local and complete: a carrier
     scan for the class of every total."""
     B = P.carrier
     ts, exact = P.totals(bound)
@@ -228,41 +228,41 @@ def reference_class_check(P, prop, bound=None):
     for x in ts:
         cls = scanned_class_of(P, x, bound)
         if not B.cons(cls) and prop in ("local", "complete"):
-            return "fails"
+            return False
         if prop == "strongly_local" and not all(
             any(B.leq(a, c) and B.leq(b, c) for c in cls) for a in cls for b in cls
         ):
-            return "fails"
+            return False
         if prop == "complete":
             r = P.related(x, B.lub(cls), bound)
             if r is False:
-                return "fails"
+                return False
             unknown = unknown or r is None
-    return "unknown" if unknown else "holds"
+    return None if unknown else True
 
 
 def test_class_checks_match_a_carrier_scan_per_total():
     # one pass per class against one carrier scan per total, over every per
     # on the catalog carriers of at most 4 points
-    statuses = set()
+    verdicts = set()
     for name in catalog_names():
         if len(catalog_poset(name).elements) > 4:
             continue
         for P in all_pers(catalog_basis(name)):
             for prop in ("local", "strongly_local", "complete"):
                 want = reference_class_check(P, prop)
-                assert check_property(P, prop).status == want, (name, prop)
-                statuses.add(want)
-    assert statuses == {"holds", "fails"}
+                assert check_property(P, prop).holds is want, (name, prop)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_flags_agree_with_checks_on_builtins():
     # a flag reads yes exactly when its check holds, no exactly when it fails
-    status = {YES: "holds", NO: "fails", UNKNOWN: "unknown"}
+    holds = {YES: True, NO: False, UNKNOWN: None}
     for per in (osier(), flatbool_per()):
         for prop in ("convex", "local", "complete", "upwards_closed", "dense"):
             verdict = check_property(per, prop)
-            assert verdict.status == status[getattr(per.flags, prop)], prop
+            assert verdict.holds is holds[getattr(per.flags, prop)], prop
 
 
 def test_prec_check():
@@ -359,7 +359,8 @@ def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
         raise AssertionError("stage-4 related pairs enumerated")
 
     monkeypatch.setattr(chain.stages[4][1], "related_pairs", forbidden)
-    assert is_equiembedding(chain.embeddings[4], 3).ok
+    # no refutation; undecided at the bound
+    assert is_equiembedding(chain.embeddings[4], 3).holds is not False
 
 
 def reference_reflection(pe, bound=None):
@@ -367,7 +368,7 @@ def reference_reflection(pe, bound=None):
     pairwise: every source total against every target value."""
     ok, w = pairwise_equivariance(pe.emb.fwd, pe.source, pe.target, bound)
     if ok is False:
-        return False, "equivariance", w, False
+        return False, "equivariance", w
     ts, exact = pe.source.totals(bound)
     tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
     unknown = ok is None or not exact or not tgt_exact
@@ -377,12 +378,12 @@ def reference_reflection(pe, bound=None):
             if r is True:
                 back = pe.source.related(x, pe.emb.proj(y), bound)
                 if back is False:
-                    return False, "reflection", (x, y), False
+                    return False, "reflection", (x, y)
                 if back is None:
                     unknown = True
             elif r is None:
                 unknown = True
-    return True, "", None, unknown
+    return (None if unknown else True), "", None
 
 
 def test_reflection_class_certificate_matches_pairwise_scan():
@@ -429,12 +430,12 @@ def test_reflection_class_certificate_matches_pairwise_scan():
         assert verify_embedding(pe.emb, b), (pe.name, b)
     verdicts = [reference_reflection(pe, b) for (pe, b) in cases]
     # the flatnat links say unknown, and the cases fail each clause
-    assert all(verdicts[cases.index(link)][3] for link in flatnat)
-    assert verdicts[-1] == (True, "", None, True)
+    assert all(verdicts[cases.index(link)][0] is None for link in flatnat)
+    assert verdicts[-1] == (None, "", None)
     assert {v[1] for v in verdicts} == {"", "equivariance", "reflection"}
     for (pe, b), want in zip(cases, verdicts):
         v = is_equiembedding(pe, b)
-        assert (v.ok, v.clause, v.witness, v.unknown) == want, (pe.name, b)
+        assert (v.holds, v.clause, v.witness) == want, (pe.name, b)
 
 
 def test_oracle_backs_the_ep_pair_rule_by_brute_force(monkeypatch):
@@ -457,8 +458,8 @@ def test_oracle_backs_the_ep_pair_rule_by_brute_force(monkeypatch):
 
     def closure_entries():
         return {
-            name: ok
-            for (name, ok, _) in per_preservation_suite(2).entries
+            name: v.holds
+            for (name, v) in per_preservation_suite(2).entries
             if name.endswith("equiembedding-closure")
         }
 
@@ -484,7 +485,7 @@ def test_link_reflection_scans_classes_not_totals(monkeypatch):
         return target_related(a, b, bound)
 
     monkeypatch.setattr(link.target, "related", counting)
-    assert is_equiembedding(link).ok
+    assert is_equiembedding(link).holds is True
     assert len(calls) < n_totals * n_carrier
 
 
@@ -548,14 +549,14 @@ def test_fresh_link_groups_its_source_totals_once(monkeypatch):
         return group_classes(values, related)
 
     monkeypatch.setattr(per_module, "group_classes", counting)
-    assert is_equiembedding(PerEmbedding(emb.embed_from_prev, source, target)).ok
+    assert is_equiembedding(PerEmbedding(emb.embed_from_prev, source, target)).holds
     assert grouped == [len(source.totals()[0])]
 
 
 def test_is_equiembedding_identity():
     per = osier()
     v = is_equiembedding(PerEmbedding(identity_embedding(O), per, per))
-    assert v.ok and not v.unknown
+    assert v.holds is True
 
 
 def _embedding_from_keys(src, tgt, mapping):
@@ -591,7 +592,7 @@ def test_reflection_counterexample_found_by_search():
             if ok is not True:
                 continue
             v = is_equiembedding(PerEmbedding(emb, src, tgt))
-            if not v.ok and v.clause == "reflection":
+            if v.holds is False and v.clause == "reflection":
                 found = (tgt, v)
                 break
         if found:
@@ -607,7 +608,7 @@ def test_inclusion_into_fuller_per_passes():
     per_small = osier()
     per_big = finite_per(O, [(BOT, BOT), (TOP, TOP)])
     v = is_equiembedding(PerEmbedding(identity_embedding(O), per_small, per_big))
-    assert v.ok
+    assert v.holds is True
 
 
 def identity_map(per):
@@ -637,8 +638,8 @@ def test_image_per_of_constant():
     img = image_per(phi)
     classes, _ = img.classes()
     assert len(classes) == 1
-    assert image_is_equiembedding(phi).ok
-    assert image_is_equiembedding(identity_map(per)).ok
+    assert image_is_equiembedding(phi).holds is True
+    assert image_is_equiembedding(identity_map(per)).holds is True
 
 
 def test_image_per_totals_are_the_target_totals_related_to_an_image():

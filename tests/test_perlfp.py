@@ -3,13 +3,12 @@ import sys
 import pytest
 
 from domania import perlfp
-from domania.basis import Token, tok
+from domania.basis import Token, Verdict, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
 from domania.cli import _stage_rows_for_chain, build_parser, cmd_counterexample
 from domania.per import (
-    EmbeddingVerdict,
     FiniteRel,
     FunRel,
     LimitRel,
@@ -128,7 +127,7 @@ def test_link_rule_agrees_with_the_scans(name):
     rule = functor_action(expr, True, env, LINKS)
     for pe in chain.embeddings[1:]:
         v = is_equiembedding(pe)
-        assert rule == (True if v.ok and not v.unknown else None), pe.name
+        assert rule == (True if v.holds is True else None), pe.name
 
 
 @pytest.mark.parametrize("name", sorted(RULE_CASES))
@@ -334,7 +333,7 @@ def test_chain_stage_pers_preserve_properties():
 def test_chain_links_are_equiembeddings():
     chain = per_chain_extend(RUNNING, running_env(), fin(3))
     for pe in chain.embeddings:
-        assert is_equiembedding(pe).ok
+        assert is_equiembedding(pe).holds is True
 
 
 def test_counterexample_phi_rank_pattern():
@@ -537,7 +536,7 @@ def test_chain_scans_no_ep_pair_law(monkeypatch, build):
 def test_chain_rejects_a_failing_link(monkeypatch):
     # over pers the chain's links are equiembeddings, so a failing verdict
     # stands in for one: the chain, which alone decides links, rejects it
-    failing = EmbeddingVerdict(False, "reflection", "w")
+    failing = Verdict(False, "w", clause="reflection")
     monkeypatch.setattr(perlfp, "is_equiembedding", lambda pe, bound=None: failing)
     with pytest.raises(NotAnAlgebra, match="chain link 1"):
         per_chain_extend(RUNNING, running_env(), fin(2))
@@ -610,4 +609,4 @@ def test_upwards_closed_preserved_to_limit():
             assert per.flags.upwards_closed == "yes"
             assert check_property(per, "upwards_closed").holds, str(o)
     v = check_property(chain.per_limit.per, "upwards_closed", 3)
-    assert v.status != "fails"
+    assert v.holds is not False

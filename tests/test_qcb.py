@@ -32,17 +32,17 @@ def sier_pseudobase():
 
 def test_validate_pseudobase_sierpinski():
     X = sierpinski_space()
-    assert validate_pseudobase(X, sier_pseudobase()).ok
+    assert validate_pseudobase(X, sier_pseudobase()).holds is True
     # dropping {top} breaks the convergence clause at top inside {top}
     v = validate_pseudobase(X, [frozenset({"bot", "top"})])
-    assert not v.ok and v.clause == "convergence"
+    assert v.holds is False and v.clause == "convergence"
     assert v.witness[0] == "top"
 
 
 def test_all_opens_form_pseudobase():
     for X in (sierpinski_space(), discrete_space(["0", "1"])):
         fam = [u for u in X.opens if u]
-        assert validate_pseudobase(X, fam).ok
+        assert validate_pseudobase(X, fam).holds is True
 
 
 def test_standard_representation_sierpinski():
@@ -95,7 +95,7 @@ def test_recovered_pseudobase_sierpinski():
     rep = standard_representation(sierpinski_space(), sier_pseudobase())
     fam = recovered_pseudobase(rep)
     assert set(fam) == {frozenset({"bot", "top"}), frozenset({"top"})}
-    assert validate_pseudobase(rep.space, fam).ok
+    assert validate_pseudobase(rep.space, fam).holds is True
 
 
 def test_recovered_pseudobase_discrete():
@@ -105,7 +105,7 @@ def test_recovered_pseudobase_discrete():
     )
     fam = recovered_pseudobase(rep)
     assert frozenset({"0"}) in fam and frozenset({"1"}) in fam
-    assert validate_pseudobase(rep.space, fam).ok
+    assert validate_pseudobase(rep.space, fam).holds is True
 
 
 def test_recovered_pseudobase_one_point():

@@ -302,7 +302,8 @@ class Verdict(Frozen):
 
 
 class Checks:
-    """Named verdicts in the order added; `cases` counts what a suite ran."""
+    """Named verdicts in the order added, each looked up by its name;
+    `cases` counts what a suite ran."""
 
     def __init__(self):
         self.entries: List[Tuple[str, Verdict]] = []
@@ -310,6 +311,9 @@ class Checks:
 
     def add(self, name, holds, witness=None, bound=None):
         self.entries.append((name, Verdict(holds, witness, bound)))
+
+    def __getitem__(self, name) -> Verdict:
+        return dict(self.entries)[name]
 
     @property
     def all_pass(self):

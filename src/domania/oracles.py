@@ -69,7 +69,9 @@ def fun_space_suite(max_size: int = 4) -> Checks:
             maps = enumerate_monotone_maps(poset_of_basis(D), poset_of_basis(E))
             result.cases += 1
             if len(toks) != len(maps):
-                result.add(f"count {dn}->{en}", False, f"{len(toks)} vs {len(maps)}")
+                result.add(
+                    f"count {dn}->{en}", False, f"{len(toks)} vs {len(maps)}", max_size
+                )
                 continue
             dtoks = list(D.tokens().tokens)
             graphs = {}
@@ -79,7 +81,7 @@ def fun_space_suite(max_size: int = 4) -> Checks:
                 tuple(m[p.key] for p in dtoks) for m in maps
             }
             if set(graphs.values()) != oracle_graphs:
-                result.add(f"bijection {dn}->{en}", False, None)
+                result.add(f"bijection {dn}->{en}", False, bound=max_size)
                 continue
             order_ok = True
             for s in toks:
@@ -90,7 +92,7 @@ def fun_space_suite(max_size: int = 4) -> Checks:
                     )
                     if fb.leq(s, t) != pointwise:
                         order_ok = False
-            result.add(f"order-iso {dn}->{en}", order_ok, None)
+            result.add(f"order-iso {dn}->{en}", order_ok, bound=max_size)
     return result
 
 
@@ -210,7 +212,7 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
                         for prop in ("convex", "local", "complete"):
                             if not check_property(made, prop).holds:
                                 bad = (kind, dn, en, prop)
-    result.add("sum-prod-preservation", bad is None, str(bad) if bad else None)
+    result.add("sum-prod-preservation", bad is None, bad, max_size)
 
     bad = None
     for dn in names:
@@ -222,7 +224,7 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
                     for prop in ("convex", "local", "complete"):
                         if not check_property(made, prop).holds:
                             bad = (dn, en, prop)
-    result.add("fun-preservation", bad is None, str(bad) if bad else None)
+    result.add("fun-preservation", bad is None, bad, max_size)
 
     # equiembeddings: collect them, then close under the constructors
     ee: List[Tuple[PerEmbedding, str, str]] = []
@@ -254,7 +256,7 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
                 )
                 if not _constructed_equiembedding(made_pe):
                     bad = (kind, fdn, fen, gdn, gen)
-    result.add("sum-prod-equiembedding-closure", bad is None, str(bad) if bad else None)
+    result.add("sum-prod-equiembedding-closure", bad is None, bad, max_size)
 
     bad = None
     for (f, fdn, fen) in ee:
@@ -268,7 +270,7 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
                 )
                 if not _constructed_equiembedding(made_pe):
                     bad = (bn, fdn, fen)
-    result.add("exp-equiembedding-closure", bad is None, str(bad) if bad else None)
+    result.add("exp-equiembedding-closure", bad is None, bad, max_size)
     return result
 
 
@@ -309,7 +311,7 @@ def limit_per_suite(count: int = 20) -> Checks:
                 try:
                     chain = per_chain_extend(shape, env, omega_plus(1), n_finite=3)
                 except DomaniaError as e:
-                    result.add(name, False, str(e))
+                    result.add(name, False, str(e), count)
                     continue
                 plim = chain.per_limit
                 ok = True
@@ -326,7 +328,7 @@ def limit_per_suite(count: int = 20) -> Checks:
                 for prop in ("convex", "local", "complete"):
                     if check_property(plim.per, prop, 3).holds is False:
                         ok, witness = False, prop
-                result.add(name, ok, witness)
+                result.add(name, ok, witness, count)
                 result.cases += 1
     return result
 
@@ -426,8 +428,12 @@ def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> Checks:
             recovered = recovered_pseudobase(rep)
             if not validate_pseudobase(space, recovered).holds:
                 bad_recovered = space.name
-    result.add("convex-local-complete", bad_props is None, str(bad_props or ""))
-    result.add("quotient-topology", bad_quot is None, str(bad_quot or ""))
-    result.add("greatest-representative", bad_greatest is None, str(bad_greatest or ""))
-    result.add("recovered-pseudobase", bad_recovered is None, str(bad_recovered or ""))
+    # a witness only where a check failed
+    for (name, bad) in (
+        ("convex-local-complete", bad_props),
+        ("quotient-topology", bad_quot),
+        ("greatest-representative", bad_greatest),
+        ("recovered-pseudobase", bad_recovered),
+    ):
+        result.add(name, bad is None, bad, max_points)
     return result

@@ -6,10 +6,10 @@ Values are tokens of the carrier: a relation splits, pairs, injects and
 applies them with its carrier's own operations.
 
 Every verdict is tri-state (True / False / None for unknown): deciders over
-staged carriers never guess beyond their bound. Relation deciders answer
-with the bare value; the property checks, `has_total_extension` and
-`is_equiembedding` answer with a `basis.Verdict` that carries it with the
-bound and a witness. The reports alone turn verdicts into words.
+staged carriers never guess beyond their bound. Relation deciders, asked
+once per pair of values, answer with the bare value; every other decider
+answers with a `basis.Verdict` that carries it with the bound, a witness
+and the clause that failed. The reports alone turn verdicts into words.
 
 Relation protocol. A relation decider has these methods, the first five
 taking an optional enumeration bound:
@@ -768,8 +768,8 @@ class PerMap:
         return self._fn(v)
 
 
-def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None):
-    """Tri-state: related pairs must map to related pairs.
+def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
+    """Related pairs must map to related pairs.
 
     True on the class certificate (module docstring) when D's classes are
     exact and each member x of a class has f(first member) ~ f(x) True;
@@ -779,19 +779,19 @@ def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None):
     if exact and all(
         E.related(f(cls[0]), f(x), bound) is True for cls in classes for x in cls
     ):
-        return True, None
+        return Verdict(True, None, bound)
     pairs, exact = D.related_pairs(bound)
     unknown = not exact
     for (x, y) in pairs:
         r = E.related(f(x), f(y), bound)
         if r is False:
-            return False, (x, y)
+            return Verdict(False, (x, y), bound)
         if r is None:
             unknown = True
-    return (None if unknown else True), None
+    return Verdict(None if unknown else True, None, bound)
 
 
-def equi_injective(f, D: DomainPer, E: DomainPer, bound=None):
+def equi_injective(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
     """Reflection of relatedness, checked over enumerated totals."""
     ts, exact = D.totals(bound)
     unknown = not exact
@@ -799,10 +799,10 @@ def equi_injective(f, D: DomainPer, E: DomainPer, bound=None):
         for y in ts:
             r = E.related(f(x), f(y), bound)
             if r is True and D.related(x, y, bound) is False:
-                return False, (x, y)
+                return Verdict(False, (x, y), bound)
             if r is None:
                 unknown = True
-    return (None if unknown else True), None
+    return Verdict(None if unknown else True, None, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -828,14 +828,14 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> Verdict:
     target values, the reference, gives the verdict and any witness.  Each
     call decides anew; a chain decides each of its links once, where it is
     built."""
-    ok, w = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
-    if ok is False:
-        return Verdict(False, w, bound, "equivariance")
+    v = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
+    if v.holds is False:
+        return Verdict(False, v.witness, bound, "equivariance")
 
     ts, exact = pe.source.totals(bound)
     tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
-    unknown = ok is None or not exact or not tgt_exact
-    if ok is True and _reflects_on_classes(pe, tgt_toks, bound):
+    unknown = v.holds is None or not exact or not tgt_exact
+    if v.holds is True and _reflects_on_classes(pe, tgt_toks, bound):
         return Verdict(None if unknown else True, None, bound)
     for x in ts:
         fx = pe.emb.fwd(x)
@@ -882,29 +882,25 @@ def image_per(phi: PerMap) -> DomainPer:
     )
 
 
-def weak_iso_check(phi: PerMap, chi: PerMap, bound=None):
-    ok1, w1 = is_equivariant(phi, phi.source, phi.target, bound)
-    ok2, w2 = is_equivariant(chi, chi.source, chi.target, bound)
-    if ok1 is False or ok2 is False:
-        return False, ("equivariance", w1 if ok1 is False else w2)
-    unknown = ok1 is None or ok2 is None
-    ts, exact = phi.source.totals(bound)
-    unknown = unknown or not exact
-    for x in ts:
-        r = phi.source.related(chi(phi(x)), x, bound)
-        if r is False:
-            return False, ("round-trip", x)
-        if r is None:
-            unknown = True
-    ts, exact = chi.source.totals(bound)
-    unknown = unknown or not exact
-    for y in ts:
-        r = chi.source.related(phi(chi(y)), y, bound)
-        if r is False:
-            return False, ("round-trip", y)
-        if r is None:
-            unknown = True
-    return (None if unknown else True), None
+def weak_iso_check(phi: PerMap, chi: PerMap, bound=None) -> Verdict:
+    """Both maps equivariant, and each round trip related to where it
+    started on every total; the clause names the part that failed."""
+    unknown = False
+    for f in (phi, chi):
+        v = is_equivariant(f, f.source, f.target, bound)
+        if v.holds is False:
+            return Verdict(False, v.witness, bound, "equivariance")
+        unknown = unknown or v.holds is None
+    for (f, g) in ((phi, chi), (chi, phi)):
+        ts, exact = f.source.totals(bound)
+        unknown = unknown or not exact
+        for x in ts:
+            r = f.source.related(g(f(x)), x, bound)
+            if r is False:
+                return Verdict(False, x, bound, "round-trip")
+            if r is None:
+                unknown = True
+    return Verdict(None if unknown else True, None, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -984,8 +980,10 @@ def uniform_limit_map(
             return src.limit.canonical(i, chi_family[i](inner))
 
         chi = PerMap(tgt.per, src.per, apply_chi, name="limit-map-back")
-        ok, w = weak_iso_check(phi, chi, bound)
-        if ok is False:
-            raise NotUniform("stage-wise weak isos fail at the limit", witness=w)
+        v = weak_iso_check(phi, chi, bound)
+        if v.holds is False:
+            raise NotUniform(
+                f"stage-wise weak isos fail at the limit ({v.clause})", witness=v.witness
+            )
         phi.inverse = chi
     return phi

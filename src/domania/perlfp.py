@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .basis import Token
+from .basis import Checks, Token, Verdict
 from .construct import Embedding, identity_embedding
 from .errors import IsoFailure, NotAnAlgebra
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
@@ -213,21 +213,18 @@ def per_chain_extend(
 # stabilisation
 
 
-class StabilizationVerdict:
-    def __init__(
-        self, kind: str, stage: Optional[Ordinal] = None, witness: object = None,
-        bound: Optional[int] = None, report: Optional[CounterexampleReport] = None,
-    ):
-        self.kind = kind  # "stabilized" | "witness" | "unknown"
-        self.stage = stage
-        self.witness = witness
-        self.bound = bound
-        # the nesting witness's report, whenever the equation has one
-        self.report = report
+class StabilizationVerdict(Verdict):
+    """True: the chain stabilizes at `stage`; False: `witness` is a new
+    total past `stage`; None: undecided at `bound`.  `report` is the nesting
+    witness's, whenever the equation has one."""
 
-    @property
-    def stabilized(self):
-        return self.kind == "stabilized"
+    def __init__(
+        self, holds: Optional[bool], stage: Optional[Ordinal] = None,
+        witness: object = None, bound: Optional[int] = None,
+        report: Optional[CounterexampleReport] = None,
+    ):
+        super().__init__(holds, witness, bound)
+        vars(self).update(stage=stage, report=report)
 
 
 def _stage_stabilizes(chain: PerChain, n: int) -> Optional[bool]:
@@ -307,19 +304,22 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
         if stable is None:
             break
         if stable:
-            return StabilizationVerdict("stabilized", fin(n), bound=rank_bound)
+            return StabilizationVerdict(True, fin(n), bound=rank_bound)
 
     if chain.per_limit is None or not chain.unfolded:
-        return StabilizationVerdict("unknown", bound=rank_bound)
+        return StabilizationVerdict(None, bound=rank_bound)
 
     # the fragment holds only finitely supported functions, so it cannot see
     # a new total that needs infinite support: over an infinite exponent only
     # the nesting witness decides, and only when both of its checks hold
     report = counterexample_phi(chain, rank_bound)
-    if report and report.equivariant_on_fragment and not report.total_at_finite_stage:
-        return StabilizationVerdict("witness", OMEGA, report.pretty, rank_bound, report)
+    if report and all(
+        report.checks[name].holds
+        for name in ("fragment-equivariance", "escapes-finite-stages")
+    ):
+        return StabilizationVerdict(False, OMEGA, report.pretty, rank_bound, report)
     if report or _infinite_exponents(chain.functor, chain.env):
-        return StabilizationVerdict("unknown", OMEGA, bound=rank_bound, report=report)
+        return StabilizationVerdict(None, OMEGA, bound=rank_bound, report=report)
     return _omega_verdict(chain, rank_bound)
 
 
@@ -338,8 +338,8 @@ def _omega_verdict(chain: PerChain, rank_bound: int) -> StabilizationVerdict:
             reps, _ = chain.per_limit.per.representatives(depth + 1)
             images = [chain.iso.fwd(s) for s in reps]
         if not any(unfolded.related(t, img) is True for img in images):
-            return StabilizationVerdict("witness", OMEGA, witness=t, bound=depth)
-    return StabilizationVerdict("stabilized", OMEGA, bound=depth)
+            return StabilizationVerdict(False, OMEGA, witness=t, bound=depth)
+    return StabilizationVerdict(True, OMEGA, bound=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +418,7 @@ def _render(expr: FunctorExpr, basis, env, path, inner: str, x) -> str:
 class CounterexampleReport:
     def __init__(
         self, nests: List[Token], pretty: str, ranks: Dict[int, int],
-        total_stages: Dict[int, int], equivariant_on_fragment: bool, check_bound: int,
-        total_at_finite_stage: bool,
+        total_stages: Dict[int, int], checks: Checks,
     ):
         # the witness phi sends the n-th total of the exponent to x_n; it has
         # infinite support and no token, so it is kept as its nestings x_0,
@@ -428,10 +427,8 @@ class CounterexampleReport:
         self.pretty = pretty  # the witness's printed name
         self.ranks = ranks  # n -> reported rank (nesting depth)
         self.total_stages = total_stages  # n -> least chain stage with x_n total
-        self.equivariant_on_fragment = equivariant_on_fragment
-        # the equivariance check covers x_n for n < check_bound
-        self.check_bound = check_bound
-        self.total_at_finite_stage = total_at_finite_stage
+        # rank-pattern, fragment-equivariance, escapes-finite-stages
+        self.checks = checks
 
 
 def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleReport]:
@@ -465,6 +462,8 @@ def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleRe
         n: chain.per_limit.rank_of(x) for (n, x) in enumerate(nests[: bound + 1])
     }
     ranks = {n: stage - 1 for (n, stage) in total_stages.items()}
+    checks = Checks()
+    checks.add("rank-pattern", all(r == n for (n, r) in ranks.items()), ranks, bound)
 
     # phi ~ phi over an exponent whose totals are related only to themselves
     # iff x_n ~ x_n at omega for every n; the check covers n < check_bound,
@@ -474,17 +473,17 @@ def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleRe
         per_omega.related(x, x, check_bound) is not False
         for x in nests[:check_bound]
     )
+    checks.add("fragment-equivariance", equivariant, bound=check_bound)
 
     # the values of phi become total at strictly later stages as the index
     # grows, so phi itself is total at no finite stage among checked ranks
     seq = list(total_stages.values())
     increasing = all(b > a for a, b in zip(seq, seq[1:]))
+    checks.add("escapes-finite-stages", increasing, bound=bound)
 
     descriptor = ("natfn", "nest", ("tok", nests[0].key))
     pretty = _render(expr, iso.unfolded, env, exp_path, f"<fn {descriptor}>", nests[0])
-    return CounterexampleReport(
-        nests, pretty, ranks, total_stages, equivariant, check_bound, not increasing
-    )
+    return CounterexampleReport(nests, pretty, ranks, total_stages, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +519,9 @@ def mediating_algebra_morphism(
     """h_0 from the trivial per, h_{n+1} = g . F(h_n); checks the chain
     coherence and the algebra-morphism law on the fragment."""
     E, g = algebra
-    ok, w = is_equivariant(g, g.source, g.target, bound)
-    if ok is False:
-        raise NotAnAlgebra("algebra map is not equivariant", witness=w)
+    v = is_equivariant(g, g.source, g.target, bound)
+    if v.holds is False:
+        raise NotAnAlgebra("algebra map is not equivariant", witness=v.witness)
     for flag_name in ("convex", "local", "complete"):
         if getattr(E.flags, flag_name) == "no":
             raise NotAnAlgebra(f"algebra carrier per is not {flag_name}")

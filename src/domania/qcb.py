@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basis import FiniteBasis, Frozen, Token, Verdict, tok
+from .basis import Checks, FiniteBasis, Frozen, Token, Verdict, tok
 from .construct import (
     Embedding,
     exp_general_embedding,
@@ -62,23 +62,23 @@ class FiniteSpace(Frozen):
         # `opens` is a frozenset of frozensets of points
         vars(self).update(name=name, points=points, opens=opens)
 
-    def validate(self):
+    def validate(self) -> Verdict:
         pts = frozenset(self.points)
         if frozenset() not in self.opens or pts not in self.opens:
-            return False, "missing empty set or whole space"
+            return Verdict(False, clause="missing empty set or whole space")
         for u in self.opens:
             for v in self.opens:
                 if u | v not in self.opens:
-                    return False, ("not closed under union", u, v)
+                    return Verdict(False, (u, v), clause="not closed under union")
                 if u & v not in self.opens:
-                    return False, ("not closed under intersection", u, v)
-        return True, None
+                    return Verdict(False, (u, v), clause="not closed under intersection")
+        return Verdict(True)
 
-    def is_t0(self):
+    def is_t0(self) -> Verdict:
         for x, y in itertools.combinations(self.points, 2):
             if all((x in u) == (y in u) for u in self.opens):
-                return False, (x, y)
-        return True, None
+                return Verdict(False, (x, y))
+        return Verdict(True)
 
 
 def mk_space(name, points, opens) -> FiniteSpace:
@@ -86,9 +86,9 @@ def mk_space(name, points, opens) -> FiniteSpace:
         name, tuple(str(p) for p in points),
         frozenset(frozenset(str(p) for p in u) for u in opens),
     )
-    ok, why = space.validate()
-    if not ok:
-        raise InvalidSpace(f"not a topology on {name}: {why}")
+    v = space.validate()
+    if not v.holds:
+        raise InvalidSpace(f"not a topology on {name}: {v.clause}", witness=v.witness)
     return space
 
 
@@ -190,10 +190,10 @@ def _set_token(s) -> Token:
 
 
 def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> StandardRep:
-    ok, witness = X.is_t0()
-    if not ok:
-        raise NotT0(f"points {witness} are topologically indistinguishable",
-                    witness=witness)
+    v = X.is_t0()
+    if not v.holds:
+        raise NotT0(f"points {v.witness} are topologically indistinguishable",
+                    witness=v.witness)
     v = validate_pseudobase(X, sets)
     if not v.holds:
         raise InvalidSpace(f"not a pseudobase: {v.clause}")
@@ -394,17 +394,12 @@ def check_fun_coherence(repD: StandardRep, repE: StandardRep) -> bool:
 
 
 class QcbFixedPointReport:
-    def __init__(
-        self, lfp: DenseLfp, classes_by_rank: Dict[int, int], fixed_point_bijection: bool,
-        coherence: Dict[str, bool], pedigree: Dict[str, str],
-        hausdorff: Optional[bool] = None,
-    ):
+    def __init__(self, lfp: DenseLfp, classes_by_rank: Dict[int, int], checks: Checks):
         self.lfp = lfp
         self.classes_by_rank = classes_by_rank
-        self.fixed_point_bijection = fixed_point_bijection
-        self.coherence = coherence
-        self.pedigree = pedigree
-        self.hausdorff = hausdorff
+        # fixed-point-classes, a coherence-* check per construction, and
+        # positive-parameters-hausdorff where it is derivable
+        self.checks = checks
 
 
 def qcb_fixed_point(
@@ -430,6 +425,8 @@ def qcb_fixed_point(
         for j, b in enumerate(images):
             if (unfolded.related(a, b, rank_bound) is True) != (i == j):
                 bijection = False
+    checks = Checks()
+    checks.add("fixed-point-classes", bijection, bound=rank_bound)
 
     coherence = {}
     reps = {k: v for (k, v) in bindings.items() if isinstance(v, StandardRep)}
@@ -444,19 +441,17 @@ def qcb_fixed_point(
             )
             coherence[f"fun({a},{b})"] = check_fun_coherence(reps[a], reps[b])
         coherence[f"quotient({a})"] = quotient_matches_space(reps[a])
-
-    pedigree = lfp.per.flags.as_dict()
+    for key in sorted(coherence):
+        checks.add(f"coherence-{key}", coherence[key])
 
     # the separation flag is derivable only when every positive parameter is
     # a finite space instance; it records the hypothesis checked by direct
     # open-set separation
-    hausdorff: Optional[bool] = None
     pos = _positive_const_names(expr)
     if pos and all(isinstance(bindings.get(n), StandardRep) for n in pos):
         hausdorff = all(_space_hausdorff(bindings[n].space) for n in pos)
-    return QcbFixedPointReport(
-        lfp, by_rank, bijection, coherence, pedigree, hausdorff
-    )
+        checks.add("positive-parameters-hausdorff", hausdorff)
+    return QcbFixedPointReport(lfp, by_rank, checks)
 
 
 def _space_hausdorff(space: FiniteSpace) -> bool:
@@ -538,31 +533,14 @@ def _transfer(paired: FunctorExpr, phi: Embedding, isos) -> Embedding:
         )
 
 
-class IndependenceReport:
-    def __init__(
-        self, stage_isos_ok: Optional[bool], uniform: bool,
-        class_matching: Optional[List[Tuple[int, int]]],
-    ):
-        self.stage_isos_ok = stage_isos_ok  # None: no stage refuted, some undecided
-        self.uniform = uniform
-        self.class_matching = class_matching
-
-    @property
-    def ok(self):
-        # an undecided stage fold does not fail the report
-        return (
-            self.stage_isos_ok is not False
-            and self.uniform
-            and self.class_matching is not None
-        )
-
-
 def fixed_point_independence(
     F, env_f, G, env_g, pairs: Dict[Tuple[str, str], IsoPair], rank_bound: int = 2
-) -> IndependenceReport:
+) -> Checks:
     """Builds both chains, transfers the stage maps, and verifies the
-    class-level matching between the two fixed points.  A family that does
-    not commute with the chains has no limit map, so no classes to match."""
+    class-level matching between the two fixed points: the checks
+    stage-weak-isos, uniform-family and class-matching, whose witness is the
+    matching.  A family that does not commute with the chains has no limit
+    map, so no classes to match."""
     from .ordinals import omega_plus
 
     n_finite = 3
@@ -594,22 +572,25 @@ def fixed_point_independence(
     for n in range(1, n_finite + 1):
         per_f = chain_f.stages[n][1]
         per_g = chain_g.stages[n][1]
-        ok, _ = weak_iso_check(
-            PerMap(per_f, per_g, phis[n]), PerMap(per_g, per_f, chis[n])
-        )
-        verdicts.append(ok)
+        v = weak_iso_check(PerMap(per_f, per_g, phis[n]), PerMap(per_g, per_f, chis[n]))
+        verdicts.append(v.holds)
     stage_ok = False if False in verdicts else None if None in verdicts else True
 
     # families that commute with the chain embeddings extend to the limits,
     # acting stage-wise on canonical tokens
+    checks = Checks()
     try:
         phi_omega = uniform_limit_map(phis, chain_f.per_limit, chain_g.per_limit)
         chi_omega = uniform_limit_map(chis, chain_g.per_limit, chain_f.per_limit)
     except NotUniform:
-        return IndependenceReport(stage_ok, False, None)
-    ok, _ = weak_iso_check(phi_omega, chi_omega, rank_bound)
-    if ok is False:
+        checks.add("stage-weak-isos", stage_ok, bound=rank_bound)
+        checks.add("uniform-family", False)
+        checks.add("class-matching", False, bound=rank_bound)
+        return checks
+    if weak_iso_check(phi_omega, chi_omega, rank_bound).holds is False:
         stage_ok = False
+    checks.add("stage-weak-isos", stage_ok, bound=rank_bound)
+    checks.add("uniform-family", True)
 
     cf, _ = chain_f.per_limit.per.classes(rank_bound)
     cg, _ = chain_g.per_limit.per.classes(rank_bound)
@@ -629,4 +610,5 @@ def fixed_point_independence(
         matching.append((i, js[0]))
     if matching is not None and len(used) != len(cg):
         matching = None
-    return IndependenceReport(stage_ok, True, matching)
+    checks.add("class-matching", matching is not None, matching, rank_bound)
+    return checks

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .basis import Basis, Frozen, Token, TokenSet, tok
+from .basis import Basis, Frozen, Token, TokenSet, Verdict, tok
 from .construct import (
     Embedding,
     exp_fixed_embedding,
@@ -344,17 +344,6 @@ class LimitBasis(Basis):
 # fixed-point isomorphism D_omega ~ F(D_omega)
 
 
-class IsoReport:
-    def __init__(self, bound: int, verified: bool, token_count: int, witness: object = None):
-        self.bound = bound
-        self.verified = verified
-        self.token_count = token_count
-        self.witness = witness
-
-    def __eq__(self, other):
-        return type(other) is IsoReport and vars(other) == vars(self)
-
-
 class FixedPointIso:
     """Canonical token bijection between a limit and its one-step unfolding."""
 
@@ -415,7 +404,7 @@ class FixedPointIso:
         cap = self.limit.max_stage() - 1
         return min(best, cap)
 
-    def verify(self, bound: int) -> IsoReport:
+    def verify(self, bound: int) -> Verdict:
         """The linear clauses: the round trip inv(fwd t) == t, which makes fwd
         injective, and image = F(stage b-1). No pair is compared, since fwd on
         stage n is F(iota_{n-1}), iota the limit's stage ep-pair, hence an
@@ -423,7 +412,7 @@ class FixedPointIso:
         toks = self.limit.tokens(bound).tokens
         for t in toks:
             if self.inv(self.fwd(t)) != t:
-                return IsoReport(bound, False, len(toks), witness=t)
+                return Verdict(False, t, bound)
         # the image of the stage-b fragment is exactly F applied to stage b-1;
         # only decidable when the stage enumerates completely
         stage_b = self.limit.stages[bound].basis if bound >= 1 else None
@@ -433,19 +422,17 @@ class FixedPointIso:
             }
             got = {self.fwd(t).key for t in toks}
             if got != expected:
-                return IsoReport(
-                    bound, False, len(toks), witness=got.symmetric_difference(expected)
-                )
-        return IsoReport(bound, True, len(toks))
+                return Verdict(False, got.symmetric_difference(expected), bound)
+        return Verdict(True, None, bound)
 
 
 def fixed_point_iso(
     expr: FunctorExpr, env: Dict[str, Basis], limit: LimitBasis, bound: int
-) -> Tuple[FixedPointIso, IsoReport]:
+) -> Tuple[FixedPointIso, Verdict]:
     iso = FixedPointIso(expr, env, limit)
-    report = iso.verify(bound)
-    if not report.verified:
+    v = iso.verify(bound)
+    if not v.holds:
         raise IsoFailure(
-            f"fixed-point correspondence failed at bound {bound}", witness=report.witness
+            f"fixed-point correspondence failed at bound {bound}", witness=v.witness
         )
-    return iso, report
+    return iso, v

@@ -69,7 +69,7 @@ def test_criterion_02_domain_lfp():
     counts = [len(s.basis.tokens().tokens) for s in stages[:3]]
     lim = LimitBasis(stages)
     iso, report = fixed_point_iso(RUNNING, env, lim, bound=3)
-    ok = counts == [1, 4, 11] and report.verified
+    ok = counts == [1, 4, 11] and report.holds is True
     _verdict(2, "domain least fixed point", ok)
 
 
@@ -192,10 +192,9 @@ def test_criterion_08_non_stabilization_witness():
     )
     report = counterexample_phi(chain, bound=5)
     ok = report.ranks == {n: n for n in range(6)}
-    ok = ok and report.equivariant_on_fragment
-    ok = ok and not report.total_at_finite_stage
+    ok = ok and report.checks.all_pass
     verdict = stabilization_probe(chain, rank_bound=5)
-    ok = ok and verdict.kind == "witness" and verdict.stage == OMEGA
+    ok = ok and verdict.holds is False and verdict.stage == OMEGA
     _verdict(8, "non-stabilization witness", ok)
 
 
@@ -204,7 +203,7 @@ def test_criterion_09_finite_exponent_stabilizes():
     ok = True
     for rank_bound in (1, 2, 3, 4):
         verdict = stabilization_probe(chain, rank_bound)
-        if not (verdict.stabilized and verdict.stage == OMEGA):
+        if not (verdict.holds is True and verdict.stage == OMEGA):
             ok = False
     _verdict(9, "finite-exponent stabilization", ok)
 
@@ -238,7 +237,7 @@ def test_criterion_11_fixed_point_independence():
         {("A", "A"): iso, ("B", "B"): iso},
         rank_bound=2,
     )
-    ok = report.ok and len(report.class_matching) >= 2
+    ok = report.all_pass and len(report["class-matching"].witness) >= 2
     _verdict(11, "fixed-point independence", ok)
 
 

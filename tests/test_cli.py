@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -151,8 +152,6 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
     code, _ = run_command(["no-such-command"])
     assert code == 2
-    code, text = run_command(["oracle", "--suite", "nope"])
-    assert code == 2
     code, _ = run_command(
         ["solve-domain", "--eq", "param A = sierpinski; X = [X -> A]"]
     )
@@ -182,6 +181,7 @@ def test_usage_errors_exit_two(tmp_path):
     )
     qcb_eq = "param A = {}; param S = sierpinski; X = A + [S -> X]"
     for argv in (
+        ["oracle", "--suite", "nope"],
         ["counterexample", "--param", "bogus"],
         ["per-lfp", "--eq", "param A = discrete(abc); X = A + X"],
         [
@@ -217,6 +217,38 @@ def test_check_failures_exit_one(monkeypatch):
     code, text = run_command(["oracle", "--suite", "fun-space", "--max-size", "3"])
     assert code == 1
     assert [c["status"] for c in json.loads(text)["checks"]] == ["fail"]
+
+
+def _one_check(name, holds, witness=None):
+    from domania.basis import Checks
+
+    checks = Checks()
+    checks.add(name, holds, witness, 2)
+    return lambda *args, **kwargs: checks
+
+
+def test_unknown_check_keeps_exit_code(monkeypatch):
+    # a check that ends unknown does not change the exit code
+    from domania import cli
+
+    monkeypatch.setattr(cli, "dense_laws", _one_check("kept-tokens", None))
+    code, text = run_command(GOLDEN_COMMANDS["dense.json"])
+    assert code == 0, text
+    assert [c["status"] for c in json.loads(text)["checks"]] == ["unknown"]
+
+
+def test_failing_pair_check_prints_both_totals(monkeypatch):
+    from domania import cli
+    from domania.basis import tok
+
+    x, y = tok(("s", 0, "top")), tok(("s", 1, "bot"))
+    check = _one_check("evaluation-reflects-classes", False, (x, y))
+    monkeypatch.setattr(cli, "dense_image_weak_iso", check)
+    code, text = run_command(GOLDEN_COMMANDS["eta-roundtrip.json"])
+    assert code == 1
+    (row,) = json.loads(text)["checks"]
+    assert row["status"] == "fail"
+    assert row["witness"] == f"({x.pretty}, {y.pretty})"
 
 
 def test_qcb_separation_row_records_a_hypothesis():
@@ -519,14 +551,18 @@ def test_counterexample_derives_the_witness_once(monkeypatch):
 
 
 def test_every_report_anchor_is_documented():
-    docs = open(
-        os.path.join(os.path.dirname(__file__), "..", "docs", "traceability.md")
-    ).read()
+    from domania.cli import ANCHORS
+
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "traceability.md")
+    with open(path) as fh:
+        documented = set(re.findall(r"^\| `([^`]+)` \|", fh.read(), re.MULTILINE))
+    # the table can emit exactly the documented anchors
+    assert set(ANCHORS.values()) == documented
     for name in sorted(GOLDEN_COMMANDS):
         with open(os.path.join(GOLDEN_DIR, name)) as fh:
             doc = json.load(fh)
         for check in doc["checks"]:
-            assert f"`{check['anchor']}`" in docs, check["anchor"]
+            assert check["anchor"] in documented, check["anchor"]
 
 
 def test_qcb_space_files_flag(tmp_path):

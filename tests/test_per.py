@@ -5,6 +5,7 @@ import pytest
 import domania.per as per_module
 from domania import oracles, perlfp
 from domania.basis import (
+    Verdict,
     catalog_basis,
     catalog_names,
     catalog_poset,
@@ -280,23 +281,18 @@ def test_prec_check():
 
 def test_is_equivariant_and_equi_injective():
     per = osier()
-    ok, _ = is_equivariant(lambda v: v, per, per)
-    assert ok is True
-    ok, _ = equi_injective(lambda v: v, per, per)
-    assert ok is True
+    assert is_equivariant(lambda v: v, per, per).holds is True
+    assert equi_injective(lambda v: v, per, per).holds is True
 
     const_top = lambda v: TOP
-    ok, _ = is_equivariant(const_top, per, per)
-    assert ok is True
-    ok, _ = equi_injective(const_top, per, per)
-    assert ok is True  # one class only, so reflection is vacuous
+    assert is_equivariant(const_top, per, per).holds is True
+    # one class only, so reflection is vacuous
+    assert equi_injective(const_top, per, per).holds is True
 
     s = per_construct("sum", osier(), osier())
     swap = swap_summands(s.carrier)
-    ok, _ = is_equivariant(swap, s, s)
-    assert ok is True
-    ok, _ = equi_injective(swap, s, s)
-    assert ok is True
+    assert is_equivariant(swap, s, s).holds is True
+    assert equi_injective(swap, s, s).holds is True
 
 
 def pairwise_equivariance(f, D, E, bound=None):
@@ -306,10 +302,10 @@ def pairwise_equivariance(f, D, E, bound=None):
     for (x, y) in pairs:
         r = E.related(f(x), f(y), bound)
         if r is False:
-            return False, (x, y)
+            return Verdict(False, (x, y), bound)
         if r is None:
             unknown = True
-    return (None if unknown else True), None
+    return Verdict(None if unknown else True, None, bound)
 
 
 def _links(expr, env, bounds):
@@ -348,7 +344,7 @@ def test_equivariance_broken_off_the_first_class_member():
     (first, second), = fper.classes()[0]
     breaks = lambda v: BOT if v == second else TOP
     want = pairwise_equivariance(breaks, fper, osier())
-    assert want[0] is False
+    assert want.holds is False
     assert is_equivariant(breaks, fper, osier()) == want
 
 
@@ -366,9 +362,10 @@ def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
 def reference_reflection(pe, bound=None):
     """Reference for the per clauses of an equiembedding, reflection
     pairwise: every source total against every target value."""
-    ok, w = pairwise_equivariance(pe.emb.fwd, pe.source, pe.target, bound)
+    equivariant = pairwise_equivariance(pe.emb.fwd, pe.source, pe.target, bound)
+    ok = equivariant.holds
     if ok is False:
-        return False, "equivariance", w
+        return False, "equivariance", equivariant.witness
     ts, exact = pe.source.totals(bound)
     tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
     unknown = ok is None or not exact or not tgt_exact
@@ -588,8 +585,7 @@ def test_reflection_counterexample_found_by_search():
                 tgt = finite_per(three, [(tok(a), tok(b)) for (a, b) in gen])
             except Exception:
                 continue
-            ok, _ = is_equivariant(emb.fwd, src, tgt)
-            if ok is not True:
+            if is_equivariant(emb.fwd, src, tgt).holds is not True:
                 continue
             v = is_equiembedding(PerEmbedding(emb, src, tgt))
             if v.holds is False and v.clause == "reflection":
@@ -657,21 +653,19 @@ def test_image_per_totals_are_the_target_totals_related_to_an_image():
 
 def test_weak_iso_checks():
     per = osier()
-    ok, _ = weak_iso_check(identity_map(per), identity_map(per))
-    assert ok is True
+    assert weak_iso_check(identity_map(per), identity_map(per)).holds is True
 
     s = per_construct("sum", osier(), osier())
     sb = s.carrier
     swap = swap_summands(sb)
 
     sw = PerMap(s, s, swap, name="swap")
-    ok, _ = weak_iso_check(sw, sw)
-    assert ok is True
+    assert weak_iso_check(sw, sw).holds is True
 
     # constants between pers with two classes fail the round trip
     c0 = PerMap(s, s, lambda v: sb.inject(0, TOP), name="c0")
-    ok, w = weak_iso_check(c0, c0)
-    assert ok is False
+    v = weak_iso_check(c0, c0)
+    assert (v.holds, v.clause) == (False, "round-trip")
 
 
 def _constant_chain(per, n):

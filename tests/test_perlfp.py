@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from domania import perlfp
-from domania.basis import Token, Verdict, tok
+from domania.basis import Checks, Token, Verdict, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
@@ -197,7 +197,7 @@ def test_stage_rows_count_without_enumerating_stage_five(monkeypatch):
 def test_constant_functor_stabilizes_at_one():
     chain = per_chain_extend(ConstD("A"), {"A": sierpinski_per()}, omega_plus(1), n_finite=3)
     v = stabilization_probe(chain, rank_bound=3)
-    assert v.stabilized
+    assert v.holds is True
     assert v.stage == fin(1)
 
 
@@ -216,7 +216,7 @@ def test_running_example_stabilizes_at_omega():
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
     for rank_bound in (1, 2, 3, 4):
         v = stabilization_probe(chain, rank_bound)
-        assert v.stabilized
+        assert v.holds is True
         assert v.stage == OMEGA
 
 
@@ -245,8 +245,8 @@ def full_fragment_verdict(chain, rank_bound):
             classes, _ = chain.per_limit.per.classes(depth + 1)
             images = [chain.iso.fwd(cls[0]) for cls in classes]
         if not any(unfolded.related(t, img) is True for img in images):
-            return StabilizationVerdict("witness", OMEGA, witness=t, bound=depth)
-    return StabilizationVerdict("stabilized", OMEGA, bound=depth)
+            return StabilizationVerdict(False, OMEGA, witness=t, bound=depth)
+    return StabilizationVerdict(True, OMEGA, bound=depth)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +272,7 @@ def test_fold_back_agrees_with_class_search(expr, env, rank_bounds):
         assert all(_folds_back(chain, t) for t in fragment), rank_bound
         got = _omega_verdict(chain, rank_bound)
         want = full_fragment_verdict(chain, rank_bound)
-        assert (got.kind, got.stage, got.bound) == (want.kind, want.stage, want.bound)
+        assert got == want
 
 
 def test_omega_verdict_on_representatives_finds_a_witness():
@@ -286,8 +286,8 @@ def test_omega_verdict_on_representatives_finds_a_witness():
     )
     got = _omega_verdict(chain, 2)
     want = full_fragment_verdict(chain, 2)
-    assert got.kind == "witness"
-    assert (got.kind, got.stage, got.bound) == (want.kind, want.stage, want.bound)
+    assert got.holds is False
+    assert (got.holds, got.stage, got.bound) == (want.holds, want.stage, want.bound)
 
 
 def test_probe_at_omega_enumerates_no_omega_totals(monkeypatch):
@@ -299,7 +299,7 @@ def test_probe_at_omega_enumerates_no_omega_totals(monkeypatch):
     monkeypatch.setattr(chain.per_limit.per, "totals", forbidden)
     monkeypatch.setattr(chain.per_limit.per, "classes", forbidden)
     v = stabilization_probe(chain, rank_bound=3)
-    assert v.stabilized
+    assert v.holds is True
     assert v.stage == OMEGA
 
 
@@ -317,7 +317,7 @@ def test_probe_and_stage_rows_enumerate_no_limit_or_unfolded_totals(monkeypatch)
     monkeypatch.setattr(chain.unfolded[0], "totals", forbidden)
     monkeypatch.setattr(chain.unfolded[0].rel, "totals", forbidden)
     v = stabilization_probe(chain, rank_bound=4)
-    assert (v.kind, v.stage, v.bound) == ("stabilized", OMEGA, 4)
+    assert (v.holds, v.stage, v.bound) == (True, OMEGA, 4)
     rows = _stage_rows_for_chain(chain, 4)
     assert [r["total_class_count"] for r in rows] == [0, 1, 2, 3, 4, 5, 4, 5]
 
@@ -340,8 +340,8 @@ def test_counterexample_phi_rank_pattern():
     report = counterexample_phi(flatnat_chain(sierpinski_per(), 5), bound=5)
     assert report.ranks == {n: n for n in range(6)}
     assert report.total_stages == {n: n + 1 for n in range(6)}
-    assert report.equivariant_on_fragment
-    assert not report.total_at_finite_stage
+    assert report.checks["fragment-equivariance"].holds is True
+    assert report.checks["escapes-finite-stages"].holds is True
     assert len(report.nests) == 6
     assert all(isinstance(x, Token) for x in report.nests)
 
@@ -405,26 +405,28 @@ def test_nesting_rule_follows_the_path_to_the_variable(name):
     for (x, nxt) in zip(report.nests, report.nests[1:]):
         assert nxt == chain.iso.inv(step(chain.iso.unfolded, x))
     assert report.total_stages == {n: n + 1 for n in range(rank_bound + 1)}
-    assert report.equivariant_on_fragment and not report.total_at_finite_stage
+    assert report.checks.all_pass
     descriptor = ("natfn", "nest", ("tok", base.key))
     assert report.pretty == context.format(f"<fn {descriptor}>")
     verdict = stabilization_probe(chain, rank_bound)
-    assert (verdict.kind, verdict.witness) == ("witness", report.pretty)
+    assert (verdict.holds, verdict.witness) == (False, report.pretty)
 
 
-@pytest.mark.parametrize(
-    "broken", [{"equivariant_on_fragment": False}, {"total_at_finite_stage": True}]
-)
+@pytest.mark.parametrize("broken", ["fragment-equivariance", "escapes-finite-stages"])
 def test_probe_reports_the_witness_only_when_both_checks_hold(monkeypatch, broken):
     chain = flatnat_chain(sierpinski_per(), 2)
     derive = perlfp.counterexample_phi
-    monkeypatch.setattr(
-        perlfp,
-        "counterexample_phi",
-        lambda chain, bound: replace(derive(chain, bound), **broken),
-    )
+
+    def breaking(chain, bound):
+        report = derive(chain, bound)
+        checks = Checks()
+        for (name, v) in report.checks.entries:
+            checks.add(name, v.holds and name != broken, v.witness, v.bound)
+        return replace(report, checks=checks)
+
+    monkeypatch.setattr(perlfp, "counterexample_phi", breaking)
     verdict = stabilization_probe(chain, 2)
-    assert (verdict.kind, verdict.witness, verdict.bound) == ("unknown", None, 2)
+    assert (verdict.holds, verdict.witness, verdict.bound) == (None, None, 2)
     assert verdict.report is not None
 
 
@@ -434,7 +436,7 @@ def test_no_nesting_witness_without_the_variable_under_the_exponent():
     )
     assert counterexample_phi(chain, bound=2) is None
     verdict = stabilization_probe(chain, 2)
-    assert (verdict.kind, verdict.report) == ("unknown", None)
+    assert (verdict.holds, verdict.report) == (None, None)
 
 
 def test_counterexample_phi_check_bound_clamped_to_built_stages():
@@ -442,7 +444,8 @@ def test_counterexample_phi_check_bound_clamped_to_built_stages():
     # exponent's enumerated totals bound it too
     for (nat_bound, checked) in ((6, 3), (2, 2)):
         chain = flatnat_chain(sierpinski_per(), 3, nat_bound)
-        assert counterexample_phi(chain, bound=3).check_bound == checked
+        report = counterexample_phi(chain, bound=3)
+        assert report.checks["fragment-equivariance"].bound == checked
 
 
 def test_counterexample_phi_flatbool_parameter():
@@ -462,7 +465,7 @@ def test_counterexample_phi_trivial_parameter():
 def test_flatnat_chain_not_stabilized():
     chain = per_chain_extend(FLATNAT_EQ, flatnat_env(8), omega_plus(1), n_finite=6)
     v = stabilization_probe(chain, rank_bound=4)
-    assert v.kind == "witness"
+    assert v.holds is False
     assert v.report.ranks[3] == 3
     assert v.witness == v.report.pretty
     assert v.witness.startswith("in1(<fn ('natfn', 'nest', ")

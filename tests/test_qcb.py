@@ -126,6 +126,14 @@ def test_quotient_topology_matches_space():
         assert quotient_matches_space(rep)
 
 
+def test_standard_rep_suite_passing_checks_carry_no_witness():
+    from domania.oracles import standard_rep_suite
+
+    result = standard_rep_suite(3)
+    assert result.cases and result.all_pass
+    assert [v.witness for (_, v) in result.entries] == [None] * 4
+
+
 def test_unrolling_coherence():
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
     fb = standard_representation(
@@ -175,18 +183,22 @@ def test_qcb_fixed_point_running_example():
     report = qcb_fixed_point(expr, {"FB": fb, "S": sier}, rank_bound=2)
     assert report.classes_by_rank[1] == 2
     assert sum(report.classes_by_rank.values()) > 2
-    assert report.fixed_point_bijection
-    assert all(report.coherence.values()), report.coherence
-    assert report.pedigree["dense"] == "yes"
-    assert report.hausdorff is True  # the positive parameter is discrete
+    checks = report.checks
+    assert checks["fixed-point-classes"].holds is True
+    coherence = [v.holds for (n, v) in checks.entries if n.startswith("coherence-")]
+    assert coherence and all(h is True for h in coherence), checks.entries
+    assert report.lfp.per.flags.dense == "yes"
+    # the positive parameter is discrete
+    assert checks["positive-parameters-hausdorff"].holds is True
 
 
 def test_qcb_fixed_point_constant():
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
     report = qcb_fixed_point(ConstD("S"), {"S": sier}, rank_bound=2)
     assert sum(report.classes_by_rank.values()) == 2
-    assert report.fixed_point_bijection
-    assert report.hausdorff is False  # Sierpinski is not Hausdorff
+    assert report.checks["fixed-point-classes"].holds is True
+    # Sierpinski is not Hausdorff
+    assert report.checks["positive-parameters-hausdorff"].holds is False
 
 
 def identity_independence(rank_bound=2):
@@ -206,8 +218,9 @@ def identity_independence(rank_bound=2):
 
 def test_independence_identity():
     report = identity_independence()
-    assert report.ok
-    assert report.class_matching == [(i, i) for i in range(len(report.class_matching))]
+    assert report.all_pass
+    matching = report["class-matching"].witness
+    assert matching == [(i, i) for i in range(len(matching))]
 
 
 def test_independence_without_a_limit_map(monkeypatch):
@@ -218,10 +231,11 @@ def test_independence_without_a_limit_map(monkeypatch):
 
     monkeypatch.setattr(qcb, "uniform_limit_map", not_uniform)
     report = identity_independence()
-    assert report.stage_isos_ok
-    assert not report.uniform
-    assert report.class_matching is None
-    assert not report.ok
+    assert [(n, v.holds, v.witness) for (n, v) in report.entries] == [
+        ("stage-weak-isos", True, None),
+        ("uniform-family", False, None),
+        ("class-matching", False, None),
+    ]
 
 
 def test_independence_relabeled_parameter():
@@ -239,9 +253,8 @@ def test_independence_relabeled_parameter():
     })
     pairs = {("A", "A"): iso, ("B", "B"): iso}
     report = fixed_point_independence(F, env_f, F, env_g, pairs, rank_bound=2)
-    assert report.ok
-    assert report.class_matching is not None
-    assert len(report.class_matching) >= 2
+    assert report.all_pass
+    assert len(report["class-matching"].witness) >= 2
 
 
 def test_independence_shape_mismatch():
@@ -283,8 +296,7 @@ def test_independence_pairs_parameters_by_position():
     # one F parameter stands at two G positions: each position takes the
     # pair of its own two names
     report = _one_against_two_parameters([("A", "C"), ("A", "D")])
-    assert report.stage_isos_ok is True
-    assert report.ok
+    assert report.all_pass
 
 
 def test_independence_missing_pair():

@@ -2,6 +2,7 @@ import pytest
 
 from domania.basis import (
     FlatNatBasis,
+    Verdict,
     catalog_basis,
     catalog_poset,
     enumerate_monotone_maps,
@@ -21,7 +22,6 @@ from domania.spfunctor import (
     Exp,
     FixedPointIso,
     Id,
-    IsoReport,
     LimitBasis,
     Prod,
     Sum,
@@ -166,8 +166,8 @@ def test_fixed_point_iso_running_example():
     stages = omega_chain(RUNNING, ENV, 4)
     lim = LimitBasis(stages)
     iso, report = fixed_point_iso(RUNNING, ENV, lim, bound=3)
-    assert report.verified
-    assert report.token_count == 42
+    assert report == Verdict(True, None, 3)
+    assert len(lim.tokens(3).tokens) == 42
     for t in lim.tokens(3).tokens:
         assert iso.inv(iso.fwd(t)) == t
 
@@ -176,7 +176,7 @@ def test_fixed_point_iso_constant():
     stages = omega_chain(ConstD("A"), {"A": O}, 2)
     lim = LimitBasis(stages)
     iso, report = fixed_point_iso(ConstD("A"), {"A": O}, lim, bound=1)
-    assert report.verified
+    assert report.holds is True
     # constant functor: unfolding is the parameter itself, tokens map onto it
     assert {iso.fwd(t).key for t in lim.tokens(1).tokens} == {
         t.key for t in O.tokens().tokens
@@ -187,8 +187,8 @@ def test_fixed_point_iso_one_point():
     stages = omega_chain(Id(), {}, 2)
     lim = LimitBasis(stages)
     iso, report = fixed_point_iso(Id(), {}, lim, bound=1)
-    assert report.verified
-    assert report.token_count == 1
+    assert report.holds is True
+    assert len(lim.tokens(1).tokens) == 1
 
 
 def reference_iso_verify(iso, bound):
@@ -200,14 +200,14 @@ def reference_iso_verify(iso, bound):
     for t in toks:
         u = iso.fwd(t)
         if u.key in images:
-            return IsoReport(bound, False, len(toks), witness=(images[u.key], t))
+            return Verdict(False, (images[u.key], t), bound)
         images[u.key] = t
         if iso.inv(u) != t:
-            return IsoReport(bound, False, len(toks), witness=t)
+            return Verdict(False, t, bound)
     for p in toks:
         for q in toks:
             if iso.limit.leq(p, q) != iso.unfolded.leq(iso.fwd(p), iso.fwd(q)):
-                return IsoReport(bound, False, len(toks), witness=(p, q))
+                return Verdict(False, (p, q), bound)
     stage_b = iso.limit.stages[bound].basis
     if stage_b.finite:
         below = iso.limit.stage_embedding(bound - 1)
@@ -215,10 +215,8 @@ def reference_iso_verify(iso, bound):
         expected = {femb.fwd(t).key for t in stage_b.tokens().tokens}
         got = {iso.fwd(t).key for t in toks}
         if got != expected:
-            return IsoReport(
-                bound, False, len(toks), witness=got.symmetric_difference(expected)
-            )
-    return IsoReport(bound, True, len(toks))
+            return Verdict(False, got.symmetric_difference(expected), bound)
+    return Verdict(True, None, bound)
 
 
 FB = flatbool_per().carrier
@@ -266,15 +264,15 @@ def test_iso_linear_clauses_agree_with_the_pairwise_reference(name, monkeypatch)
         monkeypatch.setattr(LimitBasis, "leq", counting)
         got = FixedPointIso(expr, env, limit).verify(b)
         monkeypatch.setattr(LimitBasis, "leq", limit_leq)
-        assert got.verified and not calls, b
+        assert got.holds is True and not calls, b
         assert got == reference_iso_verify(FixedPointIso(expr, env, limit), b), b
     # one token sent to another's image: both reject it
     broken = FixedPointIso(expr, env, limit)
     fwd = broken.fwd
     p, q = limit.tokens(2).tokens[1:3]
     broken.fwd = lambda t: fwd(p) if t == q else fwd(t)
-    assert not broken.verify(2).verified
-    assert not reference_iso_verify(broken, 2).verified
+    assert broken.verify(2).holds is False
+    assert reference_iso_verify(broken, 2).holds is False
 
 
 def test_bounded_tokens_do_not_depend_on_earlier_calls():

@@ -326,9 +326,9 @@ def load_space_file(path: str):
     return space, pseudobase
 
 
-def resolve_per_source(src: str, nat_bound=8, base_dir=".") -> DomainPer:
+def resolve_per_source(src: str, nat_bound=8) -> DomainPer:
     if src.startswith("file(") and src.endswith(")"):
-        path = os.path.join(base_dir, src[5:-1])
+        path = src[5:-1]
         kv = _parse_kv_file(path)
         if "points" in kv:
             from .qcb import standard_representation
@@ -341,11 +341,11 @@ def resolve_per_source(src: str, nat_bound=8, base_dir=".") -> DomainPer:
     return builtin_per(src, nat_bound)
 
 
-def resolve_space_source(src: str, base_dir="."):
+def resolve_space_source(src: str):
     from .qcb import discrete_space, sierpinski_space, standard_representation
 
     if src.startswith("file(") and src.endswith(")"):
-        space, pb = load_space_file(os.path.join(base_dir, src[5:-1]))
+        space, pb = load_space_file(src[5:-1])
         return standard_representation(space, pb)
     if src == "sierpinski":
         return standard_representation(
@@ -467,9 +467,9 @@ def report_json(equation, mode, stages, stabilized_at, checks, pedigree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def export_dot(basis: Basis, path: str, totals=None, bound=None):
+def export_dot(basis: Basis, path: str, totals=None):
     """Covering-relation graph; total tokens are double-circled."""
-    ts = basis.tokens(bound)
+    ts = basis.tokens()
     toks = sorted(ts.tokens, key=lambda t: (t.pretty, str(t.key)))
     total_keys = {t.key for t in (totals or [])}
     ids = {t.key: f"n{i}" for i, t in enumerate(toks)}
@@ -507,9 +507,9 @@ def _load_equation(text: str) -> EquationSource:
     return parse_equation(text)
 
 
-def _per_env(source: EquationSource, nat_bound, base_dir=".") -> Dict[str, DomainPer]:
+def _per_env(source: EquationSource, nat_bound) -> Dict[str, DomainPer]:
     return {
-        name: resolve_per_source(src, nat_bound, base_dir)
+        name: resolve_per_source(src, nat_bound)
         for (name, src) in source.decls.items()
     }
 
@@ -543,11 +543,9 @@ def cmd_solve_domain(args) -> Tuple[int, str]:
     )
 
 
-def _count_tokens(basis, idx, bound=4):
+def _count_tokens(basis, idx):
     # exact counts while the stage is small, bounded views beyond
-    if basis.finite and idx <= 4:
-        return len(basis.tokens().tokens)
-    return len(basis.tokens(bound).tokens)
+    return len(basis.tokens(None if basis.finite and idx <= 4 else 4).tokens)
 
 
 def _stage_rows_for_chain(chain, rank_bound):
@@ -588,7 +586,7 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
     if verdict.holds and verdict.stage.is_finite:
         rows = rows[: verdict.stage.k + 1]
     checks = Checks()
-    checks.add("chain-links", True, bound=chain.link_bound)
+    checks.add("chain-links", chain.links_hold, bound=chain.link_bound)
     checks.add("stabilization", verdict.holds, verdict.witness, verdict.bound)
     return _report(
         pretty_expr(src.expr, src.var),

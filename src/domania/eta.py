@@ -23,7 +23,6 @@ from .per import (
     UNKNOWN,
     YES,
     DomainPer,
-    MemoRel,
     PerFlags,
     ProdRel,
     SumRel,
@@ -56,14 +55,9 @@ def atomic_subfunctors(expr: FunctorExpr) -> List[FunctorExpr]:
     return [e for (_, e) in subterms(expr) if isinstance(e, (Id, ConstD))]
 
 
-def _point_per(name="T") -> DomainPer:
-    b = one_point_basis(name)
-    return finite_per(
-        b,
-        [(b.bottom, b.bottom)],
-        flags=ALL_YES,
-        name=name,
-    )
+def _point_per() -> DomainPer:
+    b = one_point_basis("T")
+    return finite_per(b, [(b.bottom, b.bottom)], flags=ALL_YES, name="T")
 
 
 # the input per of a sub-term: a point for the variable and each constant,
@@ -94,7 +88,7 @@ def multi_sum_per(parts: Sequence[DomainPer], name="") -> DomainPer:
     carrier = MultiSumBasis([p.carrier for p in parts], name=name or None)
     return DomainPer(
         carrier,
-        MemoRel(SumRel(carrier, list(parts))),
+        SumRel(carrier, list(parts)),
         pointwise_flags(p.flags for p in parts),
         name=name or "usum",
     )
@@ -367,7 +361,7 @@ class EtaBarSystem:
         self.E = ProdBasis(self.a_sum.carrier, self.nat, strict=True, name="E")
         self.e_per = DomainPer(
             self.E,
-            MemoRel(ProdRel(self.E, self.a_sum, flatnat_per())),
+            ProdRel(self.E, self.a_sum, flatnat_per()),
             PerFlags(
                 convex=YES, local=YES, complete=YES,
                 dense=YES,
@@ -571,14 +565,12 @@ class EtaBarSystem:
 # the weak isomorphism with the dense image
 
 
-def dense_image_weak_iso(
-    lfp: DenseLfp, rank_bound: int = 3, support: Optional[int] = None
-) -> Checks:
+def dense_image_weak_iso(lfp: DenseLfp, rank_bound: int = 3) -> Checks:
     """Round-trip checks between the fixed point and its image under the
     curried evaluation, each at the rank bound; a failed one withdraws the
     fixed point's admissible-pedigree flag."""
     eta = EtaSystem(lfp)
-    bar = EtaBarSystem(eta, support=support or rank_bound + 1)
+    bar = EtaBarSystem(eta, support=rank_bound + 1)
     report = Checks()
 
     totals, _ = lfp.per.totals(rank_bound)

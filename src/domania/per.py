@@ -11,43 +11,42 @@ once per pair of values, answer with the bare value; every other decider
 answers with a `basis.Verdict` that carries it with the bound, a witness
 and the clause that failed. The reports alone turn verdicts into words.
 
-Relation protocol. A relation decider has these methods, the first five
-taking an optional enumeration bound:
+Relation protocol. A relation decides and lists; it caches and derives
+nothing. Each method takes an optional enumeration bound:
 
 - `related(a, b, bound)` gives the tri-state verdict for two values;
 - `totals(bound)` gives `(values, exact)`, the self-related values and
   whether the list is complete;
-- `related_pairs(bound)` gives `(pairs, exact)`; `StructuralRel` derives it
-  from the other two, since a related pair is a pair of totals;
-- `classes(bound)` gives `(classes, exact)`, the totals grouped into per
-  classes;
-- `representatives(bound)` gives `(values, exact)`, one total per class and
-  whether the totals behind them are complete;
+- `representatives(bound)` gives `(values, exact)`, one total per class by
+  a quotient rule, or None where no rule applies (the `StructuralRel`
+  default);
 - `probe_points(*step_sets)` gives, for the relation as an exponent, finitely
   many values that decide the function relation between those step sets
   exactly, or None (the `StructuralRel` default); `FunRel` then scans the
   exponent's related pairs.
 
-Per classes are enumerated one way, by `StructuralRel.classes`: it groups
-the totals with `group_classes`, where a value joins the first class whose
-first member is related to it, or opens a new class. `MemoRel` keeps the
-classes per bound, and every site that needs the classes or the class of a
-value reads them there through `DomainPer.classes`.
+`DomainPer` is the one place that caches and derives. It keeps verdicts
+per pair and bound, and totals, classes, representatives and related pairs
+per bound. Its classes group its totals with `group_classes`, where a value
+joins the first class whose first member is related to it, or opens a new
+class; its related pairs are the pairs of totals whose verdict is True,
+since a related pair is a pair of totals. Every site that needs the classes
+or the class of a value reads them through `DomainPer.classes`.
 
 One total per class, its representative, is built by the quotient rule
 where it applies: the quotient of a sum, product or function-space per is
 the sum, product or exponential of the quotients. `SumRel` injects its
 parts' representatives, `ProdRel` pairs them, and `FunRel` keeps, for each
 tuple of body representatives, one per exponent class, the first monotone
-map it finds that is related to itself. `FunRel` falls back to its classes
-over an infinite exponent and when the exponent's related pairs are not
-exhaustive, as then no map is total. `LimitRel` groups the tags of its
-stages' representatives. An unknown verdict needs no fallback: True
-verdicts are symmetric and transitive and totals are self-related, so an
-unknown verdict separates two classes, in the quotient as in the totals.
-Every other relation takes the first member of each class, the slow
-reference each rule is checked against, as does a `MemoRel` that already
-holds the classes. `DomainPer.class_count` counts the representatives.
+map it finds that is related to itself. `FunRel` has no rule over an
+infinite exponent or when the exponent's totals are not exhaustive, as then
+no map is total. `LimitRel` groups the tags of its stages' representatives.
+An unknown verdict needs no fallback: True verdicts are symmetric and
+transitive and totals are self-related, so an unknown verdict separates two
+classes, in the quotient as in the totals. Where no rule applies, and
+whenever it already holds the classes, `DomainPer` takes the first member of
+each class, the slow reference each rule is checked against.
+`DomainPer.class_count` counts the representatives.
 
 Equivariance is decided on classes where it can be. By the same invariant,
 every related pair of a per lies inside one of its classes, so a map that
@@ -115,8 +114,10 @@ YES, NO, UNKNOWN = "yes", "no", "unknown"
 
 
 def replace(record, **changes):
-    """A new record of the same type: `record`'s fields, with `changes`."""
-    return type(record)(**{**vars(record), **changes})
+    """A new record of the same type: `record`'s public fields, with
+    `changes`; private caches start empty."""
+    fields = {k: v for (k, v) in vars(record).items() if not k.startswith("_")}
+    return type(record)(**{**fields, **changes})
 
 
 def tri_all(*vals):
@@ -173,33 +174,16 @@ def pointwise_flags(parts) -> PerFlags:
 
 
 class StructuralRel:
-    def related(self, a, b, bound=None):
-        raise NotImplementedError
-
-    def totals(self, bound=None):
-        raise NotImplementedError
+    """The optional half of the relation protocol: no probe points and no
+    quotient rule."""
 
     def probe_points(self, *step_sets):
-        # no finite probe set: a function relation scans the related pairs
+        # a function relation scans the related pairs
         return None
 
-    def classes(self, bound=None):
-        ts, exact = self.totals(bound)
-        return group_classes(ts, lambda a, b: self.related(a, b, bound)), exact
-
     def representatives(self, bound=None):
-        # the slow reference every quotient rule is checked against
-        classes, exact = self.classes(bound)
-        return [cls[0] for cls in classes], exact
-
-    def related_pairs(self, bound=None):
-        ts, exact = self.totals(bound)
-        out = []
-        for a in ts:
-            for b in ts:
-                if self.related(a, b, bound):
-                    out.append((a, b))
-        return out, exact
+        # `DomainPer` takes the first member of each class
+        return None
 
 
 class FiniteRel(StructuralRel):
@@ -215,7 +199,6 @@ class FiniteRel(StructuralRel):
             for (c, d) in self.pairs:
                 if b == c and (a, d) not in self.pairs:
                     raise CarrierMismatch("relation not transitive", witness=(a, d))
-        self._pair_cache = None
 
     def related(self, a, b, bound=None):
         return (a.key, b.key) in self.pairs
@@ -223,14 +206,6 @@ class FiniteRel(StructuralRel):
     def totals(self, bound=None):
         ts = [t for t in self.carrier.tokens().tokens if (t.key, t.key) in self.pairs]
         return ts, True
-
-    def related_pairs(self, bound=None):
-        if self._pair_cache is None:
-            toks = {t.key: t for t in self.carrier.tokens().tokens}
-            self._pair_cache = [
-                (toks[a], toks[b]) for (a, b) in sorted(self.pairs, key=str)
-            ]
-        return self._pair_cache, True
 
 
 class SumRel(StructuralRel):
@@ -364,8 +339,8 @@ class FunRel(StructuralRel):
             lambda a: out.append(self.basis.from_function(lambda p: a[p])),
         )
         out = [t for t in out if self.related(t, t, bound) is True]
-        # over inexact exponent pairs no f ~ f is True, so the list says nothing
-        return out, vex and bt_exact and self.exp_per.related_pairs(bound)[1]
+        # over inexact exponent totals no f ~ f is True, so the list says nothing
+        return out, vex and bt_exact and self.exp_per.totals(bound)[1]
 
     def representatives(self, bound=None):
         """Quotient rule: f ~ g iff f x ~ g y for every related pair, so a
@@ -374,8 +349,8 @@ class FunRel(StructuralRel):
         represents it. Total points try the representative first, then (over
         a finite body) the rest of its class as the search asks."""
         exp, body = self.exp_per, self.body_per
-        if not (self.basis.exponent.finite and exp.related_pairs(bound)[1]):
-            return super().representatives(bound)
+        if not (self.basis.exponent.finite and exp.totals(bound)[1]):
+            return None
         exp_reps, _ = exp.representatives(bound)
         # each exponent total's class: the position of the representative it is related to
         index = {
@@ -488,41 +463,6 @@ class ImageRel(StructuralRel):
         return out, exact and t_exact
 
 
-class MemoRel(StructuralRel):
-    """Transparent memoisation shell around a structural decider: verdicts
-    are cached per value pair and bound, totals, classes and representatives
-    per bound.  Classes group the cached totals with the cached verdicts."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self._memo = {}
-        self._totals_cache = {}
-        self._classes_cache = {}
-        self._reps_cache = {}
-
-    def related(self, a, b, bound=None):
-        k = (a.key, b.key, bound)
-        if k not in self._memo:
-            self._memo[k] = self.inner.related(a, b, bound)
-        return self._memo[k]
-
-    def totals(self, bound=None):
-        if bound not in self._totals_cache:
-            self._totals_cache[bound] = self.inner.totals(bound)
-        return self._totals_cache[bound]
-
-    def classes(self, bound=None):
-        if bound not in self._classes_cache:
-            self._classes_cache[bound] = super().classes(bound)
-        return self._classes_cache[bound]
-
-    def representatives(self, bound=None):
-        if bound not in self._reps_cache:
-            source = super() if bound in self._classes_cache else self.inner
-            self._reps_cache[bound] = source.representatives(bound)
-        return self._reps_cache[bound]
-
-
 def group_classes(values, related) -> List[List[object]]:
     """First-match grouping: each value joins the first class whose first
     member is related to it, `related(first, value) is True`, or opens a new
@@ -543,6 +483,9 @@ def group_classes(values, related) -> List[List[object]]:
 
 
 class DomainPer:
+    """A carrier with a relation, and the one cache of its answers (module
+    docstring): verdicts per pair and bound, the rest per bound."""
+
     def __init__(
         self, carrier: Basis, rel: object, flags: Optional[PerFlags] = None,
         name: str = "",
@@ -551,15 +494,51 @@ class DomainPer:
         self.rel = rel
         self.flags = PerFlags() if flags is None else flags
         self.name = name
+        self._verdicts = {}
+        self._derived = {}  # (method name, bound) -> answer
 
     def related(self, a, b, bound=None):
-        return self.rel.related(a, b, bound)
+        k = (a, b, bound)
+        try:
+            return self._verdicts[k]
+        except KeyError:
+            v = self._verdicts[k] = self.rel.related(a, b, bound)
+            return v
+
+    def _cached(self, which, bound, derive):
+        k = (which, bound)
+        if k not in self._derived:
+            self._derived[k] = derive()
+        return self._derived[k]
 
     def totals(self, bound=None):
-        return self.rel.totals(bound)
+        return self._cached("totals", bound, lambda: self.rel.totals(bound))
 
     def related_pairs(self, bound=None):
-        return self.rel.related_pairs(bound)
+        def pairs():
+            ts, exact = self.totals(bound)
+            return [(a, b) for a in ts for b in ts if self.related(a, b, bound)], exact
+
+        return self._cached("related_pairs", bound, pairs)
+
+    def classes(self, bound=None):
+        def grouped():
+            ts, exact = self.totals(bound)
+            return group_classes(ts, lambda a, b: self.related(a, b, bound)), exact
+
+        return self._cached("classes", bound, grouped)
+
+    def representatives(self, bound=None):
+        def first_members():
+            classes, exact = self.classes(bound)
+            return [cls[0] for cls in classes], exact
+
+        def derive():
+            if ("classes", bound) in self._derived:
+                return first_members()
+            return self.rel.representatives(bound) or first_members()
+
+        return self._cached("representatives", bound, derive)
 
     def is_total(self, a, bound=None):
         return self.related(a, a, bound)
@@ -577,12 +556,6 @@ class DomainPer:
     def class_count(self, bound=None):
         reps, exact = self.representatives(bound)
         return len(reps), exact
-
-    def classes(self, bound=None):
-        return self.rel.classes(bound)
-
-    def representatives(self, bound=None):
-        return self.rel.representatives(bound)
 
 
 def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> DomainPer:
@@ -644,12 +617,7 @@ def per_construct(kind: str, D: DomainPer, E: DomainPer) -> DomainPer:
         flags = _fun_flags(D.flags, E.flags)
     else:
         raise ValueError(f"unknown per constructor {kind!r}")
-    return DomainPer(
-        carrier,
-        MemoRel(rel),
-        flags,
-        name=f"{kind}({D.name},{E.name})",
-    )
+    return DomainPer(carrier, rel, flags, name=f"{kind}({D.name},{E.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -872,11 +840,9 @@ def _reflects_on_classes(pe: PerEmbedding, tgt_toks, bound) -> bool:
 
 
 def image_per(phi: PerMap) -> DomainPer:
-    carrier = phi.target.carrier
-    rel = MemoRel(ImageRel(phi.target, phi.source, phi))
     return DomainPer(
-        carrier,
-        rel,
+        phi.target.carrier,
+        ImageRel(phi.target, phi.source, phi),
         PerFlags(countably_based=phi.target.flags.countably_based),
         name=f"{phi.name}[{phi.source.name}]",
     )

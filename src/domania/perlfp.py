@@ -13,7 +13,7 @@ no token; it is kept as the list x_0, x_1, ..., each a limit token."""
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from typing import Dict, List, Optional, Tuple
 
 from .basis import Checks, Token, Verdict
@@ -83,10 +83,9 @@ LINKS = (
 )
 
 
-def functor_is_trivial(expr: FunctorExpr, env: Dict[str, DomainPer], bound=None) -> bool:
+def functor_is_trivial(expr: FunctorExpr, env: Dict[str, DomainPer]) -> bool:
     """A functor is trivial when its value at the trivial per has no totals."""
-    f_d0 = apply_functor_per(expr, trivial_per(), env)
-    ts, _ = f_d0.totals(bound)
+    ts, _ = apply_functor_per(expr, trivial_per(), env).totals()
     return not ts
 
 
@@ -116,7 +115,7 @@ class PerChain:
         stages: List[Tuple[Ordinal, DomainPer]], embeddings: List[PerEmbedding],
         per_limit: Optional[PerLimit] = None, iso: Optional[FixedPointIso] = None,
         unfolded: Optional[List[DomainPer]] = None,
-        link_bounds: Optional[List[Optional[int]]] = None,
+        links: Optional[List[Verdict]] = None,
     ):
         self.functor = functor
         self.env = env
@@ -125,9 +124,20 @@ class PerChain:
         self.per_limit = per_limit
         self.iso = iso
         self.unfolded = [] if unfolded is None else unfolded  # pers on F(D_omega)
-        # the bound each finite link was decided at; None when it was decided
-        # exactly, by an exhaustive scan or by functoriality
-        self.link_bounds = [] if link_bounds is None else link_bounds
+        # each finite link's verdict at the bound it was decided at; bound
+        # None when it was decided exactly, by an exhaustive scan or by
+        # functoriality (a rule-decided link is True)
+        self.links = [] if links is None else links
+
+    @property
+    def link_bounds(self) -> List[Optional[int]]:
+        return [v.bound for v in self.links]
+
+    @property
+    def links_hold(self) -> Optional[bool]:
+        """The link verdicts folded: True when every link holds, None when
+        one is undecided (a failing link stops the chain being built)."""
+        return reduce(_both, (v.holds for v in self.links), True)
 
     @property
     def link_bound(self) -> Optional[int]:
@@ -155,7 +165,7 @@ def per_chain_extend(
     exhaustive = all(p.carrier.finite for p in env.values())
     pers: List[Tuple[Ordinal, DomainPer]] = [(fin(0), trivial_per())]
     embeddings: List[PerEmbedding] = []
-    link_bounds: List[Optional[int]] = []
+    links: List[Verdict] = []
     exact = False  # link n was decided True exactly
     dstages = omega_chain(expr, domain_env, depth)
     for n in range(1, depth + 1):
@@ -164,7 +174,7 @@ def per_chain_extend(
         emb = dstages[n].embed_from_prev
         pe = PerEmbedding(emb, pers[-1][1], per_n, name=f"f{n - 1},{n}")
         if exact and functor_action(expr, True, env, LINKS) is True:
-            bound = None
+            v = Verdict(True)
         else:
             bound = None if exhaustive and n <= 4 else 3
             v = is_equiembedding(pe, bound)
@@ -176,8 +186,8 @@ def per_chain_extend(
             exact = v.holds is True
         pers.append((fin(n), per_n))
         embeddings.append(pe)
-        link_bounds.append(bound)
-    chain = PerChain(expr, env, pers, embeddings, link_bounds=link_bounds)
+        links.append(v)
+    chain = PerChain(expr, env, pers, embeddings, links=links)
     if upto.is_finite:
         return chain
 

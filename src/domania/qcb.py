@@ -263,10 +263,10 @@ def recovered_pseudobase(rep: StandardRep) -> List[frozenset]:
     return uniq
 
 
-def class_topology(per: DomainPer, bound=None):
+def class_topology(per: DomainPer):
     """Quotient topology on the classes: a set of classes is open when the
     union is upward closed inside the totals."""
-    classes, _ = per.classes(bound)
+    classes, _ = per.classes()
     totals = [t for cls in classes for t in cls]
     opens = []
     for r in range(len(classes) + 1):

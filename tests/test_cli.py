@@ -209,7 +209,9 @@ def test_check_failures_exit_one(monkeypatch):
     assert code == 1
     checks = {c["name"]: c for c in json.loads(text)["checks"]}
     assert checks["stabilization"]["status"] == "fail"
-    # a staged parameter keeps the link checks on fragments of rank 3
+    # a staged parameter keeps the link checks on fragments of rank 3, where
+    # no link verdict is decided
+    assert checks["chain-links"]["status"] == "unknown"
     assert checks["chain-links"]["bound"] == 3
 
     # a suite that runs no case fails instead of passing vacuously

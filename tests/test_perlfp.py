@@ -322,6 +322,23 @@ def test_probe_and_stage_rows_enumerate_no_limit_or_unfolded_totals(monkeypatch)
     assert [r["total_class_count"] for r in rows] == [0, 1, 2, 3, 4, 5, 4, 5]
 
 
+def test_limit_and_folded_pers_decide_a_question_once(monkeypatch):
+    # the omega and omega+1 pers keep their verdicts like every other per
+    chain = per_chain_extend(RUNNING, running_env(), omega_plus(1))
+    calls = []
+    for rel in (LimitRel, perlfp.PullbackRel):
+        def counting(self, a, b, bound=None, related=rel.related):
+            calls.append(type(self))
+            return related(self, a, b, bound)
+
+        monkeypatch.setattr(rel, "related", counting)
+    for (_, per) in chain.stages[-2:]:
+        t = per.carrier.tokens(2).tokens[-1]
+        calls.clear()
+        assert per.related(t, t, 2) is per.related(t, t, 2)
+        assert calls.count(type(per.rel)) == 1
+
+
 def test_chain_stage_pers_preserve_properties():
     chain = per_chain_extend(RUNNING, running_env(), fin(3))
     for (o, per) in chain.stages[1:]:

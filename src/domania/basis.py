@@ -301,6 +301,26 @@ class Verdict(Frozen):
         vars(self).update(holds=holds, witness=witness, bound=bound, clause=clause)
 
 
+def conjoin(cases, bound=None, exact=True) -> Verdict:
+    """The one three-valued conjunction: the `(holds, witness)` cases read
+    in order.  The first failing case is the verdict, with its witness, and
+    nothing past it is read; otherwise the verdict is None when a case is
+    undecided or the cases are not `exact` (the list is not complete), and
+    True when every case holds."""
+    undecided = not exact
+    for holds, witness in cases:
+        if holds is False:
+            return Verdict(False, witness, bound)
+        undecided = undecided or holds is None
+    return Verdict(None if undecided else True, None, bound)
+
+
+def both(*holds: Optional[bool]) -> Optional[bool]:
+    """`conjoin`'s bare form: False when one of `holds` is False, else None
+    when one is None, else True (True for none)."""
+    return False if False in holds else None if None in holds else True
+
+
 class Checks:
     """Named verdicts in the order added, each looked up by its name;
     `cases` counts what a suite ran."""

@@ -49,6 +49,7 @@ from .errors import (
 from .eta import dense_image_weak_iso
 from .ordinals import omega_plus
 from .per import DomainPer, finite_per
+from .perlfp import EXHAUSTIVE_DEPTH, FRAGMENT_BOUND
 from .perlfp import per_chain_extend, stabilization_probe
 from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum, subterms
 
@@ -405,8 +406,10 @@ ANCHORS = {
     "standard-rep": "oracle-standard-rep",
 }
 
-# the report's word for each library verdict; no other site assigns one
+# the report's word for each library verdict, and for each pedigree flag;
+# no other site assigns one
 _STATUS = {True: "pass", False: "fail", None: "unknown"}
+_FLAG = {True: "yes", False: "no", None: "unknown"}
 
 # (command, check) rows whose `fail` records a finding, not a failure of
 # the command: the non-stabilization the counterexample exists to show, and
@@ -451,7 +454,8 @@ def _report(equation, mode, stages, stabilized_at, checks: Checks, pedigree, sui
         v.holds is False and (mode, name) not in _RECORDED
         for (name, v) in checks.entries
     )
-    text = report_json(equation, mode, stages, stabilized_at, rows, pedigree)
+    flags = {name: _FLAG[holds] for (name, holds) in pedigree.items()}
+    text = report_json(equation, mode, stages, stabilized_at, rows, flags)
     return (1 if failed else 0), text
 
 
@@ -521,7 +525,7 @@ def cmd_solve_domain(args) -> Tuple[int, str]:
     env = {k: v.carrier for (k, v) in _per_env(src, args.nat_bound).items()}
     stages = omega_chain(src.expr, env, args.stages)
     lim = LimitBasis(stages)
-    bound = min(args.stages - 1, 3) if args.stages > 1 else 1
+    bound = min(args.stages - 1, FRAGMENT_BOUND) if args.stages > 1 else 1
     checks = Checks()
     try:
         _, v = fixed_point_iso(src.expr, env, lim, bound=bound)
@@ -545,7 +549,8 @@ def cmd_solve_domain(args) -> Tuple[int, str]:
 
 def _count_tokens(basis, idx):
     # exact counts while the stage is small, bounded views beyond
-    return len(basis.tokens(None if basis.finite and idx <= 4 else 4).tokens)
+    exact = basis.finite and idx <= EXHAUSTIVE_DEPTH
+    return len(basis.tokens(None if exact else EXHAUSTIVE_DEPTH).tokens)
 
 
 def _stage_rows_for_chain(chain, rank_bound):
@@ -579,7 +584,7 @@ def cmd_per_lfp(args) -> Tuple[int, str]:
         src.expr,
         env,
         omega_plus(args.beyond_omega),
-        n_finite=max(4, args.rank_bound + 1),
+        n_finite=max(EXHAUSTIVE_DEPTH, args.rank_bound + 1),
     )
     verdict = stabilization_probe(chain, args.rank_bound)
     rows = _stage_rows_for_chain(chain, args.rank_bound)
@@ -620,7 +625,7 @@ def cmd_eta_roundtrip(args) -> Tuple[int, str]:
     env = _per_env(src, args.nat_bound)
     lfp = dense_lfp(
         src.expr, env, rank_bound=args.rank_bound,
-        n_finite=max(4, args.rank_bound + 1),
+        n_finite=max(EXHAUSTIVE_DEPTH, args.rank_bound + 1),
     )
     checks = dense_image_weak_iso(lfp, rank_bound=args.rank_bound)
     return _report(

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from .basis import Basis, Checks, Token, TokenSet
+from .basis import Basis, Checks, Token, TokenSet, both
 from .construct import Embedding, canonical_from_probes, premise_closure
 from .errors import NonDenseParameter, TrivialFunctor
 from .ordinals import omega_plus
-from .per import YES, DomainPer, has_total_extension, replace, tri_all, trivial_per
-from .perlfp import PerChain, apply_functor_per, functor_is_trivial, per_chain_extend
+from .per import DomainPer, has_total_extension, replace, trivial_per
+from .perlfp import EXHAUSTIVE_DEPTH, PerChain, apply_functor_per, functor_is_trivial
+from .perlfp import per_chain_extend
 from .spfunctor import (
     ConstD,
     Exp,
@@ -84,7 +85,7 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
     per = DomainPer(
         KeptBasis(P.carrier, kept),
         P.rel,
-        replace(P.flags, dense=YES),
+        replace(P.flags, dense=True),
         name=(P.name or P.carrier.name) + "^d",
     )
     return DensePart(P, kept, per)
@@ -242,11 +243,13 @@ class DenseLfp:
         self.kept = kept
 
 
-def dense_lfp(expr, env, rank_bound: int = 4, n_finite: int = 4) -> DenseLfp:
+def dense_lfp(
+    expr, env, rank_bound: int = 4, n_finite: int = EXHAUSTIVE_DEPTH
+) -> DenseLfp:
     """Dense parts of the chain stages assembled into a chain whose limit is
     the dense part of the per limit."""
     for name, per in env.items():
-        if per.flags.dense != YES:
+        if per.flags.dense is not True:
             raise NonDenseParameter(f"parameter {name!r} is not flagged dense")
     if functor_is_trivial(expr, env):
         triv = trivial_per()
@@ -263,15 +266,10 @@ def _assemble_dense(chain: PerChain, rank_bound: int) -> DenseLfp:
     # takes its no-totals branch here
     plim = chain.per_limit
     part = dense_part(plim.per, rank_bound)
-    params = list(chain.env.values())
+    pedigree = both(*(p.flags.admissible_pedigree for p in chain.env.values()))
     per = replace(
         part.per,
-        flags=replace(
-            part.per.flags,
-            admissible_pedigree=tri_all(
-                *(p.flags.admissible_pedigree for p in params)
-            ) if params else YES,
-        ),
+        flags=replace(part.per.flags, admissible_pedigree=pedigree),
         name="dense-lfp",
     )
     return DenseLfp(per, chain, part.kept)

@@ -13,15 +13,13 @@ from typing import Dict, List, Optional, Sequence
 # `tok` is unused here but stays importable as `domania.eta.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
 from .basis import FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
-from .basis import Checks
+from .basis import Checks, conjoin
 from .builtins import flatnat_per
 from .construct import MultiSumBasis, ProdBasis, apply_pairs
 from .dense import DenseLfp
 from .errors import MalformedCode, NonDenseExponent, NotWitnessed
 from .per import (
     ALL_YES,
-    UNKNOWN,
-    YES,
     DomainPer,
     PerFlags,
     ProdRel,
@@ -77,7 +75,7 @@ def input_per_table(
     """Input per of every sub-term of expr, keyed by id(sub-term).  Each is
     built once and reused by the sub-term above it."""
     for (_, e) in subterms(expr):
-        if isinstance(e, Exp) and env[e.param].flags.dense != YES:
+        if isinstance(e, Exp) and env[e.param].flags.dense is not True:
             raise NonDenseExponent(f"exponent {e.param!r} is not flagged dense")
     table: Dict[int, DomainPer] = {}
     functor_action(expr, _point_per(), env, INPUT_PERS, table)
@@ -100,6 +98,26 @@ def _prec(per: DomainPer, v: Token, target: Token, bound=None) -> bool:
     if per.related(target, target, bound) is not True:
         return v == per.carrier.bottom
     return prec_check(per, v, target, bound)
+
+
+def find_witness(
+    pairs, candidates: DomainPer, inputs: DomainPer, outputs: DomainPer, evaluate,
+    bound=None,
+) -> Optional[Token]:
+    """The first total x of `candidates` that witnesses the step set `pairs`:
+    at every total input t, the joins `pairs` fire approximate the class of
+    `evaluate(x, t)` in `outputs`; None when no total within the bound does.
+    One search serves the one-step map and the curried evaluation."""
+    ts, _ = inputs.totals(bound)
+
+    def witnesses(x):
+        return all(
+            _prec(outputs, apply_pairs(pairs, inputs.carrier, outputs.carrier, t),
+                  evaluate(x, t), bound)
+            for t in ts
+        )
+
+    return next((x for x in candidates.totals(bound)[0] if witnesses(x)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +216,19 @@ class EtaSystem:
             )
         return self._eta_cache[x.key]
 
-    # ---- witnesses ---------------------------------------------------------
-    def is_witnessed_by(self, pairs, x: Token, bound=None) -> bool:
-        """Fired joins at every total input approximate the class of the
-        evaluation there."""
-        totals, _ = self.input_per.totals(bound)
-        for t in totals:
-            v = apply_pairs(pairs, self.T, self.codomain, t)
-            target = self.eval_eta(x, t)
-            if not _prec(self.codomain_per, v, target, bound):
-                return False
-        return True
-
-    def find_witness(self, pairs, bound=None) -> Optional[Token]:
-        ts, _ = self.unfolded_per.totals(bound)
-        return next((x for x in ts if self.is_witnessed_by(pairs, x, bound)), None)
-
     # ---- the lower adjoint -------------------------------------------------
     def theta(self, q: Token, witness: Optional[Token] = None, bound=None) -> Token:
         """Lower adjoint on witnessed compacts of the one-step image."""
         pairs = self.fun_basis.pairs(q)
         if not pairs:
             return self.unfolded.bottom
-        if witness is None:
-            witness = self.find_witness(pairs, bound)
-            if witness is None:
-                raise NotWitnessed(
-                    "no total certifies the compact within the bound", witness=q
-                )
+        if witness is None and find_witness(
+            pairs, self.unfolded_per, self.input_per, self.codomain_per,
+            self.eval_eta, bound,
+        ) is None:
+            raise NotWitnessed(
+                "no total certifies the compact within the bound", witness=q
+            )
         return self._theta(self.expr, 0, pairs)
 
     def _block(self, expr, offset):
@@ -363,10 +366,10 @@ class EtaBarSystem:
             self.E,
             ProdRel(self.E, self.a_sum, flatnat_per()),
             PerFlags(
-                convex=YES, local=YES, complete=YES,
-                dense=YES,
+                convex=True, local=True, complete=True,
+                dense=True,
                 admissible_pedigree=self.a_sum.flags.admissible_pedigree,
-                countably_based=YES,
+                countably_based=True,
             ),
             name="E",
         )
@@ -427,20 +430,6 @@ class EtaBarSystem:
                 lambda u: self.evaluate_zeta(x, u).result
             )
         return self._bar_cache[x.key]
-
-    # ---- witness checks ----------------------------------------------------
-    def is_witnessed_by(self, pairs, x: Token, bound=None) -> bool:
-        totals, _ = self.u_per.totals(bound)
-        for u in totals:
-            v = apply_pairs(pairs, self.U, self.E, u)
-            target = self.evaluate_zeta(x, u).result
-            if not _prec(self.e_per, v, target, bound):
-                return False
-        return True
-
-    def find_witness(self, pairs, bound=None) -> Optional[Token]:
-        ts, _ = self.eta.d_per.totals(bound)
-        return next((x for x in ts if self.is_witnessed_by(pairs, x, bound)), None)
 
     # ---- evaluation trees ----------------------------------------------------
     def build_tree(self, pairs):
@@ -519,12 +508,13 @@ class EtaBarSystem:
         pairs = self.fun_basis.pairs(q)
         if not pairs:
             return self.eta.chain.per_limit.limit.bottom
-        if witness is None:
-            witness = self.find_witness(pairs, bound)
-            if witness is None:
-                raise NotWitnessed(
-                    "no total certifies the compact within the bound", witness=q
-                )
+        if witness is None and find_witness(
+            pairs, self.eta.d_per, self.u_per, self.e_per,
+            lambda x, u: self.evaluate_zeta(x, u).result, bound,
+        ) is None:
+            raise NotWitnessed(
+                "no total certifies the compact within the bound", witness=q
+            )
         live, nodes = self.build_tree(pairs)
         decorations: Dict[tuple, Token] = {}
         # leaf-to-root: longer nodes first
@@ -567,43 +557,42 @@ class EtaBarSystem:
 
 def dense_image_weak_iso(lfp: DenseLfp, rank_bound: int = 3) -> Checks:
     """Round-trip checks between the fixed point and its image under the
-    curried evaluation, each at the rank bound; a failed one withdraws the
-    fixed point's admissible-pedigree flag."""
+    curried evaluation, each at the rank bound; one that does not pass
+    withdraws the fixed point's admissible-pedigree flag."""
     eta = EtaSystem(lfp)
     bar = EtaBarSystem(eta, support=rank_bound + 1)
     report = Checks()
 
     totals, _ = lfp.per.totals(rank_bound)
 
-    ok, witness = True, None
-    for x in totals:
-        for y in totals:
-            lhs = lfp.per.related(x, y, rank_bound) is True
-            rhs = (
-                bar.fun_per.related(bar.eta_bar(x), bar.eta_bar(y), rank_bound)
-                is True
-            )
-            if lhs != rhs:
-                ok, witness = False, (x, y)
-    report.add("evaluation-reflects-classes", ok, witness, rank_bound)
+    def reflects():
+        for x in totals:
+            for y in totals:
+                lhs = lfp.per.related(x, y, rank_bound)
+                rhs = bar.fun_per.related(bar.eta_bar(x), bar.eta_bar(y), rank_bound)
+                yield None if None in (lhs, rhs) else lhs == rhs, (x, y)
 
-    ok, witness = True, None
-    for x in totals:
-        back = bar.theta_bar(bar.eta_bar(x), witness=x)
-        if lfp.per.related(back, x, rank_bound) is not True:
-            ok, witness = False, x
-    report.add("round-trip-fixed-point", ok, witness, rank_bound)
+    def fixed_point_trips():
+        for x in totals:
+            back = bar.theta_bar(bar.eta_bar(x), witness=x)
+            yield lfp.per.related(back, x, rank_bound), x
 
-    ok, witness = True, None
-    for x in totals:
-        y = bar.eta_bar(x)
-        back = bar.eta_bar(bar.theta_bar(y, witness=x))
-        if bar.fun_per.related(back, y, rank_bound) is not True:
-            ok, witness = False, x
-    report.add("round-trip-image", ok, witness, rank_bound)
+    def image_trips():
+        for x in totals:
+            y = bar.eta_bar(x)
+            back = bar.eta_bar(bar.theta_bar(y, witness=x))
+            yield bar.fun_per.related(back, y, rank_bound), x
+
+    for name, cases in (
+        ("evaluation-reflects-classes", reflects()),
+        ("round-trip-fixed-point", fixed_point_trips()),
+        ("round-trip-image", image_trips()),
+    ):
+        v = conjoin(cases)
+        report.add(name, v.holds, v.witness, rank_bound)
 
     # the assembled fixed point is flagged admissible when every parameter
-    # is; a failed round trip withdraws the flag
+    # is; a round trip that does not pass withdraws the flag
     if not report.all_pass:
-        lfp.per.flags = replace(lfp.per.flags, admissible_pedigree=UNKNOWN)
+        lfp.per.flags = replace(lfp.per.flags, admissible_pedigree=None)
     return report

@@ -9,7 +9,9 @@ Every verdict is tri-state (True / False / None for unknown): deciders over
 staged carriers never guess beyond their bound. Relation deciders, asked
 once per pair of values, answer with the bare value; every other decider
 answers with a `basis.Verdict` that carries it with the bound, a witness
-and the clause that failed. The reports alone turn verdicts into words.
+and the clause that failed. Every scan and flag folds its verdicts with
+`basis.conjoin`, or its bare form `basis.both`. The reports alone turn
+verdicts into words.
 
 Relation protocol. A relation decides and lists; it caches and derives
 nothing. Each method takes an optional enumeration bound:
@@ -75,11 +77,12 @@ link n was decided True exactly and every exponent per is flagged dense, as
 F then sends equiembeddings to equiembeddings; any other link by
 `is_equiembedding` too. `limit_per` takes its links as decided.
 
-Flag rules. Sums, products and limits take each flag pointwise
-(`pointwise_flags`: yes when every part says yes, no when one says no); a
-limit then drops `strongly_local`, `dense` and `admissible_pedigree` to
-unknown. Function spaces have their own rule (`_fun_flags`). Everything else
-changes named fields of an existing flag set with `replace`.
+Flag rules. A flag is True (earned), False (refuted) or None (unknown),
+and only the reports word it. Sums, products and limits take each flag
+pointwise (`pointwise_flags`: `basis.both` over the parts); a limit then
+drops `strongly_local`, `dense` and `admissible_pedigree` to None. Function
+spaces have their own rule (`_fun_flags`). Everything else changes named
+fields of an existing flag set with `replace`.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from typing import List, Optional, Sequence
 # `tok` is unused here but stays importable as `domania.per.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
 from .basis import Basis, FlatNatBasis, Token, one_point_basis, tok  # noqa: F401
-from .basis import Frozen, Verdict, transitive_reflexive_closure
+from .basis import Frozen, Verdict, both, conjoin, transitive_reflexive_closure
 from .construct import (
     Embedding,
     FunBasis,
@@ -110,22 +113,12 @@ from .errors import (
 from .spfunctor import ChainStage, LimitBasis
 from .ordinals import fin
 
-YES, NO, UNKNOWN = "yes", "no", "unknown"
-
 
 def replace(record, **changes):
     """A new record of the same type: `record`'s public fields, with
     `changes`; private caches start empty."""
     fields = {k: v for (k, v) in vars(record).items() if not k.startswith("_")}
     return type(record)(**{**fields, **changes})
-
-
-def tri_all(*vals):
-    if all(v == YES for v in vals):
-        return YES
-    if any(v == NO for v in vals):
-        return NO
-    return UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +132,11 @@ class PerFlags(Frozen):
     )
 
     def __init__(
-        self, weakly_convex: str = UNKNOWN, convex: str = UNKNOWN, local: str = UNKNOWN,
-        strongly_local: str = UNKNOWN, complete: str = UNKNOWN,
-        upwards_closed: str = UNKNOWN, dense: str = UNKNOWN,
-        admissible_pedigree: str = UNKNOWN, countably_based: str = UNKNOWN,
+        self, weakly_convex: Optional[bool] = None, convex: Optional[bool] = None,
+        local: Optional[bool] = None, strongly_local: Optional[bool] = None,
+        complete: Optional[bool] = None, upwards_closed: Optional[bool] = None,
+        dense: Optional[bool] = None, admissible_pedigree: Optional[bool] = None,
+        countably_based: Optional[bool] = None,
     ):
         vars(self).update(
             weakly_convex=weakly_convex, convex=convex, local=local,
@@ -156,16 +150,16 @@ class PerFlags(Frozen):
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-ALL_YES = PerFlags(*(YES,) * 9)
+ALL_YES = PerFlags(*(True,) * 9)
 
 
 def pointwise_flags(parts) -> PerFlags:
-    """Each flag of a sum, product or limit: `tri_all` over its parts. For
+    """Each flag of a sum, product or limit: `both` over its parts. For
     sums, totals stay inside their summand, where every property transfers,
     and the fresh bottom is never total."""
     parts = list(parts)
     return PerFlags(
-        *(tri_all(*(getattr(p, name) for p in parts)) for name in PerFlags.FIELDS)
+        *(both(*(getattr(p, name) for p in parts)) for name in PerFlags.FIELDS)
     )
 
 
@@ -246,13 +240,7 @@ class ProdRel(StructuralRel):
     def related(self, a, b, bound=None):
         ax, ay = self.basis.split(a)
         bx, by = self.basis.split(b)
-        l = self.left.related(ax, bx, bound)
-        r = self.right.related(ay, by, bound)
-        if l is False or r is False:
-            return False
-        if l is True and r is True:
-            return True
-        return None
+        return both(self.left.related(ax, bx, bound), self.right.related(ay, by, bound))
 
     def totals(self, bound=None):
         return self._paired("totals", bound)
@@ -304,16 +292,12 @@ class FunRel(StructuralRel):
             pairs, exact = self.exp_per.related_pairs(bound)
         else:
             pairs, exact = [(x, x) for x in probes], True
-        unknown = not exact
-        for (x, y) in pairs:
-            r = self.body_per.related(
-                self.basis.apply(f, x), self.basis.apply(g, y), bound
-            )
-            if r is False:
-                return False
-            if r is None:
-                unknown = True
-        return None if unknown else True
+        apply = self.basis.apply
+        cases = (
+            (self.body_per.related(apply(f, x), apply(g, y), bound), None)
+            for (x, y) in pairs
+        )
+        return conjoin(cases, exact=exact).holds
 
     def totals(self, bound=None):
         if not self.basis.exponent.finite:
@@ -574,7 +558,7 @@ def trivial_per() -> DomainPer:
     return DomainPer(
         d0,
         FiniteRel(d0, frozenset()),
-        replace(ALL_YES, dense=NO, admissible_pedigree=UNKNOWN),
+        replace(ALL_YES, dense=False, admissible_pedigree=None),
         name="trivial",
     )
 
@@ -585,20 +569,20 @@ def trivial_per() -> DomainPer:
 
 def _fun_flags(exp: PerFlags, body: PerFlags) -> PerFlags:
     convex = body.convex
-    local = tri_all(exp.dense, body.convex, body.local, body.complete)
+    local = both(exp.dense, body.convex, body.local, body.complete)
     complete = local
     return PerFlags(
         weakly_convex=convex,
         convex=convex,
         local=local,
-        strongly_local=tri_all(local, complete),
+        strongly_local=both(local, complete),
         complete=complete,
         upwards_closed=body.upwards_closed,
-        dense=UNKNOWN,  # function spaces do not preserve density
-        admissible_pedigree=tri_all(
+        dense=None,  # function spaces do not preserve density
+        admissible_pedigree=both(
             exp.dense, exp.admissible_pedigree, body.admissible_pedigree
         ),
-        countably_based=tri_all(exp.countably_based, body.countably_based),
+        countably_based=both(exp.countably_based, body.countably_based),
     )
 
 
@@ -631,71 +615,50 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
     def rel(a, b):
         return P.related(a, b, bound)
 
-    unknown = not exact_toks
-
     if prop in ("weakly_convex", "convex"):
-        for a in toks:
-            for b in toks:
-                r = rel(a, b)
-                if r is None:
-                    unknown = True
-                if r is not True or not B.leq(a, b):
-                    continue
-                # on finite carriers every element is compact, so the weak
-                # and strong forms quantify over the same joins
-                for z in (p for p in toks if B.leq(p, b)):
-                    j = B.lub((a, z))
-                    r2 = rel(a, j)
-                    if r2 is False:
-                        return Verdict(False, (a, b, z), bound)
-                    if r2 is None:
-                        unknown = True
-        return Verdict(None if unknown else True, None, bound)
+        def convex():
+            for a in toks:
+                for b in toks:
+                    r = rel(a, b)
+                    if r is None:
+                        yield None, None
+                    elif r and B.leq(a, b):
+                        # on finite carriers every element is compact, so the
+                        # weak and strong forms quantify over the same joins
+                        for z in (p for p in toks if B.leq(p, b)):
+                            yield rel(a, B.lub((a, z))), (a, b, z)
+
+        return conjoin(convex(), bound, exact_toks)
 
     if prop in ("local", "strongly_local", "complete"):
         classes, exact = P.classes(bound)
-        unknown = unknown or not exact
-        for cls in classes:
-            x = cls[0]
-            if not B.cons(cls):
-                if prop in ("local", "complete"):
-                    return Verdict(False, (x, cls), bound)
-            if prop == "strongly_local":
-                for a in cls:
-                    for b in cls:
-                        if not any(
-                            B.leq(a, c) and B.leq(b, c) for c in cls
-                        ):
-                            return Verdict(False, (x, a, b), bound)
-            if prop == "complete":
-                sup = B.lub(cls)
-                r = rel(x, sup)
-                if r is False:
-                    return Verdict(False, (x, sup), bound)
-                if r is None:
-                    unknown = True
-        return Verdict(None if unknown else True, None, bound)
+
+        def per_class():
+            for cls in classes:
+                x = cls[0]
+                if prop == "strongly_local":
+                    for a in cls:
+                        for b in cls:
+                            bounded = any(B.leq(a, c) and B.leq(b, c) for c in cls)
+                            yield bounded, (x, a, b)
+                else:
+                    yield B.cons(cls), (x, cls)
+                if prop == "complete":
+                    sup = B.lub(cls)
+                    yield rel(x, sup), (x, sup)
+
+        return conjoin(per_class(), bound, exact_toks and exact)
 
     if prop == "upwards_closed":
         ts, exact = P.totals(bound)
-        unknown = unknown or not exact
-        for x in ts:
-            for y in toks:
-                if B.leq(x, y):
-                    r = rel(x, y)
-                    if r is False:
-                        return Verdict(False, (x, y), bound)
-                    if r is None:
-                        unknown = True
-        return Verdict(None if unknown else True, None, bound)
+        cases = ((rel(x, y), (x, y)) for x in ts for y in toks if B.leq(x, y))
+        return conjoin(cases, bound, exact_toks and exact)
 
     if prop == "dense":
-        for p in toks:
-            v = has_total_extension(P, p, bound)
-            if v.holds is not True:
-                return Verdict(v.holds if exact_toks else None, p, bound)
+        # a token with no total above it refutes density, listed or not
         _, exact = P.totals(bound)
-        return Verdict(True if exact and exact_toks else None, None, bound)
+        cases = ((has_total_extension(P, p, bound).holds, p) for p in toks)
+        return conjoin(cases, bound, exact and exact_toks)
 
     raise ValueError(f"unknown property {prop!r}")
 
@@ -749,28 +712,24 @@ def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
     ):
         return Verdict(True, None, bound)
     pairs, exact = D.related_pairs(bound)
-    unknown = not exact
-    for (x, y) in pairs:
-        r = E.related(f(x), f(y), bound)
-        if r is False:
-            return Verdict(False, (x, y), bound)
-        if r is None:
-            unknown = True
-    return Verdict(None if unknown else True, None, bound)
+    cases = ((E.related(f(x), f(y), bound), (x, y)) for (x, y) in pairs)
+    return conjoin(cases, bound, exact)
 
 
 def equi_injective(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
     """Reflection of relatedness, checked over enumerated totals."""
     ts, exact = D.totals(bound)
-    unknown = not exact
-    for x in ts:
-        for y in ts:
-            r = E.related(f(x), f(y), bound)
-            if r is True and D.related(x, y, bound) is False:
-                return Verdict(False, (x, y), bound)
-            if r is None:
-                unknown = True
-    return Verdict(None if unknown else True, None, bound)
+
+    def cases():
+        for x in ts:
+            for y in ts:
+                r = E.related(f(x), f(y), bound)
+                if r is None:
+                    yield None, None
+                elif r:
+                    yield D.related(x, y, bound) is not False, (x, y)
+
+    return conjoin(cases(), bound, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -796,28 +755,35 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> Verdict:
     target values, the reference, gives the verdict and any witness.  Each
     call decides anew; a chain decides each of its links once, where it is
     built."""
-    v = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
-    if v.holds is False:
-        return Verdict(False, v.witness, bound, "equivariance")
 
-    ts, exact = pe.source.totals(bound)
-    tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
-    unknown = v.holds is None or not exact or not tgt_exact
-    if v.holds is True and _reflects_on_classes(pe, tgt_toks, bound):
-        return Verdict(None if unknown else True, None, bound)
-    for x in ts:
-        fx = pe.emb.fwd(x)
-        for y in tgt_toks:
-            r = pe.target.related(fx, y, bound)
-            if r is True:
-                back = pe.source.related(x, pe.emb.proj(y), bound)
-                if back is False:
-                    return Verdict(False, (x, y), bound, "reflection")
-                if back is None:
-                    unknown = True
-            elif r is None:
-                unknown = True
-    return Verdict(None if unknown else True, None, bound)
+    def cases():
+        v = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
+        yield v.holds, ("equivariance", v.witness)
+        ts, exact = pe.source.totals(bound)
+        tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
+        yield (exact and tgt_exact) or None, None
+        if v.holds is True and _reflects_on_classes(pe, tgt_toks, bound):
+            return
+        for x in ts:
+            fx = pe.emb.fwd(x)
+            for y in tgt_toks:
+                r = pe.target.related(fx, y, bound)
+                if r is None:
+                    yield None, None
+                elif r:
+                    back = pe.source.related(x, pe.emb.proj(y), bound)
+                    yield back, ("reflection", (x, y))
+
+    return _named_clause(conjoin(cases(), bound))
+
+
+def _named_clause(v: Verdict) -> Verdict:
+    """A conjoined verdict whose cases name their clause, each witness a
+    `(clause, witness)` pair: a failure's clause split from its witness."""
+    if v.holds is not False:
+        return v
+    clause, witness = v.witness
+    return Verdict(False, witness, v.bound, clause)
 
 
 def _reflects_on_classes(pe: PerEmbedding, tgt_toks, bound) -> bool:
@@ -851,22 +817,18 @@ def image_per(phi: PerMap) -> DomainPer:
 def weak_iso_check(phi: PerMap, chi: PerMap, bound=None) -> Verdict:
     """Both maps equivariant, and each round trip related to where it
     started on every total; the clause names the part that failed."""
-    unknown = False
-    for f in (phi, chi):
-        v = is_equivariant(f, f.source, f.target, bound)
-        if v.holds is False:
-            return Verdict(False, v.witness, bound, "equivariance")
-        unknown = unknown or v.holds is None
-    for (f, g) in ((phi, chi), (chi, phi)):
-        ts, exact = f.source.totals(bound)
-        unknown = unknown or not exact
-        for x in ts:
-            r = f.source.related(g(f(x)), x, bound)
-            if r is False:
-                return Verdict(False, x, bound, "round-trip")
-            if r is None:
-                unknown = True
-    return Verdict(None if unknown else True, None, bound)
+
+    def cases():
+        for f in (phi, chi):
+            v = is_equivariant(f, f.source, f.target, bound)
+            yield v.holds, ("equivariance", v.witness)
+        for (f, g) in ((phi, chi), (chi, phi)):
+            ts, exact = f.source.totals(bound)
+            yield exact or None, None
+            for x in ts:
+                yield f.source.related(g(f(x)), x, bound), ("round-trip", x)
+
+    return _named_clause(conjoin(cases(), bound))
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +867,9 @@ def limit_per(
     rel = LimitRel(limit, stage_pers)
     flags = replace(
         pointwise_flags(p.flags for p in stage_pers),
-        strongly_local=UNKNOWN,
-        dense=UNKNOWN,
-        admissible_pedigree=UNKNOWN,
+        strongly_local=None,
+        dense=None,
+        admissible_pedigree=None,
     )
     per = DomainPer(limit, rel, flags, name="limit")
     return PerLimit(per, limit, list(stage_pers))

@@ -13,15 +13,14 @@ no token; it is kept as the list x_0, x_1, ..., each a limit token."""
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .basis import Checks, Token, Verdict
+from .basis import Checks, Token, Verdict, both
 from .construct import Embedding, identity_embedding
 from .errors import IsoFailure, NotAnAlgebra
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
-    YES,
     DomainPer,
     PerEmbedding,
     PerLimit,
@@ -49,6 +48,13 @@ from .spfunctor import (
 )
 
 
+# The depth rules: links are decided exhaustively up to stage
+# EXHAUSTIVE_DEPTH over finite parameters, and on rank-FRAGMENT_BOUND
+# fragments past it or over staged parameters.
+EXHAUSTIVE_DEPTH = 4
+FRAGMENT_BOUND = 3
+
+
 # F on pers
 PERS = (
     identity,
@@ -64,22 +70,15 @@ def apply_functor_per(
     return functor_action(expr, X, env, PERS)
 
 
-def _both(a, b):
-    """Tri-state and of two link verdicts."""
-    if a is False or b is False:
-        return False
-    return True if a is True and b is True else None
-
-
 # F on link verdicts: F sends an equiembedding to an equiembedding (Smyth &
 # Plotkin for ep-pairs; the per lemma for equiembeddings needs each exponent
 # per dense).  A parameter's link is the identity; None leaves the link to
 # the scans.
 LINKS = (
     lambda P: True,
-    _both,
-    _both,
-    lambda P, body: body if P.flags.dense == YES else None,
+    both,
+    both,
+    lambda P, body: body if P.flags.dense is True else None,
 )
 
 
@@ -137,7 +136,7 @@ class PerChain:
     def links_hold(self) -> Optional[bool]:
         """The link verdicts folded: True when every link holds, None when
         one is undecided (a failing link stops the chain being built)."""
-        return reduce(_both, (v.holds for v in self.links), True)
+        return both(*(v.holds for v in self.links))
 
     @property
     def link_bound(self) -> Optional[int]:
@@ -150,7 +149,7 @@ def per_chain_extend(
     expr: FunctorExpr,
     env: Dict[str, DomainPer],
     upto: Ordinal,
-    n_finite: int = 4,
+    n_finite: int = EXHAUSTIVE_DEPTH,
 ) -> PerChain:
     """Chain stages up to `upto`; finite part always built to n_finite when
     the target lies at or past omega.  Each link is decided here, once.
@@ -158,8 +157,8 @@ def per_chain_extend(
     Link n+1 is F applied to link n.  When link n was decided True exactly
     and `LINKS` gives True, link n+1 is True and exact with no scan.
     Otherwise the scans decide it, as they decide link 1: exhaustively up to
-    stage 4 over finite parameters, on bound-3 fragments past it or over
-    staged parameters."""
+    stage `EXHAUSTIVE_DEPTH` over finite parameters, on `FRAGMENT_BOUND`
+    fragments past it or over staged parameters."""
     domain_env = {k: v.carrier for (k, v) in env.items()}
     depth = n_finite if not upto.is_finite else upto.k
     exhaustive = all(p.carrier.finite for p in env.values())
@@ -176,7 +175,7 @@ def per_chain_extend(
         if exact and functor_action(expr, True, env, LINKS) is True:
             v = Verdict(True)
         else:
-            bound = None if exhaustive and n <= 4 else 3
+            bound = None if exhaustive and n <= EXHAUSTIVE_DEPTH else FRAGMENT_BOUND
             v = is_equiembedding(pe, bound)
             if v.holds is False:
                 raise NotAnAlgebra(
@@ -194,7 +193,8 @@ def per_chain_extend(
     plim = limit_per([p for (_, p) in pers], embeddings)
     chain.per_limit = plim
     chain.stages.append((OMEGA, plim.per))
-    iso, _ = fixed_point_iso(expr, domain_env, plim.limit, bound=min(3, depth))
+    bound = min(FRAGMENT_BOUND, depth)
+    iso, _ = fixed_point_iso(expr, domain_env, plim.limit, bound=bound)
     chain.iso = iso
 
     current = plim.per
@@ -309,7 +309,7 @@ def stabilization_probe(chain: PerChain, rank_bound: int) -> StabilizationVerdic
     per omega-class, built once on first need."""
     # finite stages, decided exactly; stages past the exhaustive-verification
     # depth are left to the omega check, which subsumes them
-    for n in range(min(len(chain.link_bounds), 4)):
+    for n in range(min(len(chain.link_bounds), EXHAUSTIVE_DEPTH)):
         stable = _stage_stabilizes(chain, n)
         if stable is None:
             break
@@ -533,7 +533,7 @@ def mediating_algebra_morphism(
     if v.holds is False:
         raise NotAnAlgebra("algebra map is not equivariant", witness=v.witness)
     for flag_name in ("convex", "local", "complete"):
-        if getattr(E.flags, flag_name) == "no":
+        if getattr(E.flags, flag_name) is False:
             raise NotAnAlgebra(f"algebra carrier per is not {flag_name}")
 
     domain_env = {k: v.carrier for (k, v) in env.items()}

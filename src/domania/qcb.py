@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basis import Checks, FiniteBasis, Frozen, Token, Verdict, tok
+from .basis import Checks, FiniteBasis, Frozen, Token, Verdict, both, conjoin, tok
 from .construct import (
     Embedding,
     exp_general_embedding,
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .per import (
     ALL_YES,
-    YES,
     DomainPer,
     FiniteRel,
     PerMap,
@@ -319,7 +318,7 @@ def functorial_representation(
         b = bindings[name]
         per = b.per if isinstance(b, StandardRep) else b
         for f in REQUIRED_FLAGS:
-            if getattr(per.flags, f) != YES:
+            if getattr(per.flags, f) is not True:
                 raise BadParameterPedigree(
                     f"parameter {name!r} lacks flag {f}", witness=f
                 )
@@ -418,15 +417,16 @@ def qcb_fixed_point(
     # fixed-point correspondence: classes transported through the unfolding
     unfolded = chain.unfolded[0]
     images = [chain.iso.fwd(cls[0]) for cls in classes]
-    bijection = True
-    for i, a in enumerate(images):
-        if unfolded.related(a, a, rank_bound) is not True:
-            bijection = False
-        for j, b in enumerate(images):
-            if (unfolded.related(a, b, rank_bound) is True) != (i == j):
-                bijection = False
+
+    def bijection():
+        # each image is total, and related to its own class's image alone
+        for i, a in enumerate(images):
+            for j, b in enumerate(images):
+                r = unfolded.related(a, b, rank_bound)
+                yield None if r is None else r == (i == j), None
+
     checks = Checks()
-    checks.add("fixed-point-classes", bijection, bound=rank_bound)
+    checks.add("fixed-point-classes", conjoin(bijection()).holds, bound=rank_bound)
 
     coherence = {}
     reps = {k: v for (k, v) in bindings.items() if isinstance(v, StandardRep)}
@@ -566,15 +566,13 @@ def fixed_point_independence(
     phis = [e.fwd for e in phi_embs]
     chis = [e.fwd for e in chi_embs]
 
-    # a refuted stage fails the fold; otherwise an undecided one leaves it
-    # unknown
     verdicts = []
     for n in range(1, n_finite + 1):
         per_f = chain_f.stages[n][1]
         per_g = chain_g.stages[n][1]
         v = weak_iso_check(PerMap(per_f, per_g, phis[n]), PerMap(per_g, per_f, chis[n]))
         verdicts.append(v.holds)
-    stage_ok = False if False in verdicts else None if None in verdicts else True
+    stage_ok = both(*verdicts)
 
     # families that commute with the chain embeddings extend to the limits,
     # acting stage-wise on canonical tokens

@@ -16,7 +16,7 @@ from domania.basis import catalog_basis, enumerate_monotone_maps, poset_of_basis
 from domania.builtins import flatnat_per, sierpinski_per
 from domania.cli import run_command
 from domania.dense import DeltaFamily, dense_lfp
-from domania.eta import EtaBarSystem, EtaSystem, dense_image_weak_iso
+from domania.eta import EtaBarSystem, EtaSystem, dense_image_weak_iso, find_witness
 from domania.oracles import (
     fun_space_suite,
     limit_per_suite,
@@ -158,7 +158,11 @@ def test_criterion_06_adjunction():
             if q.key in seen:
                 continue
             seen.add(q.key)
-            if eta.find_witness(eta.fun_basis.pairs(q), 3) is not None:
+            witness = find_witness(
+                eta.fun_basis.pairs(q), eta.unfolded_per, eta.input_per,
+                eta.codomain_per, eta.eval_eta, 3,
+            )
+            if witness is not None:
                 qs.append(q)
     ok = bool(qs) and bool(rs)
     for q in qs:

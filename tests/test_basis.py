@@ -7,10 +7,12 @@ import pytest
 from domania.basis import (
     FlatNatBasis,
     Verdict,
+    both,
     catalog_basis,
     catalog_names,
     catalog_poset,
     check_domain_axioms,
+    conjoin,
     enumerate_monotone_maps,
     mk_finite_basis,
     one_point_basis,
@@ -23,7 +25,7 @@ from domania.errors import (
     NotConsistentlyComplete,
 )
 from domania.ordinals import OMEGA, Ordinal, fin, omega_plus
-from domania.per import ALL_YES, NO, YES, PerFlags, replace
+from domania.per import ALL_YES, PerFlags, replace
 from domania.qcb import sierpinski_space
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, omega_chain
 
@@ -245,7 +247,7 @@ def test_frozen_records_are_values():
     assert hash(Exp("B", Id())) == hash(Exp("B", Id()))
     assert Sum(Id(), Id()) != Prod(Id(), Id())
     assert Exp("B", Id()) != Exp("C", Id())
-    assert PerFlags(*(YES,) * 9) == ALL_YES
+    assert PerFlags(*(True,) * 9) == ALL_YES
     assert fin(2) == Ordinal(False, 2) and fin(2) != omega_plus(2)
     assert sierpinski_space() == sierpinski_space()
     assert Verdict(True) == Verdict(True, None, None, "")
@@ -269,7 +271,42 @@ def test_frozen_records_are_values():
     with pytest.raises(ValueError):
         fin(-1)
     # replace changes the named fields and keeps the others
-    flags = replace(ALL_YES, dense=NO)
-    assert flags.dense == NO and flags.convex == YES and ALL_YES.dense == YES
+    flags = replace(ALL_YES, dense=False)
+    assert flags.dense is False and flags.convex is True and ALL_YES.dense is True
     assert list(flags.as_dict()) == list(PerFlags.FIELDS)
     assert replace(Exp("B", Id()), param="C") == Exp("C", Id())
+
+
+def test_conjoin_and_both_truth_table():
+    # the first failing case decides, with its witness; else an undecided
+    # case or an inexact list leaves None; else True
+    table = [
+        ((), True),
+        ((True,), True),
+        ((None,), None),
+        ((False,), False),
+        ((True, True), True),
+        ((True, None), None),
+        ((None, False), False),
+        ((False, None), False),
+        ((True, False, None), False),
+    ]
+    for holds, want in table:
+        assert both(*holds) is want, holds
+        v = conjoin(((h, i) for (i, h) in enumerate(holds)), bound=2)
+        assert v.holds is want and v.bound == 2, holds
+        assert v.witness == (holds.index(False) if want is False else None)
+        inexact = conjoin(((h, i) for (i, h) in enumerate(holds)), exact=False)
+        assert inexact.holds is (False if want is False else None), holds
+    assert conjoin([(True, "a"), (False, "b"), (False, "c")]) == Verdict(False, "b")
+    assert conjoin([]) == Verdict(True)
+
+
+def test_conjoin_reads_nothing_past_the_first_failure():
+    def cases():
+        yield True, "a"
+        yield None, "b"
+        yield False, "c"
+        raise AssertionError("read past the first failure")
+
+    assert conjoin(cases(), bound=1) == Verdict(False, "c", 1)

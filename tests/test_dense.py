@@ -50,7 +50,7 @@ def test_dense_part_of_already_dense():
     per = sierpinski_per()
     dp = dense_part(per)
     assert [t.key for t in dp.per.carrier.tokens().tokens] == ["bot", "top"]
-    assert dp.per.flags.dense == "yes"
+    assert dp.per.flags.dense is True
     assert check_property(dp.per, "dense").holds
 
 
@@ -190,8 +190,8 @@ def test_dense_lfp_running_example():
     # every token within the bound is kept: each extends to a total
     lim_tokens = lfp.chain.per_limit.limit.tokens(3).tokens
     assert all(lfp.kept(t) for t in lim_tokens)
-    assert lfp.per.flags.dense == "yes"
-    assert lfp.per.flags.admissible_pedigree == "yes"
+    assert lfp.per.flags.dense is True
+    assert lfp.per.flags.admissible_pedigree is True
 
 
 def test_dense_lfp_over_a_flatbool_exponent_ends():
@@ -205,7 +205,7 @@ def test_dense_lfp_over_a_flatbool_exponent_ends():
     classes, _ = lfp.per.classes(2)
     ranks = sorted(lfp.chain.per_limit.rank_of(cls[0]) for cls in classes)
     assert ranks == [1, 2]
-    assert lfp.per.flags.dense == "yes"
+    assert lfp.per.flags.dense is True
 
 
 def test_dense_lfp_constant():
@@ -218,7 +218,7 @@ def test_dense_lfp_constant():
 
 def test_dense_lfp_rejects_non_dense_parameter():
     bad = finite_per(catalog_basis("two-chain"), [(tok("top"), tok("top"))])
-    assert bad.flags.dense == "unknown"
+    assert bad.flags.dense is None
     with pytest.raises(NonDenseParameter):
         dense_lfp(RUNNING, {"A": bad, "B": sierpinski_per()})
 

@@ -13,6 +13,7 @@ from domania.eta import (
     decode_path,
     dense_image_weak_iso,
     encode_path,
+    find_witness,
     input_per_table,
 )
 from domania.ordinals import omega_plus
@@ -125,6 +126,13 @@ def test_theta_strict():
     assert eta.theta(eta.fun_basis.bottom) == eta.unfolded.bottom
 
 
+def _eta_witness(eta, q, bound):
+    return find_witness(
+        eta.fun_basis.pairs(q), eta.unfolded_per, eta.input_per, eta.codomain_per,
+        eta.eval_eta, bound,
+    )
+
+
 def test_theta_not_witnessed_within_bound():
     # a compact whose only witnesses live beyond the search bound
     lfp = running_lfp(rank_bound=3, n_finite=4)
@@ -137,7 +145,7 @@ def test_theta_not_witnessed_within_bound():
     with pytest.raises(NotWitnessed):
         eta.theta(q, bound=1)
     # with a deep enough bound the same compact is witnessed
-    assert eta.find_witness(eta.fun_basis.pairs(q), 4) is not None
+    assert _eta_witness(eta, q, 4) is not None
 
 
 def test_adjunction_small():
@@ -156,7 +164,7 @@ def test_adjunction_small():
                 tk = eta.fun_basis.make(list(combo))
             except Exception:
                 continue
-            if eta.find_witness(eta.fun_basis.pairs(tk), 2) is not None:
+            if _eta_witness(eta, tk, 2) is not None:
                 compacts.append(tk)
     seen = set()
     compacts = [c for c in compacts if not (c.key in seen or seen.add(c.key))]
@@ -307,7 +315,7 @@ def test_eta_bar_round_trips_and_pedigree():
     report = dense_image_weak_iso(lfp, rank_bound=3)
     assert report.all_pass, report.entries
     assert [v.bound for (_, v) in report.entries] == [3, 3, 3]
-    assert lfp.per.flags.admissible_pedigree == "yes"
+    assert lfp.per.flags.admissible_pedigree is True
 
 
 def test_theta_bar_strictness():
@@ -328,6 +336,12 @@ def test_theta_bar_single_pair_approximates_witness():
     q = bar.fun_basis.make([(u_prefix, rec.result)])
     back = bar.theta_bar(q, witness=x)
     assert lim.leq(back, x) or lfp.per.related(back, x, 2) is True
+    # the witness search finds a total for the same compact
+    found = find_witness(
+        bar.fun_basis.pairs(q), eta.d_per, bar.u_per, bar.e_per,
+        lambda y, u: bar.evaluate_zeta(y, u).result, 2,
+    )
+    assert found is not None and bar.theta_bar(q, bound=2) == back
 
 
 def test_injected_theta_fault_reported(monkeypatch):
@@ -337,14 +351,34 @@ def test_injected_theta_fault_reported(monkeypatch):
 
     monkeypatch.setattr(EtaBarSystem, "theta_bar", to_bottom)
     lfp = running_lfp(rank_bound=2, n_finite=3)
-    assert lfp.per.flags.admissible_pedigree == "yes"
+    assert lfp.per.flags.admissible_pedigree is True
     report = dense_image_weak_iso(lfp, rank_bound=2)
     verdicts = dict(report.entries)
     assert verdicts["round-trip-fixed-point"].holds is False
     assert verdicts["round-trip-fixed-point"].witness is not None
     assert not report.all_pass
     # the failed round trip withdraws the flag the assembly set
-    assert lfp.per.flags.admissible_pedigree != "yes"
+    assert lfp.per.flags.admissible_pedigree is not True
+
+
+def test_undecided_round_trip_reads_unknown(monkeypatch):
+    # one total's verdicts in the fixed point left undecided: the two rows
+    # that read them are unknown, not failed, and the flag is withdrawn
+    lfp = running_lfp(rank_bound=2, n_finite=3)
+    x0 = lfp.per.totals(2)[0][0]
+    related = lfp.per.related
+
+    def undecided_at_x0(a, b, bound=None):
+        return None if x0 in (a, b) else related(a, b, bound)
+
+    monkeypatch.setattr(lfp.per, "related", undecided_at_x0)
+    report = dense_image_weak_iso(lfp, rank_bound=2)
+    assert [(n, v.holds, v.witness) for (n, v) in report.entries] == [
+        ("evaluation-reflects-classes", None, None),
+        ("round-trip-fixed-point", None, None),
+        ("round-trip-image", True, None),
+    ]
+    assert lfp.per.flags.admissible_pedigree is None
 
 
 def test_zeta_flatbool_parameter():

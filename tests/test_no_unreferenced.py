@@ -6,7 +6,8 @@ that is an identifier (as in `getattr(module, "name")`); comments,
 docstrings and other definitions of the same name are not references. Each
 definition also serves the package: it is referenced from src/ or scripts/,
 unless `TEST_ONLY` names it. Every name a package module imports is used in
-that module, unless its import line says `# noqa: F401`."""
+that module, unless its import line says `# noqa: F401`. Only cli.py words a
+flag: no other package module holds the string "yes", "no" or "unknown"."""
 
 import ast
 import os
@@ -142,3 +143,19 @@ def test_every_import_is_used():
             path = os.path.join(PACKAGE, name)
             unused += [f"{name}: {bound}" for bound in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_only_the_cli_words_flags():
+    # flags and verdicts are True/False/None in the library; cli.py alone
+    # turns them into report words
+    words = {"yes", "no", "unknown"}
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "cli.py":
+            tree = _parse(os.path.join(PACKAGE, name))
+            found += [
+                f"{name}:{node.lineno}: {node.value!r}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in words
+            ]
+    assert not found, found

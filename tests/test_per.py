@@ -16,9 +16,6 @@ from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_
 from domania.construct import Embedding, identity_embedding, verify_embedding
 from domania.errors import IncoherentChain, NotTotal, NotUniform
 from domania.per import (
-    NO,
-    UNKNOWN,
-    YES,
     DomainPer,
     PerEmbedding,
     PerMap,
@@ -258,12 +255,11 @@ def test_class_checks_match_a_carrier_scan_per_total():
 
 
 def test_flags_agree_with_checks_on_builtins():
-    # a flag reads yes exactly when its check holds, no exactly when it fails
-    holds = {YES: True, NO: False, UNKNOWN: None}
+    # a flag is True exactly when its check holds, False exactly when it fails
     for per in (osier(), flatbool_per()):
         for prop in ("convex", "local", "complete", "upwards_closed", "dense"):
             verdict = check_property(per, prop)
-            assert verdict.holds is holds[getattr(per.flags, prop)], prop
+            assert verdict.holds is getattr(per.flags, prop), prop
 
 
 def test_prec_check():
@@ -510,7 +506,7 @@ def test_chain_decides_each_link_once(monkeypatch):
 
 
 def _not_dense(per):
-    return DomainPer(per.carrier, per.rel, replace(per.flags, dense=UNKNOWN), name=per.name)
+    return DomainPer(per.carrier, per.rel, replace(per.flags, dense=None), name=per.name)
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,22 @@ def test_functorial_representation_rejects_bad_pedigree():
         functorial_representation(ConstD("A"), {"A": bad})
 
 
+def test_undecided_class_verdict_reads_unknown(monkeypatch):
+    # the unfolded per leaves its verdicts undecided: the class
+    # correspondence is unknown, not failed
+    build = qcb.dense_lfp
+
+    def undecided_unfolding(*args, **kwargs):
+        lfp = build(*args, **kwargs)
+        monkeypatch.setattr(lfp.chain.unfolded[0], "related", lambda a, b, bound=None: None)
+        return lfp
+
+    monkeypatch.setattr(qcb, "dense_lfp", undecided_unfolding)
+    sier = standard_representation(sierpinski_space(), sier_pseudobase())
+    report = qcb_fixed_point(Sum(ConstD("S"), Exp("S", Id())), {"S": sier}, rank_bound=2)
+    assert report.checks["fixed-point-classes"].holds is None
+
+
 def test_qcb_fixed_point_running_example():
     fb = standard_representation(
         discrete_space(["tt", "ff"]),
@@ -187,7 +203,7 @@ def test_qcb_fixed_point_running_example():
     assert checks["fixed-point-classes"].holds is True
     coherence = [v.holds for (n, v) in checks.entries if n.startswith("coherence-")]
     assert coherence and all(h is True for h in coherence), checks.entries
-    assert report.lfp.per.flags.dense == "yes"
+    assert report.lfp.per.flags.dense is True
     # the positive parameter is discrete
     assert checks["positive-parameters-hausdorff"].holds is True
 

@@ -20,7 +20,8 @@ from .errors import (
 
 
 def render_key(key) -> str:
-    """Human-readable name, computed from the structural key alone."""
+    """Human-readable name, computed from the structural key alone: a
+    composite key's component tokens are rendered by their own keys."""
     if isinstance(key, tuple):
         tag = key[0] if key else None
         if tag == "natb" or tag == "sb":
@@ -28,14 +29,16 @@ def render_key(key) -> str:
         if tag == "nat":
             return str(key[1])
         if tag == "s":
-            return f"in{key[1]}({render_key(key[2])})"
+            return f"in{key[1]}({render_key(key[2].key)})"
         if tag == "p":
-            return f"({render_key(key[1])},{render_key(key[2])})"
+            return f"({render_key(key[1].key)},{render_key(key[2].key)})"
         if tag == "fn":
-            items = sorted(f"{render_key(p)}=>{render_key(q)}" for (p, q) in key[1])
+            items = sorted(
+                f"{render_key(p.key)}=>{render_key(q.key)}" for (p, q) in key[1]
+            )
             return "{" + ", ".join(items) + "}"
         if tag == "lim":
-            return f"@{key[1]}:{render_key(key[2])}"
+            return f"@{key[1]}:{render_key(key[2].key)}"
         if tag == "pb":
             return "{" + ",".join(str(x) for x in key[1]) + "}"
     return str(key)
@@ -44,7 +47,14 @@ def render_key(key) -> str:
 class Token:
     """Compact element of a basis, hash-consed: `tok` keeps one token per
     key, so two tokens are equal exactly when they are the same object, and
-    the hash of the key is computed once.  Build tokens with `tok` only."""
+    the hash of the key is computed once.  Build tokens with `tok` only.
+
+    A leaf key is data: a name, `("nat", n)`, `("natb",)`, `("sb",)` or
+    `("pb", points)`.  A composite key holds the tokens of its components,
+    never their keys: `("s", i, x)`, `("p", x, y)`, `("fn", frozenset of
+    (p, q))` and `("lim", n, u)`, so a component is read straight off the
+    key.  A token hashes as its key, and so a composite key hashes as the
+    nested key of raw keys would."""
 
     __slots__ = ("key", "_hash")
 
@@ -75,7 +85,9 @@ class Token:
         return f"Token({self.pretty})"
 
 
-# key -> its one token; equal keys share an entry, as equal tokens must
+# key -> its one token; equal keys share an entry, as equal tokens must.
+# The table only grows: a command runs in its own process and enumerates
+# a bounded fragment, so it holds no more tokens than that run built.
 _TOKENS: Dict[object, Token] = {}
 
 
@@ -198,19 +210,17 @@ class FiniteBasis(Basis):
     def __init__(self, name, toks: List[Token], leq_pairs, check=True):
         self.name = name
         self._tokens = tuple(toks)
-        self._keys = {t.key for t in self._tokens}
-        if len(self._keys) != len(self._tokens):
-            raise ValueError(f"duplicate token keys in basis {name}")
-        self._leq = frozenset((a.key, b.key) for (a, b) in leq_pairs)
+        self._members = frozenset(self._tokens)
+        if len(self._members) != len(self._tokens):
+            raise ValueError(f"duplicate tokens in basis {name}")
+        self._leq = frozenset(leq_pairs)
         bottoms = [
-            t
-            for t in self._tokens
-            if all((t.key, u.key) in self._leq for u in self._tokens)
+            t for t in self._tokens if all((t, u) in self._leq for u in self._tokens)
         ]
         if not bottoms:
             raise NoLeastElement(f"basis {name} has no least token")
         self._bottom = bottoms[0]
-        self._lub_cache: Dict[FrozenSet[object], Optional[Token]] = {}
+        self._lub_cache: Dict[FrozenSet[Token], Optional[Token]] = {}
         if check:
             self._check_complete()
 
@@ -233,10 +243,10 @@ class FiniteBasis(Basis):
         return self._bottom
 
     def has_token(self, t: Token) -> bool:
-        return t.key in self._keys
+        return t in self._members
 
     def leq(self, p: Token, q: Token) -> bool:
-        return (p.key, q.key) in self._leq
+        return (p, q) in self._leq
 
     def cons(self, ts) -> bool:
         ts = list(ts)
@@ -245,7 +255,7 @@ class FiniteBasis(Basis):
         )
 
     def lub(self, ts) -> Token:
-        ts = frozenset(t.key for t in ts)
+        ts = frozenset(ts)
         if ts in self._lub_cache:
             got = self._lub_cache[ts]
             if got is None:
@@ -253,7 +263,7 @@ class FiniteBasis(Basis):
                     f"lub of inconsistent set in {self.name}", witness=ts
                 )
             return got
-        toks = [t for t in self._tokens if t.key in ts]
+        toks = [t for t in self._tokens if t in ts]
         if not toks:
             result = self._bottom
         else:
@@ -501,7 +511,7 @@ class FlatNatBasis(Basis):
         return p == self._bottom or p == q
 
     def cons(self, ts):
-        non_bot = {t.key for t in ts if t != self._bottom}
+        non_bot = {t for t in ts if t != self._bottom}
         return len(non_bot) <= 1
 
     def lub(self, ts):

@@ -474,13 +474,14 @@ def report_json(equation, mode, stages, stabilized_at, checks, pedigree) -> str:
 def export_dot(basis: Basis, path: str, totals=None):
     """Covering-relation graph; total tokens are double-circled."""
     ts = basis.tokens()
-    toks = sorted(ts.tokens, key=lambda t: (t.pretty, str(t.key)))
-    total_keys = {t.key for t in (totals or [])}
-    ids = {t.key: f"n{i}" for i, t in enumerate(toks)}
+    # a stable sort: tokens that print alike keep their enumeration order
+    toks = sorted(ts.tokens, key=lambda t: t.pretty)
+    total = set(totals or [])
+    ids = {t: f"n{i}" for i, t in enumerate(toks)}
     lines = ["digraph basis {"]
     for t in toks:
-        shape = ' peripheries=2' if t.key in total_keys else ""
-        lines.append(f'  {ids[t.key]} [label="{t.pretty}"{shape}];')
+        shape = ' peripheries=2' if t in total else ""
+        lines.append(f'  {ids[t]} [label="{t.pretty}"{shape}];')
     edge_count = 0
     for a in toks:
         for b in toks:
@@ -492,7 +493,7 @@ def export_dot(basis: Basis, path: str, totals=None):
                 for c in toks
             ):
                 continue
-            lines.append(f"  {ids[a.key]} -> {ids[b.key]};")
+            lines.append(f"  {ids[a]} -> {ids[b]};")
             edge_count += 1
     lines.append("}")
     with open(path, "w") as fh:
@@ -729,8 +730,7 @@ def cmd_independence(args) -> Tuple[int, str]:
         fp, gp = env_f[fn], env_g[gn]
         f_toks = sorted(fp.carrier.tokens().tokens, key=_order_rank(fp.carrier))
         g_toks = sorted(gp.carrier.tokens().tokens, key=_order_rank(gp.carrier))
-        mapping = {a.key: b.key for (a, b) in zip(f_toks, g_toks)}
-        pairs[(fn, gn)] = token_iso_pair(fp, gp, mapping)
+        pairs[(fn, gn)] = token_iso_pair(fp, gp, dict(zip(f_toks, g_toks)))
     checks = fixed_point_independence(
         src_f.expr, env_f, src_g.expr, env_g, pairs,
         rank_bound=args.rank_bound,

@@ -8,6 +8,11 @@ at exactly those points p of the premise-lub closure where the denoted
 function v strictly exceeds the join of its values at strictly lower closure
 points. Distinct canonical sets denote distinct compacts, which makes token
 identity decidable.
+
+A constructed token's key holds its component tokens (`basis.Token`): an
+injection `("s", i, x)`, a pair `("p", x, y)` and a step set `("fn",
+frozenset of (p, q))`.  Each operation reads its components off the key,
+and every cache is keyed by tokens.
 """
 
 from __future__ import annotations
@@ -119,10 +124,6 @@ def canonical_from_probes(probes, value_at: Callable[[Token], Token], D, E):
     return _jump_pairs(set(probes), values, D, E)
 
 
-def _pairs_key(pairs):
-    return ("fn", frozenset((p.key, q.key) for (p, q) in pairs))
-
-
 # (constructor, id of each part) -> the one basis built from those parts.
 # Each basis holds its parts, so while its entry lives no id in the key can be
 # reused; the entry goes when nothing else holds the basis.
@@ -154,13 +155,13 @@ class MultiSumBasis(Basis):
         return self._bottom
 
     def inject(self, i: int, t: Token) -> Token:
-        return tok(("s", i, t.key))
+        return tok(("s", i, t))
 
     def split(self, t: Token):
         if t == self._bottom:
             return None
-        _, i, key = t.key
-        return i, tok(key)
+        _, i, x = t.key
+        return i, x
 
     def has_token(self, t):
         if t == self._bottom:
@@ -168,17 +169,15 @@ class MultiSumBasis(Basis):
         k = t.key
         if not (isinstance(k, tuple) and len(k) == 3 and k[0] == "s"):
             return False
-        return self.parts[k[1]].has_token(tok(k[2]))
+        return self.parts[k[1]].has_token(k[2])
 
     def leq(self, p, q):
         if p == self._bottom:
             return True
         if q == self._bottom:
             return False
-        (_, i, pk), (_, j, qk) = p.key, q.key
-        if i != j:
-            return False
-        return self.parts[i].leq(tok(pk), tok(qk))
+        (_, i, x), (_, j, y) = p.key, q.key
+        return i == j and self.parts[i].leq(x, y)
 
     def cons(self, ts):
         live = [t for t in ts if t != self._bottom]
@@ -188,7 +187,7 @@ class MultiSumBasis(Basis):
         if len(tags) > 1:
             return False
         i = tags.pop()
-        return self.parts[i].cons([tok(t.key[2]) for t in live])
+        return self.parts[i].cons([t.key[2] for t in live])
 
     def lub(self, ts):
         live = [t for t in ts if t != self._bottom]
@@ -200,7 +199,7 @@ class MultiSumBasis(Basis):
                 f"mixed tags in {self.name}", witness=live
             )
         i = tags.pop()
-        inner = self.parts[i].lub([tok(t.key[2]) for t in live])
+        inner = self.parts[i].lub([t.key[2] for t in live])
         return self.inject(i, inner)
 
     def tokens(self, bound=None):
@@ -239,11 +238,11 @@ class ProdBasis(Basis):
     def pair(self, x: Token, y: Token) -> Token:
         if self.strict and (x == self.left.bottom) != (y == self.right.bottom):
             x, y = self.left.bottom, self.right.bottom
-        return tok(("p", x.key, y.key))
+        return tok(("p", x, y))
 
     def split(self, t: Token):
-        _, xk, yk = t.key
-        return tok(xk), tok(yk)
+        _, x, y = t.key
+        return x, y
 
     @property
     def bottom(self):
@@ -253,7 +252,7 @@ class ProdBasis(Basis):
         k = t.key
         if not (isinstance(k, tuple) and len(k) == 3 and k[0] == "p"):
             return False
-        x, y = tok(k[1]), tok(k[2])
+        _, x, y = k
         if not (self.left.has_token(x) and self.right.has_token(y)):
             return False
         if self.strict and (x == self.left.bottom) != (y == self.right.bottom):
@@ -313,13 +312,12 @@ class FunBasis(Basis):
         self._bottom = self._wrap(frozenset())
         self._tokens = {}
         self._apply_cache = {}
-        self._pairs_cache = {}
         self._leq_cache = {}
         self._cons_cache = {}
         self._join_cache = {}
 
     def _wrap(self, pairs) -> Token:
-        return tok(_pairs_key(pairs))
+        return tok(("fn", frozenset(pairs)))
 
     def make(self, pairs) -> Token:
         """Canonical token from raw (premise, value) pairs; checks consistency."""
@@ -331,11 +329,8 @@ class FunBasis(Basis):
         return self._canonical(pairs)
 
     def pairs(self, t: Token):
-        """The decoded (premise, value) steps of t, decoded once per token."""
-        if t.key not in self._pairs_cache:
-            _, fs = t.key
-            self._pairs_cache[t.key] = tuple((tok(pk), tok(qk)) for (pk, qk) in fs)
-        return self._pairs_cache[t.key]
+        """The (premise, value) steps of t: the set its key holds."""
+        return t.key[1]
 
     @property
     def bottom(self):
@@ -346,7 +341,7 @@ class FunBasis(Basis):
         return isinstance(k, tuple) and len(k) == 2 and k[0] == "fn"
 
     def apply(self, f: Token, p: Token) -> Token:
-        k = (f.key, p.key)
+        k = (f, p)
         if k not in self._apply_cache:
             self._apply_cache[k] = apply_pairs(
                 self.pairs(f), self.exponent, self.values, p
@@ -354,7 +349,7 @@ class FunBasis(Basis):
         return self._apply_cache[k]
 
     def leq(self, f, g):
-        k = (f.key, g.key)
+        k = (f, g)
         if k not in self._leq_cache:
             self._leq_cache[k] = all(
                 self.values.leq(q, self.apply(g, p)) for (p, q) in self.pairs(f)
@@ -362,7 +357,7 @@ class FunBasis(Basis):
         return self._leq_cache[k]
 
     def _consistent(self, pairs):
-        key = frozenset((p.key, q.key) for (p, q) in pairs)
+        key = frozenset(pairs)
         if key not in self._cons_cache:
             self._cons_cache[key] = stepset_consistent(
                 pairs, self.exponent, self.values
@@ -370,7 +365,7 @@ class FunBasis(Basis):
         return self._cons_cache[key]
 
     def _canonical(self, pairs):
-        key = frozenset((p.key, q.key) for (p, q) in pairs)
+        key = frozenset(pairs)
         if key not in self._join_cache:
             self._join_cache[key] = self._wrap(
                 canonical_pairs(pairs, self.exponent, self.values)
@@ -448,12 +443,13 @@ class FunBasis(Basis):
         es = self.exponent.tokens(b).tokens[: b + 1]
         vs = self.values.tokens(b).tokens[: 4 * b]
         cands = [(p, q) for p in es for q in vs if q != self.values.bottom]
-        toks = {self._bottom.key: self._bottom}
-        for combo in cands:
-            if stepset_consistent([combo], self.exponent, self.values):
-                t = self._wrap(canonical_pairs([combo], self.exponent, self.values))
-                toks[t.key] = t
-        return TokenSet(tuple(toks.values()), True)
+        D, E = self.exponent, self.values
+        toks = [self._bottom] + [
+            self._wrap(canonical_pairs([combo], D, E))
+            for combo in cands
+            if stepset_consistent([combo], D, E)
+        ]
+        return TokenSet(tuple(dict.fromkeys(toks)), True)
 
 
 def fun_basis(D: Basis, E: Basis) -> FunBasis:
@@ -477,14 +473,14 @@ class Embedding:
         self._proj_cache = {}
 
     def fwd(self, t: Token) -> Token:
-        if t.key not in self._fwd_cache:
-            self._fwd_cache[t.key] = self._fwd(t)
-        return self._fwd_cache[t.key]
+        if t not in self._fwd_cache:
+            self._fwd_cache[t] = self._fwd(t)
+        return self._fwd_cache[t]
 
     def proj(self, t: Token) -> Token:
-        if t.key not in self._proj_cache:
-            self._proj_cache[t.key] = self._proj(t)
-        return self._proj_cache[t.key]
+        if t not in self._proj_cache:
+            self._proj_cache[t] = self._proj(t)
+        return self._proj_cache[t]
 
     def compose(self, other: "Embedding") -> "Embedding":
         """self after other (other first)."""

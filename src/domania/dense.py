@@ -73,12 +73,12 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
         triv = trivial_per()
         return DensePart(P, lambda t: t == triv.carrier.bottom, triv)
 
-    verdicts: Dict[object, bool] = {}
+    verdicts: Dict[Token, bool] = {}
 
     def kept(t: Token) -> bool:
-        if t.key not in verdicts:
-            verdicts[t.key] = has_total_extension(P, t, bound).holds is True
-        return verdicts[t.key]
+        if t not in verdicts:
+            verdicts[t] = has_total_extension(P, t, bound).holds is True
+        return verdicts[t]
 
     # a related pair is a pair of totals, and every total is kept, so the
     # parent relation decides the restriction unchanged
@@ -113,7 +113,7 @@ class DeltaFamily:
 
     # membership -----------------------------------------------------------
     def member(self, n: int, t: Token) -> bool:
-        key = (n, t.key)
+        key = (n, t)
         if key not in self._member_cache:
             if n == 0:
                 out = False
@@ -157,7 +157,7 @@ class DeltaFamily:
     def retract(self, n: int, t: Token) -> Token:
         if n < 1:
             raise ValueError("retractions start at stage 1")
-        key = (n, t.key)
+        key = (n, t)
         if key not in self._retract_cache:
             if n == 1:
                 out = self.chain.iso.inv(

@@ -210,11 +210,11 @@ class EtaSystem:
 
     def eta_token(self, x: Token) -> Token:
         """The one-step map as a canonical step set over the input carrier."""
-        if x.key not in self._eta_cache:
-            self._eta_cache[x.key] = self.fun_basis.from_function(
+        if x not in self._eta_cache:
+            self._eta_cache[x] = self.fun_basis.from_function(
                 lambda t: self.eval_eta(x, t)
             )
-        return self._eta_cache[x.key]
+        return self._eta_cache[x]
 
     # ---- the lower adjoint -------------------------------------------------
     def theta(self, q: Token, witness: Optional[Token] = None, bound=None) -> Token:
@@ -425,11 +425,11 @@ class EtaBarSystem:
 
     def eta_bar(self, x: Token) -> Token:
         """The curried evaluation of x as a canonical compact of [U -> E]."""
-        if x.key not in self._bar_cache:
-            self._bar_cache[x.key] = self.fun_basis.from_function(
+        if x not in self._bar_cache:
+            self._bar_cache[x] = self.fun_basis.from_function(
                 lambda u: self.evaluate_zeta(x, u).result
             )
-        return self._bar_cache[x.key]
+        return self._bar_cache[x]
 
     # ---- evaluation trees ----------------------------------------------------
     def build_tree(self, pairs):

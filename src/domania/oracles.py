@@ -20,7 +20,6 @@ from .basis import (
     catalog_poset,
     enumerate_monotone_maps,
     poset_of_basis,
-    tok,
     transitive_reflexive_closure,
 )
 from .construct import (
@@ -74,21 +73,16 @@ def fun_space_suite(max_size: int = 4) -> Checks:
                 )
                 continue
             dtoks = list(D.tokens().tokens)
-            graphs = {}
-            for t in toks:
-                graphs[t.key] = tuple(fb.apply(t, p).key for p in dtoks)
-            oracle_graphs = {
-                tuple(m[p.key] for p in dtoks) for m in maps
-            }
-            if set(graphs.values()) != oracle_graphs:
+            graphs = {t: tuple(fb.apply(t, p) for p in dtoks) for t in toks}
+            oracle_graphs = {tuple(m[p.key] for p in dtoks) for m in maps}
+            if {tuple(v.key for v in g) for g in graphs.values()} != oracle_graphs:
                 result.add(f"bijection {dn}->{en}", False, bound=max_size)
                 continue
             order_ok = True
             for s in toks:
                 for t in toks:
                     pointwise = all(
-                        E.leq(tok(a), tok(b))
-                        for (a, b) in zip(graphs[s.key], graphs[t.key])
+                        E.leq(a, b) for (a, b) in zip(graphs[s], graphs[t])
                     )
                     if fb.leq(s, t) != pointwise:
                         order_ok = False
@@ -145,9 +139,9 @@ def enumerate_embeddings(src: FiniteBasis, tgt: FiniteBasis) -> List[Embedding]:
     t_toks = list(tgt.tokens().tokens)
     out = []
     for values in itertools.permutations(t_toks, len(s_toks)):
-        fwd_map = dict(zip((t.key for t in s_toks), values))
+        fwd_map = dict(zip(s_toks, values))
         if not all(
-            src.leq(a, b) == tgt.leq(fwd_map[a.key], fwd_map[b.key])
+            src.leq(a, b) == tgt.leq(fwd_map[a], fwd_map[b])
             for a in s_toks
             for b in s_toks
         ):
@@ -155,25 +149,18 @@ def enumerate_embeddings(src: FiniteBasis, tgt: FiniteBasis) -> List[Embedding]:
         ok = True
         proj_map = {}
         for q in t_toks:
-            below = [p for p in s_toks if tgt.leq(fwd_map[p.key], q)]
+            below = [p for p in s_toks if tgt.leq(fwd_map[p], q)]
             if not below:
                 ok = False
                 break
             cand = src.lub(below)
-            if not tgt.leq(fwd_map[cand.key], q):
+            if not tgt.leq(fwd_map[cand], q):
                 ok = False
                 break
-            proj_map[q.key] = cand
+            proj_map[q] = cand
         if not ok:
             continue
-
-        def fwd(t, m=fwd_map):
-            return m[t.key]
-
-        def proj(t, m=proj_map):
-            return m[t.key]
-
-        out.append(Embedding(src, tgt, fwd, proj))
+        out.append(Embedding(src, tgt, fwd_map.__getitem__, proj_map.__getitem__))
     return out
 
 
@@ -419,7 +406,7 @@ def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> Checks:
             for x in space.points:
                 g = rep.greatest_representative(x)
                 for t in ts:
-                    if rep.decode[t.key] == x:
+                    if rep.decode[t] == x:
                         if not (
                             rep.per.carrier.leq(t, g)
                             and rep.per.related(t, g) is True

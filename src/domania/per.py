@@ -87,7 +87,7 @@ fields of an existing flag set with `replace`.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import product
 from typing import List, Optional, Sequence
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
@@ -195,10 +195,10 @@ class FiniteRel(StructuralRel):
                     raise CarrierMismatch("relation not transitive", witness=(a, d))
 
     def related(self, a, b, bound=None):
-        return (a.key, b.key) in self.pairs
+        return (a, b) in self.pairs
 
     def totals(self, bound=None):
-        ts = [t for t in self.carrier.tokens().tokens if (t.key, t.key) in self.pairs]
+        ts = [t for t in self.carrier.tokens().tokens if (t, t) in self.pairs]
         return ts, True
 
 
@@ -314,12 +314,11 @@ class FunRel(StructuralRel):
             body_totals, bt_exact = self.body_per.representatives(bound)
         values, vex = self._values(body_totals, bound)
         vals = list(dict.fromkeys(values()))
-        exp_totals, _ = self.exp_per.totals(bound)
-        exp_total_keys = {t.key for t in exp_totals}
+        exp_totals = set(self.exp_per.totals(bound)[0])
         # distinct monotone maps have distinct canonical step sets
         out = []
         self.basis.monotone_maps(
-            lambda p: body_totals if p.key in exp_total_keys else vals,
+            lambda p: body_totals if p in exp_totals else vals,
             lambda a: out.append(self.basis.from_function(lambda p: a[p])),
         )
         out = [t for t in out if self.related(t, t, bound) is True]
@@ -338,7 +337,7 @@ class FunRel(StructuralRel):
         exp_reps, _ = exp.representatives(bound)
         # each exponent total's class: the position of the representative it is related to
         index = {
-            t.key: i
+            t: i
             for t in exp.totals(bound)[0]
             for (i, e) in enumerate(exp_reps)
             if exp.related(e, t, bound) is True
@@ -362,24 +361,26 @@ class FunRel(StructuralRel):
         reps = []
         for choice in product(body_reps, repeat=len(exp_reps)):
             self.basis.monotone_maps(
-                lambda p: members(choice[index[p.key]]) if p.key in index else values(),
+                lambda p: members(choice[index[p]]) if p in index else values(),
                 keep,
             )
         return reps, vex and body_exact
 
     def _values(self, reps, bound):
         """`(values, exact)`: `values()` iterates what non-total points take:
-        every value of a finite body; of a staged body, the fragment values
-        below one of `reps`, then bottom, made as asked for and never exact."""
+        every value of a finite body; of a staged body, bottom, then the
+        fragment values below one of `reps`, made as asked for and never
+        exact.  The fragment is listed only when the search asks past
+        bottom, which a probe that finds a map at once never does."""
         body = self.body_per.carrier
         if body.finite:
             vals, exact = self.body_per.carrier_tokens(None)
             return (lambda: vals), exact
-        frag = body.tokens(bound).tokens
 
         def pool():
-            below = (t for v in reps for t in frag if body.leq(t, v))
-            return chain(below, [body.bottom])
+            yield body.bottom
+            frag = body.tokens(bound).tokens
+            yield from (t for v in reps for t in frag if body.leq(t, v))
 
         return pool, False
 
@@ -545,8 +546,8 @@ class DomainPer:
 def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> DomainPer:
     pairs = set()
     for (a, b) in related_token_pairs:
-        pairs.add((a.key, b.key))
-        pairs.add((b.key, a.key))
+        pairs.add((a, b))
+        pairs.add((b, a))
     # transitive closure so callers may list generators only; no elements,
     # so no reflexive pairs are added
     pairs = transitive_reflexive_closure((), pairs)

@@ -491,7 +491,7 @@ def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleRe
     increasing = all(b > a for a, b in zip(seq, seq[1:]))
     checks.add("escapes-finite-stages", increasing, bound=bound)
 
-    descriptor = ("natfn", "nest", ("tok", nests[0].key))
+    descriptor = ("natfn", "nest", ("tok", nests[0].pretty))
     pretty = _render(expr, iso.unfolded, env, exp_path, f"<fn {descriptor}>", nests[0])
     return CounterexampleReport(nests, pretty, ranks, total_stages, checks)
 

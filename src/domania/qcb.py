@@ -169,12 +169,12 @@ def enumerate_ideals(fam: Sequence[frozenset]) -> List[frozenset]:
 class StandardRep:
     def __init__(
         self, per: DomainPer, space: FiniteSpace, sets: List[frozenset],
-        decode: Dict[object, Optional[str]],
+        decode: Dict[Token, Optional[str]],
     ):
         self.per = per
         self.space = space
         self.sets = sets
-        self.decode = decode  # token key -> point or None
+        self.decode = decode  # token -> point or None
 
     def greatest_representative(self, x: str) -> Token:
         inter = frozenset(self.space.points)
@@ -204,7 +204,7 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
     ]
     basis = FiniteBasis(f"rep({X.name})", list(toks.values()), leq_pairs)
 
-    decode: Dict[object, Optional[str]] = {}
+    decode: Dict[Token, Optional[str]] = {}
     for b in fam:
         hits = []
         for x in X.points:
@@ -218,16 +218,15 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
                 if x in u
             ):
                 hits.append(x)
-        decode[toks[b].key] = hits[0] if len(hits) == 1 else None
+        decode[toks[b]] = hits[0] if len(hits) == 1 else None
         if len(hits) > 1:
             raise NotT0("two points share a representative", witness=hits)
 
     pairs = set()
-    for a in fam:
-        for b in fam:
-            xa, xb = decode[toks[a].key], decode[toks[b].key]
-            if xa is not None and xa == xb:
-                pairs.add((toks[a].key, toks[b].key))
+    for a in toks.values():
+        for b in toks.values():
+            if decode[a] is not None and decode[a] == decode[b]:
+                pairs.add((a, b))
     per = DomainPer(
         basis,
         FiniteRel(basis, pairs),
@@ -247,9 +246,9 @@ def recovered_pseudobase(rep: StandardRep) -> List[frozenset]:
     ts, _ = rep.per.totals()
     for p in rep.per.carrier.tokens().tokens:
         image = frozenset(
-            rep.decode[t.key]
+            rep.decode[t]
             for t in ts
-            if rep.per.carrier.leq(p, t) and rep.decode[t.key] is not None
+            if rep.per.carrier.leq(p, t) and rep.decode[t] is not None
         )
         if image:
             out.append(image)
@@ -287,7 +286,7 @@ def quotient_matches_space(rep: StandardRep) -> bool:
     classes, opens = class_topology(rep.per)
     point_of = {}
     for i, cls in enumerate(classes):
-        point_of[i] = rep.decode[cls[0].key]
+        point_of[i] = rep.decode[cls[0]]
     if sorted(point_of.values()) != sorted(rep.space.points):
         return False
     expected = frozenset(
@@ -383,7 +382,7 @@ def check_fun_coherence(repD: StandardRep, repE: StandardRep) -> bool:
         for x in repD.space.points:
             rep_tok = repD.greatest_representative(x)
             val = fb.apply(f, rep_tok)
-            graph.append((x, repE.decode[val.key]))
+            graph.append((x, repE.decode[val]))
         induced.add(tuple(graph))
     return len(induced) == len(maps)
 
@@ -479,27 +478,22 @@ class IsoPair:
         self.back = back
 
 
-def token_iso_pair(A: DomainPer, B: DomainPer, mapping: Dict[str, str]) -> IsoPair:
+def token_iso_pair(
+    A: DomainPer, B: DomainPer, mapping: Dict[Token, Token]
+) -> IsoPair:
     """A supplied weak isomorphism given by a token bijection."""
-    fwd_tokens, back_tokens = {}, {}
-    a_toks = {t.key: t for t in A.carrier.tokens().tokens}
-    b_toks = {t.key: t for t in B.carrier.tokens().tokens}
-    for (ka, kb) in mapping.items():
-        fwd_tokens[ka] = b_toks[kb]
-        back_tokens[kb] = a_toks[ka]
-    if set(fwd_tokens) != set(a_toks) or set(back_tokens) != set(b_toks):
+    back = {b: a for (a, b) in mapping.items()}
+    a_toks, b_toks = (set(P.carrier.tokens().tokens) for P in (A, B))
+    if set(mapping) != a_toks or set(back) != b_toks:
         raise NotWeaklyEquivalent("token mapping is not a bijection")
-    for ka, kb in mapping.items():
-        for ka2, kb2 in mapping.items():
-            if A.carrier.leq(a_toks[ka], a_toks[ka2]) != B.carrier.leq(
-                b_toks[kb], b_toks[kb2]
-            ):
+    for a, b in mapping.items():
+        for a2, b2 in mapping.items():
+            if A.carrier.leq(a, a2) != B.carrier.leq(b, b2):
                 raise NotWeaklyEquivalent(
-                    "token mapping does not preserve order", witness=(ka, ka2)
+                    "token mapping does not preserve order", witness=(a, a2)
                 )
-    fwd = PerMap(A, B, lambda t: fwd_tokens[t.key], name="iso")
-    back = PerMap(B, A, lambda t: back_tokens[t.key], name="iso-back")
-    return IsoPair(fwd, back)
+    fwd = PerMap(A, B, mapping.__getitem__, name="iso")
+    return IsoPair(fwd, PerMap(B, A, back.__getitem__, name="iso-back"))
 
 
 def _paired(F: FunctorExpr, G: FunctorExpr) -> Optional[FunctorExpr]:

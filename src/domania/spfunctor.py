@@ -205,7 +205,7 @@ class LimitBasis(Basis):
 
     def canonical(self, n: int, t: Token) -> Token:
         """Tag t (a stage-n token) with its least stage of occurrence."""
-        key = (n, t.key)
+        key = (n, t)
         if key in self._canon_cache:
             return self._canon_cache[key]
         m, u = n, t
@@ -215,13 +215,13 @@ class LimitBasis(Basis):
             if emb.fwd(down) != u:
                 break
             u, m = down, m - 1
-        out = tok(("lim", m, u.key))
+        out = tok(("lim", m, u))
         self._canon_cache[key] = out
         return out
 
     def decompose(self, t: Token) -> Tuple[int, Token]:
-        _, n, key = t.key
-        return n, tok(key)
+        _, n, u = t.key
+        return n, u
 
     def max_stage(self) -> int:
         return len(self.stages) - 1
@@ -244,7 +244,7 @@ class LimitBasis(Basis):
         return k[1] <= self.max_stage()
 
     def leq(self, p, q):
-        key = (p.key, q.key)
+        key = (p, q)
         if key not in self._leq_cache:
             pt, qt, k = self.at_common_stage(p, q)
             self._leq_cache[key] = self.stages[k].basis.leq(pt, qt)
@@ -254,7 +254,7 @@ class LimitBasis(Basis):
         ts = list(ts)
         if not ts:
             return True
-        key = frozenset(t.key for t in ts)
+        key = frozenset(ts)
         if key not in self._cons_cache:
             parts = [self.decompose(t) for t in ts]
             k = max(i for (i, _) in parts)
@@ -266,7 +266,7 @@ class LimitBasis(Basis):
         ts = list(ts)
         if not ts:
             return self._bottom
-        key = frozenset(t.key for t in ts)
+        key = frozenset(ts)
         if key not in self._lub_cache:
             parts = [self.decompose(t) for t in ts]
             k = max(i for (i, _) in parts)
@@ -301,10 +301,8 @@ class LimitBasis(Basis):
         images = self._forward_images(n)
         if images is not None:
             for t in ts:
-                if (n, t.key) not in self._canon_cache:
-                    self._canon_cache[(n, t.key)] = images.get(t.key) or tok(
-                        ("lim", n, t.key)
-                    )
+                if (n, t) not in self._canon_cache:
+                    self._canon_cache[(n, t)] = images.get(t) or tok(("lim", n, t))
         return [self.canonical(n, t) for t in ts]
 
     def _forward_images(self, n: int):
@@ -318,7 +316,7 @@ class LimitBasis(Basis):
             else:
                 fwd = self.stages[n].embed_from_prev.fwd
                 self._images[n] = {
-                    fwd(t).key: c for (t, c) in zip(ts.tokens, self.tags(n - 1, ts.tokens))
+                    fwd(t): c for (t, c) in zip(ts.tokens, self.tags(n - 1, ts.tokens))
                 }
         return self._images[n]
 
@@ -353,8 +351,8 @@ class FixedPointIso:
         self.limit = limit
         self.unfolded = apply_functor_domain(expr, limit, env)
         self._femb_cache: Dict[int, Embedding] = {}
-        self._fwd_cache: Dict[object, Token] = {}
-        self._inv_cache: Dict[object, Token] = {}
+        self._fwd_cache: Dict[Token, Token] = {}
+        self._inv_cache: Dict[Token, Token] = {}
 
     def _femb(self, n: int) -> Embedding:
         # F applied to the stage embedding D_n -> limit
@@ -365,44 +363,38 @@ class FixedPointIso:
         return self._femb_cache[n]
 
     def fwd(self, t: Token) -> Token:
-        if t.key not in self._fwd_cache:
+        if t not in self._fwd_cache:
             n, inner = self.limit.decompose(t)
             if n == 0:
-                self._fwd_cache[t.key] = self.unfolded.bottom
+                self._fwd_cache[t] = self.unfolded.bottom
             else:
-                self._fwd_cache[t.key] = self._femb(n - 1).fwd(inner)
-        return self._fwd_cache[t.key]
+                self._fwd_cache[t] = self._femb(n - 1).fwd(inner)
+        return self._fwd_cache[t]
 
     def inv(self, t: Token) -> Token:
-        if t.key not in self._inv_cache:
+        if t not in self._inv_cache:
             m = self._leaf_stage(t)
             inner = self._femb(m).proj(t)
             if self._femb(m).fwd(inner) != t:
                 raise IsoFailure(
                     "token is not an image of any built stage", witness=t
                 )
-            self._inv_cache[t.key] = self.limit.canonical(m + 1, inner)
-        return self._inv_cache[t.key]
+            self._inv_cache[t] = self.limit.canonical(m + 1, inner)
+        return self._inv_cache[t]
 
     def _leaf_stage(self, t: Token) -> int:
         """Largest canonical stage of a limit token occurring inside t."""
-        best = 0
 
-        def walk(key):
-            nonlocal best
-            if isinstance(key, tuple):
-                if key and key[0] == "lim":
-                    best = max(best, key[1])
-                    return
-                for part in key:
-                    walk(part)
-            elif isinstance(key, frozenset):
-                for part in key:
-                    walk(part)
+        def stage(c) -> int:
+            if isinstance(c, Token):
+                c = c.key
+                if isinstance(c, tuple) and c[:1] == ("lim",):
+                    return c[1]
+            if isinstance(c, (tuple, frozenset)):
+                return max(map(stage, c), default=0)
+            return 0
 
-        walk(t.key)
-        cap = self.limit.max_stage() - 1
-        return min(best, cap)
+        return min(stage(t), self.limit.max_stage() - 1)
 
     def verify(self, bound: int) -> Verdict:
         """The linear clauses: the round trip inv(fwd t) == t, which makes fwd
@@ -417,10 +409,8 @@ class FixedPointIso:
         # only decidable when the stage enumerates completely
         stage_b = self.limit.stages[bound].basis if bound >= 1 else None
         if stage_b is not None and stage_b.finite:
-            expected = {
-                self._femb(bound - 1).fwd(t).key for t in stage_b.tokens().tokens
-            }
-            got = {self.fwd(t).key for t in toks}
+            expected = {self._femb(bound - 1).fwd(t) for t in stage_b.tokens().tokens}
+            got = {self.fwd(t) for t in toks}
             if got != expected:
                 return Verdict(False, got.symmetric_difference(expected), bound)
         return Verdict(True, None, bound)

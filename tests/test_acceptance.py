@@ -230,8 +230,8 @@ def test_criterion_11_fixed_point_independence():
         [frozenset({"hi"}), frozenset({"lo", "hi"})],
     )
     iso = token_iso_pair(sier.per, relabeled.per, {
-        ("pb", ("bot", "top")): ("pb", ("hi", "lo")),
-        ("pb", ("top",)): ("pb", ("hi",)),
+        tok(("pb", ("bot", "top"))): tok(("pb", ("hi", "lo"))),
+        tok(("pb", ("top",))): tok(("pb", ("hi",))),
     })
     report = fixed_point_independence(
         RUNNING,

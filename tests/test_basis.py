@@ -6,6 +6,7 @@ import pytest
 
 from domania.basis import (
     FlatNatBasis,
+    Token,
     Verdict,
     both,
     catalog_basis,
@@ -187,9 +188,14 @@ def test_one_point():
 
 
 def test_one_token_per_key():
-    key = ("p", ("s", 0, "top"), ("fn", frozenset({("bot", "top")})))
-    t = tok(key)
-    assert tok(("p", ("s", 0, "top"), ("fn", frozenset({("bot", "top")})))) is t
+    # a composite key holds its component tokens
+    step = tok(("fn", frozenset({(tok("bot"), tok("top"))})))
+    t = tok(("p", tok(("s", 0, tok("top"))), step))
+    assert tok(("p", tok(("s", 0, tok("top"))), step)) is t
+    assert t.pretty == "(in0(top),{bot=>top})"
+    # it hashes as the key of raw nested keys, yet is not that key's token
+    nested = ("p", ("s", 0, "top"), ("fn", frozenset({("bot", "top")})))
+    assert hash(t) == hash(nested) and tok(nested) is not t
     assert copy.copy(t) is t
     assert copy.deepcopy(t) is t
     assert copy.deepcopy({t: [t]}) == {t: [t]}
@@ -222,8 +228,23 @@ def _reached_tokens():
             for f, g in itertools.combinations(funs, 2):
                 if fb.cons((f, g)):
                     out.append(fb.lub((f, g)))
-                    out.append(fb.make(fb.pairs(f) + fb.pairs(g)))
+                    out.append(fb.make(fb.pairs(f) | fb.pairs(g)))
     return out
+
+
+def _components(key):
+    """The component tokens of a composite key, and the key rebuilt from the
+    one token of each component's key; ([], None) for a leaf key."""
+    one = lambda c: tok(c.key)
+    tag = key[0] if isinstance(key, tuple) and key else None
+    if tag in ("s", "lim"):
+        return [key[2]], (tag, key[1], one(key[2]))
+    if tag == "p":
+        return [key[1], key[2]], ("p", one(key[1]), one(key[2]))
+    if tag == "fn":
+        steps = [(one(p), one(q)) for (p, q) in key[1]]
+        return [c for pq in key[1] for c in pq], ("fn", frozenset(steps))
+    return [], None
 
 
 def test_token_identity_matches_key_equality():
@@ -233,6 +254,11 @@ def test_token_identity_matches_key_equality():
     assert len(distinct) > 1000
     for a in distinct:
         assert a == a and hash(a) == hash(a.key)
+        # a raw key in place of a component token would make a second token
+        # for the same compact
+        parts, rebuilt = _components(a.key)
+        assert all(isinstance(c, Token) for c in parts), a.key
+        assert rebuilt is None or tok(rebuilt) is a
     wrong = [
         (a, b)
         for a, b in itertools.combinations(distinct, 2)

@@ -243,7 +243,7 @@ def test_failing_pair_check_prints_both_totals(monkeypatch):
     from domania import cli
     from domania.basis import tok
 
-    x, y = tok(("s", 0, "top")), tok(("s", 1, "bot"))
+    x, y = tok(("s", 0, tok("top"))), tok(("s", 1, tok("bot")))
     check = _one_check("evaluation-reflects-classes", False, (x, y))
     monkeypatch.setattr(cli, "dense_image_weak_iso", check)
     code, text = run_command(GOLDEN_COMMANDS["eta-roundtrip.json"])
@@ -267,6 +267,22 @@ def test_qcb_separation_row_records_a_hypothesis():
     checks = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
     assert checks["positive-parameters-hausdorff"] == "fail"
     assert checks["fixed-point-classes"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "script", ["export_hasse.py", "run_counterexample.py", "run_fundamental_example.py"]
+)
+def test_script_runs_to_exit_zero(script, tmp_path):
+    # the scripts print tokens through the library; export_hasse.py writes
+    # its graphs into the working directory, here tmp_path
+    root = os.path.join(os.path.dirname(__file__), "..")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", script)],
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 FLATNAT_PARAMS = "param A = sierpinski; param N = flatnat; "

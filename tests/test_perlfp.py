@@ -220,6 +220,19 @@ def test_running_example_stabilizes_at_omega():
         assert v.stage == OMEGA
 
 
+def test_probe_decides_without_listing_the_limit_fragment(monkeypatch):
+    # a non-total point of a function map over the staged body tries bottom
+    # first, so the probe finds its maps before it lists the limit's tokens
+    chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
+
+    def listed(self, bound=None):
+        raise AssertionError(f"the limit's tokens were listed at bound {bound}")
+
+    monkeypatch.setattr(LimitBasis, "tokens", listed)
+    v = stabilization_probe(chain, 4)
+    assert (v.holds, v.stage) == (True, OMEGA)
+
+
 def test_chain_links_and_stage_pers_share_one_basis_per_stage():
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
     links = [pe.emb for pe in chain.embeddings]
@@ -375,7 +388,7 @@ def test_counterexample_phi_nests_the_base():
     report = counterexample_phi(chain, bound=4)
     carrier = chain.iso.unfolded
     x = chain.iso.inv(carrier.inject(0, tok("top")))
-    assert report.pretty == f"in1(<fn ('natfn', 'nest', ('tok', {x.key!r}))>)"
+    assert report.pretty == f"in1(<fn ('natfn', 'nest', ('tok', {x.pretty!r}))>)"
     for n in range(5):
         assert report.nests[n] == x
         x = chain.iso.inv(carrier.inject(1, const(carrier.parts[1], x)))
@@ -423,7 +436,7 @@ def test_nesting_rule_follows_the_path_to_the_variable(name):
         assert nxt == chain.iso.inv(step(chain.iso.unfolded, x))
     assert report.total_stages == {n: n + 1 for n in range(rank_bound + 1)}
     assert report.checks.all_pass
-    descriptor = ("natfn", "nest", ("tok", base.key))
+    descriptor = ("natfn", "nest", ("tok", base.pretty))
     assert report.pretty == context.format(f"<fn {descriptor}>")
     verdict = stabilization_probe(chain, rank_bound)
     assert (verdict.holds, verdict.witness) == (False, report.pretty)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from domania import qcb
+from domania.basis import tok
 from domania.errors import BadParameterPedigree, NotT0, NotUniform, NotWeaklyEquivalent
 from domania.qcb import (
     check_fun_coherence,
@@ -53,7 +54,7 @@ def test_standard_representation_sierpinski():
     # two total ideals in the exhaustive enumeration
     ideals = enumerate_ideals(rep.sets)
     assert len(ideals) == 2
-    decoded = {rep.decode[t.key] for t, in
+    decoded = {rep.decode[t] for t, in
                [(cls[0],) for cls in classes]}
     assert decoded == {"bot", "top"}
 
@@ -69,7 +70,7 @@ def test_standard_representation_discrete():
     assert len(classes) == 2
     # the whole-space token decodes to no point in a discrete space
     bot = rep.per.carrier.bottom
-    assert rep.decode[bot.key] is None
+    assert rep.decode[bot] is None
 
 
 def test_non_t0_rejected():
@@ -83,10 +84,10 @@ def test_greatest_representative():
     rep = standard_representation(X, sier_pseudobase())
     for x in X.points:
         g = rep.greatest_representative(x)
-        assert rep.decode[g.key] == x
+        assert rep.decode[g] == x
         # the greatest representative bounds every representative of x
         for t in rep.per.carrier.tokens().tokens:
-            if rep.decode[t.key] == x:
+            if rep.decode[t] == x:
                 assert rep.per.carrier.leq(t, g)
                 assert rep.per.related(t, g) is True
 
@@ -165,7 +166,7 @@ def test_functorial_representation_translation():
 
 
 def test_functorial_representation_rejects_bad_pedigree():
-    from domania.basis import catalog_basis, tok
+    from domania.basis import catalog_basis
     from domania.per import finite_per
 
     bad = finite_per(catalog_basis("two-chain"), [(tok("top"), tok("top"))])
@@ -222,10 +223,7 @@ def identity_independence(rank_bound=2):
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
     F = Sum(ConstD("A"), Exp("B", Id()))
     env = {"A": sier.per, "B": sier.per}
-    ident = {
-        ("pb", ("bot", "top")): ("pb", ("bot", "top")),
-        ("pb", ("top",)): ("pb", ("top",)),
-    }
+    ident = {t: t for t in (tok(("pb", ("bot", "top"))), tok(("pb", ("top",))))}
     pairs = {
         (k, k): token_iso_pair(sier.per, sier.per, ident) for k in ("A", "B")
     }
@@ -264,8 +262,8 @@ def test_independence_relabeled_parameter():
     env_f = {"A": sier.per, "B": sier.per}
     env_g = {"A": relabeled.per, "B": relabeled.per}
     iso = token_iso_pair(sier.per, relabeled.per, {
-        ("pb", ("bot", "top")): ("pb", ("hi", "lo")),
-        ("pb", ("top",)): ("pb", ("hi",)),
+        tok(("pb", ("bot", "top"))): tok(("pb", ("hi", "lo"))),
+        tok(("pb", ("top",))): tok(("pb", ("hi",))),
     })
     pairs = {("A", "A"): iso, ("B", "B"): iso}
     report = fixed_point_independence(F, env_f, F, env_g, pairs, rank_bound=2)
@@ -293,10 +291,7 @@ def _one_against_two_parameters(pair_names):
         k: standard_representation(sierpinski_space(), sier_pseudobase())
         for k in ("A", "C", "D")
     }
-    ident = {
-        ("pb", ("bot", "top")): ("pb", ("bot", "top")),
-        ("pb", ("top",)): ("pb", ("top",)),
-    }
+    ident = {t: t for t in (tok(("pb", ("bot", "top"))), tok(("pb", ("top",))))}
     pairs = {
         (f, g): token_iso_pair(reps[f].per, reps[g].per, ident)
         for (f, g) in pair_names

@@ -1,7 +1,7 @@
 """Basis constructors: separated sums (lifting is the one-part sum),
 products and their strict variant, and function spaces presented by
-consistent sets of step functions, plus the functorial action on
-embedding-projection pairs.
+consistent sets of step functions; token maps and the constructors' action
+on them, and embedding-projection pairs as pairs of token maps.
 
 Function-space tokens are kept in a canonical normal form: the pairs (p, v(p))
 at exactly those points p of the premise-lub closure where the denoted
@@ -18,7 +18,7 @@ and every cache is keyed by tokens.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Sequence
+from typing import Callable, Dict, Sequence
 
 from .basis import Basis, Token, TokenSet, tok
 from .errors import InconsistentUnion, NotAnEmbedding, NotConsistentlyComplete
@@ -99,29 +99,18 @@ def canonical_pairs(pairs, D: Basis, E: Basis):
         return frozenset()
     probes = premise_closure({p for (p, _) in live}, D)
     values = {p: apply_pairs(live, D, E, p) for p in probes}
-    return _jump_pairs(probes, values, D, E)
+    return _jump_pairs(values, D, E)
 
 
-def _jump_pairs(probes, values, D: Basis, E: Basis):
+def _jump_pairs(values, D: Basis, E: Basis):
+    """The canonical steps of the map given by `values` at its probes."""
     out = []
-    for p in probes:
-        lower = [values[r] for r in probes if r != p and D.leq(r, p)]
+    for p in values:
+        lower = [values[r] for r in values if r != p and D.leq(r, p)]
         join_lower = E.lub(lower) if lower else E.bottom
         if values[p] != join_lower and values[p] != E.bottom:
             out.append((p, values[p]))
     return frozenset(out)
-
-
-def canonical_from_probes(probes, value_at: Callable[[Token], Token], D, E):
-    """Canonical presentation of a monotone map given on probe points.
-
-    Precondition: `probes` contains every jump point of the map and, for each
-    probe, the join of values at strictly lower probes equals the join over
-    all strictly lower compacts (true when probes is the whole finite basis
-    or the premise closure of some presentation).
-    """
-    values = {p: value_at(p) for p in probes}
-    return _jump_pairs(set(probes), values, D, E)
 
 
 # (constructor, id of each part) -> the one basis built from those parts.
@@ -342,19 +331,23 @@ class FunBasis(Basis):
 
     def apply(self, f: Token, p: Token) -> Token:
         k = (f, p)
-        if k not in self._apply_cache:
-            self._apply_cache[k] = apply_pairs(
+        try:
+            return self._apply_cache[k]
+        except KeyError:
+            v = self._apply_cache[k] = apply_pairs(
                 self.pairs(f), self.exponent, self.values, p
             )
-        return self._apply_cache[k]
+            return v
 
     def leq(self, f, g):
         k = (f, g)
-        if k not in self._leq_cache:
-            self._leq_cache[k] = all(
+        try:
+            return self._leq_cache[k]
+        except KeyError:
+            v = self._leq_cache[k] = all(
                 self.values.leq(q, self.apply(g, p)) for (p, q) in self.pairs(f)
             )
-        return self._leq_cache[k]
+            return v
 
     def _consistent(self, pairs):
         key = frozenset(pairs)
@@ -386,10 +379,20 @@ class FunBasis(Basis):
 
     def from_function(self, value_at: Callable[[Token], Token]) -> Token:
         """Token of the monotone map given by values on a finite exponent."""
-        probes = list(self.exponent.tokens().tokens)
-        return self._wrap(
-            canonical_from_probes(probes, value_at, self.exponent, self.values)
-        )
+        probes = self.exponent.tokens().tokens
+        return self.from_probes({p: value_at(p) for p in probes})
+
+    def from_probes(self, values: Dict[Token, Token]) -> Token:
+        """Canonical token of a monotone map given by its values at probe
+        points.
+
+        Precondition: the probes contain every jump point of the map and,
+        for each probe, the join of values at strictly lower probes equals
+        the join over all strictly lower compacts.  This holds for the
+        whole finite exponent, and for h . t with h monotone on the
+        premise closure of t's steps and the bottom; the bottom may be left
+        out when h is strict."""
+        return self._wrap(_jump_pairs(values, self.exponent, self.values))
 
     def tokens(self, bound=None):
         if bound not in self._tokens:
@@ -457,44 +460,108 @@ def fun_basis(D: Basis, E: Basis) -> FunBasis:
 
 
 # ---------------------------------------------------------------------------
-# embedding-projection pairs
+# token maps, the functor's action on them, and embedding-projection pairs
+
+
+class TokenMap:
+    """A monotone map from source tokens to target tokens, memoised per
+    token."""
+
+    def __init__(self, source: Basis, target: Basis, fn: Callable[[Token], Token]):
+        self.source = source
+        self.target = target
+        self._fn = fn
+        self._memo: Dict[Token, Token] = {}
+
+    def __call__(self, t: Token) -> Token:
+        try:
+            return self._memo[t]
+        except KeyError:
+            v = self._memo[t] = self._fn(t)
+            return v
+
+
+def identity_map(B: Basis) -> TokenMap:
+    return TokenMap(B, B, lambda t: t)
+
+
+def sum_map(f: TokenMap, g: TokenMap) -> TokenMap:
+    """f + g: each summand by its own map, bottom to bottom."""
+    src = sum_basis(f.source, g.source)
+    tgt = sum_basis(f.target, g.target)
+    parts = (f, g)
+
+    def fn(t):
+        s = src.split(t)
+        if s is None:
+            return tgt.bottom
+        i, x = s
+        return tgt.inject(i, parts[i](x))
+
+    return TokenMap(src, tgt, fn)
+
+
+def prod_map(f: TokenMap, g: TokenMap) -> TokenMap:
+    src = prod_basis(f.source, g.source)
+    tgt = prod_basis(f.target, g.target)
+
+    def fn(t):
+        x, y = src.split(t)
+        return tgt.pair(f(x), g(y))
+
+    return TokenMap(src, tgt, fn)
+
+
+def exp_map(a: "Embedding", h: TokenMap) -> TokenMap:
+    """[a -> h] : [D -> E] -> [D' -> E'] for an ep-pair a: D -> D' and a map
+    h: E -> E', sending t to h . t . proj(a).
+
+    The composite is read at the images under a of t's premise closure and
+    of the bottom: those points hold every jump point for any monotone h."""
+    D = a.source
+    src = fun_basis(D, h.source)
+    tgt = fun_basis(a.target, h.target)
+
+    def fn(t):
+        steps = src.pairs(t)
+        points = premise_closure({p for (p, _) in steps}, D) | {D.bottom}
+        return tgt.from_probes(
+            {
+                q: h(apply_pairs(steps, D, src.values, a.proj(q)))
+                for q in map(a.fwd, points)
+            }
+        )
+
+    return TokenMap(src, tgt, fn)
 
 
 class Embedding:
-    """Embedding-projection pair presented by its action on tokens."""
+    """Embedding-projection pair: a token map and its projection back."""
 
-    def __init__(self, source: Basis, target: Basis, fwd, proj, name=""):
-        self.source = source
-        self.target = target
-        self._fwd = fwd
-        self._proj = proj
-        self.name = name or f"{source.name}>->{target.name}"
-        self._fwd_cache = {}
-        self._proj_cache = {}
+    def __init__(self, fwd: TokenMap, proj: TokenMap, name=""):
+        self.fwd_map = fwd
+        self.proj_map = proj
+        self.source = fwd.source
+        self.target = fwd.target
+        self.name = name or f"{self.source.name}>->{self.target.name}"
 
     def fwd(self, t: Token) -> Token:
-        if t not in self._fwd_cache:
-            self._fwd_cache[t] = self._fwd(t)
-        return self._fwd_cache[t]
+        return self.fwd_map(t)
 
     def proj(self, t: Token) -> Token:
-        if t not in self._proj_cache:
-            self._proj_cache[t] = self._proj(t)
-        return self._proj_cache[t]
+        return self.proj_map(t)
 
     def compose(self, other: "Embedding") -> "Embedding":
         """self after other (other first)."""
         return Embedding(
-            other.source,
-            self.target,
-            lambda t: self.fwd(other.fwd(t)),
-            lambda t: other.proj(self.proj(t)),
+            TokenMap(other.source, self.target, lambda t: self.fwd(other.fwd(t))),
+            TokenMap(self.target, other.source, lambda t: other.proj(self.proj(t))),
             name=f"{self.name}.{other.name}",
         )
 
 
 def identity_embedding(B: Basis) -> Embedding:
-    return Embedding(B, B, lambda t: t, lambda t: t, name=f"id_{B.name}")
+    return Embedding(identity_map(B), identity_map(B), name=f"id_{B.name}")
 
 
 def verify_embedding(emb: Embedding, bound=None):
@@ -520,91 +587,3 @@ def verify_embedding(emb: Embedding, bound=None):
                 witness=q,
             )
     return True
-
-
-def sum_embedding(f: Embedding, g: Embedding) -> Embedding:
-    src = sum_basis(f.source, g.source)
-    tgt = sum_basis(f.target, g.target)
-    parts = (f, g)
-
-    def fwd(t):
-        s = src.split(t)
-        if s is None:
-            return tgt.bottom
-        i, x = s
-        return tgt.inject(i, parts[i].fwd(x))
-
-    def proj(t):
-        s = tgt.split(t)
-        if s is None:
-            return src.bottom
-        i, x = s
-        return src.inject(i, parts[i].proj(x))
-
-    return Embedding(src, tgt, fwd, proj, name=f"({f.name}+{g.name})")
-
-
-def prod_embedding(f: Embedding, g: Embedding) -> Embedding:
-    src = prod_basis(f.source, g.source)
-    tgt = prod_basis(f.target, g.target)
-
-    def fwd(t):
-        x, y = src.split(t)
-        return tgt.pair(f.fwd(x), g.fwd(y))
-
-    def proj(t):
-        x, y = tgt.split(t)
-        return src.pair(f.proj(x), g.proj(y))
-
-    return Embedding(src, tgt, fwd, proj, name=f"({f.name}x{g.name})")
-
-
-def exp_fixed_embedding(B: Basis, f: Embedding) -> Embedding:
-    """[id_B -> f] : [B -> D] -> [B -> D']."""
-    src = fun_basis(B, f.source)
-    tgt = fun_basis(B, f.target)
-
-    def fwd(t):
-        return tgt.make([(p, f.fwd(q)) for (p, q) in src.pairs(t)])
-
-    def proj(t):
-        live = [(p, q) for (p, q) in tgt.pairs(t)]
-        probes = premise_closure({p for (p, _) in live}, B)
-        return src._wrap(
-            canonical_from_probes(
-                probes,
-                lambda p: f.proj(apply_pairs(live, B, f.target, p)),
-                B,
-                f.source,
-            )
-        )
-
-    return Embedding(src, tgt, fwd, proj, name=f"[id_{B.name}->{f.name}]")
-
-
-def exp_general_embedding(f: Embedding, g: Embedding) -> Embedding:
-    """(f- -> g) : [D -> E] -> [D' -> E'] for embeddings f: D->D', g: E->E'."""
-    src = fun_basis(f.source, g.source)
-    tgt = fun_basis(f.target, g.target)
-
-    def fwd(t):
-        return tgt.make([(f.fwd(p), g.fwd(q)) for (p, q) in src.pairs(t)])
-
-    def proj(t):
-        # the only half that enumerates the exponent
-        if not f.source.finite:
-            raise NotAnEmbedding(
-                "general exponent action needs a finite source exponent"
-            )
-        live = [(p, q) for (p, q) in tgt.pairs(t)]
-        probes = list(f.source.tokens().tokens)
-        return src._wrap(
-            canonical_from_probes(
-                probes,
-                lambda p: g.proj(apply_pairs(live, f.target, g.target, f.fwd(p))),
-                f.source,
-                g.source,
-            )
-        )
-
-    return Embedding(src, tgt, fwd, proj, name=f"[{f.name}- -> {g.name}]")

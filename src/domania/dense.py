@@ -7,21 +7,13 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from .basis import Basis, Checks, Token, TokenSet, both
-from .construct import Embedding, canonical_from_probes, premise_closure
+from .construct import TokenMap, premise_closure
 from .errors import NonDenseParameter, TrivialFunctor
 from .ordinals import omega_plus
 from .per import DomainPer, has_total_extension, replace, trivial_per
 from .perlfp import EXHAUSTIVE_DEPTH, PerChain, apply_functor_per, functor_is_trivial
 from .perlfp import per_chain_extend
-from .spfunctor import (
-    ConstD,
-    Exp,
-    Id,
-    Prod,
-    Sum,
-    apply_functor_embedding,
-    carrier_table,
-)
+from .spfunctor import MAPS, ConstD, Exp, Id, Prod, Sum, carrier_table, functor_action
 
 
 class DensePart:
@@ -109,7 +101,7 @@ class DeltaFamily:
         self._carriers = carrier_table(chain.functor, self.limit, self._domain_env)
         self._member_cache = {}
         self._retract_cache = {}
-        self._lifts: Dict[int, Embedding] = {}
+        self._lifts: Dict[int, TokenMap] = {}
 
     # membership -----------------------------------------------------------
     def member(self, n: int, t: Token) -> bool:
@@ -164,20 +156,16 @@ class DeltaFamily:
                     self._r0(self.chain.functor, self.chain.iso.fwd(t))
                 )
             else:
-                out = self.chain.iso.inv(self._lift(n).proj(self.chain.iso.fwd(t)))
+                out = self.chain.iso.inv(self._lift(n)(self.chain.iso.fwd(t)))
             self._retract_cache[key] = out
         return self._retract_cache[key]
 
-    def _lift(self, n: int) -> Embedding:
-        """F applied to r_{n-1}, seen as an ep-pair on the limit.  Only its
-        projection half is read: pointwise post-composition on the premise
-        closure, which holds for any monotone token map.  The forward half's
-        step-image rule holds only for strict additive maps."""
+    def _lift(self, n: int) -> TokenMap:
+        """F applied to the retraction map r_{n-1} on the limit."""
         if n not in self._lifts:
-            L = self.limit
-            r = lambda x: self.retract(n - 1, x)
-            self._lifts[n] = apply_functor_embedding(
-                self.chain.functor, Embedding(L, L, r, r), self._domain_env
+            r = TokenMap(self.limit, self.limit, lambda x: self.retract(n - 1, x))
+            self._lifts[n] = functor_action(
+                self.chain.functor, r, self._domain_env, MAPS
             )
         return self._lifts[n]
 
@@ -218,16 +206,9 @@ class DeltaFamily:
         if isinstance(expr, Exp):
             carrier = self._carriers[id(expr)]
             B = carrier.exponent
-            live = [(p, q) for (p, q) in carrier.pairs(value)]
-            probes = premise_closure({p for (p, _) in live}, B) if live else set()
-            body_carrier = self._carriers[id(expr.body)]
-            return carrier._wrap(
-                canonical_from_probes(
-                    probes,
-                    lambda p: self._r0(expr.body, carrier.apply(value, p)),
-                    B,
-                    body_carrier,
-                )
+            probes = premise_closure({p for (p, _) in carrier.pairs(value)}, B)
+            return carrier.from_probes(
+                {p: self._r0(expr.body, carrier.apply(value, p)) for p in probes}
             )
         raise TypeError(expr)  # Id is trivial, so never reached by itself
 

@@ -24,10 +24,12 @@ from .basis import (
 )
 from .construct import (
     Embedding,
-    exp_fixed_embedding,
+    TokenMap,
+    exp_map,
     fun_basis,
-    prod_embedding,
-    sum_embedding,
+    identity_embedding,
+    prod_map,
+    sum_map,
     verify_embedding,
 )
 from .errors import DomaniaError, NotAnEmbedding
@@ -160,7 +162,12 @@ def enumerate_embeddings(src: FiniteBasis, tgt: FiniteBasis) -> List[Embedding]:
             proj_map[q] = cand
         if not ok:
             continue
-        out.append(Embedding(src, tgt, fwd_map.__getitem__, proj_map.__getitem__))
+        out.append(
+            Embedding(
+                TokenMap(src, tgt, fwd_map.__getitem__),
+                TokenMap(tgt, src, proj_map.__getitem__),
+            )
+        )
     return out
 
 
@@ -234,8 +241,12 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
             if sig in seen_signatures:
                 continue
             seen_signatures.add(sig)
-            for kind, embed in (("sum", sum_embedding), ("prod", prod_embedding)):
-                made = embed(f.emb, g.emb)
+            for kind, act in (("sum", sum_map), ("prod", prod_map)):
+                # F on an ep-pair: F on each of its two maps
+                made = Embedding(
+                    act(f.emb.fwd_map, g.emb.fwd_map),
+                    act(f.emb.proj_map, g.emb.proj_map),
+                )
                 made_pe = PerEmbedding(
                     made,
                     per_construct(kind, f.source, g.source),
@@ -249,7 +260,8 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
     for (f, fdn, fen) in ee:
         for bn in names:
             for B in dense[bn][:3]:
-                made = exp_fixed_embedding(B.carrier, f.emb)
+                a = identity_embedding(B.carrier)
+                made = Embedding(exp_map(a, f.emb.fwd_map), exp_map(a, f.emb.proj_map))
                 made_pe = PerEmbedding(
                     made,
                     per_construct("fun", B, f.source),

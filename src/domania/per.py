@@ -88,7 +88,7 @@ fields of an existing flag set with `replace`.
 from __future__ import annotations
 
 from itertools import product
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 # `tok` is unused here but stays importable as `domania.per.tok`:
 # perfbench/selftest.py checks that its tracer rebinds that name
@@ -313,7 +313,7 @@ class FunRel(StructuralRel):
             # fragment is a sample and is flagged as such via exact=False
             body_totals, bt_exact = self.body_per.representatives(bound)
         values, vex = self._values(body_totals, bound)
-        vals = list(dict.fromkeys(values()))
+        vals = list(values())
         exp_totals = set(self.exp_per.totals(bound)[0])
         # distinct monotone maps have distinct canonical step sets
         out = []
@@ -369,18 +369,23 @@ class FunRel(StructuralRel):
     def _values(self, reps, bound):
         """`(values, exact)`: `values()` iterates what non-total points take:
         every value of a finite body; of a staged body, bottom, then the
-        fragment values below one of `reps`, made as asked for and never
-        exact.  The fragment is listed only when the search asks past
-        bottom, which a probe that finds a map at once never does."""
+        fragment values below one of `reps`, each once in order of first
+        appearance, made as asked for and never exact.  The fragment is
+        listed only when the search asks past bottom, which a probe that
+        finds a map at once never does."""
         body = self.body_per.carrier
         if body.finite:
             vals, exact = self.body_per.carrier_tokens(None)
             return (lambda: vals), exact
 
         def pool():
+            seen = {body.bottom}
             yield body.bottom
             frag = body.tokens(bound).tokens
-            yield from (t for v in reps for t in frag if body.leq(t, v))
+            for t in (t for v in reps for t in frag if body.leq(t, v)):
+                if t not in seen:
+                    seen.add(t)
+                    yield t
 
         return pool, False
 
@@ -877,11 +882,7 @@ def limit_per(
 
 
 def uniform_limit_map(
-    phi_family: Sequence[PerMap],
-    src: PerLimit,
-    tgt: PerLimit,
-    chi_family: Optional[Sequence[PerMap]] = None,
-    bound=None,
+    phi_family: Sequence[Callable[[Token], Token]], src: PerLimit, tgt: PerLimit
 ) -> PerMap:
     """Stage-wise family commuting with the chains, extended to the limits."""
     n = len(phi_family)
@@ -902,17 +903,4 @@ def uniform_limit_map(
         i, inner = src.limit.decompose(v)
         return tgt.limit.canonical(i, phi_family[i](inner))
 
-    phi = PerMap(src.per, tgt.per, apply, name="limit-map")
-    if chi_family is not None:
-        def apply_chi(v):
-            i, inner = tgt.limit.decompose(v)
-            return src.limit.canonical(i, chi_family[i](inner))
-
-        chi = PerMap(tgt.per, src.per, apply_chi, name="limit-map-back")
-        v = weak_iso_check(phi, chi, bound)
-        if v.holds is False:
-            raise NotUniform(
-                f"stage-wise weak isos fail at the limit ({v.clause})", witness=v.witness
-            )
-        phi.inverse = chi
-    return phi
+    return PerMap(src.per, tgt.per, apply, name="limit-map")

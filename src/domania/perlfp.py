@@ -17,7 +17,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .basis import Checks, Token, Verdict, both
-from .construct import Embedding, identity_embedding
+from .construct import TokenMap
 from .errors import IsoFailure, NotAnAlgebra
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
@@ -33,13 +33,13 @@ from .per import (
     trivial_per,
 )
 from .spfunctor import (
+    MAPS,
     ConstD,
     Exp,
     FixedPointIso,
     FunctorExpr,
     Id,
     Sum,
-    apply_functor_embedding,
     fixed_point_iso,
     functor_action,
     identity,
@@ -207,14 +207,7 @@ def per_chain_extend(
             unfolded_per.flags,
             name=f"stage-omega+{k}",
         )
-        pe = PerEmbedding(
-            identity_embedding(plim.limit),
-            current,
-            folded,
-            name=f"f(omega+{k - 1}),(omega+{k})",
-        )
         chain.stages.append((omega_plus(k), folded))
-        chain.embeddings.append(pe)
         current = folded
     return chain
 
@@ -502,21 +495,13 @@ def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleRe
 
 class MediatingReport:
     def __init__(
-        self, maps: List[PerEmbedding], coherent: bool, morphism_law_ok: bool,
+        self, maps: List[TokenMap], coherent: bool, morphism_law_ok: bool,
         witness: object = None,
     ):
-        self.maps = maps
+        self.maps = maps  # h_n: D_n -> E, a token map
         self.coherent = coherent
-        self.morphism_law_ok = morphism_law_ok
+        self.morphism_law_ok = morphism_law_ok  # each h_n equivariant
         self.witness = witness
-
-
-def _derived_projection(src, tgt, fwd):
-    def proj(q):
-        below = [p for p in src.tokens().tokens if tgt.leq(fwd(p), q)]
-        return src.lub(below) if below else src.bottom
-
-    return proj
 
 
 def mediating_algebra_morphism(
@@ -527,7 +512,7 @@ def mediating_algebra_morphism(
     bound: Optional[int] = None,
 ) -> MediatingReport:
     """h_0 from the trivial per, h_{n+1} = g . F(h_n); checks the chain
-    coherence and the algebra-morphism law on the fragment."""
+    coherence and that each h_n is equivariant on the fragment."""
     E, g = algebra
     v = is_equivariant(g, g.source, g.target, bound)
     if v.holds is False:
@@ -539,49 +524,30 @@ def mediating_algebra_morphism(
     domain_env = {k: v.carrier for (k, v) in env.items()}
     dstages = omega_chain(expr, domain_env, upto)
 
-    maps: List[PerEmbedding] = []
-    h_emb = Embedding(
-        dstages[0].basis,
-        E.carrier,
-        lambda t: E.carrier.bottom,
-        lambda t: dstages[0].basis.bottom,
-        name="h0",
-    )
+    maps = [TokenMap(dstages[0].basis, E.carrier, lambda t: E.carrier.bottom)]
     pers = [trivial_per()]
-    maps.append(PerEmbedding(h_emb, pers[0], E, name="h0"))
     for n in range(upto):
-        f_h = apply_functor_embedding(expr, maps[-1].emb, domain_env)
-        per_next = apply_functor_per(expr, pers[-1], env)
-        pers.append(per_next)
-
-        def fwd(t, f_h=f_h):
-            return g(f_h.fwd(t))
-
-        emb = Embedding(
-            dstages[n + 1].basis,
-            E.carrier,
-            fwd,
-            _derived_projection(dstages[n + 1].basis, E.carrier, fwd),
-            name=f"h{n + 1}",
-        )
-        maps.append(PerEmbedding(emb, per_next, E, name=f"h{n + 1}"))
+        f_h = functor_action(expr, maps[-1], domain_env, MAPS)
+        h = TokenMap(dstages[n + 1].basis, E.carrier, lambda t, f_h=f_h: g(f_h(t)))
+        maps.append(h)
+        pers.append(apply_functor_per(expr, pers[-1], env))
 
     coherent = True
     witness = None
     for n in range(upto):
         step = dstages[n + 1].embed_from_prev
         for t in dstages[n].basis.tokens().tokens:
-            if maps[n].emb.fwd(t) != maps[n + 1].emb.fwd(step.fwd(t)):
+            if maps[n](t) != maps[n + 1](step.fwd(t)):
                 coherent = False
                 witness = (n, t)
 
     law_ok = True
     for n in range(1, upto + 1):
-        # h_n = g . F(h_{n-1}) holds by construction; check h's per clauses
-        # on the fragment (h_n need not be an ep-pair; no ep-pair law is run)
-        v = is_equiembedding(maps[n], bound)
+        # h_n = g . F(h_{n-1}) holds by construction; a morphism of pers is
+        # an equivariant map, and h_n need not be an embedding
+        v = is_equivariant(maps[n], pers[n], E, bound)
         if v.holds is False:
             law_ok = False
-            witness = (n, v.clause, v.witness)
+            witness = (n, v.witness)
 
     return MediatingReport(maps, coherent, law_ok, witness)

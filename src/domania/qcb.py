@@ -14,13 +14,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .basis import Checks, FiniteBasis, Frozen, Token, Verdict, both, conjoin, tok
-from .construct import (
-    Embedding,
-    exp_general_embedding,
-    identity_embedding,
-    prod_embedding,
-    sum_embedding,
-)
+from .construct import Embedding, TokenMap, exp_map, identity_map, prod_map, sum_map
 from .dense import DenseLfp, dense_lfp
 from .eta import atomic_subfunctors
 from .errors import (
@@ -47,7 +41,6 @@ from .spfunctor import (
     FunctorExpr,
     Id,
     functor_action,
-    identity,
     subterms,
 )
 
@@ -472,16 +465,11 @@ def _positive_const_names(expr: FunctorExpr) -> List[str]:
 # weak-equivalence transfer and fixed-point independence
 
 
-class IsoPair:
-    def __init__(self, fwd: PerMap, back: PerMap):
-        self.fwd = fwd
-        self.back = back
-
-
 def token_iso_pair(
     A: DomainPer, B: DomainPer, mapping: Dict[Token, Token]
-) -> IsoPair:
-    """A supplied weak isomorphism given by a token bijection."""
+) -> Embedding:
+    """A supplied weak isomorphism given by a token bijection, as the
+    ep-pair of carriers it is; the reverse iso swaps its two maps."""
     back = {b: a for (a, b) in mapping.items()}
     a_toks, b_toks = (set(P.carrier.tokens().tokens) for P in (A, B))
     if set(mapping) != a_toks or set(back) != b_toks:
@@ -492,8 +480,11 @@ def token_iso_pair(
                 raise NotWeaklyEquivalent(
                     "token mapping does not preserve order", witness=(a, a2)
                 )
-    fwd = PerMap(A, B, mapping.__getitem__, name="iso")
-    return IsoPair(fwd, PerMap(B, A, back.__getitem__, name="iso-back"))
+    return Embedding(
+        TokenMap(A.carrier, B.carrier, mapping.__getitem__),
+        TokenMap(B.carrier, A.carrier, back.__getitem__),
+        name="iso",
+    )
 
 
 def _paired(F: FunctorExpr, G: FunctorExpr) -> Optional[FunctorExpr]:
@@ -512,12 +503,13 @@ def _paired(F: FunctorExpr, G: FunctorExpr) -> Optional[FunctorExpr]:
     return None if left is None or right is None else type(F)(left, right)
 
 
-# F acting on token maps: a supplied isomorphism at each parameter, and a
-# function space moved along both its exponent and its values
-TRANSFER = (identity, sum_embedding, prod_embedding, exp_general_embedding)
+# F acting on token maps: the forward map of the supplied isomorphism at
+# each parameter, and a function space moved along both its exponent and
+# its values
+TRANSFER = (lambda iso: iso.fwd_map, sum_map, prod_map, exp_map)
 
 
-def _transfer(paired: FunctorExpr, phi: Embedding, isos) -> Embedding:
+def _transfer(paired: FunctorExpr, phi: TokenMap, isos) -> TokenMap:
     """The stage map one step up: F acting on phi and the paired isos."""
     try:
         return functor_action(paired, phi, isos, TRANSFER)
@@ -528,7 +520,7 @@ def _transfer(paired: FunctorExpr, phi: Embedding, isos) -> Embedding:
 
 
 def fixed_point_independence(
-    F, env_f, G, env_g, pairs: Dict[Tuple[str, str], IsoPair], rank_bound: int = 2
+    F, env_f, G, env_g, pairs: Dict[Tuple[str, str], Embedding], rank_bound: int = 2
 ) -> Checks:
     """Builds both chains, transfers the stage maps, and verifies the
     class-level matching between the two fixed points: the checks
@@ -544,21 +536,17 @@ def fixed_point_independence(
     chain_f = per_chain_extend(F, env_f, omega_plus(1), n_finite=n_finite)
     chain_g = per_chain_extend(G, env_g, omega_plus(1), n_finite=n_finite)
 
-    # each supplied pair stands at its parameter as an ep-pair of carriers
-    there, back = {}, {}
-    for ((fn, gn), p) in pairs.items():
-        A, B = env_f[fn].carrier, env_g[gn].carrier
-        there[(fn, gn)] = Embedding(A, B, p.fwd, p.back)
-        back[(gn, fn)] = Embedding(B, A, p.back, p.fwd)
+    # each supplied ep-pair stands at its parameter, swapped on the way back
+    back = {
+        (gn, fn): Embedding(p.proj_map, p.fwd_map) for ((fn, gn), p) in pairs.items()
+    }
     # stage n+1 is F acting on stage n; built by the interned constructors,
     # their carriers are the chains' own stages
-    d0 = identity_embedding(chain_f.per_limit.limit.stages[0].basis)
-    phi_embs, chi_embs = [d0], [d0]
+    d0 = identity_map(chain_f.per_limit.limit.stages[0].basis)
+    phis, chis = [d0], [d0]
     for n in range(n_finite):
-        phi_embs.append(_transfer(paired_f, phi_embs[-1], there))
-        chi_embs.append(_transfer(paired_g, chi_embs[-1], back))
-    phis = [e.fwd for e in phi_embs]
-    chis = [e.fwd for e in chi_embs]
+        phis.append(_transfer(paired_f, phis[-1], pairs))
+        chis.append(_transfer(paired_g, chis[-1], back))
 
     verdicts = []
     for n in range(1, n_finite + 1):

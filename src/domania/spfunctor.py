@@ -1,6 +1,7 @@
 """Strictly positive operation ASTs, the one structural walk by which an
-operation acts on bases, pers, embedding-projection pairs and token maps,
-omega-chains, inductive limits, and the fixed-point order isomorphism."""
+operation acts on bases, pers and token maps (on an embedding-projection
+pair, it acts on each of its two maps), omega-chains, inductive limits, and
+the fixed-point order isomorphism."""
 
 from __future__ import annotations
 
@@ -9,13 +10,15 @@ from typing import Dict, List, Optional, Tuple
 from .basis import Basis, Frozen, Token, TokenSet, Verdict, tok
 from .construct import (
     Embedding,
-    exp_fixed_embedding,
+    TokenMap,
+    exp_map,
     fun_basis,
     identity_embedding,
+    identity_map,
     prod_basis,
-    prod_embedding,
+    prod_map,
     sum_basis,
-    sum_embedding,
+    sum_map,
 )
 from .errors import IsoFailure, UnboundParameter
 from .ordinals import Ordinal, fin
@@ -109,9 +112,14 @@ def identity(v):
     return v
 
 
-# F on bases and on embedding-projection pairs
+# F on bases and on token maps; [B -> _] acts on a map h as [id_B -> h]
 BASES = (identity, sum_basis, prod_basis, fun_basis)
-EMBEDDINGS = (identity_embedding, sum_embedding, prod_embedding, exp_fixed_embedding)
+MAPS = (
+    identity_map,
+    sum_map,
+    prod_map,
+    lambda B, h: exp_map(identity_embedding(B), h),
+)
 
 
 def apply_functor_domain(expr: FunctorExpr, D: Basis, env: Dict[str, Basis]) -> Basis:
@@ -130,10 +138,14 @@ def carrier_table(
 
 
 def apply_functor_embedding(
-    expr: FunctorExpr, f: Embedding, env: Dict[str, Basis]
+    expr: FunctorExpr, e: Embedding, env: Dict[str, Basis]
 ) -> Embedding:
+    """F on an ep-pair: F on its forward map and F on its projection."""
     validate_functor(expr, env)
-    return functor_action(expr, f, env, EMBEDDINGS)
+    return Embedding(
+        functor_action(expr, e.fwd_map, env, MAPS),
+        functor_action(expr, e.proj_map, env, MAPS),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +171,8 @@ def omega_chain(expr: FunctorExpr, env: Dict[str, Basis], n_max: int) -> List[Ch
         nxt = apply_functor_domain(expr, prev.basis, env)
         if n == 1:
             emb = Embedding(
-                prev.basis, nxt, lambda t, b=nxt: b.bottom, lambda t, b=prev.basis: b.bottom,
+                TokenMap(prev.basis, nxt, lambda t, b=nxt: b.bottom),
+                TokenMap(nxt, prev.basis, lambda t, b=prev.basis: b.bottom),
                 name="f01",
             )
         else:
@@ -206,18 +219,18 @@ class LimitBasis(Basis):
     def canonical(self, n: int, t: Token) -> Token:
         """Tag t (a stage-n token) with its least stage of occurrence."""
         key = (n, t)
-        if key in self._canon_cache:
+        try:
             return self._canon_cache[key]
-        m, u = n, t
-        while m > 0:
-            emb = self.stages[m].embed_from_prev
-            down = emb.proj(u)
-            if emb.fwd(down) != u:
-                break
-            u, m = down, m - 1
-        out = tok(("lim", m, u))
-        self._canon_cache[key] = out
-        return out
+        except KeyError:
+            m, u = n, t
+            while m > 0:
+                emb = self.stages[m].embed_from_prev
+                down = emb.proj(u)
+                if emb.fwd(down) != u:
+                    break
+                u, m = down, m - 1
+            out = self._canon_cache[key] = tok(("lim", m, u))
+            return out
 
     def decompose(self, t: Token) -> Tuple[int, Token]:
         _, n, u = t.key
@@ -245,10 +258,12 @@ class LimitBasis(Basis):
 
     def leq(self, p, q):
         key = (p, q)
-        if key not in self._leq_cache:
+        try:
+            return self._leq_cache[key]
+        except KeyError:
             pt, qt, k = self.at_common_stage(p, q)
-            self._leq_cache[key] = self.stages[k].basis.leq(pt, qt)
-        return self._leq_cache[key]
+            v = self._leq_cache[key] = self.stages[k].basis.leq(pt, qt)
+            return v
 
     def cons(self, ts):
         ts = list(ts)
@@ -333,7 +348,10 @@ class LimitBasis(Basis):
                 return self.lift_token(m, inner, n)
             return self.drop_token(m, inner, n)
 
-        emb = Embedding(self.stages[n].basis, self, fwd, proj, name=f"f{n},lim")
+        stage = self.stages[n].basis
+        emb = Embedding(
+            TokenMap(stage, self, fwd), TokenMap(self, stage, proj), name=f"f{n},lim"
+        )
         self._stage_emb_cache[n] = emb
         return emb
 

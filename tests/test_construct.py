@@ -12,21 +12,21 @@ from domania.basis import (
     tok,
 )
 from domania.construct import (
+    Embedding,
     MultiSumBasis,
     ProdBasis,
+    TokenMap,
     canonical_pairs,
-    exp_fixed_embedding,
-    exp_general_embedding,
+    exp_map,
     fun_basis,
     identity_embedding,
     prod_basis,
-    prod_embedding,
     stepset_consistent,
     sum_basis,
-    sum_embedding,
     verify_embedding,
 )
-from domania.errors import InconsistentUnion, NotAnEmbedding
+from domania.errors import InconsistentUnion
+from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, apply_functor_embedding
 
 O = catalog_basis("two-chain")
 VEE = catalog_basis("vee")
@@ -169,7 +169,7 @@ def test_canonical_drops_bottom_and_entailed():
 
 def test_identity_embedding_on_sum():
     s = sum_basis(O, O)
-    emb = sum_embedding(identity_embedding(O), identity_embedding(O))
+    emb = apply_functor_embedding(Sum(Id(), Id()), identity_embedding(O), {})
     verify_embedding(emb)
     for t in s.tokens().tokens:
         assert emb.fwd(t) == t
@@ -177,7 +177,7 @@ def test_identity_embedding_on_sum():
 
 def test_exp_fixed_on_empty_stepset():
     pt = one_point_basis()
-    f = exp_fixed_embedding(O, _unique_from_point(pt, O))
+    f = apply_functor_embedding(Exp("B", Id()), _unique_from_point(pt, O), {"B": O})
     assert f.fwd(f.source.bottom) == f.target.bottom
     verify_embedding(f)
 
@@ -187,8 +187,6 @@ def _unique_from_point(pt, target):
 
 
 def _mk_embedding(src, tgt, fwd_keys):
-    from domania.construct import Embedding
-
     fwd_map = {k: tok(v) for k, v in fwd_keys.items()}
 
     def fwd(t):
@@ -198,57 +196,53 @@ def _mk_embedding(src, tgt, fwd_keys):
         below = [p for p in src.tokens().tokens if tgt.leq(fwd(p), t)]
         return src.lub(below)
 
-    return Embedding(src, tgt, fwd, proj)
+    return Embedding(TokenMap(src, tgt, fwd), TokenMap(tgt, src, proj))
 
 
 def test_prod_embedding_composition_law():
-    # (f2.f1) x (g2.g1) equals (f2 x g2).(f1 x g1) on every token
+    # F(f2.f1) equals F(f2).F(f1) on every token, for F = X x X
     three = catalog_basis("three-chain")
     f1 = _mk_embedding(O, three, {"bot": "bot", "top": "top"})
     f2 = identity_embedding(three)
     verify_embedding(f1)
-    lhs = prod_embedding(f2.compose(f1), f2.compose(f1))
-    rhs_outer = prod_embedding(f2, f2)
-    rhs_inner = prod_embedding(f1, f1)
+    square = Prod(Id(), Id())
+    lhs = apply_functor_embedding(square, f2.compose(f1), {})
+    rhs_outer = apply_functor_embedding(square, f2, {})
+    rhs_inner = apply_functor_embedding(square, f1, {})
     rhs = rhs_outer.compose(rhs_inner)
     for t in lhs.source.tokens().tokens:
         assert lhs.fwd(t) == rhs.fwd(t)
 
 
-def test_exp_general_embedding_laws():
+def test_exp_map_over_an_iso_exponent_is_an_ep_pair():
+    # [a -> g] for the swap a of the vee's two atoms: its forward map is
+    # g . t . a^-1, and with [a^-1 -> g-] it is an ep-pair
     three = catalog_basis("three-chain")
-    f = _mk_embedding(O, three, {"bot": "bot", "top": "top"})
     g = _mk_embedding(O, three, {"bot": "bot", "top": "mid"})
-    verify_embedding(f)
     verify_embedding(g)
-    emb = exp_general_embedding(f, g)
+    swap = {tok("a"): tok("b"), tok("b"): tok("a"), tok("bot"): tok("bot")}.__getitem__
+    a = Embedding(TokenMap(VEE, VEE, swap), TokenMap(VEE, VEE, swap))
+    verify_embedding(a)
+    back = Embedding(a.proj_map, a.fwd_map)
+    emb = Embedding(exp_map(a, g.fwd_map), exp_map(back, g.proj_map))
     verify_embedding(emb)
-
-
-def test_exp_general_embedding_over_an_infinite_exponent():
-    # the forward half moves each step and needs no enumeration of the
-    # exponent; only the projection half enumerates it
-    from domania.basis import FlatNatBasis
-
-    nat = identity_embedding(FlatNatBasis())
-    f = _mk_embedding(O, catalog_basis("three-chain"), {"bot": "bot", "top": "mid"})
-    emb = exp_general_embedding(nat, f)
-    step = emb.source.make([(nat.source.nat(1), TOP)])
-    assert emb.fwd(step) == emb.target.make([(nat.target.nat(1), tok("mid"))])
-    with pytest.raises(NotAnEmbedding):
-        emb.proj(emb.fwd(step))
+    for t in emb.source.tokens().tokens:
+        want = emb.target.from_function(
+            lambda p: g.fwd(emb.source.apply(t, a.proj(p)))
+        )
+        assert emb.fwd(t) == want
 
 
 def test_all_embedding_constructors_satisfy_ep_laws():
+    # F on an ep-pair f, F each constructor beside a parameter
     three = catalog_basis("three-chain")
     f = _mk_embedding(O, three, {"bot": "bot", "top": "top"})
-    g = identity_embedding(O)
-    for emb in (
-        sum_embedding(f, g),
-        prod_embedding(f, g),
-        exp_fixed_embedding(O, f),
+    for expr in (
+        Sum(Id(), ConstD("O")),
+        Prod(Id(), ConstD("O")),
+        Exp("O", Id()),
     ):
-        verify_embedding(emb)
+        verify_embedding(apply_functor_embedding(expr, f, {"O": O}))
 
 
 def test_fun_apply_monotone_small():

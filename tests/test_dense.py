@@ -4,7 +4,7 @@ import pytest
 
 from domania.basis import catalog_basis, tok
 from domania.builtins import flatbool_per, sierpinski_per, trivial_per
-from domania.construct import Embedding, exp_fixed_embedding, fun_basis
+from domania.construct import TokenMap, exp_map, fun_basis, identity_embedding
 from domania.dense import (
     DeltaFamily,
     dense_laws,
@@ -97,8 +97,8 @@ def test_retraction_fixes_exactly_delta():
 
 
 def test_lifted_retraction_projection_against_pointwise_reference():
-    # the projection half of [id_B -> r] on the premise closure against the
-    # monotone map that probes every exponent token
+    # [id_B -> r], read on the premise closure, against the monotone map
+    # that probes every exponent token
     chain = _running_chain(4)
     fam = DeltaFamily(chain)
     lim = chain.per_limit.limit
@@ -108,7 +108,7 @@ def test_lifted_retraction_projection_against_pointwise_reference():
     def r(x):
         return fam.retract(1, x)
 
-    lifted = exp_fixed_embedding(B, Embedding(lim, lim, r, r))
+    lifted = exp_map(identity_embedding(B), TokenMap(lim, lim, r))
     checked = 0
     for t in lim.tokens(3).tokens:
         spl = chain.iso.unfolded.split(chain.iso.fwd(t))
@@ -116,7 +116,7 @@ def test_lifted_retraction_projection_against_pointwise_reference():
             continue
         phi = spl[1]
         expected = fb.from_function(lambda p: r(fb.apply(phi, p)))
-        assert lifted.proj(phi) == expected, phi.pretty
+        assert lifted(phi) == expected, phi.pretty
         checked += 1
     assert checked > 10
 

@@ -13,7 +13,7 @@ from domania.basis import (
     tok,
 )
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
-from domania.construct import Embedding, identity_embedding, verify_embedding
+from domania.construct import Embedding, TokenMap, identity_embedding, verify_embedding
 from domania.errors import IncoherentChain, NotTotal, NotUniform
 from domania.per import (
     DomainPer,
@@ -32,7 +32,7 @@ from domania.per import (
     uniform_limit_map,
     weak_iso_check,
 )
-from domania.ordinals import OMEGA, fin
+from domania.ordinals import OMEGA, fin, omega_plus
 from domania.oracles import all_pers, per_preservation_suite
 from domania.perlfp import apply_functor_per, per_chain_extend
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, omega_chain
@@ -432,22 +432,30 @@ def test_reflection_class_certificate_matches_pairwise_scan():
 
 
 def test_oracle_backs_the_ep_pair_rule_by_brute_force(monkeypatch):
-    # a product projection that sends the image of a half-defined pair (one
-    # component bottom) back to bottom: proj . fwd is no identity, yet on
-    # the pairs the suite closes no per clause sees it, so only the suite's
-    # own ep-pair check fails the closure entry
-    prod_embedding = oracles.prod_embedding
+    # a product of projections that sends the image of a half-defined pair
+    # (one component bottom) back to bottom: proj . fwd is no identity, yet
+    # on the pairs the suite closes no per clause sees it, so only the
+    # suite's own ep-pair check fails the closure entry
+    enumerate_embeddings, prod_map = oracles.enumerate_embeddings, oracles.prod_map
+    projections = set()
+
+    def listing(src, tgt):
+        out = enumerate_embeddings(src, tgt)
+        projections.update(e.proj_map for e in out)
+        return out
 
     def broken(f, g):
-        e = prod_embedding(f, g)
+        m = prod_map(f, g)
+        if f not in projections:
+            return m
 
-        def proj(t):
-            x, y = e.source.split(e.proj(t))
-            if (x == f.source.bottom) != (y == g.source.bottom):
-                return e.source.bottom
-            return e.proj(t)
+        def fn(t):
+            x, y = m.target.split(m(t))
+            if (x == f.target.bottom) != (y == g.target.bottom):
+                return m.target.bottom
+            return m(t)
 
-        return Embedding(e.source, e.target, e.fwd, proj)
+        return TokenMap(m.source, m.target, fn)
 
     def closure_entries():
         return {
@@ -456,7 +464,8 @@ def test_oracle_backs_the_ep_pair_rule_by_brute_force(monkeypatch):
             if name.endswith("equiembedding-closure")
         }
 
-    monkeypatch.setattr(oracles, "prod_embedding", broken)
+    monkeypatch.setattr(oracles, "enumerate_embeddings", listing)
+    monkeypatch.setattr(oracles, "prod_map", broken)
     assert closure_entries() == {
         "sum-prod-equiembedding-closure": False,
         "exp-equiembedding-closure": True,
@@ -562,7 +571,7 @@ def _embedding_from_keys(src, tgt, mapping):
         below = [p for p in src.tokens().tokens if tgt.leq(fwd(p), q)]
         return src.lub(below) if below else src.bottom
 
-    return Embedding(src, tgt, fwd, proj)
+    return Embedding(TokenMap(src, tgt, fwd), TokenMap(tgt, src, proj))
 
 
 def test_reflection_counterexample_found_by_search():
@@ -715,8 +724,14 @@ def test_uniform_limit_map_identity_and_swap():
     sb = s.carrier
     swap = swap_summands(sb)
 
+    # the swap is its own inverse: both limit maps are built and the pair
+    # checked, as the independence report does; limit totals are never
+    # exact, so only a False would refute it
     fam = [PerMap(s, s, swap, name="swap")] * 3
-    phi = uniform_limit_map(fam, pl, pl, chi_family=fam)
+    phi = uniform_limit_map(fam, pl, pl)
+    chi = uniform_limit_map(fam, pl, pl)
+    assert weak_iso_check(phi, chi, 2).holds is not False
+    assert all(chi(phi(x)) == x for x in pl.per.totals(2)[0])
     assert phi(t) == pl.limit.canonical(0, sb.inject(1, TOP))
 
 
@@ -733,6 +748,24 @@ def test_uniform_limit_map_rejects_nonuniform_family():
     with pytest.raises(NotUniform) as ei:
         uniform_limit_map(fam, pl, pl)
     assert ei.value.stage == 2
+
+
+def test_staged_function_values_list_each_value_once():
+    # [B -> X_omega] of the running example: the values a non-total point
+    # takes are bottom, then the fragment below each body representative,
+    # each once and in order of first appearance; bottom and the shared
+    # lower values lie below several representatives
+    env = {"A": osier(), "B": osier()}
+    chain = per_chain_extend(RUNNING, env, omega_plus(1), n_finite=4)
+    rel = chain.unfolded[0].rel.parts[1].rel
+    body = rel.body_per.carrier
+    reps, _ = rel.body_per.representatives(4)
+    values, exact = rel._values(reps, 4)
+    frag = body.tokens(4).tokens
+    listed = [body.bottom] + [t for v in reps for t in frag if body.leq(t, v)]
+    assert len(listed) > len(set(listed))
+    assert list(values()) == list(dict.fromkeys(listed))
+    assert exact is False
 
 
 def test_class_count_reads_the_held_classes(monkeypatch):

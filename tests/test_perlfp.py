@@ -4,7 +4,14 @@ import pytest
 
 from domania import perlfp
 from domania.basis import Checks, Token, Verdict, tok
-from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
+from domania.builtins import (
+    discrete_per,
+    flatbool_per,
+    flatnat_per,
+    sierpinski_per,
+    trivial_per,
+)
+from domania.construct import TokenMap, fun_basis
 from domania.errors import NotAnAlgebra, TrivialParameter
 from domania.ordinals import OMEGA, fin, omega_plus
 from domania.cli import _stage_rows_for_chain, build_parser, cmd_counterexample
@@ -33,6 +40,7 @@ from domania.perlfp import (
     stabilization_probe,
 )
 from domania.spfunctor import (
+    MAPS,
     ConstD,
     Exp,
     Id,
@@ -157,12 +165,12 @@ def test_forward_tags_agree_with_the_projection_walk(name):
         raise AssertionError("projection walk")
 
     limit = LimitBasis(stages)
-    projections = [stage.embed_from_prev._proj for stage in stages[1:]]
+    projections = [stage.embed_from_prev.proj_map for stage in stages[1:]]
     for stage in stages[1:]:
-        stage.embed_from_prev._proj = forbidden
+        stage.embed_from_prev.proj_map = forbidden
     toks = limit.tokens()
     for (stage, proj) in zip(stages[1:], projections):
-        stage.embed_from_prev._proj = proj
+        stage.embed_from_prev.proj_map = proj
     walk = LimitBasis(stages)
     want = []
     for (n, stage) in enumerate(stages):
@@ -492,6 +500,59 @@ def test_counterexample_phi_trivial_parameter():
         cmd_counterexample(args)
 
 
+def _step_image(B, h):
+    """[id_B -> h] by the step-image rule F's exponent action replaced: each
+    step (p, q) goes to (p, h(q)); it holds for maps that preserve joins."""
+    src, tgt = fun_basis(B, h.source), fun_basis(B, h.target)
+    return TokenMap(
+        src, tgt, lambda t: tgt.make([(p, h(q)) for (p, q) in src.pairs(t)])
+    )
+
+
+# F on forward maps with the step-image rule at every exponent
+STEP_IMAGE_MAPS = MAPS[:3] + (_step_image,)
+
+# (equation, parameters, last stage): links up to stage 4, or up to stage 3
+# where listing stage 3, the source of link 4, runs away
+EXP_ACTION_CASES = {
+    **{name: (expr, env, 4) for (name, (expr, env)) in RULE_CASES.items()},
+    "flatnat": (FLATNAT_EQ, flatnat_env, 4),
+    "product-body": (
+        Sum(ConstD("A"), Exp("B", Prod(Id(), Id()))), running_env, 3
+    ),
+    "flatbool-exponent": (
+        Sum(ConstD("A"), Exp("FB", Id())),
+        lambda: {"A": sierpinski_per(), "FB": flatbool_per()},
+        4,
+    ),
+    "discrete-product": (
+        Sum(Prod(ConstD("D"), Exp("B", Id())), ConstD("A")),
+        lambda: {"A": sierpinski_per(), "B": sierpinski_per(), "D": discrete_per(2)},
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXP_ACTION_CASES))
+def test_exponent_action_agrees_with_the_step_image_rule(name):
+    # each link past the first is F on the link below; F's exponent action
+    # post-composes on the premise closure, and on an embedding's forward
+    # map it gives the step image, token for token
+    expr, env, last = EXP_ACTION_CASES[name]
+    carriers = {k: p.carrier for (k, p) in env().items()}
+    stages = omega_chain(expr, carriers, last)
+    checked = 0
+    for n in range(2, last + 1):
+        below = stages[n - 1].embed_from_prev.fwd_map
+        rule = functor_action(expr, below, carriers, STEP_IMAGE_MAPS)
+        link = stages[n].embed_from_prev
+        basis = stages[n - 1].basis
+        for t in basis.tokens(None if basis.finite else 3).tokens:
+            assert link.fwd(t) == rule(t), (n, t.pretty)
+            checked += 1
+    assert checked > 0
+
+
 def test_flatnat_chain_not_stabilized():
     chain = per_chain_extend(FLATNAT_EQ, flatnat_env(8), omega_plus(1), n_finite=6)
     v = stabilization_probe(chain, rank_bound=4)
@@ -515,8 +576,8 @@ def test_mediating_morphism_identity_family():
     assert report.coherent and report.morphism_law_ok
     for n in (0, 1, 2):
         emb = chain.per_limit.limit.stage_embedding(n)
-        for t in report.maps[n].emb.source.tokens().tokens:
-            assert report.maps[n].emb.fwd(t) == emb.fwd(t)
+        for t in report.maps[n].source.tokens().tokens:
+            assert report.maps[n](t) == emb.fwd(t)
 
 
 def test_mediating_morphism_two_step_unrolling():
@@ -528,8 +589,31 @@ def test_mediating_morphism_two_step_unrolling():
     report = mediating_algebra_morphism(RUNNING, env, (chain.per_limit.per, fold), upto=2, bound=2)
     h2 = report.maps[2]
     lim = chain.per_limit.limit
-    for t in h2.emb.source.tokens().tokens:
-        assert h2.emb.fwd(t) == lim.canonical(2, t)
+    for t in h2.source.tokens().tokens:
+        assert h2(t) == lim.canonical(2, t)
+
+
+def test_mediating_morphism_into_an_algebra_that_identifies_classes():
+    # g folds A + E onto E = Sierpinski, sending both summands' top to top:
+    # h_2 sends two stage-2 classes to one class, so it is no embedding,
+    # yet it is a morphism of pers, an equivariant map
+    expr = Sum(ConstD("A"), Id())
+    env = {"A": sierpinski_per()}
+    E = sierpinski_per()
+    FE = apply_functor_per(expr, E, env)
+
+    def fold(v):
+        spl = FE.carrier.split(v)
+        return E.carrier.bottom if spl is None else spl[1]
+
+    report = mediating_algebra_morphism(expr, env, (E, PerMap(FE, E, fold)), upto=2)
+    assert report.coherent and report.morphism_law_ok
+    stage2 = apply_functor_per(expr, apply_functor_per(expr, trivial_per(), env), env)
+    h2 = report.maps[2]
+    x, y = stage2.classes()[0]
+    assert [len(c) for c in (x, y)] == [1, 1]
+    assert stage2.related(x[0], y[0]) is False
+    assert E.related(h2(x[0]), h2(y[0])) is True
 
 
 def test_mediating_rejects_non_equivariant_algebra():
@@ -597,7 +681,7 @@ def test_mediating_morphism_unique_on_fragment():
     report = mediating_algebra_morphism(expr, env, (chain.per_limit.per, fold), upto=1, bound=2)
     assert report.coherent and report.morphism_law_ok
     h1 = report.maps[1]
-    d1 = h1.emb.source
+    d1 = h1.source
     d1_toks = list(d1.tokens().tokens)
     lim = chain.per_limit.limit
     sum_carrier = chain.iso.unfolded
@@ -629,7 +713,7 @@ def test_mediating_morphism_unique_on_fragment():
         if law_holds(cand):
             matches += 1
             for t in d1_toks:
-                assert cand[t.key] == h1.emb.fwd(t)
+                assert cand[t.key] == h1(t)
     assert matches == 1
 
 

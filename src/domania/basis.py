@@ -114,10 +114,10 @@ class Frozen:
 
 
 class TokenSet(Frozen):
-    """Result of a bounded token enumeration."""
+    """Result of a bounded token enumeration, and whether it is complete."""
 
-    def __init__(self, tokens: Tuple[Token, ...], truncated: bool):
-        vars(self).update(tokens=tokens, truncated=truncated)
+    def __init__(self, tokens: Tuple[Token, ...], exact: bool):
+        vars(self).update(tokens=tokens, exact=exact)
 
     def __iter__(self):
         return iter(self.tokens)
@@ -278,7 +278,7 @@ class FiniteBasis(Basis):
         return result
 
     def tokens(self, bound=None) -> TokenSet:
-        return TokenSet(self._tokens, False)
+        return TokenSet(self._tokens, True)
 
 
 def mk_finite_basis(elements, order_pairs, name="basis") -> FiniteBasis:
@@ -358,7 +358,7 @@ def check_domain_axioms(basis: Basis, bound: Optional[int] = None) -> Checks:
     """
     ts = basis.tokens(bound)
     toks = list(ts.tokens)
-    bound = bound if ts.truncated else None
+    bound = None if ts.exact else bound
     report = Checks()
 
     def add(name, bad):
@@ -388,7 +388,7 @@ def check_domain_axioms(basis: Basis, bound: Optional[int] = None) -> Checks:
     bad = None
     for a, b in itertools.combinations(toks, 2):
         has_ub = any(basis.leq(a, u) and basis.leq(b, u) for u in toks)
-        if basis.cons((a, b)) != has_ub and not ts.truncated:
+        if basis.cons((a, b)) != has_ub and ts.exact:
             bad = (a, b)
         if has_ub:
             u = basis.lub((a, b))
@@ -527,5 +527,5 @@ class FlatNatBasis(Basis):
     def tokens(self, bound=None) -> TokenSet:
         n = 8 if bound is None else bound
         return TokenSet(
-            (self._bottom,) + tuple(self.nat(i) for i in range(n)), True
+            (self._bottom,) + tuple(self.nat(i) for i in range(n)), False
         )

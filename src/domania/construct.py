@@ -198,12 +198,12 @@ class MultiSumBasis(Basis):
 
     def _enumerate(self, bound):
         toks = [self._bottom]
-        truncated = False
+        exact = True
         for i, part in enumerate(self.parts):
             ts = part.tokens(bound)
-            truncated = truncated or ts.truncated
+            exact = exact and ts.exact
             toks.extend(self.inject(i, t) for t in ts.tokens)
-        return TokenSet(tuple(toks), truncated)
+        return TokenSet(tuple(toks), exact)
 
 
 def sum_basis(D: Basis, E: Basis) -> MultiSumBasis:
@@ -281,7 +281,7 @@ class ProdBasis(Basis):
                 if self.strict and (x == self.left.bottom) != (y == self.right.bottom):
                     continue
                 toks.append(self.pair(x, y))
-        return TokenSet(tuple(toks), ls.truncated or rs.truncated)
+        return TokenSet(tuple(toks), ls.exact and rs.exact)
 
 
 def prod_basis(D: Basis, E: Basis) -> ProdBasis:
@@ -397,7 +397,7 @@ class FunBasis(Basis):
     def tokens(self, bound=None):
         if bound not in self._tokens:
             if self.finite and bound is None:
-                self._tokens[bound] = TokenSet(self._enumerate_all(), False)
+                self._tokens[bound] = TokenSet(self._enumerate_all(), True)
             else:
                 # a bound asks for the bounded view, on a finite basis too;
                 # avoids materialising huge function spaces
@@ -406,20 +406,18 @@ class FunBasis(Basis):
 
     def _enumerate_all(self):
         vals = self.values.tokens().tokens
-        out = []
-        self.monotone_maps(
-            lambda p: vals,
-            lambda a: out.append(self.from_function(lambda p: a[p])),
+        return tuple(
+            self.from_function(lambda p: a[p])
+            for a in self.monotone_maps(lambda p: vals)
         )
-        return tuple(out)
 
-    def monotone_maps(self, candidates, visit) -> bool:
-        """Depth-first over the monotone maps from the exponent tokens into the
-        values, point p ranging over candidates(p); each map is visited once.
-        The points are walked in a linear extension, fewest tokens below
-        first and ties in token order, so each point is checked only against
-        its lower points, listed once.  visit(assignment) runs at each
-        complete map; a True return stops the search, and is returned."""
+    def monotone_maps(self, candidates):
+        """Yield each monotone map from the exponent tokens into the values,
+        point p ranging over candidates(p), once, depth first.  The points
+        are walked in a linear extension, fewest tokens below first and ties
+        in token order, so each point is checked only against its lower
+        points, listed once.  Each map is a fresh dict, point -> value, and
+        candidates(p) is asked only when the search reaches p."""
         exp, values = self.exponent, self.values
         toks = exp.tokens().tokens
         order = sorted(toks, key=lambda t: sum(1 for u in toks if exp.leq(u, t)))
@@ -428,14 +426,13 @@ class FunBasis(Basis):
 
         def rec(i):
             if i == len(order):
-                return visit(assignment)
+                yield dict(assignment)
+                return
             p = order[i]
             for v in candidates(p):
                 if all(values.leq(assignment[u], v) for u in lower[i]):
                     assignment[p] = v
-                    if rec(i + 1):
-                        return True
-            return False
+                    yield from rec(i + 1)
 
         return rec(0)
 
@@ -452,7 +449,7 @@ class FunBasis(Basis):
             for combo in cands
             if stepset_consistent([combo], D, E)
         ]
-        return TokenSet(tuple(dict.fromkeys(toks)), True)
+        return TokenSet(tuple(dict.fromkeys(toks)), False)
 
 
 def fun_basis(D: Basis, E: Basis) -> FunBasis:

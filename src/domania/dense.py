@@ -54,7 +54,7 @@ class KeptBasis(Basis):
     def tokens(self, bound=None):
         base = self.parent.tokens(bound)
         return TokenSet(
-            tuple(t for t in base.tokens if self.kept(t)), base.truncated
+            tuple(t for t in base.tokens if self.kept(t)), base.exact
         )
 
 

@@ -39,10 +39,14 @@ One total per class, its representative, is built by the quotient rule
 where it applies: the quotient of a sum, product or function-space per is
 the sum, product or exponential of the quotients. `SumRel` injects its
 parts' representatives, `ProdRel` pairs them, and `FunRel` keeps, for each
-tuple of body representatives, one per exponent class, the first monotone
-map it finds that is related to itself. `FunRel` has no rule over an
-infinite exponent or when the exponent's totals are not exhaustive, as then
-no map is total. `LimitRel` groups the tags of its stages' representatives.
+tuple of body representatives, one per exponent class, the first map its
+one search for self-related monotone maps finds; its totals list that
+search in full. A point outside the exponent's totals takes its values
+from one lazy pool, bottom first and the rest of the body only when the
+search asks past bottom, so a class search lists no carrier it does not
+read. `FunRel` has no rule over an infinite exponent or when the exponent's
+totals are not exhaustive, as then no map is total. `LimitRel` groups the
+tags of its stages' representatives.
 An unknown verdict needs no fallback: True verdicts are symmetric and
 transitive and totals are self-related, so an unknown verdict separates two
 classes, in the quotient as in the totals. Where no rule applies, and
@@ -313,15 +317,13 @@ class FunRel(StructuralRel):
             # fragment is a sample and is flagged as such via exact=False
             body_totals, bt_exact = self.body_per.representatives(bound)
         values, vex = self._values(body_totals, bound)
-        vals = list(values())
         exp_totals = set(self.exp_per.totals(bound)[0])
         # distinct monotone maps have distinct canonical step sets
-        out = []
-        self.basis.monotone_maps(
-            lambda p: body_totals if p in exp_totals else vals,
-            lambda a: out.append(self.basis.from_function(lambda p: a[p])),
+        out = list(
+            self._total_maps(
+                lambda p: body_totals if p in exp_totals else values(), bound
+            )
         )
-        out = [t for t in out if self.related(t, t, bound) is True]
         # over inexact exponent totals no f ~ f is True, so the list says nothing
         return out, vex and bt_exact and self.exp_per.totals(bound)[1]
 
@@ -330,7 +332,8 @@ class FunRel(StructuralRel):
         class is a tuple of body classes, one per exponent class, that some
         monotone map realises; the first map found that is related to itself
         represents it. Total points try the representative first, then (over
-        a finite body) the rest of its class as the search asks."""
+        a finite body) the rest of its class, which the search lists only
+        when it gets there."""
         exp, body = self.exp_per, self.body_per
         if not (self.basis.exponent.finite and exp.totals(bound)[1]):
             return None
@@ -352,42 +355,47 @@ class FunRel(StructuralRel):
                     if v != r and body.related(r, v, bound) is True:
                         yield v
 
-        def keep(a):
+        found = (
+            next(self._total_maps(
+                lambda p: members(choice[index[p]]) if p in index else values(),
+                bound,
+            ), None)
+            for choice in product(body_reps, repeat=len(exp_reps))
+        )
+        return [f for f in found if f is not None], vex and body_exact
+
+    def _total_maps(self, candidates, bound):
+        """The maps of `FunBasis.monotone_maps(candidates)` that are related
+        to themselves, as tokens, in its order."""
+        for a in self.basis.monotone_maps(candidates):
             f = self.basis.from_function(lambda p: a[p])
             if self.related(f, f, bound) is True:
-                reps.append(f)
-                return True
-
-        reps = []
-        for choice in product(body_reps, repeat=len(exp_reps)):
-            self.basis.monotone_maps(
-                lambda p: members(choice[index[p]]) if p in index else values(),
-                keep,
-            )
-        return reps, vex and body_exact
+                yield f
 
     def _values(self, reps, bound):
         """`(values, exact)`: `values()` iterates what non-total points take:
-        every value of a finite body; of a staged body, bottom, then the
-        fragment values below one of `reps`, each once in order of first
-        appearance, made as asked for and never exact.  The fragment is
-        listed only when the search asks past bottom, which a probe that
-        finds a map at once never does."""
+        bottom, then each other token of a finite body, or of a staged body
+        each fragment token below one of `reps`, each once, in order of
+        first appearance.  The rest is listed only when the search asks past
+        bottom, which a search that finds a map at once never does.  The
+        pool is exact exactly when the body is finite."""
         body = self.body_per.carrier
-        if body.finite:
-            vals, exact = self.body_per.carrier_tokens(None)
-            return (lambda: vals), exact
+
+        def rest():
+            if body.finite:
+                return body.tokens().tokens
+            frag = body.tokens(bound).tokens
+            return (t for v in reps for t in frag if body.leq(t, v))
 
         def pool():
             seen = {body.bottom}
             yield body.bottom
-            frag = body.tokens(bound).tokens
-            for t in (t for v in reps for t in frag if body.leq(t, v)):
+            for t in rest():
                 if t not in seen:
                     seen.add(t)
                     yield t
 
-        return pool, False
+        return pool, body.finite
 
 
 class LimitRel(StructuralRel):
@@ -530,12 +538,9 @@ class DomainPer:
 
         return self._cached("representatives", bound, derive)
 
-    def is_total(self, a, bound=None):
-        return self.related(a, a, bound)
-
     def carrier_tokens(self, bound=None):
         ts = self.carrier.tokens(bound)
-        return list(ts.tokens), not ts.truncated
+        return list(ts.tokens), ts.exact
 
     def class_of(self, x, bound=None):
         """x and the members of the enumerated class related to it."""
@@ -683,7 +688,7 @@ def has_total_extension(P: DomainPer, p: Token, bound=None) -> Verdict:
 
 def prec_check(P: DomainPer, p: Token, x, bound=None) -> bool:
     """p approximates the class of x: some y ~ x lies above p."""
-    if P.is_total(x, bound) is not True:
+    if P.related(x, x, bound) is not True:
         raise NotTotal(f"{x.pretty} is not total", witness=x)
     return any(P.carrier.leq(p, y) for y in P.class_of(x, bound))
 

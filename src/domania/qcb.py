@@ -245,13 +245,7 @@ def recovered_pseudobase(rep: StandardRep) -> List[frozenset]:
         )
         if image:
             out.append(image)
-    seen = set()
-    uniq = []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def class_topology(per: DomainPer):

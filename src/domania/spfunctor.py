@@ -297,7 +297,7 @@ class LimitBasis(Basis):
                 stage = self.stages[n].basis
                 return stage.tokens(None if stage.finite else bound).tokens
 
-            self._tokens[bound] = TokenSet(self.tagged(bound, stage_tokens), True)
+            self._tokens[bound] = TokenSet(self.tagged(bound, stage_tokens), False)
         return self._tokens[bound]
 
     def tagged(self, bound, values_at) -> Tuple[Token, ...]:
@@ -326,7 +326,7 @@ class LimitBasis(Basis):
         if n not in self._images:
             below = self.stages[n - 1].basis if n > 0 else None
             ts = below.tokens() if below is not None and below.finite else None
-            if ts is None or ts.truncated:
+            if ts is None or not ts.exact:
                 self._images[n] = None
             else:
                 fwd = self.stages[n].embed_from_prev.fwd

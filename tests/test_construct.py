@@ -85,19 +85,21 @@ def test_monotone_maps_match_the_brute_force_reference():
         D, E = catalog_basis(dn), catalog_basis(en)
         fb = fun_basis(D, E)
         every = lambda p: E.tokens().tokens
-        found = []
-        stopped = fb.monotone_maps(
-            every, lambda a: found.append(frozenset((p.key, v.key) for p, v in a.items()))
-        )
+        found = [
+            frozenset((p.key, v.key) for p, v in a.items())
+            for a in fb.monotone_maps(every)
+        ]
         expected = enumerate_monotone_maps(poset_of_basis(D), poset_of_basis(E))
-        assert stopped is False
         # each map exactly once, and no other
         assert len(found) == len(set(found)) == len(expected), (dn, en)
         assert set(found) == {frozenset(f.items()) for f in expected}, (dn, en)
-        # a True from visit stops the search after the first map
-        visits = []
-        assert fb.monotone_maps(every, lambda a: visits.append(dict(a)) or True)
-        assert len(visits) == 1
+        # next() stops the search at the first map, having asked for the
+        # candidates of each point once, along the first branch only
+        asked = []
+        counting = lambda p: asked.append(p) or E.tokens().tokens
+        first = next(fb.monotone_maps(counting))
+        assert frozenset((p.key, v.key) for p, v in first.items()) == found[0]
+        assert sorted(asked, key=repr) == sorted(D.tokens().tokens, key=repr)
 
 
 def test_fun_tokens_order_isomorphic_to_pointwise_order():

@@ -768,6 +768,24 @@ def test_staged_function_values_list_each_value_once():
     assert exact is False
 
 
+def test_stage_class_count_does_not_list_the_stage_below(monkeypatch):
+    # stage 5 of the running example: its [B -> X_4] classes are found from
+    # stage 4's representatives and bottom, so counting them never lists
+    # stage 4's 410 tokens in full
+    env = {"A": osier(), "B": osier()}
+    chain = per_chain_extend(RUNNING, env, omega_plus(1), n_finite=5)
+    stage4 = chain.stages[4][1].carrier
+    listed = stage4.tokens
+
+    def bounded_only(bound=None):
+        if bound is None:
+            raise AssertionError("stage 4 listed in full")
+        return listed(bound)
+
+    monkeypatch.setattr(stage4, "tokens", bounded_only)
+    assert chain.stages[5][1].class_count(4) == (5, True)
+
+
 def test_class_count_reads_the_held_classes(monkeypatch):
     # stage 3 of A + [N -> X]: once the classes are held, counting them
     # groups nothing again, the [N -> X] part's own totals included

@@ -132,7 +132,7 @@ def test_limit_of_constant_chain():
     lim = LimitBasis(stages)
     toks = lim.tokens()
     assert len(toks) == 2
-    assert toks.truncated
+    assert not toks.exact
 
 
 def test_limit_canonical_token_count():
@@ -279,8 +279,8 @@ def test_bounded_tokens_do_not_depend_on_earlier_calls():
     stage4 = omega_chain(RUNNING, ENV, 4)[4].basis
     fun = stage4.parts[1]
     before = (fun.tokens(3), stage4.tokens(3))
-    assert all(ts.truncated for ts in before)
-    assert len(fun.tokens()) == 407 and not fun.tokens().truncated
+    assert not any(ts.exact for ts in before)
+    assert len(fun.tokens()) == 407 and fun.tokens().exact
     assert len(stage4.tokens()) == 410
     assert (fun.tokens(3).tokens, stage4.tokens(3).tokens) == (
         before[0].tokens,

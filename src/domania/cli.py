@@ -59,11 +59,10 @@ from .spfunctor import ConstD, Exp, FunctorExpr, Id, Prod, Sum, subterms
 
 
 class EquationSource:
-    def __init__(self, decls: Dict[str, str], var: str, expr: FunctorExpr, text: str):
+    def __init__(self, decls: Dict[str, str], var: str, expr: FunctorExpr):
         self.decls = decls  # parameter name -> source text
         self.var = var
         self.expr = expr
-        self.text = text
 
 
 _TOKEN_RE = re.compile(
@@ -75,7 +74,6 @@ _TOKEN_RE = re.compile(
 class _Lexer:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.toks = []
         self._lex()
         self.i = 0
@@ -169,7 +167,7 @@ def parse_equation(text: str) -> EquationSource:
     kind, value, line, col = lex.peek()
     if kind != "eof":
         raise EquationSyntaxError(f"trailing input {value!r}", line=line, col=col)
-    return EquationSource(decls, var, expr, text)
+    return EquationSource(decls, var, expr)
 
 
 def _parse_source(lex: _Lexer) -> str:

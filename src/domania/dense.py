@@ -17,8 +17,7 @@ from .spfunctor import MAPS, ConstD, Exp, Id, Prod, Sum, carrier_table, functor_
 
 
 class DensePart:
-    def __init__(self, parent: DomainPer, kept: Callable[[Token], bool], per: DomainPer):
-        self.parent = parent
+    def __init__(self, kept: Callable[[Token], bool], per: DomainPer):
         self.kept = kept
         self.per = per
 
@@ -63,7 +62,7 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
     ts, _ = P.totals(bound)
     if not ts:
         triv = trivial_per()
-        return DensePart(P, lambda t: t == triv.carrier.bottom, triv)
+        return DensePart(lambda t: t == triv.carrier.bottom, triv)
 
     verdicts: Dict[Token, bool] = {}
 
@@ -80,7 +79,7 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
         replace(P.flags, dense=True),
         name=(P.name or P.carrier.name) + "^d",
     )
-    return DensePart(P, kept, per)
+    return DensePart(kept, per)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,14 @@
 an equation, the one-step evaluation map and its lower adjoint, iterated
 evaluation against input sequences, evaluation trees, and the weak
 isomorphism between the fixed point and its dense image in a function space
-of admissible shape."""
+of admissible shape.
+
+A lower adjoint preserves every join that exists, so the lower adjoint of a
+step set is the join of its value on each step, and one step is one walk
+down the equation.  The curried evaluation's adjoint decorates an
+evaluation tree from the leaves up: a maximal node holds the parameter
+value its results join to, and every other node the one-step adjoint of
+the steps its children make."""
 
 from __future__ import annotations
 
@@ -124,6 +131,14 @@ def find_witness(
 # one-step evaluation: eta and theta
 
 
+def _side(expr, offset: int, i: int):
+    """Side i of a sum or product, with the index of its first atomic
+    subfunctor when expr's first one sits at offset."""
+    if i == 0:
+        return expr.left, offset
+    return expr.right, offset + len(atomic_subfunctors(expr.left))
+
+
 class EtaSystem:
     """Bundles the input per, the indexed codomain, and the one-step maps
     for a built dense least fixed point."""
@@ -150,12 +165,6 @@ class EtaSystem:
                 "evaluation machinery needs a finite input carrier"
             )
 
-        self.d_per = DomainPer(
-            self.chain.per_limit.limit,
-            self.chain.per_limit.per.rel,
-            self.lfp.per.flags,
-            name="lfp",
-        )
         parts = []
         self.const_positions = []
         for k, sub in enumerate(self.K):
@@ -163,7 +172,7 @@ class EtaSystem:
                 parts.append(self.env[sub.name])
                 self.const_positions.append(k)
             else:
-                parts.append(self.d_per)
+                parts.append(self.chain.per_limit.per)
         self.codomain_per = multi_sum_per(parts, name="usumK")
         self.codomain = self.codomain_per.carrier
         self.unfolded_per = self.chain.unfolded[0]
@@ -190,19 +199,16 @@ class EtaSystem:
             if spl is None:
                 return self.codomain.bottom
             i, xi = spl
-            t0, t1 = tin.split(t)
-            off = offset if i == 0 else offset + len(atomic_subfunctors(expr.left))
-            return self._eval(
-                (expr.left, expr.right)[i], off, xi, (t0, t1)[i]
-            )
+            sub, off = _side(expr, offset, i)
+            return self._eval(sub, off, xi, tin.split(t)[i])
         if isinstance(expr, Prod):
             x0, x1 = carrier.split(x)
             spl = tin.split(t)
             if spl is None:
                 return self.codomain.bottom
             i, ti = spl
-            off = offset if i == 0 else offset + len(atomic_subfunctors(expr.left))
-            return self._eval((expr.left, expr.right)[i], off, (x0, x1)[i], ti)
+            sub, off = _side(expr, offset, i)
+            return self._eval(sub, off, (x0, x1)[i], ti)
         if isinstance(expr, Exp):
             t0, t1 = tin.split(t)
             return self._eval(expr.body, offset, carrier.apply(x, t0), t1)
@@ -231,71 +237,46 @@ class EtaSystem:
             )
         return self._theta(self.expr, 0, pairs)
 
-    def _block(self, expr, offset):
-        return range(offset, offset + len(atomic_subfunctors(expr)))
-
     def _theta(self, expr, offset, pairs) -> Token:
+        """The lower adjoint at sub-term expr: a lower adjoint preserves
+        joins, so the step set's image is the join, in expr's carrier, of
+        `_step` over its steps whose value is not bottom, and the carrier's
+        bottom when there is none."""
+        return self._carriers[id(expr)].lub([
+            self._step(expr, offset, p, q)
+            for (p, q) in pairs
+            if q != self.codomain.bottom
+        ])
+
+    def _step(self, expr, offset, p, q) -> Token:
+        """The least value at sub-term expr whose one-step map sends the
+        input p to at least q: a leaf holds q's inner value, a sum takes
+        the side q's tag names, a product the side the premise names (the
+        other factor stays bottom), and an exponential the single step
+        from the premise's exponent part."""
+        if isinstance(expr, (Id, ConstD)):
+            return self.codomain.split(q)[1]
         carrier = self._carriers[id(expr)]
         tin = self._input_carriers[id(expr)]
-        live = [(p, q) for (p, q) in pairs if q != self.codomain.bottom]
-        if isinstance(expr, (Id, ConstD)):
-            vals = []
-            for (_, q) in live:
-                spl = self.codomain.split(q)
-                i, inner = spl
-                vals.append(inner)
-            part = (
-                self.env[expr.name].carrier
-                if isinstance(expr, ConstD)
-                else self.chain.per_limit.limit
-            )
-            return part.lub(vals) if vals else part.bottom
         if isinstance(expr, Sum):
-            tags = set()
-            for (_, q) in live:
-                i, _ = self.codomain.split(q)
-                tags.add(0 if i in self._block(expr.left, offset) else 1)
-            if len(tags) != 1:
-                raise NotWitnessed(
-                    "values straddle both summands", witness=live
-                )
-            i = tags.pop()
-            sub = (expr.left, expr.right)[i]
-            off = offset if i == 0 else offset + len(atomic_subfunctors(expr.left))
-            joins = []
-            idxs = list(range(len(live)))
-            for r in range(1, len(idxs) + 1):
-                for combo in itertools.combinations(idxs, r):
-                    prem = [live[j][0] for j in combo]
-                    if not tin.cons(prem):
-                        continue
-                    sub_pairs = [
-                        (tin.split(live[j][0])[i], live[j][1]) for j in combo
-                    ]
-                    joins.append(self._theta(sub, off, sub_pairs))
-            part = self._carriers[id(sub)]
-            return carrier.inject(i, part.lub(joins))
+            k = self.codomain.split(q)[0]
+            i = int(k >= offset + len(atomic_subfunctors(expr.left)))
+            sub, off = _side(expr, offset, i)
+            return carrier.inject(i, self._step(sub, off, tin.split(p)[i], q))
         if isinstance(expr, Prod):
-            groups = {0: [], 1: []}
-            for (p, q) in live:
-                spl = tin.split(p)
-                i, pi = spl
-                groups[i].append((pi, q))
-            offs = (offset, offset + len(atomic_subfunctors(expr.left)))
-            lx = self._theta(expr.left, offs[0], groups[0])
-            rx = self._theta(expr.right, offs[1], groups[1])
-            return carrier.pair(lx, rx)
+            spl = tin.split(p)
+            if spl is None:
+                raise NotWitnessed(
+                    "a bottom premise would fire in both factors", witness=q
+                )
+            i, pi = spl
+            sub, off = _side(expr, offset, i)
+            parts = [carrier.left.bottom, carrier.right.bottom]
+            parts[i] = self._step(sub, off, pi, q)
+            return carrier.pair(*parts)
         if isinstance(expr, Exp):
-            out_pairs = []
-            for (pj, _) in live:
-                pj0, _ = tin.split(pj)
-                sub_pairs = []
-                for (pk, qk) in live:
-                    pk0, pk1 = tin.split(pk)
-                    if self._carriers[id(expr)].exponent.leq(pk0, pj0):
-                        sub_pairs.append((pk1, qk))
-                out_pairs.append((pj0, self._theta(expr.body, offset, sub_pairs)))
-            return carrier.make(out_pairs)
+            p0, p1 = tin.split(p)
+            return carrier.make([(p0, self._step(expr.body, offset, p1, q))])
         raise TypeError(expr)
 
 
@@ -509,13 +490,16 @@ class EtaBarSystem:
         if not pairs:
             return self.eta.chain.per_limit.limit.bottom
         if witness is None and find_witness(
-            pairs, self.eta.d_per, self.u_per, self.e_per,
+            pairs, self.eta.chain.per_limit.per, self.u_per, self.e_per,
             lambda x, u: self.evaluate_zeta(x, u).result, bound,
         ) is None:
             raise NotWitnessed(
                 "no total certifies the compact within the bound", witness=q
             )
         live, nodes = self.build_tree(pairs)
+        children: Dict[tuple, list] = {}
+        for n in nodes:
+            children.setdefault(tuple(n[:-1]), []).append(n)
         decorations: Dict[tuple, Token] = {}
         # leaf-to-root: longer nodes first
         for node in sorted(nodes, key=len, reverse=True):
@@ -528,11 +512,8 @@ class EtaBarSystem:
                 decorations[key] = self.eta.codomain.inject(k_global, inner)
             else:
                 level = len(node)
-                children = [
-                    n for n in nodes if len(n) == level + 1 and n[:level] == node
-                ]
                 step_pairs = []
-                for ch in children:
+                for ch in children.get(key, ()):
                     prem = self.eta.T.lub(
                         [self.entry_at(live[j][0], level) for j in ch[level]]
                     )
@@ -543,9 +524,8 @@ class EtaBarSystem:
                 decorations[key] = self.eta.codomain.inject(
                     k_step, self.eta.iso.inv(inner)
                 )
-        roots = [n for n in nodes if len(n) == 1]
         root_pairs = []
-        for r in roots:
+        for r in children.get((), ()):
             prem = self.eta.T.lub([self.entry_at(live[j][0], 0) for j in r[0]])
             root_pairs.append((prem, decorations[tuple(r)]))
         return self.eta.iso.inv(self.eta._theta(self.eta.expr, 0, root_pairs))

@@ -253,6 +253,19 @@ def test_failing_pair_check_prints_both_totals(monkeypatch):
     assert row["witness"] == f"({x.pretty}, {y.pretty})"
 
 
+def test_eta_roundtrip_passes_when_a_step_misses_a_factor():
+    # X = A + X * (A + B): a step into the X factor leaves the (A + B)
+    # factor with no step, and that factor stays bottom
+    eq = "param A = sierpinski; param B = sierpinski; X = A + X * (A + B)"
+    code, text = run_command(["eta-roundtrip", "--eq", eq, "--rank-bound", "2"])
+    assert code == 0, text
+    checks = json.loads(text)["checks"]
+    assert [c["name"] for c in checks] == [
+        "evaluation-reflects-classes", "round-trip-fixed-point", "round-trip-image",
+    ]
+    assert {c["status"] for c in checks} == {"pass"}
+
+
 def test_qcb_separation_row_records_a_hypothesis():
     # a non-Hausdorff positive parameter fails the separation row, yet the
     # fixed point exists either way: the documented exception to exit 1

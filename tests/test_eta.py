@@ -5,7 +5,12 @@ import pytest
 from domania.basis import Token, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per
 from domania.dense import dense_lfp, dense_part
-from domania.errors import MalformedCode, NonDenseExponent, NotWitnessed
+from domania.errors import (
+    DomaniaError,
+    MalformedCode,
+    NonDenseExponent,
+    NotWitnessed,
+)
 from domania.eta import (
     EtaBarSystem,
     EtaSystem,
@@ -148,36 +153,168 @@ def test_theta_not_witnessed_within_bound():
     assert _eta_witness(eta, q, 4) is not None
 
 
-def test_adjunction_small():
-    # theta(q) <= r iff q <= eta(r) over small witnessed compacts
-    lfp = running_lfp(rank_bound=2, n_finite=3)
-    eta = EtaSystem(lfp)
+def _witnessed_compacts(eta, bound):
+    """The distinct witnessed compacts of one or two steps whose values
+    lie within the bound."""
     t_toks = list(eta.T.tokens().tokens)
-    cod_toks = list(eta.codomain.tokens(2).tokens)
-    r_toks = list(eta.unfolded.tokens(2).tokens)
-
+    cod_toks = list(eta.codomain.tokens(bound).tokens)
     cands = [(p, q) for p in t_toks for q in cod_toks if q != eta.codomain.bottom]
-    compacts = []
+    compacts = {}
     for size in (1, 2):
         for combo in itertools.combinations(cands, size):
             try:
                 tk = eta.fun_basis.make(list(combo))
             except Exception:
                 continue
-            if _eta_witness(eta, tk, 2) is not None:
-                compacts.append(tk)
-    seen = set()
-    compacts = [c for c in compacts if not (c.key in seen or seen.add(c.key))]
-    assert compacts
+            if tk.key not in compacts and _eta_witness(eta, tk, bound) is not None:
+                compacts[tk.key] = tk
+    return list(compacts.values())
+
+
+def _assert_adjunction(eta, compacts, bound):
+    """theta(q) <= r iff q <= eta(r), for each compact q and each r within
+    the bound; returns the number of pairs checked."""
     checked = 0
     for q in compacts:
-        tq = eta.theta(q, bound=2)
-        for r in r_toks:
+        tq = eta.theta(q, bound=bound)
+        for r in eta.unfolded.tokens(bound).tokens:
             lhs = eta.unfolded.leq(tq, r)
             rhs = eta.fun_basis.leq(q, eta.eta_token(r))
             assert lhs == rhs, (q.pretty, r.pretty)
             checked += 1
-    assert checked > 50
+    return checked
+
+
+def test_adjunction_small():
+    # theta(q) <= r iff q <= eta(r) over small witnessed compacts
+    lfp = running_lfp(rank_bound=2, n_finite=3)
+    eta = EtaSystem(lfp)
+    compacts = _witnessed_compacts(eta, 2)
+    assert compacts
+    assert _assert_adjunction(eta, compacts, 2) > 50
+
+
+def theta_subsets(eta, expr, offset, pairs):
+    """Slow reference for `EtaSystem._theta`: the join of the subset walk's
+    images over every premise-consistent subset of the live steps, with
+    the steps grouped by sum side, by product factor and below each
+    exponent premise."""
+    carrier = eta._carriers[id(expr)]
+    tin = eta._input_carriers[id(expr)]
+    live = [(p, q) for (p, q) in pairs if q != eta.codomain.bottom]
+
+    def block(sub, off):
+        return range(off, off + len(atomic_subfunctors(sub)))
+
+    if isinstance(expr, (Id, ConstD)):
+        vals = [eta.codomain.split(q)[1] for (_, q) in live]
+        return carrier.lub(vals) if vals else carrier.bottom
+    if isinstance(expr, Sum):
+        tags = {
+            0 if eta.codomain.split(q)[0] in block(expr.left, offset) else 1
+            for (_, q) in live
+        }
+        if len(tags) != 1:
+            raise NotWitnessed("values straddle both summands", witness=live)
+        i = tags.pop()
+        sub = (expr.left, expr.right)[i]
+        off = offset if i == 0 else offset + len(atomic_subfunctors(expr.left))
+        joins = []
+        for r in range(1, len(live) + 1):
+            for combo in itertools.combinations(live, r):
+                if not tin.cons([p for (p, _) in combo]):
+                    continue
+                sub_pairs = [(tin.split(p)[i], q) for (p, q) in combo]
+                joins.append(theta_subsets(eta, sub, off, sub_pairs))
+        return carrier.inject(i, eta._carriers[id(sub)].lub(joins))
+    if isinstance(expr, Prod):
+        groups = {0: [], 1: []}
+        for (p, q) in live:
+            i, pi = tin.split(p)
+            groups[i].append((pi, q))
+        offs = (offset, offset + len(atomic_subfunctors(expr.left)))
+        return carrier.pair(
+            theta_subsets(eta, expr.left, offs[0], groups[0]),
+            theta_subsets(eta, expr.right, offs[1], groups[1]),
+        )
+    if isinstance(expr, Exp):
+        out_pairs = []
+        for (pj, _) in live:
+            pj0, _ = tin.split(pj)
+            sub_pairs = [
+                (tin.split(pk)[1], qk)
+                for (pk, qk) in live
+                if carrier.exponent.leq(tin.split(pk)[0], pj0)
+            ]
+            out_pairs.append((pj0, theta_subsets(eta, expr.body, offset, sub_pairs)))
+        return carrier.make(out_pairs)
+    raise TypeError(expr)
+
+
+@pytest.mark.parametrize(
+    "expr, env",
+    [
+        (RUNNING, running_env()),
+        (
+            Sum(ConstD("FB"), Exp("S", Id())),
+            {"FB": flatbool_per(), "S": sierpinski_per()},
+        ),
+        (
+            Sum(ConstD("A"), Exp("B", Sum(Id(), ConstD("A")))),
+            running_env(),
+        ),
+    ],
+    ids=["running", "FB+[S->X]", "A+[B->X+A]"],
+)
+def test_theta_joins_per_step_like_the_subset_walk(expr, env):
+    # on every step set of at most two steps where the subset walk returns,
+    # the join of the per-step images is the same token
+    eta = EtaSystem(dense_lfp(expr, env, rank_bound=2, n_finite=3))
+    cod = [q for q in eta.codomain.tokens(2).tokens if q != eta.codomain.bottom]
+    steps = [(p, q) for p in eta.T.tokens().tokens for q in cod]
+    compared = 0
+    for size in (1, 2):
+        for combo in itertools.combinations(steps, size):
+            try:
+                pairs = eta.fun_basis.pairs(eta.fun_basis.make(list(combo)))
+                expected = theta_subsets(eta, eta.expr, 0, pairs)
+            except DomaniaError:
+                continue
+            assert eta._theta(eta.expr, 0, pairs) == expected, combo
+            compared += 1
+    assert compared > 20
+
+
+def _a_x_times_a_plus_b():
+    expr = Sum(ConstD("A"), Prod(Id(), Sum(ConstD("A"), ConstD("B"))))
+    return EtaSystem(dense_lfp(expr, running_env(), rank_bound=2, n_finite=3))
+
+
+def test_theta_adjunction_where_the_subset_walk_straddles():
+    # A + X * (A + B): a step into one factor leaves the other factor's sum
+    # with no step, which the subset walk took for a straddle
+    eta = _a_x_times_a_plus_b()
+    compacts = _witnessed_compacts(eta, 2)
+    straddled = 0
+    for q in compacts:
+        try:
+            theta_subsets(eta, eta.expr, 0, eta.fun_basis.pairs(q))
+        except NotWitnessed:
+            straddled += 1
+    assert straddled
+    assert _assert_adjunction(eta, compacts, 2) > 50
+
+
+def test_theta_bottom_premise_at_a_product_is_not_witnessed():
+    # S + X * X: the step bottom => (x in the first X) reaches the product
+    # with a bottom premise, which would fire in both factors
+    expr = Sum(ConstD("S"), Prod(Id(), Id()))
+    eta = EtaSystem(dense_lfp(expr, {"S": sierpinski_per()}, rank_bound=2, n_finite=3))
+    lim = eta.chain.per_limit.limit
+    s_top = lim.canonical(1, lim.stages[1].basis.inject(0, tok("top")))
+    q = eta.codomain.inject(1, s_top)
+    with pytest.raises(NotWitnessed):
+        eta._theta(eta.expr, 0, [(eta.T.bottom, q)])
 
 
 def test_path_codes_round_trip_and_malformed():
@@ -338,7 +475,7 @@ def test_theta_bar_single_pair_approximates_witness():
     assert lim.leq(back, x) or lfp.per.related(back, x, 2) is True
     # the witness search finds a total for the same compact
     found = find_witness(
-        bar.fun_basis.pairs(q), eta.d_per, bar.u_per, bar.e_per,
+        bar.fun_basis.pairs(q), lfp.chain.per_limit.per, bar.u_per, bar.e_per,
         lambda y, u: bar.evaluate_zeta(y, u).result, 2,
     )
     assert found is not None and bar.theta_bar(q, bound=2) == back

@@ -45,6 +45,7 @@ from .errors import (
     RecursiveExponent,
     TrivialParameter,
     UnboundName,
+    UnknownToken,
 )
 from .eta import dense_image_weak_iso
 from .ordinals import omega_plus
@@ -282,10 +283,17 @@ def _parse_kv_file(path: str) -> Dict[str, str]:
     return out
 
 
+def _field(kv: Dict[str, str], key: str, path: str) -> str:
+    """The value of a required key of a definition file."""
+    if key not in kv:
+        raise UnboundName(f"definition file {path!r} has no {key!r}")
+    return kv[key]
+
+
 def load_basis_file(path: str):
     kv = _parse_kv_file(path)
     name = kv.get("name", os.path.basename(path))
-    tokens = kv["tokens"].split()
+    tokens = _field(kv, "tokens", path).split()
     pairs = []
     for entry in kv.get("order", "").split():
         a, _, b = entry.partition("<")
@@ -295,7 +303,7 @@ def load_basis_file(path: str):
 
 def load_per_file(path: str) -> DomainPer:
     kv = _parse_kv_file(path)
-    carrier_src = kv["carrier"]
+    carrier_src = _field(kv, "carrier", path)
     if carrier_src.startswith("file(") and carrier_src.endswith(")"):
         base = load_basis_file(
             os.path.join(os.path.dirname(path), carrier_src[5:-1])
@@ -305,7 +313,10 @@ def load_per_file(path: str) -> DomainPer:
     rel_pairs = []
     for entry in kv.get("rel", "").split():
         a, _, b = entry.partition("~")
-        rel_pairs.append((tok(a.strip()), tok(b.strip())))
+        pair = (tok(a.strip()), tok(b.strip()))
+        if not all(base.has_token(t) for t in pair):
+            raise UnknownToken(f"rel pair {entry} mentions an element not in {base.name}")
+        rel_pairs.append(pair)
     return finite_per(base, rel_pairs, name=kv.get("name", os.path.basename(path)))
 
 
@@ -318,10 +329,12 @@ def load_space_file(path: str):
     from .qcb import mk_space
 
     kv = _parse_kv_file(path)
-    points = kv["points"].split()
-    opens = _parse_point_sets(kv["opens"])
+    points = _field(kv, "points", path).split()
+    opens = _parse_point_sets(_field(kv, "opens", path))
     space = mk_space(os.path.basename(path).split(".")[0], points, opens)
-    pseudobase = [frozenset(s) for s in _parse_point_sets(kv["pseudobase"])]
+    pseudobase = [
+        frozenset(s) for s in _parse_point_sets(_field(kv, "pseudobase", path))
+    ]
     return space, pseudobase
 
 

@@ -111,10 +111,12 @@ def find_witness(
     pairs, candidates: DomainPer, inputs: DomainPer, outputs: DomainPer, evaluate,
     bound=None,
 ) -> Optional[Token]:
-    """The first total x of `candidates` that witnesses the step set `pairs`:
-    at every total input t, the joins `pairs` fire approximate the class of
-    `evaluate(x, t)` in `outputs`; None when no total within the bound does.
-    One search serves the one-step map and the curried evaluation."""
+    """The first representative x of `candidates` that witnesses the step
+    set `pairs`: at every total input t, the joins `pairs` fire approximate
+    the class of `evaluate(x, t)` in `outputs`; None when no class within the
+    bound has one.  Whether x witnesses does not change within its class, as
+    `evaluate` is equivariant.  One search serves the one-step map and the
+    curried evaluation."""
     ts, _ = inputs.totals(bound)
 
     def witnesses(x):
@@ -124,7 +126,7 @@ def find_witness(
             for t in ts
         )
 
-    return next((x for x in candidates.totals(bound)[0] if witnesses(x)), None)
+    return next((x for x in candidates.representatives(bound)[0] if witnesses(x)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -543,22 +545,32 @@ def dense_image_weak_iso(lfp: DenseLfp, rank_bound: int = 3) -> Checks:
     bar = EtaBarSystem(eta, support=rank_bound + 1)
     report = Checks()
 
-    totals, _ = lfp.per.totals(rank_bound)
+    classes, _ = lfp.per.classes(rank_bound)
+    members = [x for cls in classes for x in cls]
 
     def reflects():
-        for x in totals:
-            for y in totals:
-                lhs = lfp.per.related(x, y, rank_bound)
-                rhs = bar.fun_per.related(bar.eta_bar(x), bar.eta_bar(y), rank_bound)
-                yield None if None in (lhs, rhs) else lhs == rhs, (x, y)
+        # x ~ y exactly when their evaluations are related: each member
+        # against its class's first member, then the first members pairwise
+        for cls in classes:
+            first = bar.eta_bar(cls[0])
+            for x in cls:
+                yield bar.fun_per.related(first, bar.eta_bar(x), rank_bound), (cls[0], x)
+        for c in classes:
+            for d in classes:
+                if c is not d:
+                    lhs = lfp.per.related(c[0], d[0], rank_bound)
+                    rhs = bar.fun_per.related(
+                        bar.eta_bar(c[0]), bar.eta_bar(d[0]), rank_bound
+                    )
+                    yield None if None in (lhs, rhs) else lhs == rhs, (c[0], d[0])
 
     def fixed_point_trips():
-        for x in totals:
+        for x in members:
             back = bar.theta_bar(bar.eta_bar(x), witness=x)
             yield lfp.per.related(back, x, rank_bound), x
 
     def image_trips():
-        for x in totals:
+        for x in members:
             y = bar.eta_bar(x)
             back = bar.eta_bar(bar.theta_bar(y, witness=x))
             yield bar.fun_per.related(back, y, rank_bound), x

@@ -54,22 +54,18 @@ whenever it already holds the classes, `DomainPer` takes the first member of
 each class, the slow reference each rule is checked against.
 `DomainPer.class_count` counts the representatives.
 
-Equivariance is decided on classes where it can be. By the same invariant,
-every related pair of a per lies inside one of its classes, so a map that
-sends every member of each class to a value related to the image of the
-class's first member sends every related pair to a related pair.
-`is_equivariant` returns True on that certificate when the classes are
-exact, and otherwise runs the pairwise scan over `related_pairs`, the slow
-reference and the only source of a False or unknown verdict and its witness.
-
-Reflection is decided on classes the same way. Once equivariance is True,
-each member x of a source class has f x ~ f x0, x0 its representative, so
-f x ~ y exactly when f x0 ~ y, and x0 ~ proj y then gives x ~ proj y. So
-when every verdict on f x0 is decided and each y ~ f x0 has x0 ~ proj y,
-the scan over all source totals would find nothing: `is_equiembedding`
-returns True on that certificate, unknown only where the source totals or
-the target carrier are not exhaustive. Otherwise the pairwise scan, the
-reference, decides, and it alone gives a reflection failure and its witness.
+Laws that hold up to the per are decided on classes, one path each. By the
+same invariant, every related pair of a per lies inside one of its classes,
+and a law that holds at a class representative holds at every member of its
+class. So `is_equivariant` checks f c0 ~ f x for each member x of each
+class, c0 the class's first member, which covers every related pair; a
+failure's witness is (c0, x). Once equivariance holds, each member x of a
+source class has f x ~ f x0, x0 its representative, so f x ~ y exactly when
+f x0 ~ y, and x0 ~ proj y then gives x ~ proj y: `is_equiembedding` reads
+reflection on the source representatives alone. `weak_iso_check` runs its
+round trips on them too, as a composite of equivariant maps is equivariant.
+A verdict is unknown where the classes, the representatives or the target
+carrier are not exhaustive.
 
 `is_equiembedding` decides only these per clauses; an ep-pair is decided
 where it is built. A chain's link 1 is the bottom map out of the one-point
@@ -711,36 +707,14 @@ class PerMap:
 
 
 def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
-    """Related pairs must map to related pairs.
-
-    True on the class certificate (module docstring) when D's classes are
-    exact and each member x of a class has f(first member) ~ f(x) True;
-    otherwise the pairwise scan over D's related pairs, the reference, gives
-    the verdict and any witness."""
+    """Related pairs must map to related pairs, decided on D's classes
+    (module docstring): f(c0) ~ f(x) for each member x of each class, c0
+    its first member; a failure's witness is (c0, x)."""
     classes, exact = D.classes(bound)
-    if exact and all(
-        E.related(f(cls[0]), f(x), bound) is True for cls in classes for x in cls
-    ):
-        return Verdict(True, None, bound)
-    pairs, exact = D.related_pairs(bound)
-    cases = ((E.related(f(x), f(y), bound), (x, y)) for (x, y) in pairs)
+    cases = (
+        (E.related(f(cls[0]), f(x), bound), (cls[0], x)) for cls in classes for x in cls
+    )
     return conjoin(cases, bound, exact)
-
-
-def equi_injective(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
-    """Reflection of relatedness, checked over enumerated totals."""
-    ts, exact = D.totals(bound)
-
-    def cases():
-        for x in ts:
-            for y in ts:
-                r = E.related(f(x), f(y), bound)
-                if r is None:
-                    yield None, None
-                elif r:
-                    yield D.related(x, y, bound) is not False, (x, y)
-
-    return conjoin(cases(), bound, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -761,21 +735,17 @@ def is_equiembedding(pe: PerEmbedding, bound=None) -> Verdict:
     """The per clauses in turn, equivariance and reflection (x ~ proj y for
     every source total x and y ~ f x); the ep-pair is decided where built.
 
-    Reflection is True on the class certificate (module docstring) when
-    equivariance is True; otherwise the pairwise scan over source totals and
-    target values, the reference, gives the verdict and any witness.  Each
-    call decides anew; a chain decides each of its links once, where it is
-    built."""
+    Reflection is read on the source representatives (module docstring).
+    Each call decides anew; a chain decides each of its links once, where
+    it is built."""
 
     def cases():
         v = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
         yield v.holds, ("equivariance", v.witness)
-        ts, exact = pe.source.totals(bound)
+        reps, exact = pe.source.representatives(bound)
         tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
         yield (exact and tgt_exact) or None, None
-        if v.holds is True and _reflects_on_classes(pe, tgt_toks, bound):
-            return
-        for x in ts:
+        for x in reps:
             fx = pe.emb.fwd(x)
             for y in tgt_toks:
                 r = pe.target.related(fx, y, bound)
@@ -797,21 +767,6 @@ def _named_clause(v: Verdict) -> Verdict:
     return Verdict(False, witness, v.bound, clause)
 
 
-def _reflects_on_classes(pe: PerEmbedding, tgt_toks, bound) -> bool:
-    """The reflection certificate: for the representative x0 of each source
-    class, every target verdict on f x0 is decided and each y ~ f x0 has
-    x0 ~ proj y True."""
-    for x0 in pe.source.representatives(bound)[0]:
-        fx0 = pe.emb.fwd(x0)
-        for y in tgt_toks:
-            r = pe.target.related(fx0, y, bound)
-            if r is None:
-                return False
-            if r is True and pe.source.related(x0, pe.emb.proj(y), bound) is not True:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # images and weak isomorphisms
 
@@ -827,16 +782,17 @@ def image_per(phi: PerMap) -> DomainPer:
 
 def weak_iso_check(phi: PerMap, chi: PerMap, bound=None) -> Verdict:
     """Both maps equivariant, and each round trip related to where it
-    started on every total; the clause names the part that failed."""
+    started, read on the source representatives (module docstring); the
+    clause names the part that failed."""
 
     def cases():
         for f in (phi, chi):
             v = is_equivariant(f, f.source, f.target, bound)
             yield v.holds, ("equivariance", v.witness)
         for (f, g) in ((phi, chi), (chi, phi)):
-            ts, exact = f.source.totals(bound)
+            reps, exact = f.source.representatives(bound)
             yield exact or None, None
-            for x in ts:
+            for x in reps:
                 yield f.source.related(g(f(x)), x, bound), ("round-trip", x)
 
     return _named_clause(conjoin(cases(), bound))

@@ -231,33 +231,21 @@ class StabilizationVerdict(Verdict):
 
 
 def _stage_stabilizes(chain: PerChain, n: int) -> Optional[bool]:
-    """Whether stage n+1 adds no totals to stage n; None when undecided.
+    """Whether stage n+1 adds no classes to stage n; None when its
+    representatives are not exact.
 
-    An equiembedding is injective on classes and sends totals to totals, so
-    over a link decided exactly, with both class counts exact, stage n
-    stabilizes exactly when the counts are equal.  Otherwise the totals scan
-    decides."""
-    if chain.link_bounds[n] is None:
-        here, here_exact = chain.stages[n][1].class_count()
-        there, there_exact = chain.stages[n + 1][1].class_count()
-        if here_exact and there_exact:
-            return here == there
-    return _reduces_along_link(chain, n)
-
-
-def _reduces_along_link(chain: PerChain, n: int) -> Optional[bool]:
-    """The totals scan: each stage n+1 total t has a total s = f-(t) at
-    stage n with f(s) ~ t; None when the stage n+1 totals are not exact."""
+    One scan of stage n+1's representatives: each t must project to a
+    stage-n total s with f(s) ~ t.  That decides t's whole class, as True
+    verdicts are symmetric and transitive, and an equiembedding reflects:
+    f(s') ~ t for a total s' gives s' ~ s."""
     per_n, per_n1 = chain.stages[n][1], chain.stages[n + 1][1]
     emb = chain.embeddings[n].emb
-    ts, exact = per_n1.totals()
+    reps, exact = per_n1.representatives()
     if not exact:
         return None
-    for t in ts:
-        down = emb.proj(t)
-        if per_n.related(down, down) is not True or per_n1.related(
-            emb.fwd(down), t
-        ) is not True:
+    for t in reps:
+        s = emb.proj(t)
+        if per_n.related(s, s) is not True or per_n1.related(emb.fwd(s), t) is not True:
             return False
     return True
 

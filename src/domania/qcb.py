@@ -394,15 +394,15 @@ def qcb_fixed_point(
     lfp = dense_lfp(expr, env, rank_bound=rank_bound, n_finite=max(3, rank_bound + 1))
     chain = lfp.chain
 
-    classes, _ = lfp.per.classes(rank_bound)
+    class_reps, _ = lfp.per.representatives(rank_bound)
     by_rank: Dict[int, int] = {}
-    for cls in classes:
-        r = chain.per_limit.rank_of(cls[0])
+    for x in class_reps:
+        r = chain.per_limit.rank_of(x)
         by_rank[r] = by_rank.get(r, 0) + 1
 
     # fixed-point correspondence: classes transported through the unfolding
     unfolded = chain.unfolded[0]
-    images = [chain.iso.fwd(cls[0]) for cls in classes]
+    images = [chain.iso.fwd(x) for x in class_reps]
 
     def bijection():
         # each image is total, and related to its own class's image alone
@@ -513,6 +513,15 @@ def _transfer(paired: FunctorExpr, phi: TokenMap, isos) -> TokenMap:
         )
 
 
+def _one_related(verdicts) -> Optional[bool]:
+    """Exactly one of `verdicts` is True; None when none is but one is
+    undecided."""
+    trues = sum(r is True for r in verdicts)
+    if trues == 0 and None in verdicts:
+        return None
+    return trues == 1
+
+
 def fixed_point_independence(
     F, env_f, G, env_g, pairs: Dict[Tuple[str, str], Embedding], rank_bound: int = 2
 ) -> Checks:
@@ -566,23 +575,17 @@ def fixed_point_independence(
     checks.add("stage-weak-isos", stage_ok, bound=rank_bound)
     checks.add("uniform-family", True)
 
-    cf, _ = chain_f.per_limit.per.classes(rank_bound)
-    cg, _ = chain_g.per_limit.per.classes(rank_bound)
-    matching: Optional[List[Tuple[int, int]]] = []
-    used = set()
-    for i, cls in enumerate(cf):
-        img = phi_omega(cls[0])
-        js = [
-            j
-            for j, cls_g in enumerate(cg)
-            if chain_g.per_limit.per.related(img, cls_g[0], rank_bound) is True
-        ]
-        if len(js) != 1 or js[0] in used:
-            matching = None
-            break
-        used.add(js[0])
-        matching.append((i, js[0]))
-    if matching is not None and len(used) != len(cg):
-        matching = None
-    checks.add("class-matching", matching is not None, matching, rank_bound)
+    # each class of one fixed point matches one class of the other: one
+    # related verdict in each row and each column of the table; a row or
+    # column with no True and an undecided verdict leaves it unknown
+    rf, _ = chain_f.per_limit.per.representatives(rank_bound)
+    rg, _ = chain_g.per_limit.per.representatives(rank_bound)
+    table = [
+        [chain_g.per_limit.per.related(phi_omega(x), y, rank_bound) for y in rg]
+        for x in rf
+    ]
+    columns = [[row[j] for row in table] for j in range(len(rg))]
+    holds = both(*(_one_related(line) for line in table + columns))
+    matching = [(i, row.index(True)) for (i, row) in enumerate(table)] if holds else None
+    checks.add("class-matching", holds, matching, rank_bound)
     return checks

@@ -194,6 +194,59 @@ def test_usage_errors_exit_two(tmp_path):
         assert code == 2 and text.startswith("error: "), argv
 
 
+def _with_param_file(path):
+    return [
+        "solve-domain", "--eq",
+        f"param A = file({path}); param B = sierpinski; X = A + [B -> X]",
+        "--stages", "1",
+    ]
+
+
+def _with_space_file(path):
+    return [
+        "qcb", "--eq", "param A = flatbool; param S = sierpinski; X = A + [S -> X]",
+        "--space-files", f"S={path}", "--rank-bound", "1",
+    ]
+
+
+@pytest.mark.parametrize("key", ["points", "opens", "pseudobase"])
+def test_space_file_missing_a_key_exits_two(tmp_path, key):
+    lines = {
+        "points": "points = 0 1", "opens": "opens = {} {1} {0 1}",
+        "pseudobase": "pseudobase = {1} {0 1}",
+    }
+    path = tmp_path / "s.space"
+    path.write_text("\n".join(v for (k, v) in lines.items() if k != key) + "\n")
+    code, text = run_command(_with_space_file(path))
+    assert code == 2 and text.startswith("error: "), text
+    assert str(path) in text and repr(key) in text
+
+
+def test_basis_file_without_tokens_exits_two(tmp_path):
+    # reached through a per file's carrier
+    (tmp_path / "o.basis").write_text("name = o\norder = bot<top\n")
+    per_file = tmp_path / "o.per"
+    per_file.write_text("carrier = file(o.basis)\nrel = top~top\n")
+    code, text = run_command(_with_param_file(per_file))
+    assert code == 2 and text.startswith("error: "), text
+    assert "o.basis" in text and "'tokens'" in text
+
+
+def test_per_file_relating_an_unknown_token_exits_one(tmp_path):
+    # as an unknown token in a basis file's order does
+    per_file = tmp_path / "s.per"
+    per_file.write_text("carrier = sierpinski\nrel = top~nope\n")
+    code, text = run_command(_with_param_file(per_file))
+    assert code == 1 and text.startswith("error: "), text
+    assert "top~nope" in text
+
+    basis_file = tmp_path / "o.basis"
+    basis_file.write_text("tokens = bot top\norder = bot<nope\n")
+    per_file.write_text("carrier = file(o.basis)\nrel = top~top\n")
+    code, text = run_command(_with_param_file(per_file))
+    assert code == 1 and text.startswith("error: "), text
+
+
 def test_check_failures_exit_one(monkeypatch):
     from domania import oracles
     from domania.basis import Checks

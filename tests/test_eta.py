@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from domania.basis import Token, tok
+from domania.basis import Token, conjoin, tok
 from domania.builtins import flatbool_per, flatnat_per, sierpinski_per
+from domania.construct import apply_pairs
 from domania.dense import dense_lfp, dense_part
 from domania.errors import (
     DomaniaError,
@@ -17,12 +18,13 @@ from domania.eta import (
     atomic_subfunctors,
     decode_path,
     dense_image_weak_iso,
+    _prec,
     encode_path,
     find_witness,
     input_per_table,
 )
 from domania.ordinals import omega_plus
-from domania.per import equi_injective, is_equivariant, per_construct
+from domania.per import is_equivariant, per_construct
 from domania.perlfp import per_chain_extend
 from domania.spfunctor import ConstD, Exp, Id, Prod, Sum
 
@@ -516,6 +518,98 @@ def test_undecided_round_trip_reads_unknown(monkeypatch):
         ("round-trip-image", True, None),
     ]
     assert lfp.per.flags.admissible_pedigree is None
+
+
+# equations the class-decided rows are checked on against their pairwise
+# references, with the rank bounds they are checked at
+CLASS_ROW_CASES = {
+    "running": (RUNNING, running_env, (2, 3)),
+    "FB+[S->X]": (
+        Sum(ConstD("FB"), Exp("S", Id())),
+        lambda: {"FB": flatbool_per(), "S": sierpinski_per()},
+        (2,),
+    ),
+    "S+X*X": (Sum(ConstD("S"), Prod(Id(), Id())), lambda: {"S": sierpinski_per()}, (2,)),
+}
+
+
+def reflects_over_all_pairs(lfp, rank_bound):
+    """Reference for the evaluation-reflects-classes row: every ordered pair
+    of totals is related in the fixed point exactly when their curried
+    evaluations are related."""
+    bar = EtaBarSystem(EtaSystem(lfp), support=rank_bound + 1)
+    totals, _ = lfp.per.totals(rank_bound)
+
+    def cases():
+        for x in totals:
+            for y in totals:
+                lhs = lfp.per.related(x, y, rank_bound)
+                rhs = bar.fun_per.related(bar.eta_bar(x), bar.eta_bar(y), rank_bound)
+                yield None if None in (lhs, rhs) else lhs == rhs, (x, y)
+
+    return conjoin(cases()).holds
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ROW_CASES))
+def test_reflection_row_on_classes_matches_all_pairs(name):
+    expr, env, rank_bounds = CLASS_ROW_CASES[name]
+    for rank_bound in rank_bounds:
+        lfp = dense_lfp(expr, env(), rank_bound=rank_bound, n_finite=4)
+        report = dense_image_weak_iso(lfp, rank_bound=rank_bound)
+        want = reflects_over_all_pairs(lfp, rank_bound)
+        assert report["evaluation-reflects-classes"].holds is want, rank_bound
+
+
+def witness_over_totals(pairs, candidates, inputs, outputs, evaluate, bound):
+    """Reference for `find_witness`: the search over every total of
+    `candidates` within the bound."""
+    ts, _ = inputs.totals(bound)
+    for x in candidates.totals(bound)[0]:
+        if all(
+            _prec(
+                outputs, apply_pairs(pairs, inputs.carrier, outputs.carrier, t),
+                evaluate(x, t), bound,
+            )
+            for t in ts
+        ):
+            return x
+    return None
+
+
+WITNESS_CASES = {
+    **CLASS_ROW_CASES,
+    "A+[B->X+A]": (Sum(ConstD("A"), Exp("B", Sum(Id(), ConstD("A")))), running_env, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CASES))
+def test_witness_search_on_representatives_matches_totals(name):
+    # every canonical step set of at most two steps, at bounds 1 and 2: the
+    # search over representatives finds a witness exactly when the search
+    # over totals does
+    expr, env, _ = WITNESS_CASES[name]
+    eta = EtaSystem(dense_lfp(expr, env(), rank_bound=2, n_finite=3))
+    cod = [q for q in eta.codomain.tokens(2).tokens if q != eta.codomain.bottom]
+    steps = [(p, q) for p in eta.T.tokens().tokens for q in cod]
+    step_sets = {}
+    for size in (1, 2):
+        for combo in itertools.combinations(steps, size):
+            try:
+                q = eta.fun_basis.make(list(combo))
+            except DomaniaError:
+                continue
+            step_sets[q.key] = eta.fun_basis.pairs(q)
+    found = 0
+    for pairs in step_sets.values():
+        for bound in (1, 2):
+            args = (
+                pairs, eta.unfolded_per, eta.input_per, eta.codomain_per,
+                eta.eval_eta, bound,
+            )
+            got = find_witness(*args)
+            assert (got is None) is (witness_over_totals(*args) is None), pairs
+            found += got is not None
+    assert found
 
 
 def test_zeta_flatbool_parameter():

@@ -26,7 +26,6 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 TEST_ONLY = {
     # law checkers the tests run against the library
     "check_domain_axioms",  # basis: the domain axioms of a basis
-    "equi_injective",  # per: reflection of relatedness over totals
     "mediating_algebra_morphism",  # perlfp: initiality of the fixed point
     "theta",  # eta: the one-step lower adjoint the adjunction is stated for
     # reference constructions the reports reach by another path
@@ -182,9 +181,9 @@ FLAG_DROPS = {
     ("dense.py", "dense_laws", "totals, _ = plim.per.totals(rank_bound)"):
         "waits for item 9",
     ("eta.py", "find_witness", "ts, _ = inputs.totals(bound)"): "waits for item 9",
-    ("eta.py", "find_witness", "candidates.totals(bound)[0]"):
+    ("eta.py", "find_witness", "candidates.representatives(bound)[0]"):
         "a search: None already means no witness within the bound",
-    ("eta.py", "dense_image_weak_iso", "totals, _ = lfp.per.totals(rank_bound)"):
+    ("eta.py", "dense_image_weak_iso", "classes, _ = lfp.per.classes(rank_bound)"):
         "waits for item 9",
     ("oracles.py", "limit_per_suite", "ts, _ = plim.per.totals(3)"): "waits for item 9",
     ("oracles.py", "standard_rep_suite", "ts, _ = rep.per.totals()"):
@@ -196,8 +195,6 @@ FLAG_DROPS = {
     ("per.py", "representatives", "exp.totals(bound)[0]"):
         "the exponent's totals were checked exact just above",
     ("per.py", "class_of", "classes, _ = self.classes(bound)"): "waits for item 9",
-    ("per.py", "_reflects_on_classes", "pe.source.representatives(bound)[0]"):
-        "is_equiembedding folds the source totals' flag in as its own case",
     ("perlfp.py", "functor_is_trivial",
      "ts, _ = apply_functor_per(expr, trivial_per(), env).totals()"):
         "waits for item 9",
@@ -227,13 +224,14 @@ FLAG_DROPS = {
         "standard representations and their products are finite: classes exact",
     ("qcb.py", "check_prod_coherence", "cp, _ = p.classes()"):
         "standard representations and their products are finite: classes exact",
-    ("qcb.py", "qcb_fixed_point", "classes, _ = lfp.per.classes(rank_bound)"):
+    ("qcb.py", "qcb_fixed_point",
+     "class_reps, _ = lfp.per.representatives(rank_bound)"):
         "waits for item 9",
     ("qcb.py", "fixed_point_independence",
-     "cf, _ = chain_f.per_limit.per.classes(rank_bound)"):
+     "rf, _ = chain_f.per_limit.per.representatives(rank_bound)"):
         "waits for item 9",
     ("qcb.py", "fixed_point_independence",
-     "cg, _ = chain_g.per_limit.per.classes(rank_bound)"):
+     "rg, _ = chain_g.per_limit.per.representatives(rank_bound)"):
         "waits for item 9",
 }
 

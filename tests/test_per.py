@@ -20,7 +20,6 @@ from domania.per import (
     PerEmbedding,
     PerMap,
     check_property,
-    equi_injective,
     finite_per,
     image_per,
     is_equiembedding,
@@ -275,20 +274,16 @@ def test_prec_check():
         prec_check(per, BOT, BOT)
 
 
-def test_is_equivariant_and_equi_injective():
+def test_is_equivariant():
     per = osier()
     assert is_equivariant(lambda v: v, per, per).holds is True
-    assert equi_injective(lambda v: v, per, per).holds is True
 
     const_top = lambda v: TOP
     assert is_equivariant(const_top, per, per).holds is True
-    # one class only, so reflection is vacuous
-    assert equi_injective(const_top, per, per).holds is True
 
     s = per_construct("sum", osier(), osier())
     swap = swap_summands(s.carrier)
     assert is_equivariant(swap, s, s).holds is True
-    assert equi_injective(swap, s, s).holds is True
 
 
 def pairwise_equivariance(f, D, E, bound=None):
@@ -671,6 +666,40 @@ def test_weak_iso_checks():
     c0 = PerMap(s, s, lambda v: sb.inject(0, TOP), name="c0")
     v = weak_iso_check(c0, c0)
     assert (v.holds, v.clause) == (False, "round-trip")
+
+
+def round_trips_over_totals(phi, chi, bound=None):
+    """Reference for `weak_iso_check` as `(holds, clause, witness)`: both
+    maps equivariant, then each round trip on every source total."""
+    undecided = False
+    for f in (phi, chi):
+        v = is_equivariant(f, f.source, f.target, bound)
+        if v.holds is False:
+            return False, "equivariance", v.witness
+        undecided = undecided or v.holds is None
+    for (f, g) in ((phi, chi), (chi, phi)):
+        ts, exact = f.source.totals(bound)
+        undecided = undecided or not exact
+        for x in ts:
+            r = f.source.related(g(f(x)), x, bound)
+            if r is False:
+                return False, "round-trip", x
+            undecided = undecided or r is None
+    return (None if undecided else True), "", None
+
+
+def assert_weak_iso_matches_totals(phi, chi, bound=None):
+    v = weak_iso_check(phi, chi, bound)
+    assert (v.holds, v.clause, v.witness) == round_trips_over_totals(phi, chi, bound)
+
+
+def test_weak_iso_round_trips_on_representatives_match_totals():
+    s = per_construct("sum", osier(), osier())
+    sb = s.carrier
+    c0 = PerMap(s, s, lambda v: sb.inject(0, TOP), name="c0")
+    sw = PerMap(s, s, swap_summands(sb), name="swap")
+    for (phi, chi) in ((c0, c0), (sw, sw), (sw, c0), (c0, sw)):
+        assert_weak_iso_matches_totals(phi, chi)
 
 
 def _constant_chain(per, n):

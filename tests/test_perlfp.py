@@ -29,7 +29,6 @@ from domania.perlfp import (
     StabilizationVerdict,
     _folds_back,
     _omega_verdict,
-    _reduces_along_link,
     _stage_stabilizes,
     _successor_fragment_totals,
     apply_functor_per,
@@ -138,19 +137,67 @@ def test_link_rule_agrees_with_the_scans(name):
         assert rule == (True if v.holds is True else None), pe.name
 
 
-@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def _reduces_along_link(chain, n):
+    """Reference for `_stage_stabilizes`, the totals scan: each stage n+1
+    total t has a total s = f-(t) at stage n with f(s) ~ t; None when the
+    stage n+1 totals are not exact."""
+    per_n, per_n1 = chain.stages[n][1], chain.stages[n + 1][1]
+    emb = chain.embeddings[n].emb
+    ts, exact = per_n1.totals()
+    if not exact:
+        return None
+    for t in ts:
+        down = emb.proj(t)
+        if per_n.related(down, down) is not True or per_n1.related(
+            emb.fwd(down), t
+        ) is not True:
+            return False
+    return True
+
+
+def _equal_class_counts(chain, n):
+    """Reference for `_stage_stabilizes` over an equiembedding, which is
+    injective on classes and sends totals to totals: the exact class counts
+    of stages n and n+1 are equal; None when a count is not exact."""
+    here, here_exact = chain.stages[n][1].class_count()
+    there, there_exact = chain.stages[n + 1][1].class_count()
+    return here == there if here_exact and there_exact else None
+
+
+# the link rule's equations, three more over Sierpinski parameters, and two
+# with a flatnat parameter: unused, so that link 1 is a bound-3 scan, and as
+# an exponent, where no count is exact
+STABILIZE_CASES = {
+    **RULE_CASES,
+    "unused-flatnat": (Sum(ConstD("A"), Id()), flatnat_env),
+    "flatnat": (FLATNAT_EQ, flatnat_env),
+    "square": (Sum(ConstD("A"), Prod(Id(), Id())), running_env),
+    "product-of-sum": (
+        Sum(ConstD("A"), Prod(Id(), Sum(ConstD("A"), ConstD("B")))), running_env
+    ),
+    "no-variable": (Sum(ConstD("A"), Exp("B", ConstD("A"))), running_env),
+}
+STABILIZE_VERDICTS = {
+    "constant": [False, True, True, True],
+    "no-variable": [False, True, True, True],
+    "flatnat": [None] * 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZE_CASES))
 def test_class_counts_agree_with_the_totals_scan(name):
-    # stages 0-3: equal exact class counts over a link decided exactly
-    # against the totals of stage n+1 reducing along the link
-    expr, env = RULE_CASES[name]
+    # stages 0-3: the scan of stage n+1's representatives against the
+    # totals scan and the class-count comparison it replaces
+    expr, env = STABILIZE_CASES[name]
     chain = per_chain_extend(expr, env(), fin(4))
     verdicts = []
     for n in range(4):
-        assert chain.link_bounds[n] is None
-        assert all(chain.stages[k][1].class_count()[1] for k in (n, n + 1))
         verdicts.append(_stage_stabilizes(chain, n))
         assert verdicts[-1] is _reduces_along_link(chain, n), n
-    assert verdicts == ([False, True, True, True] if name == "constant" else [False] * 4)
+        assert verdicts[-1] is _equal_class_counts(chain, n), n
+    assert verdicts == STABILIZE_VERDICTS.get(name, [False] * 4)
+    if name == "unused-flatnat":
+        assert chain.link_bounds[0] == 3
 
 
 @pytest.mark.parametrize("name", sorted(RULE_CASES))

@@ -252,7 +252,9 @@ def test_independence_without_a_limit_map(monkeypatch):
     ]
 
 
-def test_independence_relabeled_parameter():
+def relabeled_independence():
+    """The running equation over Sierpinski against itself over a relabeled
+    Sierpinski space, by the relabeling."""
     sier = standard_representation(sierpinski_space(), sier_pseudobase())
     relabeled = standard_representation(
         mk_space("sier2", ["lo", "hi"], [[], ["hi"], ["lo", "hi"]]),
@@ -266,9 +268,56 @@ def test_independence_relabeled_parameter():
         tok(("pb", ("top",))): tok(("pb", ("hi",))),
     })
     pairs = {("A", "A"): iso, ("B", "B"): iso}
-    report = fixed_point_independence(F, env_f, F, env_g, pairs, rank_bound=2)
+    return fixed_point_independence(F, env_f, F, env_g, pairs, rank_bound=2)
+
+
+def test_independence_relabeled_parameter():
+    report = relabeled_independence()
     assert report.all_pass
     assert len(report["class-matching"].witness) >= 2
+
+
+@pytest.mark.parametrize("independence", [identity_independence, relabeled_independence])
+def test_stage_weak_isos_match_the_round_trips_over_totals(independence, monkeypatch):
+    # every weak_iso_check the report runs, the stage maps at stages 1-3 and
+    # the limit maps, against the round trips over every total
+    from test_per import assert_weak_iso_matches_totals
+
+    decide = qcb.weak_iso_check
+    calls = []
+
+    def checked(phi, chi, bound=None):
+        calls.append(bound)
+        assert_weak_iso_matches_totals(phi, chi, bound)
+        return decide(phi, chi, bound)
+
+    monkeypatch.setattr(qcb, "weak_iso_check", checked)
+    assert independence().all_pass
+    assert calls == [None, None, None, 2]
+
+
+def test_undecided_class_matching_reads_unknown(monkeypatch):
+    # the second chain's limit per leaves its verdicts undecided: no decided
+    # verdict refutes the class bijection, so the row is unknown, not failed
+    build = qcb.per_chain_extend
+    chains = []
+
+    def second_undecided(*args, **kwargs):
+        chains.append(build(*args, **kwargs))
+        if len(chains) == 2:
+            per = chains[-1].per_limit.per
+            monkeypatch.setattr(per, "related", lambda a, b, bound=None: None)
+        return chains[-1]
+
+    monkeypatch.setattr(qcb, "per_chain_extend", second_undecided)
+    report = identity_independence()
+    assert (report["class-matching"].holds, report["class-matching"].witness) == (
+        None, None
+    )
+    # one True in each row and column matches; a row or column with none
+    # is refuted unless one of its verdicts is undecided
+    lines = ([True], [True, None], [None, False], [False], [True, True], [])
+    assert [qcb._one_related(v) for v in lines] == [True, True, None, False, False, False]
 
 
 def test_independence_shape_mismatch():

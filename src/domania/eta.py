@@ -1,19 +1,16 @@
 """Evaluation machinery over the dense least fixed point: the input per of
 an equation, the one-step evaluation map and its lower adjoint, iterated
-evaluation against input sequences, evaluation trees, and the weak
-isomorphism between the fixed point and its dense image in a function space
-of admissible shape.
+evaluation against input sequences, and the weak isomorphism between the
+fixed point and its dense image in a function space of admissible shape.
 
 A lower adjoint preserves every join that exists, so the lower adjoint of a
-step set is the join of its value on each step, and one step is one walk
-down the equation.  The curried evaluation's adjoint decorates an
-evaluation tree from the leaves up: a maximal node holds the parameter
-value its results join to, and every other node the one-step adjoint of
-the steps its children make."""
+step set is the join of its value on each step.  One step of the one-step
+map is one walk down the equation; one step of the curried evaluation is
+one branch walk up its path, from the parameter value its code ends in
+through the one-step adjoint at each entry of its premise."""
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
@@ -133,14 +130,6 @@ def find_witness(
 # one-step evaluation: eta and theta
 
 
-def _side(expr, offset: int, i: int):
-    """Side i of a sum or product, with the index of its first atomic
-    subfunctor when expr's first one sits at offset."""
-    if i == 0:
-        return expr.left, offset
-    return expr.right, offset + len(atomic_subfunctors(expr.left))
-
-
 class EtaSystem:
     """Bundles the input per, the indexed codomain, and the one-step maps
     for a built dense least fixed point."""
@@ -158,6 +147,10 @@ class EtaSystem:
         )
 
         self.K = atomic_subfunctors(self.expr)
+        # the number of atomic subfunctors of each sub-term, by id(sub-term)
+        self._width = {
+            id(e): len(atomic_subfunctors(e)) for (_, e) in subterms(self.expr)
+        }
         input_pers = input_per_table(self.expr, self.env)
         self._input_carriers = {k: p.carrier for (k, p) in input_pers.items()}
         self.input_per = input_pers[id(self.expr)]
@@ -186,6 +179,13 @@ class EtaSystem:
         self._eta_cache = {}
 
     # ---- structural evaluation -------------------------------------------
+    def _side(self, expr, offset: int, i: int):
+        """Side i of a sum or product, with the index of its first atomic
+        subfunctor when expr's first one sits at offset."""
+        if i == 0:
+            return expr.left, offset
+        return expr.right, offset + self._width[id(expr.left)]
+
     def eval_eta(self, x_value, t: Token):
         """One-step evaluation of an unfolded value against an input token."""
         return self._eval(self.expr, 0, x_value, t)
@@ -201,7 +201,7 @@ class EtaSystem:
             if spl is None:
                 return self.codomain.bottom
             i, xi = spl
-            sub, off = _side(expr, offset, i)
+            sub, off = self._side(expr, offset, i)
             return self._eval(sub, off, xi, tin.split(t)[i])
         if isinstance(expr, Prod):
             x0, x1 = carrier.split(x)
@@ -209,7 +209,7 @@ class EtaSystem:
             if spl is None:
                 return self.codomain.bottom
             i, ti = spl
-            sub, off = _side(expr, offset, i)
+            sub, off = self._side(expr, offset, i)
             return self._eval(sub, off, (x0, x1)[i], ti)
         if isinstance(expr, Exp):
             t0, t1 = tin.split(t)
@@ -262,8 +262,8 @@ class EtaSystem:
         tin = self._input_carriers[id(expr)]
         if isinstance(expr, Sum):
             k = self.codomain.split(q)[0]
-            i = int(k >= offset + len(atomic_subfunctors(expr.left)))
-            sub, off = _side(expr, offset, i)
+            i = int(k >= offset + self._width[id(expr.left)])
+            sub, off = self._side(expr, offset, i)
             return carrier.inject(i, self._step(sub, off, tin.split(p)[i], q))
         if isinstance(expr, Prod):
             spl = tin.split(p)
@@ -272,7 +272,7 @@ class EtaSystem:
                     "a bottom premise would fire in both factors", witness=q
                 )
             i, pi = spl
-            sub, off = _side(expr, offset, i)
+            sub, off = self._side(expr, offset, i)
             parts = [carrier.left.bottom, carrier.right.bottom]
             parts[i] = self._step(sub, off, pi, q)
             return carrier.pair(*parts)
@@ -321,15 +321,17 @@ def decode_path(n: int, k_count: int) -> List[int]:
     return digits[1:]
 
 
-class EtaBarSystem:
-    """Curried iterated evaluation and its lower adjoint via evaluation
-    trees.  An input sequence is a value of U, the right-nested product of
-    `support` copies of the input per, related entry by entry."""
+MAX_STEPS = 16  # one-step evaluations before an iterated evaluation stops
 
-    def __init__(self, eta: EtaSystem, support: int = 4, max_steps: int = 16):
+
+class EtaBarSystem:
+    """Curried iterated evaluation and its lower adjoint.  An input sequence
+    is a value of U, the right-nested product of `support` copies of the
+    input per, related entry by entry."""
+
+    def __init__(self, eta: EtaSystem, support: int):
         self.eta = eta
         self.support = support
-        self.max_steps = max_steps
 
         self.u_per = eta.input_per
         spine = []
@@ -388,7 +390,7 @@ class EtaBarSystem:
         eta = self.eta
         sequence, path = [], []
         current = x  # a limit token
-        for m in range(self.max_steps):
+        for m in range(MAX_STEPS):
             z = eta.eval_eta(eta.iso.fwd(current), self.entry_at(u, m))
             spl = eta.codomain.split(z)
             if spl is None:
@@ -414,80 +416,26 @@ class EtaBarSystem:
             )
         return self._bar_cache[x]
 
-    # ---- evaluation trees ----------------------------------------------------
+    # ---- the lower adjoint -------------------------------------------------
     def build_tree(self, pairs):
-        """Nodes are decreasing sequences of index subsets; see the module
-        docstring for the decoration that follows."""
-        live = []
+        """The branches `theta_bar` joins: each step (p, q) of a compact of
+        [U -> E] decoded into its premise p, the A-part of q and the path
+        q's code names."""
+        steps = []
         for (p, q) in pairs:
-            s_part, n_part = self.E.split(q)
+            a_part, n_part = self.E.split(q)
             n_val = self.nat.value_of(n_part)
             if n_val is None:
                 raise MalformedCode("result lacks a defined path code", witness=q)
-            path = decode_path(n_val, len(self.eta.K))
-            live.append((p, s_part, n_val, path))
-        nodes = []
-
-        def extend(prefix_sets, members):
-            level = len(prefix_sets)
-            groups = {}
-            for j in members:
-                groups.setdefault(live[j][2], []).append(j)
-            for n_val, js in groups.items():
-                m_len = len(live[js[0]][3])
-                if level > m_len:
-                    continue
-                for r in range(1, len(js) + 1):
-                    for combo in itertools.combinations(js, r):
-                        prem = [
-                            self.entry_at(live[j][0], level) for j in combo
-                        ]
-                        if not self.eta.T.cons(prem):
-                            continue
-                        node = prefix_sets + [tuple(combo)]
-                        nodes.append(node)
-                        if level + 1 <= m_len:
-                            extend(node, list(combo))
-
-        extend([], list(range(len(live))))
-        return live, nodes
-
-    def tree_morphism(self, live_j, nodes_j, live_k):
-        """Map each node of the smaller tree to the node of the larger one
-        collecting, level by level, the indices sitting below the smaller
-        node's joined premises."""
-        T = self.eta.T
-        out = {}
-        for node in nodes_j:
-            levels = []
-            members = list(range(len(live_k)))
-            for m, level in enumerate(node):
-                pm = T.lub([self.entry_at(live_j[j][0], m) for j in level])
-                members = [
-                    k
-                    for k in members
-                    if T.leq(self.entry_at(live_k[k][0], m), pm)
-                ]
-                levels.append(tuple(members))
-            out[tuple(node)] = levels
-        return out
-
-    def node_premise(self, live, node) -> Token:
-        entries = []
-        for m in range(self.support):
-            if m < len(node):
-                prem = [self.entry_at(live[j][0], m) for j in node[m]]
-                entries.append(self.eta.T.lub(prem))
-            else:
-                entries.append(self.eta.T.bottom)
-        return self.seq(entries)
-
-    def _is_maximal(self, live, node) -> bool:
-        m_len = len(live[node[0][0]][3])
-        return len(node) == m_len + 1
+            steps.append((p, a_part, decode_path(n_val, len(self.eta.K))))
+        return steps
 
     def theta_bar(self, q: Token, witness: Optional[Token] = None, bound=None) -> Token:
-        """Lower adjoint of the curried evaluation, via the decorated tree."""
+        """Lower adjoint of the curried evaluation.  It preserves joins, so
+        it is the join of one branch walk per step (p, q_i): the walk starts
+        at the parameter value q_i's A-part names and climbs q_i's path from
+        its last entry to the root, folding the one-step adjoint of the
+        single step from that level's premise entry."""
         pairs = self.fun_basis.pairs(q)
         if not pairs:
             return self.eta.chain.per_limit.limit.bottom
@@ -498,39 +446,18 @@ class EtaBarSystem:
             raise NotWitnessed(
                 "no total certifies the compact within the bound", witness=q
             )
-        live, nodes = self.build_tree(pairs)
-        children: Dict[tuple, list] = {}
-        for n in nodes:
-            children.setdefault(tuple(n[:-1]), []).append(n)
-        decorations: Dict[tuple, Token] = {}
-        # leaf-to-root: longer nodes first
-        for node in sorted(nodes, key=len, reverse=True):
-            key = tuple(node)
-            if self._is_maximal(live, node):
-                vals = [live[j][1] for j in node[-1]]
-                a_val = self.a_sum.carrier.lub(vals)
-                n_idx, inner = self.a_sum.carrier.split(a_val)
-                k_global = self.eta.const_positions[n_idx]
-                decorations[key] = self.eta.codomain.inject(k_global, inner)
-            else:
-                level = len(node)
-                step_pairs = []
-                for ch in children.get(key, ()):
-                    prem = self.eta.T.lub(
-                        [self.entry_at(live[j][0], level) for j in ch[level]]
-                    )
-                    step_pairs.append((prem, decorations[tuple(ch)]))
-                inner = self.eta._theta(self.eta.expr, 0, step_pairs)
-                path = live[node[0][0]][3]
-                k_step = path[level - 1]
-                decorations[key] = self.eta.codomain.inject(
-                    k_step, self.eta.iso.inv(inner)
-                )
-        root_pairs = []
-        for r in children.get((), ()):
-            prem = self.eta.T.lub([self.entry_at(live[j][0], 0) for j in r[0]])
-            root_pairs.append((prem, decorations[tuple(r)]))
-        return self.eta.iso.inv(self.eta._theta(self.eta.expr, 0, root_pairs))
+        eta = self.eta
+        branches = []
+        for (p, a_part, path) in self.build_tree(pairs):
+            n, inner = self.a_sum.carrier.split(a_part)
+            value = eta.codomain.inject(eta.const_positions[n], inner)
+            for level in range(len(path), -1, -1):
+                step = [(self.entry_at(p, level), value)]
+                value = eta.iso.inv(eta._theta(eta.expr, 0, step))
+                if level:
+                    value = eta.codomain.inject(path[level - 1], value)
+            branches.append(value)
+        return eta.chain.per_limit.limit.lub(branches)
 
 
 # ---------------------------------------------------------------------------

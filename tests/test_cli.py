@@ -438,23 +438,29 @@ def test_independence_pairs_parameters_by_position():
     assert checks["stage-weak-isos"] == "pass"
 
 
+def cli_in_child(argv, address_space, timeout):
+    """Run the command line in a child process under a timeout and an
+    address-space limit of `address_space` bytes."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+        "from domania.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, timeout=timeout,
+    )
+
+
 def test_flatnat_product_equation_ends_with_a_report():
     # the links and the fixed-point iso once scanned every pair of tokens
     # here for ~100 s and ~1 GB; run in a child under a timeout and an
     # address-space limit
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-        "from domania.cli import main\n"
-        "sys.exit(main())\n"
-    )
     eq = "param A = sierpinski; param N = flatnat; X = A + ([N -> X] * X)"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "per-lfp", "--eq", eq, "--rank-bound", "2"],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = cli_in_child(["per-lfp", "--eq", eq, "--rank-bound", "2"], 2 << 30, 60)
     assert proc.returncode == 1, proc.stderr
     checks = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
     assert checks["stabilization"] == "fail"
@@ -464,23 +470,42 @@ def test_rank_five_per_lfp_report_is_unchanged():
     # the probe and the class counts once enumerated every stage omega+1
     # fragment total here (~8 s, ~160 MB); run in a child under a timeout
     # and a 1 GB address-space limit
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from domania.cli import main\n"
-        "sys.exit(main())\n"
-    )
     argv = ["per-lfp", "--eq", RUNNING_EQ, "--rank-bound", "5", "--beyond-omega", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, timeout=30,
-    )
+    proc = cli_in_child(argv, 1 << 30, 30)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["stabilized_at"] == "omega"
     digest = hashlib.sha1(proc.stdout).hexdigest()
     assert digest == "7d85c0862b055139f0a444209236482a5712f491"
+
+
+# eta-roundtrip reports at bounds the golden files leave out, by the
+# sha1 of their output
+ETA_ROUNDTRIP_REPORTS = {
+    "running-3": (RUNNING_EQ, 3, "5bba44922afef813e384246338ac2073cde43736"),
+    "running-4": (RUNNING_EQ, 4, "3110d40bff11a401b9ff2c95f59f2146b094b76e"),
+    "FB+[S->X]-3": (
+        "param FB = flatbool; param S = sierpinski; X = FB + [S -> X]", 3,
+        "57583687f759744a7f0f7caecf18b5a9d18e3b93",
+    ),
+    "S+X*X-3": (
+        "param S = sierpinski; X = S + X * X", 3,
+        "ccd4bea460ad067ce50808c1be5e6cd74ac8df2b",
+    ),
+    "A+X*(A+B)-2": (
+        "param A = sierpinski; param B = sierpinski; X = A + X * (A + B)", 2,
+        "03bb86f900094e9b1373bff529d39c6645344843",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ETA_ROUNDTRIP_REPORTS))
+def test_eta_roundtrip_report_is_unchanged(name):
+    # the largest, at rank 4, takes ~2 s and ~70 MB
+    eq, rank_bound, want = ETA_ROUNDTRIP_REPORTS[name]
+    argv = ["eta-roundtrip", "--eq", eq, "--rank-bound", str(rank_bound)]
+    proc = cli_in_child(argv, 1 << 30, 60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha1(proc.stdout).hexdigest() == want
 
 
 def test_per_lfp_loads_neither_qcb_nor_oracles():

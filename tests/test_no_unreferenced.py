@@ -33,9 +33,7 @@ TEST_ONLY = {
     "enumerate_ideals",  # qcb: ideal completion of a finite basis
     "eta_token",  # eta: the one-step map as a step set
     "image_per",  # per: the image per of a map
-    "node_premise",  # eta: premise of an eta-bar tree node
     "stepset_consistent_subsets",  # construct: slow reference for stepset_consistent
-    "tree_morphism",  # eta: morphism between eta-bar trees
 }
 
 

@@ -28,7 +28,7 @@ BASIS_BUILDERS = {
     # a named n-ary sum of the constant parameters; its name and arity make
     # it no binary sum of the table
     (ETA_PY, "multi_sum_per"),
-    # the strict product E of evaluation trees, named in the reports
+    # the strict product E of curried-evaluation results, named in the reports
     (ETA_PY, "EtaBarSystem.__init__"),
 }
 

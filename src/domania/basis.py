@@ -9,7 +9,8 @@ and enumerate their tokens up to an explicit bound with a truncation flag.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     NoLeastElement,
@@ -157,6 +158,26 @@ class Basis:
 
     def lub2(self, p: Token, q: Token) -> Token:
         return self.lub((p, q))
+
+    @cached_property
+    def covers(self) -> Dict[Token, List[Token]]:
+        """`lower_covers` of `tokens()`, built once per basis."""
+        return lower_covers(self.tokens().tokens, self.leq)
+
+
+def strictly_below(points, leq) -> Dict[Token, Set[Token]]:
+    """Each of the `points`, a collection, mapped to those strictly below it."""
+    return {p: {u for u in points if u != p and leq(u, p)} for p in points}
+
+
+def lower_covers(points, leq) -> Dict[Token, List[Token]]:
+    """Each of the `points`, a collection, mapped to its lower covers, the
+    maximal points strictly below it.  Keys and lists run in a linear
+    extension: fewest points below first, ties in the given order."""
+    below = strictly_below(points, leq)
+    order = sorted(below, key=lambda p: len(below[p]))
+    deep = {p: set().union(*(below[u] for u in below[p])) for p in order}
+    return {p: [u for u in order if u in below[p] and u not in deep[p]] for p in order}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import re
 import sys
 from typing import Dict, List, Tuple
 
-from .basis import Basis, Checks, Token, mk_finite_basis, tok
+from .basis import Basis, Checks, Token, lower_covers, mk_finite_basis, tok
 from .builtins import builtin_per, flatnat_per
 from .dense import dense_laws, dense_lfp
 from .errors import (
@@ -483,33 +483,23 @@ def report_json(equation, mode, stages, stabilized_at, checks, pedigree) -> str:
 
 
 def export_dot(basis: Basis, path: str, totals=None):
-    """Covering-relation graph; total tokens are double-circled."""
-    ts = basis.tokens()
+    """Hasse diagram: an edge a -> b for each a in `covers[b]`, in name order
+    of a, then b; total tokens are double-circled."""
     # a stable sort: tokens that print alike keep their enumeration order
-    toks = sorted(ts.tokens, key=lambda t: t.pretty)
+    toks = sorted(basis.tokens().tokens, key=lambda t: t.pretty)
     total = set(totals or [])
-    ids = {t: f"n{i}" for i, t in enumerate(toks)}
-    lines = ["digraph basis {"]
-    for t in toks:
-        shape = ' peripheries=2' if t in total else ""
-        lines.append(f'  {ids[t]} [label="{t.pretty}"{shape}];')
-    edge_count = 0
-    for a in toks:
-        for b in toks:
-            if a == b or not basis.leq(a, b):
-                continue
-            # covering edge: no token strictly between
-            if any(
-                c != a and c != b and basis.leq(a, c) and basis.leq(c, b)
-                for c in toks
-            ):
-                continue
-            lines.append(f"  {ids[a]} -> {ids[b]};")
-            edge_count += 1
-    lines.append("}")
+    index = {t: i for i, t in enumerate(toks)}
+    lines = ["digraph basis {"] + [
+        f'  n{i} [label="{t.pretty}"{" peripheries=2" if t in total else ""}];'
+        for (i, t) in enumerate(toks)
+    ]
+    edges = sorted(
+        (index[a], index[b]) for (b, lower) in basis.covers.items() for a in lower
+    )
+    lines += [f"  n{a} -> n{b};" for (a, b) in edges] + ["}"]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return len(toks), edge_count
+    return len(toks), len(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +729,10 @@ def cmd_independence(args) -> Tuple[int, str]:
     pairs = {}
     for (fn, gn) in names:
         fp, gp = env_f[fn], env_g[gn]
-        f_toks = sorted(fp.carrier.tokens().tokens, key=_order_rank(fp.carrier))
-        g_toks = sorted(gp.carrier.tokens().tokens, key=_order_rank(gp.carrier))
+        f_toks, g_toks = (
+            lower_covers(sorted(c.tokens().tokens, key=lambda t: t.pretty), c.leq)
+            for c in (fp.carrier, gp.carrier)
+        )
         pairs[(fn, gn)] = token_iso_pair(fp, gp, dict(zip(f_toks, g_toks)))
     checks = fixed_point_independence(
         src_f.expr, env_f, src_g.expr, env_g, pairs,
@@ -750,15 +742,6 @@ def cmd_independence(args) -> Tuple[int, str]:
         f"{pretty_expr(src_f.expr, src_f.var)} vs {pretty_expr(src_g.expr, src_g.var)}",
         "independence", [], None, checks, {},
     )
-
-
-def _order_rank(carrier):
-    toks = list(carrier.tokens().tokens)
-
-    def rank(t):
-        return (sum(1 for u in toks if carrier.leq(u, t)), t.pretty)
-
-    return rank
 
 
 # ---------------------------------------------------------------------------

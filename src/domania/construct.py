@@ -20,7 +20,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, Sequence
 
-from .basis import Basis, Token, TokenSet, tok
+from .basis import Basis, Token, TokenSet, strictly_below, tok
 from .errors import InconsistentUnion, NotAnEmbedding, NotConsistentlyComplete
 
 
@@ -99,18 +99,16 @@ def canonical_pairs(pairs, D: Basis, E: Basis):
         return frozenset()
     probes = premise_closure({p for (p, _) in live}, D)
     values = {p: apply_pairs(live, D, E, p) for p in probes}
-    return _jump_pairs(values, D, E)
+    return _jump_pairs(values, strictly_below(values, D.leq), E)
 
 
-def _jump_pairs(values, D: Basis, E: Basis):
-    """The canonical steps of the map given by `values` at its probes."""
-    out = []
-    for p in values:
-        lower = [values[r] for r in values if r != p and D.leq(r, p)]
-        join_lower = E.lub(lower) if lower else E.bottom
-        if values[p] != join_lower and values[p] != E.bottom:
-            out.append((p, values[p]))
-    return frozenset(out)
+def _jump_pairs(values, below, E: Basis):
+    """The canonical steps of the monotone map given by `values` at its
+    probes, `below[p]` holding p's lower covers or every probe below p."""
+    return frozenset(
+        (p, v) for (p, v) in values.items()
+        if v != E.bottom and v != E.lub([values[r] for r in below[p]])
+    )
 
 
 # (constructor, id of each part) -> the one basis built from those parts.
@@ -379,20 +377,20 @@ class FunBasis(Basis):
 
     def from_function(self, value_at: Callable[[Token], Token]) -> Token:
         """Token of the monotone map given by values on a finite exponent."""
-        probes = self.exponent.tokens().tokens
-        return self.from_probes({p: value_at(p) for p in probes})
+        values = {p: value_at(p) for p in self.exponent.tokens().tokens}
+        return self._wrap(_jump_pairs(values, self.exponent.covers, self.values))
 
     def from_probes(self, values: Dict[Token, Token]) -> Token:
         """Canonical token of a monotone map given by its values at probe
-        points.
+        points, each compared with the join at the probes `strictly_below` it.
 
         Precondition: the probes contain every jump point of the map and,
         for each probe, the join of values at strictly lower probes equals
-        the join over all strictly lower compacts.  This holds for the
-        whole finite exponent, and for h . t with h monotone on the
-        premise closure of t's steps and the bottom; the bottom may be left
-        out when h is strict."""
-        return self._wrap(_jump_pairs(values, self.exponent, self.values))
+        the join over all strictly lower compacts.  This holds for h . t
+        with h monotone on the premise closure of t's steps and the bottom;
+        the bottom may be left out when h is strict."""
+        below = strictly_below(values, self.exponent.leq)
+        return self._wrap(_jump_pairs(values, below, self.values))
 
     def tokens(self, bound=None):
         if bound not in self._tokens:
@@ -414,14 +412,12 @@ class FunBasis(Basis):
     def monotone_maps(self, candidates):
         """Yield each monotone map from the exponent tokens into the values,
         point p ranging over candidates(p), once, depth first.  The points
-        are walked in a linear extension, fewest tokens below first and ties
-        in token order, so each point is checked only against its lower
-        points, listed once.  Each map is a fresh dict, point -> value, and
-        candidates(p) is asked only when the search reaches p."""
-        exp, values = self.exponent, self.values
-        toks = exp.tokens().tokens
-        order = sorted(toks, key=lambda t: sum(1 for u in toks if exp.leq(u, t)))
-        lower = [[u for u in order[:i] if exp.leq(u, t)] for i, t in enumerate(order)]
+        are walked in the linear extension of the exponent's `covers`, each
+        checked only against its lower covers.  Each map is a fresh dict,
+        point -> value, and candidates(p) is asked only when the search
+        reaches p."""
+        covers, values = self.exponent.covers, self.values
+        order = list(covers)
         assignment = {}
 
         def rec(i):
@@ -430,7 +426,7 @@ class FunBasis(Basis):
                 return
             p = order[i]
             for v in candidates(p):
-                if all(values.leq(assignment[u], v) for u in lower[i]):
+                if all(values.leq(assignment[u], v) for u in covers[p]):
                     assignment[p] = v
                     yield from rec(i + 1)
 

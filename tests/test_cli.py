@@ -137,6 +137,53 @@ def test_export_dot_running_example(tmp_path):
     assert (nodes, edges) == (1, 0)
 
 
+def _export_dot_by_cubic_scan(basis, path, totals=None):
+    """The scan `export_dot` replaced, kept as the reference: an edge a -> b
+    when a < b and no token lies strictly between."""
+    toks = sorted(basis.tokens().tokens, key=lambda t: t.pretty)
+    total = set(totals or [])
+    ids = {t: f"n{i}" for i, t in enumerate(toks)}
+    lines = ["digraph basis {"]
+    for t in toks:
+        shape = ' peripheries=2' if t in total else ""
+        lines.append(f'  {ids[t]} [label="{t.pretty}"{shape}];')
+    edge_count = 0
+    for a in toks:
+        for b in toks:
+            if a == b or not basis.leq(a, b):
+                continue
+            if any(
+                c != a and c != b and basis.leq(a, c) and basis.leq(c, b)
+                for c in toks
+            ):
+                continue
+            lines.append(f"  {ids[a]} -> {ids[b]};")
+            edge_count += 1
+    lines.append("}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return len(toks), edge_count
+
+
+@pytest.mark.parametrize(
+    "eq",
+    [RUNNING_EQ, "param FB = flatbool; param S = sierpinski; X = FB + [S -> X]"],
+    ids=["running", "FB+[S->X]"],
+)
+def test_export_dot_matches_the_cubic_scan(tmp_path, eq):
+    from domania.cli import resolve_per_source
+    from domania.spfunctor import omega_chain
+
+    src = parse_equation(eq)
+    env = {k: resolve_per_source(v, 6).carrier for (k, v) in src.decls.items()}
+    for stage in omega_chain(src.expr, env, 3):
+        want, got = tmp_path / "want.dot", tmp_path / "got.dot"
+        counts = _export_dot_by_cubic_scan(stage.basis, str(want))
+        assert export_dot(stage.basis, str(got)) == counts
+        assert got.read_bytes() == want.read_bytes(), stage.index
+    assert counts[1] > counts[0]
+
+
 def test_export_dot_marks_totals(tmp_path):
     from domania.builtins import sierpinski_per
 

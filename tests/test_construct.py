@@ -314,3 +314,129 @@ def test_normalization_idempotent_and_order_preserving(dn, en, data):
     live = [(p, q) for (p, q) in pairs if q != E.bottom]
     for p in dt:
         assert fb.apply(t, p) == apply_pairs(live, D, E, p)
+
+
+# ---------------------------------------------------------------------------
+# the order index: lower covers, and the jump points read at them
+
+from domania.basis import lower_covers
+from domania.builtins import flatbool_per, sierpinski_per
+from domania.construct import FunBasis, _jump_pairs, premise_closure
+from domania.spfunctor import LimitBasis, fixed_point_iso, omega_chain
+
+S, FB = sierpinski_per().carrier, flatbool_per().carrier
+# (equation, parameters, last stage): the running example, an exponent
+# beside a flat sum, a product, and a three-point chain as the exponent.
+# Stage 4 of the running example has 410 tokens; of S + X * X 132,499.
+COVER_CHAINS = {
+    "A+[B->X]": (Sum(ConstD("A"), Exp("B", Id())), {"A": S, "B": S}, 4),
+    "FB+[S->X]": (Sum(ConstD("FB"), Exp("S", Id())), {"FB": FB, "S": S}, 3),
+    "S+X*X": (Sum(ConstD("S"), Prod(Id(), Id())), {"S": S}, 3),
+    "A+[C->X]": (
+        Sum(ConstD("A"), Exp("C", Id())),
+        {"A": S, "C": catalog_basis("three-chain")},
+        3,
+    ),
+}
+
+
+def _cover_bases():
+    out = [catalog_basis(n) for n in catalog_names()]
+    for expr, env, n in COVER_CHAINS.values():
+        out += [s.basis for s in omega_chain(expr, env, n)[1:]]
+    return out
+
+
+def test_covers_are_the_maximal_strictly_lower_tokens():
+    for B in _cover_bases():
+        toks = B.tokens().tokens
+        lt = {t: {u for u in toks if u != t and B.leq(u, t)} for t in toks}
+        covers = B.covers
+        assert covers is B.covers  # built once
+        # keys: a linear extension, fewest tokens below first, ties in token order
+        assert list(covers) == sorted(toks, key=lambda t: len(lt[t])), B.name
+        pos = {t: i for i, t in enumerate(covers)}
+        assert all(pos[u] < pos[t] for t in toks for u in lt[t]), B.name
+        for t in toks:
+            maximal = {u for u in lt[t] if not any(u in lt[w] for w in lt[t])}
+            assert set(covers[t]) == maximal, (B.name, t)
+            assert covers[t] == sorted(covers[t], key=pos.get)
+
+
+def _jump_pairs_all_pairs(values, D, E):
+    """The all-pairs scan the covers replaced, kept as the reference: the
+    join below a probe is taken over every strictly lower probe."""
+    out = []
+    for p in values:
+        lower = [values[r] for r in values if r != p and D.leq(r, p)]
+        join_lower = E.lub(lower) if lower else E.bottom
+        if values[p] != join_lower and values[p] != E.bottom:
+            out.append((p, values[p]))
+    return frozenset(out)
+
+
+def test_jump_pairs_at_covers_match_the_all_pairs_scan():
+    """On every map `FunBasis._enumerate_all` builds: each function-space
+    part of the chains' stages, and each catalog exponent into each catalog
+    value basis (on the three-chain, the vee and the diamond an exponent
+    token has fewer covers than lower tokens)."""
+    catalog = [catalog_basis(n) for n in catalog_names()]
+    fbs = [fun_basis(D, E) for D, E in itertools.product(catalog, repeat=2)]
+    for expr, env, n in COVER_CHAINS.values():
+        for s in omega_chain(expr, env, n)[1:]:
+            fbs += [p for p in getattr(s.basis, "parts", ()) if isinstance(p, FunBasis)]
+    maps = 0
+    for fb in fbs:
+        D, E = fb.exponent, fb.values
+        vals = E.tokens().tokens
+        for a in fb.monotone_maps(lambda p: vals):
+            values = {p: a[p] for p in D.tokens().tokens}
+            want = _jump_pairs_all_pairs(values, D, E)
+            assert _jump_pairs(values, D.covers, E) == want, (fb.name, a)
+            assert fb.pairs(fb.from_function(values.get)) == want
+            maps += 1
+    assert maps == sum(len(fb.tokens()) for fb in fbs)
+
+
+def test_probe_set_covers_match_the_all_pairs_scan(monkeypatch):
+    """On the partial probe sets `exp_map` hands to `from_probes` while
+    `fixed_point_iso(...).verify` runs, and on those `canonical_pairs`
+    reads meanwhile; over a diamond exponent too, whose top's two covers
+    leave out the bottom below them.  Both read every probe strictly below
+    (the steps they return are checked too); the covers among the probes
+    give the same steps."""
+    seen = {}
+    from_probes, canonical = FunBasis.from_probes, FunBasis._canonical
+
+    def record(values, D, E, token):
+        seen.setdefault((frozenset(values.items()), D, E), (values, D, E, token))
+        return token
+
+    def record_probes(self, values):
+        token = from_probes(self, values)
+        return record(dict(values), self.exponent, self.values, token)
+
+    def record_steps(self, pairs):
+        D, E = self.exponent, self.values
+        live = [(p, q) for (p, q) in pairs if q != E.bottom]
+        probes = premise_closure({p for (p, _) in live}, D)
+        values = {p: apply_pairs(live, D, E, p) for p in probes}
+        return record(values, D, E, canonical(self, pairs))
+
+    monkeypatch.setattr(FunBasis, "from_probes", record_probes)
+    monkeypatch.setattr(FunBasis, "_canonical", record_steps)
+    diamond = (
+        Sum(ConstD("A"), Exp("D", Id())), {"A": S, "D": catalog_basis("diamond")}, 3
+    )
+    for expr, env, n in [*COVER_CHAINS.values(), diamond]:
+        stages = omega_chain(expr, env, n)
+        fixed_point_iso(expr, env, LimitBasis(stages), bound=n - 1)
+    fewer = 0
+    for values, D, E, token in seen.values():
+        want = _jump_pairs_all_pairs(values, D, E)
+        assert token.key[1] == want
+        covers = lower_covers(values, D.leq)
+        assert _jump_pairs(values, covers, E) == want
+        lower = sum(1 for p in values for r in values if r != p and D.leq(r, p))
+        fewer += sum(map(len, covers.values())) < lower
+    assert len(seen) > 100 and fewer > 10

@@ -128,7 +128,11 @@ class TokenSet(Frozen):
 
 
 class Basis:
-    """Interface shared by all basis implementations. Immutable and pure."""
+    """Interface shared by all basis implementations. Immutable and pure.
+
+    A basis is consistently complete: a finite set is consistent (`cons`)
+    exactly when it has a least upper bound (`lub`).  Each class works out
+    one join per set, and `lub` raises exactly where `cons` is False."""
 
     name: str = "?"
     finite: bool = False
@@ -155,9 +159,6 @@ class Basis:
         The answer depends only on `bound`: earlier calls with other bounds
         never change it."""
         raise NotImplementedError
-
-    def lub2(self, p: Token, q: Token) -> Token:
-        return self.lub((p, q))
 
     @cached_property
     def covers(self) -> Dict[Token, List[Token]]:
@@ -228,7 +229,7 @@ class FiniteBasis(Basis):
 
     finite = True
 
-    def __init__(self, name, toks: List[Token], leq_pairs, check=True):
+    def __init__(self, name, toks: List[Token], leq_pairs):
         self.name = name
         self._tokens = tuple(toks)
         self._members = frozenset(self._tokens)
@@ -241,9 +242,9 @@ class FiniteBasis(Basis):
         if not bottoms:
             raise NoLeastElement(f"basis {name} has no least token")
         self._bottom = bottoms[0]
+        # set -> its join, None when it has none
         self._lub_cache: Dict[FrozenSet[Token], Optional[Token]] = {}
-        if check:
-            self._check_complete()
+        self._check_complete()
 
     def _check_complete(self):
         # consistent pairs must have least upper bounds; pairwise suffices
@@ -269,34 +270,29 @@ class FiniteBasis(Basis):
     def leq(self, p: Token, q: Token) -> bool:
         return (p, q) in self._leq
 
+    def _join(self, ts: FrozenSet[Token]) -> Optional[Token]:
+        """The least upper bound of ts, None when ts has none.  The basis
+        is checked consistently complete, so a set has a join exactly when
+        it has an upper bound; a token outside the basis has none."""
+        try:
+            return self._lub_cache[ts]
+        except KeyError:
+            ubs = [u for u in self._tokens if all(self.leq(t, u) for t in ts)]
+            least = [u for u in ubs if all(self.leq(u, v) for v in ubs)]
+            out = self._lub_cache[ts] = least[0] if least else None
+            return out
+
     def cons(self, ts) -> bool:
-        ts = list(ts)
-        return any(
-            all(self.leq(t, u) for t in ts) for u in self._tokens
-        )
+        return self._join(frozenset(ts)) is not None
 
     def lub(self, ts) -> Token:
         ts = frozenset(ts)
-        if ts in self._lub_cache:
-            got = self._lub_cache[ts]
-            if got is None:
-                raise NotConsistentlyComplete(
-                    f"lub of inconsistent set in {self.name}", witness=ts
-                )
-            return got
-        toks = [t for t in self._tokens if t in ts]
-        if not toks:
-            result = self._bottom
-        else:
-            ubs = [u for u in self._tokens if all(self.leq(t, u) for t in toks)]
-            least = [u for u in ubs if all(self.leq(u, v) for v in ubs)]
-            result = least[0] if least else None
-        self._lub_cache[ts] = result
-        if result is None:
+        out = self._join(ts)
+        if out is None:
             raise NotConsistentlyComplete(
-                f"lub of inconsistent set in {self.name}", witness=toks
+                f"lub of inconsistent set in {self.name}", witness=ts
             )
-        return result
+        return out
 
     def tokens(self, bound=None) -> TokenSet:
         return TokenSet(self._tokens, True)
@@ -506,10 +502,10 @@ def flat_basis(points, name="flat") -> FiniteBasis:
 class FlatNatBasis(Basis):
     """Flat domain of natural numbers; infinitely many tokens, staged."""
 
+    name = "flatnat"
     finite = False
 
-    def __init__(self, name="flatnat"):
-        self.name = name
+    def __init__(self):
         self._bottom = tok(("natb",))
 
     def nat(self, n: int) -> Token:

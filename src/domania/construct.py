@@ -9,6 +9,11 @@ function v strictly exceeds the join of its values at strictly lower closure
 points. Distinct canonical sets denote distinct compacts, which makes token
 identity decidable.
 
+A set of step functions is consistent exactly when it has a join, since
+the bases are consistently complete.  So `canonical_steps` decides both in
+one pass over the premise-lub closure: the join, when it exists, is read
+off its values there, and it exists exactly when each of those values does.
+
 A constructed token's key holds its component tokens (`basis.Token`): an
 injection `("s", i, x)`, a pair `("p", x, y)` and a step set `("fn",
 frozenset of (p, q))`.  Each operation reads its components off the key,
@@ -18,7 +23,7 @@ and every cache is keyed by tokens.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from .basis import Basis, Token, TokenSet, strictly_below, tok
 from .errors import InconsistentUnion, NotAnEmbedding, NotConsistentlyComplete
@@ -48,25 +53,25 @@ def premise_closure(premises, D: Basis):
     return closure
 
 
-def stepset_consistent(pairs, D: Basis, E: Basis) -> bool:
-    """Every premise-consistent subset must have consistent values.
+def canonical_steps(pairs, D: Basis, E: Basis):
+    """The canonical steps of the join of the step functions `pairs`, or
+    None when they have no join (they are inconsistent).
 
-    Decided through the premise-lub closure: it suffices that the fired set
-    at every closure point has consistent values, because any premise-
-    consistent subset is contained in the fired set at the join of its
-    premises, and subsets of consistent sets are consistent. The literal
-    subset walk is kept as `stepset_consistent_subsets` and the test suite
-    proves the two agree.
-    """
-    plist = [(p, q) for (p, q) in pairs if q != E.bottom]
-    if not plist:
-        return True
-    closure = premise_closure({p for (p, _) in plist}, D)
-    for r in closure:
-        fired = [q for (p, q) in plist if D.leq(p, r)]
+    The join sends r to the join of the values fired at r.  It is read at
+    the premise-lub closure, where it has every jump point.  It exists
+    exactly when every closure point's fired values have a join: any
+    premise-consistent subset lies in the fired set at the join of its
+    premises, a closure point, and subsets of consistent sets are
+    consistent.  The literal subset walk is kept as
+    `stepset_consistent_subsets`, and the test suite proves the two agree."""
+    live = [(p, q) for (p, q) in pairs if q != E.bottom]
+    values = {}
+    for r in premise_closure({p for (p, _) in live}, D):
+        fired = [q for (p, q) in live if D.leq(p, r)]
         if not E.cons(fired):
-            return False
-    return True
+            return None
+        values[r] = E.lub(fired)
+    return _jump_pairs(values, strictly_below(values, D.leq), E)
 
 
 def stepset_consistent_subsets(pairs, D: Basis, E: Basis) -> bool:
@@ -83,23 +88,13 @@ def stepset_consistent_subsets(pairs, D: Basis, E: Basis) -> bool:
         p, q = plist[i]
         if pj is not None and not D.cons((pj, p)):
             return True
-        npj = p if pj is None else D.lub2(pj, p)
+        npj = p if pj is None else D.lub((pj, p))
         if qj is not None and not E.cons((qj, q)):
             return False
-        nqj = q if qj is None else E.lub2(qj, q)
+        nqj = q if qj is None else E.lub((qj, q))
         return walk(i + 1, npj, nqj)
 
     return walk(0, None, None)
-
-
-def canonical_pairs(pairs, D: Basis, E: Basis):
-    """Canonical presentation of the function denoted by a consistent set."""
-    live = [(p, q) for (p, q) in pairs if q != E.bottom]
-    if not live:
-        return frozenset()
-    probes = premise_closure({p for (p, _) in live}, D)
-    values = {p: apply_pairs(live, D, E, p) for p in probes}
-    return _jump_pairs(values, strictly_below(values, D.leq), E)
 
 
 def _jump_pairs(values, below, E: Basis):
@@ -166,28 +161,26 @@ class MultiSumBasis(Basis):
         (_, i, x), (_, j, y) = p.key, q.key
         return i == j and self.parts[i].leq(x, y)
 
-    def cons(self, ts):
+    def _summand(self, ts):
+        """(i, inner tokens) when the non-bottom tokens of ts all lie in
+        summand i, i None when there are none; None when they lie in two."""
         live = [t for t in ts if t != self._bottom]
-        if not live:
-            return True
         tags = {t.key[1] for t in live}
         if len(tags) > 1:
-            return False
-        i = tags.pop()
-        return self.parts[i].cons([t.key[2] for t in live])
+            return None
+        return (tags.pop() if tags else None), [t.key[2] for t in live]
+
+    def cons(self, ts):
+        s = self._summand(ts)
+        return s is not None and (s[0] is None or self.parts[s[0]].cons(s[1]))
 
     def lub(self, ts):
-        live = [t for t in ts if t != self._bottom]
-        if not live:
-            return self._bottom
-        tags = {t.key[1] for t in live}
-        if len(tags) > 1:
-            raise NotConsistentlyComplete(
-                f"mixed tags in {self.name}", witness=live
-            )
-        i = tags.pop()
-        inner = self.parts[i].lub([t.key[2] for t in live])
-        return self.inject(i, inner)
+        ts = list(ts)
+        s = self._summand(ts)
+        if s is None:
+            raise NotConsistentlyComplete(f"mixed tags in {self.name}", witness=ts)
+        i, inner = s
+        return self._bottom if i is None else self.inject(i, self.parts[i].lub(inner))
 
     def tokens(self, bound=None):
         if bound not in self._tokens:
@@ -291,17 +284,16 @@ def prod_basis(D: Basis, E: Basis) -> ProdBasis:
 
 
 class FunBasis(Basis):
-    def __init__(self, exponent: Basis, values: Basis, name=None):
+    def __init__(self, exponent: Basis, values: Basis):
         self.exponent = exponent
         self.values = values
-        self.name = name or f"[{exponent.name} -> {values.name}]"
+        self.name = f"[{exponent.name} -> {values.name}]"
         self.finite = exponent.finite and values.finite
         self._bottom = self._wrap(frozenset())
         self._tokens = {}
         self._apply_cache = {}
         self._leq_cache = {}
-        self._cons_cache = {}
-        self._join_cache = {}
+        self._joins = {}  # set of steps -> its join's token, None when none
 
     def _wrap(self, pairs) -> Token:
         return tok(("fn", frozenset(pairs)))
@@ -309,11 +301,23 @@ class FunBasis(Basis):
     def make(self, pairs) -> Token:
         """Canonical token from raw (premise, value) pairs; checks consistency."""
         pairs = list(pairs)
-        if not self._consistent(pairs):
+        out = self._join(pairs)
+        if out is None:
             raise InconsistentUnion(
                 f"inconsistent step set in {self.name}", witness=pairs
             )
-        return self._canonical(pairs)
+        return out
+
+    def _join(self, pairs) -> Optional[Token]:
+        """The token of the join of the steps `pairs`, None when they have
+        none; each distinct set is closed once."""
+        key = frozenset(pairs)
+        try:
+            return self._joins[key]
+        except KeyError:
+            steps = canonical_steps(key, self.exponent, self.values)
+            out = self._joins[key] = None if steps is None else self._wrap(steps)
+            return out
 
     def pairs(self, t: Token):
         """The (premise, value) steps of t: the set its key holds."""
@@ -347,33 +351,17 @@ class FunBasis(Basis):
             )
             return v
 
-    def _consistent(self, pairs):
-        key = frozenset(pairs)
-        if key not in self._cons_cache:
-            self._cons_cache[key] = stepset_consistent(
-                pairs, self.exponent, self.values
-            )
-        return self._cons_cache[key]
-
-    def _canonical(self, pairs):
-        key = frozenset(pairs)
-        if key not in self._join_cache:
-            self._join_cache[key] = self._wrap(
-                canonical_pairs(pairs, self.exponent, self.values)
-            )
-        return self._join_cache[key]
-
     def cons(self, ts):
-        allpairs = [pq for t in ts for pq in self.pairs(t)]
-        return self._consistent(allpairs)
+        return self._join(pq for t in ts for pq in self.pairs(t)) is not None
 
     def lub(self, ts):
-        allpairs = [pq for t in ts for pq in self.pairs(t)]
-        if not self._consistent(allpairs):
+        ts = list(ts)
+        out = self._join(pq for t in ts for pq in self.pairs(t))
+        if out is None:
             raise InconsistentUnion(
-                f"lub of inconsistent step sets in {self.name}", witness=list(ts)
+                f"lub of inconsistent step sets in {self.name}", witness=ts
             )
-        return self._canonical(allpairs)
+        return out
 
     def from_function(self, value_at: Callable[[Token], Token]) -> Token:
         """Token of the monotone map given by values on a finite exponent."""
@@ -438,14 +426,9 @@ class FunBasis(Basis):
         b = 3 if bound is None else bound
         es = self.exponent.tokens(b).tokens[: b + 1]
         vs = self.values.tokens(b).tokens[: 4 * b]
-        cands = [(p, q) for p in es for q in vs if q != self.values.bottom]
-        D, E = self.exponent, self.values
-        toks = [self._bottom] + [
-            self._wrap(canonical_pairs([combo], D, E))
-            for combo in cands
-            if stepset_consistent([combo], D, E)
-        ]
-        return TokenSet(tuple(dict.fromkeys(toks)), False)
+        steps = [(p, q) for p in es for q in vs if q != self.values.bottom]
+        toks = [self._bottom, *(self._join([step]) for step in steps)]
+        return TokenSet(tuple(dict.fromkeys(t for t in toks if t is not None)), False)
 
 
 def fun_basis(D: Basis, E: Basis) -> FunBasis:

@@ -4,14 +4,14 @@ point, and the laws the dense report checks on them."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from .basis import Basis, Checks, Token, TokenSet, both
 from .construct import TokenMap, premise_closure
-from .errors import NonDenseParameter, TrivialFunctor
+from .errors import NonDenseParameter, NotConsistentlyComplete, TrivialFunctor
 from .ordinals import omega_plus
 from .per import DomainPer, has_total_extension, replace, trivial_per
-from .perlfp import EXHAUSTIVE_DEPTH, PerChain, apply_functor_per, functor_is_trivial
+from .perlfp import EXHAUSTIVE_DEPTH, PERS, PerChain, functor_is_trivial
 from .perlfp import per_chain_extend
 from .spfunctor import MAPS, ConstD, Exp, Id, Prod, Sum, carrier_table, functor_action
 
@@ -25,10 +25,10 @@ class DensePart:
 class KeptBasis(Basis):
     """Restriction of a carrier to tokens with total extensions."""
 
-    def __init__(self, parent: Basis, kept, name=None):
+    def __init__(self, parent: Basis, kept):
         self.parent = parent
         self.kept = kept
-        self.name = name or f"{parent.name}^d"
+        self.name = f"{parent.name}^d"
         self.finite = parent.finite
 
     @property
@@ -43,11 +43,12 @@ class KeptBasis(Basis):
 
     def cons(self, ts):
         ts = list(ts)
-        if not self.parent.cons(ts):
-            return False
-        return self.kept(self.parent.lub(ts))
+        return self.parent.cons(ts) and self.kept(self.parent.lub(ts))
 
     def lub(self, ts):
+        ts = list(ts)
+        if not self.cons(ts):
+            raise NotConsistentlyComplete(f"no join in {self.name}", witness=ts)
         return self.parent.lub(ts)
 
     def tokens(self, bound=None):
@@ -92,7 +93,11 @@ class DeltaFamily:
     equation."""
 
     def __init__(self, chain: PerChain):
-        if functor_is_trivial(chain.functor, chain.env):
+        # each sub-term's per at the trivial per, by id; a sub-term is live
+        # when its per there has totals
+        self._trivial: Dict[int, DomainPer] = {}
+        functor_action(chain.functor, trivial_per(), chain.env, PERS, self._trivial)
+        if self._least_total(chain.functor) is None:
             raise TrivialFunctor("the closed-set family needs a non-trivial equation")
         self.chain = chain
         self.limit = chain.per_limit.limit
@@ -168,36 +173,27 @@ class DeltaFamily:
             )
         return self._lifts[n]
 
-    def _least_total(self, expr) -> Token:
-        per0 = apply_functor_per(expr, trivial_per(), self.chain.env)
-        ts, _ = per0.totals()
-        return min(ts, key=lambda t: t.pretty)
-
-    def _lift_summand_total(self, expr, i: int, carrier) -> Token:
-        # least total of summand i of expr, as a value of the full carrier
-        sub = (expr.left, expr.right)[i]
-        t0 = self._least_total(sub)
-        # t0 lives over the trivial-per carrier of the summand; its tokens are
-        # parameter tokens, so they embed unchanged
-        return carrier.inject(i, t0)
+    def _least_total(self, expr) -> Optional[Token]:
+        """Least total of sub-term expr at the trivial per by printed name,
+        None when it has none."""
+        ts, _ = self._trivial[id(expr)].totals()
+        return min(ts, key=lambda t: t.pretty, default=None)
 
     def _r0(self, expr, value: Token) -> Token:
         if isinstance(expr, ConstD):
             return value
         if isinstance(expr, Sum):
             carrier = self._carriers[id(expr)]
-            lt = not functor_is_trivial(expr.left, self.chain.env)
-            rt = not functor_is_trivial(expr.right, self.chain.env)
             spl = carrier.split(value)
             if spl is None:
                 return value
             i, x = spl
-            if lt and rt:
-                return carrier.inject(i, self._r0((expr.left, expr.right)[i], x))
-            live = 0 if lt else 1
-            if i == live:
-                return carrier.inject(i, self._r0((expr.left, expr.right)[i], x))
-            return self._lift_summand_total(expr, live, carrier)
+            sides = (expr.left, expr.right)
+            if self._least_total(sides[i]) is not None:
+                return carrier.inject(i, self._r0(sides[i], x))
+            # a dead summand goes to the live one's least total, whose
+            # tokens are parameter tokens and so embed unchanged
+            return carrier.inject(1 - i, self._least_total(sides[1 - i]))
         if isinstance(expr, Prod):
             carrier = self._carriers[id(expr)]
             x, y = carrier.split(value)

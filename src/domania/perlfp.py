@@ -112,17 +112,16 @@ class PerChain:
     def __init__(
         self, functor: FunctorExpr, env: Dict[str, DomainPer],
         stages: List[Tuple[Ordinal, DomainPer]], embeddings: List[PerEmbedding],
-        per_limit: Optional[PerLimit] = None, iso: Optional[FixedPointIso] = None,
-        unfolded: Optional[List[DomainPer]] = None,
         links: Optional[List[Verdict]] = None,
     ):
         self.functor = functor
         self.env = env
         self.stages = stages
         self.embeddings = embeddings
-        self.per_limit = per_limit
-        self.iso = iso
-        self.unfolded = [] if unfolded is None else unfolded  # pers on F(D_omega)
+        # set by `per_chain_extend` when the chain reaches omega
+        self.per_limit: Optional[PerLimit] = None
+        self.iso: Optional[FixedPointIso] = None
+        self.unfolded: List[DomainPer] = []  # pers on F(D_omega)
         # each finite link's verdict at the bound it was decided at; bound
         # None when it was decided exactly, by an exhaustive scan or by
         # functoriality (a rule-decided link is True)

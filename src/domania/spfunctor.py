@@ -20,7 +20,7 @@ from .construct import (
     sum_basis,
     sum_map,
 )
-from .errors import IsoFailure, UnboundParameter
+from .errors import IsoFailure, NotConsistentlyComplete, UnboundParameter
 from .ordinals import Ordinal, fin
 
 
@@ -189,15 +189,14 @@ class LimitBasis(Basis):
     """Limit of an omega-chain; a token is tagged with the least stage at
     which it occurs as an embedding image."""
 
+    name = "limit"
     finite = False
 
-    def __init__(self, stages: List[ChainStage], name=None):
+    def __init__(self, stages: List[ChainStage]):
         self.stages = stages
-        self.name = name or "limit"
         self._canon_cache = {}
         self._leq_cache = {}
-        self._lub_cache = {}
-        self._cons_cache = {}
+        self._lub_cache = {}  # set -> its join, None when it has none
         self._stage_emb_cache = {}
         self._images = {}
         self._tokens = {}
@@ -265,29 +264,33 @@ class LimitBasis(Basis):
             v = self._leq_cache[key] = self.stages[k].basis.leq(pt, qt)
             return v
 
-    def cons(self, ts):
-        ts = list(ts)
-        if not ts:
-            return True
+    def _join(self, ts) -> Optional[Token]:
+        """The join of ts, None when it has none: each token lifted once to
+        the latest stage among them, and joined there."""
         key = frozenset(ts)
-        if key not in self._cons_cache:
-            parts = [self.decompose(t) for t in ts]
-            k = max(i for (i, _) in parts)
+        try:
+            return self._lub_cache[key]
+        except KeyError:
+            parts = [self.decompose(t) for t in key]
+            k = max((i for (i, _) in parts), default=0)
             lifted = [self.lift_token(i, t, k) for (i, t) in parts]
-            self._cons_cache[key] = self.stages[k].basis.cons(lifted)
-        return self._cons_cache[key]
+            stage = self.stages[k].basis
+            out = self._lub_cache[key] = (
+                self.canonical(k, stage.lub(lifted)) if stage.cons(lifted) else None
+            )
+            return out
+
+    def cons(self, ts):
+        return self._join(ts) is not None
 
     def lub(self, ts):
         ts = list(ts)
-        if not ts:
-            return self._bottom
-        key = frozenset(ts)
-        if key not in self._lub_cache:
-            parts = [self.decompose(t) for t in ts]
-            k = max(i for (i, _) in parts)
-            lifted = [self.lift_token(i, t, k) for (i, t) in parts]
-            self._lub_cache[key] = self.canonical(k, self.stages[k].basis.lub(lifted))
-        return self._lub_cache[key]
+        out = self._join(ts)
+        if out is None:
+            raise NotConsistentlyComplete(
+                f"lub of inconsistent set in {self.name}", witness=ts
+            )
+        return out
 
     def tokens(self, bound=None):
         # the stage list is fixed at construction, so each bound's answer is kept

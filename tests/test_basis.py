@@ -45,6 +45,27 @@ def test_vee_inconsistent_arms():
     assert b.cons((tok("bot"), tok("a")))
 
 
+def test_cons_matches_the_upper_bound_scan():
+    # cons reads the join lub caches; the upper-bound scan it replaced is
+    # the reference, on every set of up to three tokens
+    for name in catalog_names():
+        b = catalog_basis(name)
+        toks = b.tokens().tokens
+        for size in range(4):
+            for ts in itertools.combinations(toks, size):
+                has_ub = any(all(b.leq(t, u) for t in ts) for u in toks)
+                assert b.cons(ts) == has_ub, (name, ts)
+
+
+def test_a_token_outside_the_basis_has_no_join():
+    vee = catalog_basis("vee")
+    a, outside = tok("a"), tok("t")
+    assert not vee.cons((a, outside))
+    with pytest.raises(NotConsistentlyComplete):
+        vee.lub((a, outside))
+    assert vee.lub((tok("bot"), a)) == a
+
+
 def test_two_maximal_upper_bounds_rejected():
     # a,b below both c and d, with c,d incomparable: {a,b} consistent, no lub
     with pytest.raises(NotConsistentlyComplete) as ei:

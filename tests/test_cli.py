@@ -513,6 +513,34 @@ def test_flatnat_product_equation_ends_with_a_report():
     assert checks["stabilization"] == "fail"
 
 
+def test_per_lfp_row_past_the_last_built_stage_has_no_class_count():
+    # omega+3's classes at rank bound 2 need finite stage 5, past the four
+    # built: the row prints no count, and the report still ends with exit 0
+    argv = ["per-lfp", "--eq", RUNNING_EQ, "--rank-bound", "2", "--beyond-omega", "3"]
+    code, text = run_command(argv)
+    assert code == 0, text
+    last = json.loads(text)["stages"][-1]
+    assert last["index"] == "omega+3" and last["total_class_count"] is None
+
+
+# the closed-set family's retraction on a product summand, an exponent
+# summand, a sum with both sides live, and a product beside an exponent
+DENSE_BRANCH_EQUATIONS = [
+    "param A = sierpinski; X = A * A + X",
+    "param A = sierpinski; param B = sierpinski; X = [B -> A] + X",
+    "param A = sierpinski; param B = flatbool; X = A + B + X",
+    "param A = sierpinski; param B = sierpinski; X = A * [B -> A] + [B -> X]",
+]
+
+
+@pytest.mark.parametrize("eq", DENSE_BRANCH_EQUATIONS)
+def test_dense_laws_pass_on_each_shape_of_summand(eq):
+    argv = ["dense", "--eq", eq, "--n-max", "2", "--rank-bound", "2"]
+    code, text = run_command(argv)
+    assert code == 0, text
+    assert [c["status"] for c in json.loads(text)["checks"]] == ["pass"] * 4
+
+
 def test_rank_five_per_lfp_report_is_unchanged():
     # the probe and the class counts once enumerated every stage omega+1
     # fragment total here (~8 s, ~160 MB); run in a child under a timeout

@@ -16,12 +16,11 @@ from domania.construct import (
     MultiSumBasis,
     ProdBasis,
     TokenMap,
-    canonical_pairs,
+    canonical_steps,
     exp_map,
     fun_basis,
     identity_embedding,
     prod_basis,
-    stepset_consistent,
     sum_basis,
     verify_embedding,
 )
@@ -119,7 +118,7 @@ def test_fun_tokens_order_isomorphic_to_pointwise_order():
 
 def test_inconsistent_step_pair():
     pairs = [(BOT, tok("a")), (BOT, tok("b"))]
-    assert not stepset_consistent(pairs, O, VEE)
+    assert canonical_steps(pairs, O, VEE) is None
     fb = fun_basis(O, VEE)
     with pytest.raises(InconsistentUnion):
         fb.make(pairs)
@@ -276,7 +275,7 @@ def test_consistency_shortcut_matches_subset_oracle():
             ]
             for size in (1, 2, 3):
                 for combo in itertools.combinations(cands, size):
-                    assert stepset_consistent(combo, D, E) == (
+                    assert (canonical_steps(combo, D, E) is not None) == (
                         stepset_consistent_subsets(combo, D, E)
                     ), combo
 
@@ -305,7 +304,7 @@ def test_normalization_idempotent_and_order_preserving(dn, en, data):
         )
     )
     fb = fun_basis(D, E)
-    if not stepset_consistent(pairs, D, E):
+    if canonical_steps(pairs, D, E) is None:
         with pytest.raises(InconsistentUnion):
             fb.make(pairs)
         return
@@ -400,13 +399,13 @@ def test_jump_pairs_at_covers_match_the_all_pairs_scan():
 
 def test_probe_set_covers_match_the_all_pairs_scan(monkeypatch):
     """On the partial probe sets `exp_map` hands to `from_probes` while
-    `fixed_point_iso(...).verify` runs, and on those `canonical_pairs`
+    `fixed_point_iso(...).verify` runs, and on those a step set's join
     reads meanwhile; over a diamond exponent too, whose top's two covers
     leave out the bottom below them.  Both read every probe strictly below
     (the steps they return are checked too); the covers among the probes
     give the same steps."""
     seen = {}
-    from_probes, canonical = FunBasis.from_probes, FunBasis._canonical
+    from_probes, join = FunBasis.from_probes, FunBasis._join
 
     def record(values, D, E, token):
         seen.setdefault((frozenset(values.items()), D, E), (values, D, E, token))
@@ -417,14 +416,18 @@ def test_probe_set_covers_match_the_all_pairs_scan(monkeypatch):
         return record(dict(values), self.exponent, self.values, token)
 
     def record_steps(self, pairs):
+        pairs = list(pairs)
+        token = join(self, pairs)
+        if token is None:
+            return None
         D, E = self.exponent, self.values
         live = [(p, q) for (p, q) in pairs if q != E.bottom]
         probes = premise_closure({p for (p, _) in live}, D)
         values = {p: apply_pairs(live, D, E, p) for p in probes}
-        return record(values, D, E, canonical(self, pairs))
+        return record(values, D, E, token)
 
     monkeypatch.setattr(FunBasis, "from_probes", record_probes)
-    monkeypatch.setattr(FunBasis, "_canonical", record_steps)
+    monkeypatch.setattr(FunBasis, "_join", record_steps)
     diamond = (
         Sum(ConstD("A"), Exp("D", Id())), {"A": S, "D": catalog_basis("diamond")}, 3
     )
@@ -440,3 +443,58 @@ def test_probe_set_covers_match_the_all_pairs_scan(monkeypatch):
         lower = sum(1 for p in values for r in values if r != p and D.leq(r, p))
         fewer += sum(map(len, covers.values())) < lower
     assert len(seen) > 100 and fewer > 10
+
+
+# ---------------------------------------------------------------------------
+# one join per step set: a single closure pass decides consistency and
+# gives the canonical steps
+
+
+def _two_pass_steps(pairs, D, E):
+    """The two closure passes `canonical_steps` replaced, kept as the
+    reference: consistency at every point of one premise-lub closure, then
+    the canonical steps read at a second."""
+    live = [(p, q) for (p, q) in pairs if q != E.bottom]
+    if not live:
+        return frozenset()
+    closure = premise_closure({p for (p, _) in live}, D)
+    if not all(E.cons([q for (p, q) in live if D.leq(p, r)]) for r in closure):
+        return None
+    probes = premise_closure({p for (p, _) in live}, D)
+    values = {p: apply_pairs(live, D, E, p) for p in probes}
+    return _jump_pairs_all_pairs(values, D, E)
+
+
+def test_one_pass_steps_match_the_two_pass_reference():
+    sets = 0
+    for D, E in itertools.product([catalog_basis(n) for n in catalog_names()], repeat=2):
+        steps = list(itertools.product(D.tokens().tokens, E.tokens().tokens))
+        for size in (1, 2, 3):
+            for combo in itertools.combinations(steps, size):
+                want = _two_pass_steps(combo, D, E)
+                assert canonical_steps(combo, D, E) == want, (D.name, E.name, combo)
+                sets += 1
+    assert sets == 2829
+
+
+def test_a_fresh_step_set_is_closed_once(monkeypatch):
+    from domania import construct
+
+    closed = []
+    closure = construct.premise_closure
+
+    def counting(premises, D):
+        closed.append(premises)
+        return closure(premises, D)
+
+    monkeypatch.setattr(construct, "premise_closure", counting)
+    a, b = tok("a"), tok("b")
+    # a basis of its own, so that no step set is cached yet
+    fb = FunBasis(catalog_basis("vee"), catalog_basis("diamond"))
+    fb.make([(a, a), (b, b)])
+    assert len(closed) == 1
+    f, g = fb.make([(a, b)]), fb.make([(BOT, a)])
+    del closed[:]
+    assert fb.cons((f, g))
+    assert fb.pairs(fb.lub((f, g))) == {(BOT, a), (a, tok("top"))}
+    assert len(closed) == 1

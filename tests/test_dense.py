@@ -12,7 +12,12 @@ from domania.dense import (
     dense_part,
     has_total_extension,
 )
-from domania.errors import NonDenseParameter, TrivialFunctor, UnknownToken
+from domania.errors import (
+    NonDenseParameter,
+    NotConsistentlyComplete,
+    TrivialFunctor,
+    UnknownToken,
+)
 from domania.ordinals import omega_plus
 from domania.per import PerFlags, check_property, finite_per, is_equivariant
 from domania.perlfp import per_chain_extend
@@ -67,6 +72,18 @@ def test_dense_part_of_trivial_is_trivial():
     assert len(dp.per.carrier.tokens().tokens) == 1
     ts, _ = dp.per.totals()
     assert ts == []
+
+
+def test_dense_part_lub_raises_where_cons_says_no():
+    # totals a and b on a diamond: their join top has no total above it,
+    # so the dense part keeps a and b but has no join of the two
+    a, b = tok("a"), tok("b")
+    kept = dense_part(finite_per(catalog_basis("diamond"), [(a, a), (b, b)])).per.carrier
+    assert not kept.has_token(tok("top"))
+    assert not kept.cons((a, b))
+    with pytest.raises(NotConsistentlyComplete):
+        kept.lub((a, b))
+    assert kept.lub((tok("bot"), a)) == a
 
 
 def _running_chain(n=4):

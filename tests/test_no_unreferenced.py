@@ -9,7 +9,8 @@ unless `TEST_ONLY` names it. Every name a package module imports is used in
 that module, unless its import line says `# noqa: F401`. Only cli.py words a
 flag: no other package module holds the string "yes", "no" or "unknown".
 No package code drops the exactness flag of a bounded listing outside the
-commented `FLAG_DROPS` allow-list."""
+commented `FLAG_DROPS` allow-list.  Every defaulted `__init__` parameter of
+a package class is set by some call under src/, tests/ or scripts/."""
 
 import ast
 import os
@@ -33,7 +34,8 @@ TEST_ONLY = {
     "enumerate_ideals",  # qcb: ideal completion of a finite basis
     "eta_token",  # eta: the one-step map as a step set
     "image_per",  # per: the image per of a map
-    "stepset_consistent_subsets",  # construct: slow reference for stepset_consistent
+    # construct: slow reference for the consistency `canonical_steps` decides
+    "stepset_consistent_subsets",
 }
 
 
@@ -174,8 +176,9 @@ FLAG_DROPS = {
     ("cli.py", "_stage_rows_for_chain", "n_classes, _ = per.class_count(rank_bound)"):
         "waits for item 9",
     ("dense.py", "dense_part", "ts, _ = P.totals(bound)"): "waits for item 9",
-    ("dense.py", "_least_total", "ts, _ = per0.totals()"):
-        "any listed total serves as the least one by printed name",
+    ("dense.py", "_least_total", "ts, _ = self._trivial[id(expr)].totals()"):
+        "any listed total serves as the least one by printed name, and one "
+        "listed total shows the sub-term live",
     ("dense.py", "dense_laws", "totals, _ = plim.per.totals(rank_bound)"):
         "waits for item 9",
     ("eta.py", "find_witness", "ts, _ = inputs.totals(bound)"): "waits for item 9",
@@ -288,3 +291,66 @@ def test_no_exactness_flag_is_dropped_off_the_allow_list():
     # each site is allowed once, and the allow-list names only live sites
     assert sorted(found) == sorted(FLAG_DROPS)
     assert all(FLAG_DROPS.values())
+
+
+def _init_parameters():
+    """Package class name -> (module, the class whose `__init__` it runs,
+    that `__init__`'s positional parameters after self, its defaulted
+    parameters).  A class with no `__init__` of its own runs the first one
+    among its package bases, so a call to it sets that class's parameters."""
+    classes = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            for node in _parse(os.path.join(PACKAGE, name)).body:
+                if isinstance(node, ast.ClassDef):
+                    assert node.name not in classes, node.name
+                    classes[node.name] = (name, node)
+
+    def runs(cls):
+        module, node = classes[cls]
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                return cls, module, item.args
+        bases = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+        return next((runs(b) for b in bases if b in classes), None)
+
+    out = {}
+    for cls in classes:
+        found = runs(cls)
+        if found is None:
+            continue
+        owner, module, args = found
+        positional = [a.arg for a in args.posonlyargs + args.args][1:]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        out[cls] = (module, owner, positional, defaulted)
+    return out
+
+
+def test_every_defaulted_init_parameter_is_set_by_a_call():
+    params = _init_parameters()
+    unset = {
+        (module, owner, p)
+        for (module, owner, _, defaulted) in params.values()
+        for p in defaulted
+    }
+    for path in _python_files():
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            cls = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if cls not in params:
+                continue
+            module, owner, positional, defaulted = params[cls]
+            keywords = [k.arg for k in node.keywords]
+            if None in keywords:  # a `**` argument may set any of them
+                named = defaulted
+            elif any(isinstance(a, ast.Starred) for a in node.args):
+                named = positional + keywords
+            else:
+                named = positional[:len(node.args)] + keywords
+            unset -= {(module, owner, p) for p in named}
+    assert sorted(f"{m}: {o}.__init__({p}=)" for (m, o, p) in unset) == []

@@ -444,8 +444,8 @@ def enumerate_monotone_maps(src: FinitePoset, dst: FinitePoset):
     return maps
 
 
-def poset_of_basis(basis: Basis, bound=None) -> FinitePoset:
-    ts = basis.tokens(bound)
+def poset_of_basis(basis: Basis) -> FinitePoset:
+    ts = basis.tokens()
     pairs = frozenset(
         (a.key, b.key) for a in ts.tokens for b in ts.tokens if basis.leq(a, b)
     )

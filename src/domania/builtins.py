@@ -13,23 +13,21 @@ def sierpinski_per() -> DomainPer:
     )
 
 
-def flatbool_per() -> DomainPer:
-    b = flat_basis(["tt", "ff"], name="flatbool")
-    return finite_per(
-        b,
-        [(tok("tt"), tok("tt")), (tok("ff"), tok("ff"))],
-        flags=ALL_YES,
-        name="flatbool",
-    )
+def flat_points(name: str):
+    """The points of a flat builtin, `flatbool` or `discrete(n)`; None for
+    any other name."""
+    size = name[len("discrete("):-1]
+    if name.startswith("discrete(") and name.endswith(")") and size.isdigit():
+        return [str(i) for i in range(int(size))]
+    return ["tt", "ff"] if name == "flatbool" else None
 
 
-def discrete_per(n: int) -> DomainPer:
-    b = flat_basis(range(n), name=f"discrete({n})")
+def flat_per(name: str) -> DomainPer:
+    """The flat builtin `name`: each point is a total class of its own."""
+    points = flat_points(name)
+    b = flat_basis(points, name=name)
     return finite_per(
-        b,
-        [(tok(str(i)), tok(str(i))) for i in range(n)],
-        flags=ALL_YES,
-        name=f"discrete({n})",
+        b, [(tok(p), tok(p)) for p in points], flags=ALL_YES, name=name
     )
 
 
@@ -43,18 +41,12 @@ def flatnat_per(nat_bound: int = 8) -> DomainPer:
     )
 
 
-BUILTIN_PERS = {
-    "sierpinski": sierpinski_per,
-    "flatbool": flatbool_per,
-    "flatnat": flatnat_per,
-    "trivial": trivial_per,
-}
+BUILTIN_PERS = {"sierpinski": sierpinski_per, "trivial": trivial_per}
 
 
 def builtin_per(name: str, nat_bound: int = 8) -> DomainPer:
-    size = name[len("discrete("):-1]
-    if name.startswith("discrete(") and name.endswith(")") and size.isdigit():
-        return discrete_per(int(size))
+    if flat_points(name) is not None:
+        return flat_per(name)
     if name == "flatnat":
         return flatnat_per(nat_bound)
     if name not in BUILTIN_PERS:

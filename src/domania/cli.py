@@ -13,10 +13,11 @@ Equation grammar (EBNF):
     term    := factor ("*" factor)*
     factor  := IDENT | "[" IDENT "->" expr "]" | "(" expr ")"
 
-Statements are separated by ";" or newlines. The left-hand identifier of the
-equation is the recursion variable. In space mode the same grammar is read
-with "+", "*" and "[->]" as disjoint union, sequential product and
-exponentiation of spaces.
+Statements are separated by ";" or newlines, and "#" starts a comment that
+runs to the end of the line. The left-hand identifier of the equation is the
+recursion variable. In space mode (`qcb`) the same grammar is read with "+",
+"*" and "[->]" as disjoint union, sequential product and exponentiation of
+spaces, and `file(PATH)` names a space definition file.
 
 Definition files are line-oriented `key = value` records:
 
@@ -35,7 +36,7 @@ import sys
 from typing import Dict, List, Tuple
 
 from .basis import Basis, Checks, Token, lower_covers, mk_finite_basis, tok
-from .builtins import builtin_per, flatnat_per
+from .builtins import builtin_per, flat_points, flatnat_per
 from .dense import dense_laws, dense_lfp
 from .errors import (
     DomaniaError,
@@ -66,9 +67,12 @@ class EquationSource:
         self.expr = expr
 
 
+# one alternative per token kind, tried at each position in turn; a path
+# in `file(...)` is raw text up to the first close paren
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<arrow>->)"
-    r"|(?P<sym>[=+*()\[\];,]))"
+    r"(?P<newline>\n)|(?P<skip>[^\S\n]+|#[^\n]*)|(?P<filesrc>file\([^)]*\))"
+    r"|(?P<unterminated>file\()|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)"
+    r"|(?P<arrow>->)|(?P<sym>[=+*()\[\];,])"
 )
 
 
@@ -80,49 +84,24 @@ class _Lexer:
         self.i = 0
 
     def _lex(self):
-        pos = 0
-        line, col = 1, 1
+        pos, line, col = 0, 1, 1
         while pos < len(self.text):
-            ch = self.text[pos]
-            if ch == "\n":
-                self.toks.append(("newline", "\n", line, col))
-                line += 1
-                col = 1
-                pos += 1
-                continue
-            if ch in " \t\r":
-                pos += 1
-                col += 1
-                continue
-            if ch == "#":
-                while pos < len(self.text) and self.text[pos] != "\n":
-                    pos += 1
-                continue
             m = _TOKEN_RE.match(self.text, pos)
-            if not m or m.start() != pos:
+            if m is None:
                 raise EquationSyntaxError(
-                    f"unexpected character {ch!r}", line=line, col=col
+                    f"unexpected character {self.text[pos]!r}", line=line, col=col
                 )
             kind = m.lastgroup
-            value = m.group(kind)
-            if (
-                kind == "ident"
-                and value == "file"
-                and self.text[m.end():m.end() + 1] == "("
-            ):
-                # paths are raw text up to the matching close paren
-                close = self.text.find(")", m.end())
-                if close < 0:
-                    raise EquationSyntaxError(
-                        "unterminated file(...) source", line=line, col=col
-                    )
-                path = self.text[m.end() + 1:close]
-                self.toks.append(("filesrc", f"file({path})", line, col))
-                col += close + 1 - pos
-                pos = close + 1
-                continue
-            self.toks.append((kind, value, line, col))
-            col += m.end() - pos
+            if kind == "unterminated":
+                raise EquationSyntaxError(
+                    "unterminated file(...) source", line=line, col=col
+                )
+            if kind != "skip":
+                self.toks.append((kind, m.group(), line, col))
+            if kind == "newline":
+                line, col = line + 1, 1
+            else:
+                col += m.end() - pos
             pos = m.end()
         self.toks.append(("eof", "", line, col))
 
@@ -237,30 +216,26 @@ def _parse_factor(lex, var, decls) -> FunctorExpr:
 
 
 def pretty_expr(expr: FunctorExpr, var="X") -> str:
-    """Prints so that reparsing restores the tree: sums and products are
-    left-associative, so right-nested ones get parentheses."""
-    if isinstance(expr, Id):
-        return var
-    if isinstance(expr, ConstD):
-        return expr.name
-    if isinstance(expr, Sum):
-        right = pretty_expr(expr.right, var)
-        if isinstance(expr.right, Sum):
-            right = f"({right})"
-        return f"{pretty_expr(expr.left, var)} + {right}"
-    if isinstance(expr, Prod):
-        right = _factor(expr.right, var)
-        if isinstance(expr.right, Prod):
-            right = f"({pretty_expr(expr.right, var)})"
-        return f"{_factor(expr.left, var)} * {right}"
-    if isinstance(expr, Exp):
-        return f"[{expr.param} -> {pretty_expr(expr.body, var)}]"
-    raise TypeError(expr)
+    """Prints so that reparsing restores the tree: sums are left-associative,
+    so a sum brackets a right-hand sum, and a product brackets every sum or
+    product on either side."""
 
+    def show(e, level):
+        # a sum has rank 1 and a product rank 2; a side read at a level of at
+        # least an operator's rank brackets it
+        if isinstance(e, (Sum, Prod)):
+            rank, op, left = (1, "+", 0) if isinstance(e, Sum) else (2, "*", 2)
+            text = f"{show(e.left, left)} {op} {show(e.right, rank)}"
+            return f"({text})" if level >= rank else text
+        if isinstance(e, Exp):
+            return f"[{e.param} -> {show(e.body, 0)}]"
+        if isinstance(e, ConstD):
+            return e.name
+        if isinstance(e, Id):
+            return var
+        raise TypeError(e)
 
-def _factor(expr, var):
-    s = pretty_expr(expr, var)
-    return f"({s})" if isinstance(expr, (Sum, Prod)) else s
+    return show(expr, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +339,11 @@ def resolve_space_source(src: str):
             sierpinski_space(),
             [frozenset({"top"}), frozenset({"bot", "top"})],
         )
-    if src == "flatbool":
-        sp = discrete_space(["tt", "ff"])
-        return standard_representation(
-            sp,
-            [frozenset({"tt"}), frozenset({"ff"}), frozenset({"tt", "ff"})],
-        )
-    if src.startswith("discrete(") and src.endswith(")"):
-        n = int(src[len("discrete("):-1])
-        labels = [str(i) for i in range(n)]
-        sp = discrete_space(labels)
-        sets = [frozenset({x}) for x in labels] + [frozenset(labels)]
-        return standard_representation(sp, sets)
+    points = flat_points(src)
+    if points is not None:
+        # a flat builtin is a discrete space: its points and the whole set
+        sets = [frozenset({p}) for p in points] + [frozenset(points)]
+        return standard_representation(discrete_space(points), sets)
     if src == "flatnat":
         return builtin_per("flatnat")
     raise UnboundName(f"no space interpretation for source {src!r}")
@@ -644,14 +612,7 @@ def cmd_qcb(args) -> Tuple[int, str]:
     from .qcb import qcb_fixed_point
 
     src = _load_equation(args.eq)
-    bindings = {}
-    for (name, s) in src.decls.items():
-        bindings[name] = resolve_space_source(s)
-    for entry in args.space_files:
-        name, _, path = entry.partition("=")
-        if not path:
-            return 2, f"error: --space-files entries look like NAME=PATH, got {entry!r}\n"
-        bindings[name] = resolve_space_source(f"file({path})")
+    bindings = {name: resolve_space_source(s) for (name, s) in src.decls.items()}
     report = qcb_fixed_point(src.expr, bindings, rank_bound=args.rank_bound)
     stage_rows = [
         {"index": str(r), "compact_count": None, "total_class_count": c}
@@ -769,9 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="domania")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, eq=True):
-        if eq:
-            sp.add_argument("--eq", required=True)
+    def common(sp):
+        sp.add_argument("--eq", required=True)
         sp.add_argument("--nat-bound", type=_positive_int, default=16)
         sp.add_argument("--rank-bound", type=_positive_int, default=3)
 
@@ -794,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("qcb")
     common(sp)
-    sp.add_argument("--space-files", nargs="*", default=[])
 
     sp = sub.add_parser("counterexample")
     sp.add_argument("--param", required=True)

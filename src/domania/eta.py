@@ -225,12 +225,12 @@ class EtaSystem:
         return self._eta_cache[x]
 
     # ---- the lower adjoint -------------------------------------------------
-    def theta(self, q: Token, witness: Optional[Token] = None, bound=None) -> Token:
+    def theta(self, q: Token, bound=None) -> Token:
         """Lower adjoint on witnessed compacts of the one-step image."""
         pairs = self.fun_basis.pairs(q)
         if not pairs:
             return self.unfolded.bottom
-        if witness is None and find_witness(
+        if find_witness(
             pairs, self.unfolded_per, self.input_per, self.codomain_per,
             self.eval_eta, bound,
         ) is None:
@@ -363,13 +363,6 @@ class EtaBarSystem:
         self._bar_cache = {}
 
     # ---- input sequences ---------------------------------------------------
-    def seq(self, entries) -> Token:
-        """The input sequence with the given `support` entries."""
-        *init, u = entries
-        for prod, e in zip(reversed(self._spine), reversed(init)):
-            u = prod.pair(e, u)
-        return u
-
     def entry_at(self, u: Token, m: int) -> Token:
         """Entry m of the input sequence u; bottom past the support."""
         if m >= self.support:

@@ -281,7 +281,7 @@ def limit_per_suite(count: int = 20) -> Checks:
     """Deterministically generated 3-stage chains with verified links: the
     limit per must satisfy the per axioms, keep convex/local/complete on
     fragments, and give equivalent elements equal rank."""
-    from .builtins import discrete_per, flatbool_per, sierpinski_per
+    from .builtins import builtin_per, sierpinski_per
     from .ordinals import omega_plus
     from .perlfp import per_chain_extend
     from .spfunctor import ConstD, Exp, Id, Prod, Sum
@@ -296,15 +296,15 @@ def limit_per_suite(count: int = 20) -> Checks:
         Sum(Exp("B", Id()), ConstD("A")),
         Sum(ConstD("A"), Sum(ConstD("B"), Id())),
     ]
-    params = [sierpinski_per, flatbool_per, lambda: discrete_per(3)]
+    params = ["sierpinski", "flatbool", "discrete(3)"]
     result = Checks()
     built = 0
     for shape in shapes:
-        for mk_a in params:
+        for a_name in params:
             for mk_b in [sierpinski_per]:
                 if built >= count:
                     break
-                env = {"A": mk_a(), "B": mk_b()}
+                env = {"A": builtin_per(a_name), "B": mk_b()}
                 built += 1
                 name = f"chain{built}"
                 try:

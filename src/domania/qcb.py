@@ -229,7 +229,11 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
     rep = StandardRep(per, X, fam, decode)
     # flags must be earned, not assumed
     for prop in ("convex", "local", "complete", "dense"):
-        assert check_property(per, prop).holds, prop
+        if not check_property(per, prop).holds:
+            raise BadParameterPedigree(
+                f"the standard representation of {X.name} is not {prop}",
+                witness=prop,
+            )
     return rep
 
 

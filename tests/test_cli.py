@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domania.cli import (
+    _Lexer,
     export_dot,
     load_basis_file,
     load_per_file,
@@ -53,9 +54,74 @@ def test_parse_unbound_name():
 
 
 def test_parse_syntax_error_carries_position():
-    with pytest.raises(EquationSyntaxError) as ei:
-        parse_equation("param A = sierpinski\nX = A + + X")
-    assert ei.value.line == 2
+    # a comment moves the column on: the newline after it is column 17
+    for (text, line, col) in [
+        ("param A = sierpinski\nX = A + + X", 2, 9),
+        ("param A = # note\nX = A", 1, 17),
+    ]:
+        with pytest.raises(EquationSyntaxError) as ei:
+            parse_equation(text)
+        assert (ei.value.line, ei.value.col) == (line, col), text
+
+
+# the grammar's tokens, as (kind, text); a path holds no ")" or newline
+_scan_tokens = st.one_of(
+    st.tuples(st.just("ident"), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)),
+    st.tuples(st.just("num"), st.from_regex(r"[0-9]+", fullmatch=True)),
+    st.tuples(st.just("arrow"), st.just("->")),
+    st.tuples(st.just("sym"), st.sampled_from("=+*()[];,")),
+    st.tuples(
+        st.just("filesrc"),
+        st.text(st.characters(blacklist_characters=")\n"), max_size=6).map(
+            lambda path: f"file({path})"
+        ),
+    ),
+)
+_comments = st.text(st.characters(blacklist_characters="\n"), max_size=6)
+_gaps = st.lists(
+    st.one_of(st.sampled_from([" ", "\t", "\n"]), _comments.map(lambda c: f"#{c}\n")),
+    max_size=3,
+).map("".join)
+
+
+def _merges(left, right):
+    """Whether `left` written right before `right` scans otherwise."""
+    return (
+        (left[0] in ("ident", "num") and right[0] in ("ident", "num"))
+        or (left[0] == "ident" and right[0] == "filesrc")
+        or (left == ("ident", "file") and right == ("sym", "("))
+    )
+
+
+@given(
+    st.lists(st.tuples(_gaps, _scan_tokens), max_size=12),
+    st.one_of(st.just(""), _comments.map(lambda c: f"#{c}")),
+)
+@settings(max_examples=300, deadline=None)
+def test_scanner_reads_back_joined_tokens(pairs, tail):
+    # each token at the line and column where it starts in the joined text;
+    # each newline of a gap is a token of its own
+    text, prev = "", None
+
+    def at(pos):
+        line = text.count("\n", 0, pos) + 1
+        return line, pos - (text.rfind("\n", 0, pos) + 1) + 1
+
+    spots = []
+    for (gap, token) in pairs:
+        if prev is not None and not gap and _merges(prev, token):
+            gap = " "
+        spots += [
+            ("newline", "\n", len(text) + i) for (i, ch) in enumerate(gap) if ch == "\n"
+        ]
+        text += gap
+        spots.append((token[0], token[1], len(text)))
+        text += token[1]
+        prev = token
+    text += tail
+    want = [(kind, value, *at(pos)) for (kind, value, pos) in spots]
+    want.append(("eof", "", *at(len(text))))
+    assert _Lexer(text).toks == want
 
 
 _leaf = st.sampled_from([Id(), ConstD("A"), ConstD("B")])
@@ -78,6 +144,39 @@ def _exprs(depth):
 def test_parse_pretty_round_trip(expr):
     text = f"param A = sierpinski; param B = sierpinski; X = {pretty_expr(expr)}"
     assert parse_equation(text).expr == expr
+
+
+def reference_pretty(expr, var="X"):
+    """The two-function printer `pretty_expr` replaced, kept as the
+    reference for its bracketing."""
+    if isinstance(expr, Id):
+        return var
+    if isinstance(expr, ConstD):
+        return expr.name
+    if isinstance(expr, Sum):
+        right = reference_pretty(expr.right, var)
+        if isinstance(expr.right, Sum):
+            right = f"({right})"
+        return f"{reference_pretty(expr.left, var)} + {right}"
+    if isinstance(expr, Prod):
+        right = _reference_factor(expr.right, var)
+        if isinstance(expr.right, Prod):
+            right = f"({reference_pretty(expr.right, var)})"
+        return f"{_reference_factor(expr.left, var)} * {right}"
+    if isinstance(expr, Exp):
+        return f"[{expr.param} -> {reference_pretty(expr.body, var)}]"
+    raise TypeError(expr)
+
+
+def _reference_factor(expr, var):
+    s = reference_pretty(expr, var)
+    return f"({s})" if isinstance(expr, (Sum, Prod)) else s
+
+
+@given(_exprs(5), st.sampled_from(["X", "Y"]))
+@settings(max_examples=300, deadline=None)
+def test_pretty_expr_matches_the_reference_printer(expr, var):
+    assert pretty_expr(expr, var) == reference_pretty(expr, var)
 
 
 def test_definition_files(tmp_path):
@@ -226,16 +325,13 @@ def test_usage_errors_exit_two(tmp_path):
     no_empty_open.write_text(
         "points = 0 1\nopens = {1} {0 1}\npseudobase = {1} {0 1}\n"
     )
-    qcb_eq = "param A = {}; param S = sierpinski; X = A + [S -> X]"
+    qcb_eq = "param A = {}; param S = {}; X = A + [S -> X]"
     for argv in (
         ["oracle", "--suite", "nope"],
         ["counterexample", "--param", "bogus"],
         ["per-lfp", "--eq", "param A = discrete(abc); X = A + X"],
-        [
-            "qcb", "--eq", qcb_eq.format("flatbool"),
-            "--space-files", f"S={no_empty_open}",
-        ],
-        ["qcb", "--eq", qcb_eq.format("discrete(0)")],
+        ["qcb", "--eq", qcb_eq.format("flatbool", f"file({no_empty_open})")],
+        ["qcb", "--eq", qcb_eq.format("discrete(0)", "sierpinski")],
     ):
         code, text = run_command(argv)
         assert code == 2 and text.startswith("error: "), argv
@@ -251,8 +347,8 @@ def _with_param_file(path):
 
 def _with_space_file(path):
     return [
-        "qcb", "--eq", "param A = flatbool; param S = sierpinski; X = A + [S -> X]",
-        "--space-files", f"S={path}", "--rank-bound", "1",
+        "qcb", "--eq", f"param A = flatbool; param S = file({path}); X = A + [S -> X]",
+        "--rank-bound", "1",
     ]
 
 
@@ -366,6 +462,29 @@ def test_eta_roundtrip_passes_when_a_step_misses_a_factor():
     assert {c["status"] for c in checks} == {"pass"}
 
 
+def test_eta_roundtrip_on_the_trivial_functor_passes():
+    # X = X has only the trivial per as its least fixed point: dense_lfp
+    # builds no dense part, and each round trip holds on no totals
+    code, text = run_command(["eta-roundtrip", "--eq", "X = X", "--rank-bound", "2"])
+    assert code == 0, text
+    checks = json.loads(text)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("evaluation-reflects-classes", "pass"),
+        ("round-trip-fixed-point", "pass"),
+        ("round-trip-image", "pass"),
+    ]
+
+
+def test_per_lfp_with_no_stage_past_omega_is_unknown():
+    # with no unfolded per beyond omega the probe has nothing to fold back
+    code, text = run_command(["per-lfp", "--eq", RUNNING_EQ, "--beyond-omega", "0"])
+    assert code == 0, text
+    doc = json.loads(text)
+    (row,) = [c for c in doc["checks"] if c["name"] == "stabilization"]
+    assert (row["status"], doc["stabilized_at"]) == ("unknown", None)
+    assert doc["stages"][-1]["index"] == "omega"
+
+
 def test_qcb_separation_row_records_a_hypothesis():
     # a non-Hausdorff positive parameter fails the separation row, yet the
     # fixed point exists either way: the documented exception to exit 1
@@ -416,12 +535,25 @@ def test_flatnat_witness_within_built_stages(rank_bound):
     assert checks["stabilization"]["bound"] == int(rank_bound)
 
 
+# the nesting witness each equation's probe derives; in the last, the path
+# to the variable passes a finite exponent before the infinite one
+NESTING_WITNESSES = {
+    "X = [N -> X] + A": "in0(<fn ('natfn', 'nest', ('tok', '@1:in1(top)'))>)",
+    "X = A + ([N -> X] * A)":
+        "in1((<fn ('natfn', 'nest', ('tok', '@1:in0(top)'))>,top))",
+    "X = A + [N -> [N -> X]]": "in1(<fn ('natfn', 'nest', ('tok', '@1:in0(top)'))>)",
+    "param B = sierpinski; X = A + [B -> [N -> X]]":
+        "in1({bot=><fn ('natfn', 'nest', ('tok', '@1:in0(top)'))>})",
+}
+
+
 @pytest.mark.parametrize(
     "eq, rank_bound",
     [
         ("X = [N -> X] + A", "2"),
         ("X = A + ([N -> X] * A)", "3"),
         ("X = A + [N -> [N -> X]]", "2"),
+        ("param B = sierpinski; X = A + [B -> [N -> X]]", "2"),
     ],
 )
 def test_infinite_exponent_nesting_witness_fails(eq, rank_bound):
@@ -435,7 +567,7 @@ def test_infinite_exponent_nesting_witness_fails(eq, rank_bound):
     checks = {c["name"]: c for c in doc["checks"]}
     assert doc["stabilized_at"] is None
     assert checks["stabilization"]["status"] == "fail"
-    assert "<fn ('natfn', 'nest', " in checks["stabilization"]["witness"]
+    assert checks["stabilization"]["witness"] == NESTING_WITNESSES[eq]
     assert checks["stabilization"]["bound"] == int(rank_bound)
 
 
@@ -749,7 +881,8 @@ def test_every_report_anchor_is_documented():
             assert check["anchor"] in documented, check["anchor"]
 
 
-def test_qcb_space_files_flag(tmp_path):
+def test_qcb_space_file_source(tmp_path):
+    # in qcb mode a file(...) source is a space definition file
     space_file = tmp_path / "two.space"
     space_file.write_text(
         "points = 0 1\nopens = {} {1} {0 1}\npseudobase = {1} {0 1}\n"
@@ -758,9 +891,7 @@ def test_qcb_space_files_flag(tmp_path):
         [
             "qcb",
             "--eq",
-            "param A = flatbool; param S = sierpinski; X = A + [S -> X]",
-            "--space-files",
-            f"S={space_file}",
+            f"param A = flatbool; param S = file({space_file}); X = A + [S -> X]",
             "--rank-bound",
             "2",
         ]

@@ -319,11 +319,11 @@ def test_normalization_idempotent_and_order_preserving(dn, en, data):
 # the order index: lower covers, and the jump points read at them
 
 from domania.basis import lower_covers
-from domania.builtins import flatbool_per, sierpinski_per
+from domania.builtins import flat_per, sierpinski_per
 from domania.construct import FunBasis, _jump_pairs, premise_closure
 from domania.spfunctor import LimitBasis, fixed_point_iso, omega_chain
 
-S, FB = sierpinski_per().carrier, flatbool_per().carrier
+S, FB = sierpinski_per().carrier, flat_per("flatbool").carrier
 # (equation, parameters, last stage): the running example, an exponent
 # beside a flat sum, a product, and a three-point chain as the exponent.
 # Stage 4 of the running example has 410 tokens; of S + X * X 132,499.

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from domania.basis import catalog_basis, tok
-from domania.builtins import flatbool_per, sierpinski_per, trivial_per
+from domania.builtins import flat_per, sierpinski_per, trivial_per
 from domania.construct import TokenMap, exp_map, fun_basis, identity_embedding
 from domania.dense import (
     DeltaFamily,
@@ -214,7 +214,7 @@ def test_dense_lfp_running_example():
 def test_dense_lfp_over_a_flatbool_exponent_ends():
     # stage 3 holds 1,806 tokens; a pairwise order scan over them in the
     # fixed-point iso took ~50 s, the linear clauses well under a second
-    env = {"A": sierpinski_per(), "B": flatbool_per()}
+    env = {"A": sierpinski_per(), "B": flat_per("flatbool")}
     t0 = time.monotonic()
     lfp = dense_lfp(RUNNING, env, rank_bound=2, n_finite=3)
     assert time.monotonic() - t0 < 20.0

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from domania.basis import Token, conjoin, tok
-from domania.builtins import flatbool_per, flatnat_per, sierpinski_per
+from domania.builtins import flat_per, flatnat_per, sierpinski_per
 from domania.construct import apply_pairs
 from domania.dense import dense_lfp, dense_part
 from domania.errors import (
@@ -259,7 +259,7 @@ def theta_subsets(eta, expr, offset, pairs):
         (RUNNING, running_env()),
         (
             Sum(ConstD("FB"), Exp("S", Id())),
-            {"FB": flatbool_per(), "S": sierpinski_per()},
+            {"FB": flat_per("flatbool"), "S": sierpinski_per()},
         ),
         (
             Sum(ConstD("A"), Exp("B", Sum(Id(), ConstD("A")))),
@@ -347,19 +347,28 @@ def test_zeta_on_constant_component():
     assert bar.a_sum.carrier.split(s_part) == (0, tok("top"))
 
 
+def seq(bar, entries):
+    """The input sequence of `bar` with the given `support` entries: the
+    right-nested pairs of its product spine."""
+    *init, u = entries
+    for prod, e in zip(reversed(bar._spine), reversed(init)):
+        u = prod.pair(e, u)
+    return u
+
+
 def _total_u(bar):
     t_total = next(
         t
         for t in bar.eta.T.tokens().tokens
         if bar.eta.input_per.related(t, t) is True
     )
-    return bar.seq([t_total] * bar.support)
+    return seq(bar, [t_total] * bar.support)
 
 
 def test_input_sequences_are_products():
     # X = A + (B * X): the input per has two totals, one per summand of B * X
     expr = Sum(ConstD("A"), Prod(ConstD("B"), Id()))
-    env = {"A": sierpinski_per(), "B": flatbool_per()}
+    env = {"A": sierpinski_per(), "B": flat_per("flatbool")}
     eta = EtaSystem(dense_lfp(expr, env, rank_bound=2, n_finite=3))
     ts, exact = eta.input_per.totals()
     assert len(ts) == 2
@@ -369,9 +378,9 @@ def test_input_sequences_are_products():
         us, u_exact = bar.u_per.totals()
         # the totals of the product, in itertools.product order
         assert u_exact == exact
-        assert us == [bar.seq(es) for es in itertools.product(ts, repeat=support)]
+        assert us == [seq(bar, es) for es in itertools.product(ts, repeat=support)]
         for es in itertools.product(eta.T.tokens().tokens, repeat=support):
-            u = bar.seq(es)
+            u = seq(bar, es)
             assert bar.U.has_token(u)
             assert [bar.entry_at(u, m) for m in range(support)] == list(es)
             # bottom past the support
@@ -471,7 +480,7 @@ def test_theta_bar_single_pair_approximates_witness():
     lim = lfp.chain.per_limit.limit
     x = lim.canonical(1, _stage1_a_top(lfp))
     rec = bar.evaluate_zeta(x, _total_u(bar))
-    u_prefix = bar.seq([bar.eta.T.bottom] * bar.support)
+    u_prefix = seq(bar, [bar.eta.T.bottom] * bar.support)
     q = bar.fun_basis.make([(u_prefix, rec.result)])
     back = bar.theta_bar(q, witness=x)
     assert lim.leq(back, x) or lfp.per.related(back, x, 2) is True
@@ -526,7 +535,7 @@ CLASS_ROW_CASES = {
     "running": (RUNNING, running_env, (2, 3)),
     "FB+[S->X]": (
         Sum(ConstD("FB"), Exp("S", Id())),
-        lambda: {"FB": flatbool_per(), "S": sierpinski_per()},
+        lambda: {"FB": flat_per("flatbool"), "S": sierpinski_per()},
         (2,),
     ),
     "S+X*X": (Sum(ConstD("S"), Prod(Id(), Id())), lambda: {"S": sierpinski_per()}, (2,)),
@@ -613,9 +622,9 @@ def test_witness_search_on_representatives_matches_totals(name):
 
 
 def test_zeta_flatbool_parameter():
-    from domania.builtins import flatbool_per
+    from domania.builtins import flat_per
 
-    env = {"A": flatbool_per(), "B": sierpinski_per()}
+    env = {"A": flat_per("flatbool"), "B": sierpinski_per()}
     lfp = dense_lfp(RUNNING, env, rank_bound=2, n_finite=3)
     eta = EtaSystem(lfp)
     bar = EtaBarSystem(eta, support=3)
@@ -721,7 +730,7 @@ THETA_BAR_CASES = {
     "running": (RUNNING, running_env, (2, 3, 4)),
     "FB+[S->X]": (
         Sum(ConstD("FB"), Exp("S", Id())),
-        lambda: {"FB": flatbool_per(), "S": sierpinski_per()},
+        lambda: {"FB": flat_per("flatbool"), "S": sierpinski_per()},
         (2, 3),
     ),
     "S+X*X": (Sum(ConstD("S"), Prod(Id(), Id())), lambda: {"S": sierpinski_per()}, (2,)),
@@ -774,7 +783,7 @@ def test_every_total_is_a_token():
         per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=3),
         per_chain_extend(
             Sum(ConstD("FB"), Exp("S", Id())),
-            {"FB": flatbool_per(), "S": sierpinski_per()},
+            {"FB": flat_per("flatbool"), "S": sierpinski_per()},
             omega_plus(1),
             n_finite=3,
         ),
@@ -797,7 +806,7 @@ def test_every_total_is_a_token():
     pers += [eta.input_per, eta.codomain_per, eta.fun_per]
     pers += [bar.u_per, bar.e_per, bar.fun_per]
     pers += [
-        per_construct("fun", sierpinski_per(), flatbool_per()),
+        per_construct("fun", sierpinski_per(), flat_per("flatbool")),
         per_construct("fun", flatnat_per(), sierpinski_per()),
     ]
     empty = []

@@ -9,8 +9,9 @@ unless `TEST_ONLY` names it. Every name a package module imports is used in
 that module, unless its import line says `# noqa: F401`. Only cli.py words a
 flag: no other package module holds the string "yes", "no" or "unknown".
 No package code drops the exactness flag of a bounded listing outside the
-commented `FLAG_DROPS` allow-list.  Every defaulted `__init__` parameter of
-a package class is set by some call under src/, tests/ or scripts/."""
+commented `FLAG_DROPS` allow-list.  Every defaulted parameter of a package
+function, method or class is set by some call under src/, tests/ or
+scripts/."""
 
 import ast
 import os
@@ -293,47 +294,75 @@ def test_no_exactness_flag_is_dropped_off_the_allow_list():
     assert all(FLAG_DROPS.values())
 
 
-def _init_parameters():
-    """Package class name -> (module, the class whose `__init__` it runs,
-    that `__init__`'s positional parameters after self, its defaulted
-    parameters).  A class with no `__init__` of its own runs the first one
-    among its package bases, so a call to it sets that class's parameters."""
+def _signature(args, skip):
+    """A definition's positional parameters after the first `skip`, and its
+    defaulted parameters."""
+    positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return positional, defaulted
+
+
+def _callables():
+    """Name -> (module, definition, positional parameters, defaulted
+    parameters) of each package definition that a call by that name runs.
+    A function or method runs itself; a method's positional parameters start
+    after `self` or `cls`, a static method's do not. A class runs its own
+    `__init__` or the first one among its package bases. Other dunder
+    methods are run by syntax, not by a call by name."""
+    out = {}
     classes = {}
+
+    def visit(node, module, qual, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if not qual:
+                    assert child.name not in classes, child.name
+                    classes[child.name] = (module, child)
+                visit(child, module, f"{qual}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    static = any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in child.decorator_list
+                    )
+                    skip = 1 if in_class and not static else 0
+                    out.setdefault(child.name, []).append(
+                        (module, qual + child.name, *_signature(child.args, skip))
+                    )
+                visit(child, module, f"{qual}{child.name}.", False)
+            else:
+                visit(child, module, qual, in_class)
+
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
-            for node in _parse(os.path.join(PACKAGE, name)).body:
-                if isinstance(node, ast.ClassDef):
-                    assert node.name not in classes, node.name
-                    classes[node.name] = (name, node)
+            visit(_parse(os.path.join(PACKAGE, name)), name, "", False)
 
     def runs(cls):
         module, node = classes[cls]
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                return cls, module, item.args
+                return module, f"{cls}.__init__", *_signature(item.args, 1)
         bases = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
         return next((runs(b) for b in bases if b in classes), None)
 
-    out = {}
     for cls in classes:
         found = runs(cls)
-        if found is None:
-            continue
-        owner, module, args = found
-        positional = [a.arg for a in args.posonlyargs + args.args][1:]
-        defaulted = positional[len(positional) - len(args.defaults):]
-        defaulted += [
-            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-        ]
-        out[cls] = (module, owner, positional, defaulted)
+        if found is not None:
+            out.setdefault(cls, []).append(found)
     return out
 
 
-def test_every_defaulted_init_parameter_is_set_by_a_call():
-    params = _init_parameters()
+def test_every_defaulted_parameter_is_set_by_a_call():
+    # calls are matched by name: a call sets the parameters it names of
+    # every package definition of that name
+    callables = _callables()
     unset = {
-        (module, owner, p)
-        for (module, owner, _, defaulted) in params.values()
+        (module, qual, p)
+        for entries in callables.values()
+        for (module, qual, _, defaulted) in entries
         for p in defaulted
     }
     for path in _python_files():
@@ -341,16 +370,14 @@ def test_every_defaulted_init_parameter_is_set_by_a_call():
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
-            cls = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if cls not in params:
-                continue
-            module, owner, positional, defaulted = params[cls]
-            keywords = [k.arg for k in node.keywords]
-            if None in keywords:  # a `**` argument may set any of them
-                named = defaulted
-            elif any(isinstance(a, ast.Starred) for a in node.args):
-                named = positional + keywords
-            else:
-                named = positional[:len(node.args)] + keywords
-            unset -= {(module, owner, p) for p in named}
-    assert sorted(f"{m}: {o}.__init__({p}=)" for (m, o, p) in unset) == []
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            for (module, qual, positional, defaulted) in callables.get(name, ()):
+                keywords = [k.arg for k in node.keywords]
+                if None in keywords:  # a `**` argument may set any of them
+                    named = defaulted
+                elif any(isinstance(a, ast.Starred) for a in node.args):
+                    named = positional + keywords
+                else:
+                    named = positional[:len(node.args)] + keywords
+                unset -= {(module, qual, p) for p in named}
+    assert sorted(f"{m}: {q}({p}=)" for (m, q, p) in unset) == []

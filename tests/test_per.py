@@ -12,7 +12,7 @@ from domania.basis import (
     one_point_basis,
     tok,
 )
-from domania.builtins import flatbool_per, flatnat_per, sierpinski_per, trivial_per
+from domania.builtins import flat_per, flatnat_per, sierpinski_per, trivial_per
 from domania.construct import Embedding, TokenMap, identity_embedding, verify_embedding
 from domania.errors import IncoherentChain, NotTotal, NotUniform
 from domania.per import (
@@ -43,6 +43,10 @@ RUNNING = Sum(ConstD("A"), Exp("B", Id()))
 
 def osier():
     return sierpinski_per()
+
+
+def flatbool():
+    return flat_per("flatbool")
 
 
 def swap_summands(sb):
@@ -99,7 +103,7 @@ def parity_image():
     # the naturals' totals are not exhausted
     nat = flatnat_per(4)
     parity = PerMap(
-        nat, flatbool_per(), lambda v: tok("ff" if nat.carrier.value_of(v) % 2 else "tt")
+        nat, flatbool(), lambda v: tok("ff" if nat.carrier.value_of(v) % 2 else "tt")
     )
     return image_per(parity)
 
@@ -114,7 +118,7 @@ def test_flat_exponent_probe_points_match_a_scan():
     # over the flat naturals, the premises' naturals and one fresh natural
     # decide a function relation as a scan of every natural would
     nat = flatnat_per(4)
-    for body in (osier(), flatbool_per()):
+    for body in (osier(), flatbool()):
         fun = per_construct("fun", nat, body)
         fb = fun.carrier
         totals, _ = body.totals()
@@ -156,13 +160,13 @@ def test_class_count_matches_grouped_classes(kind):
     # top_image, as an exponent, the fallback for inexact related pairs, and
     # split_diamond, as a body, a class realised only by a later member
     parts = [
-        osier, flatbool_per, trivial_per, discrete_chain, split_diamond, parity_image,
+        osier, flatbool, trivial_per, discrete_chain, split_diamond, parity_image,
         top_image,
     ]
     for D, E in itertools.product(parts, repeat=2):
         per = per_construct(kind, D(), E())
         assert_representatives_match(per, where=(D.__name__, E.__name__))
-    nested = per_construct(kind, flatbool_per(), per_construct("fun", osier(), flatbool_per()))
+    nested = per_construct(kind, flatbool(), per_construct("fun", osier(), flatbool()))
     assert_representatives_match(nested)
 
 
@@ -176,7 +180,7 @@ def test_fun_totals_over_inexact_exponent_pairs_are_inexact():
 
 def test_constructed_rel_symmetric_transitive():
     for kind in ("sum", "prod", "fun"):
-        per = per_construct(kind, osier(), flatbool_per())
+        per = per_construct(kind, osier(), flatbool())
         toks = list(per.carrier.tokens().tokens)
         rel = {(a.key, b.key) for a in toks for b in toks if per.related(a, b) is True}
         for (a, b) in rel:
@@ -255,7 +259,7 @@ def test_class_checks_match_a_carrier_scan_per_total():
 
 def test_flags_agree_with_checks_on_builtins():
     # a flag is True exactly when its check holds, False exactly when it fails
-    for per in (osier(), flatbool_per()):
+    for per in (osier(), flatbool()):
         for prop in ("convex", "local", "complete", "upwards_closed", "dense"):
             verdict = check_property(per, prop)
             assert verdict.holds is getattr(per.flags, prop), prop
@@ -309,7 +313,7 @@ def _links(expr, env, bounds):
 def test_equivariance_class_certificate_matches_pairwise_scan():
     links = _links(RUNNING, {"A": osier(), "B": osier()}, [None] * 4 + [3])
     links += _links(
-        Sum(ConstD("FB"), Exp("S", Id())), {"FB": flatbool_per(), "S": osier()}, [None] * 4
+        Sum(ConstD("FB"), Exp("S", Id())), {"FB": flatbool(), "S": osier()}, [None] * 4
     )
     flatnat = _links(
         Sum(ConstD("A"), Exp("N", Id())), {"A": osier(), "N": flatnat_per(8)}, [3] * 4
@@ -380,7 +384,7 @@ def test_reflection_class_certificate_matches_pairwise_scan():
     cases = [(pe, b) for (pe, _) in links[:4] for b in (None, 2, 3)]
     cases += [(links[4][0], b) for b in (2, 3)]
     cases += _links(
-        Sum(ConstD("FB"), Exp("S", Id())), {"FB": flatbool_per(), "S": osier()}, [None] * 4
+        Sum(ConstD("FB"), Exp("S", Id())), {"FB": flatbool(), "S": osier()}, [None] * 4
     )
     flatnat = _links(
         Sum(ConstD("A"), Exp("N", Id())), {"A": osier(), "N": flatnat_per(8)}, [3] * 4
@@ -408,7 +412,7 @@ def test_reflection_class_certificate_matches_pairwise_scan():
             (parity_image(), parity_image()),
             (top_image(), top_image()),
             # equivariant, but tt ~ ff is unknown on exact carriers
-            (flatbool_per(), parity_image()),
+            (flatbool(), parity_image()),
         )
     ]
     cases += [(pe, None) for pe in finite]

@@ -5,8 +5,7 @@ import pytest
 from domania import perlfp
 from domania.basis import Checks, Token, Verdict, tok
 from domania.builtins import (
-    discrete_per,
-    flatbool_per,
+    flat_per,
     flatnat_per,
     sierpinski_per,
     trivial_per,
@@ -86,7 +85,7 @@ CLASS_COUNT_CASES = {
     "running": (RUNNING, running_env, (1, 2, 3, 4)),
     "qcb": (
         Sum(ConstD("FB"), Exp("S", Id())),
-        lambda: {"FB": flatbool_per(), "S": sierpinski_per()},
+        lambda: {"FB": flat_per("flatbool"), "S": sierpinski_per()},
         (1, 2),
     ),
     "constant": (ConstD("A"), running_env, (2,)),
@@ -114,11 +113,11 @@ RULE_CASES = {
     "running": (RUNNING, running_env),
     "qcb": (
         Sum(ConstD("FB"), Exp("S", Id())),
-        lambda: {"FB": flatbool_per(), "S": sierpinski_per()},
+        lambda: {"FB": flat_per("flatbool"), "S": sierpinski_per()},
     ),
     "sum-of-product": (
         Sum(ConstD("A"), Prod(ConstD("B"), Id())),
-        lambda: {"A": sierpinski_per(), "B": flatbool_per()},
+        lambda: {"A": sierpinski_per(), "B": flat_per("flatbool")},
     ),
     "constant": (ConstD("A"), running_env),
 }
@@ -323,7 +322,7 @@ def full_fragment_verdict(chain, rank_bound):
         (RUNNING, running_env(), (1, 2, 3, 4)),
         (
             Sum(ConstD("FB"), Exp("S", Id())),
-            {"FB": flatbool_per(), "S": sierpinski_per()},
+            {"FB": flat_per("flatbool"), "S": sierpinski_per()},
             (1, 2),
         ),
         (ConstD("A"), {"A": sierpinski_per()}, (1, 2, 3)),
@@ -534,7 +533,7 @@ def test_counterexample_phi_check_bound_clamped_to_built_stages():
 
 
 def test_counterexample_phi_flatbool_parameter():
-    report = counterexample_phi(flatnat_chain(flatbool_per(), 3), bound=3)
+    report = counterexample_phi(flatnat_chain(flat_per("flatbool"), 3), bound=3)
     assert report.ranks == {n: n for n in range(4)}
 
 
@@ -569,12 +568,14 @@ EXP_ACTION_CASES = {
     ),
     "flatbool-exponent": (
         Sum(ConstD("A"), Exp("FB", Id())),
-        lambda: {"A": sierpinski_per(), "FB": flatbool_per()},
+        lambda: {"A": sierpinski_per(), "FB": flat_per("flatbool")},
         4,
     ),
     "discrete-product": (
         Sum(Prod(ConstD("D"), Exp("B", Id())), ConstD("A")),
-        lambda: {"A": sierpinski_per(), "B": sierpinski_per(), "D": discrete_per(2)},
+        lambda: {
+            "A": sierpinski_per(), "B": sierpinski_per(), "D": flat_per("discrete(2)"),
+        },
         4,
     ),
 }

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from domania import qcb
-from domania.basis import tok
+from domania.basis import Verdict, tok
 from domania.errors import BadParameterPedigree, NotT0, NotUniform, NotWeaklyEquivalent
 from domania.qcb import (
     check_fun_coherence,
@@ -71,6 +71,14 @@ def test_standard_representation_discrete():
     # the whole-space token decodes to no point in a discrete space
     bot = rep.per.carrier.bottom
     assert rep.decode[bot] is None
+
+
+def test_standard_representation_refuses_a_flag_it_does_not_earn(monkeypatch):
+    # the check is no assert, so it holds under `python -O` too
+    monkeypatch.setattr(qcb, "check_property", lambda per, prop: Verdict(prop != "local"))
+    with pytest.raises(BadParameterPedigree, match="is not local") as ei:
+        standard_representation(sierpinski_space(), sier_pseudobase())
+    assert ei.value.witness == "local"
 
 
 def test_non_t0_rejected():

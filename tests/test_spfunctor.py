@@ -9,7 +9,7 @@ from domania.basis import (
     one_point_basis,
     poset_of_basis,
 )
-from domania.builtins import flatbool_per
+from domania.builtins import flat_per
 from domania.construct import (
     FunBasis,
     MultiSumBasis,
@@ -219,7 +219,7 @@ def reference_iso_verify(iso, bound):
     return Verdict(True, None, bound)
 
 
-FB = flatbool_per().carrier
+FB = flat_per("flatbool").carrier
 
 # equation, parameters, the bound its stages are enumerated at (None:
 # exhaustively) and the largest iso bound checked

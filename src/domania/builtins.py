@@ -8,9 +8,7 @@ from .per import ALL_YES, DomainPer, NatIdentityRel, finite_per, trivial_per
 def sierpinski_per() -> DomainPer:
     """Two-chain carrier, top related to itself only."""
     b = catalog_basis("two-chain")
-    return finite_per(
-        b, [(tok("top"), tok("top"))], flags=ALL_YES, name="sierpinski"
-    )
+    return finite_per(b, [(tok("top"), tok("top"))], flags=ALL_YES)
 
 
 def flat_points(name: str):
@@ -26,19 +24,12 @@ def flat_per(name: str) -> DomainPer:
     """The flat builtin `name`: each point is a total class of its own."""
     points = flat_points(name)
     b = flat_basis(points, name=name)
-    return finite_per(
-        b, [(tok(p), tok(p)) for p in points], flags=ALL_YES, name=name
-    )
+    return finite_per(b, [(tok(p), tok(p)) for p in points], flags=ALL_YES)
 
 
 def flatnat_per(nat_bound: int = 8) -> DomainPer:
     b = FlatNatBasis()
-    return DomainPer(
-        b,
-        NatIdentityRel(b, nat_bound),
-        ALL_YES,
-        name="flatnat",
-    )
+    return DomainPer(b, NatIdentityRel(b, nat_bound), ALL_YES)
 
 
 BUILTIN_PERS = {"sierpinski": sierpinski_per, "trivial": trivial_per}

@@ -292,7 +292,7 @@ def load_per_file(path: str) -> DomainPer:
         if not all(base.has_token(t) for t in pair):
             raise UnknownToken(f"rel pair {entry} mentions an element not in {base.name}")
         rel_pairs.append(pair)
-    return finite_per(base, rel_pairs, name=kv.get("name", os.path.basename(path)))
+    return finite_per(base, rel_pairs)
 
 
 def _parse_point_sets(text: str) -> List[List[str]]:
@@ -328,7 +328,7 @@ def resolve_per_source(src: str, nat_bound=8) -> DomainPer:
     return builtin_per(src, nat_bound)
 
 
-def resolve_space_source(src: str):
+def resolve_space_source(src: str, nat_bound: int):
     from .qcb import discrete_space, sierpinski_space, standard_representation
 
     if src.startswith("file(") and src.endswith(")"):
@@ -345,7 +345,7 @@ def resolve_space_source(src: str):
         sets = [frozenset({p}) for p in points] + [frozenset(points)]
         return standard_representation(discrete_space(points), sets)
     if src == "flatnat":
-        return builtin_per("flatnat")
+        return builtin_per("flatnat", nat_bound)
     raise UnboundName(f"no space interpretation for source {src!r}")
 
 
@@ -612,7 +612,9 @@ def cmd_qcb(args) -> Tuple[int, str]:
     from .qcb import qcb_fixed_point
 
     src = _load_equation(args.eq)
-    bindings = {name: resolve_space_source(s) for (name, s) in src.decls.items()}
+    bindings = {
+        name: resolve_space_source(s, args.nat_bound) for (name, s) in src.decls.items()
+    }
     report = qcb_fixed_point(src.expr, bindings, rank_bound=args.rank_bound)
     stage_rows = [
         {"index": str(r), "compact_count": None, "total_class_count": c}

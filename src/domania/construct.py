@@ -125,9 +125,9 @@ def _interned(kind: str, D: Basis, E: Basis, build) -> Basis:
 
 
 class MultiSumBasis(Basis):
-    def __init__(self, parts: Sequence[Basis], name=None):
+    def __init__(self, parts: Sequence[Basis]):
         self.parts = tuple(parts)
-        self.name = name or "(" + " + ".join(p.name for p in self.parts) + ")"
+        self.name = "(" + " + ".join(p.name for p in self.parts) + ")"
         self._bottom = tok(("sb",))
         self.finite = all(p.finite for p in self.parts)
         self._tokens = {}

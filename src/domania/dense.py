@@ -74,12 +74,7 @@ def dense_part(P: DomainPer, bound=None) -> DensePart:
 
     # a related pair is a pair of totals, and every total is kept, so the
     # parent relation decides the restriction unchanged
-    per = DomainPer(
-        KeptBasis(P.carrier, kept),
-        P.rel,
-        replace(P.flags, dense=True),
-        name=(P.name or P.carrier.name) + "^d",
-    )
+    per = DomainPer(KeptBasis(P.carrier, kept), P.rel, replace(P.flags, dense=True))
     return DensePart(kept, per)
 
 
@@ -243,11 +238,7 @@ def _assemble_dense(chain: PerChain, rank_bound: int) -> DenseLfp:
     plim = chain.per_limit
     part = dense_part(plim.per, rank_bound)
     pedigree = both(*(p.flags.admissible_pedigree for p in chain.env.values()))
-    per = replace(
-        part.per,
-        flags=replace(part.per.flags, admissible_pedigree=pedigree),
-        name="dense-lfp",
-    )
+    per = replace(part.per, flags=replace(part.per.flags, admissible_pedigree=pedigree))
     return DenseLfp(per, chain, part.kept)
 
 

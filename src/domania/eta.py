@@ -59,7 +59,7 @@ def atomic_subfunctors(expr: FunctorExpr) -> List[FunctorExpr]:
 
 def _point_per() -> DomainPer:
     b = one_point_basis("T")
-    return finite_per(b, [(b.bottom, b.bottom)], flags=ALL_YES, name="T")
+    return finite_per(b, [(b.bottom, b.bottom)], flags=ALL_YES)
 
 
 # the input per of a sub-term: a point for the variable and each constant,
@@ -86,20 +86,17 @@ def input_per_table(
     return table
 
 
-def multi_sum_per(parts: Sequence[DomainPer], name="") -> DomainPer:
-    carrier = MultiSumBasis([p.carrier for p in parts], name=name or None)
+def multi_sum_per(parts: Sequence[DomainPer]) -> DomainPer:
+    carrier = MultiSumBasis([p.carrier for p in parts])
     return DomainPer(
-        carrier,
-        SumRel(carrier, list(parts)),
-        pointwise_flags(p.flags for p in parts),
-        name=name or "usum",
+        carrier, SumRel(carrier, list(parts)), pointwise_flags(p.flags for p in parts)
     )
 
 
 def _prec(per: DomainPer, v: Token, target: Token, bound=None) -> bool:
     """v approximates the class of target in per; bottom when target is not
     total."""
-    if per.related(target, target, bound) is not True:
+    if per.related(target, target) is not True:
         return v == per.carrier.bottom
     return prec_check(per, v, target, bound)
 
@@ -168,7 +165,7 @@ class EtaSystem:
                 self.const_positions.append(k)
             else:
                 parts.append(self.chain.per_limit.per)
-        self.codomain_per = multi_sum_per(parts, name="usumK")
+        self.codomain_per = multi_sum_per(parts)
         self.codomain = self.codomain_per.carrier
         self.unfolded_per = self.chain.unfolded[0]
         self.unfolded = self.iso.unfolded
@@ -345,7 +342,7 @@ class EtaBarSystem:
         self.nat = FlatNatBasis()
 
         self.a_parts = [eta.env[eta.K[k].name] for k in eta.const_positions]
-        self.a_sum = multi_sum_per(self.a_parts, name="usumA")
+        self.a_sum = multi_sum_per(self.a_parts)
         self.E = ProdBasis(self.a_sum.carrier, self.nat, strict=True, name="E")
         self.e_per = DomainPer(
             self.E,
@@ -356,7 +353,6 @@ class EtaBarSystem:
                 admissible_pedigree=self.a_sum.flags.admissible_pedigree,
                 countably_based=True,
             ),
-            name="E",
         )
         self.fun_per = per_construct("fun", self.u_per, self.e_per)
         self.fun_basis = self.fun_per.carrier
@@ -474,26 +470,24 @@ def dense_image_weak_iso(lfp: DenseLfp, rank_bound: int = 3) -> Checks:
         for cls in classes:
             first = bar.eta_bar(cls[0])
             for x in cls:
-                yield bar.fun_per.related(first, bar.eta_bar(x), rank_bound), (cls[0], x)
+                yield bar.fun_per.related(first, bar.eta_bar(x)), (cls[0], x)
         for c in classes:
             for d in classes:
                 if c is not d:
-                    lhs = lfp.per.related(c[0], d[0], rank_bound)
-                    rhs = bar.fun_per.related(
-                        bar.eta_bar(c[0]), bar.eta_bar(d[0]), rank_bound
-                    )
+                    lhs = lfp.per.related(c[0], d[0])
+                    rhs = bar.fun_per.related(bar.eta_bar(c[0]), bar.eta_bar(d[0]))
                     yield None if None in (lhs, rhs) else lhs == rhs, (c[0], d[0])
 
     def fixed_point_trips():
         for x in members:
             back = bar.theta_bar(bar.eta_bar(x), witness=x)
-            yield lfp.per.related(back, x, rank_bound), x
+            yield lfp.per.related(back, x), x
 
     def image_trips():
         for x in members:
             y = bar.eta_bar(x)
             back = bar.eta_bar(bar.theta_bar(y, witness=x))
-            yield bar.fun_per.related(back, y, rank_bound), x
+            yield bar.fun_per.related(back, y), x
 
     for name, cases in (
         ("evaluation-reflects-classes", reflects()),

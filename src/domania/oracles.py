@@ -35,7 +35,6 @@ from .construct import (
 from .errors import DomaniaError, NotAnEmbedding
 from .per import (
     DomainPer,
-    PerEmbedding,
     check_property,
     finite_per,
     is_equiembedding,
@@ -171,12 +170,12 @@ def enumerate_embeddings(src: FiniteBasis, tgt: FiniteBasis) -> List[Embedding]:
     return out
 
 
-def _constructed_equiembedding(pe: PerEmbedding) -> bool:
+def _constructed_equiembedding(emb: Embedding, P: DomainPer, Q: DomainPer) -> bool:
     try:
-        verify_embedding(pe.emb)
+        verify_embedding(emb)
     except NotAnEmbedding:
         return False
-    return is_equiembedding(pe).holds is not False
+    return is_equiembedding(emb, P, Q).holds is not False
 
 
 def per_preservation_suite(max_size: int = 3) -> Checks:
@@ -220,23 +219,23 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
                             bad = (dn, en, prop)
     result.add("fun-preservation", bad is None, bad, max_size)
 
-    # equiembeddings: collect them, then close under the constructors
-    ee: List[Tuple[PerEmbedding, str, str]] = []
+    # equiembeddings, each with its source and target pers: collect them,
+    # then close under the constructors
+    ee: List[Tuple[Embedding, DomainPer, DomainPer, str, str]] = []
     for dn in names:
         for en in names:
             src_b, tgt_b = catalog_basis(dn), catalog_basis(en)
             for emb in enumerate_embeddings(src_b, tgt_b):
                 for P in clc[dn]:
                     for Q in clc[en]:
-                        pe = PerEmbedding(emb, P, Q)
-                        if is_equiembedding(pe).holds is not False:
-                            ee.append((pe, dn, en))
+                        if is_equiembedding(emb, P, Q).holds is not False:
+                            ee.append((emb, P, Q, dn, en))
     result.cases += len(ee)
 
     bad = None
     seen_signatures = set()
-    for (f, fdn, fen) in ee:
-        for (g, gdn, gen) in ee:
+    for (f, fP, fQ, fdn, fen) in ee:
+        for (g, gP, gQ, gdn, gen) in ee:
             sig = (fdn, fen, gdn, gen)
             if sig in seen_signatures:
                 continue
@@ -244,30 +243,23 @@ def per_preservation_suite(max_size: int = 3) -> Checks:
             for kind, act in (("sum", sum_map), ("prod", prod_map)):
                 # F on an ep-pair: F on each of its two maps
                 made = Embedding(
-                    act(f.emb.fwd_map, g.emb.fwd_map),
-                    act(f.emb.proj_map, g.emb.proj_map),
+                    act(f.fwd_map, g.fwd_map), act(f.proj_map, g.proj_map)
                 )
-                made_pe = PerEmbedding(
-                    made,
-                    per_construct(kind, f.source, g.source),
-                    per_construct(kind, f.target, g.target),
-                )
-                if not _constructed_equiembedding(made_pe):
+                if not _constructed_equiembedding(
+                    made, per_construct(kind, fP, gP), per_construct(kind, fQ, gQ)
+                ):
                     bad = (kind, fdn, fen, gdn, gen)
     result.add("sum-prod-equiembedding-closure", bad is None, bad, max_size)
 
     bad = None
-    for (f, fdn, fen) in ee:
+    for (f, fP, fQ, fdn, fen) in ee:
         for bn in names:
             for B in dense[bn][:3]:
                 a = identity_embedding(B.carrier)
-                made = Embedding(exp_map(a, f.emb.fwd_map), exp_map(a, f.emb.proj_map))
-                made_pe = PerEmbedding(
-                    made,
-                    per_construct("fun", B, f.source),
-                    per_construct("fun", B, f.target),
-                )
-                if not _constructed_equiembedding(made_pe):
+                made = Embedding(exp_map(a, f.fwd_map), exp_map(a, f.proj_map))
+                if not _constructed_equiembedding(
+                    made, per_construct("fun", B, fP), per_construct("fun", B, fQ)
+                ):
                     bad = (bn, fdn, fen)
     result.add("exp-equiembedding-closure", bad is None, bad, max_size)
     return result
@@ -301,34 +293,33 @@ def limit_per_suite(count: int = 20) -> Checks:
     built = 0
     for shape in shapes:
         for a_name in params:
-            for mk_b in [sierpinski_per]:
-                if built >= count:
-                    break
-                env = {"A": builtin_per(a_name), "B": mk_b()}
-                built += 1
-                name = f"chain{built}"
-                try:
-                    chain = per_chain_extend(shape, env, omega_plus(1), n_finite=3)
-                except DomaniaError as e:
-                    result.add(name, False, str(e), count)
-                    continue
-                plim = chain.per_limit
-                ok = True
-                witness = None
-                ts, _ = plim.per.totals(3)
-                for a in ts:
-                    for b in ts:
-                        r_ab = plim.per.related(a, b, 3)
-                        if r_ab is True and plim.per.related(b, a, 3) is not True:
-                            ok, witness = False, "symmetry"
-                        if r_ab is True:
-                            if plim.rank_of(a) != plim.rank_of(b):
-                                ok, witness = False, "rank mismatch"
-                for prop in ("convex", "local", "complete"):
-                    if check_property(plim.per, prop, 3).holds is False:
-                        ok, witness = False, prop
-                result.add(name, ok, witness, count)
-                result.cases += 1
+            if built >= count:
+                break
+            env = {"A": builtin_per(a_name), "B": sierpinski_per()}
+            built += 1
+            name = f"chain{built}"
+            try:
+                chain = per_chain_extend(shape, env, omega_plus(1), n_finite=3)
+            except DomaniaError as e:
+                result.add(name, False, str(e), count)
+                continue
+            plim = chain.per_limit
+            ok = True
+            witness = None
+            ts, _ = plim.per.totals(3)
+            for a in ts:
+                for b in ts:
+                    r_ab = plim.per.related(a, b)
+                    if r_ab is True and plim.per.related(b, a) is not True:
+                        ok, witness = False, "symmetry"
+                    if r_ab is True:
+                        if plim.rank_of(a) != plim.rank_of(b):
+                            ok, witness = False, "rank mismatch"
+            for prop in ("convex", "local", "complete"):
+                if check_property(plim.per, prop, 3).holds is False:
+                    ok, witness = False, prop
+            result.add(name, ok, witness, count)
+            result.cases += 1
     return result
 
 

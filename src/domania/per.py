@@ -14,9 +14,13 @@ and the clause that failed. Every scan and flag folds its verdicts with
 verdicts into words.
 
 Relation protocol. A relation decides and lists; it caches and derives
-nothing. Each method takes an optional enumeration bound:
+nothing. A verdict takes no bound; each listing takes an optional
+enumeration bound and says whether it is complete:
 
-- `related(a, b, bound)` gives the tri-state verdict for two values;
+- `related(a, b)` gives the tri-state verdict for two values. The two
+  relations that decide by a listing read it unbounded: `FunRel` its
+  exponent's related pairs (or probe points), and `ImageRel` its source's
+  totals. A listing that is not complete leaves their verdict unknown;
 - `totals(bound)` gives `(values, exact)`, the self-related values and
   whether the list is complete;
 - `representatives(bound)` gives `(values, exact)`, one total per class by
@@ -28,8 +32,8 @@ nothing. Each method takes an optional enumeration bound:
   exponent's related pairs.
 
 `DomainPer` is the one place that caches and derives. It keeps verdicts
-per pair and bound, and totals, classes, representatives and related pairs
-per bound. Its classes group its totals with `group_classes`, where a value
+per pair, and totals, classes, representatives and related pairs per
+bound. Its classes group its totals with `group_classes`, where a value
 joins the first class whose first member is related to it, or opens a new
 class; its related pairs are the pairs of totals whose verdict is True,
 since a related pair is a pair of totals. Every site that needs the classes
@@ -111,7 +115,6 @@ from .errors import (
     UnknownToken,
 )
 from .spfunctor import ChainStage, LimitBasis
-from .ordinals import fin
 
 
 def replace(record, **changes):
@@ -194,7 +197,7 @@ class FiniteRel(StructuralRel):
                 if b == c and (a, d) not in self.pairs:
                     raise CarrierMismatch("relation not transitive", witness=(a, d))
 
-    def related(self, a, b, bound=None):
+    def related(self, a, b):
         return (a, b) in self.pairs
 
     def totals(self, bound=None):
@@ -207,7 +210,7 @@ class SumRel(StructuralRel):
         self.basis = basis
         self.parts = list(part_pers)
 
-    def related(self, a, b, bound=None):
+    def related(self, a, b):
         sa = self.basis.split(a)
         sb = self.basis.split(b)
         if sa is None or sb is None:
@@ -215,7 +218,7 @@ class SumRel(StructuralRel):
         (i, x), (j, y) = sa, sb
         if i != j:
             return False
-        return self.parts[i].related(x, y, bound)
+        return self.parts[i].related(x, y)
 
     def totals(self, bound=None):
         return self._injected("totals", bound)
@@ -237,10 +240,10 @@ class ProdRel(StructuralRel):
         self.basis = basis
         self.left, self.right = left, right
 
-    def related(self, a, b, bound=None):
+    def related(self, a, b):
         ax, ay = self.basis.split(a)
         bx, by = self.basis.split(b)
-        return both(self.left.related(ax, bx, bound), self.right.related(ay, by, bound))
+        return both(self.left.related(ax, bx), self.right.related(ay, by))
 
     def totals(self, bound=None):
         return self._paired("totals", bound)
@@ -261,7 +264,7 @@ class NatIdentityRel(StructuralRel):
         self.basis = basis
         self.nat_bound = nat_bound
 
-    def related(self, a, b, bound=None):
+    def related(self, a, b):
         va, vb = self.basis.value_of(a), self.basis.value_of(b)
         return va is not None and va == vb
 
@@ -285,17 +288,16 @@ class FunRel(StructuralRel):
         self.exp_per = exp_per
         self.body_per = body_per
 
-    def related(self, f, g, bound=None):
+    def related(self, f, g):
         steps = (self.basis.pairs(f), self.basis.pairs(g))
         probes = self.exp_per.rel.probe_points(*steps)
         if probes is None:
-            pairs, exact = self.exp_per.related_pairs(bound)
+            pairs, exact = self.exp_per.related_pairs()
         else:
             pairs, exact = [(x, x) for x in probes], True
         apply = self.basis.apply
         cases = (
-            (self.body_per.related(apply(f, x), apply(g, y), bound), None)
-            for (x, y) in pairs
+            (self.body_per.related(apply(f, x), apply(g, y)), None) for (x, y) in pairs
         )
         return conjoin(cases, exact=exact).holds
 
@@ -303,7 +305,7 @@ class FunRel(StructuralRel):
         if not self.basis.exponent.finite:
             out = []
             for t in self.basis.tokens(bound).tokens:
-                if self.related(t, t, bound) is True:
+                if self.related(t, t) is True:
                     out.append(t)
             return out, False
         if self.body_per.carrier.finite:
@@ -316,9 +318,7 @@ class FunRel(StructuralRel):
         exp_totals = set(self.exp_per.totals(bound)[0])
         # distinct monotone maps have distinct canonical step sets
         out = list(
-            self._total_maps(
-                lambda p: body_totals if p in exp_totals else values(), bound
-            )
+            self._total_maps(lambda p: body_totals if p in exp_totals else values())
         )
         # over inexact exponent totals no f ~ f is True, so the list says nothing
         return out, vex and bt_exact and self.exp_per.totals(bound)[1]
@@ -339,7 +339,7 @@ class FunRel(StructuralRel):
             t: i
             for t in exp.totals(bound)[0]
             for (i, e) in enumerate(exp_reps)
-            if exp.related(e, t, bound) is True
+            if exp.related(e, t) is True
         }
         body_reps, body_exact = body.representatives(bound)
         values, vex = self._values(body_reps, bound)
@@ -348,24 +348,23 @@ class FunRel(StructuralRel):
             yield r
             if body.carrier.finite:
                 for v in values():
-                    if v != r and body.related(r, v, bound) is True:
+                    if v != r and body.related(r, v) is True:
                         yield v
 
         found = (
             next(self._total_maps(
-                lambda p: members(choice[index[p]]) if p in index else values(),
-                bound,
+                lambda p: members(choice[index[p]]) if p in index else values()
             ), None)
             for choice in product(body_reps, repeat=len(exp_reps))
         )
         return [f for f in found if f is not None], vex and body_exact
 
-    def _total_maps(self, candidates, bound):
+    def _total_maps(self, candidates):
         """The maps of `FunBasis.monotone_maps(candidates)` that are related
         to themselves, as tokens, in its order."""
         for a in self.basis.monotone_maps(candidates):
             f = self.basis.from_function(lambda p: a[p])
-            if self.related(f, f, bound) is True:
+            if self.related(f, f) is True:
                 yield f
 
     def _values(self, reps, bound):
@@ -402,9 +401,9 @@ class LimitRel(StructuralRel):
         self.limit = limit
         self.stage_pers = list(stage_pers)
 
-    def related(self, a, b, bound=None):
+    def related(self, a, b):
         pt, qt, k = self.limit.at_common_stage(a, b)
-        return self.stage_pers[k].related(pt, qt, bound)
+        return self.stage_pers[k].related(pt, qt)
 
     def totals(self, bound=None):
         return list(self._tagged("totals", bound)), False
@@ -414,7 +413,7 @@ class LimitRel(StructuralRel):
         there to that stage's representative of its class, so the tagged
         representatives meet every class; grouping them keeps one each."""
         tags = self._tagged("representatives", bound)
-        classes = group_classes(tags, lambda a, b: self.related(a, b, bound))
+        classes = group_classes(tags, self.related)
         return [cls[0] for cls in classes], False
 
     def _tagged(self, which, bound):
@@ -430,13 +429,13 @@ class ImageRel(StructuralRel):
         self.source_per = source_per
         self.phi = phi
 
-    def related(self, a, b, bound=None):
-        us, exact = self.source_per.totals(bound)
+    def related(self, a, b):
+        us, exact = self.source_per.totals()
         unknown = not exact
         for u in us:
             fu = self.phi(u)
-            ra = self.target_per.related(a, fu, bound)
-            rb = self.target_per.related(fu, b, bound)
+            ra = self.target_per.related(a, fu)
+            rb = self.target_per.related(fu, b)
             if ra is True and rb is True:
                 return True
             if ra is None or rb is None:
@@ -452,7 +451,7 @@ class ImageRel(StructuralRel):
         out = [
             t
             for t in ts
-            if any(self.target_per.related(t, fu, bound) is True for fu in images)
+            if any(self.target_per.related(t, fu) is True for fu in images)
         ]
         return out, exact and t_exact
 
@@ -478,25 +477,21 @@ def group_classes(values, related) -> List[List[object]]:
 
 class DomainPer:
     """A carrier with a relation, and the one cache of its answers (module
-    docstring): verdicts per pair and bound, the rest per bound."""
+    docstring): verdicts per pair, the rest per bound."""
 
-    def __init__(
-        self, carrier: Basis, rel: object, flags: Optional[PerFlags] = None,
-        name: str = "",
-    ):
+    def __init__(self, carrier: Basis, rel: object, flags: Optional[PerFlags] = None):
         self.carrier = carrier
         self.rel = rel
         self.flags = PerFlags() if flags is None else flags
-        self.name = name
         self._verdicts = {}
         self._derived = {}  # (method name, bound) -> answer
 
-    def related(self, a, b, bound=None):
-        k = (a, b, bound)
+    def related(self, a, b):
+        k = (a, b)
         try:
             return self._verdicts[k]
         except KeyError:
-            v = self._verdicts[k] = self.rel.related(a, b, bound)
+            v = self._verdicts[k] = self.rel.related(a, b)
             return v
 
     def _cached(self, which, bound, derive):
@@ -511,14 +506,14 @@ class DomainPer:
     def related_pairs(self, bound=None):
         def pairs():
             ts, exact = self.totals(bound)
-            return [(a, b) for a in ts for b in ts if self.related(a, b, bound)], exact
+            return [(a, b) for a in ts for b in ts if self.related(a, b)], exact
 
         return self._cached("related_pairs", bound, pairs)
 
     def classes(self, bound=None):
         def grouped():
             ts, exact = self.totals(bound)
-            return group_classes(ts, lambda a, b: self.related(a, b, bound)), exact
+            return group_classes(ts, self.related), exact
 
         return self._cached("classes", bound, grouped)
 
@@ -541,7 +536,7 @@ class DomainPer:
     def class_of(self, x, bound=None):
         """x and the members of the enumerated class related to it."""
         classes, _ = self.classes(bound)
-        cls = next((c for c in classes if self.related(c[0], x, bound) is True), [])
+        cls = next((c for c in classes if self.related(c[0], x) is True), [])
         return cls if x in cls else [x] + cls
 
     def class_count(self, bound=None):
@@ -549,7 +544,7 @@ class DomainPer:
         return len(reps), exact
 
 
-def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> DomainPer:
+def finite_per(carrier: Basis, related_token_pairs, flags=None) -> DomainPer:
     pairs = set()
     for (a, b) in related_token_pairs:
         pairs.add((a, b))
@@ -557,7 +552,7 @@ def finite_per(carrier: Basis, related_token_pairs, flags=None, name="") -> Doma
     # transitive closure so callers may list generators only; no elements,
     # so no reflexive pairs are added
     pairs = transitive_reflexive_closure((), pairs)
-    return DomainPer(carrier, FiniteRel(carrier, pairs), flags, name=name)
+    return DomainPer(carrier, FiniteRel(carrier, pairs), flags)
 
 
 def trivial_per() -> DomainPer:
@@ -566,7 +561,6 @@ def trivial_per() -> DomainPer:
         d0,
         FiniteRel(d0, frozenset()),
         replace(ALL_YES, dense=False, admissible_pedigree=None),
-        name="trivial",
     )
 
 
@@ -608,7 +602,7 @@ def per_construct(kind: str, D: DomainPer, E: DomainPer) -> DomainPer:
         flags = _fun_flags(D.flags, E.flags)
     else:
         raise ValueError(f"unknown per constructor {kind!r}")
-    return DomainPer(carrier, rel, flags, name=f"{kind}({D.name},{E.name})")
+    return DomainPer(carrier, rel, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +613,18 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
     toks, exact_toks = P.carrier_tokens(bound)
     B = P.carrier
 
-    def rel(a, b):
-        return P.related(a, b, bound)
-
     if prop in ("weakly_convex", "convex"):
         def convex():
             for a in toks:
                 for b in toks:
-                    r = rel(a, b)
+                    r = P.related(a, b)
                     if r is None:
                         yield None, None
                     elif r and B.leq(a, b):
                         # on finite carriers every element is compact, so the
                         # weak and strong forms quantify over the same joins
                         for z in (p for p in toks if B.leq(p, b)):
-                            yield rel(a, B.lub((a, z))), (a, b, z)
+                            yield P.related(a, B.lub((a, z))), (a, b, z)
 
         return conjoin(convex(), bound, exact_toks)
 
@@ -652,13 +643,13 @@ def check_property(P: DomainPer, prop: str, bound: Optional[int] = None) -> Verd
                     yield B.cons(cls), (x, cls)
                 if prop == "complete":
                     sup = B.lub(cls)
-                    yield rel(x, sup), (x, sup)
+                    yield P.related(x, sup), (x, sup)
 
         return conjoin(per_class(), bound, exact_toks and exact)
 
     if prop == "upwards_closed":
         ts, exact = P.totals(bound)
-        cases = ((rel(x, y), (x, y)) for x in ts for y in toks if B.leq(x, y))
+        cases = ((P.related(x, y), (x, y)) for x in ts for y in toks if B.leq(x, y))
         return conjoin(cases, bound, exact_toks and exact)
 
     if prop == "dense":
@@ -684,26 +675,13 @@ def has_total_extension(P: DomainPer, p: Token, bound=None) -> Verdict:
 
 def prec_check(P: DomainPer, p: Token, x, bound=None) -> bool:
     """p approximates the class of x: some y ~ x lies above p."""
-    if P.related(x, x, bound) is not True:
+    if P.related(x, x) is not True:
         raise NotTotal(f"{x.pretty} is not total", witness=x)
     return any(P.carrier.leq(p, y) for y in P.class_of(x, bound))
 
 
 # ---------------------------------------------------------------------------
-# equivariant maps
-
-
-class PerMap:
-    """Equivariant-candidate map between domain-pers."""
-
-    def __init__(self, source: DomainPer, target: DomainPer, fn, name="map"):
-        self.source = source
-        self.target = target
-        self._fn = fn
-        self.name = name
-
-    def __call__(self, v):
-        return self._fn(v)
+# equivariant maps: a map between pers is a function passed with its pers
 
 
 def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
@@ -711,9 +689,7 @@ def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
     (module docstring): f(c0) ~ f(x) for each member x of each class, c0
     its first member; a failure's witness is (c0, x)."""
     classes, exact = D.classes(bound)
-    cases = (
-        (E.related(f(cls[0]), f(x), bound), (cls[0], x)) for cls in classes for x in cls
-    )
+    cases = ((E.related(f(cls[0]), f(x)), (cls[0], x)) for cls in classes for x in cls)
     return conjoin(cases, bound, exact)
 
 
@@ -721,39 +697,31 @@ def is_equivariant(f, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
 # equiembeddings
 
 
-class PerEmbedding:
-    def __init__(
-        self, emb: Embedding, source: DomainPer, target: DomainPer, name: str = ""
-    ):
-        self.emb = emb
-        self.source = source
-        self.target = target
-        self.name = name
-
-
-def is_equiembedding(pe: PerEmbedding, bound=None) -> Verdict:
-    """The per clauses in turn, equivariance and reflection (x ~ proj y for
-    every source total x and y ~ f x); the ep-pair is decided where built.
+def is_equiembedding(
+    emb: Embedding, source: DomainPer, target: DomainPer, bound=None
+) -> Verdict:
+    """The per clauses of the ep-pair `emb` from `source` to `target` in
+    turn, equivariance and reflection (x ~ proj y for every source total x
+    and y ~ f x); the ep-pair is decided where built.
 
     Reflection is read on the source representatives (module docstring).
     Each call decides anew; a chain decides each of its links once, where
     it is built."""
 
     def cases():
-        v = is_equivariant(pe.emb.fwd, pe.source, pe.target, bound)
+        v = is_equivariant(emb.fwd, source, target, bound)
         yield v.holds, ("equivariance", v.witness)
-        reps, exact = pe.source.representatives(bound)
-        tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
+        reps, exact = source.representatives(bound)
+        tgt_toks, tgt_exact = target.carrier_tokens(bound)
         yield (exact and tgt_exact) or None, None
         for x in reps:
-            fx = pe.emb.fwd(x)
+            fx = emb.fwd(x)
             for y in tgt_toks:
-                r = pe.target.related(fx, y, bound)
+                r = target.related(fx, y)
                 if r is None:
                     yield None, None
                 elif r:
-                    back = pe.source.related(x, pe.emb.proj(y), bound)
-                    yield back, ("reflection", (x, y))
+                    yield source.related(x, emb.proj(y)), ("reflection", (x, y))
 
     return _named_clause(conjoin(cases(), bound))
 
@@ -771,29 +739,29 @@ def _named_clause(v: Verdict) -> Verdict:
 # images and weak isomorphisms
 
 
-def image_per(phi: PerMap) -> DomainPer:
+def image_per(phi, source: DomainPer, target: DomainPer) -> DomainPer:
+    """The image of `source` under `phi` on `target`'s carrier."""
     return DomainPer(
-        phi.target.carrier,
-        ImageRel(phi.target, phi.source, phi),
-        PerFlags(countably_based=phi.target.flags.countably_based),
-        name=f"{phi.name}[{phi.source.name}]",
+        target.carrier,
+        ImageRel(target, source, phi),
+        PerFlags(countably_based=target.flags.countably_based),
     )
 
 
-def weak_iso_check(phi: PerMap, chi: PerMap, bound=None) -> Verdict:
-    """Both maps equivariant, and each round trip related to where it
-    started, read on the source representatives (module docstring); the
-    clause names the part that failed."""
+def weak_iso_check(phi, chi, D: DomainPer, E: DomainPer, bound=None) -> Verdict:
+    """phi from D to E and chi back both equivariant, and each round trip
+    related to where it started, read on the source representatives (module
+    docstring); the clause names the part that failed."""
 
     def cases():
-        for f in (phi, chi):
-            v = is_equivariant(f, f.source, f.target, bound)
+        for (f, src, tgt) in ((phi, D, E), (chi, E, D)):
+            v = is_equivariant(f, src, tgt, bound)
             yield v.holds, ("equivariance", v.witness)
-        for (f, g) in ((phi, chi), (chi, phi)):
-            reps, exact = f.source.representatives(bound)
+        for (f, g, src) in ((phi, chi, D), (chi, phi, E)):
+            reps, exact = src.representatives(bound)
             yield exact or None, None
             for x in reps:
-                yield f.source.related(g(f(x)), x, bound), ("round-trip", x)
+                yield src.related(g(f(x)), x), ("round-trip", x)
 
     return _named_clause(conjoin(cases(), bound))
 
@@ -819,32 +787,29 @@ class PerLimit:
 
 
 def limit_per(
-    stage_pers: Sequence[DomainPer], embeddings: Sequence[PerEmbedding]
+    stages: Sequence[ChainStage], stage_pers: Sequence[DomainPer]
 ) -> PerLimit:
-    """Inductive limit of a chain of equiembeddings.  The links are taken as
-    decided: the caller decides each one (`per_chain_extend` does, as it
-    builds the chain, by a scan or by functoriality), and the limit only
-    checks that the chain fits."""
-    if len(embeddings) != len(stage_pers) - 1:
-        raise IncoherentChain("need one embedding per consecutive stage pair")
-    stages = [ChainStage(fin(0), stage_pers[0].carrier, None)]
-    for i, pe in enumerate(embeddings):
-        stages.append(ChainStage(fin(i + 1), stage_pers[i + 1].carrier, pe.emb))
-    limit = LimitBasis(stages)
-    rel = LimitRel(limit, stage_pers)
+    """Inductive limit of a chain of equiembeddings: the domain chain
+    `stages` with one per on each stage.  The links are taken as decided:
+    the caller decides each one (`per_chain_extend` does, as it builds the
+    chain, by a scan or by functoriality), and the limit only checks that
+    the chain fits."""
+    if len(stage_pers) != len(stages):
+        raise IncoherentChain("need one per for each stage of the chain")
+    limit = LimitBasis(list(stages))
     flags = replace(
         pointwise_flags(p.flags for p in stage_pers),
         strongly_local=None,
         dense=None,
         admissible_pedigree=None,
     )
-    per = DomainPer(limit, rel, flags, name="limit")
+    per = DomainPer(limit, LimitRel(limit, stage_pers), flags)
     return PerLimit(per, limit, list(stage_pers))
 
 
 def uniform_limit_map(
     phi_family: Sequence[Callable[[Token], Token]], src: PerLimit, tgt: PerLimit
-) -> PerMap:
+) -> Callable[[Token], Token]:
     """Stage-wise family commuting with the chains, extended to the limits."""
     n = len(phi_family)
     for i in range(n - 1):
@@ -864,4 +829,4 @@ def uniform_limit_map(
         i, inner = src.limit.decompose(v)
         return tgt.limit.canonical(i, phi_family[i](inner))
 
-    return PerMap(src.per, tgt.per, apply, name="limit-map")
+    return apply

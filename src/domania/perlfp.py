@@ -14,17 +14,15 @@ no token; it is kept as the list x_0, x_1, ..., each a limit token."""
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .basis import Checks, Token, Verdict, both
-from .construct import TokenMap
+from .construct import Embedding, TokenMap
 from .errors import IsoFailure, NotAnAlgebra
 from .ordinals import OMEGA, Ordinal, fin, omega_plus
 from .per import (
     DomainPer,
-    PerEmbedding,
     PerLimit,
-    PerMap,
     StructuralRel,
     is_equiembedding,
     is_equivariant,
@@ -96,8 +94,8 @@ class PullbackRel(StructuralRel):
         self.iso = iso
         self.unfolded_per = unfolded_per
 
-    def related(self, a, b, bound=None):
-        return self.unfolded_per.related(self.iso.fwd(a), self.iso.fwd(b), bound)
+    def related(self, a, b):
+        return self.unfolded_per.related(self.iso.fwd(a), self.iso.fwd(b))
 
     def totals(self, bound=None):
         ts, exact = self.unfolded_per.totals(bound)
@@ -111,12 +109,13 @@ class PullbackRel(StructuralRel):
 class PerChain:
     def __init__(
         self, functor: FunctorExpr, env: Dict[str, DomainPer],
-        stages: List[Tuple[Ordinal, DomainPer]], embeddings: List[PerEmbedding],
+        stages: List[Tuple[Ordinal, DomainPer]], embeddings: List[Embedding],
         links: Optional[List[Verdict]] = None,
     ):
         self.functor = functor
         self.env = env
         self.stages = stages
+        # link n + 1, the ep-pair from stage n to stage n + 1
         self.embeddings = embeddings
         # set by `per_chain_extend` when the chain reaches omega
         self.per_limit: Optional[PerLimit] = None
@@ -162,20 +161,17 @@ def per_chain_extend(
     depth = n_finite if not upto.is_finite else upto.k
     exhaustive = all(p.carrier.finite for p in env.values())
     pers: List[Tuple[Ordinal, DomainPer]] = [(fin(0), trivial_per())]
-    embeddings: List[PerEmbedding] = []
     links: List[Verdict] = []
     exact = False  # link n was decided True exactly
     dstages = omega_chain(expr, domain_env, depth)
     for n in range(1, depth + 1):
         per_n = apply_functor_per(expr, pers[-1][1], env)
-        # reuse the domain chain's carrier bookkeeping
-        emb = dstages[n].embed_from_prev
-        pe = PerEmbedding(emb, pers[-1][1], per_n, name=f"f{n - 1},{n}")
         if exact and functor_action(expr, True, env, LINKS) is True:
             v = Verdict(True)
         else:
             bound = None if exhaustive and n <= EXHAUSTIVE_DEPTH else FRAGMENT_BOUND
-            v = is_equiembedding(pe, bound)
+            # the domain chain's link, on the two stage pers
+            v = is_equiembedding(dstages[n].embed_from_prev, pers[-1][1], per_n, bound)
             if v.holds is False:
                 raise NotAnAlgebra(
                     f"chain link {n} is not an equiembedding ({v.clause})",
@@ -183,13 +179,13 @@ def per_chain_extend(
                 )
             exact = v.holds is True
         pers.append((fin(n), per_n))
-        embeddings.append(pe)
         links.append(v)
+    embeddings = [s.embed_from_prev for s in dstages[1:]]
     chain = PerChain(expr, env, pers, embeddings, links=links)
     if upto.is_finite:
         return chain
 
-    plim = limit_per([p for (_, p) in pers], embeddings)
+    plim = limit_per(dstages, [p for (_, p) in pers])
     chain.per_limit = plim
     chain.stages.append((OMEGA, plim.per))
     bound = min(FRAGMENT_BOUND, depth)
@@ -200,12 +196,7 @@ def per_chain_extend(
     for k in range(1, upto.k + 1):
         unfolded_per = apply_functor_per(expr, current, env)
         chain.unfolded.append(unfolded_per)
-        folded = DomainPer(
-            plim.limit,
-            PullbackRel(iso, unfolded_per),
-            unfolded_per.flags,
-            name=f"stage-omega+{k}",
-        )
+        folded = DomainPer(plim.limit, PullbackRel(iso, unfolded_per), unfolded_per.flags)
         chain.stages.append((omega_plus(k), folded))
         current = folded
     return chain
@@ -238,7 +229,7 @@ def _stage_stabilizes(chain: PerChain, n: int) -> Optional[bool]:
     verdicts are symmetric and transitive, and an equiembedding reflects:
     f(s') ~ t for a total s' gives s' ~ s."""
     per_n, per_n1 = chain.stages[n][1], chain.stages[n + 1][1]
-    emb = chain.embeddings[n].emb
+    emb = chain.embeddings[n]
     reps, exact = per_n1.representatives()
     if not exact:
         return None
@@ -460,7 +451,7 @@ def counterexample_phi(chain: PerChain, bound: int) -> Optional[CounterexampleRe
     # so only a False refutes it
     per_omega = chain.per_limit.per
     equivariant = all(
-        per_omega.related(x, x, check_bound) is not False
+        per_omega.related(x, x) is not False
         for x in nests[:check_bound]
     )
     checks.add("fragment-equivariance", equivariant, bound=check_bound)
@@ -494,14 +485,15 @@ class MediatingReport:
 def mediating_algebra_morphism(
     expr: FunctorExpr,
     env: Dict[str, DomainPer],
-    algebra: Tuple[DomainPer, PerMap],
+    algebra: Tuple[DomainPer, Callable[[Token], Token]],
     upto: int = 2,
     bound: Optional[int] = None,
 ) -> MediatingReport:
-    """h_0 from the trivial per, h_{n+1} = g . F(h_n); checks the chain
-    coherence and that each h_n is equivariant on the fragment."""
+    """h_0 from the trivial per, h_{n+1} = g . F(h_n), for the algebra
+    g: F(E) -> E; checks the chain coherence and that each h_n is
+    equivariant on the fragment."""
     E, g = algebra
-    v = is_equivariant(g, g.source, g.target, bound)
+    v = is_equivariant(g, apply_functor_per(expr, E, env), E, bound)
     if v.holds is False:
         raise NotAnAlgebra("algebra map is not equivariant", witness=v.witness)
     for flag_name in ("convex", "local", "complete"):

@@ -28,7 +28,6 @@ from .per import (
     ALL_YES,
     DomainPer,
     FiniteRel,
-    PerMap,
     check_property,
     per_construct,
     uniform_limit_map,
@@ -220,12 +219,7 @@ def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> Standa
         for b in toks.values():
             if decode[a] is not None and decode[a] == decode[b]:
                 pairs.add((a, b))
-    per = DomainPer(
-        basis,
-        FiniteRel(basis, pairs),
-        ALL_YES,
-        name=f"rep({X.name})",
-    )
+    per = DomainPer(basis, FiniteRel(basis, pairs), ALL_YES)
     rep = StandardRep(per, X, fam, decode)
     # flags must be earned, not assumed
     for prop in ("convex", "local", "complete", "dense"):
@@ -412,7 +406,7 @@ def qcb_fixed_point(
         # each image is total, and related to its own class's image alone
         for i, a in enumerate(images):
             for j, b in enumerate(images):
-                r = unfolded.related(a, b, rank_bound)
+                r = unfolded.related(a, b)
                 yield None if r is None else r == (i == j), None
 
     checks = Checks()
@@ -555,13 +549,10 @@ def fixed_point_independence(
         phis.append(_transfer(paired_f, phis[-1], pairs))
         chis.append(_transfer(paired_g, chis[-1], back))
 
-    verdicts = []
-    for n in range(1, n_finite + 1):
-        per_f = chain_f.stages[n][1]
-        per_g = chain_g.stages[n][1]
-        v = weak_iso_check(PerMap(per_f, per_g, phis[n]), PerMap(per_g, per_f, chis[n]))
-        verdicts.append(v.holds)
-    stage_ok = both(*verdicts)
+    stage_ok = both(*(
+        weak_iso_check(phis[n], chis[n], chain_f.stages[n][1], chain_g.stages[n][1]).holds
+        for n in range(1, n_finite + 1)
+    ))
 
     # families that commute with the chain embeddings extend to the limits,
     # acting stage-wise on canonical tokens
@@ -574,7 +565,8 @@ def fixed_point_independence(
         checks.add("uniform-family", False)
         checks.add("class-matching", False, bound=rank_bound)
         return checks
-    if weak_iso_check(phi_omega, chi_omega, rank_bound).holds is False:
+    omega_f, omega_g = chain_f.per_limit.per, chain_g.per_limit.per
+    if weak_iso_check(phi_omega, chi_omega, omega_f, omega_g, rank_bound).holds is False:
         stage_ok = False
     checks.add("stage-weak-isos", stage_ok, bound=rank_bound)
     checks.add("uniform-family", True)
@@ -584,10 +576,7 @@ def fixed_point_independence(
     # column with no True and an undecided verdict leaves it unknown
     rf, _ = chain_f.per_limit.per.representatives(rank_bound)
     rg, _ = chain_g.per_limit.per.representatives(rank_bound)
-    table = [
-        [chain_g.per_limit.per.related(phi_omega(x), y, rank_bound) for y in rg]
-        for x in rf
-    ]
+    table = [[omega_g.related(phi_omega(x), y) for y in rg] for x in rf]
     columns = [[row[j] for row in table] for j in range(len(rg))]
     holds = both(*(_one_related(line) for line in table + columns))
     matching = [(i, row.index(True)) for (i, row) in enumerate(table)] if holds else None

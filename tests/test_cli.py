@@ -839,6 +839,33 @@ def test_golden_reports(name, monkeypatch):
         assert text == fh.read()
 
 
+def test_function_verdicts_read_exact_exponent_listings(monkeypatch):
+    # a function-space verdict takes no bound: it reads its exponent's
+    # related pairs unbounded, or its probe points. Over the golden commands
+    # and the rank-4 probe each exponent listing it reads is exact, or probe
+    # points answer; a staged exponent without probe points would fail here
+    from domania.per import FunRel
+
+    seen = {"probe points": 0, "exact": 0, "inexact": 0}
+    related = FunRel.related
+
+    def watched(self, f, g):
+        steps = (self.basis.pairs(f), self.basis.pairs(g))
+        if self.exp_per.rel.probe_points(*steps) is not None:
+            seen["probe points"] += 1
+        else:
+            seen["exact" if self.exp_per.related_pairs()[1] else "inexact"] += 1
+        return related(self, f, g)
+
+    monkeypatch.setattr(FunRel, "related", watched)
+    monkeypatch.delenv("DOMANIA_SEED", raising=False)
+    probe = ["per-lfp", "--eq", RUNNING_EQ, "--rank-bound", "4", "--beyond-omega", "1"]
+    for argv in [*GOLDEN_COMMANDS.values(), probe]:
+        code, text = run_command(argv)
+        assert code == 0, (argv, text)
+    assert seen["inexact"] == 0 and seen["exact"] and seen["probe points"], seen
+
+
 def test_reports_byte_deterministic(monkeypatch):
     monkeypatch.delenv("DOMANIA_SEED", raising=False)
     for name in ("solve-domain.json", "counterexample.json"):
@@ -907,6 +934,26 @@ def test_qcb_space_file_source(tmp_path):
     assert code == 0, text
     doc = json.loads(text)
     assert doc["pedigree"]["admissible_pedigree"] == "yes"
+
+
+def test_qcb_builds_flatnat_at_the_nat_bound(monkeypatch):
+    # a flatnat parameter of qcb lists its naturals up to --nat-bound
+    from domania import cli
+
+    built = []
+    build = cli.builtin_per
+
+    def recorded(name, nat_bound=8):
+        built.append((name, nat_bound))
+        return build(name, nat_bound)
+
+    monkeypatch.setattr(cli, "builtin_per", recorded)
+    eq = "param A = sierpinski; param N = flatnat; X = A + [N -> A]"
+    code, text = run_command(
+        ["qcb", "--eq", eq, "--rank-bound", "1", "--nat-bound", "5"]
+    )
+    assert code == 0, text
+    assert built == [("flatnat", 5)]
 
 
 def test_per_lfp_constant_equation_truncates_stages():

@@ -247,7 +247,7 @@ def test_dense_stage_parts_form_chain():
     assert len(parts) == 4
     for n in range(1, len(parts)):
         prev, cur = parts[n - 1], parts[n]
-        emb = lfp.chain.embeddings[n - 1].emb
+        emb = lfp.chain.embeddings[n - 1]
         for t in prev.per.carrier.tokens().tokens:
             assert cur.kept(emb.fwd(t)), (n, t.pretty)
 

@@ -109,10 +109,8 @@ def test_eta_equivariant_and_equi_injective_on_fragment():
     totals = [t for t in totals if hasattr(t, "key")]
     for x in totals:
         for y in totals:
-            lhs = eta.unfolded_per.related(x, y, 2) is True
-            rhs = (
-                eta.fun_per.related(eta.eta_token(x), eta.eta_token(y), 2) is True
-            )
+            lhs = eta.unfolded_per.related(x, y) is True
+            rhs = eta.fun_per.related(eta.eta_token(x), eta.eta_token(y)) is True
             assert lhs == rhs, (x.pretty, y.pretty)
 
 
@@ -428,7 +426,7 @@ def test_zeta_equivalent_inputs_evaluate_identically():
     us, _ = bar.u_per.totals()
     for x in totals:
         for y in totals:
-            if lfp.per.related(x, y, 3) is not True:
+            if lfp.per.related(x, y) is not True:
                 continue
             for u in us:
                 rx = bar.evaluate_zeta(x, u)
@@ -483,7 +481,7 @@ def test_theta_bar_single_pair_approximates_witness():
     u_prefix = seq(bar, [bar.eta.T.bottom] * bar.support)
     q = bar.fun_basis.make([(u_prefix, rec.result)])
     back = bar.theta_bar(q, witness=x)
-    assert lim.leq(back, x) or lfp.per.related(back, x, 2) is True
+    assert lim.leq(back, x) or lfp.per.related(back, x) is True
     # the witness search finds a total for the same compact
     found = find_witness(
         bar.fun_basis.pairs(q), lfp.chain.per_limit.per, bar.u_per, bar.e_per,
@@ -516,8 +514,8 @@ def test_undecided_round_trip_reads_unknown(monkeypatch):
     x0 = lfp.per.totals(2)[0][0]
     related = lfp.per.related
 
-    def undecided_at_x0(a, b, bound=None):
-        return None if x0 in (a, b) else related(a, b, bound)
+    def undecided_at_x0(a, b):
+        return None if x0 in (a, b) else related(a, b)
 
     monkeypatch.setattr(lfp.per, "related", undecided_at_x0)
     report = dense_image_weak_iso(lfp, rank_bound=2)
@@ -552,8 +550,8 @@ def reflects_over_all_pairs(lfp, rank_bound):
     def cases():
         for x in totals:
             for y in totals:
-                lhs = lfp.per.related(x, y, rank_bound)
-                rhs = bar.fun_per.related(bar.eta_bar(x), bar.eta_bar(y), rank_bound)
+                lhs = lfp.per.related(x, y)
+                rhs = bar.fun_per.related(bar.eta_bar(x), bar.eta_bar(y))
                 yield None if None in (lhs, rhs) else lhs == rhs, (x, y)
 
     return conjoin(cases()).holds
@@ -810,11 +808,11 @@ def test_every_total_is_a_token():
         per_construct("fun", flatnat_per(), sierpinski_per()),
     ]
     empty = []
-    for per in pers:
+    for (i, per) in enumerate(pers):
         ts, _ = per.totals(2)
-        assert all(isinstance(t, Token) for t in ts), per.name
+        assert all(isinstance(t, Token) for t in ts), i
         if not ts:
-            empty.append(per.name)
-    # only the stage-0 pers have no totals: one per chain, and the dense
-    # part of the dense chain's stage 0
-    assert empty == ["trivial"] * 4
+            empty.append(per.carrier.name)
+    # only the stage-0 pers, on the one-point basis D0, have no totals: one
+    # per chain, and the dense part of the dense chain's stage 0
+    assert empty == ["D0"] * 4

@@ -1,9 +1,12 @@
 """Every module-level function and class of the package, and every method
 that is not a dunder, is referenced somewhere: some Python file under src/,
 tests/ or scripts/ refers to its name outside the definition itself. A
-reference is a name, an attribute, an imported name or a string constant
-that is an identifier (as in `getattr(module, "name")`); comments,
-docstrings and other definitions of the same name are not references. Each
+reference to a module-level definition is a name, an attribute, an imported
+name or a string constant that is an identifier (as in
+`getattr(module, "name")`); a method is referenced only by an attribute or
+such a string, so a local variable that shares its name does not keep it.
+Comments, docstrings and other definitions of the same name are not
+references. Each
 definition also serves the package: it is referenced from src/ or scripts/,
 unless `TEST_ONLY` names it. Every name a package module imports is used in
 that module, unless its import line says `# noqa: F401`. Only cli.py words a
@@ -54,53 +57,92 @@ def _parse(path):
 
 
 def _references(tree):
-    """How often the code under `tree` refers to each identifier."""
-    out = Counter()
+    """How often the code under `tree` refers to each identifier, as two
+    counts: by a bare or imported name, and by an attribute or an
+    identifier string."""
+    names, members = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]] += 1
+            names[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Attribute):
+            members[node.attr] += 1
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
         ):
-            out[node.value] += 1
-    return out
+            members[node.value] += 1
+    return names, members
 
 
 def _definitions(tree):
-    """The top-level definitions and the non-dunder methods of top-level
-    classes."""
+    """(definition, whether it is a method) for the top-level definitions
+    and the non-dunder methods of top-level classes."""
     for node in tree.body:
         if not isinstance(node, _DEFS):
             continue
-        yield node
+        yield node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, _DEFS) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield item
+                    yield item, True
+
+
+def _unreferenced_in(modules, trees):
+    """`module: name` of every definition in `modules`, (module name, tree)
+    pairs, that none of `trees` refers to outside the definition: a method
+    by an attribute or an identifier string, anything else by any
+    reference."""
+
+    def count(name, refs, method):
+        names, members = refs
+        return members[name] if method else names[name] + members[name]
+
+    references = Counter(), Counter()
+    for tree in trees:
+        for total, found in zip(references, _references(tree)):
+            total.update(found)
+    out = []
+    for (module, tree) in modules:
+        for (node, method) in _definitions(tree):
+            own = count(node.name, _references(node), method)
+            if count(node.name, references, method) <= own:
+                out.append(f"{module}: {node.name}")
+    return out
 
 
 def _unreferenced(tops):
     """`module: name` of every package definition that no Python file under
     `tops` refers to outside the definition."""
-    references = Counter()
-    for path in _python_files(tops):
-        references.update(_references(_parse(path)))
-    out = []
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        for node in _definitions(_parse(os.path.join(PACKAGE, name))):
-            if references[node.name] <= _references(node)[node.name]:
-                out.append(f"{name}: {node.name}")
-    return out
+    modules = [
+        (name, _parse(os.path.join(PACKAGE, name)))
+        for name in sorted(os.listdir(PACKAGE))
+        if name.endswith(".py")
+    ]
+    return _unreferenced_in(modules, [_parse(path) for path in _python_files(tops)])
+
+
+def test_a_local_name_does_not_reference_a_method():
+    # a method survives only through an attribute access or an identifier
+    # string; a local variable of the same name is no reference to it,
+    # while a bare name still references a function
+    module = ast.parse(
+        "class Seq:\n"
+        "    def seq(self):\n"
+        "        return 1\n"
+        "    def step(self):\n"
+        "        return 2\n"
+        "    def size(self):\n"
+        "        return 3\n"
+        "def walk(s):\n"
+        "    return s.step(), getattr(s, 'size')\n"
+    )
+    user = ast.parse("def use():\n    seq = [Seq(), walk]\n    return seq\n")
+    assert _unreferenced_in([("m.py", module)], [module, user]) == ["m.py: seq"]
 
 
 def test_every_definition_is_referenced():

@@ -16,9 +16,6 @@ from domania.builtins import flat_per, flatnat_per, sierpinski_per, trivial_per
 from domania.construct import Embedding, TokenMap, identity_embedding, verify_embedding
 from domania.errors import IncoherentChain, NotTotal, NotUniform
 from domania.per import (
-    DomainPer,
-    PerEmbedding,
-    PerMap,
     check_property,
     finite_per,
     image_per,
@@ -34,7 +31,7 @@ from domania.per import (
 from domania.ordinals import OMEGA, fin, omega_plus
 from domania.oracles import all_pers, per_preservation_suite
 from domania.perlfp import apply_functor_per, per_chain_extend
-from domania.spfunctor import ConstD, Exp, Id, Prod, Sum, omega_chain
+from domania.spfunctor import ChainStage, ConstD, Exp, Id, Prod, Sum, omega_chain
 
 O = catalog_basis("two-chain")
 BOT, TOP = tok("bot"), tok("top")
@@ -102,16 +99,14 @@ def parity_image():
     # image of the flat naturals' parity in flatbool: tt ~ ff is unknown, as
     # the naturals' totals are not exhausted
     nat = flatnat_per(4)
-    parity = PerMap(
-        nat, flatbool(), lambda v: tok("ff" if nat.carrier.value_of(v) % 2 else "tt")
-    )
-    return image_per(parity)
+    parity = lambda v: tok("ff" if nat.carrier.value_of(v) % 2 else "tt")
+    return image_per(parity, nat, flatbool())
 
 
 def top_image():
     # one class, but its related pairs are not exhausted
     nat = flatnat_per(4)
-    return image_per(PerMap(nat, osier(), lambda v: TOP))
+    return image_per(lambda v: TOP, nat, osier())
 
 
 def test_flat_exponent_probe_points_match_a_scan():
@@ -146,9 +141,9 @@ def assert_representatives_match(per, bound=None, where=None):
     classes, exact = per.classes(bound)
     assert per.class_count(bound) == (len(classes), exact), where
     assert reps_exact == exact, where
-    assert all(per.related(r, r, bound) is True for r in reps), where
+    assert all(per.related(r, r) is True for r in reps), where
     pairs = itertools.combinations(reps, 2)
-    assert not any(per.related(a, b, bound) is True for (a, b) in pairs), where
+    assert not any(per.related(a, b) is True for (a, b) in pairs), where
     held = [sum(r.key in {t.key for t in cls} for r in reps) for cls in classes]
     assert held == [1] * len(classes) and len(reps) == len(classes), where
 
@@ -217,7 +212,7 @@ def test_empty_per_properties_vacuous():
 def scanned_class_of(P, x, bound=None):
     """Reference class of x: x and every carrier token related to it."""
     ts, _ = P.carrier_tokens(bound)
-    return [x] + [t for t in ts if t != x and P.related(x, t, bound) is True]
+    return [x] + [t for t in ts if t != x and P.related(x, t) is True]
 
 
 def reference_class_check(P, prop, bound=None):
@@ -235,7 +230,7 @@ def reference_class_check(P, prop, bound=None):
         ):
             return False
         if prop == "complete":
-            r = P.related(x, B.lub(cls), bound)
+            r = P.related(x, B.lub(cls))
             if r is False:
                 return False
             unknown = unknown or r is None
@@ -295,7 +290,7 @@ def pairwise_equivariance(f, D, E, bound=None):
     pairs, exact = D.related_pairs(bound)
     unknown = not exact
     for (x, y) in pairs:
-        r = E.related(f(x), f(y), bound)
+        r = E.related(f(x), f(y))
         if r is False:
             return Verdict(False, (x, y), bound)
         if r is None:
@@ -303,11 +298,17 @@ def pairwise_equivariance(f, D, E, bound=None):
     return Verdict(None if unknown else True, None, bound)
 
 
+def chain_link(chain, n):
+    """Link n of `chain` as `is_equiembedding` takes it: the ep-pair from
+    stage n - 1 to stage n, and the pers of those two stages."""
+    return chain.embeddings[n - 1], chain.stages[n - 1][1], chain.stages[n][1]
+
+
 def _links(expr, env, bounds):
     """(link n, bounds[n - 1]) for the first len(bounds) links of the chain
     of expr, each with the bound the chain checks it at."""
     chain = per_chain_extend(expr, env, fin(len(bounds)))
-    return list(zip(chain.embeddings, bounds))
+    return [(chain_link(chain, n), b) for (n, b) in enumerate(bounds, 1)]
 
 
 def test_equivariance_class_certificate_matches_pairwise_scan():
@@ -319,8 +320,8 @@ def test_equivariance_class_certificate_matches_pairwise_scan():
         Sum(ConstD("A"), Exp("N", Id())), {"A": osier(), "N": flatnat_per(8)}, [3] * 4
     )
     # the flatnat links have inexact related pairs: the reference path decides
-    assert all(not pe.source.related_pairs(b)[1] for (pe, b) in flatnat[1:])
-    cases = [(pe.emb.fwd, pe.source, pe.target, b) for (pe, b) in links + flatnat]
+    assert all(not src.related_pairs(b)[1] for ((_, src, _), b) in flatnat[1:])
+    cases = [(emb.fwd, src, tgt, b) for ((emb, src, tgt), b) in links + flatnat]
 
     s = per_construct("sum", osier(), osier())
     cases += [
@@ -351,24 +352,24 @@ def test_link_equivariance_enumerates_no_related_pairs(monkeypatch):
 
     monkeypatch.setattr(chain.stages[4][1], "related_pairs", forbidden)
     # no refutation; undecided at the bound
-    assert is_equiembedding(chain.embeddings[4], 3).holds is not False
+    assert is_equiembedding(*chain_link(chain, 5), 3).holds is not False
 
 
-def reference_reflection(pe, bound=None):
+def reference_reflection(emb, source, target, bound=None):
     """Reference for the per clauses of an equiembedding, reflection
     pairwise: every source total against every target value."""
-    equivariant = pairwise_equivariance(pe.emb.fwd, pe.source, pe.target, bound)
+    equivariant = pairwise_equivariance(emb.fwd, source, target, bound)
     ok = equivariant.holds
     if ok is False:
         return False, "equivariance", equivariant.witness
-    ts, exact = pe.source.totals(bound)
-    tgt_toks, tgt_exact = pe.target.carrier_tokens(bound)
+    ts, exact = source.totals(bound)
+    tgt_toks, tgt_exact = target.carrier_tokens(bound)
     unknown = ok is None or not exact or not tgt_exact
     for x in ts:
         for y in tgt_toks:
-            r = pe.target.related(pe.emb.fwd(x), y, bound)
+            r = target.related(emb.fwd(x), y)
             if r is True:
-                back = pe.source.related(x, pe.emb.proj(y), bound)
+                back = source.related(x, emb.proj(y))
                 if back is False:
                     return False, "reflection", (x, y)
                 if back is None:
@@ -399,15 +400,13 @@ def test_reflection_class_certificate_matches_pairwise_scan():
     unreflected = finite_per(three, [(tok("top"), tok("mid"))])
     inclusion = _embedding_from_keys(O, three, {"bot": "bot", "top": "top"})
     finite = [
-        PerEmbedding(identity_embedding(O), osier(), osier()),
-        PerEmbedding(identity_embedding(O), osier(), discrete_chain()),
-        PerEmbedding(identity_embedding(O), discrete_chain(), osier()),
-        PerEmbedding(
-            _embedding_from_keys(O, three, {"bot": "bot", "top": "mid"}), osier(), incoherent
-        ),
-        PerEmbedding(inclusion, osier(), unreflected),
+        (identity_embedding(O), osier(), osier()),
+        (identity_embedding(O), osier(), discrete_chain()),
+        (identity_embedding(O), discrete_chain(), osier()),
+        (_embedding_from_keys(O, three, {"bot": "bot", "top": "mid"}), osier(), incoherent),
+        (inclusion, osier(), unreflected),
     ] + [
-        PerEmbedding(identity_embedding(tgt.carrier), src, tgt)
+        (identity_embedding(tgt.carrier), src, tgt)
         for (src, tgt) in (
             (parity_image(), parity_image()),
             (top_image(), top_image()),
@@ -415,19 +414,19 @@ def test_reflection_class_certificate_matches_pairwise_scan():
             (flatbool(), parity_image()),
         )
     ]
-    cases += [(pe, None) for pe in finite]
+    cases += [(link, None) for link in finite]
 
     # each case is an ep-pair, which is_equiembedding takes as given
-    for (pe, b) in cases:
-        assert verify_embedding(pe.emb, b), (pe.name, b)
-    verdicts = [reference_reflection(pe, b) for (pe, b) in cases]
+    for (i, ((emb, _, _), b)) in enumerate(cases):
+        assert verify_embedding(emb, b), (i, b)
+    verdicts = [reference_reflection(*link, b) for (link, b) in cases]
     # the flatnat links say unknown, and the cases fail each clause
     assert all(verdicts[cases.index(link)][0] is None for link in flatnat)
     assert verdicts[-1] == (None, "", None)
     assert {v[1] for v in verdicts} == {"", "equivariance", "reflection"}
-    for (pe, b), want in zip(cases, verdicts):
-        v = is_equiembedding(pe, b)
-        assert (v.holds, v.clause, v.witness) == want, (pe.name, b)
+    for (i, ((link, b), want)) in enumerate(zip(cases, verdicts)):
+        v = is_equiembedding(*link, b)
+        assert (v.holds, v.clause, v.witness) == want, (i, b)
 
 
 def test_oracle_backs_the_ep_pair_rule_by_brute_force(monkeypatch):
@@ -475,27 +474,27 @@ def test_oracle_backs_the_ep_pair_rule_by_brute_force(monkeypatch):
 
 def test_link_reflection_scans_classes_not_totals(monkeypatch):
     chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, fin(4))
-    link = chain.embeddings[3]
-    n_totals = len(link.source.totals()[0])
-    n_carrier = len(link.target.carrier_tokens()[0])
-    target_related = link.target.related
+    emb, source, target = chain_link(chain, 4)
+    n_totals = len(source.totals()[0])
+    n_carrier = len(target.carrier_tokens()[0])
+    target_related = target.related
     calls = []
 
-    def counting(a, b, bound=None):
+    def counting(a, b):
         calls.append((a, b))
-        return target_related(a, b, bound)
+        return target_related(a, b)
 
-    monkeypatch.setattr(link.target, "related", counting)
-    assert is_equiembedding(link).holds is True
+    monkeypatch.setattr(target, "related", counting)
+    assert is_equiembedding(emb, source, target).holds is True
     assert len(calls) < n_totals * n_carrier
 
 
 def _link_calls(monkeypatch):
     calls = []
 
-    def counting(pe, bound=None):
-        calls.append((pe.name, bound))
-        return is_equiembedding(pe, bound)
+    def counting(emb, source, target, bound=None):
+        calls.append((emb, bound))
+        return is_equiembedding(emb, source, target, bound)
 
     monkeypatch.setattr(perlfp, "is_equiembedding", counting)
     monkeypatch.setattr(per_module, "is_equiembedding", counting)
@@ -508,13 +507,13 @@ def test_chain_decides_each_link_once(monkeypatch):
     # the rule with no scan, and the limit takes them as checked
     calls = _link_calls(monkeypatch)
     chain = per_chain_extend(RUNNING, {"A": osier(), "B": osier()}, OMEGA, n_finite=5)
-    assert calls == [("f0,1", None)]
+    assert calls == [(chain.embeddings[0], None)]
     assert chain.link_bounds == [None] * 5
     assert chain.link_bound is None
 
 
 def _not_dense(per):
-    return DomainPer(per.carrier, per.rel, replace(per.flags, dense=None), name=per.name)
+    return replace(per, flags=replace(per.flags, dense=None))
 
 
 @pytest.mark.parametrize(
@@ -530,7 +529,7 @@ def _not_dense(per):
 def test_chain_scans_every_link_without_the_rule(monkeypatch, expr, env, bounds):
     calls = _link_calls(monkeypatch)
     chain = per_chain_extend(expr, env, OMEGA, n_finite=5)
-    assert calls == [(pe.name, b) for (pe, b) in zip(chain.embeddings, bounds)]
+    assert calls == list(zip(chain.embeddings, bounds))
     assert chain.link_bounds == bounds
     assert chain.link_bound == 3
 
@@ -550,13 +549,13 @@ def test_fresh_link_groups_its_source_totals_once(monkeypatch):
         return group_classes(values, related)
 
     monkeypatch.setattr(per_module, "group_classes", counting)
-    assert is_equiembedding(PerEmbedding(emb.embed_from_prev, source, target)).holds
+    assert is_equiembedding(emb.embed_from_prev, source, target).holds
     assert grouped == [len(source.totals()[0])]
 
 
 def test_is_equiembedding_identity():
     per = osier()
-    v = is_equiembedding(PerEmbedding(identity_embedding(O), per, per))
+    v = is_equiembedding(identity_embedding(O), per, per)
     assert v.holds is True
 
 
@@ -591,7 +590,7 @@ def test_reflection_counterexample_found_by_search():
                 continue
             if is_equivariant(emb.fwd, src, tgt).holds is not True:
                 continue
-            v = is_equiembedding(PerEmbedding(emb, src, tgt))
+            v = is_equiembedding(emb, src, tgt)
             if v.holds is False and v.clause == "reflection":
                 found = (tgt, v)
                 break
@@ -607,25 +606,23 @@ def test_reflection_counterexample_found_by_search():
 def test_inclusion_into_fuller_per_passes():
     per_small = osier()
     per_big = finite_per(O, [(BOT, BOT), (TOP, TOP)])
-    v = is_equiembedding(PerEmbedding(identity_embedding(O), per_small, per_big))
+    v = is_equiembedding(identity_embedding(O), per_small, per_big)
     assert v.holds is True
 
 
-def identity_map(per):
-    return PerMap(per, per, lambda v: v)
+def identity(v):
+    return v
 
 
-def image_is_equiembedding(phi):
+def image_is_equiembedding(phi, source, target):
     # the inclusion of phi's image per into phi's target
-    img = image_per(phi)
-    return is_equiembedding(
-        PerEmbedding(identity_embedding(img.carrier), img, phi.target)
-    )
+    img = image_per(phi, source, target)
+    return is_equiembedding(identity_embedding(img.carrier), img, target)
 
 
 def test_image_per_of_identity():
     per = osier()
-    img = image_per(identity_map(per))
+    img = image_per(identity, per, per)
     assert img.related(TOP, TOP) is True
     assert img.related(BOT, BOT) is False
     classes, _ = img.classes()
@@ -634,12 +631,12 @@ def test_image_per_of_identity():
 
 def test_image_per_of_constant():
     per = osier()
-    phi = PerMap(per, per, lambda v: TOP, name="const-top")
-    img = image_per(phi)
+    phi = lambda v: TOP
+    img = image_per(phi, per, per)
     classes, _ = img.classes()
     assert len(classes) == 1
-    assert image_is_equiembedding(phi).holds is True
-    assert image_is_equiembedding(identity_map(per)).holds is True
+    assert image_is_equiembedding(phi, per, per).holds is True
+    assert image_is_equiembedding(identity, per, per).holds is True
 
 
 def test_image_per_totals_are_the_target_totals_related_to_an_image():
@@ -647,8 +644,8 @@ def test_image_per_totals_are_the_target_totals_related_to_an_image():
     # total of the image per although no source total maps to it
     three = catalog_basis("three-chain")
     target = finite_per(three, [(tok("mid"), tok("top"))])
-    phi = PerMap(osier(), target, lambda v: tok("mid") if v == TOP else tok("bot"))
-    img = image_per(phi)
+    phi = lambda v: tok("mid") if v == TOP else tok("bot")
+    img = image_per(phi, osier(), target)
     assert img.related(TOP, TOP) is True
     assert img.totals() == ([tok("mid"), tok("top")], True)
     assert img.classes() == ([[tok("mid"), tok("top")]], True)
@@ -657,67 +654,63 @@ def test_image_per_totals_are_the_target_totals_related_to_an_image():
 
 def test_weak_iso_checks():
     per = osier()
-    assert weak_iso_check(identity_map(per), identity_map(per)).holds is True
+    assert weak_iso_check(identity, identity, per, per).holds is True
 
     s = per_construct("sum", osier(), osier())
     sb = s.carrier
     swap = swap_summands(sb)
-
-    sw = PerMap(s, s, swap, name="swap")
-    assert weak_iso_check(sw, sw).holds is True
+    assert weak_iso_check(swap, swap, s, s).holds is True
 
     # constants between pers with two classes fail the round trip
-    c0 = PerMap(s, s, lambda v: sb.inject(0, TOP), name="c0")
-    v = weak_iso_check(c0, c0)
+    c0 = lambda v: sb.inject(0, TOP)
+    v = weak_iso_check(c0, c0, s, s)
     assert (v.holds, v.clause) == (False, "round-trip")
 
 
-def round_trips_over_totals(phi, chi, bound=None):
+def round_trips_over_totals(phi, chi, D, E, bound=None):
     """Reference for `weak_iso_check` as `(holds, clause, witness)`: both
     maps equivariant, then each round trip on every source total."""
     undecided = False
-    for f in (phi, chi):
-        v = is_equivariant(f, f.source, f.target, bound)
+    for (f, src, tgt) in ((phi, D, E), (chi, E, D)):
+        v = is_equivariant(f, src, tgt, bound)
         if v.holds is False:
             return False, "equivariance", v.witness
         undecided = undecided or v.holds is None
-    for (f, g) in ((phi, chi), (chi, phi)):
-        ts, exact = f.source.totals(bound)
+    for (f, g, src) in ((phi, chi, D), (chi, phi, E)):
+        ts, exact = src.totals(bound)
         undecided = undecided or not exact
         for x in ts:
-            r = f.source.related(g(f(x)), x, bound)
+            r = src.related(g(f(x)), x)
             if r is False:
                 return False, "round-trip", x
             undecided = undecided or r is None
     return (None if undecided else True), "", None
 
 
-def assert_weak_iso_matches_totals(phi, chi, bound=None):
-    v = weak_iso_check(phi, chi, bound)
-    assert (v.holds, v.clause, v.witness) == round_trips_over_totals(phi, chi, bound)
+def assert_weak_iso_matches_totals(phi, chi, D, E, bound=None):
+    v = weak_iso_check(phi, chi, D, E, bound)
+    assert (v.holds, v.clause, v.witness) == round_trips_over_totals(phi, chi, D, E, bound)
 
 
 def test_weak_iso_round_trips_on_representatives_match_totals():
     s = per_construct("sum", osier(), osier())
     sb = s.carrier
-    c0 = PerMap(s, s, lambda v: sb.inject(0, TOP), name="c0")
-    sw = PerMap(s, s, swap_summands(sb), name="swap")
+    c0 = lambda v: sb.inject(0, TOP)
+    sw = swap_summands(sb)
     for (phi, chi) in ((c0, c0), (sw, sw), (sw, c0), (c0, sw)):
-        assert_weak_iso_matches_totals(phi, chi)
+        assert_weak_iso_matches_totals(phi, chi, s, s)
 
 
 def _constant_chain(per, n):
-    pers = [per] * n
-    embs = [
-        PerEmbedding(identity_embedding(per.carrier), per, per, name=f"id{i}")
-        for i in range(n - 1)
-    ]
-    return pers, embs
+    """n stages on `per`'s carrier linked by the identity, and `per` on
+    each."""
+    link = identity_embedding(per.carrier)
+    stages = [ChainStage(fin(i), per.carrier, link if i else None) for i in range(n)]
+    return stages, [per] * n
 
 
 def test_limit_of_constant_chain():
-    pers, embs = _constant_chain(osier(), 3)
-    pl = limit_per(pers, embs)
+    pl = limit_per(*_constant_chain(osier(), 3))
     top0 = pl.limit.canonical(0, TOP)
     assert pl.per.related(top0, top0) is True
     assert pl.rank_of(top0) == 0
@@ -734,23 +727,23 @@ def test_limit_representatives_keep_one_per_class_across_stages(monkeypatch):
     for (n, per) in enumerate(pers):
         named = [cls[-(n % 2)] for cls in per.classes()[0]]
         monkeypatch.setattr(per, "representatives", lambda b=None, r=named: (r, True))
-    assert_representatives_match(limit_per(pers, chain.embeddings).per)
+    stages = omega_chain(RUNNING, {"A": O, "B": O}, 3)
+    assert_representatives_match(limit_per(stages, pers).per)
 
 
 def test_incoherent_chain_rejected():
-    # one link per consecutive stage pair; the links themselves are decided
-    # where the chain is built
-    pers, embs = _constant_chain(osier(), 3)
+    # one per for each stage; the links themselves are decided where the
+    # chain is built
+    stages, pers = _constant_chain(osier(), 3)
     with pytest.raises(IncoherentChain):
-        limit_per(pers, embs[:1])
+        limit_per(stages, pers[:2])
 
 
 def test_uniform_limit_map_identity_and_swap():
     s = per_construct("sum", osier(), osier())
-    pers, embs = _constant_chain(s, 3)
-    pl = limit_per(pers, embs)
+    pl = limit_per(*_constant_chain(s, 3))
 
-    ident = uniform_limit_map([PerMap(s, s, lambda v: v)] * 3, pl, pl)
+    ident = uniform_limit_map([identity] * 3, pl, pl)
     t = pl.limit.canonical(0, s.carrier.inject(0, TOP))
     assert ident(t) == t
 
@@ -760,24 +753,17 @@ def test_uniform_limit_map_identity_and_swap():
     # the swap is its own inverse: both limit maps are built and the pair
     # checked, as the independence report does; limit totals are never
     # exact, so only a False would refute it
-    fam = [PerMap(s, s, swap, name="swap")] * 3
-    phi = uniform_limit_map(fam, pl, pl)
-    chi = uniform_limit_map(fam, pl, pl)
-    assert weak_iso_check(phi, chi, 2).holds is not False
+    phi = uniform_limit_map([swap] * 3, pl, pl)
+    chi = uniform_limit_map([swap] * 3, pl, pl)
+    assert weak_iso_check(phi, chi, pl.per, pl.per, 2).holds is not False
     assert all(chi(phi(x)) == x for x in pl.per.totals(2)[0])
     assert phi(t) == pl.limit.canonical(0, sb.inject(1, TOP))
 
 
 def test_uniform_limit_map_rejects_nonuniform_family():
     s = per_construct("sum", osier(), osier())
-    pers, embs = _constant_chain(s, 3)
-    pl = limit_per(pers, embs)
-    swap = swap_summands(s.carrier)
-    fam = [
-        PerMap(s, s, lambda v: v),
-        PerMap(s, s, lambda v: v),
-        PerMap(s, s, swap),
-    ]
+    pl = limit_per(*_constant_chain(s, 3))
+    fam = [identity, identity, swap_summands(s.carrier)]
     with pytest.raises(NotUniform) as ei:
         uniform_limit_map(fam, pl, pl)
     assert ei.value.stage == 2

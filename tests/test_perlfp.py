@@ -18,7 +18,6 @@ from domania.per import (
     FiniteRel,
     FunRel,
     LimitRel,
-    PerMap,
     check_property,
     is_equiembedding,
     replace,
@@ -48,7 +47,7 @@ from domania.spfunctor import (
     functor_action,
     omega_chain,
 )
-from test_per import assert_representatives_match
+from test_per import assert_representatives_match, chain_link
 
 RUNNING = Sum(ConstD("A"), Exp("B", Id()))
 
@@ -131,9 +130,9 @@ def test_link_rule_agrees_with_the_scans(name):
     env = env()
     chain = per_chain_extend(expr, env, fin(4))
     rule = functor_action(expr, True, env, LINKS)
-    for pe in chain.embeddings[1:]:
-        v = is_equiembedding(pe)
-        assert rule == (True if v.holds is True else None), pe.name
+    for n in range(2, 5):
+        v = is_equiembedding(*chain_link(chain, n))
+        assert rule == (True if v.holds is True else None), n
 
 
 def _reduces_along_link(chain, n):
@@ -141,7 +140,7 @@ def _reduces_along_link(chain, n):
     total t has a total s = f-(t) at stage n with f(s) ~ t; None when the
     stage n+1 totals are not exact."""
     per_n, per_n1 = chain.stages[n][1], chain.stages[n + 1][1]
-    emb = chain.embeddings[n].emb
+    emb = chain.embeddings[n]
     ts, exact = per_n1.totals()
     if not exact:
         return None
@@ -289,7 +288,7 @@ def test_probe_decides_without_listing_the_limit_fragment(monkeypatch):
 
 def test_chain_links_and_stage_pers_share_one_basis_per_stage():
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1), n_finite=5)
-    links = [pe.emb for pe in chain.embeddings]
+    links = chain.embeddings
     assert chain.stages[0][1].carrier is links[0].source
     for n in range(1, 5):
         assert links[n - 1].target is chain.stages[n][1].carrier is links[n].source
@@ -394,15 +393,15 @@ def test_limit_and_folded_pers_decide_a_question_once(monkeypatch):
     chain = per_chain_extend(RUNNING, running_env(), omega_plus(1))
     calls = []
     for rel in (LimitRel, perlfp.PullbackRel):
-        def counting(self, a, b, bound=None, related=rel.related):
+        def counting(self, a, b, related=rel.related):
             calls.append(type(self))
-            return related(self, a, b, bound)
+            return related(self, a, b)
 
         monkeypatch.setattr(rel, "related", counting)
     for (_, per) in chain.stages[-2:]:
         t = per.carrier.tokens(2).tokens[-1]
         calls.clear()
-        assert per.related(t, t, 2) is per.related(t, t, 2)
+        assert per.related(t, t) is per.related(t, t)
         assert calls.count(type(per.rel)) == 1
 
 
@@ -416,8 +415,8 @@ def test_chain_stage_pers_preserve_properties():
 
 def test_chain_links_are_equiembeddings():
     chain = per_chain_extend(RUNNING, running_env(), fin(3))
-    for pe in chain.embeddings:
-        assert is_equiembedding(pe).holds is True
+    for n in range(1, 4):
+        assert is_equiembedding(*chain_link(chain, n)).holds
 
 
 def test_counterexample_phi_rank_pattern():
@@ -615,11 +614,8 @@ def test_mediating_morphism_identity_family():
     # canonical stage inclusion into the limit, token for token
     env = running_env()
     chain = per_chain_extend(RUNNING, env, omega_plus(1), n_finite=4)
-    fold = PerMap(
-        chain.unfolded[0], chain.per_limit.per, chain.iso.inv, name="fold"
-    )
     report = mediating_algebra_morphism(
-        RUNNING, env, (chain.per_limit.per, fold), upto=2, bound=2
+        RUNNING, env, (chain.per_limit.per, chain.iso.inv), upto=2, bound=2
     )
     assert report.coherent and report.morphism_law_ok
     for n in (0, 1, 2):
@@ -633,7 +629,7 @@ def test_mediating_morphism_two_step_unrolling():
     # canonical limit images
     env = running_env()
     chain = per_chain_extend(RUNNING, env, omega_plus(1), n_finite=4)
-    fold = PerMap(chain.unfolded[0], chain.per_limit.per, chain.iso.inv, name="fold")
+    fold = chain.iso.inv
     report = mediating_algebra_morphism(RUNNING, env, (chain.per_limit.per, fold), upto=2, bound=2)
     h2 = report.maps[2]
     lim = chain.per_limit.limit
@@ -654,7 +650,7 @@ def test_mediating_morphism_into_an_algebra_that_identifies_classes():
         spl = FE.carrier.split(v)
         return E.carrier.bottom if spl is None else spl[1]
 
-    report = mediating_algebra_morphism(expr, env, (E, PerMap(FE, E, fold)), upto=2)
+    report = mediating_algebra_morphism(expr, env, (E, fold), upto=2)
     assert report.coherent and report.morphism_law_ok
     stage2 = apply_functor_per(expr, apply_functor_per(expr, trivial_per(), env), env)
     h2 = report.maps[2]
@@ -668,12 +664,10 @@ def test_mediating_rejects_non_equivariant_algebra():
     env = running_env()
     chain = per_chain_extend(RUNNING, env, omega_plus(1), n_finite=3)
     lim_carrier = chain.per_limit.limit
-    bad = PerMap(
-        chain.unfolded[0],
-        chain.per_limit.per,
-        lambda v: lim_carrier.bottom,
-        name="collapse",
-    )
+
+    def bad(v):
+        return lim_carrier.bottom
+
     with pytest.raises(NotAnAlgebra):
         mediating_algebra_morphism(RUNNING, env, (chain.per_limit.per, bad), upto=1)
 
@@ -702,7 +696,7 @@ def test_chain_rejects_a_failing_link(monkeypatch):
     # over pers the chain's links are equiembeddings, so a failing verdict
     # stands in for one: the chain, which alone decides links, rejects it
     failing = Verdict(False, "w", clause="reflection")
-    monkeypatch.setattr(perlfp, "is_equiembedding", lambda pe, bound=None: failing)
+    monkeypatch.setattr(perlfp, "is_equiembedding", lambda *args: failing)
     with pytest.raises(NotAnAlgebra, match="chain link 1"):
         per_chain_extend(RUNNING, running_env(), fin(2))
 
@@ -718,14 +712,13 @@ def test_countably_based_trace():
 def test_mediating_morphism_unique_on_fragment():
     # exhaustive search over candidate token maps: only the constructed one
     # satisfies the algebra-morphism law on the small instance A + X
-    from domania.per import PerMap
     from domania.spfunctor import Sum, ConstD, Id
     import itertools
 
     expr = Sum(ConstD("A"), Id())
     env = {"A": sierpinski_per()}
     chain = per_chain_extend(expr, env, omega_plus(1), n_finite=3)
-    fold = PerMap(chain.unfolded[0], chain.per_limit.per, chain.iso.inv, name="fold")
+    fold = chain.iso.inv
     report = mediating_algebra_morphism(expr, env, (chain.per_limit.per, fold), upto=1, bound=2)
     assert report.coherent and report.morphism_law_ok
     h1 = report.maps[1]

@@ -189,7 +189,7 @@ def test_undecided_class_verdict_reads_unknown(monkeypatch):
 
     def undecided_unfolding(*args, **kwargs):
         lfp = build(*args, **kwargs)
-        monkeypatch.setattr(lfp.chain.unfolded[0], "related", lambda a, b, bound=None: None)
+        monkeypatch.setattr(lfp.chain.unfolded[0], "related", lambda a, b: None)
         return lfp
 
     monkeypatch.setattr(qcb, "dense_lfp", undecided_unfolding)
@@ -294,10 +294,10 @@ def test_stage_weak_isos_match_the_round_trips_over_totals(independence, monkeyp
     decide = qcb.weak_iso_check
     calls = []
 
-    def checked(phi, chi, bound=None):
+    def checked(phi, chi, D, E, bound=None):
         calls.append(bound)
-        assert_weak_iso_matches_totals(phi, chi, bound)
-        return decide(phi, chi, bound)
+        assert_weak_iso_matches_totals(phi, chi, D, E, bound)
+        return decide(phi, chi, D, E, bound)
 
     monkeypatch.setattr(qcb, "weak_iso_check", checked)
     assert independence().all_pass
@@ -314,7 +314,7 @@ def test_undecided_class_matching_reads_unknown(monkeypatch):
         chains.append(build(*args, **kwargs))
         if len(chains) == 2:
             per = chains[-1].per_limit.per
-            monkeypatch.setattr(per, "related", lambda a, b, bound=None: None)
+            monkeypatch.setattr(per, "related", lambda a, b: None)
         return chains[-1]
 
     monkeypatch.setattr(qcb, "per_chain_extend", second_undecided)

@@ -25,8 +25,8 @@ BASIS_BUILDERS = {
     (CONSTRUCT_PY, "sum_basis"),
     (CONSTRUCT_PY, "prod_basis"),
     (CONSTRUCT_PY, "fun_basis"),
-    # a named n-ary sum of the constant parameters; its name and arity make
-    # it no binary sum of the table
+    # an n-ary sum of the constant parameters; its arity makes it no binary
+    # sum of the table
     (ETA_PY, "multi_sum_per"),
     # the strict product E of curried-evaluation results, named in the reports
     (ETA_PY, "EtaBarSystem.__init__"),

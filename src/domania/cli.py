@@ -121,9 +121,14 @@ class _Lexer:
         kind, value, line, col = self.next()
         if value != want and kind != want:
             raise EquationSyntaxError(
-                f"expected {want!r}, found {value!r}", line=line, col=col
+                f"expected {want!r}, found {_shown(kind, value)}", line=line, col=col
             )
         return value
+
+
+def _shown(kind, value) -> str:
+    """A token as an error message names it."""
+    return "end of input" if kind == "eof" else repr(value)
 
 
 def parse_equation(text: str) -> EquationSource:
@@ -163,7 +168,7 @@ def _parse_source(lex: _Lexer) -> str:
         nkind, num, nline, ncol = lex.next()
         if nkind != "num":
             raise EquationSyntaxError(
-                f"expected a number, found {num!r}", line=nline, col=ncol
+                f"expected a number, found {_shown(nkind, num)}", line=nline, col=ncol
             )
         lex.expect(")")
         return f"discrete({num})"
@@ -212,7 +217,7 @@ def _parse_factor(lex, var, decls) -> FunctorExpr:
         if value not in decls:
             raise UnboundName(f"undeclared name {value!r}")
         return ConstD(value)
-    raise EquationSyntaxError(f"unexpected {value!r}", line=line, col=col)
+    raise EquationSyntaxError(f"unexpected {_shown(kind, value)}", line=line, col=col)
 
 
 def pretty_expr(expr: FunctorExpr, var="X") -> str:

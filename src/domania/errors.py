@@ -122,7 +122,10 @@ class UnboundName(DomaniaError):
 
 
 class EquationSyntaxError(DomaniaError):
-    def __init__(self, message, line=None, col=None):
-        super().__init__(message)
+    """An equation text that does not parse; the message names the line and
+    column where it goes wrong."""
+
+    def __init__(self, message, line, col):
+        super().__init__(f"{message} at line {line}, col {col}")
         self.line = line
         self.col = col

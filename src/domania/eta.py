@@ -283,18 +283,6 @@ class EtaSystem:
 # iterated evaluation
 
 
-class EvaluationRecord:
-    def __init__(
-        self, sequence: List[Token], path: List[int], code: Optional[int], result: Token,
-        halted: bool,
-    ):
-        self.sequence = sequence  # the d^m values, as limit tokens
-        self.path = path  # atomic-subfunctor indices of the non-terminal steps
-        self.code = code
-        self.result = result  # token of the strict-product result domain
-        self.halted = halted
-
-
 def encode_path(path: Sequence[int], k_count: int) -> int:
     n = 1
     for k in path:
@@ -374,34 +362,33 @@ class EtaBarSystem:
         except ValueError:
             return None
 
-    def evaluate_zeta(self, x: Token, u: Token) -> EvaluationRecord:
-        """Iterate one-step evaluation along the entries of u."""
+    def evaluate_zeta(self, x: Token, u: Token) -> Token:
+        """Iterate one-step evaluation along the entries of u: the token of
+        E pairing the parameter value reached with the code of the path of
+        atomic-subfunctor indices taken, or E's bottom when no parameter
+        value is reached."""
         eta = self.eta
-        sequence, path = [], []
+        path = []
         current = x  # a limit token
         for m in range(MAX_STEPS):
             z = eta.eval_eta(eta.iso.fwd(current), self.entry_at(u, m))
             spl = eta.codomain.split(z)
             if spl is None:
-                return EvaluationRecord(sequence, path, None, self.E.bottom, True)
+                break
             k, d = spl
             n = self._const_index(k)
             if n is not None:
                 code = encode_path(path, len(eta.K))
-                result = self.E.pair(
-                    self.a_sum.carrier.inject(n, d), self.nat.nat(code)
-                )
-                return EvaluationRecord(sequence, path, code, result, True)
-            sequence.append(d)
+                return self.E.pair(self.a_sum.carrier.inject(n, d), self.nat.nat(code))
             path.append(k)
             current = d
-        return EvaluationRecord(sequence, path, None, self.E.bottom, False)
+        return self.E.bottom
 
     def eta_bar(self, x: Token) -> Token:
         """The curried evaluation of x as a canonical compact of [U -> E]."""
         if x not in self._bar_cache:
             self._bar_cache[x] = self.fun_basis.from_function(
-                lambda u: self.evaluate_zeta(x, u).result
+                lambda u: self.evaluate_zeta(x, u)
             )
         return self._bar_cache[x]
 
@@ -430,7 +417,7 @@ class EtaBarSystem:
             return self.eta.chain.per_limit.limit.bottom
         if witness is None and find_witness(
             pairs, self.eta.chain.per_limit.per, self.u_per, self.e_per,
-            lambda x, u: self.evaluate_zeta(x, u).result, bound,
+            self.evaluate_zeta, bound,
         ) is None:
             raise NotWitnessed(
                 "no total certifies the compact within the bound", witness=q

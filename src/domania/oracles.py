@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 from .basis import (
     Checks,
     FiniteBasis,
+    FinitePoset,
     catalog_basis,
     catalog_names,
     catalog_poset,
@@ -351,31 +352,23 @@ def canonical_posets(max_points: int):
 
 
 def spaces_from_posets(max_points: int):
-    from .qcb import mk_space
-
-    spaces = []
-    for (n, rel) in canonical_posets(max_points):
-        points = [str(i) for i in range(n)]
-        opens = []
-        for r in range(n + 1):
-            for combo in itertools.combinations(range(n), r):
-                up = all(
-                    (b in combo) for a in combo for b in range(n) if (a, b) in rel
-                )
-                if up:
-                    opens.append([str(i) for i in combo])
-        spaces.append(mk_space(f"poset{len(spaces)}", points, opens))
-    return spaces
+    """The finite T0 spaces up to homeomorphism: the canonical posets, each
+    the specialization order of its space, on the points "0", "1", ..."""
+    return [
+        FinitePoset(tuple(map(str, range(n))),
+                    frozenset((str(a), str(b)) for (a, b) in rel))
+        for (n, rel) in canonical_posets(max_points)
+    ]
 
 
 def pseudobases_of(space, max_sets: int):
     from .qcb import validate_pseudobase
 
-    pts = frozenset(space.points)
+    pts = frozenset(space.elements)
     proper = [
         frozenset(c)
-        for r in range(1, len(space.points))
-        for c in itertools.combinations(space.points, r)
+        for r in range(1, len(space.elements))
+        for c in itertools.combinations(space.elements, r)
     ]
     out = []
     for r in range(0, max_sets):
@@ -396,17 +389,18 @@ def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> Checks:
 
     result = Checks()
     bad_props = bad_quot = bad_greatest = bad_recovered = None
-    for space in spaces_from_posets(max_points):
+    for i, space in enumerate(spaces_from_posets(max_points)):
+        label = f"poset{i}"
         for fam in pseudobases_of(space, max_sets):
             result.cases += 1
             rep = standard_representation(space, fam)
             for prop in ("convex", "local", "complete"):
                 if not check_property(rep.per, prop).holds:
-                    bad_props = (space.name, prop)
+                    bad_props = (label, prop)
             if not quotient_matches_space(rep):
-                bad_quot = space.name
+                bad_quot = label
             ts, _ = rep.per.totals()
-            for x in space.points:
+            for x in space.elements:
                 g = rep.greatest_representative(x)
                 for t in ts:
                     if rep.decode[t] == x:
@@ -414,10 +408,10 @@ def standard_rep_suite(max_points: int = 4, max_sets: int = 5) -> Checks:
                             rep.per.carrier.leq(t, g)
                             and rep.per.related(t, g) is True
                         ):
-                            bad_greatest = (space.name, x)
+                            bad_greatest = (label, x)
             recovered = recovered_pseudobase(rep)
             if not validate_pseudobase(space, recovered).holds:
-                bad_recovered = space.name
+                bad_recovered = label
     # a witness only where a check failed
     for (name, bad) in (
         ("convex-local-complete", bad_props),

@@ -2,6 +2,12 @@
 domain-pers, the fixed-point pipeline, and transfer of weak equivalences
 between representing equations: F acting on the supplied isomorphism pairs.
 
+A finite T0 space is held as its specialization order, a `FinitePoset`:
+its open sets are the up-sets, and `mk_space` alone reads a topology given
+by its open sets.  Continuous maps are the monotone maps, the quotient
+topology of a per's classes is their class order, and Hausdorff is
+discrete.
+
 A strictly positive operation on spaces is the equation AST of
 `spfunctor` read as a space operation: `+` is disjoint union, `*` the
 sequential product and `[P -> _]` space exponentiation by the parameter P.
@@ -13,7 +19,19 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basis import Checks, FiniteBasis, Frozen, Token, Verdict, both, conjoin, tok
+from .basis import (
+    Checks,
+    FiniteBasis,
+    FinitePoset,
+    Token,
+    Verdict,
+    both,
+    conjoin,
+    enumerate_monotone_maps,
+    mk_finite_poset,
+    tok,
+    transitive_reflexive_closure,
+)
 from .construct import Embedding, TokenMap, exp_map, identity_map, prod_map, sum_map
 from .dense import DenseLfp, dense_lfp
 from .eta import atomic_subfunctors
@@ -45,78 +63,57 @@ from .spfunctor import (
 
 
 # ---------------------------------------------------------------------------
-# finite spaces
+# finite spaces: a finite T0 space is its specialization order
 
 
-class FiniteSpace(Frozen):
-    def __init__(self, name: str, points: Tuple[str, ...], opens: frozenset):
-        # `opens` is a frozenset of frozensets of points
-        vars(self).update(name=name, points=points, opens=opens)
-
-    def validate(self) -> Verdict:
-        pts = frozenset(self.points)
-        if frozenset() not in self.opens or pts not in self.opens:
-            return Verdict(False, clause="missing empty set or whole space")
-        for u in self.opens:
-            for v in self.opens:
-                if u | v not in self.opens:
-                    return Verdict(False, (u, v), clause="not closed under union")
-                if u & v not in self.opens:
-                    return Verdict(False, (u, v), clause="not closed under intersection")
-        return Verdict(True)
-
-    def is_t0(self) -> Verdict:
-        for x, y in itertools.combinations(self.points, 2):
-            if all((x in u) == (y in u) for u in self.opens):
-                return Verdict(False, (x, y))
-        return Verdict(True)
+def mk_space(name, points, opens) -> FinitePoset:
+    """The specialization order of a finite T0 topology, x <= y when every
+    open set around x holds y; the one reader of open sets.  `name` appears
+    only in the errors."""
+    points = tuple(str(p) for p in points)
+    opens = frozenset(frozenset(str(p) for p in u) for u in opens)
+    if frozenset() not in opens or frozenset(points) not in opens:
+        raise InvalidSpace(f"not a topology on {name}: missing empty set or whole space")
+    for u, v in itertools.product(opens, repeat=2):
+        for (op, w) in (("union", u | v), ("intersection", u & v)):
+            if w not in opens:
+                raise InvalidSpace(f"not a topology on {name}: not closed under {op}",
+                                   witness=(u, v))
+    least = {x: frozenset(points).intersection(*(u for u in opens if x in u))
+             for x in points}
+    for x, y in itertools.combinations(points, 2):
+        if least[x] == least[y]:
+            raise NotT0(f"points {(x, y)} are topologically indistinguishable",
+                        witness=(x, y))
+    return FinitePoset(points, frozenset((x, y) for x in points for y in least[x]))
 
 
-def mk_space(name, points, opens) -> FiniteSpace:
-    space = FiniteSpace(
-        name, tuple(str(p) for p in points),
-        frozenset(frozenset(str(p) for p in u) for u in opens),
-    )
-    v = space.validate()
-    if not v.holds:
-        raise InvalidSpace(f"not a topology on {name}: {v.clause}", witness=v.witness)
-    return space
+def up(X: FinitePoset, x) -> frozenset:
+    """The points above x: the least open set around x."""
+    return frozenset(y for y in X.elements if X.leq(x, y))
 
 
-def sierpinski_space() -> FiniteSpace:
-    return mk_space("sierpinski", ["bot", "top"], [[], ["top"], ["bot", "top"]])
+def sierpinski_space() -> FinitePoset:
+    return mk_finite_poset(["bot", "top"], [("bot", "top")])
 
 
-def discrete_space(labels) -> FiniteSpace:
-    labels = [str(x) for x in labels]
-    opens = []
-    for r in range(len(labels) + 1):
-        for combo in itertools.combinations(labels, r):
-            opens.append(list(combo))
-    return mk_space(f"discrete({','.join(labels)})", labels, opens)
+def discrete_space(labels) -> FinitePoset:
+    return mk_finite_poset([str(x) for x in labels], [])
 
 
 # ---------------------------------------------------------------------------
 # pseudobases
 
 
-def min_open(X: FiniteSpace, x: str) -> frozenset:
-    out = frozenset(X.points)
-    for u in X.opens:
-        if x in u:
-            out = out & u
-    return out
-
-
-def validate_pseudobase(X: FiniteSpace, sets: Sequence[frozenset]) -> Verdict:
+def validate_pseudobase(X: FinitePoset, sets: Sequence[frozenset]) -> Verdict:
     """Nonempty sets containing the space, intersection-closed, and
     witnessing convergence inside every open. On a finite space a sequence
-    converges to x exactly when its tail stays inside the minimal open
-    around x, and the tail can sweep all of it, so the clause reduces to:
-    for every x and open U around x there is a member B with
-    min_open(x) <= B <= U."""
+    converges to x exactly when its tail stays inside up(x), and the tail
+    can sweep all of it, so the clause asks for a member B with
+    up(x) <= B <= U for every open U around x.  U = up(x) forces B = up(x),
+    which serves every larger U: every up(x) is a member."""
     fam = [frozenset(s) for s in sets]
-    pts = frozenset(X.points)
+    pts = frozenset(X.elements)
     if any(not s for s in fam):
         return Verdict(False, next(s for s in fam if not s), clause="empty member")
     if pts not in fam:
@@ -125,13 +122,9 @@ def validate_pseudobase(X: FiniteSpace, sets: Sequence[frozenset]) -> Verdict:
         for b in fam:
             if a & b and a & b not in fam:
                 return Verdict(False, (a, b), clause="intersection missing")
-    for x in X.points:
-        base = min_open(X, x)
-        for u in X.opens:
-            if x not in u:
-                continue
-            if not any(base <= b and b <= u for b in fam):
-                return Verdict(False, (x, u), clause="convergence")
+    for x in X.elements:
+        if up(X, x) not in fam:
+            return Verdict(False, (x, up(X, x)), clause="convergence")
     return Verdict(True)
 
 
@@ -160,7 +153,7 @@ def enumerate_ideals(fam: Sequence[frozenset]) -> List[frozenset]:
 
 class StandardRep:
     def __init__(
-        self, per: DomainPer, space: FiniteSpace, sets: List[frozenset],
+        self, per: DomainPer, space: FinitePoset, sets: List[frozenset],
         decode: Dict[Token, Optional[str]],
     ):
         self.per = per
@@ -169,63 +162,39 @@ class StandardRep:
         self.decode = decode  # token -> point or None
 
     def greatest_representative(self, x: str) -> Token:
-        inter = frozenset(self.space.points)
-        for b in self.sets:
-            if x in b:
-                inter = inter & b
-        return _set_token(inter)
+        return _set_token(frozenset.intersection(*(b for b in self.sets if x in b)))
 
 
 def _set_token(s) -> Token:
     return tok(("pb", tuple(sorted(s))))
 
 
-def standard_representation(X: FiniteSpace, sets: Sequence[frozenset]) -> StandardRep:
-    v = X.is_t0()
-    if not v.holds:
-        raise NotT0(f"points {v.witness} are topologically indistinguishable",
-                    witness=v.witness)
+def standard_representation(X: FinitePoset, sets: Sequence[frozenset]) -> StandardRep:
     v = validate_pseudobase(X, sets)
     if not v.holds:
         raise InvalidSpace(f"not a pseudobase: {v.clause}")
     fam = [frozenset(s) for s in dict.fromkeys(frozenset(s) for s in sets)]
 
     toks = {frozenset(s): _set_token(s) for s in fam}
-    leq_pairs = [
-        (toks[a], toks[b]) for a in fam for b in fam if a >= b
-    ]
-    basis = FiniteBasis(f"rep({X.name})", list(toks.values()), leq_pairs)
+    leq_pairs = [(toks[a], toks[b]) for a in fam for b in fam if a >= b]
+    basis = FiniteBasis(f"rep({','.join(X.elements)})", list(toks.values()), leq_pairs)
 
-    decode: Dict[Token, Optional[str]] = {}
-    for b in fam:
-        hits = []
-        for x in X.points:
-            if x not in b:
-                continue
-            # every open around x must contain a superset-member of the
-            # principal ideal of b that sits inside it
-            if all(
-                any(c >= b and x in c and c <= u for c in fam)
-                for u in X.opens
-                if x in u
-            ):
-                hits.append(x)
-        decode[toks[b]] = hits[0] if len(hits) == 1 else None
-        if len(hits) > 1:
-            raise NotT0("two points share a representative", witness=hits)
+    # a member decodes to its least point: the x with x in b <= up(x); one
+    # at most, as the order is antisymmetric
+    decode: Dict[Token, Optional[str]] = {
+        toks[b]: next((x for x in X.elements if x in b and b <= up(X, x)), None)
+        for b in fam
+    }
 
-    pairs = set()
-    for a in toks.values():
-        for b in toks.values():
-            if decode[a] is not None and decode[a] == decode[b]:
-                pairs.add((a, b))
+    pairs = {(a, b) for a, b in itertools.product(decode, repeat=2)
+             if decode[a] is not None and decode[a] == decode[b]}
     per = DomainPer(basis, FiniteRel(basis, pairs), ALL_YES)
     rep = StandardRep(per, X, fam, decode)
     # flags must be earned, not assumed
     for prop in ("convex", "local", "complete", "dense"):
         if not check_property(per, prop).holds:
             raise BadParameterPedigree(
-                f"the standard representation of {X.name} is not {prop}",
+                f"the standard representation {basis.name} is not {prop}",
                 witness=prop,
             )
     return rep
@@ -246,38 +215,30 @@ def recovered_pseudobase(rep: StandardRep) -> List[frozenset]:
     return list(dict.fromkeys(out))
 
 
-def class_topology(per: DomainPer):
-    """Quotient topology on the classes: a set of classes is open when the
-    union is upward closed inside the totals."""
+def class_order(per: DomainPer):
+    """The classes and the specialization order of their quotient topology:
+    the transitive closure of "a member of class i lies below a member of
+    class j", as (i, j) pairs."""
     classes, _ = per.classes()
-    totals = [t for cls in classes for t in cls]
-    opens = []
-    for r in range(len(classes) + 1):
-        for combo in itertools.combinations(range(len(classes)), r):
-            union = [t for i in combo for t in classes[i]]
-            up_closed = all(
-                (u in union) or not per.carrier.leq(t, u)
-                for t in union
-                for u in totals
-            )
-            if up_closed:
-                opens.append(frozenset(combo))
-    return classes, frozenset(opens)
+    below = {
+        (i, j)
+        for (i, ci), (j, cj) in itertools.product(enumerate(classes), repeat=2)
+        if any(per.carrier.leq(t, u) for t in ci for u in cj)
+    }
+    return classes, transitive_reflexive_closure(range(len(classes)), below)
 
 
 def quotient_matches_space(rep: StandardRep) -> bool:
-    """The class topology computed from the representation equals the
-    represented topology point for point."""
-    classes, opens = class_topology(rep.per)
-    point_of = {}
-    for i, cls in enumerate(classes):
-        point_of[i] = rep.decode[cls[0]]
-    if sorted(point_of.values()) != sorted(rep.space.points):
+    """The class order computed from the representation equals the
+    represented order point for point."""
+    classes, order = class_order(rep.per)
+    point_of = [rep.decode[cls[0]] for cls in classes]
+    if sorted(point_of) != sorted(rep.space.elements):
         return False
-    expected = frozenset(
-        frozenset(i for i in point_of if point_of[i] in u) for u in rep.space.opens
-    )
-    return expected == opens
+    return order == {
+        (i, j) for (i, x), (j, y) in itertools.product(enumerate(point_of), repeat=2)
+        if rep.space.leq(x, y)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -337,38 +298,20 @@ def check_prod_coherence(D: DomainPer, E: DomainPer) -> bool:
     return len(cp) == len(cd) * len(ce)
 
 
-def continuous_maps(X: FiniteSpace, Y: FiniteSpace):
-    """All continuous maps between finite spaces, checked directly against
-    the open-set preimage condition."""
-    out = []
-    for values in itertools.product(Y.points, repeat=len(X.points)):
-        f = dict(zip(X.points, values))
-        if all(
-            frozenset(x for x in X.points if f[x] in v) in X.opens
-            for v in Y.opens
-        ):
-            out.append(f)
-    return out
-
-
 def check_fun_coherence(repD: StandardRep, repE: StandardRep) -> bool:
-    """Classes of the function-space per biject with the continuous maps."""
+    """Classes of the function-space per biject with the continuous maps,
+    which are the monotone maps of the specialization orders."""
     fper = per_construct("fun", repD.per, repE.per)
     classes, exact = fper.classes()
-    maps = continuous_maps(repD.space, repE.space)
+    maps = enumerate_monotone_maps(repD.space, repE.space)
     if not exact or len(classes) != len(maps):
         return False
     # each class must induce a distinct continuous map on points
-    induced = set()
-    fb = fper.carrier
-    for cls in classes:
-        f = cls[0]
-        graph = []
-        for x in repD.space.points:
-            rep_tok = repD.greatest_representative(x)
-            val = fb.apply(f, rep_tok)
-            graph.append((x, repE.decode[val]))
-        induced.add(tuple(graph))
+    induced = {
+        tuple(repE.decode[fper.carrier.apply(cls[0], repD.greatest_representative(x))]
+              for x in repD.space.elements)
+        for cls in classes
+    }
     return len(induced) == len(maps)
 
 
@@ -429,8 +372,8 @@ def qcb_fixed_point(
         checks.add(f"coherence-{key}", coherence[key])
 
     # the separation flag is derivable only when every positive parameter is
-    # a finite space instance; it records the hypothesis checked by direct
-    # open-set separation
+    # a finite space instance; it records the hypothesis, decided on the
+    # specialization order
     pos = _positive_const_names(expr)
     if pos and all(isinstance(bindings.get(n), StandardRep) for n in pos):
         hausdorff = all(_space_hausdorff(bindings[n].space) for n in pos)
@@ -438,15 +381,10 @@ def qcb_fixed_point(
     return QcbFixedPointReport(lfp, by_rank, checks)
 
 
-def _space_hausdorff(space: FiniteSpace) -> bool:
-    for x, y in itertools.combinations(space.points, 2):
-        if not any(
-            x in u and y in v and not (u & v)
-            for u in space.opens
-            for v in space.opens
-        ):
-            return False
-    return True
+def _space_hausdorff(space: FinitePoset) -> bool:
+    """A finite T0 space is Hausdorff exactly when it is discrete: no point
+    lies below another."""
+    return not any(space.leq(x, y) for x, y in itertools.permutations(space.elements, 2))
 
 
 def _positive_const_names(expr: FunctorExpr) -> List[str]:

@@ -306,7 +306,7 @@ def test_frozen_records_are_values():
     # fields cannot be reassigned
     records = [
         (Sum(Id(), Id()), "left"), (fin(1), "k"), (ALL_YES, "dense"),
-        (Verdict(True), "holds"), (sierpinski_space(), "points"),
+        (Verdict(True), "holds"), (sierpinski_space(), "elements"),
         (catalog_basis("two-chain").tokens(), "exact"),
     ]
     for record, name in records:

@@ -64,6 +64,18 @@ def test_parse_syntax_error_carries_position():
         assert (ei.value.line, ei.value.col) == (line, col), text
 
 
+def test_syntax_error_message_names_its_position():
+    # the position is in the message itself, so the CLI prints it; the end
+    # of the text reads as such, not as an empty token
+    for (eq, message) in [
+        ("param A = sierpinski\nX = A + ? X", "unexpected character '?' at line 2, col 9"),
+        ("param A = sierpinski; X = A +", "unexpected end of input at line 1, col 30"),
+        ("param A = discrete(", "expected a number, found end of input at line 1, col 20"),
+        ("param A = sierpinski; X = (A", "expected ')', found end of input at line 1, col 29"),
+    ]:
+        assert run_command(["per-lfp", "--eq", eq]) == (2, f"error: {message}\n"), eq
+
+
 # the grammar's tokens, as (kind, text); a path holds no ")" or newline
 _LETTERS = "abfilepXYZ_"
 _DIGITS = "0129"
@@ -204,7 +216,7 @@ def test_definition_files(tmp_path):
         "points = 0 1\nopens = {} {1} {0 1}\npseudobase = {1} {0 1}\n"
     )
     space, pb = load_space_file(str(space_file))
-    assert space.points == ("0", "1")
+    assert space.elements == ("0", "1") and space.leq("0", "1")
     assert len(pb) == 2
 
 
@@ -934,6 +946,16 @@ def test_qcb_space_file_source(tmp_path):
     assert code == 0, text
     doc = json.loads(text)
     assert doc["pedigree"]["admissible_pedigree"] == "yes"
+
+
+def test_qcb_space_file_that_is_not_t0_exits_one(tmp_path):
+    # reading the space file refuses two points no open set separates
+    space_file = tmp_path / "blob.space"
+    space_file.write_text("points = x y\nopens = {} {x y}\npseudobase = {x y}\n")
+    code, text = run_command(_with_space_file(space_file))
+    assert (code, text) == (
+        1, "error: points ('x', 'y') are topologically indistinguishable\n"
+    )
 
 
 def test_qcb_builds_flatnat_at_the_nat_bound(monkeypatch):

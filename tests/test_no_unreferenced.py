@@ -1,10 +1,12 @@
 """Every module-level function and class of the package, and every method
 that is not a dunder, is referenced somewhere: some Python file under src/,
 tests/ or scripts/ refers to its name outside the definition itself. A
-reference to a module-level definition is a name, an attribute, an imported
+reference to a module-level definition is a bare name that no enclosing
+function binds as a parameter or by assignment, an attribute, an imported
 name or a string constant that is an identifier (as in
 `getattr(module, "name")`); a method is referenced only by an attribute or
-such a string, so a local variable that shares its name does not keep it.
+such a string. So a local variable that shares a definition's name does not
+keep it.
 Comments, docstrings and other definitions of the same name are not
 references. Each
 definition also serves the package: it is referenced from src/ or scripts/,
@@ -56,15 +58,48 @@ def _parse(path):
         return ast.parse(fh.read(), path)
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(scope):
+    """The names a function or lambda binds itself: its parameters and the
+    names it assigns, outside the functions nested in it."""
+    args = scope.args
+    out = {
+        a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+        + [args.vararg, args.kwarg] if a is not None
+    }
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _free_names(node, bound=frozenset()):
+    """The `ast.Name` nodes at or under `node` whose name no enclosing
+    function binds: a name a function binds is its own variable, not a
+    reference."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound(node)
+    if isinstance(node, ast.Name) and node.id not in bound:
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _free_names(child, bound)
+
+
 def _references(tree):
     """How often the code under `tree` refers to each identifier, as two
-    counts: by a bare or imported name, and by an attribute or an
-    identifier string."""
+    counts: by a bare name no enclosing function binds or an imported name,
+    and by an attribute or an identifier string."""
     names, members = Counter(), Counter()
+    for node in _free_names(tree):
+        names[node.id] += 1
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.alias):
+        if isinstance(node, ast.alias):
             names[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Attribute):
             members[node.attr] += 1
@@ -124,6 +159,28 @@ def _unreferenced(tops):
         if name.endswith(".py")
     ]
     return _unreferenced_in(modules, [_parse(path) for path in _python_files(tops)])
+
+
+def test_a_local_name_does_not_reference_a_function():
+    # a parameter or an assigned name of the same name, in the using
+    # function or one around it, is no reference; a free name, an import
+    # and an attribute are
+    module = ast.parse(
+        "def seq():\n    return 1\n"
+        "def step():\n    return 2\n"
+        "def size():\n    return 3\n"
+        "def walk():\n    return 4\n"
+    )
+    user = ast.parse(
+        "from m import size\n"
+        "def use(step, n):\n"
+        "    seq = [step, n]\n"
+        "    inner = lambda: seq + walk()\n"
+        "    return seq, inner\n"
+    )
+    assert _unreferenced_in([("m.py", module)], [module, user]) == [
+        "m.py: seq", "m.py: step",
+    ]
 
 
 def test_a_local_name_does_not_reference_a_method():
@@ -254,7 +311,7 @@ FLAG_DROPS = {
         "it sizes the check, whose row reports that bound",
     ("qcb.py", "recovered_pseudobase", "ts, _ = rep.per.totals()"):
         "a standard representation is finite: its totals are exact",
-    ("qcb.py", "class_topology", "classes, _ = per.classes()"):
+    ("qcb.py", "class_order", "classes, _ = per.classes()"):
         "only standard representations reach it: their classes are exact",
     ("qcb.py", "check_sum_coherence", "cd, _ = D.classes()"):
         "standard representations and their sums are finite: classes exact",

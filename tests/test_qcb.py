@@ -3,14 +3,13 @@ import itertools
 import pytest
 
 from domania import qcb
-from domania.basis import Verdict, tok
+from domania.basis import Verdict, catalog_basis, enumerate_monotone_maps, tok
 from domania.errors import BadParameterPedigree, NotT0, NotUniform, NotWeaklyEquivalent
 from domania.qcb import (
     check_fun_coherence,
     check_prod_coherence,
     check_sum_coherence,
-    class_topology,
-    continuous_maps,
+    class_order,
     discrete_space,
     enumerate_ideals,
     fixed_point_independence,
@@ -22,8 +21,10 @@ from domania.qcb import (
     sierpinski_space,
     standard_representation,
     token_iso_pair,
+    up,
     validate_pseudobase,
 )
+from domania.oracles import pseudobases_of, spaces_from_posets
 from domania.spfunctor import ConstD, Exp, Id, Sum
 
 
@@ -37,12 +38,12 @@ def test_validate_pseudobase_sierpinski():
     # dropping {top} breaks the convergence clause at top inside {top}
     v = validate_pseudobase(X, [frozenset({"bot", "top"})])
     assert v.holds is False and v.clause == "convergence"
-    assert v.witness[0] == "top"
+    assert v.witness == ("top", frozenset({"top"}))
 
 
 def test_all_opens_form_pseudobase():
     for X in (sierpinski_space(), discrete_space(["0", "1"])):
-        fam = [u for u in X.opens if u]
+        fam = [u for u in opens_of(X) if u]
         assert validate_pseudobase(X, fam).holds is True
 
 
@@ -82,15 +83,15 @@ def test_standard_representation_refuses_a_flag_it_does_not_earn(monkeypatch):
 
 
 def test_non_t0_rejected():
-    indiscrete = mk_space("blob", ["x", "y"], [[], ["x", "y"]])
-    with pytest.raises(NotT0):
-        standard_representation(indiscrete, [frozenset({"x", "y"})])
+    with pytest.raises(NotT0) as ei:
+        mk_space("blob", ["x", "y"], [[], ["x", "y"]])
+    assert ei.value.witness == ("x", "y")
 
 
 def test_greatest_representative():
     X = sierpinski_space()
     rep = standard_representation(X, sier_pseudobase())
-    for x in X.points:
+    for x in X.elements:
         g = rep.greatest_representative(x)
         assert rep.decode[g] == x
         # the greatest representative bounds every representative of x
@@ -135,6 +136,178 @@ def test_quotient_topology_matches_space():
         assert quotient_matches_space(rep)
 
 
+# ---------------------------------------------------------------------------
+# each order rule against the open-set form it replaces, on every T0 space
+# with up to 4 points
+
+
+def opens_of(X):
+    """The open sets of the finite T0 space whose specialization order is X:
+    its up-sets."""
+    pts = X.elements
+    return [
+        frozenset(c)
+        for r in range(len(pts) + 1)
+        for c in itertools.combinations(pts, r)
+        if all(y in c for x in c for y in pts if X.leq(x, y))
+    ]
+
+
+def _min_open(opens, x):
+    return frozenset.intersection(*(u for u in opens if x in u))
+
+
+def _pseudobase_by_opens(X, opens, fam):
+    """Nonempty members, the whole space, closed under meeting intersections,
+    and a member between min_open(x) and U for every open U around x."""
+    return (
+        all(fam)
+        and frozenset(X.elements) in fam
+        and all(not (a & b) or a & b in fam for a in fam for b in fam)
+        and all(
+            any(_min_open(opens, x) <= b <= u for b in fam)
+            for x in X.elements for u in opens if x in u
+        )
+    )
+
+
+def _decode_by_opens(X, opens, fam, b):
+    """The points x in b such that every open around x holds a member
+    between b and it that holds x; at most one in a T0 space."""
+    hits = [
+        x for x in X.elements
+        if x in b and all(
+            any(c >= b and x in c and c <= u for c in fam) for u in opens if x in u
+        )
+    ]
+    assert len(hits) <= 1, hits
+    return hits[0] if hits else None
+
+
+def _class_topology(per):
+    """The quotient topology on the classes: a set of classes is open when
+    its union is upward closed inside the totals."""
+    classes, _ = per.classes()
+    totals = [t for cls in classes for t in cls]
+    opens = set()
+    for r in range(len(classes) + 1):
+        for combo in itertools.combinations(range(len(classes)), r):
+            union = [t for i in combo for t in classes[i]]
+            if all(u in union for t in union for u in totals if per.carrier.leq(t, u)):
+                opens.add(frozenset(combo))
+    return classes, opens
+
+
+def _quotient_by_opens(rep):
+    """The class topology equals the represented topology point for point."""
+    classes, opens = _class_topology(rep.per)
+    point_of = [rep.decode[cls[0]] for cls in classes]
+    if sorted(point_of) != sorted(rep.space.elements):
+        return False
+    expected = {
+        frozenset(i for (i, x) in enumerate(point_of) if x in u)
+        for u in opens_of(rep.space)
+    }
+    return expected == opens
+
+
+def _hausdorff_by_opens(X, opens):
+    return all(
+        any(x in u and y in v and not (u & v) for u in opens for v in opens)
+        for x, y in itertools.combinations(X.elements, 2)
+    )
+
+
+def _continuous_maps(X, Y):
+    """The maps whose preimage of every open of Y is open in X."""
+    oX, oY = opens_of(X), opens_of(Y)
+    out = []
+    for values in itertools.product(Y.elements, repeat=len(X.elements)):
+        f = dict(zip(X.elements, values))
+        if all(frozenset(x for x in X.elements if f[x] in v) in oX for v in oY):
+            out.append(f)
+    return out
+
+
+def opens_of_order(n, order):
+    """The up-sets of a preorder on range(n) given by its pairs."""
+    return [
+        c for r in range(n + 1) for c in itertools.combinations(range(n), r)
+        if all(j in c for i in c for j in range(n) if (i, j) in order)
+    ]
+
+
+SPACES = spaces_from_posets(4)
+
+
+def test_mk_space_reads_the_specialization_order_of_its_opens():
+    assert len(SPACES) == 24  # 1 + 2 + 5 + 16 posets up to isomorphism
+    for X in SPACES:
+        assert mk_space("s", X.elements, opens_of(X)) == X
+        for x in X.elements:
+            assert up(X, x) == _min_open(opens_of(X), x)
+
+
+def test_convergence_rule_matches_open_sets():
+    # every family of at most 5 sets that holds the whole space
+    failed = 0
+    for X in SPACES:
+        opens = opens_of(X)
+        whole = frozenset(X.elements)
+        proper = [
+            frozenset(c)
+            for r in range(1, len(whole))
+            for c in itertools.combinations(X.elements, r)
+        ]
+        for r in range(5):
+            for combo in itertools.combinations(proper, r):
+                fam = list(combo) + [whole]
+                v = validate_pseudobase(X, fam)
+                assert v.holds == _pseudobase_by_opens(X, opens, fam), (X, fam)
+                failed += v.clause == "convergence"
+    assert failed > 1000
+
+
+def test_decode_and_quotient_match_open_sets():
+    cases = 0
+    for X in SPACES:
+        opens = opens_of(X)
+        for fam in pseudobases_of(X, 5):
+            cases += 1
+            rep = standard_representation(X, fam)
+            for b in rep.sets:
+                assert rep.decode[tok(("pb", tuple(sorted(b))))] == (
+                    _decode_by_opens(X, opens, rep.sets, b)
+                )
+            assert quotient_matches_space(rep) and _quotient_by_opens(rep)
+            classes, order = class_order(rep.per)
+            _, topology = _class_topology(rep.per)
+            assert topology == set(map(frozenset, opens_of_order(len(classes), order)))
+    assert cases == 86
+
+
+def test_class_order_matches_the_class_topology_of_every_small_per():
+    # a per's quotient may be no T0 space: a preorder whose up-sets are
+    # still the open sets
+    from domania.oracles import all_pers
+
+    pers = 0
+    for name in ("two-chain", "three-chain", "vee", "diamond"):
+        for per in all_pers(catalog_basis(name)):
+            pers += 1
+            classes, order = class_order(per)
+            _, topology = _class_topology(per)
+            assert topology == set(map(frozenset, opens_of_order(len(classes), order)))
+    assert pers > 20
+
+
+def test_hausdorff_and_continuous_maps_match_open_sets():
+    for X in SPACES:
+        assert qcb._space_hausdorff(X) == _hausdorff_by_opens(X, opens_of(X))
+        for Y in SPACES:
+            assert enumerate_monotone_maps(X, Y) == _continuous_maps(X, Y)
+
+
 def test_standard_rep_suite_passing_checks_carry_no_witness():
     from domania.oracles import standard_rep_suite
 
@@ -159,10 +332,10 @@ def test_unrolling_coherence():
 def test_continuous_map_counts():
     S = sierpinski_space()
     # monotone maps of the specialisation order bot<=top: 3 of the 4
-    assert len(continuous_maps(S, S)) == 3
+    assert len(enumerate_monotone_maps(S, S)) == 3
     D = discrete_space(["0", "1"])
-    assert len(continuous_maps(D, D)) == 4
-    assert len(continuous_maps(S, D)) == 2
+    assert len(enumerate_monotone_maps(D, D)) == 4
+    assert len(enumerate_monotone_maps(S, D)) == 2
 
 
 def test_functorial_representation_translation():
